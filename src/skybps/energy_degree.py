@@ -36,7 +36,15 @@ from .errors import (
     TargetMismatch,
     TraceConstraintFailed,
 )
-from .exterior import EPS, Metric3, StarMap, recover_metric, star_trace_residual
+from .exterior import (
+    EPS,
+    Metric3,
+    StarMap,
+    _matvec,
+    mat_inv,
+    recover_metric,
+    star_trace_residual,
+)
 from .gaugefield import Configuration, equivariant_pullback, standard_specs
 from .grid import PatchGrid, partial_derivative
 from .lie_target import qconj, qmul, qrot, sph_x, su2_algebra
@@ -72,9 +80,14 @@ def _pair(u, v, degree: int, star: StarMap, gslot: np.ndarray | None) -> np.ndar
     for Lie-algebra slots in an orthonormal basis).
     """
     sv = star.on_1(v) if degree == 1 else star.on_2(v)
-    if gslot is None:
-        return np.einsum("uixyz,uixyz->xyz", u, sv)
-    return np.einsum("uvxyz,uixyz,vixyz->xyz", gslot, u, sv, optimize=True)
+    n = len(sv)
+    rho = np.zeros(sv.shape[-3:], np.result_type(u, sv))
+    for b in range(n):
+        # lower the slot index of u: u_b = gslot[a, b] u^a
+        ub = u[b] if gslot is None else sum(gslot[a, b] * u[a] for a in range(n))
+        for i in range(3):
+            rho += ub[i] * sv[b, i]
+    return rho
 
 
 def integrate_density(c: Configuration, rho: np.ndarray) -> float:
@@ -268,9 +281,8 @@ def bps1_star_map(c: Configuration) -> StarMap:
     if np.any(sv[..., -1] <= 1e-8 * sv[..., 0]):
         raise RankDeficient("d^A phi is rank deficient; the star map is undefined")
     b = pb["sigma"] + 3.0 * pb["mu_sharp"]  # (value mu, dual m, *sp)
-    inv_pt = np.linalg.inv(np.moveaxis(P, (0, 1), (-1, -2)))  # (*sp, mu, lam)
-    t = np.einsum("umxyz,xyzul->mlxyz", b, inv_pt, optimize=True)
-    return StarMap(s=t)
+    # t[m, lam] = b[mu, m] (P^{-1})[lam, mu]
+    return StarMap(s=_matvec(mat_inv(P), np.swapaxes(b, 0, 1)))
 
 
 def solve_base_metric(c: Configuration, trace_tol: float = 1e-6) -> Metric3:

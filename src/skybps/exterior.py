@@ -20,6 +20,12 @@ star, and the bilinear form
 recovers g from S (a left inverse of g -> star on the trace-identity slice).
 Maps S that do not come from a metric are legal inputs here; the recovered
 tensor is then flagged when it fails positive definiteness.
+
+The pointwise 3x3 kernels (determinant, adjugate, inverse, matrix-vector
+product) are closed-form component arithmetic on the (3, 3, *spatial) layout:
+the adjugate's columns are cross products of rows, adj[:, r] = m[r+1] x m[r+2]
+(indices mod 3), and det m = m[0] . (m[1] x m[2]).  They take real or complex
+input, so complex-step partials can pass through them.
 """
 
 from __future__ import annotations
@@ -146,14 +152,47 @@ def contract(vector: np.ndarray, f: FormField) -> FormField:
 # ---------------------------------------------------------------------------
 
 
+def _cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i] = (a x b)[i] for (3, *spatial) component fields."""
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=out[i, ...])
+        out[i] -= a[k] * b[j]
+    return out
+
+
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """Adjugate of a (3, 3, *spatial) matrix field: column r is m[r+1] x m[r+2]."""
+    adj = np.empty(m.shape, np.result_type(m, float))
+    for r in range(3):
+        _cross_into(adj[:, r], m[(r + 1) % 3], m[(r + 2) % 3])
+    return adj
+
+
+def _det(m: np.ndarray, adj_col0: np.ndarray | None = None) -> np.ndarray:
+    """det m = m[0] . (m[1] x m[2]); pass adj[:, 0] when the adjugate is at hand."""
+    if adj_col0 is None:
+        adj_col0 = _cross_into(np.empty(m.shape[1:], np.result_type(m, float)), m[1], m[2])
+    return m[0, 0] * adj_col0[0] + m[0, 1] * adj_col0[1] + m[0, 2] * adj_col0[2]
+
+
 def mat_det(m: np.ndarray) -> np.ndarray:
     """Determinant of a (3, 3, *spatial) matrix field."""
-    return np.linalg.det(np.moveaxis(m, (0, 1), (-2, -1)))
+    return _det(m)
 
 
 def mat_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of a (3, 3, *spatial) matrix field."""
-    return np.moveaxis(np.linalg.inv(np.moveaxis(m, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    """Inverse of a (3, 3, *spatial) matrix field.
+
+    Raises ``SingularMetric`` when the determinant is zero or not finite at
+    any point.
+    """
+    adj = _adjugate(m)
+    det = _det(m, adj[:, 0])
+    if not np.all(np.isfinite(det)) or np.any(det == 0):
+        raise SingularMetric("matrix field is singular or non-finite at some grid point")
+    adj /= det
+    return adj
 
 
 @dataclass
@@ -225,7 +264,10 @@ class StarMap:
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(3,3,*sp) matrix times (...,3,*sp) vector over the -4 axis."""
-    return np.einsum("abxyz,...bxyz->...axyz", m, v)
+    out = m[:, 0] * v[..., 0:1, :, :, :]
+    out += m[:, 1] * v[..., 1:2, :, :, :]
+    out += m[:, 2] * v[..., 2:3, :, :, :]
+    return out
 
 
 def hodge_star(metric: Metric3, orientation: int = 1) -> StarMap:

@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChartExit, DegreeOverflow, GridMismatch
-from .exterior import EPS, Metric3, StarMap, assert_finite, hodge_star
+from .exterior import (
+    EPS,
+    Metric3,
+    StarMap,
+    _adjugate,
+    _det,
+    assert_finite,
+    hodge_star,
+)
 from .grid import PatchGrid, partial_derivative
 from .lie_target import TargetGeometry, qconj, qexp, qmul, qrot, target_partials
 
@@ -127,14 +135,15 @@ def cofactor(P: np.ndarray) -> np.ndarray:
     """Map induced on 2-forms by the 1-form pullback P[mu, lam].
 
     C[m, rho] = (1/2) eps_mkl eps_rho-mu-nu P[mu, k] P[nu, l]; pulls a target
-    dual 2-form b_rho back to the base dual component m.
+    dual 2-form b_rho back to the base dual component m.  This is the
+    adjugate of P: column rho is the cross product of rows rho+1 and rho+2.
     """
-    return 0.5 * np.einsum("mkl,ruv,ukxyz,vlxyz->mrxyz", EPS, EPS, P, P, optimize=True)
+    return _adjugate(P)
 
 
 def det_p(P: np.ndarray) -> np.ndarray:
     """det of the pullback matrix: phi^{*A}(dy^1^dy^2^dy^3) = det_p dx^1^dx^2^dx^3."""
-    return np.einsum("uvw,uxyz,vxyz,wxyz->xyz", EPS, P[:, 0], P[:, 1], P[:, 2], optimize=True)
+    return _det(P)
 
 
 # ---------------------------------------------------------------------------

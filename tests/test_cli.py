@@ -178,6 +178,23 @@ def test_sweep_spherical_c1(tmp_path, monkeypatch):
     assert max(gaps) < 0.01
 
 
+def test_sweep_outputs_identical_across_thread_counts(tmp_path, monkeypatch):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "family": "identity-u1",
+        "n": 16,
+        "margins": [0.36, 0.24, 0.16],
+        "sweep": {"param": "family_params.ax",
+                  "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)"]},
+    }))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SKYRME_THREADS", threads)
+        assert main(["sweep", "--config", str(cfg_file),
+                     "--output-dir", str(tmp_path / threads)]) == 0
+    for name in ("report.json", "results.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_sweep_perturbation_monotone():
     rep = run_sweep({
         "family": "identity-u1",

@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skybps.energy_degree import _pair
 from skybps.errors import ConstraintViolated, DegreeOverflow, SingularMetric
 from skybps.exterior import (
     FormField,
     Metric3,
     StarMap,
+    _matvec,
     exterior_derivative,
     contract,
     hodge_star,
+    mat_det,
+    mat_inv,
     pair_1,
     recover_metric,
     star_trace_residual,
@@ -221,3 +225,77 @@ def test_metric_asymmetry_rejected():
     g[0, 1] += 1e-6
     with pytest.raises(ValueError):
         Metric3(g)
+
+
+# -- closed-form kernels against LAPACK and the einsum formulas -------------------
+
+KERNEL_SHAPE = (3, 3, 5, 6, 7)
+
+
+def random_field(rng, shape, complex_):
+    m = rng.normal(size=shape)
+    return m + 1j * rng.normal(size=shape) if complex_ else m
+
+
+def as_lapack(m):
+    return np.moveaxis(m, (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_mat_det_matches_lapack(complex_):
+    m = random_field(np.random.default_rng(11), KERNEL_SHAPE, complex_)
+    ref = np.linalg.det(as_lapack(m))
+    # relative to the size of the products the determinant sums
+    scale = np.prod(np.linalg.norm(as_lapack(m), axis=-1), axis=-1)
+    assert np.max(np.abs(mat_det(m) - ref) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_mat_inv_matches_lapack(complex_):
+    m = random_field(np.random.default_rng(12), KERNEL_SHAPE, complex_)
+    ref = np.moveaxis(np.linalg.inv(as_lapack(m)), (-2, -1), (0, 1))
+    cond = np.linalg.cond(as_lapack(m))
+    err = np.linalg.norm(as_lapack(mat_inv(m) - ref), ord=2, axis=(-2, -1))
+    assert np.max(err / (np.linalg.norm(as_lapack(ref), ord=2, axis=(-2, -1)) * cond)) < 1e-12
+
+
+def test_mat_inv_symmetric_input_gives_symmetric_inverse():
+    g = random_spd(np.random.default_rng(13)).g
+    inv = mat_inv(g)
+    assert np.array_equal(inv, np.swapaxes(inv, 0, 1))
+
+
+def test_mat_inv_singular_point_raises():
+    g = random_spd(np.random.default_rng(14)).g.copy()
+    g[:, :, 2, 3, 1] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(SingularMetric):
+        mat_inv(g)
+    g[:, :, 2, 3, 1] = np.nan
+    with pytest.raises(SingularMetric):
+        mat_inv(g)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_matvec_with_slot_axis_matches_einsum(complex_):
+    rng = np.random.default_rng(15)
+    m = random_field(rng, KERNEL_SHAPE, complex_)
+    v = random_field(rng, (4,) + KERNEL_SHAPE[1:], complex_)
+    ref = np.einsum("abxyz,...bxyz->...axyz", m, v)
+    scale = np.einsum("abxyz,...bxyz->...axyz", np.abs(m), np.abs(v))
+    assert np.max(np.abs(_matvec(m, v) - ref) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pair_matches_einsum_both_branches(degree):
+    rng = np.random.default_rng(16 + degree)
+    star = hodge_star(random_spd(rng))
+    u = rng.normal(size=(3, 3) + SHAPE)
+    v = rng.normal(size=(3, 3) + SHAPE)
+    sv = star.on_1(v) if degree == 1 else star.on_2(v)
+    gslot = random_spd(rng).g
+    ref = np.einsum("uixyz,uixyz->xyz", u, sv)
+    scale = np.einsum("uixyz,uixyz->xyz", np.abs(u), np.abs(sv))
+    assert np.max(np.abs(_pair(u, v, degree, star, None) - ref) / scale) < 1e-12
+    ref = np.einsum("uvxyz,uixyz,vixyz->xyz", gslot, u, sv)
+    scale = np.einsum("uvxyz,uixyz,vixyz->xyz", np.abs(gslot), np.abs(u), np.abs(sv))
+    assert np.max(np.abs(_pair(u, v, degree, star, gslot) - ref) / scale) < 1e-12

@@ -3,12 +3,14 @@ import pytest
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
 from skybps.errors import ChartExit, DegreeOverflow
-from skybps.exterior import Metric3
+from skybps.exterior import EPS, Metric3
 from skybps.gaugefield import (
     Configuration,
     EquivariantFormSpec,
+    cofactor,
     configuration_from_json,
     configuration_to_json,
+    det_p,
     equivariant_pullback,
     gauge_transform,
     naturality_check_specs,
@@ -141,6 +143,22 @@ def test_pullback_grading_and_overflow(u1_target):
     assert equivariant_pullback(c, sp["sigma"]).shape == (3, 3) + c.grid.shape
     with pytest.raises(DegreeOverflow):
         equivariant_pullback(c, EquivariantFormSpec(2, 0, lambda y: None))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_cofactor_and_det_p_match_einsum(complex_):
+    rng = np.random.default_rng(21)
+    P = rng.normal(size=(3, 3, 5, 6, 7))
+    if complex_:
+        P = P + 1j * rng.normal(size=P.shape)
+    ref = 0.5 * np.einsum("mkl,ruv,ukxyz,vlxyz->mrxyz", EPS, EPS, P, P)
+    scale = 0.5 * np.einsum("mkl,ruv,ukxyz,vlxyz->mrxyz", np.abs(EPS), np.abs(EPS),
+                            np.abs(P), np.abs(P))
+    assert np.max(np.abs(cofactor(P) - ref) / scale) < 1e-12
+    ref = np.linalg.det(np.moveaxis(P, (0, 1), (-2, -1)))
+    a = np.abs(P)
+    scale = np.einsum("uvw,uxyz,vxyz,wxyz->xyz", np.abs(EPS), a[:, 0], a[:, 1], a[:, 2])
+    assert np.max(np.abs(det_p(P) - ref) / scale) < 1e-12
 
 
 # -- naturality -----------------------------------------------------------------
