@@ -22,6 +22,8 @@ import argparse
 import copy
 import csv
 import json
+import math
+import numbers
 import os
 import sys
 import tempfile
@@ -95,6 +97,27 @@ def _check_keys(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """A copy of an optional object-valued section of the configuration."""
+    value = cfg.get(key) or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _check_real(value, where: str):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite real number, got {value!r}")
+
+
+def _check_int(value, where: str, minimum: int | None = None):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value!r}")
 
 
 def _expr_fn(text: str, *names: str):
@@ -241,8 +264,7 @@ def build_family(cfg: dict, margin: float):
     else:
         raise ConfigError(f"unknown family {cfg['family']!r}")
 
-    pert = dict(cfg.get("perturb") or {})
-    _check_keys(pert, {"eps", "seed"}, "perturb")
+    pert = _section(cfg, "perturb")
     eps = float(pert.get("eps", 0.0))
     if eps:
         res.config = perturb_configuration(res.config, eps, int(pert.get("seed", 0)))
@@ -277,14 +299,30 @@ def _validate_config(cfg: dict) -> dict:
     _check_keys(cfg, _TOP_KEYS, "configuration")
     if "family" not in cfg:
         raise ConfigError("configuration needs a 'family'")
+    if "n" in cfg:
+        _check_int(cfg["n"], "'n'", minimum=5)
+    if "seed" in cfg:
+        _check_int(cfg["seed"], "'seed'")
+    pert = _section(cfg, "perturb")
+    _check_keys(pert, {"eps", "seed"}, "perturb")
+    if "eps" in pert:
+        _check_real(pert["eps"], "perturb 'eps'")
+    if "seed" in pert:
+        _check_int(pert["seed"], "perturb 'seed'")
     tols = dict(_DEFAULT_TOLS)
-    user_tols = dict(cfg.get("tolerances") or {})
+    user_tols = _section(cfg, "tolerances")
     _check_keys(user_tols, _TOL_KEYS, "tolerances")
+    for k, v in user_tols.items():
+        _check_real(v, f"tolerance {k!r}")
     tols.update(user_tols)
     out = copy.deepcopy(cfg)
     out["tolerances"] = tols
     if "margins" not in out or not out["margins"]:
         out["margins"] = list(_DEFAULT_MARGINS.get(cfg["family"], [0.2, 0.1, 0.05]))
+    if not isinstance(out["margins"], (list, tuple)):
+        raise ConfigError(f"'margins' must be a list, got {out['margins']!r}")
+    for m in out["margins"]:
+        _check_real(m, "each margin")
     ms = [float(m) for m in out["margins"]]
     if any(m <= 0 for m in ms) or any(a <= b for a, b in zip(ms, ms[1:])):
         raise ConfigError("margins must be positive and strictly decreasing")
@@ -518,12 +556,17 @@ def _load_config(args) -> dict:
                 cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
+        if not isinstance(cfg, dict):
+            raise ConfigError("configuration must be a JSON object")
     if getattr(args, "family", None):
         cfg["family"] = args.family
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         cfg["n"] = args.n
     if getattr(args, "margins", None):
-        cfg["margins"] = [float(x) for x in args.margins.split(",")]
+        try:
+            cfg["margins"] = [float(x) for x in args.margins.split(",")]
+        except ValueError:
+            raise ConfigError(f"--margins must be comma-separated numbers, got {args.margins!r}")
     if getattr(args, "ax", None):
         cfg.setdefault("family_params", {})["ax"] = args.ax
     if getattr(args, "surface", None):

@@ -160,7 +160,10 @@ class TargetGeometry:
     mu_fn: Callable
     orientation: int = 1
     has_moment_constraint: bool = True
-    fiber_axis: int | None = None  # u1 targets: chart axis shifted by the action
+    # u1 targets: the chart axis the action translates isometrically.  The
+    # metric must not depend on that coordinate, so ``volume`` evaluates
+    # V_N on a single slice of the chart grid.
+    fiber_axis: int | None = None
     action_fn: Callable | None = None  # (quaternion field, y) -> transformed y
     default_margin: float = 0.05
     volume_margins: tuple[float, ...] = (0.2, 0.1, 0.05)
@@ -195,15 +198,24 @@ class TargetGeometry:
         return np.einsum("mnxyz,anxyz->amxyz", g_inv, self.mu_fn(y))
 
     def volume(self, n=96, margins=None) -> float:
-        """Margin-extrapolated integral of V_N over the chart."""
+        """Margin-extrapolated integral of V_N over the chart.
+
+        With a ``fiber_axis``, V_N is evaluated on one slice of each chart
+        grid and broadcast along that axis, so the quadrature sees the same
+        values as on the full grid.
+        """
         margins = tuple(margins) if margins is not None else self.volume_margins
         key = (_triple(n), margins)
         if key not in self._volume_cache:
             vals = []
             for m in margins:
                 grid = self.chart_grid(n, m)
-                y = np.stack(grid.meshes())
-                vals.append(integrate(self.vol_coeff(y), grid))
+                axes = [grid.axis_points(i) for i in range(3)]
+                if self.fiber_axis is not None:
+                    axes[self.fiber_axis] = axes[self.fiber_axis][:1]
+                y = np.stack(np.meshgrid(*axes, indexing="ij"))
+                vol = np.broadcast_to(self.vol_coeff(y), grid.shape)
+                vals.append(integrate(vol, grid))
             self._volume_cache[key] = extrapolate_margin(margins, vals)
         return self._volume_cache[key]
 

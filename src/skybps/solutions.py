@@ -44,6 +44,7 @@ from .grid import build_patch
 from .lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
+    _triple,
     eta2_zero_family,
     make_adjoint_interval_target,
     monopole_family,
@@ -222,7 +223,7 @@ def identity_u1_solution(
     if target.fiber_axis != 0 or "mu_y" not in target.extras:
         raise ParamInconsistent("identity_u1_solution needs a u1-fibered target")
     ex = target.extras
-    grid = build_patch(target.lo, target.hi, _n3(n), target.periodic, margin)
+    grid = build_patch(target.lo, target.hi, _triple(n), target.periodic, margin)
     th, x, y = grid.meshes()
 
     ax_vals = a_x(th, x)
@@ -260,7 +261,7 @@ def identity_u1_solution(
     return FamilyResult(
         family="identity-u1",
         config=cfg,
-        params={"n": _n3(n), "margin": margin},
+        params={"n": _triple(n), "margin": margin},
         diagnostics={"kappa_min": float(kappa.min()), "metric_formula": metric_formula},
     )
 
@@ -285,7 +286,7 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     fam = monopole_family((s0 - pad, s1 + pad))
     target = make_adjoint_interval_target(fam)
     grid = build_patch((s0, 0.0, 0.0), (s1, np.pi, 2 * np.pi),
-                       _n3(n), (False, False, True), margin)
+                       _triple(n), (False, False, True), margin)
     s, u, v = grid.meshes()
 
     phi = np.stack([s, np.full(grid.shape, np.pi / 2), np.zeros(grid.shape)])
@@ -309,7 +310,7 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     return FamilyResult(
         family="dirac-monopole",
         config=cfg,
-        params={"n": _n3(n), "margin": margin, "r_window": list(r_window)},
+        params={"n": _triple(n), "margin": margin, "r_window": list(r_window)},
         diagnostics={"abelian_bps_residual": res},
     )
 
@@ -370,7 +371,7 @@ def spinorial_solution(
     grid = build_patch(
         (xi0, surface.lo[0], surface.lo[1]),
         (xi1, surface.hi[0], surface.hi[1]),
-        _n3(n),
+        _triple(n),
         (False, surface.periodic[0], surface.periodic[1]),
         margin,
     )
@@ -411,7 +412,7 @@ def spinorial_solution(
     return FamilyResult(
         family="spinorial",
         config=cfg,
-        params={"n": _n3(n), "margin": margin, "surface": surface.name,
+        params={"n": _triple(n), "margin": margin, "surface": surface.name,
                 "family": fam.name, "twist_b": twist_b},
         diagnostics={
             "riemannian_everywhere": bool(np.all(mask)),
@@ -541,7 +542,7 @@ def spherical_solution(
                                 interval=tuple(xi_window), name="spherical-profile")
     target = make_adjoint_interval_target(fam)
     grid = build_patch((xi_window[0], 0.0, 0.0), (xi_window[1], np.pi, 2 * np.pi),
-                       _n3(n), (False, False, True), margin)
+                       _triple(n), (False, False, True), margin)
     xi, u, v = grid.meshes()
 
     x, xu, xv = sph_x(u, v), sph_xu(u, v), sph_xv(u, v)
@@ -570,7 +571,7 @@ def spherical_solution(
     return FamilyResult(
         family="spherical",
         config=cfg,
-        params={"n": _n3(n), "margin": margin, "c1": c1, "c2": c2,
+        params={"n": _triple(n), "margin": margin, "c1": c1, "c2": c2,
                 "alpha": alpha, "beta": beta, "xi_window": list(xi_window)},
         diagnostics={
             "bps2a_residual": float(np.max(np.abs(bps2a))),
@@ -622,7 +623,7 @@ def symplectic_solution(
     target = make_adjoint_interval_target(fam)
     xi0, xi1 = interval
     grid = build_patch((xi0, -tau_max, 0.0), (xi1, tau_max, 2 * np.pi),
-                       _n3(n), (False, False, True), margin)
+                       _triple(n), (False, False, True), margin)
     xi, tau, v = grid.meshes()
 
     om = surface.omega(tau, v)
@@ -662,7 +663,7 @@ def symplectic_solution(
     return FamilyResult(
         family="symplectic",
         config=cfg,
-        params={"n": _n3(n), "margin": margin, "tau_max": tau_max,
+        params={"n": _triple(n), "margin": margin, "tau_max": tau_max,
                 "twisted": xi_phase is not None},
         diagnostics={
             "normalization_residual": norm_res,
@@ -670,12 +671,6 @@ def symplectic_solution(
             "surface": surface,
         },
     )
-
-
-def _n3(n):
-    if np.isscalar(n):
-        return (int(n),) * 3
-    return tuple(int(k) for k in n)
 
 
 FAMILY_BUILDERS = {

@@ -83,6 +83,31 @@ def test_malformed_config_exit_2(tmp_path):
                  "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    {"family": "identity-u1", "n": "abc"},
+    {"family": "identity-u1", "n": 16.5},
+    {"family": "identity-u1", "n": -3},
+    {"family": "identity-u1", "n": True},
+    {"family": "identity-u1", "margins": "x"},
+    {"family": "identity-u1", "tolerances": {"residual": "x"}},
+    {"family": "identity-u1", "perturb": {"eps": "a"}},
+    {"family": "identity-u1", "seed": 1.5},
+    [{"family": "identity-u1"}],
+], ids=["n-str", "n-float", "n-negative", "n-bool", "margins-str", "tol-str",
+        "eps-str", "seed-float", "top-level-list"])
+def test_mistyped_config_exit_2(tmp_path, cfg):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--margins", "a,b"], ["-n", "0"]],
+                         ids=["margins", "n-zero"])
+def test_bad_flags_exit_2(tmp_path, flags):
+    assert main(["verify", "--family", "identity-u1", *flags,
+                 "--output-dir", str(tmp_path)]) == 2
+
+
 def test_obstruction_command(tmp_path, capsys):
     code = main(["obstruction", "--K", "2.0", "--output-dir", str(tmp_path)])
     assert code == 0
@@ -205,6 +230,18 @@ def test_sweep_perturbation_monotone():
     })
     r1s = [p["rows"][0]["r1"] for p in rep["points"]]
     assert all(a < b for a, b in zip(r1s, r1s[1:]))
+
+
+def test_sweep_bad_n_is_a_point_error():
+    rep = run_sweep({
+        "family": "identity-u1",
+        "margins": [0.2],
+        "sweep": {"param": "n", "values": ["abc", 16, 16.5]},
+    })
+    assert rep["exit"] == 1
+    errors = [p.get("error", "") for p in rep["points"]]
+    assert errors[0].startswith("ConfigError") and errors[2].startswith("ConfigError")
+    assert "error" not in rep["points"][1] and rep["points"][1]["rows"]
 
 
 def test_sweep_convergence_columns():

@@ -3,6 +3,7 @@ import pytest
 
 from skybps.errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
 from skybps.exterior import EPS
+from skybps.grid import extrapolate_margin, integrate
 from skybps.lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
@@ -108,20 +109,52 @@ def test_u1_degenerate_w_rejected():
         )
 
 
-def test_u1_fibered_general_valid():
-    t = make_u1_fibered_target(
+def _general_u1_target():
+    """A u1-fibered target whose profiles all depend on the base coordinate y."""
+    return make_u1_fibered_target(
         mu_x=lambda x, y: 0.02 * np.sin(y / 2) * np.sin(x) ** 2,
         mu_y=lambda x, y: (0.25 + 0.03 * np.cos(y / 2)) * np.sin(x) ** 2,
         h=lambda x, y: 1.0 + 0.1 * np.sin(x) * np.ones_like(y),
         omega_x=lambda x, y: 0.05 * np.cos(y / 2) * np.ones_like(x),
     )
-    res = verify_moment_conditions(t, n=32)
+
+
+def test_u1_fibered_general_valid():
+    res = verify_moment_conditions(_general_u1_target(), n=32)
     assert res["def_residual"] < 1e-6
     assert res["constraint_residual"] < 1e-12  # mu has no dtheta slot
 
 
 def test_u1_volume(u1_target):
     assert u1_target.volume(n=64) == pytest.approx(2 * np.pi**2, rel=1e-3)
+
+
+def _full_grid_volume(t, n):
+    """Vol(N) with V_N evaluated at every point of every chart grid."""
+    vals = []
+    for m in t.volume_margins:
+        grid = t.chart_grid(n, m)
+        vals.append(integrate(t.vol_coeff(np.stack(grid.meshes())), grid))
+    return extrapolate_margin(t.volume_margins, vals)
+
+
+@pytest.mark.parametrize("make", [u1_s3_adjoint_target, _general_u1_target])
+def test_u1_vol_coeff_constant_along_fiber(make):
+    t = make()
+    assert t.fiber_axis == 0
+    grid = t.chart_grid(24)
+    full = t.vol_coeff(np.stack(grid.meshes()))
+    assert np.array_equal(full, np.broadcast_to(full[:1], full.shape))
+
+
+@pytest.mark.parametrize("make", [
+    u1_s3_adjoint_target,
+    _general_u1_target,
+    lambda: make_adjoint_interval_target(round_s3_family()),
+])
+def test_volume_equals_full_grid_quadrature(make):
+    t = make()
+    assert t.volume(n=32) == _full_grid_volume(t, 32)
 
 
 # -- adjoint interval targets -------------------------------------------------
