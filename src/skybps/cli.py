@@ -69,7 +69,7 @@ SCHEMA_VERSION = 1
 
 _TOP_KEYS = {
     "family", "n", "margins", "bps", "family_params", "target", "surface",
-    "tolerances", "perturb", "output_dir", "emit_gnuplot", "seed", "sweep",
+    "tolerances", "perturb", "output_dir", "emit_gnuplot", "sweep",
 }
 _TOL_KEYS = {"residual", "gap_rel", "degree", "bianchi", "naturality", "moment", "charge_cross"}
 _DEFAULT_TOLS = {
@@ -113,6 +113,27 @@ def _check_real(value, where: str):
         raise ConfigError(f"{where} must be a finite real number, got {value!r}")
 
 
+def _check_reals(section: dict, keys, where: str):
+    """Each of ``keys`` present in ``section`` must be a finite real number."""
+    for k in keys:
+        if k in section:
+            _check_real(section[k], f"{where} {k!r}")
+
+
+def _check_tuple(value, length: int, where: str, kind=_check_real):
+    """A JSON list of ``length`` entries, each passing ``kind``."""
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise ConfigError(f"{where} must be a list of {length} entries, got {value!r}")
+    for v in value:
+        kind(v, where)
+    return tuple(value)
+
+
+def _check_bool(value, where: str):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} entries must be true or false, got {value!r}")
+
+
 def _check_int(value, where: str, minimum: int | None = None):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -121,6 +142,8 @@ def _check_int(value, where: str, minimum: int | None = None):
 
 
 def _expr_fn(text: str, *names: str):
+    if not isinstance(text, str):
+        raise ConfigError(f"expression must be a string, got {text!r}")
     e = Expression(text)
     bad = set(e.variables) - set(names)
     if bad:
@@ -147,9 +170,11 @@ def build_target(cfg: dict):
             mu_y=_expr_fn(cfg["mu_y"], "x", "y"),
             h=_expr_fn(cfg.get("h", "1"), "x", "y"),
             omega_x=_expr_fn(cfg.get("omega_x", "0"), "x", "y"),
-            chart_lo=tuple(cfg.get("lo", (0.0, 0.0, 0.0))),
-            chart_hi=tuple(cfg.get("hi", (2 * np.pi, np.pi / 2, 4 * np.pi))),
-            chart_periodic=tuple(cfg.get("periodic", (True, False, True))),
+            chart_lo=_check_tuple(cfg.get("lo", (0.0, 0.0, 0.0)), 3, "target 'lo'"),
+            chart_hi=_check_tuple(cfg.get("hi", (2 * np.pi, np.pi / 2, 4 * np.pi)), 3,
+                                  "target 'hi'"),
+            chart_periodic=_check_tuple(cfg.get("periodic", (True, False, True)), 3,
+                                        "target 'periodic'", _check_bool),
         )
     if name in ("adjoint-s3", "s3-round"):
         _check_keys(cfg, set(), f"target {name!r}")
@@ -162,14 +187,22 @@ def build_target(cfg: dict):
             h2=_expr_fn(cfg["h2"], "xi"),
             eta1=_expr_fn(cfg["eta1"], "xi"),
             eta2=_expr_fn(cfg.get("eta2", "0"), "xi"),
-            interval=tuple(cfg.get("interval", (0.0, np.pi))),
-            compact=cfg.get("compact"),
+            interval=_check_tuple(cfg.get("interval", (0.0, np.pi)), 2, "target 'interval'"),
+            compact=_compact(cfg),
         )
         return make_adjoint_interval_target(fam)
     if name == "su2-left":
         _check_keys(cfg, {"K"}, "target 'su2-left'")
+        _check_reals(cfg, ["K"], "target")
         return make_su2_left_target(float(cfg.get("K", 1.0)))
     raise ConfigError(f"unknown target {name!r}")
+
+
+def _compact(cfg: dict):
+    compact = cfg.get("compact")
+    if compact not in (None, "s3", "s1xs2"):
+        raise ConfigError(f"target 'compact' must be \"s3\" or \"s1xs2\", got {compact!r}")
+    return compact
 
 
 def build_surface(cfg: dict):
@@ -178,6 +211,7 @@ def build_surface(cfg: dict):
     if name != "s2-round":
         raise ConfigError(f"unknown surface {name!r}")
     _check_keys(cfg, {"curvature", "tau_max"}, "surface 's2-round'")
+    _check_reals(cfg, ["curvature", "tau_max"], "surface")
     return mercator_sphere(float(cfg.get("curvature", 1.0)), float(cfg.get("tau_max", 3.0)))
 
 
@@ -203,8 +237,8 @@ def _spinorial_family_from_target(cfg: dict):
             h2=_expr_fn(tcfg["h2"], "xi"),
             eta1=_expr_fn(tcfg["eta1"], "xi"),
             eta2=_expr_fn(tcfg.get("eta2", "0"), "xi"),
-            interval=tuple(tcfg.get("interval", (0.0, np.pi))),
-            compact=tcfg.get("compact"),
+            interval=_check_tuple(tcfg.get("interval", (0.0, np.pi)), 2, "target 'interval'"),
+            compact=_compact(tcfg),
         )
     raise ConfigError(f"unknown spinorial target {name!r}")
 
@@ -213,48 +247,57 @@ def build_family(cfg: dict, margin: float):
     """Dispatch a family constructor; returns (FamilyResult, BPSParams)."""
     family = cfg["family"]
     n = int(cfg.get("n", 48))
-    fp = dict(cfg.get("family_params") or {})
-    bps_cfg = dict(cfg.get("bps") or {})
+    fp = _section(cfg, "family_params")
+    bps_cfg = _section(cfg, "bps")
     _check_keys(bps_cfg, {"alpha", "beta", "gamma"}, "bps")
+    _check_reals(bps_cfg, ["alpha", "beta", "gamma"], "bps")
+    where = f"{family} params"
 
     if family == "identity-u1":
-        _check_keys(fp, {"ax"}, "identity-u1 params")
+        _check_keys(fp, {"ax"}, where)
         _reject_section(cfg, "surface", family)
-        target = build_target(cfg.get("target"))
+        target = build_target(_section(cfg, "target"))
         ax = _expr_fn(fp.get("ax", "0.1*sin(theta)"), "theta", "x")
         res = identity_u1_solution(ax, target=target, n=n, margin=margin)
         p = bps_coefficients(0.0, 0.0, 0.0)
     elif family == "dirac-monopole":
-        _check_keys(fp, {"r_window"}, "dirac-monopole params")
+        _check_keys(fp, {"r_window"}, where)
         _reject_section(cfg, "surface", family)
         _reject_section(cfg, "target", family)
-        res = dirac_monopole(n=n, r_window=tuple(fp.get("r_window", (0.5, 2.0))), margin=margin)
+        r_window = _check_tuple(fp.get("r_window", (0.5, 2.0)), 2, "'r_window'")
+        res = dirac_monopole(n=n, r_window=r_window, margin=margin)
         p = bps_coefficients(bps_cfg.get("alpha", 0.0), bps_cfg.get("beta", 0.0),
                              bps_cfg.get("gamma", 0.0))
     elif family == "spinorial":
-        _check_keys(fp, set(), "spinorial params")
-        surface = build_surface(cfg.get("surface"))
-        fam = _spinorial_family_from_target(cfg.get("target"))
+        _check_keys(fp, set(), where)
+        surface = build_surface(_section(cfg, "surface"))
+        fam = _spinorial_family_from_target(_section(cfg, "target"))
         res = spinorial_solution(surface=surface, fam=fam, n=n, margin=margin)
         p = bps_coefficients(0.0, 0.0, 0.0)
     elif family == "twisted-spinorial":
-        _check_keys(fp, {"alpha", "beta", "gamma"}, "twisted-spinorial params")
+        _check_keys(fp, {"alpha", "beta", "gamma"}, where)
+        # a missing or null beta is derived from the surface curvature
+        _check_reals(fp, ["alpha", "gamma"] + (["beta"] if fp.get("beta") is not None else []),
+                     where)
         _reject_section(cfg, "surface", family)  # curvature is implied by alpha/beta
         _reject_section(cfg, "target", family)
         a, b, g = fp.get("alpha", 0.0), fp.get("beta"), fp.get("gamma", 1.0)
         res = twisted_spinorial_solution(alpha=a, gamma=g, beta=b, n=n, margin=margin)
         p = bps_coefficients(a, b or 0.0, g)
     elif family == "spherical":
-        _check_keys(fp, {"c1", "c2", "alpha", "beta", "xi_window"}, "spherical params")
+        _check_keys(fp, {"c1", "c2", "alpha", "beta", "xi_window"}, where)
+        _check_reals(fp, ["c1", "c2", "alpha", "beta"], where)
         _reject_section(cfg, "surface", family)
         _reject_section(cfg, "target", family)
         a, b = fp.get("alpha", 1.0), fp.get("beta", 2.0)
         res = spherical_solution(fp.get("c1", 1.0), fp.get("c2", -1.0), a, b,
-                                 xi_window=tuple(fp.get("xi_window", (0.2, 1.5))),
+                                 xi_window=_check_tuple(fp.get("xi_window", (0.2, 1.5)), 2,
+                                                        "'xi_window'"),
                                  n=n, margin=margin)
         p = bps_coefficients(a, b, 0.0)
     elif family == "symplectic":
-        _check_keys(fp, {"beta", "twist"}, "symplectic params")
+        _check_keys(fp, {"beta", "twist"}, where)
+        _check_reals(fp, ["beta"], where)
         _reject_section(cfg, "surface", family)
         _reject_section(cfg, "target", family)
         twist = fp.get("twist")
@@ -296,13 +339,14 @@ def perturb_configuration(c: Configuration, eps: float, seed: int = 0) -> Config
 def _validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("configuration must be a JSON object")
+    if "seed" in cfg:
+        raise ConfigError("unknown key 'seed' in configuration: "
+                          "the perturbation is seeded by 'perturb.seed'")
     _check_keys(cfg, _TOP_KEYS, "configuration")
     if "family" not in cfg:
         raise ConfigError("configuration needs a 'family'")
     if "n" in cfg:
         _check_int(cfg["n"], "'n'", minimum=5)
-    if "seed" in cfg:
-        _check_int(cfg["seed"], "'seed'")
     pert = _section(cfg, "perturb")
     _check_keys(pert, {"eps", "seed"}, "perturb")
     if "eps" in pert:
@@ -354,13 +398,13 @@ def run_verify(cfg: dict) -> dict:
         checks.append({"name": name, "value": value, "tol": tol, "pass": ok})
         return ok
 
-    first = None
+    first = True
     vol_n = None
     for m in margins:
         res, p = build_family(cfg, m)
         c = res.config
-        if first is None:
-            first = res
+        if first:
+            first = False
             mom = verify_moment_conditions(c.target, n=32)
             check("moment_def_residual", mom["def_residual"], tols["moment"])
             if c.target.has_moment_constraint:

@@ -45,7 +45,7 @@ from .exterior import (
     recover_metric,
     star_trace_residual,
 )
-from .gaugefield import Configuration, equivariant_pullback, standard_specs
+from .gaugefield import Configuration, _curvature, equivariant_pullback, standard_specs
 from .grid import PatchGrid, partial_derivative
 from .lie_target import qconj, qmul, qrot, sph_x, su2_algebra
 
@@ -97,16 +97,28 @@ def integrate_density(c: Configuration, rho: np.ndarray) -> float:
 
 def _pullbacks(c: Configuration) -> dict:
     if "pullbacks" not in c._memo:
-        specs = standard_specs(c.target)
+        # coefficients at phi come from the configuration's target fields
+        t, phi, g = c.target, c.phi, c.target_metric()
+        specs = standard_specs(t)
         c._memo["pullbacks"] = {
-            "sigma": equivariant_pullback(c, specs["sigma"]),
-            "nu": equivariant_pullback(c, specs["nu"]),
-            "mu_sharp": equivariant_pullback(c, specs["mu_sharp"]),
-            "volume": equivariant_pullback(c, specs["volume"]),
-            "mu": equivariant_pullback(c, specs["mu"]),
-            "gN": c.target.metric(c.phi),
+            "sigma": equivariant_pullback(c, specs["sigma"], t.sigma_dual(phi, g=g)),
+            "nu": equivariant_pullback(c, specs["nu"], c.killing()),
+            "mu_sharp": equivariant_pullback(
+                c, specs["mu_sharp"], t.mu_sharp(phi, g=g, mu=c.moment())),
+            "volume": equivariant_pullback(c, specs["volume"], t.vol_coeff(phi, g=g)),
+            "mu": equivariant_pullback(c, specs["mu"], c.moment()),
+            "gN": g,
         }
     return c._memo["pullbacks"]
+
+
+def _bogomolny(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    """star_M d^A phi and B = phi^{*A}(Sigma + 3 mu-sharp), both sides of BPS1."""
+    if "bogomolny" not in c._memo:
+        pb = _pullbacks(c)
+        stard = c.star().on_1(c.covariant_differential())
+        c._memo["bogomolny"] = (stard, pb["sigma"] + 3.0 * pb["mu_sharp"])
+    return c._memo["bogomolny"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +179,9 @@ def charge_density(c: Configuration) -> np.ndarray:
 
 def charge_density_cross_residual(c: Configuration) -> float:
     """Pointwise mismatch of the two charge-density expressions (roundoff-level)."""
-    pb = _pullbacks(c)
     rho = charge_density(c)
-    star = c.star()
-    stard = star.on_1(c.covariant_differential())
-    b = pb["sigma"] + 3.0 * pb["mu_sharp"]
-    alt = _pair(stard, b, 2, star, pb["gN"]) / 3.0
+    stard, b = _bogomolny(c)
+    alt = _pair(stard, b, 2, c.star(), c.target_metric()) / 3.0
     scale = max(float(np.max(np.abs(rho))), 1.0)
     return float(np.max(np.abs(rho - alt))) / scale
 
@@ -184,16 +193,14 @@ def degree(c: Configuration, vol_n: float | None = None,
     The numerator is the quadrature over this configuration's (margined)
     patch; callers extrapolate over margins when a global integer is claimed.
     """
-    t = c.target
-    kil = t.killing(c.phi)
-    mu = t.mu(c.phi)
+    kil, mu = c.killing(), c.moment()
     q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
     sym = 0.5 * (q + np.swapaxes(q, 0, 1))
     if float(np.max(np.abs(sym))) > constraint_tol * max(float(np.max(np.abs(mu))), 1.0):
         raise MomentConditionFailed(
             "target moment map violates the contraction constraint; degree undefined"
         )
-    vol = t.volume() if vol_n is None else vol_n
+    vol = c.target.volume() if vol_n is None else vol_n
     return integrate_density(c, charge_density(c)) / vol
 
 
@@ -205,9 +212,7 @@ def degree(c: Configuration, vol_n: float | None = None,
 def bps_residuals(c: Configuration, p: BPSParams) -> dict:
     """Sup-norm residuals of the two BPS equations over all components."""
     pb = _pullbacks(c)
-    star = c.star()
-    stard = star.on_1(c.covariant_differential())
-    b = pb["sigma"] + 3.0 * pb["mu_sharp"]
+    stard, b = _bogomolny(c)
     r1 = float(np.max(np.abs(stard - b)))
     second = p.alpha * pb["sigma"] + p.beta * pb["mu_sharp"] + p.gamma * pb["nu"]
     r2 = float(np.max(np.abs(second)))
@@ -242,8 +247,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
     pb = _pullbacks(c)
     star = c.star()
     gN = pb["gN"]
-    stard = star.on_1(c.covariant_differential())
-    b = pb["sigma"] + 3.0 * pb["mu_sharp"]
+    stard, b = _bogomolny(c)
     diff = stard - b
     second = p.alpha * pb["sigma"] + p.beta * pb["mu_sharp"] + p.gamma * pb["nu"]
     dens2 = (
@@ -275,12 +279,11 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
 
 def bps1_star_map(c: Configuration) -> StarMap:
     """The star-like map phi^{*A}(Sigma + 3 mu-sharp) o (phi^{*A})^{-1}."""
-    pb = _pullbacks(c)
     P = c.covariant_differential()
     sv = np.linalg.svd(np.moveaxis(P, (0, 1), (-2, -1)), compute_uv=False)
     if np.any(sv[..., -1] <= 1e-8 * sv[..., 0]):
         raise RankDeficient("d^A phi is rank deficient; the star map is undefined")
-    b = pb["sigma"] + 3.0 * pb["mu_sharp"]  # (value mu, dual m, *sp)
+    _, b = _bogomolny(c)  # (value mu, dual m, *sp)
     # t[m, lam] = b[mu, m] (P^{-1})[lam, mu]
     return StarMap(s=_matvec(mat_inv(P), np.swapaxes(b, 0, 1)))
 
@@ -352,9 +355,7 @@ def energy_su2_reduced(U: np.ndarray, A: np.ndarray, grid: PatchGrid, gM: Metric
         L[:, lam] = qmul(Uc, dU[:, lam] + comm)[1:]
     lwl = 0.5 * np.einsum("abc,bixyz,cjxyz,mij->amxyz", f, L, L, EPS, optimize=True)
 
-    grads = np.stack([partial_derivative(A, lam, grid) for lam in range(3)])
-    curl = np.einsum("mkl,kalxyz->amxyz", EPS, grads)
-    F = curl + 0.5 * np.einsum("abc,bixyz,cjxyz,mij->amxyz", f, A, A, EPS, optimize=True)
+    F = _curvature(A, f, grid)
     rot = qrot(Uc)
     UFU = np.einsum("baxyz,amxyz->bmxyz", rot, F)  # U^{-1} F U components
 

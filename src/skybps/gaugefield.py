@@ -101,22 +101,33 @@ class Configuration:
     def curvature(self) -> np.ndarray:
         """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c, dual storage (dim g, 3, *grid)."""
         if "F" not in self._memo:
-            grads = np.stack(
-                [partial_derivative(self.A, lam, self.grid) for lam in range(3)]
-            )
-            curl = np.einsum("mkl,kalxyz->amxyz", EPS, grads)
-            # wedge of the two 1-form slots is a cross product in dual storage
-            cross = 0.5 * np.einsum(
-                "abc,bixyz,cjxyz,mij->amxyz",
-                self.target.algebra.f, self.A, self.A, EPS, optimize=True,
-            )
-            self._memo["F"] = assert_finite(curl + cross, "curvature")
+            F = _curvature(self.A, self.target.algebra.f, self.grid)
+            self._memo["F"] = assert_finite(F, "curvature")
         return self._memo["F"]
+
+    # -- target fields at phi, each evaluated once -------------------------
+
+    def _at_phi(self, key: str, fn) -> np.ndarray:
+        if key not in self._memo:
+            self._memo[key] = fn(self.phi)
+        return self._memo[key]
+
+    def target_metric(self) -> np.ndarray:
+        """g_N at phi, shape (3, 3, *grid)."""
+        return self._at_phi("gN", self.target.metric)
+
+    def killing(self) -> np.ndarray:
+        """Killing-field components I_a^mu at phi, shape (dim g, 3, *grid)."""
+        return self._at_phi("killing", self.target.killing)
+
+    def moment(self) -> np.ndarray:
+        """Moment-map coefficients mu_{a;mu} at phi, shape (dim g, 3, *grid)."""
+        return self._at_phi("mu", self.target.mu)
 
     def covariant_differential(self) -> np.ndarray:
         """d^A phi^mu = d phi^mu - A^a I_a^mu(phi); shape (3 target, 3 form, *grid)."""
         if "P" not in self._memo:
-            kil = self.target.killing(self.phi)  # (a, mu, *grid)
+            kil = self.killing()  # (a, mu, *grid)
             out = self.dphi() - np.einsum("alxyz,amxyz->mlxyz", self.A, kil)
             self._memo["P"] = assert_finite(out, "covariant differential")
         return self._memo["P"]
@@ -129,6 +140,29 @@ class Configuration:
             "abc,bmxyz,cmxyz->axyz", self.target.algebra.f, self.A, F, optimize=True
         )
         return float(np.max(np.abs(div + quad)))
+
+
+def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Curvature of the Lie-valued 1-form A (dim g, 3, *grid) in dual storage.
+
+    F^a_m = d_{m+1} A^a_{m+2} - d_{m+2} A^a_{m+1}
+            + sum_{b<c} f^a_bc (A^b_{m+1} A^c_{m+2} - A^b_{m+2} A^c_{m+1}),
+
+    indices mod 3.  Only the nonzero structure constants are visited, so an
+    abelian algebra does no quadratic work.
+    """
+    # dA[k][:, j] = d_k A_{k+1+j}: the two components whose curl uses d_k
+    dA = [partial_derivative(A[:, [(k + 1) % 3, (k + 2) % 3]], k, grid) for k in range(3)]
+    F = np.empty(A.shape, np.result_type(A, float))
+    for m in range(3):
+        i, j = (m + 1) % 3, (m + 2) % 3
+        np.subtract(dA[i][:, 0], dA[j][:, 1], out=F[:, m])
+    for a, b, c in zip(*np.nonzero(f)):
+        if b < c:
+            for m in range(3):
+                i, j = (m + 1) % 3, (m + 2) % 3
+                F[a, m] += f[a, b, c] * (A[b, i] * A[c, j] - A[b, j] * A[c, i])
+    return F
 
 
 def cofactor(P: np.ndarray) -> np.ndarray:
@@ -188,12 +222,14 @@ def _identity_coeff(y):
     ).astype(np.result_type(y))
 
 
-def equivariant_pullback(c: Configuration, spec: EquivariantFormSpec) -> np.ndarray:
+def equivariant_pullback(c: Configuration, spec: EquivariantFormSpec,
+                         coeff: np.ndarray | None = None) -> np.ndarray:
     """phi^{*A} of an equivariant form: F fills algebra slots, d^A phi form slots.
 
     Returns dual-storage components of the degree-(2p+q) result, with a
     leading value axis when the form is tangent-valued.  Degrees above 3 are
-    rejected; p >= 2 cannot occur below degree 4 on a 3-manifold.
+    rejected; p >= 2 cannot occur below degree 4 on a 3-manifold.  ``coeff``
+    is ``spec.coeff(c.phi)`` when the caller already holds it.
     """
     p, q = spec.p, spec.q
     deg = 2 * p + q
@@ -201,7 +237,8 @@ def equivariant_pullback(c: Configuration, spec: EquivariantFormSpec) -> np.ndar
         raise DegreeOverflow(f"pullback of degree {deg} > 3 (p={p}, q={q})")
     if p >= 2:
         raise DegreeOverflow("p >= 2 needs degree >= 4, unreachable on a 3-manifold")
-    coeff = spec.coeff(c.phi)
+    if coeff is None:
+        coeff = spec.coeff(c.phi)
     P = c.covariant_differential()
     if p == 0:
         if q == 0:
@@ -239,10 +276,11 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
     p, q = spec.p, spec.q
     if p >= 1 or 2 * p + q >= 3:
         return 0.0
-    grid, target = c.grid, c.target
+    grid = c.grid
 
     # d(phi^{*A} beta) by grid finite differences
-    pb = equivariant_pullback(c, spec)
+    beta = spec.coeff(c.phi)
+    pb = equivariant_pullback(c, spec, beta)
     if q == 1:
         grads = np.stack([partial_derivative(pb, k, grid) for k in range(3)])
         rhs = np.einsum("mkl,klxyz->mxyz", EPS, grads)
@@ -265,18 +303,11 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
 
     # contraction part: (iota_{nu(I_a)} beta) is a (1, q-1) form
     if q == 1:
-        def contr(y):
-            return np.einsum("alxyz,lxyz->axyz", target.killing_fn(y), spec.coeff(y))
-
-        lhs = lhs - equivariant_pullback(c, EquivariantFormSpec(1, 0, contr))
+        contr = np.einsum("alxyz,lxyz->axyz", c.killing(), beta)
     else:
-        def contr(y):
-            # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
-            return np.cross(
-                spec.coeff(y)[None], target.killing_fn(y), axisa=1, axisb=1, axisc=1
-            )
-
-        lhs = lhs - equivariant_pullback(c, EquivariantFormSpec(1, 1, contr))
+        # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
+        contr = np.cross(beta[None], c.killing(), axisa=1, axisb=1, axisc=1)
+    lhs = lhs - equivariant_pullback(c, EquivariantFormSpec(1, q - 1, None), contr)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -408,7 +439,7 @@ def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
     cut = max(threshold * global_scale, 1e-12)
     ranks = np.sum(sv > cut, axis=-1)
 
-    star_n = c.target.sigma_dual(c.phi)  # (rho dual, mu) target star matrix
+    star_n = c.target.sigma_dual(c.phi, g=c.target_metric())  # (rho dual, mu) target star
     M = np.einsum("mrxyz,rnxyz->mnxyz", cofactor(P), star_n, optimize=True)
     sv_m = np.linalg.svd(np.moveaxis(M, (0, 1), (-2, -1)), compute_uv=False)
     # threshold against the composite's natural scale, not its own leading
@@ -423,7 +454,7 @@ def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
 
     tracefree = None
     if np.any(~deficient):
-        mus = c.target.mu_sharp(c.phi)
+        mus = c.target.mu_sharp(c.phi, g=c.target_metric(), mu=c.moment())
         F = c.curvature()
         mhat = np.einsum("auxyz,amxyz->muxyz", mus, F)  # map: u_mu -> dual m
         full = ~deficient

@@ -160,9 +160,11 @@ class TargetGeometry:
     mu_fn: Callable
     orientation: int = 1
     has_moment_constraint: bool = True
-    # u1 targets: the chart axis the action translates isometrically.  The
-    # metric must not depend on that coordinate, so ``volume`` evaluates
-    # V_N on a single slice of the chart grid.
+    # A chart axis that a one-parameter subgroup of the action translates
+    # isometrically: the theta fiber of u1 targets, the azimuth v of the
+    # adjoint-interval targets (exp(t e_3) rotates the orbit sphere about its
+    # polar axis).  The metric must not depend on that coordinate, so
+    # ``volume`` evaluates V_N on a single slice of the chart grid.
     fiber_axis: int | None = None
     action_fn: Callable | None = None  # (quaternion field, y) -> transformed y
     default_margin: float = 0.05
@@ -183,19 +185,26 @@ class TargetGeometry:
     def mu(self, y: np.ndarray) -> np.ndarray:
         return self.mu_fn(y)
 
-    def vol_coeff(self, y: np.ndarray) -> np.ndarray:
-        """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3."""
-        return self.orientation * np.sqrt(mat_det(self.metric_fn(y)))
+    # The derived evaluators below take the metric (and moment map) at y when
+    # the caller already holds them, so fields at a configuration's phi are
+    # evaluated once.
 
-    def sigma_dual(self, y: np.ndarray) -> np.ndarray:
+    def vol_coeff(self, y: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+        """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3."""
+        g = self.metric_fn(y) if g is None else g
+        return self.orientation * np.sqrt(mat_det(g))
+
+    def sigma_dual(self, y: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         """Hodge tensor Sigma as the N-side star matrix (value slot, dual slot)."""
-        g = self.metric_fn(y)
+        g = self.metric_fn(y) if g is None else g
         return self.orientation * np.sqrt(mat_det(g)) * mat_inv(g)
 
-    def mu_sharp(self, y: np.ndarray) -> np.ndarray:
+    def mu_sharp(self, y: np.ndarray, g: np.ndarray | None = None,
+                 mu: np.ndarray | None = None) -> np.ndarray:
         """Metric dual of the moment map, components (dim, 3, ...)."""
-        g_inv = mat_inv(self.metric_fn(y))
-        return np.einsum("mnxyz,anxyz->amxyz", g_inv, self.mu_fn(y))
+        g_inv = mat_inv(self.metric_fn(y) if g is None else g)
+        mu = self.mu_fn(y) if mu is None else mu
+        return np.einsum("mnxyz,anxyz->amxyz", g_inv, mu)
 
     def volume(self, n=96, margins=None) -> float:
         """Margin-extrapolated integral of V_N over the chart.
@@ -634,6 +643,7 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily,
         metric_fn=metric_fn,
         killing_fn=killing_fn,
         mu_fn=mu_fn,
+        fiber_axis=2,
         action_fn=_adjoint_action,
         default_margin=default_margin,
         volume_margins=(0.12, 0.06, 0.03),

@@ -92,9 +92,14 @@ def test_malformed_config_exit_2(tmp_path):
     {"family": "identity-u1", "tolerances": {"residual": "x"}},
     {"family": "identity-u1", "perturb": {"eps": "a"}},
     {"family": "identity-u1", "seed": 1.5},
+    {"family": "identity-u1", "seed": 1},
     [{"family": "identity-u1"}],
+    {"family": "spherical", "family_params": {"c1": "abc"}},
+    {"family": "dirac-monopole", "bps": {"alpha": "x"}},
+    {"family": "spinorial", "surface": {"curvature": "x"}},
 ], ids=["n-str", "n-float", "n-negative", "n-bool", "margins-str", "tol-str",
-        "eps-str", "seed-float", "top-level-list"])
+        "eps-str", "seed-float", "seed-unused", "top-level-list", "c1-str", "bps-alpha-str",
+        "curvature-str"])
 def test_mistyped_config_exit_2(tmp_path, cfg):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(cfg))

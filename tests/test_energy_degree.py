@@ -25,6 +25,33 @@ from skybps.solutions import dirac_monopole, identity_u1_solution, spinorial_sol
 P0 = bps_coefficients(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: spinorial_solution(n=16),
+    lambda: identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x), n=16),
+], ids=["adjoint", "u1"])
+def test_target_fields_evaluated_once_at_phi(build):
+    b = build().config  # the builder may have memoized fields already
+    c = Configuration(b.grid, b.target, b.phi, b.A, b.gM, b.orientation, b.phi_winding)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(y):
+            if np.shape(y) == c.phi.shape and np.array_equal(y, c.phi):
+                calls[name] = calls.get(name, 0) + 1
+            return fn(y)
+        return wrapped
+
+    t = c.target
+    for name in ("metric_fn", "killing_fn", "mu_fn"):
+        setattr(t, name, counted(name, getattr(t, name)))
+    energy(c, P0)
+    bound_gap(c, P0)
+    bps_residuals(c, P0)
+    degree(c)
+    charge_density_cross_residual(c)
+    assert calls == {"metric_fn": 1, "killing_fn": 1, "mu_fn": 1}
+
+
 def test_bps_coefficients_origin():
     assert bps_coefficients(0, 0, 0).c == (1, 1, 0, 9, 0, 6)
 

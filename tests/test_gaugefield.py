@@ -7,6 +7,7 @@ from skybps.exterior import EPS, Metric3
 from skybps.gaugefield import (
     Configuration,
     EquivariantFormSpec,
+    _curvature,
     cofactor,
     configuration_from_json,
     configuration_to_json,
@@ -18,8 +19,8 @@ from skybps.gaugefield import (
     rank_profile,
     standard_specs,
 )
-from skybps.grid import build_patch
-from skybps.lie_target import sph_x
+from skybps.grid import build_patch, partial_derivative
+from skybps.lie_target import sph_x, su2_algebra, u1_algebra
 from skybps.solutions import dirac_monopole, identity_u1_solution, spinorial_solution
 
 
@@ -38,6 +39,20 @@ def test_curvature_zero_connection(u1_target):
     c = Configuration(grid, u1_target, phi, None, euclid(grid.shape),
                       phi_winding=np.eye(3))
     assert np.max(np.abs(c.curvature())) == 0.0
+
+
+@pytest.mark.parametrize("algebra", [u1_algebra(), su2_algebra()], ids=["u1", "su2"])
+def test_curvature_closed_form_matches_einsum(algebra):
+    rng = np.random.default_rng(11)
+    grid = build_patch((0.0, 0.0, 0.0), (1.0, 2 * np.pi, 2.0), (5, 6, 7),
+                       (False, True, False), 0.0)
+    A = rng.normal(size=(algebra.dim, 3) + grid.shape)
+    # reference: the generic Levi-Civita contractions for the curl and A ^ A
+    grads = np.stack([partial_derivative(A, lam, grid) for lam in range(3)])
+    ref = np.einsum("mkl,kalxyz->amxyz", EPS, grads) + 0.5 * np.einsum(
+        "abc,bixyz,cjxyz,mij->amxyz", algebra.f, A, A, EPS, optimize=True)
+    F = _curvature(A, algebra.f, grid)
+    assert np.max(np.abs(F - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_curvature_abelian_analytic_oracle(u1_target):

@@ -28,6 +28,7 @@ from skybps.lie_target import (
     u1_s3_adjoint_target,
     verify_moment_conditions,
 )
+from skybps.solutions import spherical_solution
 
 
 def test_algebra_presets():
@@ -138,19 +139,47 @@ def _full_grid_volume(t, n):
     return extrapolate_margin(t.volume_margins, vals)
 
 
-@pytest.mark.parametrize("make", [u1_s3_adjoint_target, _general_u1_target])
+def _round_adjoint_target():
+    return make_adjoint_interval_target(round_s3_family())
+
+
+def _spherical_profile_target():
+    return spherical_solution(1.3, -1.0, 1.0, 2.0, n=8).config.target
+
+
+def _eta2_zero_target():
+    return make_adjoint_interval_target(eta2_zero_family(np.sin, (0.0, np.pi), compact="s3"))
+
+
+@pytest.mark.parametrize("make", [u1_s3_adjoint_target, _general_u1_target,
+                                  _round_adjoint_target])
 def test_u1_vol_coeff_constant_along_fiber(make):
     t = make()
-    assert t.fiber_axis == 0
     grid = t.chart_grid(24)
     full = t.vol_coeff(np.stack(grid.meshes()))
-    assert np.array_equal(full, np.broadcast_to(full[:1], full.shape))
+    first = np.take(full, [0], axis=t.fiber_axis)
+    assert np.array_equal(full, np.broadcast_to(first, full.shape))
+
+
+def test_adjoint_action_translates_fiber_axis():
+    # exp(t e_3) rotates the orbit sphere about its pole: v shifts, xi and u stay
+    t = _round_adjoint_target()
+    assert t.fiber_axis == 2
+    y = np.stack(t.chart_grid(8, 0.2).meshes())
+    q = qexp(np.array([0.0, 0.0, 0.35])[:, None, None, None] * np.ones((3,) + y.shape[1:]))
+    z = t.action_fn(q, y)
+    np.testing.assert_allclose(z[:2], y[:2], atol=1e-12)
+    shift = np.mod(z[2] - y[2], 2 * np.pi)
+    np.testing.assert_allclose(shift, shift.flat[0], atol=1e-12)
+    assert abs(shift.flat[0]) > 0.1
 
 
 @pytest.mark.parametrize("make", [
     u1_s3_adjoint_target,
     _general_u1_target,
     lambda: make_adjoint_interval_target(round_s3_family()),
+    _spherical_profile_target,
+    _eta2_zero_target,
 ])
 def test_volume_equals_full_grid_quadrature(make):
     t = make()
