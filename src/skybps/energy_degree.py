@@ -45,7 +45,7 @@ from .exterior import (
     recover_metric,
     star_trace_residual,
 )
-from .gaugefield import Configuration, _curvature, equivariant_pullback, standard_specs
+from .gaugefield import Configuration, _curvature, equivariant_pullback
 from .grid import PatchGrid, partial_derivative
 from .lie_target import qconj, qmul, qrot, sph_x, su2_algebra
 
@@ -97,17 +97,15 @@ def integrate_density(c: Configuration, rho: np.ndarray) -> float:
 
 def _pullbacks(c: Configuration) -> dict:
     if "pullbacks" not in c._memo:
-        # coefficients at phi come from the configuration's target fields
-        t, phi, g = c.target, c.phi, c.target_metric()
-        specs = standard_specs(t)
+        # coefficients at phi come from the configuration's target fields;
+        # (p, q) as in gaugefield.standard_specs
+        t, g = c.target, c.target_metric()
         c._memo["pullbacks"] = {
-            "sigma": equivariant_pullback(c, specs["sigma"], t.sigma_dual(phi, g=g)),
-            "nu": equivariant_pullback(c, specs["nu"], c.killing()),
-            "mu_sharp": equivariant_pullback(
-                c, specs["mu_sharp"], t.mu_sharp(phi, g=g, mu=c.moment())),
-            "volume": equivariant_pullback(c, specs["volume"], t.vol_coeff(phi, g=g)),
-            "mu": equivariant_pullback(c, specs["mu"], c.moment()),
-            "gN": g,
+            "sigma": equivariant_pullback(c, 0, 2, t.sigma_dual(g)),
+            "nu": equivariant_pullback(c, 1, 0, c.killing()),
+            "mu_sharp": equivariant_pullback(c, 1, 0, t.mu_sharp(g, c.moment())),
+            "volume": equivariant_pullback(c, 0, 3, t.vol_coeff(g)),
+            "mu": equivariant_pullback(c, 1, 1, c.moment()),
         }
     return c._memo["pullbacks"]
 
@@ -138,7 +136,7 @@ def energy(c: Configuration, p: BPSParams, check_orthogonality: bool = True) -> 
     c1, c2, c3, c4, c5, c6 = p.c
     pb = _pullbacks(c)
     star = c.star()
-    gN = pb["gN"]
+    gN = c.target_metric()
     P = c.covariant_differential()
     dens = {
         "c1_dphi": c1 * _pair(P, P, 1, star, gN),
@@ -246,7 +244,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
     e = energy(c, p)
     pb = _pullbacks(c)
     star = c.star()
-    gN = pb["gN"]
+    gN = c.target_metric()
     stard, b = _bogomolny(c)
     diff = stard - b
     second = p.alpha * pb["sigma"] + p.beta * pb["mu_sharp"] + p.gamma * pb["nu"]

@@ -200,15 +200,24 @@ class EquivariantFormSpec:
     valued: bool = False
     name: str = ""
 
+    def pullback(self, c: Configuration) -> np.ndarray:
+        """phi^{*A} of this form on the configuration c."""
+        return equivariant_pullback(c, self.p, self.q, self.coeff(c.phi))
+
 
 def standard_specs(target: TargetGeometry) -> dict[str, EquivariantFormSpec]:
     """The named equivariant forms used by the energy and degree."""
+    t = target
     return {
-        "volume": EquivariantFormSpec(0, 3, target.vol_coeff, name="volume"),
-        "mu": EquivariantFormSpec(1, 1, target.mu_fn, name="mu"),
-        "sigma": EquivariantFormSpec(0, 2, target.sigma_dual, valued=True, name="sigma"),
-        "nu": EquivariantFormSpec(1, 0, target.killing_fn, valued=True, name="nu"),
-        "mu_sharp": EquivariantFormSpec(1, 0, target.mu_sharp, valued=True, name="mu_sharp"),
+        "volume": EquivariantFormSpec(
+            0, 3, lambda y: t.vol_coeff(t.metric_fn(y)), name="volume"),
+        "mu": EquivariantFormSpec(1, 1, t.mu_fn, name="mu"),
+        "sigma": EquivariantFormSpec(
+            0, 2, lambda y: t.sigma_dual(t.metric_fn(y)), valued=True, name="sigma"),
+        "nu": EquivariantFormSpec(1, 0, t.killing_fn, valued=True, name="nu"),
+        "mu_sharp": EquivariantFormSpec(
+            1, 0, lambda y: t.mu_sharp(t.metric_fn(y), t.mu_fn(y)), valued=True,
+            name="mu_sharp"),
         "identity": EquivariantFormSpec(
             0, 1, _identity_coeff, valued=True, name="identity"
         ),
@@ -222,23 +231,20 @@ def _identity_coeff(y):
     ).astype(np.result_type(y))
 
 
-def equivariant_pullback(c: Configuration, spec: EquivariantFormSpec,
-                         coeff: np.ndarray | None = None) -> np.ndarray:
+def equivariant_pullback(c: Configuration, p: int, q: int, coeff: np.ndarray) -> np.ndarray:
     """phi^{*A} of an equivariant form: F fills algebra slots, d^A phi form slots.
 
-    Returns dual-storage components of the degree-(2p+q) result, with a
-    leading value axis when the form is tangent-valued.  Degrees above 3 are
-    rejected; p >= 2 cannot occur below degree 4 on a 3-manifold.  ``coeff``
-    is ``spec.coeff(c.phi)`` when the caller already holds it.
+    ``coeff`` holds the form's coefficients of bidegree (p, q) at phi, laid
+    out as for :class:`EquivariantFormSpec`.  Returns dual-storage components
+    of the degree-(2p+q) result, with a leading value axis when the form is
+    tangent-valued.  Degrees above 3 are rejected; p >= 2 cannot occur below
+    degree 4 on a 3-manifold.
     """
-    p, q = spec.p, spec.q
     deg = 2 * p + q
     if deg > 3:
         raise DegreeOverflow(f"pullback of degree {deg} > 3 (p={p}, q={q})")
     if p >= 2:
         raise DegreeOverflow("p >= 2 needs degree >= 4, unreachable on a 3-manifold")
-    if coeff is None:
-        coeff = spec.coeff(c.phi)
     P = c.covariant_differential()
     if p == 0:
         if q == 0:
@@ -280,7 +286,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
 
     # d(phi^{*A} beta) by grid finite differences
     beta = spec.coeff(c.phi)
-    pb = equivariant_pullback(c, spec, beta)
+    pb = equivariant_pullback(c, p, q, beta)
     if q == 1:
         grads = np.stack([partial_derivative(pb, k, grid) for k in range(3)])
         rhs = np.einsum("mkl,klxyz->mxyz", EPS, grads)
@@ -288,18 +294,11 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
         rhs = sum(partial_derivative(pb[m], m, grid) for m in range(3))
 
     # exterior-derivative part of d_g beta, pulled back
+    dbeta = target_partials(spec.coeff, c.phi)
     if q == 1:
-        def dcoeff(y):
-            dmu = target_partials(spec.coeff, y)
-            return np.einsum("mkl,klxyz->mxyz", EPS, dmu)
-
-        lhs = equivariant_pullback(c, EquivariantFormSpec(0, 2, dcoeff))
+        lhs = equivariant_pullback(c, 0, 2, np.einsum("mkl,klxyz->mxyz", EPS, dbeta))
     else:
-        def dcoeff(y):
-            dmu = target_partials(spec.coeff, y)
-            return np.einsum("mmxyz->xyz", dmu)
-
-        lhs = equivariant_pullback(c, EquivariantFormSpec(0, 3, dcoeff))
+        lhs = equivariant_pullback(c, 0, 3, np.einsum("mmxyz->xyz", dbeta))
 
     # contraction part: (iota_{nu(I_a)} beta) is a (1, q-1) form
     if q == 1:
@@ -307,7 +306,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
     else:
         # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
         contr = np.cross(beta[None], c.killing(), axisa=1, axisb=1, axisc=1)
-    lhs = lhs - equivariant_pullback(c, EquivariantFormSpec(1, q - 1, None), contr)
+    lhs = lhs - equivariant_pullback(c, 1, q - 1, contr)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -323,7 +322,7 @@ def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, Equivarian
             return target.mu_fn(y)[0]
 
         def nu_volume(y):
-            return target.vol_coeff(y) * target.killing_fn(y)[0]
+            return target.vol_coeff(target.metric_fn(y)) * target.killing_fn(y)[0]
 
         return [
             ("mu-1form", EquivariantFormSpec(0, 1, mu_one_form)),
@@ -374,7 +373,7 @@ def gauge_transform(c: Configuration, lam: np.ndarray, finite: bool = True,
     dlam += lam_winding[:, :, None, None, None]
 
     if not finite:
-        kil = target.killing(c.phi)
+        kil = c.killing()
         phi_dot = np.einsum("axyz,amxyz->mxyz", lam, kil)
         a_dot = dlam + np.einsum("abc,blxyz,cxyz->alxyz", target.algebra.f, c.A, lam)
         return phi_dot, a_dot
@@ -439,7 +438,7 @@ def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
     cut = max(threshold * global_scale, 1e-12)
     ranks = np.sum(sv > cut, axis=-1)
 
-    star_n = c.target.sigma_dual(c.phi, g=c.target_metric())  # (rho dual, mu) target star
+    star_n = c.target.sigma_dual(c.target_metric())  # (rho dual, mu) target star
     M = np.einsum("mrxyz,rnxyz->mnxyz", cofactor(P), star_n, optimize=True)
     sv_m = np.linalg.svd(np.moveaxis(M, (0, 1), (-2, -1)), compute_uv=False)
     # threshold against the composite's natural scale, not its own leading
@@ -454,7 +453,7 @@ def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
 
     tracefree = None
     if np.any(~deficient):
-        mus = c.target.mu_sharp(c.phi, g=c.target_metric(), mu=c.moment())
+        mus = c.target.mu_sharp(c.target_metric(), c.moment())
         F = c.curvature()
         mhat = np.einsum("auxyz,amxyz->muxyz", mus, F)  # map: u_mu -> dual m
         full = ~deficient

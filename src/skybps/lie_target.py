@@ -185,26 +185,20 @@ class TargetGeometry:
     def mu(self, y: np.ndarray) -> np.ndarray:
         return self.mu_fn(y)
 
-    # The derived evaluators below take the metric (and moment map) at y when
-    # the caller already holds them, so fields at a configuration's phi are
-    # evaluated once.
+    # The derived tensors below are functions of the metric (and moment map)
+    # at the points, so a caller holding g_N at phi evaluates it only once.
 
-    def vol_coeff(self, y: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-        """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3."""
-        g = self.metric_fn(y) if g is None else g
+    def vol_coeff(self, g: np.ndarray) -> np.ndarray:
+        """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3, given g_N at the points."""
         return self.orientation * np.sqrt(mat_det(g))
 
-    def sigma_dual(self, y: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    def sigma_dual(self, g: np.ndarray) -> np.ndarray:
         """Hodge tensor Sigma as the N-side star matrix (value slot, dual slot)."""
-        g = self.metric_fn(y) if g is None else g
         return self.orientation * np.sqrt(mat_det(g)) * mat_inv(g)
 
-    def mu_sharp(self, y: np.ndarray, g: np.ndarray | None = None,
-                 mu: np.ndarray | None = None) -> np.ndarray:
-        """Metric dual of the moment map, components (dim, 3, ...)."""
-        g_inv = mat_inv(self.metric_fn(y) if g is None else g)
-        mu = self.mu_fn(y) if mu is None else mu
-        return np.einsum("mnxyz,anxyz->amxyz", g_inv, mu)
+    def mu_sharp(self, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Metric dual of the moment map, components (dim, 3, ...), given g_N and mu."""
+        return np.einsum("mnxyz,anxyz->amxyz", mat_inv(g), mu)
 
     def volume(self, n=96, margins=None) -> float:
         """Margin-extrapolated integral of V_N over the chart.
@@ -223,7 +217,7 @@ class TargetGeometry:
                 if self.fiber_axis is not None:
                     axes[self.fiber_axis] = axes[self.fiber_axis][:1]
                 y = np.stack(np.meshgrid(*axes, indexing="ij"))
-                vol = np.broadcast_to(self.vol_coeff(y), grid.shape)
+                vol = np.broadcast_to(self.vol_coeff(self.metric_fn(y)), grid.shape)
                 vals.append(integrate(vol, grid))
             self._volume_cache[key] = extrapolate_margin(margins, vals)
         return self._volume_cache[key]
@@ -277,7 +271,7 @@ def verify_moment_conditions(target: TargetGeometry, n=64, margin=None,
     y = np.stack(grid.meshes())
     dmu = target_partials(target.mu_fn, y, grid, method)  # (k, a, comp, *sp)
     curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
-    vol = target.vol_coeff(y)
+    vol = target.vol_coeff(target.metric_fn(y))
     kil = target.killing_fn(y)
     def_res = float(np.max(np.abs(curl - vol * kil)))
     q = np.einsum("amxyz,bmxyz->abxyz", kil, target.mu_fn(y))
@@ -324,8 +318,9 @@ def equivariance_residual(target: TargetGeometry, n=48, margin=None,
         + np.einsum("cab,cmxyz->abmxyz", f, mu)
     )
 
-    sig = target.sigma_dual(y)  # (value mu, dual m, *sp)
-    dsig = target_partials(target.sigma_dual, y, grid, method)  # (k, mu, m, *sp)
+    sig = target.sigma_dual(target.metric_fn(y))  # (value mu, dual m, *sp)
+    dsig = target_partials(lambda yc: target.sigma_dual(target.metric_fn(yc)), y, grid,
+                           method)  # (k, mu, m, *sp)
     div_k = np.einsum("nbnxyz->bxyz", dk)
     # Lie derivative of the dual-stored 2-form slot: X.grad b + b div X - (b.grad) X
     lie_form = (
@@ -345,8 +340,8 @@ def sigma_duality_residual(target: TargetGeometry, n=24, margin=None) -> float:
     grid = target.chart_grid(n, margin)
     y = np.stack(grid.meshes())
     g = target.metric_fn(y)
-    sig = target.sigma_dual(y)
-    vol = target.vol_coeff(y)
+    sig = target.sigma_dual(g)
+    vol = target.vol_coeff(g)
     # Sigma(e_v, e_w) has components Sig[:, m] eps_mvw; pair with g and compare
     lhs = np.einsum("umxyz,mvw,euxyz->evwxyz", sig, EPS, g)
     rhs = EPS[..., None, None, None] * vol

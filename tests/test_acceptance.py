@@ -20,7 +20,6 @@ from skybps.energy_degree import (
 )
 from skybps.exterior import Metric3, hodge_star, recover_metric, star_trace_residual
 from skybps.gaugefield import (
-    equivariant_pullback,
     gauge_transform,
     naturality_check_specs,
     pullback_naturality_residual,
@@ -113,7 +112,7 @@ def test_criterion_04_dirac_monopole():
                 res.diagnostics["abelian_bps_residual"] < 1e-5)]
     rp = rank_profile(res.config)
     entries.append(("rank profile identically 1", set(rp["histogram"]) == {1}))
-    sig = equivariant_pullback(res.config, standard_specs(res.config.target)["sigma"])
+    sig = standard_specs(res.config.target)["sigma"].pullback(res.config)
     entries.append((f"sigma pullback {np.max(np.abs(sig)):.2e} < 1e-12",
                     float(np.max(np.abs(sig))) < 1e-12))
     report(4, "Dirac monopole window", entries)

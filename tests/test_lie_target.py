@@ -135,7 +135,7 @@ def _full_grid_volume(t, n):
     vals = []
     for m in t.volume_margins:
         grid = t.chart_grid(n, m)
-        vals.append(integrate(t.vol_coeff(np.stack(grid.meshes())), grid))
+        vals.append(integrate(t.vol_coeff(t.metric(np.stack(grid.meshes()))), grid))
     return extrapolate_margin(t.volume_margins, vals)
 
 
@@ -156,7 +156,7 @@ def _eta2_zero_target():
 def test_u1_vol_coeff_constant_along_fiber(make):
     t = make()
     grid = t.chart_grid(24)
-    full = t.vol_coeff(np.stack(grid.meshes()))
+    full = t.vol_coeff(t.metric(np.stack(grid.meshes())))
     first = np.take(full, [0], axis=t.fiber_axis)
     assert np.array_equal(full, np.broadcast_to(first, full.shape))
 
@@ -221,13 +221,13 @@ def test_adjoint_target_moment_and_mu_sharp(adjoint_round_target):
     t = adjoint_round_target
     grid = t.chart_grid(8, 0.3)
     y = np.stack(grid.meshes())
-    ms = t.mu_sharp(y)
+    mu = t.mu(y)
+    g = t.metric(y)
+    ms = t.mu_sharp(g, mu)
     xi, u, v = y
     x = sph_x(u, v)
     np.testing.assert_allclose(ms[:, 0], -x, atol=1e-12)  # eta1 = -1, h1 = 1
     # transverse part: g_N(mu_sharp(X), .) = mu(X) is algebraic
-    mu = t.mu(y)
-    g = t.metric(y)
     np.testing.assert_allclose(np.einsum("mnxyz,anxyz->amxyz", g, ms), mu, atol=1e-12)
 
 
@@ -250,7 +250,7 @@ def test_sigma_adjoint_closed_form(adjoint_round_target):
     grid = t.chart_grid(8, 0.3)
     y = np.stack(grid.meshes())
     xi, u = y[0], y[1]
-    sig = t.sigma_dual(y)
+    sig = t.sigma_dual(t.metric(y))
     h1, h2 = 1.0, np.sin(xi)
     np.testing.assert_allclose(sig[0, 0], h2**2 * np.sin(u) / h1, atol=1e-12)
     np.testing.assert_allclose(sig[1, 1], h1 * np.sin(u), atol=1e-12)
@@ -272,7 +272,7 @@ def test_sigma_euclidean_target():
         mu_fn=lambda y: np.zeros((1, 3) + np.shape(y[0]), dtype=np.result_type(y)),
     )
     y = np.stack(t.chart_grid(5, 0.1).meshes())
-    np.testing.assert_allclose(t.sigma_dual(y),
+    np.testing.assert_allclose(t.sigma_dual(t.metric(y)),
                                np.broadcast_to(np.eye(3)[:, :, None, None, None],
                                                (3, 3) + y[0].shape), atol=1e-14)
 

@@ -8,7 +8,7 @@ from skybps.errors import (
     ParamInconsistent,
 )
 from skybps.energy_degree import bps_coefficients, bps_residuals, bound_gap, degree
-from skybps.gaugefield import rank_profile, standard_specs, equivariant_pullback
+from skybps.gaugefield import rank_profile, standard_specs
 from skybps.grid import extrapolate_margin, integrate
 from skybps.lie_target import eta2_zero_family, round_s3_family
 from skybps.solutions import (
@@ -87,9 +87,9 @@ def test_monopole_residuals_and_rank():
     res = dirac_monopole(n=32)
     assert res.diagnostics["abelian_bps_residual"] < 1e-5
     sp = standard_specs(res.config.target)
-    sigma_hat = equivariant_pullback(res.config, sp["sigma"])
+    sigma_hat = sp["sigma"].pullback(res.config)
     assert np.max(np.abs(sigma_hat)) < 1e-12
-    nu_hat = equivariant_pullback(res.config, sp["nu"])
+    nu_hat = sp["nu"].pullback(res.config)
     assert np.max(np.abs(nu_hat)) < 1e-12
     rp = rank_profile(res.config)
     assert set(rp["histogram"]) == {1}
