@@ -8,7 +8,7 @@ families satisfy.
 """
 
 from .energy_degree import BPSParams, EnergyReport, bps_coefficients
-from .exterior import FormField, Metric3, StarMap, hodge_star, recover_metric
+from .exterior import Metric3, StarMap, hodge_star, recover_metric
 from .gaugefield import Configuration
 from .grid import PatchGrid, build_patch, integrate, partial_derivative
 from .lie_target import TargetGeometry
@@ -17,7 +17,6 @@ __all__ = [
     "BPSParams",
     "Configuration",
     "EnergyReport",
-    "FormField",
     "Metric3",
     "PatchGrid",
     "StarMap",

@@ -28,6 +28,8 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -68,8 +70,13 @@ from .solutions import (
 SCHEMA_VERSION = 1
 
 _TOP_KEYS = {
-    "family", "n", "margins", "bps", "family_params", "target", "surface",
+    "family", "n", "margins", "family_params", "target", "surface",
     "tolerances", "perturb", "output_dir", "emit_gnuplot", "sweep",
+}
+# top-level keys that are refused with a pointer to where their meaning lives
+_RETIRED_KEYS = {
+    "seed": "the perturbation is seeded by 'perturb.seed'",
+    "bps": "(alpha, beta, gamma) are set in 'family_params'",
 }
 _TOL_KEYS = {"residual", "gap_rel", "degree", "bianchi", "naturality", "moment", "charge_cross"}
 _DEFAULT_TOLS = {
@@ -81,16 +88,6 @@ _DEFAULT_TOLS = {
     "moment": 1e-6,
     "charge_cross": 1e-10,
 }
-_DEFAULT_MARGINS = {
-    "identity-u1": [0.36, 0.24, 0.16],
-    "dirac-monopole": [0.12, 0.06, 0.03],
-    "spinorial": [0.2, 0.1, 0.05],
-    "twisted-spinorial": [0.2, 0.1, 0.05],
-    "spherical": [0.12, 0.06, 0.03],
-    "symplectic": [0.2, 0.1, 0.05],
-}
-# families whose margin-extrapolated degree must sit at an integer
-_INTEGER_DEGREE = {"identity-u1", "spinorial", "twisted-spinorial", "spherical", "symplectic"}
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -111,6 +108,7 @@ def _check_real(value, where: str):
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(f"{where} must be a finite real number, got {value!r}")
+    return value
 
 
 def _check_reals(section: dict, keys, where: str):
@@ -215,11 +213,6 @@ def build_surface(cfg: dict):
     return mercator_sphere(float(cfg.get("curvature", 1.0)), float(cfg.get("tau_max", 3.0)))
 
 
-def _reject_section(cfg: dict, key: str, family: str):
-    if cfg.get(key):
-        raise ConfigError(f"family {family!r} does not take a {key!r} section")
-
-
 def _spinorial_family_from_target(cfg: dict):
     """Profile family for the spinorial/twisted constructions (h1 = 1)."""
     tcfg = dict(cfg or {"name": "s3-round"})
@@ -243,75 +236,116 @@ def _spinorial_family_from_target(cfg: dict):
     raise ConfigError(f"unknown spinorial target {name!r}")
 
 
-def build_family(cfg: dict, margin: float):
-    """Dispatch a family constructor; returns (FamilyResult, BPSParams)."""
-    family = cfg["family"]
-    n = int(cfg.get("n", 48))
-    fp = _section(cfg, "family_params")
-    bps_cfg = _section(cfg, "bps")
-    _check_keys(bps_cfg, {"alpha", "beta", "gamma"}, "bps")
-    _check_reals(bps_cfg, ["alpha", "beta", "gamma"], "bps")
-    where = f"{family} params"
+def _nullable(value, where: str):
+    return None if value is None else _check_real(value, where)
 
-    if family == "identity-u1":
-        _check_keys(fp, {"ax"}, where)
-        _reject_section(cfg, "surface", family)
-        target = build_target(_section(cfg, "target"))
-        ax = _expr_fn(fp.get("ax", "0.1*sin(theta)"), "theta", "x")
-        res = identity_u1_solution(ax, target=target, n=n, margin=margin)
-        p = bps_coefficients(0.0, 0.0, 0.0)
-    elif family == "dirac-monopole":
-        _check_keys(fp, {"r_window"}, where)
-        _reject_section(cfg, "surface", family)
-        _reject_section(cfg, "target", family)
-        r_window = _check_tuple(fp.get("r_window", (0.5, 2.0)), 2, "'r_window'")
-        res = dirac_monopole(n=n, r_window=r_window, margin=margin)
-        p = bps_coefficients(bps_cfg.get("alpha", 0.0), bps_cfg.get("beta", 0.0),
-                             bps_cfg.get("gamma", 0.0))
-    elif family == "spinorial":
-        _check_keys(fp, set(), where)
-        surface = build_surface(_section(cfg, "surface"))
-        fam = _spinorial_family_from_target(_section(cfg, "target"))
-        res = spinorial_solution(surface=surface, fam=fam, n=n, margin=margin)
-        p = bps_coefficients(0.0, 0.0, 0.0)
-    elif family == "twisted-spinorial":
-        _check_keys(fp, {"alpha", "beta", "gamma"}, where)
-        # a missing or null beta is derived from the surface curvature
-        _check_reals(fp, ["alpha", "gamma"] + (["beta"] if fp.get("beta") is not None else []),
-                     where)
-        _reject_section(cfg, "surface", family)  # curvature is implied by alpha/beta
-        _reject_section(cfg, "target", family)
-        a, b, g = fp.get("alpha", 0.0), fp.get("beta"), fp.get("gamma", 1.0)
-        res = twisted_spinorial_solution(alpha=a, gamma=g, beta=b, n=n, margin=margin)
-        p = bps_coefficients(a, b or 0.0, g)
-    elif family == "spherical":
-        _check_keys(fp, {"c1", "c2", "alpha", "beta", "xi_window"}, where)
-        _check_reals(fp, ["c1", "c2", "alpha", "beta"], where)
-        _reject_section(cfg, "surface", family)
-        _reject_section(cfg, "target", family)
-        a, b = fp.get("alpha", 1.0), fp.get("beta", 2.0)
-        res = spherical_solution(fp.get("c1", 1.0), fp.get("c2", -1.0), a, b,
-                                 xi_window=_check_tuple(fp.get("xi_window", (0.2, 1.5)), 2,
-                                                        "'xi_window'"),
-                                 n=n, margin=margin)
-        p = bps_coefficients(a, b, 0.0)
-    elif family == "symplectic":
-        _check_keys(fp, {"beta", "twist"}, where)
-        _check_reals(fp, ["beta"], where)
-        _reject_section(cfg, "surface", family)
-        _reject_section(cfg, "target", family)
-        twist = fp.get("twist")
-        phase = _expr_fn(twist, "xi") if twist else None
-        res = symplectic_solution(n=n, margin=margin, xi_phase=phase)
-        p = bps_coefficients(0.0, fp.get("beta", 1.0), 0.0)
-    else:
-        raise ConfigError(f"unknown family {cfg['family']!r}")
+
+def _window(value, where: str):
+    return _check_tuple(value, 2, where)
+
+
+def _expression(*names: str):
+    """A parameter kind: an expression string over ``names``, compiled, or null."""
+    def kind(value, where: str):
+        return None if value is None else _expr_fn(value, *names)
+
+    return kind
+
+
+# Each adapter calls its constructor through the module-level name and
+# returns the result with the family's (alpha, beta, gamma).
+
+
+def _identity_u1(cfg, n, margin, ax):
+    target = build_target(_section(cfg, "target"))
+    return identity_u1_solution(ax, target=target, n=n, margin=margin), (0.0, 0.0, 0.0)
+
+
+def _dirac_monopole(cfg, n, margin, r_window, alpha, beta, gamma):
+    return dirac_monopole(n=n, r_window=r_window, margin=margin), (alpha, beta, gamma)
+
+
+def _spinorial(cfg, n, margin):
+    surface = build_surface(_section(cfg, "surface"))
+    fam = _spinorial_family_from_target(_section(cfg, "target"))
+    return spinorial_solution(surface=surface, fam=fam, n=n, margin=margin), (0.0, 0.0, 0.0)
+
+
+def _twisted_spinorial(cfg, n, margin, alpha, beta, gamma):
+    # a missing or null beta is derived from the surface curvature
+    res = twisted_spinorial_solution(alpha=alpha, gamma=gamma, beta=beta, n=n, margin=margin)
+    return res, (alpha, beta or 0.0, gamma)
+
+
+def _spherical(cfg, n, margin, c1, c2, alpha, beta, xi_window):
+    res = spherical_solution(c1, c2, alpha, beta, xi_window=xi_window, n=n, margin=margin)
+    return res, (alpha, beta, 0.0)
+
+
+def _symplectic(cfg, n, margin, beta, twist):
+    return symplectic_solution(n=n, margin=margin, xi_phase=twist), (0.0, beta, 0.0)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the driver knows about one family.
+
+    ``build(cfg, n, margin, **params)`` returns (FamilyResult, (alpha, beta,
+    gamma)); ``params`` maps each ``family_params`` key to (kind, default);
+    ``sections`` names the optional config sections the family reads.
+    """
+
+    build: Callable
+    params: dict
+    margins: tuple[float, ...]
+    sections: tuple[str, ...] = ()
+    integer_degree: bool = True  # the margin-extrapolated degree sits at an integer
+
+
+FAMILIES = {
+    "identity-u1": _Family(
+        _identity_u1, {"ax": (_expression("theta", "x"), "0.1*sin(theta)")},
+        margins=(0.36, 0.24, 0.16), sections=("target",)),
+    "dirac-monopole": _Family(
+        _dirac_monopole, {"r_window": (_window, (0.5, 2.0)), "alpha": (_check_real, 0.0),
+                          "beta": (_check_real, 0.0), "gamma": (_check_real, 0.0)},
+        margins=(0.12, 0.06, 0.03), integer_degree=False),
+    "spinorial": _Family(
+        _spinorial, {}, margins=(0.2, 0.1, 0.05), sections=("surface", "target")),
+    # no surface section: the curvature is implied by alpha and beta
+    "twisted-spinorial": _Family(
+        _twisted_spinorial, {"alpha": (_check_real, 0.0), "beta": (_nullable, None),
+                             "gamma": (_check_real, 1.0)},
+        margins=(0.2, 0.1, 0.05)),
+    "spherical": _Family(
+        _spherical, {"c1": (_check_real, 1.0), "c2": (_check_real, -1.0),
+                     "alpha": (_check_real, 1.0), "beta": (_check_real, 2.0),
+                     "xi_window": (_window, (0.2, 1.5))},
+        margins=(0.12, 0.06, 0.03)),
+    "symplectic": _Family(
+        _symplectic, {"beta": (_check_real, 1.0), "twist": (_expression("xi"), None)},
+        margins=(0.2, 0.1, 0.05)),
+}
+
+
+def build_family(cfg: dict, margin: float):
+    """Construct the configured family at one margin; returns (FamilyResult, BPSParams)."""
+    name = cfg["family"]
+    family = FAMILIES[name]
+    for key in ("surface", "target"):
+        if key not in family.sections and cfg.get(key):
+            raise ConfigError(f"family {name!r} does not take a {key!r} section")
+    fp = _section(cfg, "family_params")
+    _check_keys(fp, set(family.params), f"{name} params")
+    params = {k: kind(fp.get(k, default), f"{name} params {k!r}")
+              for k, (kind, default) in family.params.items()}
+    res, bps = family.build(cfg, int(cfg.get("n", 48)), margin, **params)
 
     pert = _section(cfg, "perturb")
     eps = float(pert.get("eps", 0.0))
     if eps:
         res.config = perturb_configuration(res.config, eps, int(pert.get("seed", 0)))
-    return res, p
+    return res, bps_coefficients(*bps)
 
 
 def perturb_configuration(c: Configuration, eps: float, seed: int = 0) -> Configuration:
@@ -339,12 +373,15 @@ def perturb_configuration(c: Configuration, eps: float, seed: int = 0) -> Config
 def _validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("configuration must be a JSON object")
-    if "seed" in cfg:
-        raise ConfigError("unknown key 'seed' in configuration: "
-                          "the perturbation is seeded by 'perturb.seed'")
+    for key, hint in _RETIRED_KEYS.items():
+        if key in cfg:
+            raise ConfigError(f"unknown key {key!r} in configuration: {hint}")
     _check_keys(cfg, _TOP_KEYS, "configuration")
     if "family" not in cfg:
         raise ConfigError("configuration needs a 'family'")
+    family = cfg["family"]
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}")
     if "n" in cfg:
         _check_int(cfg["n"], "'n'", minimum=5)
     pert = _section(cfg, "perturb")
@@ -362,7 +399,7 @@ def _validate_config(cfg: dict) -> dict:
     out = copy.deepcopy(cfg)
     out["tolerances"] = tols
     if "margins" not in out or not out["margins"]:
-        out["margins"] = list(_DEFAULT_MARGINS.get(cfg["family"], [0.2, 0.1, 0.05]))
+        out["margins"] = list(FAMILIES[family].margins)
     if not isinstance(out["margins"], (list, tuple)):
         raise ConfigError(f"'margins' must be a list, got {out['margins']!r}")
     for m in out["margins"]:
@@ -417,7 +454,7 @@ def run_verify(cfg: dict) -> dict:
             vol_n = c.target.volume()
         riem = bool(np.all(c.gM.riemannian_mask()))
         if not riem:
-            rows.append(EnergyReport(res.family, _row_params(cfg, m), cfg.get("n", 48), m,
+            rows.append(EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
                                      np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
                                      extras={"riemannian": False}, exit_code=1))
             check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
@@ -426,7 +463,7 @@ def run_verify(cfg: dict) -> dict:
         bg = bound_gap(c, p, vol_n)
         degs.append(bg["degree"])
         rows.append(EnergyReport(
-            family=res.family, params=_row_params(cfg, m), n=int(cfg.get("n", 48)),
+            family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
             margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],
             gap=bg["gap"], r1=r["r1"], r2=r["r2"], terms=bg["terms"],
             extras={k: v for k, v in res.diagnostics.items() if isinstance(v, (int, float, bool))},
@@ -441,7 +478,7 @@ def run_verify(cfg: dict) -> dict:
         deg_extrap = extrapolate_margin(margins, degs)
         # the integer claim holds for the margin -> 0 limit, so it needs at
         # least two margins to extrapolate from
-        if cfg["family"] in _INTEGER_DEGREE and len(margins) >= 2:
+        if FAMILIES[cfg["family"]].integer_degree and len(margins) >= 2:
             check("degree_integer", abs(deg_extrap - round(deg_extrap)), tols["degree"])
 
     exit_code = 0 if all(ch["pass"] for ch in checks) else 1
@@ -462,10 +499,8 @@ def run_verify(cfg: dict) -> dict:
     }
 
 
-def _row_params(cfg, margin):
-    out = dict(cfg.get("family_params") or {})
-    out.update(cfg.get("bps") or {})
-    return out
+def _row_params(cfg):
+    return dict(cfg.get("family_params") or {})
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +659,6 @@ def _load_config(args) -> dict:
         v = getattr(args, k, None)
         if v is not None:
             cfg.setdefault("family_params", {})[k] = v
-            cfg.setdefault("bps", {})[k] = v
     if getattr(args, "output_dir", None):
         cfg["output_dir"] = args.output_dir
     if getattr(args, "emit_gnuplot", False):

@@ -124,7 +124,7 @@ def _bogomolny(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def energy(c: Configuration, p: BPSParams, check_orthogonality: bool = True) -> dict:
+def energy(c: Configuration, p: BPSParams) -> dict:
     """Energy with per-term breakdown.
 
     Also verifies pointwise that the moment-map contraction constraint makes
@@ -152,7 +152,7 @@ def energy(c: Configuration, p: BPSParams, check_orthogonality: bool = True) -> 
         "terms": terms,
         "density": sum(dens.values()),
     }
-    if check_orthogonality and c.target.has_moment_constraint:
+    if c.target.has_moment_constraint:
         ortho = _pair(pb["nu"], pb["mu_sharp"], 2, star, gN)
         scale = max(float(np.max(np.abs(out["density"]))), 1.0)
         res = float(np.max(np.abs(ortho)))
@@ -167,6 +167,10 @@ def energy(c: Configuration, p: BPSParams, check_orthogonality: bool = True) -> 
 # ---------------------------------------------------------------------------
 # degree
 # ---------------------------------------------------------------------------
+
+
+# relative bound on the symmetrized contraction iota_nu(I_a) mu(I_b) at phi
+_CONSTRAINT_TOL = 1e-8
 
 
 def charge_density(c: Configuration) -> np.ndarray:
@@ -184,8 +188,7 @@ def charge_density_cross_residual(c: Configuration) -> float:
     return float(np.max(np.abs(rho - alt))) / scale
 
 
-def degree(c: Configuration, vol_n: float | None = None,
-           constraint_tol: float = 1e-8) -> float:
+def degree(c: Configuration, vol_n: float | None = None) -> float:
     """Equivariant topological degree int_M phi^{*A}(V_N + mu) / Vol(N).
 
     The numerator is the quadrature over this configuration's (margined)
@@ -194,7 +197,7 @@ def degree(c: Configuration, vol_n: float | None = None,
     kil, mu = c.killing(), c.moment()
     q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
     sym = 0.5 * (q + np.swapaxes(q, 0, 1))
-    if float(np.max(np.abs(sym))) > constraint_tol * max(float(np.max(np.abs(mu))), 1.0):
+    if float(np.max(np.abs(sym))) > _CONSTRAINT_TOL * max(float(np.max(np.abs(mu))), 1.0):
         raise MomentConditionFailed(
             "target moment map violates the contraction constraint; degree undefined"
         )

@@ -34,10 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolated, DegreeOverflow, GridMismatch, SingularMetric
-from .grid import PatchGrid, partial_derivative
-
-N_COMP = {0: 1, 1: 3, 2: 3, 3: 1}
+from .errors import ConstraintViolated, SingularMetric
 
 # Levi-Civita symbol, used throughout for dual-storage algebra.
 EPS = np.zeros((3, 3, 3))
@@ -49,102 +46,6 @@ def assert_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"{what} contains non-finite values")
     return values
-
-
-@dataclass
-class FormField:
-    """A degree-p differential form sampled on a grid.
-
-    ``values`` has shape (*slot_dims, ncomp, n0, n1, n2) where ncomp is the
-    number of independent components for the degree and the optional leading
-    axis indexes a target-tangent or Lie-algebra slot.
-    """
-
-    grid: PatchGrid
-    degree: int
-    values: np.ndarray
-    slot: str | None = None  # None | "target" | "lie"
-
-    def __post_init__(self):
-        if self.degree not in N_COMP:
-            raise DegreeOverflow(f"degree {self.degree} not in 0..3")
-        expect = N_COMP[self.degree]
-        if self.values.shape[-3:] != self.grid.shape:
-            raise GridMismatch("component arrays do not match the grid shape")
-        comp_ax = self.values.ndim - 4
-        if comp_ax < 0 or self.values.shape[comp_ax] != expect:
-            raise ValueError(
-                f"degree {self.degree} needs {expect} components, got shape {self.values.shape}"
-            )
-        assert_finite(self.values, f"degree-{self.degree} form")
-
-    @property
-    def ncomp(self) -> int:
-        return N_COMP[self.degree]
-
-
-def wedge(a: FormField, b: FormField) -> FormField:
-    """Exterior product; bilinear and graded-antisymmetric.
-
-    At most one factor may carry a slot; the product keeps it.
-    """
-    p, q = a.degree, b.degree
-    if p + q > 3:
-        raise DegreeOverflow(f"wedge of degrees {p} and {q} exceeds 3")
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise GridMismatch("wedge of forms on different grids")
-    if a.slot is not None and b.slot is not None:
-        raise ValueError("wedge of two slot-valued forms is not defined here")
-    va, vb = a.values, b.values
-    out = wedge_values(p, q, va, vb)
-    return FormField(a.grid, p + q, out, a.slot or b.slot)
-
-
-def wedge_values(p: int, q: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Raw-array wedge kernel on dual storage (component axis at -4)."""
-    if p in (0, 3) or q in (0, 3):
-        # 1-component factor multiplies componentwise (broadcasts over comps)
-        return va * vb
-    if p == 1 and q == 1:
-        return np.cross(va, vb, axisa=-4, axisb=-4, axisc=-4)
-    if (p, q) in ((1, 2), (2, 1)):
-        return np.sum(va * vb, axis=-4, keepdims=True)
-    raise DegreeOverflow(f"wedge of degrees {p} and {q} exceeds 3")
-
-
-def exterior_derivative(f: FormField) -> FormField:
-    """Finite-difference exterior derivative.
-
-    deg 0 -> gradient, deg 1 -> curl of the component vector (dual storage),
-    deg 2 -> divergence of the dual vector.
-    """
-    g = f.grid
-    if f.degree == 3:
-        raise DegreeOverflow("d of a 3-form on a 3-manifold")
-    if f.degree == 0:
-        comps = [partial_derivative(f.values[..., 0, :, :, :], i, g) for i in range(3)]
-        return FormField(g, 1, np.stack(comps, axis=-4), f.slot)
-    grads = np.stack([partial_derivative(f.values, i, g) for i in range(3)], axis=-5)
-    if f.degree == 1:
-        curl = np.einsum("mkl,...kl->...m", EPS, np.moveaxis(grads, (-5, -4), (-2, -1)))
-        return FormField(g, 2, np.moveaxis(curl, -1, -4), f.slot)
-    div = np.einsum("...kk", np.moveaxis(grads, (-5, -4), (-2, -1)))[..., None]
-    return FormField(g, 3, np.moveaxis(div, -1, -4), f.slot)
-
-
-def contract(vector: np.ndarray, f: FormField) -> FormField:
-    """Interior product iota_V with a vector field (components shape (3, *grid))."""
-    v = f.values
-    if f.degree == 0:
-        raise ValueError("cannot contract a 0-form")
-    if f.degree == 1:
-        out = np.sum(vector * v, axis=-4, keepdims=True)
-        return FormField(f.grid, 0, out, f.slot)
-    if f.degree == 2:
-        # (iota_V B)_l = eps_klm V^k b_m = (b x V)_l in dual storage
-        out = np.cross(v, vector, axisa=-4, axisb=-4, axisc=-4)
-        return FormField(f.grid, 1, out, f.slot)
-    return FormField(f.grid, 2, vector * v, f.slot)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +217,3 @@ def recover_metric(star: StarMap, trace_tol: float | None = 1e-8) -> Metric3:
     g = 0.5 * (g + np.swapaxes(g, 0, 1))  # kill roundoff asymmetry
     return Metric3(g)
 
-
-def pair_1(u: np.ndarray, v: np.ndarray, star: StarMap) -> np.ndarray:
-    """Pointwise u ^ star(v) for slotless 1-forms, as a 3-form coefficient."""
-    return np.sum(u * star.on_1(v), axis=-4)
-
-
-def pair_2(u: np.ndarray, v: np.ndarray, star: StarMap) -> np.ndarray:
-    """Pointwise u ^ star(v) for slotless 2-forms (dual storage)."""
-    return np.sum(u * star.on_2(v), axis=-4)

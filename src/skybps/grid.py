@@ -121,14 +121,6 @@ class PatchGrid:
         """Coordinate volume of the meshed (margin-shrunk) box."""
         return float(np.prod([self.hi_eff[i] - self.lo_eff[i] for i in range(3)]))
 
-    def with_resolution(self, n) -> "PatchGrid":
-        """Same patch at a different resolution (for convergence studies)."""
-        return PatchGrid(self.lo, self.hi, tuple(int(k) for k in n), self.periodic, self.margin)
-
-    def with_margin(self, margin: float) -> "PatchGrid":
-        """Same patch with a different singularity clearance."""
-        return PatchGrid(self.lo, self.hi, self.n, self.periodic, margin)
-
     def descriptor(self) -> dict:
         """JSON-serializable description of the patch."""
         return {
@@ -182,27 +174,15 @@ def partial_derivative(values: np.ndarray, axis: int, grid: PatchGrid) -> np.nda
     return np.moveaxis(out, -1, ax)
 
 
-def gradient(values: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    """Stack of the three partial derivatives along a new leading axis."""
-    return np.stack([partial_derivative(values, i, grid) for i in range(3)])
-
-
-def integrate(f: np.ndarray, grid: PatchGrid, density: np.ndarray | None = None) -> float:
-    """Composite quadrature of ``f`` (optionally times ``density``) over the patch.
+def integrate(f: np.ndarray, grid: PatchGrid) -> float:
+    """Composite quadrature of ``f`` over the patch.
 
     np.sum performs pairwise reduction, so the result is reproducible for a
     fixed grid and input.
     """
     if f.shape != grid.shape:
         raise GridMismatch(f"integrand shape {f.shape} != grid shape {grid.shape}")
-    integrand = f if density is None else f * _checked(density, grid)
-    return float(np.sum(integrand * grid.weights()))
-
-
-def _checked(density: np.ndarray, grid: PatchGrid) -> np.ndarray:
-    if density.shape != grid.shape:
-        raise GridMismatch("density grid differs from integrand grid")
-    return density
+    return float(np.sum(f * grid.weights()))
 
 
 def extrapolate_margin(margins, values, min_signal=1e-9):

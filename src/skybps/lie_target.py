@@ -32,6 +32,17 @@ from .grid import PatchGrid, build_patch, extrapolate_margin, integrate, partial
 _CSTEP = 1e-30
 
 
+def _cstep(fn: Callable, args, k: int):
+    """Complex-step partial of ``fn(*args)`` in argument ``k``.
+
+    Only that argument is shifted; the others are passed unchanged.  Exact to
+    rounding for complex-safe closed-form evaluators.
+    """
+    shifted = list(args)
+    shifted[k] = shifted[k] + 1j * _CSTEP
+    return np.imag(fn(*shifted)) / _CSTEP
+
+
 # ---------------------------------------------------------------------------
 # Lie algebras and SU(2) quaternion helpers
 # ---------------------------------------------------------------------------
@@ -239,12 +250,8 @@ def target_partials(fn: Callable, y: np.ndarray, grid: PatchGrid | None = None,
     y sampled on it).
     """
     if method == "complex-step":
-        out = []
-        for k in range(3):
-            yc = y.astype(complex)
-            yc[k] = yc[k] + 1j * _CSTEP
-            out.append(np.imag(fn(yc)) / _CSTEP)
-        return np.stack(out)
+        rows = list(y)
+        return np.stack([_cstep(lambda *r: fn(np.stack(r)), rows, k) for k in range(3)])
     if method == "grid-fd":
         if grid is None:
             raise ValueError("grid-fd differentiation needs the sampling grid")
@@ -379,9 +386,7 @@ def make_u1_fibered_target(
     """
 
     def _w(x, y):
-        dxy = np.imag(mu_y(x + 1j * _CSTEP, y)) / _CSTEP
-        dyx = np.imag(mu_x(x, y + 1j * _CSTEP)) / _CSTEP
-        return dxy - dyx
+        return _cstep(mu_y, (x, y), 0) - _cstep(mu_x, (x, y), 1)
 
     def metric_fn(yc):
         x, yy = yc[1], yc[2]
@@ -495,7 +500,7 @@ class AdjointIntervalFamily:
     constraint_tol: float = 1e-8
 
     def eta2_prime(self, xi):
-        return np.imag(self.eta2(xi + 1j * _CSTEP)) / _CSTEP
+        return _cstep(self.eta2, (xi,), 0)
 
     def __post_init__(self):
         a, b = self.interval
@@ -519,7 +524,7 @@ class AdjointIntervalFamily:
         ends = np.array([a + eps, b - eps])
         if self.compact == "s3":
             # collapsing spheres at both ends: h2, eta1', eta2 -> 0
-            d_eta1 = np.imag(self.eta1(ends + 1j * _CSTEP)) / _CSTEP
+            d_eta1 = _cstep(self.eta1, (ends,), 0)
             checks = [self.h2(ends), d_eta1, self.eta2(ends)]
         elif self.compact == "s1xs2":
             per = [self.h1, self.h2, self.eta1, self.eta2]

@@ -44,6 +44,7 @@ from .grid import build_patch
 from .lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
+    _cstep,
     _triple,
     eta2_zero_family,
     make_adjoint_interval_target,
@@ -53,16 +54,6 @@ from .lie_target import (
     sph_xv,
     u1_s3_adjoint_target,
 )
-
-_CSTEP = 1e-30
-
-
-def _cdiff(fn: Callable, *args, axis: int):
-    """Complex-step partial of a closed-form evaluator in argument ``axis``."""
-    shifted = [a.astype(complex) if i == axis else a for i, a in enumerate(args)]
-    shifted[axis] = shifted[axis] + 1j * _CSTEP
-    return np.imag(fn(*shifted)) / _CSTEP
-
 
 # ---------------------------------------------------------------------------
 # conformal surface charts
@@ -106,13 +97,13 @@ class SurfaceGeometry:
         if self.dlog_omega is not None:
             return self.dlog_omega(x1, x2)
         ln = lambda a, b: np.log(self.omega(a, b))
-        return _cdiff(ln, x1, x2, axis=0), _cdiff(ln, x1, x2, axis=1)
+        return _cstep(ln, (x1, x2), 0), _cstep(ln, (x1, x2), 1)
 
     def levi_civita_da_coeff(self, x1, x2, h: float = 1e-5):
         """dx1^dx2 coefficient of da for a = (d1 lnOmega dx2 - d2 lnOmega dx1)/4."""
         if self.dlog_omega is not None:
-            d11 = _cdiff(lambda a, b: self.dlog_omega(a, b)[0], x1, x2, axis=0)
-            d22 = _cdiff(lambda a, b: self.dlog_omega(a, b)[1], x1, x2, axis=1)
+            d11 = _cstep(lambda a, b: self.dlog_omega(a, b)[0], (x1, x2), 0)
+            d22 = _cstep(lambda a, b: self.dlog_omega(a, b)[1], (x1, x2), 1)
             return 0.25 * (d11 + d22)
         d11 = (self.log_omega_grad(x1 + h, x2)[0] - self.log_omega_grad(x1 - h, x2)[0]) / (2 * h)
         d22 = (self.log_omega_grad(x1, x2 + h)[1] - self.log_omega_grad(x1, x2 - h)[1]) / (2 * h)
@@ -128,35 +119,24 @@ class SurfaceGeometry:
         ) / (2 * h)
         return -d2 / (2.0 * self.omega(x1, x2))
 
-    def area(self, n: int = 256) -> float:
-        """Integral of omega_C over the chart (2D composite quadrature)."""
-        g = build_patch(
-            (self.lo[0], self.lo[1], 0.0),
-            (self.hi[0], self.hi[1], 1.0),
-            (n, n, 5),
-            (self.periodic[0], self.periodic[1], False),
-            0.0,
-        )
-        x1, x2, _ = g.meshes()
-        from .grid import integrate
+    def _integrate(self, fn: Callable, n: int) -> float:
+        """Integral of fn(x1, x2) dx1 dx2 over the chart on an n x n mesh."""
+        # a patch with a unit third axis supplies the per-axis points and weights
+        g = build_patch((self.lo[0], self.lo[1], 0.0), (self.hi[0], self.hi[1], 1.0),
+                        (n, n, 5), (self.periodic[0], self.periodic[1], False))
+        x1, x2 = np.meshgrid(g.axis_points(0), g.axis_points(1), indexing="ij")
+        w = g.axis_weights(0)[:, None] * g.axis_weights(1)[None, :]
+        return float(np.sum(fn(x1, x2) * w))
 
-        return integrate(self.omega(x1, x2), g)
+    def area(self, n: int = 256) -> float:
+        """Integral of omega_C over the chart."""
+        return self._integrate(self.omega, n)
 
     def gauss_bonnet_defect(self, n: int = 256) -> float:
         """|int K omega_C - 2 pi chi| relative to 2 pi chi."""
         if self.chi is None:
             raise ValueError("Gauss-Bonnet needs a declared Euler characteristic")
-        g = build_patch(
-            (self.lo[0], self.lo[1], 0.0),
-            (self.hi[0], self.hi[1], 1.0),
-            (n, n, 5),
-            (self.periodic[0], self.periodic[1], False),
-            0.0,
-        )
-        x1, x2, _ = g.meshes()
-        from .grid import integrate
-
-        total = integrate(self.gauss_k(x1, x2) * self.omega(x1, x2), g)
+        total = self._integrate(lambda a, b: self.gauss_k(a, b) * self.omega(a, b), n)
         return abs(total - 2 * np.pi * self.chi) / abs(2 * np.pi * self.chi)
 
 
@@ -230,7 +210,7 @@ def identity_u1_solution(
     if da_x_dtheta is not None:
         f_tx = da_x_dtheta(th, x)
     else:
-        f_tx = _cdiff(a_x, th, x, axis=0)
+        f_tx = _cstep(a_x, (th, x), 0)
 
     mu_x, mu_y = ex["mu_x"](x, y), ex["mu_y"](x, y)
     hh, om, w = ex["h"](x, y), ex["omega_x"](x, y), ex["w"](x, y)
@@ -671,13 +651,3 @@ def symplectic_solution(
             "surface": surface,
         },
     )
-
-
-FAMILY_BUILDERS = {
-    "identity-u1": identity_u1_solution,
-    "dirac-monopole": dirac_monopole,
-    "spinorial": spinorial_solution,
-    "twisted-spinorial": twisted_spinorial_solution,
-    "spherical": spherical_solution,
-    "symplectic": symplectic_solution,
-}

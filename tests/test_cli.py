@@ -1,10 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from skybps.cli import main, run_sweep, run_verify
+from skybps.cli import FAMILIES, build_family, main, run_sweep, run_verify
 from skybps.errors import ConfigError
 from skybps.exprs import Expression
 
@@ -96,14 +97,59 @@ def test_malformed_config_exit_2(tmp_path):
     [{"family": "identity-u1"}],
     {"family": "spherical", "family_params": {"c1": "abc"}},
     {"family": "dirac-monopole", "bps": {"alpha": "x"}},
+    {"family": "identity-u1", "bps": {"alpha": 5, "beta": 3, "gamma": 2}},
+    {"family": "dirac-monopole", "family_params": {"alpha": "x"}},
     {"family": "spinorial", "surface": {"curvature": "x"}},
 ], ids=["n-str", "n-float", "n-negative", "n-bool", "margins-str", "tol-str",
         "eps-str", "seed-float", "seed-unused", "top-level-list", "c1-str", "bps-alpha-str",
-        "curvature-str"])
+        "bps-section", "monopole-alpha-str", "curvature-str"])
 def test_mistyped_config_exit_2(tmp_path, cfg):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(cfg))
     assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+
+
+# -- the family table ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_builds_on_first_default_margin(family):
+    res, _ = build_family({"family": family, "n": 16}, FAMILIES[family].margins[0])
+    assert res.family == family
+    assert res.config.grid.shape == (16, 16, 16)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_unknown_family_param_exit_2(tmp_path, family):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": family, "n": 16,
+                                    "family_params": {"bogus": 1.0}}))
+    assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("family,section", [
+    (f, s) for f in sorted(FAMILIES) for s in ("surface", "target")
+    if s not in FAMILIES[f].sections])
+def test_unread_section_exit_2(tmp_path, family, section):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": family, "n": 16, section: {"name": "x"}}))
+    assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+
+
+def test_dirac_monopole_takes_bps_params(tmp_path):
+    # BPS2 on the monopole needs beta = 0; alpha alone leaves it solved
+    out = tmp_path / "beta"
+    assert main(["verify", "--family", "dirac-monopole", "-n", "32", "--beta", "0.5",
+                 "--output-dir", str(out)]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    r1 = [c["pass"] for c in rep["checks"] if c["name"].startswith("r1[")]
+    r2 = [c["pass"] for c in rep["checks"] if c["name"].startswith("r2[")]
+    assert len(r1) == len(r2) == 3 and all(r1) and not any(r2)
+    with open(out / "results.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and all(json.loads(r["params"]) == {"beta": 0.5} for r in rows)
+    assert main(["verify", "--family", "dirac-monopole", "-n", "32", "--alpha", "0.5",
+                 "--output-dir", str(tmp_path / "alpha")]) == 0
 
 
 @pytest.mark.parametrize("flags", [["--margins", "a,b"], ["-n", "0"]],
