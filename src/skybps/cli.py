@@ -178,22 +178,31 @@ def build_target(cfg: dict):
         _check_keys(cfg, set(), f"target {name!r}")
         return make_adjoint_interval_target(round_s3_family())
     if name == "adjoint-interval":
-        _check_keys(cfg, {"h1", "h2", "eta1", "eta2", "interval", "compact"},
-                    "target 'adjoint-interval'")
-        fam = AdjointIntervalFamily(
-            h1=_expr_fn(cfg.get("h1", "1"), "xi"),
-            h2=_expr_fn(cfg["h2"], "xi"),
-            eta1=_expr_fn(cfg["eta1"], "xi"),
-            eta2=_expr_fn(cfg.get("eta2", "0"), "xi"),
-            interval=_check_tuple(cfg.get("interval", (0.0, np.pi)), 2, "target 'interval'"),
-            compact=_compact(cfg),
-        )
-        return make_adjoint_interval_target(fam)
+        return make_adjoint_interval_target(_adjoint_interval_family(cfg, _ADJOINT_KEYS))
     if name == "su2-left":
         _check_keys(cfg, {"K"}, "target 'su2-left'")
         _check_reals(cfg, ["K"], "target")
         return make_su2_left_target(float(cfg.get("K", 1.0)))
     raise ConfigError(f"unknown target {name!r}")
+
+
+_ADJOINT_KEYS = frozenset({"h1", "h2", "eta1", "eta2", "interval", "compact"})
+
+
+def _adjoint_interval_family(cfg: dict, allowed: frozenset) -> AdjointIntervalFamily:
+    """Profile family of an ``adjoint-interval`` target section (name popped).
+
+    ``allowed`` is the set of keys the caller accepts; a missing ``h1`` is 1.
+    """
+    _check_keys(cfg, allowed, "target 'adjoint-interval'")
+    return AdjointIntervalFamily(
+        h1=_expr_fn(cfg.get("h1", "1"), "xi"),
+        h2=_expr_fn(cfg["h2"], "xi"),
+        eta1=_expr_fn(cfg["eta1"], "xi"),
+        eta2=_expr_fn(cfg.get("eta2", "0"), "xi"),
+        interval=_check_tuple(cfg.get("interval", (0.0, np.pi)), 2, "target 'interval'"),
+        compact=_compact(cfg),
+    )
 
 
 def _compact(cfg: dict):
@@ -223,16 +232,8 @@ def _spinorial_family_from_target(cfg: dict):
         return eta2_zero_family(np.sin, (0.0, np.pi), compact="s3",
                                 name="round-metric-eta2-zero")
     if name == "adjoint-interval":
-        _check_keys(tcfg, {"h2", "eta1", "eta2", "interval", "compact"},
-                    "target 'adjoint-interval'")
-        return AdjointIntervalFamily(
-            h1=_expr_fn("1", "xi"),
-            h2=_expr_fn(tcfg["h2"], "xi"),
-            eta1=_expr_fn(tcfg["eta1"], "xi"),
-            eta2=_expr_fn(tcfg.get("eta2", "0"), "xi"),
-            interval=_check_tuple(tcfg.get("interval", (0.0, np.pi)), 2, "target 'interval'"),
-            compact=_compact(tcfg),
-        )
+        # the spinorial constructions fix h1 = 1, so the section may not set it
+        return _adjoint_interval_family(tcfg, _ADJOINT_KEYS - {"h1"})
     raise ConfigError(f"unknown spinorial target {name!r}")
 
 
@@ -417,6 +418,47 @@ def _validate_config(cfg: dict) -> dict:
     return out
 
 
+def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
+    """Build the family at margin m, run its checks and return (row, BPSParams, Vol(N)).
+
+    The first margin also runs the target-level checks and computes Vol(N).
+    Only the row leaves this function, so the margin's configuration and its
+    memo are freed before the next margin is built.
+    """
+    tols = cfg["tolerances"]
+    res, p = build_family(cfg, m)
+    c = res.config
+    if first:
+        mom = verify_moment_conditions(c.target, n=32)
+        check("moment_def_residual", mom["def_residual"], tols["moment"])
+        if c.target.has_moment_constraint:
+            check("moment_constraint_residual", mom["constraint_residual"], tols["moment"])
+        check("bianchi_residual", c.bianchi_residual(), tols["bianchi"])
+        for name, spec in naturality_check_specs(c.target):
+            check(f"naturality[{name}]", pullback_naturality_residual(c, spec),
+                  tols["naturality"])
+        check("charge_density_cross", charge_density_cross_residual(c), tols["charge_cross"])
+        vol_n = c.target.volume()
+    if not np.all(c.gM.riemannian_mask()):
+        check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
+        return EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
+                            np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
+                            extras={"riemannian": False}, exit_code=1), p, vol_n
+    r = bps_residuals(c, p)
+    bg = bound_gap(c, p, vol_n)
+    row = EnergyReport(
+        family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
+        margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],
+        gap=bg["gap"], r1=r["r1"], r2=r["r2"], terms=bg["terms"],
+        extras={k: v for k, v in res.diagnostics.items() if isinstance(v, (int, float, bool))},
+    )
+    check(f"r1[m={m}]", r["r1"], tols["residual"])
+    check(f"r2[m={m}]", r["r2"], tols["residual"])
+    check(f"gap_rel[m={m}]", abs(bg["gap"]) / max(abs(bg["energy"]), 1e-30), tols["gap_rel"])
+    check(f"decomposition[m={m}]", bg["decomposition_residual"], 1e-10)
+    return row, p, vol_n
+
+
 def run_verify(cfg: dict) -> dict:
     """Full verification of one family: construct, check, extrapolate.
 
@@ -435,43 +477,12 @@ def run_verify(cfg: dict) -> dict:
         checks.append({"name": name, "value": value, "tol": tol, "pass": ok})
         return ok
 
-    first = True
     vol_n = None
-    for m in margins:
-        res, p = build_family(cfg, m)
-        c = res.config
-        if first:
-            first = False
-            mom = verify_moment_conditions(c.target, n=32)
-            check("moment_def_residual", mom["def_residual"], tols["moment"])
-            if c.target.has_moment_constraint:
-                check("moment_constraint_residual", mom["constraint_residual"], tols["moment"])
-            check("bianchi_residual", c.bianchi_residual(), tols["bianchi"])
-            for name, spec in naturality_check_specs(c.target):
-                check(f"naturality[{name}]", pullback_naturality_residual(c, spec),
-                      tols["naturality"])
-            check("charge_density_cross", charge_density_cross_residual(c), tols["charge_cross"])
-            vol_n = c.target.volume()
-        riem = bool(np.all(c.gM.riemannian_mask()))
-        if not riem:
-            rows.append(EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
-                                     np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
-                                     extras={"riemannian": False}, exit_code=1))
-            check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
-            continue
-        r = bps_residuals(c, p)
-        bg = bound_gap(c, p, vol_n)
-        degs.append(bg["degree"])
-        rows.append(EnergyReport(
-            family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
-            margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],
-            gap=bg["gap"], r1=r["r1"], r2=r["r2"], terms=bg["terms"],
-            extras={k: v for k, v in res.diagnostics.items() if isinstance(v, (int, float, bool))},
-        ))
-        check(f"r1[m={m}]", r["r1"], tols["residual"])
-        check(f"r2[m={m}]", r["r2"], tols["residual"])
-        check(f"gap_rel[m={m}]", abs(bg["gap"]) / max(abs(bg["energy"]), 1e-30), tols["gap_rel"])
-        check(f"decomposition[m={m}]", bg["decomposition_residual"], 1e-10)
+    for i, m in enumerate(margins):
+        row, p, vol_n = _verify_margin(cfg, m, check, vol_n, first=i == 0)
+        rows.append(row)
+        if row.exit_code == 0:  # a riemannian row; the verdict is set below
+            degs.append(row.degree)
 
     deg_extrap = None
     if degs and len(degs) == len(margins):

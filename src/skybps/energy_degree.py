@@ -81,12 +81,24 @@ def _pair(u, v, degree: int, star: StarMap, gslot: np.ndarray | None) -> np.ndar
     """
     sv = star.on_1(v) if degree == 1 else star.on_2(v)
     n = len(sv)
-    rho = np.zeros(sv.shape[-3:], np.result_type(u, sv))
+    dt = np.result_type(u, sv) if gslot is None else np.result_type(u, sv, gslot)
+    # sv is this call's own array, so the products overwrite it in place
+    sv = sv.astype(dt, copy=False)
+    rho = np.zeros(sv.shape[-3:], dt)
+    if gslot is not None:
+        ub, tmp = np.empty(u.shape[1:], dt), np.empty(u.shape[1:], dt)
     for b in range(n):
-        # lower the slot index of u: u_b = gslot[a, b] u^a
-        ub = u[b] if gslot is None else sum(gslot[a, b] * u[a] for a in range(n))
+        if gslot is None:
+            ub = u[b]
+        else:
+            # lower the slot index of u: u_b = gslot[0, b] u^0 + gslot[1, b] u^1 + ...
+            np.multiply(gslot[0, b], u[0], out=ub)
+            for a in range(1, n):
+                np.multiply(gslot[a, b], u[a], out=tmp)
+                ub += tmp
+        sv[b] *= ub
         for i in range(3):
-            rho += ub[i] * sv[b, i]
+            rho += sv[b, i]
     return rho
 
 
@@ -212,12 +224,21 @@ def degree(c: Configuration, vol_n: float | None = None) -> float:
 
 def bps_residuals(c: Configuration, p: BPSParams) -> dict:
     """Sup-norm residuals of the two BPS equations over all components."""
-    pb = _pullbacks(c)
     stard, b = _bogomolny(c)
     r1 = float(np.max(np.abs(stard - b)))
-    second = p.alpha * pb["sigma"] + p.beta * pb["mu_sharp"] + p.gamma * pb["nu"]
-    r2 = float(np.max(np.abs(second)))
+    r2 = float(np.max(np.abs(_second_equation(c, p))))
     return {"r1": r1, "r2": r2}
+
+
+def _second_equation(c: Configuration, p: BPSParams) -> np.ndarray:
+    """alpha Sig + beta mus + gamma nu, summed in that order in one array."""
+    pb = _pullbacks(c)
+    out = p.alpha * pb["sigma"]
+    tmp = np.empty_like(out)
+    for coef, key in ((p.beta, "mu_sharp"), (p.gamma, "nu")):
+        np.multiply(coef, pb[key], out=tmp)
+        out += tmp
+    return out
 
 
 def general_bound_coefficient(p: BPSParams) -> float | None:
@@ -245,17 +266,20 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
     orthogonality of nu-hat and mu-sharp-hat.
     """
     e = energy(c, p)
-    pb = _pullbacks(c)
     star = c.star()
     gN = c.target_metric()
     stard, b = _bogomolny(c)
+    # dens2 = |diff|^2 + |second|^2 + 2 <stard, b>, added term by term so
+    # that diff and second are never alive together
     diff = stard - b
-    second = p.alpha * pb["sigma"] + p.beta * pb["mu_sharp"] + p.gamma * pb["nu"]
-    dens2 = (
-        _pair(diff, diff, 2, star, gN)
-        + _pair(second, second, 2, star, gN)
-        + 2.0 * _pair(stard, b, 2, star, gN)
-    )
+    dens2 = _pair(diff, diff, 2, star, gN)
+    del diff
+    second = _second_equation(c, p)
+    dens2 += _pair(second, second, 2, star, gN)
+    del second
+    cross = _pair(stard, b, 2, star, gN)
+    cross *= 2.0
+    dens2 += cross
     scale = max(float(np.max(np.abs(e["density"]))), 1.0)
     decomp_residual = float(np.max(np.abs(dens2 - e["density"]))) / scale
     e2 = integrate_density(c, dens2)

@@ -164,10 +164,20 @@ class StarMap:
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(3,3,*sp) matrix times (...,3,*sp) vector over the -4 axis."""
-    out = m[:, 0] * v[..., 0:1, :, :, :]
-    out += m[:, 1] * v[..., 1:2, :, :, :]
-    out += m[:, 2] * v[..., 2:3, :, :, :]
+    """(3,3,*sp) matrix times (...,3,*sp) vector over the -4 axis.
+
+    Row i is m[i,0] v_0 + m[i,1] v_1 + m[i,2] v_2, summed in that order and
+    written in place; one (..., *sp) scratch buffer holds each product.
+    """
+    sp = np.broadcast_shapes(m.shape[2:], v.shape[-3:])
+    out = np.empty(v.shape[:-4] + (3,) + sp, np.result_type(m, v))
+    tmp = np.empty(v.shape[:-4] + sp, out.dtype)
+    for i in range(3):
+        row = out[..., i, :, :, :]
+        np.multiply(m[i, 0], v[..., 0, :, :, :], out=row)
+        for j in (1, 2):
+            np.multiply(m[i, j], v[..., j, :, :, :], out=tmp)
+            row += tmp
     return out
 
 

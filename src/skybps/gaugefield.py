@@ -7,8 +7,9 @@ around periodic axes (identity maps, fibre shifts) carry an explicit
 ``phi_winding`` slope matrix so that finite differences act on the periodic
 remainder only.  A is stored through its Lie-algebra components A^a_lambda(x).
 
-Derived fields are pure functions of the configuration and are memoized; a
-Configuration is treated as immutable after construction.
+Derived fields are pure functions of the configuration; those read more than
+once are memoized, and a Configuration is treated as immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -87,16 +88,18 @@ class Configuration:
         return self._memo["star"]
 
     def dphi(self) -> np.ndarray:
-        """Plain differential d phi^mu, winding-aware; shape (3, 3, *grid)."""
-        if "dphi" not in self._memo:
-            mesh = np.stack(self.grid.meshes())
-            rem = self.phi - np.einsum("ml,lxyz->mxyz", self.phi_winding, mesh)
-            out = np.stack(
-                [partial_derivative(rem, lam, self.grid) for lam in range(3)], axis=1
-            )
-            out += self.phi_winding[:, :, None, None, None]
-            self._memo["dphi"] = out
-        return self._memo["dphi"]
+        """Plain differential d phi^mu, winding-aware; shape (3, 3, *grid).
+
+        Not memoized: the pipeline reads it only to form the memoized d^A phi,
+        so each call returns a fresh array that the caller owns.
+        """
+        mesh = np.stack(self.grid.meshes())
+        rem = self.phi - np.einsum("ml,lxyz->mxyz", self.phi_winding, mesh)
+        out = np.stack(
+            [partial_derivative(rem, lam, self.grid) for lam in range(3)], axis=1
+        )
+        out += self.phi_winding[:, :, None, None, None]
+        return out
 
     def curvature(self) -> np.ndarray:
         """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c, dual storage (dim g, 3, *grid)."""
@@ -128,7 +131,8 @@ class Configuration:
         """d^A phi^mu = d phi^mu - A^a I_a^mu(phi); shape (3 target, 3 form, *grid)."""
         if "P" not in self._memo:
             kil = self.killing()  # (a, mu, *grid)
-            out = self.dphi() - np.einsum("alxyz,amxyz->mlxyz", self.A, kil)
+            out = self.dphi()  # fresh, so d phi becomes d^A phi in place
+            out -= np.einsum("alxyz,amxyz->mlxyz", self.A, kil)
             self._memo["P"] = assert_finite(out, "covariant differential")
         return self._memo["P"]
 

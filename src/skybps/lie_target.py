@@ -132,12 +132,17 @@ def sph_x(u, v):
     return np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u) * np.ones_like(v)])
 
 
-def sph_xu(u, v):
-    return np.stack([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u) * np.ones_like(v)])
+def sph_frame(u, v):
+    """x(u, v) and its chart derivatives (x_u, x_v), each of shape (3, ...).
 
-
-def sph_xv(u, v):
-    return np.stack([-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), np.zeros_like(u * v)])
+    One sin/cos of u and of v serves all three.
+    """
+    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+    one = np.ones_like(v)
+    x = np.stack([su * cv, su * sv, cu * one])
+    xu = np.stack([cu * cv, cu * sv, -su * one])
+    xv = np.stack([-su * sv, su * cv, np.zeros_like(u * v)])
+    return x, xu, xv
 
 
 def sph_chart_of_x(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -611,21 +616,21 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily,
         return g
 
     def killing_fn(y):
+        # I_a = 2 x cross e_a in the (u, v) frame: (I_a . x_u, I_a . x_v / sin^2 u)
         u, v = y[1], y[2]
-        x, xu, xv = sph_x(u, v), sph_xu(u, v), sph_xv(u, v)
-        sin2 = np.sin(u) ** 2
+        sv, cv = np.sin(v), np.cos(v)
+        cot = np.cos(u) / np.sin(u)
         out = np.zeros((3, 3) + np.shape(u), dtype=np.result_type(y))
-        for a in range(3):
-            e = np.zeros((3,) + np.shape(u), dtype=np.result_type(y))
-            e[a] = 1.0
-            k = 2.0 * np.cross(x, e, axisa=0, axisb=0, axisc=0)
-            out[a, 1] = np.sum(k * xu, axis=0)
-            out[a, 2] = np.sum(k * xv, axis=0) / sin2
+        out[0, 1] = 2.0 * sv
+        out[1, 1] = -2.0 * cv
+        out[0, 2] = 2.0 * cot * cv
+        out[1, 2] = 2.0 * cot * sv
+        out[2, 2] = -2.0
         return out
 
     def mu_fn(y):
         xi, u, v = y
-        x, xu, xv = sph_x(u, v), sph_xu(u, v), sph_xv(u, v)
+        x, xu, xv = sph_frame(u, v)
         e1, e2 = fam.eta1(xi), fam.eta2(xi)
         out = np.zeros((3, 3) + np.shape(u), dtype=np.result_type(y))
         out[:, 0] = e1 * x
@@ -679,7 +684,7 @@ def make_su2_left_target(K: float = 1.0) -> TargetGeometry:
     def _frame(y):
         """Chart basis vectors of the quaternion embedding and their norms."""
         xi, u, v = y
-        x, xu, xv = sph_x(u, v), sph_xu(u, v), sph_xv(u, v)
+        x, xu, xv = sph_frame(u, v)
         zero = np.zeros_like(xi)
         d_xi = np.concatenate([-np.sin(xi)[None], np.cos(xi) * x])
         d_u = np.concatenate([zero[None], np.sin(xi) * xu])

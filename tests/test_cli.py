@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from skybps.cli import FAMILIES, build_family, main, run_sweep, run_verify
+from skybps import cli
+from skybps.cli import FAMILIES, build_family, build_target, main, run_sweep, run_verify
 from skybps.errors import ConfigError
 from skybps.exprs import Expression
 
@@ -134,6 +136,52 @@ def test_unread_section_exit_2(tmp_path, family, section):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"family": family, "n": 16, section: {"name": "x"}}))
     assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+
+
+# one parser for the adjoint-interval section; the spinorial path fixes h1 = 1
+_ADJOINT_SECTION = {"name": "adjoint-interval", "h2": "sin(xi)", "eta1": "-2*sin(xi)^2"}
+_ADJOINT_OPTIONAL = {"h1": "1", "eta2": "0", "interval": [0.0, 3.0], "compact": "s3"}
+
+
+@pytest.mark.parametrize("key", sorted(_ADJOINT_OPTIONAL) + ["bogus"])
+def test_adjoint_interval_section_keys(key):
+    section = dict(_ADJOINT_SECTION, **{key: _ADJOINT_OPTIONAL.get(key, 1.0)})
+    if key == "bogus":
+        with pytest.raises(ConfigError):
+            build_target(section)
+    else:
+        build_target(section)
+    if key in ("bogus", "h1"):
+        with pytest.raises(ConfigError):
+            cli._spinorial_family_from_target(section)
+    else:
+        cli._spinorial_family_from_target(section)
+
+
+def test_adjoint_interval_parsers_agree():
+    section = dict(_ADJOINT_SECTION, interval=[0.1, 3.0])
+    fam = cli._spinorial_family_from_target(section)
+    ref = build_target(section).extras["family"]
+    xi = np.linspace(0.2, 2.9, 7)
+    assert np.array_equal(fam.h1(xi), np.ones_like(xi))
+    for name in ("h1", "h2", "eta1", "eta2"):
+        assert np.array_equal(getattr(fam, name)(xi), getattr(ref, name)(xi))
+    assert (fam.interval, fam.compact) == (ref.interval, ref.compact) == ((0.1, 3.0), None)
+
+
+def test_run_verify_frees_each_margin_before_the_next(monkeypatch):
+    built, alive_at_build = [], []
+
+    def spy(cfg, margin):
+        alive_at_build.append([ref() is not None for ref in built])
+        res, p = build_family(cfg, margin)
+        built.append(weakref.ref(res.config))
+        return res, p
+
+    monkeypatch.setattr(cli, "build_family", spy)
+    report = run_verify({"family": "spherical", "n": 16})
+    assert len(report["rows"]) == 3
+    assert alive_at_build == [[], [False], [False, False]]
 
 
 def test_dirac_monopole_takes_bps_params(tmp_path):

@@ -218,3 +218,52 @@ def test_pair_matches_einsum_both_branches(degree):
     ref = np.einsum("uvxyz,uixyz,vixyz->xyz", gslot, u, sv)
     scale = np.einsum("uvxyz,uixyz,vixyz->xyz", np.abs(gslot), np.abs(u), np.abs(sv))
     assert np.max(np.abs(_pair(u, v, degree, star, gslot) - ref) / scale) < 1e-12
+
+
+# -- in-place kernels against the code they replaced, kept here as reference --
+
+
+def _matvec_broadcast(m, v):
+    """The former _matvec: three full (..., 3, *sp) broadcast products."""
+    out = m[:, 0] * v[..., 0:1, :, :, :]
+    out += m[:, 1] * v[..., 1:2, :, :, :]
+    out += m[:, 2] * v[..., 2:3, :, :, :]
+    return out
+
+
+def _pair_generator(u, v, degree, star, gslot):
+    """The former _pair: slot lowering by a generator sum, a product per term."""
+    sv = star.on_1(v) if degree == 1 else star.on_2(v)
+    n = len(sv)
+    rho = np.zeros(sv.shape[-3:], np.result_type(u, sv))
+    for b in range(n):
+        ub = u[b] if gslot is None else sum(gslot[a, b] * u[a] for a in range(n))
+        for i in range(3):
+            rho += ub[i] * sv[b, i]
+    return rho
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["no-slot", "slot"])
+def test_matvec_bit_identical_to_broadcast_sum(lead, complex_):
+    rng = np.random.default_rng(18)
+    m = random_field(rng, KERNEL_SHAPE, complex_)
+    v = random_field(rng, lead + KERNEL_SHAPE[1:], complex_)
+    out = _matvec(m, v)
+    assert out.shape == lead + KERNEL_SHAPE[1:]
+    assert np.array_equal(out, _matvec_broadcast(m, v))
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["delta", "gslot"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pair_bit_identical_to_generator_lowering(degree, lowered):
+    rng = np.random.default_rng(20 + degree)
+    star = hodge_star(random_spd(rng))
+    u = rng.normal(size=(3, 3) + SHAPE)
+    v = rng.normal(size=(3, 3) + SHAPE)
+    gslot = random_spd(rng).g if lowered else None
+    u0, v0 = u.copy(), v.copy()
+    assert np.array_equal(_pair(u, v, degree, star, gslot),
+                          _pair_generator(u, v, degree, star, gslot))
+    # the operands are read, never overwritten
+    assert np.array_equal(u, u0) and np.array_equal(v, v0)

@@ -354,3 +354,16 @@ def test_configuration_json_roundtrip_bit_exact(u1_target):
     assert c2.grid == c.grid
     # a second serialization is byte-identical
     assert configuration_to_json(c2, meta={"note": "test"}) == text
+
+
+def test_memo_holds_no_copy_of_dphi(adjoint_round_target):
+    c = smooth_adjoint_configuration(adjoint_round_target, n=12)
+    P = c.covariant_differential()
+    dphi = c.dphi()
+    assert not np.array_equal(P, dphi)  # A != 0, so d^A phi differs from d phi
+    held = [v for v in c._memo.values() if isinstance(v, np.ndarray)]
+    assert not any(v.shape == dphi.shape and np.array_equal(v, dphi) for v in held)
+    # each call hands out a fresh array; writing to it leaves d^A phi alone
+    dphi[...] = 0.0
+    assert not np.shares_memory(dphi, c.dphi())
+    assert np.array_equal(c.covariant_differential(), P)

@@ -22,6 +22,7 @@ from skybps.lie_target import (
     round_s3_family,
     sigma_duality_residual,
     sph_chart_of_x,
+    sph_frame,
     sph_x,
     su2_algebra,
     u1_algebra,
@@ -325,3 +326,67 @@ def test_left_action_obstruction_rejects_nonpositive():
 
 def test_su2_left_homomorphism():
     assert nu_homomorphism_residual(make_su2_left_target(1.0), n=12) < 1e-6
+
+
+# -- closed-form sphere frame and Killing field, against the former formulas --
+
+
+def _old_sph_xu(u, v):
+    return np.stack([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u) * np.ones_like(v)])
+
+
+def _old_sph_xv(u, v):
+    return np.stack([-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), np.zeros_like(u * v)])
+
+
+def _old_adjoint_killing(y):
+    """I_a = 2 x cross e_a projected on (x_u, x_v / sin^2 u) with np.cross."""
+    u, v = y[1], y[2]
+    x, xu, xv = sph_x(u, v), _old_sph_xu(u, v), _old_sph_xv(u, v)
+    sin2 = np.sin(u) ** 2
+    out = np.zeros((3, 3) + np.shape(u), dtype=np.result_type(y))
+    for a in range(3):
+        e = np.zeros((3,) + np.shape(u), dtype=np.result_type(y))
+        e[a] = 1.0
+        k = 2.0 * np.cross(x, e, axisa=0, axisb=0, axisc=0)
+        out[a, 1] = np.sum(k * xu, axis=0)
+        out[a, 2] = np.sum(k * xv, axis=0) / sin2
+    return out
+
+
+def _polar_chart_points():
+    # u rows at and within 0.03 of both poles, plus the interior
+    u = np.array([0.01, 0.02, 0.03, 0.4, 1.1, np.pi / 2, 2.3, np.pi - 0.03, np.pi - 0.02,
+                  np.pi - 0.01])
+    v = np.linspace(0.0, 2.0 * np.pi, 13, endpoint=False)
+    xi = np.array([0.3, 1.2])
+    return np.stack(np.meshgrid(xi, u, v, indexing="ij"))
+
+
+def _assert_rel_close(new, old, rel):
+    # relative to the field's largest value on the grid; cancelling components
+    # of the old formula carry rounding of that size
+    assert np.max(np.abs(new - old)) <= rel * np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("k", [None, 0, 1, 2], ids=["real", "cstep-xi", "cstep-u", "cstep-v"])
+def test_adjoint_killing_closed_form_matches_cross_product(adjoint_round_target, k):
+    y = _polar_chart_points()
+    if k is not None:
+        y = y.astype(complex)
+        y[k] += 1j * 1e-30
+    new, old = adjoint_round_target.killing_fn(y), _old_adjoint_killing(y)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    _assert_rel_close(new.real, old.real, 1e-13)
+    _assert_rel_close(new.imag, old.imag, 1e-13)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_sph_frame_matches_separate_formulas(complex_):
+    _, u, v = _polar_chart_points()
+    if complex_:
+        u, v = u + 1j * 1e-30, v - 1j * 1e-30
+    x, xu, xv = sph_frame(u, v)
+    assert np.array_equal(x, sph_x(u, v))
+    assert np.array_equal(xu, _old_sph_xu(u, v))
+    assert np.array_equal(xv, _old_sph_xv(u, v))
