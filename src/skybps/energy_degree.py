@@ -74,31 +74,36 @@ def bps_coefficients(alpha: float, beta: float, gamma: float) -> BPSParams:
 
 
 def _pair(u, v, degree: int, star: StarMap, gslot: np.ndarray | None) -> np.ndarray:
-    """Pointwise 3-form coefficient of g(u ^ star v) for slot-valued forms.
+    """Pointwise 3-form coefficient of g(u ^ star v) for slot-valued forms."""
+    return _pair_starred(u, star.on_1(v) if degree == 1 else star.on_2(v), gslot)
 
-    u, v have shape (slot, 3, *sp); gslot contracts the slots (None = delta,
-    for Lie-algebra slots in an orthonormal basis).
+
+def _pair_starred(u, sv, gslot: np.ndarray | None) -> np.ndarray:
+    """Pointwise g(u ^ star v) from sv = star v, which is read, not overwritten.
+
+    u, sv have shape (slot, 3, *sp); gslot contracts the slots (None = delta,
+    for Lie-algebra slots in an orthonormal basis).  Products are summed in
+    slot, then component, order; the scratch buffers have shape *sp.
     """
-    sv = star.on_1(v) if degree == 1 else star.on_2(v)
     n = len(sv)
     dt = np.result_type(u, sv) if gslot is None else np.result_type(u, sv, gslot)
-    # sv is this call's own array, so the products overwrite it in place
-    sv = sv.astype(dt, copy=False)
-    rho = np.zeros(sv.shape[-3:], dt)
+    sp = sv.shape[-3:]
+    rho = np.zeros(sp, dt)
+    prod = np.empty(sp, dt)
     if gslot is not None:
-        ub, tmp = np.empty(u.shape[1:], dt), np.empty(u.shape[1:], dt)
+        tmp = np.empty(sp, dt)
     for b in range(n):
-        if gslot is None:
-            ub = u[b]
-        else:
-            # lower the slot index of u: u_b = gslot[0, b] u^0 + gslot[1, b] u^1 + ...
-            np.multiply(gslot[0, b], u[0], out=ub)
-            for a in range(1, n):
-                np.multiply(gslot[a, b], u[a], out=tmp)
-                ub += tmp
-        sv[b] *= ub
         for i in range(3):
-            rho += sv[b, i]
+            if gslot is None:
+                np.multiply(sv[b, i], u[b, i], out=prod)
+            else:
+                # lower the slot index of u: gslot[0, b] u^0_i + gslot[1, b] u^1_i + ...
+                np.multiply(gslot[0, b], u[0, i], out=prod)
+                for a in range(1, n):
+                    np.multiply(gslot[a, b], u[a, i], out=tmp)
+                    prod += tmp
+                np.multiply(sv[b, i], prod, out=prod)
+            rho += prod
     return rho
 
 
@@ -122,13 +127,32 @@ def _pullbacks(c: Configuration) -> dict:
     return c._memo["pullbacks"]
 
 
-def _bogomolny(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    """star_M d^A phi and B = phi^{*A}(Sigma + 3 mu-sharp), both sides of BPS1."""
-    if "bogomolny" not in c._memo:
-        pb = _pullbacks(c)
-        stard = c.star().on_1(c.covariant_differential())
-        c._memo["bogomolny"] = (stard, pb["sigma"] + 3.0 * pb["mu_sharp"])
-    return c._memo["bogomolny"]
+def _star_dphi(c: Configuration) -> np.ndarray:
+    """star_M d^A phi, the left side of BPS1."""
+    if "star_dphi" not in c._memo:
+        c._memo["star_dphi"] = c.star().on_1(c.covariant_differential())
+    return c._memo["star_dphi"]
+
+
+def _bps1_rhs(c: Configuration) -> np.ndarray:
+    """B = phi^{*A}(Sigma + 3 mu-sharp), the right side of BPS1.
+
+    A fresh array on every call: B is read once for the cross density and
+    once for star d^A phi - B, so it is not kept in the memo.
+    """
+    pb = _pullbacks(c)
+    return pb["sigma"] + 3.0 * pb["mu_sharp"]
+
+
+def _cross_density(c: Configuration, b: np.ndarray | None = None) -> np.ndarray:
+    """< star_M d^A phi, B >, the cross term of the Bogomolny decomposition.
+
+    Computed once per configuration; pass B when the caller has it at hand.
+    """
+    if "cross" not in c._memo:
+        b = _bps1_rhs(c) if b is None else b
+        c._memo["cross"] = _pair(_star_dphi(c), b, 2, c.star(), c.target_metric())
+    return c._memo["cross"]
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +173,24 @@ def energy(c: Configuration, p: BPSParams) -> dict:
     pb = _pullbacks(c)
     star = c.star()
     gN = c.target_metric()
-    P = c.covariant_differential()
+    sig, nu, mus = pb["sigma"], pb["nu"], pb["mu_sharp"]
+    # each right operand is star-applied once and paired with every left
+    # operand on it; star d^A phi is the memoized one
+    s_sig = star.on_2(sig)
+    d_sig, d_nu_sig, d_mu_sig = (_pair_starred(u, s_sig, gN) for u in (sig, nu, mus))
+    del s_sig
+    d_nu = _pair_starred(nu, star.on_2(nu), gN)
+    s_mus = star.on_2(mus)
+    d_mus = _pair_starred(mus, s_mus, gN)
+    ortho = _pair_starred(nu, s_mus, gN) if c.target.has_moment_constraint else None
+    del s_mus
     dens = {
-        "c1_dphi": c1 * _pair(P, P, 1, star, gN),
-        "c2_sigma": c2 * _pair(pb["sigma"], pb["sigma"], 2, star, gN),
-        "c3_nu": c3 * _pair(pb["nu"], pb["nu"], 2, star, gN),
-        "c4_mu_sharp": c4 * _pair(pb["mu_sharp"], pb["mu_sharp"], 2, star, gN),
-        "c5_nu_sigma": c5 * _pair(pb["nu"], pb["sigma"], 2, star, gN),
-        "c6_mu_sigma": c6 * _pair(pb["mu_sharp"], pb["sigma"], 2, star, gN),
+        "c1_dphi": c1 * _pair_starred(c.covariant_differential(), _star_dphi(c), gN),
+        "c2_sigma": c2 * d_sig,
+        "c3_nu": c3 * d_nu,
+        "c4_mu_sharp": c4 * d_mus,
+        "c5_nu_sigma": c5 * d_nu_sig,
+        "c6_mu_sigma": c6 * d_mu_sig,
     }
     terms = {k: integrate_density(c, v) for k, v in dens.items()}
     out = {
@@ -164,8 +198,7 @@ def energy(c: Configuration, p: BPSParams) -> dict:
         "terms": terms,
         "density": sum(dens.values()),
     }
-    if c.target.has_moment_constraint:
-        ortho = _pair(pb["nu"], pb["mu_sharp"], 2, star, gN)
+    if ortho is not None:
         scale = max(float(np.max(np.abs(out["density"]))), 1.0)
         res = float(np.max(np.abs(ortho)))
         out["orthogonality_residual"] = res
@@ -194,10 +227,26 @@ def charge_density(c: Configuration) -> np.ndarray:
 def charge_density_cross_residual(c: Configuration) -> float:
     """Pointwise mismatch of the two charge-density expressions (roundoff-level)."""
     rho = charge_density(c)
-    stard, b = _bogomolny(c)
-    alt = _pair(stard, b, 2, c.star(), c.target_metric()) / 3.0
+    alt = _cross_density(c) / 3.0
     scale = max(float(np.max(np.abs(rho))), 1.0)
     return float(np.max(np.abs(rho - alt))) / scale
+
+
+def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray) -> float:
+    """max |(q_ab + q_ba) / 2| over slot pairs a <= b, q_ab = sum_m I_a^m mu_{b;m}."""
+    sp = kil.shape[2:]
+    dt = np.result_type(kil, mu)
+    sym, tmp = np.empty(sp, dt), np.empty(sp, dt)
+    worst = 0.0
+    for a in range(len(kil)):
+        for b in range(a, len(kil)):
+            sym.fill(0.0)
+            for m in range(3):
+                for x, y in ((a, b), (b, a)):
+                    np.multiply(kil[x, m], mu[y, m], out=tmp)
+                    sym += tmp
+            worst = max(worst, 0.5 * float(np.max(np.abs(sym, out=sym))))
+    return worst
 
 
 def degree(c: Configuration, vol_n: float | None = None) -> float:
@@ -207,9 +256,7 @@ def degree(c: Configuration, vol_n: float | None = None) -> float:
     patch; callers extrapolate over margins when a global integer is claimed.
     """
     kil, mu = c.killing(), c.moment()
-    q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
-    sym = 0.5 * (q + np.swapaxes(q, 0, 1))
-    if float(np.max(np.abs(sym))) > _CONSTRAINT_TOL * max(float(np.max(np.abs(mu))), 1.0):
+    if _contraction_asymmetry(kil, mu) > _CONSTRAINT_TOL * max(float(np.max(np.abs(mu))), 1.0):
         raise MomentConditionFailed(
             "target moment map violates the contraction constraint; degree undefined"
         )
@@ -224,10 +271,31 @@ def degree(c: Configuration, vol_n: float | None = None) -> float:
 
 def bps_residuals(c: Configuration, p: BPSParams) -> dict:
     """Sup-norm residuals of the two BPS equations over all components."""
-    stard, b = _bogomolny(c)
-    r1 = float(np.max(np.abs(stard - b)))
-    r2 = float(np.max(np.abs(_second_equation(c, p))))
+    _, r1, r2 = _bogomolny_density(c, p)
     return {"r1": r1, "r2": r2}
+
+
+def _bogomolny_density(c: Configuration, p: BPSParams) -> tuple[np.ndarray, float, float]:
+    """|star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>,
+    with the BPS residuals r1, r2 read off the same two arrays.
+
+    The density is added term by term in that order, so that the two BPS
+    sides are never alive together.
+    """
+    star, gN = c.star(), c.target_metric()
+    b = _bps1_rhs(c)
+    cross = _cross_density(c, b)
+    diff = _star_dphi(c) - b
+    del b
+    r1 = float(np.max(np.abs(diff)))
+    dens = _pair(diff, diff, 2, star, gN)
+    del diff
+    second = _second_equation(c, p)
+    r2 = float(np.max(np.abs(second)))
+    dens += _pair(second, second, 2, star, gN)
+    del second
+    dens += 2.0 * cross
+    return dens, r1, r2
 
 
 def _second_equation(c: Configuration, p: BPSParams) -> np.ndarray:
@@ -257,7 +325,7 @@ def general_bound_coefficient(p: BPSParams) -> float | None:
 
 
 def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dict:
-    """E - 6 Vol(N) |deg|, with the sum-of-squares consistency check.
+    """E - 6 Vol(N) |deg|, with the sum-of-squares check and the BPS residuals.
 
     The energy density is recomputed from the Bogomolny decomposition
       |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
@@ -266,20 +334,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
     orthogonality of nu-hat and mu-sharp-hat.
     """
     e = energy(c, p)
-    star = c.star()
-    gN = c.target_metric()
-    stard, b = _bogomolny(c)
-    # dens2 = |diff|^2 + |second|^2 + 2 <stard, b>, added term by term so
-    # that diff and second are never alive together
-    diff = stard - b
-    dens2 = _pair(diff, diff, 2, star, gN)
-    del diff
-    second = _second_equation(c, p)
-    dens2 += _pair(second, second, 2, star, gN)
-    del second
-    cross = _pair(stard, b, 2, star, gN)
-    cross *= 2.0
-    dens2 += cross
+    dens2, r1, r2 = _bogomolny_density(c, p)
     scale = max(float(np.max(np.abs(e["density"]))), 1.0)
     decomp_residual = float(np.max(np.abs(dens2 - e["density"]))) / scale
     e2 = integrate_density(c, dens2)
@@ -294,6 +349,8 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
         "bound": bound,
         "gap": e["total"] - bound,
         "terms": e["terms"],
+        "r1": r1,
+        "r2": r2,
     }
 
 
@@ -308,7 +365,7 @@ def bps1_star_map(c: Configuration) -> StarMap:
     sv = np.linalg.svd(np.moveaxis(P, (0, 1), (-2, -1)), compute_uv=False)
     if np.any(sv[..., -1] <= 1e-8 * sv[..., 0]):
         raise RankDeficient("d^A phi is rank deficient; the star map is undefined")
-    _, b = _bogomolny(c)  # (value mu, dual m, *sp)
+    b = _bps1_rhs(c)  # (value mu, dual m, *sp)
     # t[m, lam] = b[mu, m] (P^{-1})[lam, mu]
     return StarMap(s=_matvec(mat_inv(P), np.swapaxes(b, 0, 1)))
 

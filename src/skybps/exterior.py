@@ -31,6 +31,7 @@ input, so complex-step partials can pass through them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,12 +130,13 @@ class Metric3:
         return mat_inv(self.g)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StarMap:
     """Per-point linear map from 1-forms to 2-forms in dual storage.
 
     ``s`` includes the orientation sign; for a metric star it equals
-    orientation * sqrt(det g) * g^{-1} and is symmetric.
+    orientation * sqrt(det g) * g^{-1} and is symmetric.  The map is frozen,
+    so its inverse is computed on first use and kept.
     """
 
     s: np.ndarray  # (3, 3, *spatial)
@@ -150,7 +152,14 @@ class StarMap:
         return _matvec(self.inverse_matrix(), dual)
 
     def inverse_matrix(self) -> np.ndarray:
-        return mat_inv(self.s)
+        """S^{-1}, read-only and shared by every call."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        inv = mat_inv(self.s)
+        inv.flags.writeable = False
+        return inv
 
     def on_0(self, f: np.ndarray) -> np.ndarray:
         if self.sqrt_det is None:

@@ -16,6 +16,7 @@ margins, see :func:`extrapolate_margin`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,7 +114,20 @@ class PatchGrid:
         return w
 
     def weights(self) -> np.ndarray:
-        """Tensor-product quadrature weights, shape ``self.shape``."""
+        """Tensor-product quadrature weights, shape ``self.shape``.
+
+        Built once per grid and shared (read-only), for grids that integrate
+        many densities; a one-off integral uses :func:`integrate`.
+        """
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        w = self._tensor_weights()
+        w.flags.writeable = False
+        return w
+
+    def _tensor_weights(self) -> np.ndarray:
         w0, w1, w2 = (self.axis_weights(i) for i in range(3))
         return w0[:, None, None] * w1[None, :, None] * w2[None, None, :]
 
@@ -178,11 +192,14 @@ def integrate(f: np.ndarray, grid: PatchGrid) -> float:
     """Composite quadrature of ``f`` over the patch.
 
     np.sum performs pairwise reduction, so the result is reproducible for a
-    fixed grid and input.
+    fixed grid and input.  The weights are built afresh, not taken from the
+    grid's cache: numpy then writes f * w into the weights' own buffer, so a
+    one-off integral (each Vol(N) chart grid is integrated once) holds one
+    full-size array instead of two.
     """
     if f.shape != grid.shape:
         raise GridMismatch(f"integrand shape {f.shape} != grid shape {grid.shape}")
-    return float(np.sum(f * grid.weights()))
+    return float(np.sum(f * grid._tensor_weights()))
 
 
 def extrapolate_margin(margins, values, min_signal=1e-9):

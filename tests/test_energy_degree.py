@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
-from skybps.errors import RankDeficient, TargetMismatch
+from skybps import exterior
+from skybps.cli import FAMILIES, build_family, run_verify
+from skybps.errors import MomentConditionFailed, RankDeficient, TargetMismatch
 from skybps.exterior import Metric3
 from skybps.gaugefield import Configuration, gauge_transform
 from skybps.grid import build_patch
 from skybps.energy_degree import (
+    _bogomolny_density,
+    _contraction_asymmetry,
+    _cross_density,
+    _pair,
+    _pullbacks,
     bound_gap,
     bps_coefficients,
     bps_residuals,
@@ -17,9 +24,11 @@ from skybps.energy_degree import (
     energy,
     energy_su2_reduced,
     general_bound_coefficient,
+    integrate_density,
     solve_base_metric,
     su2_matrix_fields,
 )
+from skybps.lie_target import make_su2_left_target
 from skybps.solutions import dirac_monopole, identity_u1_solution, spinorial_solution
 
 P0 = bps_coefficients(0.0, 0.0, 0.0)
@@ -282,3 +291,123 @@ def test_energy_degree_residuals_gauge_invariant(u1_target):
     r1, r2 = bps_residuals(c, P0), bps_residuals(c2, P0)
     assert abs(r1["r1"] - r2["r1"]) < 1e-6
     assert abs(r1["r2"] - r2["r2"]) < 1e-6
+
+
+# -- one Bogomolny pass against the per-pair code it replaced, kept as reference --
+
+
+def _fresh_copy(b, target=None):
+    """The same configuration with an empty memo (and optionally another target)."""
+    return Configuration(b.grid, target or b.target, b.phi, b.A, b.gM, b.orientation,
+                         b.phi_winding)
+
+
+def _fresh(family, n=16):
+    """A family's configuration at its first default margin, with an empty memo."""
+    return _fresh_copy(build_family({"family": family, "n": n},
+                                    FAMILIES[family].margins[0])[0].config)
+
+
+def _energy_per_pair(c, p):
+    """The former energy density: one star application per pairing."""
+    c1, c2, c3, c4, c5, c6 = p.c
+    pb, star, gN = _pullbacks(c), c.star(), c.target_metric()
+    P = c.covariant_differential()
+    return {
+        "c1_dphi": c1 * _pair(P, P, 1, star, gN),
+        "c2_sigma": c2 * _pair(pb["sigma"], pb["sigma"], 2, star, gN),
+        "c3_nu": c3 * _pair(pb["nu"], pb["nu"], 2, star, gN),
+        "c4_mu_sharp": c4 * _pair(pb["mu_sharp"], pb["mu_sharp"], 2, star, gN),
+        "c5_nu_sigma": c5 * _pair(pb["nu"], pb["sigma"], 2, star, gN),
+        "c6_mu_sigma": c6 * _pair(pb["mu_sharp"], pb["sigma"], 2, star, gN),
+    }
+
+
+def _cross_per_pair(c):
+    """The former cross density <star d^A phi, B>, with B formed afresh."""
+    pb = _pullbacks(c)
+    stard = c.star().on_1(c.covariant_differential())
+    b = pb["sigma"] + 3.0 * pb["mu_sharp"]
+    return _pair(stard, b, 2, c.star(), c.target_metric())
+
+
+def _bogomolny_per_pair(c, p):
+    """The former bound_gap density and bps_residuals sup-norms."""
+    pb, star, gN = _pullbacks(c), c.star(), c.target_metric()
+    stard = star.on_1(c.covariant_differential())
+    diff = stard - (pb["sigma"] + 3.0 * pb["mu_sharp"])
+    second = p.alpha * pb["sigma"]
+    second += p.beta * pb["mu_sharp"]
+    second += p.gamma * pb["nu"]
+    dens2 = _pair(diff, diff, 2, star, gN)
+    dens2 += _pair(second, second, 2, star, gN)
+    cross = _cross_per_pair(c)
+    cross *= 2.0
+    dens2 += cross
+    return dens2, float(np.max(np.abs(diff))), float(np.max(np.abs(second)))
+
+
+@pytest.mark.parametrize("family", ["spherical", "identity-u1"])
+def test_bogomolny_pass_bit_identical_to_per_pair_code(family):
+    c = _fresh(family)
+    p = bps_coefficients(0.3, -0.7, 0.5)  # every coefficient nonzero
+    ref = _energy_per_pair(c, p)
+    e = energy(c, p)
+    assert np.array_equal(e["density"], sum(ref.values()))
+    assert e["terms"] == {k: integrate_density(c, v) for k, v in ref.items()}
+    dens2, r1, r2 = _bogomolny_density(c, p)
+    ref2, ref_r1, ref_r2 = _bogomolny_per_pair(c, p)
+    assert np.array_equal(dens2, ref2)
+    assert (r1, r2) == (ref_r1, ref_r2)
+    assert np.array_equal(_cross_density(c), _cross_per_pair(c))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_verify_rows_equal_separate_calls(family):
+    report = run_verify({"family": family, "n": 16})
+    cfg = report["config"]
+    for row, m in zip(report["rows"], cfg["margins"]):
+        res, p = build_family(cfg, m)
+        r = bps_residuals(res.config, p)
+        bg = bound_gap(_fresh_copy(res.config), p, report["volume_n"])
+        assert (row["r1"], row["r2"]) == (r["r1"], r["r2"]) == (bg["r1"], bg["r2"])
+        assert (row["energy"], row["degree"], row["gap"]) == (bg["energy"], bg["degree"],
+                                                              bg["gap"])
+
+
+def test_star_inverted_once_per_configuration(monkeypatch):
+    c = _fresh("spherical")
+    star = c.star()
+    inverted = []
+    real = exterior.mat_inv
+    monkeypatch.setattr(exterior, "mat_inv",
+                        lambda m: inverted.append(m is star.s) or real(m))
+    p = bps_coefficients(1.0, 2.0, 0.0)
+    energy(c, p)
+    bound_gap(c, p, 1.0)
+    charge_density_cross_residual(c)
+    assert inverted.count(True) == 1
+
+
+# -- the degree's contraction check ---------------------------------------------------
+
+
+def test_degree_refuses_a_moment_map_failing_the_contraction_check():
+    # su2-left: iota_nu(X) mu(X) = K/2 != 0 (see make_su2_left_target)
+    c = _fresh_copy(_fresh("spherical"), make_su2_left_target(1.0))
+    assert _contraction_asymmetry(c.killing(), c.moment()) == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(MomentConditionFailed):
+        degree(c, 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES) + ["su2-left"])
+def test_contraction_asymmetry_matches_einsum(family):
+    if family == "su2-left":
+        c = _fresh_copy(_fresh("spherical"), make_su2_left_target(1.0))
+    else:
+        c = _fresh(family)
+    kil, mu = c.killing(), c.moment()
+    q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
+    old = float(np.max(np.abs(0.5 * (q + np.swapaxes(q, 0, 1)))))
+    scale = max(old, float(np.max(np.abs(mu))), 1.0)
+    assert abs(_contraction_asymmetry(kil, mu) - old) <= 1e-14 * scale

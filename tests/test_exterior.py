@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,3 +269,14 @@ def test_pair_bit_identical_to_generator_lowering(degree, lowered):
                           _pair_generator(u, v, degree, star, gslot))
     # the operands are read, never overwritten
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
+def test_star_map_is_frozen_and_keeps_its_inverse():
+    rng = np.random.default_rng(23)
+    star = hodge_star(random_spd(rng))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        star.s = np.zeros_like(star.s)
+    inv = star.inverse_matrix()
+    assert star.inverse_matrix() is inv
+    assert not inv.flags.writeable
+    assert np.array_equal(inv, mat_inv(star.s))

@@ -147,3 +147,12 @@ def test_extrapolate_margin_power_law():
     assert extrapolate_margin(margins, vals) == pytest.approx(2.0, abs=1e-12)
     # converged sequences short-circuit
     assert extrapolate_margin(margins, [5.0, 5.0, 5.0]) == 5.0
+
+
+def test_weights_built_once_per_grid_and_read_only():
+    g = build_patch((0, -1, 2), (2 * PI, 1.5, 3), (6, 7, 9), (True, False, False), 0.1)
+    w = g.weights()
+    assert g.weights() is w
+    assert not w.flags.writeable
+    w0, w1, w2 = (g.axis_weights(i) for i in range(3))
+    assert np.array_equal(w, w0[:, None, None] * w1[None, :, None] * w2[None, None, :])
