@@ -47,6 +47,7 @@ from .gaugefield import Configuration, naturality_check_specs, pullback_naturali
 from .grid import extrapolate_margin
 from .lie_target import (
     AdjointIntervalFamily,
+    TargetGeometry,
     eta2_zero_family,
     left_action_obstruction,
     make_adjoint_interval_target,
@@ -152,9 +153,25 @@ def _expr_fn(text: str, *names: str):
     return fn
 
 
-def build_target(cfg: dict):
-    """Target selection by name with profile parameters from the config."""
-    cfg = dict(cfg or {"name": "default"})
+_TARGETS: dict[str, TargetGeometry] = {}
+
+
+def build_target(cfg: dict) -> TargetGeometry:
+    """Target selection by name with profile parameters from the config.
+
+    Equal sections share one target object, so sweep points that leave the
+    target unchanged reuse its Vol(N).  Only valid sections are kept: an
+    invalid one raises on every call.
+    """
+    cfg = cfg or {"name": "default"}
+    key = json.dumps(cfg, sort_keys=True)
+    if key not in _TARGETS:
+        # of two sweep threads that build the same section, the first stored wins
+        _TARGETS.setdefault(key, _make_target(dict(cfg)))
+    return _TARGETS[key]
+
+
+def _make_target(cfg: dict) -> TargetGeometry:
     name = cfg.pop("name", "default")
     if name in ("default", "u1-s3"):
         _check_keys(cfg, set(), f"target {name!r}")
@@ -440,7 +457,7 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
             check(f"naturality[{name}]", pullback_naturality_residual(c, spec),
                   tols["naturality"])
         check("charge_density_cross", charge_density_cross_residual(c), tols["charge_cross"])
-    if not np.all(c.gM.riemannian_mask()):
+    if not c.gM.riemannian:
         check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
         return EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
                             np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,

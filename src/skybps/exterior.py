@@ -140,8 +140,6 @@ class StarMap:
     """
 
     s: np.ndarray  # (3, 3, *spatial)
-    sqrt_det: np.ndarray | None = None  # set when built from a metric
-    orientation: int = 1
 
     def on_1(self, comps: np.ndarray) -> np.ndarray:
         """Apply to 1-form components (..., 3, *spatial) -> dual 2-form."""
@@ -160,16 +158,6 @@ class StarMap:
         inv = mat_inv(self.s)
         inv.flags.writeable = False
         return inv
-
-    def on_0(self, f: np.ndarray) -> np.ndarray:
-        if self.sqrt_det is None:
-            raise ValueError("star on 0-forms needs a metric-built StarMap")
-        return self.orientation * self.sqrt_det * f
-
-    def on_3(self, rho: np.ndarray) -> np.ndarray:
-        if self.sqrt_det is None:
-            raise ValueError("star on 3-forms needs a metric-built StarMap")
-        return self.orientation * rho / self.sqrt_det
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -195,9 +183,7 @@ def hodge_star(metric: Metric3, orientation: int = 1) -> StarMap:
     det = metric.det()
     if np.any(det <= 0):
         raise SingularMetric("metric determinant <= 0 on the grid")
-    sq = np.sqrt(det)
-    s = orientation * sq * metric.inv()
-    return StarMap(s=s, sqrt_det=sq, orientation=orientation)
+    return StarMap(orientation * np.sqrt(det) * metric.inv())
 
 
 def star_trace_residual(star: StarMap) -> float:

@@ -14,8 +14,6 @@ construction.
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,7 +200,6 @@ class EquivariantFormSpec:
     q: int
     coeff: callable
     valued: bool = False
-    name: str = ""
 
     def pullback(self, c: Configuration) -> np.ndarray:
         """phi^{*A} of this form on the configuration c."""
@@ -213,18 +210,14 @@ def standard_specs(target: TargetGeometry) -> dict[str, EquivariantFormSpec]:
     """The named equivariant forms used by the energy and degree."""
     t = target
     return {
-        "volume": EquivariantFormSpec(
-            0, 3, lambda y: t.vol_coeff(t.metric_fn(y)), name="volume"),
-        "mu": EquivariantFormSpec(1, 1, t.mu_fn, name="mu"),
+        "volume": EquivariantFormSpec(0, 3, lambda y: t.vol_coeff(t.metric_fn(y))),
+        "mu": EquivariantFormSpec(1, 1, t.mu_fn),
         "sigma": EquivariantFormSpec(
-            0, 2, lambda y: t.sigma_dual(t.metric_fn(y)), valued=True, name="sigma"),
-        "nu": EquivariantFormSpec(1, 0, t.killing_fn, valued=True, name="nu"),
+            0, 2, lambda y: t.sigma_dual(t.metric_fn(y)), valued=True),
+        "nu": EquivariantFormSpec(1, 0, t.killing_fn, valued=True),
         "mu_sharp": EquivariantFormSpec(
-            1, 0, lambda y: t.mu_sharp(t.metric_fn(y), t.mu_fn(y)), valued=True,
-            name="mu_sharp"),
-        "identity": EquivariantFormSpec(
-            0, 1, _identity_coeff, valued=True, name="identity"
-        ),
+            1, 0, lambda y: t.mu_sharp(t.metric_fn(y), t.mu_fn(y)), valued=True),
+        "identity": EquivariantFormSpec(0, 1, _identity_coeff, valued=True),
     }
 
 
@@ -424,10 +417,13 @@ def _rewrap(phi_new: np.ndarray, phi_old: np.ndarray, target: TargetGeometry) ->
 # rank diagnostics
 # ---------------------------------------------------------------------------
 
+_RANK_THRESHOLD = 1e-8  # relative singular-value cut
 
-def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
+
+def rank_profile(c: Configuration) -> dict:
     """Pointwise rank of d^A phi with the induced-star consistency checks.
 
+    Singular values below 1e-8 of the patch-wide scale count as zero.
     Reports the rank histogram, the rank of phi^{*A} star_N, whether the
     nullity relation rk(phi^{*A} star_N) = max(rk - 1, 0) holds wherever
     rk < 3, and the trace-free residual of the moment-map composite wherever
@@ -439,7 +435,7 @@ def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
     # threshold relative to the largest singular value over the whole patch,
     # with an absolute roundoff floor so all-tiny fields count as rank 0
     global_scale = float(sv.max())
-    cut = max(threshold * global_scale, 1e-12)
+    cut = max(_RANK_THRESHOLD * global_scale, 1e-12)
     ranks = np.sum(sv > cut, axis=-1)
 
     star_n = c.target.sigma_dual(c.target_metric())  # (rho dual, mu) target star
@@ -447,7 +443,7 @@ def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
     sv_m = np.linalg.svd(np.moveaxis(M, (0, 1), (-2, -1)), compute_uv=False)
     # threshold against the composite's natural scale, not its own leading
     # singular value (which may itself be roundoff for degenerate maps)
-    cut_m = max(threshold * global_scale**2 * float(np.max(np.abs(star_n))), 1e-12)
+    cut_m = max(_RANK_THRESHOLD * global_scale**2 * float(np.max(np.abs(star_n))), 1e-12)
     ranks_m = np.sum(sv_m > cut_m, axis=-1)
 
     deficient = ranks < 3
@@ -477,59 +473,3 @@ def rank_profile(c: Configuration, threshold: float = 1e-8) -> dict:
         "nullity_consistent": nullity_ok,
         "tracefree_residual": tracefree,
     }
-
-
-# ---------------------------------------------------------------------------
-# serialization (bit-exact JSON container)
-# ---------------------------------------------------------------------------
-
-
-def _encode(arr: np.ndarray) -> dict:
-    a = np.ascontiguousarray(arr, dtype=np.float64)
-    return {
-        "shape": list(a.shape),
-        "dtype": "float64",
-        "data": base64.b64encode(a.tobytes()).decode("ascii"),
-    }
-
-
-def _decode(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(d["shape"]).copy()
-
-
-def configuration_to_json(c: Configuration, meta: dict | None = None) -> str:
-    """Self-describing JSON snapshot; float arrays round-trip bit-exactly."""
-    doc = {
-        "schema": "skybps-configuration/1",
-        "grid": c.grid.descriptor(),
-        "orientation": c.orientation,
-        "target": c.target.name,
-        "meta": meta or {},
-        "fields": {
-            "phi": _encode(c.phi),
-            "A": _encode(c.A),
-            "gM": _encode(c.gM.g),
-            "phi_winding": _encode(c.phi_winding),
-        },
-    }
-    return json.dumps(doc)
-
-
-def configuration_from_json(text: str, target: TargetGeometry) -> Configuration:
-    doc = json.loads(text)
-    if doc.get("schema") != "skybps-configuration/1":
-        raise ValueError("unrecognized configuration container")
-    if doc["target"] != target.name:
-        raise ValueError(f"snapshot was taken on target {doc['target']!r}")
-    grid = PatchGrid.from_descriptor(doc["grid"])
-    f = doc["fields"]
-    return Configuration(
-        grid=grid,
-        target=target,
-        phi=_decode(f["phi"]),
-        A=_decode(f["A"]),
-        gM=Metric3(_decode(f["gM"])),
-        orientation=doc["orientation"],
-        phi_winding=_decode(f["phi_winding"]),
-    )

@@ -26,6 +26,8 @@ from .errors import BoundsError, GridMismatch, ResolutionError
 # boundary (forward form; the backward form is the reversed negation).
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# successive extrapolation inputs closer than this count as converged
+_MIN_SIGNAL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,26 +133,6 @@ class PatchGrid:
         w0, w1, w2 = (self.axis_weights(i) for i in range(3))
         return w0[:, None, None] * w1[None, :, None] * w2[None, None, :]
 
-    def box_volume(self) -> float:
-        """Coordinate volume of the meshed (margin-shrunk) box."""
-        return float(np.prod([self.hi_eff[i] - self.lo_eff[i] for i in range(3)]))
-
-    def descriptor(self) -> dict:
-        """JSON-serializable description of the patch."""
-        return {
-            "lo": list(self.lo),
-            "hi": list(self.hi),
-            "n": list(self.n),
-            "periodic": list(self.periodic),
-            "margin": self.margin,
-        }
-
-    @staticmethod
-    def from_descriptor(d: dict) -> "PatchGrid":
-        return PatchGrid(
-            tuple(d["lo"]), tuple(d["hi"]), tuple(d["n"]), tuple(d["periodic"]), d["margin"]
-        )
-
 
 def build_patch(lo, hi, n, periodic, margin=0.0) -> PatchGrid:
     """Construct a :class:`PatchGrid` with validated bounds and resolution."""
@@ -202,19 +184,19 @@ def integrate(f: np.ndarray, grid: PatchGrid) -> float:
     return float(np.sum(f * grid._tensor_weights()))
 
 
-def extrapolate_margin(margins, values, min_signal=1e-9):
+def extrapolate_margin(margins, values):
     """Power-law Richardson extrapolation of ``values`` as margin -> 0.
 
     ``margins`` must be a decreasing geometric sequence (constant ratio).  A
     three-point fit v(m) = v0 + c * m^p determines the order p empirically;
     with two points a quadratic deficit is assumed.  When successive values
-    agree to ``min_signal`` the last value is returned (converged already).
+    agree to within 1e-9 the last value is returned (converged already).
     """
     margins = [float(m) for m in margins]
     values = [float(v) for v in values]
     if len(values) == 1:
         return values[0]
-    if abs(values[-1] - values[-2]) < min_signal:
+    if abs(values[-1] - values[-2]) < _MIN_SIGNAL:
         return values[-1]
     if len(values) == 2:
         r = margins[0] / margins[1]
@@ -225,7 +207,7 @@ def extrapolate_margin(margins, values, min_signal=1e-9):
     if abs(m2 / m3 - r) > 1e-9 * r:
         raise ValueError("margins must form a geometric sequence")
     d1, d2 = v1 - v2, v2 - v3
-    if abs(d2) < min_signal or abs(d1) < min_signal or d1 * d2 <= 0:
+    if abs(d2) < _MIN_SIGNAL or abs(d1) < _MIN_SIGNAL or d1 * d2 <= 0:
         return v3
     ratio = d1 / d2
     if ratio <= 1.0:  # not decreasing: no power law to fit, keep finest value

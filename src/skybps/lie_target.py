@@ -54,7 +54,6 @@ class LieAlgebraSpec:
 
     dim: int
     f: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         f = self.f
@@ -73,12 +72,12 @@ class LieAlgebraSpec:
 
 
 def u1_algebra() -> LieAlgebraSpec:
-    return LieAlgebraSpec(1, np.zeros((1, 1, 1)), "u1")
+    return LieAlgebraSpec(1, np.zeros((1, 1, 1)))
 
 
 def su2_algebra() -> LieAlgebraSpec:
     """su(2) in the orthonormal basis e_a = -i sigma_a, so f^a_bc = 2 eps_abc."""
-    return LieAlgebraSpec(3, 2.0 * EPS, "su2")
+    return LieAlgebraSpec(3, 2.0 * EPS)
 
 
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -174,7 +173,6 @@ class TargetGeometry:
     metric_fn: Callable
     killing_fn: Callable
     mu_fn: Callable
-    orientation: int = 1
     has_moment_constraint: bool = True
     # A chart axis that a one-parameter subgroup of the action translates
     # isometrically: the theta fiber of u1 targets, the azimuth v of the
@@ -206,11 +204,11 @@ class TargetGeometry:
 
     def vol_coeff(self, g: np.ndarray) -> np.ndarray:
         """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3, given g_N at the points."""
-        return self.orientation * np.sqrt(mat_det(g))
+        return np.sqrt(mat_det(g))
 
     def sigma_dual(self, g: np.ndarray) -> np.ndarray:
         """Hodge tensor Sigma as the N-side star matrix (value slot, dual slot)."""
-        return self.orientation * np.sqrt(mat_det(g)) * mat_inv(g)
+        return np.sqrt(mat_det(g)) * mat_inv(g)
 
     def mu_sharp(self, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Metric dual of the moment map, components (dim, 3, ...), given g_N and mu."""
@@ -270,7 +268,7 @@ def target_partials(fn: Callable, y: np.ndarray, grid: PatchGrid | None = None,
 # ---------------------------------------------------------------------------
 
 
-def verify_moment_conditions(target: TargetGeometry, n=64, margin=None,
+def verify_moment_conditions(target: TargetGeometry, n=64,
                              method: str = "complex-step") -> dict:
     """Residuals of the moment-map conditions on the target chart.
 
@@ -279,7 +277,7 @@ def verify_moment_conditions(target: TargetGeometry, n=64, margin=None,
                          the symmetrized contraction that must vanish for the
                          degree to be defined.
     """
-    grid = target.chart_grid(n, margin)
+    grid = target.chart_grid(n)
     y = np.stack(grid.meshes())
     dmu = target_partials(target.mu_fn, y, grid, method)  # (k, a, comp, *sp)
     curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
@@ -295,35 +293,31 @@ def verify_moment_conditions(target: TargetGeometry, n=64, margin=None,
     }
 
 
-def nu_homomorphism_residual(target: TargetGeometry, n=64, margin=None,
-                             method: str = "complex-step") -> float:
+def nu_homomorphism_residual(target: TargetGeometry, n=64) -> float:
     """max |I_a . dI_b - I_b . dI_a - f^c_ab I_c| over basis pairs and points."""
-    grid = target.chart_grid(n, margin)
-    y = np.stack(grid.meshes())
+    y = np.stack(target.chart_grid(n).meshes())
     kil = target.killing_fn(y)
-    dk = target_partials(target.killing_fn, y, grid, method)  # (m, b, lam, *sp)
+    dk = target_partials(target.killing_fn, y)  # (m, b, lam, *sp)
     adv = np.einsum("amxyz,mblxyz->ablxyz", kil, dk)
     bracket = adv - np.swapaxes(adv, 0, 1)
     expected = np.einsum("cab,clxyz->ablxyz", target.algebra.f, kil)
     return float(np.max(np.abs(bracket - expected)))
 
 
-def equivariance_residual(target: TargetGeometry, n=48, margin=None,
-                          method: str = "complex-step") -> dict:
+def equivariance_residual(target: TargetGeometry, n=48) -> dict:
     """Equivariance residuals of mu (Lie-slot 1-form) and Sigma (TN-valued 2-form).
 
     For each basis direction b the Lie derivative along nu(I_b) must be
     compensated by the coadjoint rotation of Lie slots (mu) and the tangent
     rotation of value slots (Sigma).
     """
-    grid = target.chart_grid(n, margin)
-    y = np.stack(grid.meshes())
+    y = np.stack(target.chart_grid(n).meshes())
     kil = target.killing_fn(y)
-    dk = target_partials(target.killing_fn, y, grid, method)  # (m, b, lam, *sp)
+    dk = target_partials(target.killing_fn, y)  # (m, b, lam, *sp)
     f = target.algebra.f
 
     mu = target.mu_fn(y)
-    dmu = target_partials(target.mu_fn, y, grid, method)  # (k, a, m, *sp)
+    dmu = target_partials(target.mu_fn, y)  # (k, a, m, *sp)
     res_mu = (
         np.einsum("bnxyz,namxyz->abmxyz", kil, dmu)
         + np.einsum("anxyz,mbnxyz->abmxyz", mu, dk)
@@ -331,8 +325,8 @@ def equivariance_residual(target: TargetGeometry, n=48, margin=None,
     )
 
     sig = target.sigma_dual(target.metric_fn(y))  # (value mu, dual m, *sp)
-    dsig = target_partials(lambda yc: target.sigma_dual(target.metric_fn(yc)), y, grid,
-                           method)  # (k, mu, m, *sp)
+    dsig = target_partials(lambda yc: target.sigma_dual(target.metric_fn(yc)),
+                           y)  # (k, mu, m, *sp)
     div_k = np.einsum("nbnxyz->bxyz", dk)
     # Lie derivative of the dual-stored 2-form slot: X.grad b + b div X - (b.grad) X
     lie_form = (
@@ -347,10 +341,9 @@ def equivariance_residual(target: TargetGeometry, n=48, margin=None,
     }
 
 
-def sigma_duality_residual(target: TargetGeometry, n=24, margin=None) -> float:
+def sigma_duality_residual(target: TargetGeometry, n=24) -> float:
     """max |g_N(u, Sigma(v, w)) - V_N(u, v, w)| over basis triples and points."""
-    grid = target.chart_grid(n, margin)
-    y = np.stack(grid.meshes())
+    y = np.stack(target.chart_grid(n).meshes())
     g = target.metric_fn(y)
     sig = target.sigma_dual(g)
     vol = target.vol_coeff(g)
@@ -374,9 +367,7 @@ def make_u1_fibered_target(
     chart_hi=(2 * np.pi, np.pi / 2, 4 * np.pi),
     chart_periodic=(True, False, True),
     name: str = "u1-fibered",
-    default_margin: float = 0.05,
     validate: bool = True,
-    tol: float = 1e-5,
 ) -> TargetGeometry:
     """Circle-fibered target with nu = d/dtheta and mu-sharp = d/dy.
 
@@ -443,7 +434,6 @@ def make_u1_fibered_target(
         mu_fn=mu_fn,
         fiber_axis=0,
         action_fn=action_fn,
-        default_margin=default_margin,
         extras={"mu_x": mu_x, "mu_y": mu_y, "h": h, "omega_x": omega_x, "w": _w},
     )
     if validate:
@@ -459,27 +449,24 @@ def make_u1_fibered_target(
                 "d_x mu_y - d_y mu_x must be positive: d mu = iota_nu V_N fails"
             )
         res = verify_moment_conditions(t, n=24)
-        if res["def_residual"] > tol or res["constraint_residual"] > tol:
-            raise MomentConditionFailed(f"moment-map residuals {res} exceed {tol}")
+        if res["def_residual"] > 1e-5 or res["constraint_residual"] > 1e-5:
+            raise MomentConditionFailed(f"moment-map residuals {res} exceed 1e-5")
     return t
 
 
-def u1_s3_adjoint_target(default_margin: float = 0.05) -> TargetGeometry:
+def u1_s3_adjoint_target() -> TargetGeometry:
     """Adjoint U(1) action on the round 3-sphere in the (theta, x, y) chart.
 
     g_N = cos^2 x dtheta^2 + dx^2 + (1/4) sin^2 x dy^2 with mu = (1/4) sin^2 x dy.
     """
-    t = make_u1_fibered_target(
+    return make_u1_fibered_target(
         mu_x=lambda x, y: np.zeros_like(x * y),
         mu_y=lambda x, y: 0.25 * np.sin(x) ** 2 * np.ones_like(y),
         h=lambda x, y: np.ones_like(x * y),
         omega_x=lambda x, y: np.zeros_like(x * y),
         name="u1-s3-adjoint",
-        default_margin=default_margin,
         validate=False,
     )
-    t.extras["exact_volume"] = 2 * np.pi**2
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +489,6 @@ class AdjointIntervalFamily:
     interval: tuple[float, float]
     compact: str | None = None  # None | "s3" | "s1xs2"
     name: str = "adjoint-family"
-    constraint_tol: float = 1e-8
 
     def eta2_prime(self, xi):
         return _cstep(self.eta2, (xi,), 0)
@@ -514,7 +500,7 @@ class AdjointIntervalFamily:
         lhs = 2.0 * self.h1(xi) * self.h2(xi) ** 2
         rhs = self.eta2_prime(xi) - self.eta1(xi)
         res = float(np.max(np.abs(lhs - rhs)))
-        if res > self.constraint_tol:
+        if res > 1e-8:
             raise ConstraintViolated(
                 f"2 h1 h2^2 = eta2' - eta1 fails: residual {res:.3e}"
             )
@@ -599,8 +585,7 @@ def _adjoint_action(lam_quat: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_adjoint_interval_target(fam: AdjointIntervalFamily,
-                                 default_margin: float = 0.1) -> TargetGeometry:
+def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
     """Adjoint SU(2) target N = I x S^2 in the chart (xi, u, v).
 
     g_N = h1^2 dxi^2 + h2^2 (du^2 + sin^2 u dv^2), the action rotates the
@@ -639,7 +624,7 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily,
         return out
 
     a, b = fam.interval
-    t = TargetGeometry(
+    return TargetGeometry(
         name=f"adjoint-interval[{fam.name}]",
         algebra=su2_algebra(),
         lo=(a, 0.0, 0.0),
@@ -650,13 +635,10 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily,
         mu_fn=mu_fn,
         fiber_axis=2,
         action_fn=_adjoint_action,
-        default_margin=default_margin,
+        default_margin=0.1,
         volume_margins=(0.12, 0.06, 0.03),
         extras={"family": fam},
     )
-    if fam.name == "round-s3":
-        t.extras["exact_volume"] = 2 * np.pi**2
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -735,11 +717,10 @@ def make_su2_left_target(K: float = 1.0) -> TargetGeometry:
         mu_fn=mu_fn,
         has_moment_constraint=False,
         default_margin=0.15,
-        extras={"K": K},
     )
 
 
-def left_action_obstruction(K: float, n=24) -> float:
+def left_action_obstruction(K: float) -> float:
     """The constant iota_{nu_L(X)} mu(X) for unit basis X: equals K/2.
 
     Computed by contracting the constructed moment-map candidate with the
@@ -749,7 +730,7 @@ def left_action_obstruction(K: float, n=24) -> float:
     if K <= 0:
         raise ValueError("K must be positive")
     target = make_su2_left_target(K)
-    res = verify_moment_conditions(target, n=n)
+    res = verify_moment_conditions(target, n=24)
     diag = np.diag(res["constraint_matrix"])
     val = float(np.mean(diag))
     if abs(val) < 1e-12 or np.max(np.abs(diag - val)) > 1e-9 * abs(val):

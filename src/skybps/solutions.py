@@ -59,6 +59,8 @@ from .lie_target import (
 # conformal surface charts
 # ---------------------------------------------------------------------------
 
+_STEP = 1e-5  # central-difference step of the outer derivative of ln Omega
+
 
 @dataclass
 class SurfaceGeometry:
@@ -67,7 +69,7 @@ class SurfaceGeometry:
     ``omega`` and ``gauss_k`` are complex-safe evaluators of the conformal
     factor and the Gauss curvature; ``chi`` is the declared Euler
     characteristic (None for non-compact charts).  The declared curvature is
-    checked against -(Delta ln Omega) / (2 Omega) at construction.
+    checked against -(Delta ln Omega) / (2 Omega) to 1e-6 at construction.
     """
 
     omega: Callable
@@ -77,7 +79,6 @@ class SurfaceGeometry:
     periodic: tuple[bool, bool]
     chi: int | None = None
     name: str = "surface"
-    check_tol: float = 1e-6
     dlog_omega: Callable | None = None  # analytic (d1 lnOmega, d2 lnOmega)
     area_exact: float | None = None  # closed-form total area, when known
 
@@ -87,7 +88,7 @@ class SurfaceGeometry:
         X1, X2 = np.meshgrid(x1, x2, indexing="ij")
         k_ref = self.curvature_from_omega(X1, X2)
         res = np.max(np.abs(k_ref - self.gauss_k(X1, X2)))
-        if res > self.check_tol:
+        if res > 1e-6:
             raise ConstraintViolated(
                 f"declared Gauss curvature differs from the conformal factor: {res:.3e}"
             )
@@ -99,18 +100,20 @@ class SurfaceGeometry:
         ln = lambda a, b: np.log(self.omega(a, b))
         return _cstep(ln, (x1, x2), 0), _cstep(ln, (x1, x2), 1)
 
-    def levi_civita_da_coeff(self, x1, x2, h: float = 1e-5):
+    def levi_civita_da_coeff(self, x1, x2):
         """dx1^dx2 coefficient of da for a = (d1 lnOmega dx2 - d2 lnOmega dx1)/4."""
         if self.dlog_omega is not None:
             d11 = _cstep(lambda a, b: self.dlog_omega(a, b)[0], (x1, x2), 0)
             d22 = _cstep(lambda a, b: self.dlog_omega(a, b)[1], (x1, x2), 1)
             return 0.25 * (d11 + d22)
+        h = _STEP
         d11 = (self.log_omega_grad(x1 + h, x2)[0] - self.log_omega_grad(x1 - h, x2)[0]) / (2 * h)
         d22 = (self.log_omega_grad(x1, x2 + h)[1] - self.log_omega_grad(x1, x2 - h)[1]) / (2 * h)
         return 0.25 * (d11 + d22)
 
-    def curvature_from_omega(self, x1, x2, h: float = 1e-5):
+    def curvature_from_omega(self, x1, x2):
         """K = -(Delta ln Omega) / (2 Omega); outer derivative by central step."""
+        h = _STEP
         d2 = (
             self.log_omega_grad(x1 + h, x2)[0] - self.log_omega_grad(x1 - h, x2)[0]
         ) / (2 * h)
@@ -119,25 +122,14 @@ class SurfaceGeometry:
         ) / (2 * h)
         return -d2 / (2.0 * self.omega(x1, x2))
 
-    def _integrate(self, fn: Callable, n: int) -> float:
-        """Integral of fn(x1, x2) dx1 dx2 over the chart on an n x n mesh."""
+    def area(self) -> float:
+        """Integral of omega_C over the chart on a 256 x 256 mesh."""
         # a patch with a unit third axis supplies the per-axis points and weights
         g = build_patch((self.lo[0], self.lo[1], 0.0), (self.hi[0], self.hi[1], 1.0),
-                        (n, n, 5), (self.periodic[0], self.periodic[1], False))
+                        (256, 256, 5), (self.periodic[0], self.periodic[1], False))
         x1, x2 = np.meshgrid(g.axis_points(0), g.axis_points(1), indexing="ij")
         w = g.axis_weights(0)[:, None] * g.axis_weights(1)[None, :]
-        return float(np.sum(fn(x1, x2) * w))
-
-    def area(self, n: int = 256) -> float:
-        """Integral of omega_C over the chart."""
-        return self._integrate(self.omega, n)
-
-    def gauss_bonnet_defect(self, n: int = 256) -> float:
-        """|int K omega_C - 2 pi chi| relative to 2 pi chi."""
-        if self.chi is None:
-            raise ValueError("Gauss-Bonnet needs a declared Euler characteristic")
-        total = self._integrate(lambda a, b: self.gauss_k(a, b) * self.omega(a, b), n)
-        return abs(total - 2 * np.pi * self.chi) / abs(2 * np.pi * self.chi)
+        return float(np.sum(self.omega(x1, x2) * w))
 
 
 def mercator_sphere(curvature: float = 1.0, tau_max: float = 3.0) -> SurfaceGeometry:
@@ -410,11 +402,8 @@ def twisted_spinorial_solution(
     alpha: float,
     gamma: float,
     beta: float | None = None,
-    h2: Callable = np.sin,
-    interval=(0.0, np.pi),
     n=48,
     margin: float = 0.1,
-    tau_max: float = 3.0,
 ) -> FamilyResult:
     """Spinorial data shifted by B Phi dxi, B = alpha / (2 gamma); eta2 = 0.
 
@@ -422,15 +411,15 @@ def twisted_spinorial_solution(
     alpha the surface curvature must be the constant K = 1 - alpha/beta >
     0 with beta supplied (or derived when a curvature is implied); the
     compatibility h2^2 = beta eta1 (K - 1)/(2 alpha) then holds identically
-    for eta1 = -2 h2^2.
+    for eta1 = -2 h2^2.  The profile is h2 = sin on (0, pi), the round
+    3-sphere's eta2 = 0 representative.
     """
     if gamma == 0.0:
         raise ParamInconsistent("the twist needs gamma != 0")
     b = alpha / (2.0 * gamma)
-    fam = eta2_zero_family(h2, interval, compact="s3" if interval == (0.0, np.pi) and h2 is np.sin else None,
-                           name="eta2-zero")
+    fam = eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name="eta2-zero")
     if alpha == 0.0:
-        surface = mercator_sphere(1.0, tau_max)
+        surface = mercator_sphere(1.0)
         beta_eff = 0.0 if beta is None else beta
     else:
         if beta is None or beta == 0.0:
@@ -440,17 +429,18 @@ def twisted_spinorial_solution(
             raise ParamInconsistent(
                 f"implied constant curvature {curvature:.4g} <= 0 is not a shipped surface"
             )
-        surface = mercator_sphere(curvature, tau_max)
+        surface = mercator_sphere(curvature)
         beta_eff = beta
-        xi = np.linspace(interval[0] + 1e-6, interval[1] - 1e-6, 64)
-        compat = h2(xi) ** 2 - beta * fam.eta1(xi) * (curvature - 1.0) / (2.0 * alpha)
+        xi = np.linspace(1e-6, np.pi - 1e-6, 64)
+        compat = np.sin(xi) ** 2 - beta * fam.eta1(xi) * (curvature - 1.0) / (2.0 * alpha)
         if np.max(np.abs(compat)) > 1e-10:
             raise ParamInconsistent("h2^2 = beta eta1 (K-1)/(2 alpha) fails")
 
     res = spinorial_solution(surface, fam, n=n, margin=margin, twist_b=b)
     xi, tau, v = res.config.grid.meshes()
     kk = surface.gauss_k(tau, v)
-    cond1 = float(np.max(np.abs(alpha * h2(xi) ** 2 + 0.5 * beta_eff * fam.eta1(xi) * (1.0 - kk))))
+    cond1 = float(np.max(np.abs(
+        alpha * np.sin(xi) ** 2 + 0.5 * beta_eff * fam.eta1(xi) * (1.0 - kk))))
     cond2 = abs(2.0 * gamma * b - alpha)
     cond3 = 0.0  # eta2 = 0 by construction
     res.family = "twisted-spinorial"
@@ -561,15 +551,13 @@ def spherical_solution(
     )
 
 
-def spherical_round_target_metric(xi, c1=1.0, c2=-1.0):
+def spherical_round_target_metric(xi):
     """Target metric components (h1^2, h2^2) of the special round parameters.
 
     With (c1, c2, beta) = (1, -1, 2 alpha) and h1 = 1/(1 + xi^2) the target
     metric is dxi^2/(1+xi^2)^2 + (xi^2/(1+xi^2)) g_S2, which the substitution
     arctan(xi) turns into the round 3-sphere.
     """
-    if (c1, c2) != (1.0, -1.0):
-        raise ParamInconsistent("the round comparison is stated for c1 = 1, c2 = -1")
     return 1.0 / (1.0 + xi**2) ** 2, xi**2 / (1.0 + xi**2)
 
 
@@ -579,30 +567,25 @@ def spherical_round_target_metric(xi, c1=1.0, c2=-1.0):
 
 
 def symplectic_solution(
-    h2: Callable = np.sin,
-    interval=(0.0, np.pi),
     n=48,
     margin: float = 0.1,
-    tau_max: float = 3.0,
     xi_phase: Callable | None = None,
     w_scale: float = 1.0,
 ) -> FamilyResult:
     """Area-normalized (a, w) data on C = S^2 with eta2 = 0 and beta != 0.
 
-    omega_C := -2 da must equal 2 i w ^ conj(w); the shipped construction uses
-    the round unit sphere (Mercator chart), where a is half the Levi-Civita
-    connection and w = sqrt(Omega)/2 dz, optionally rotated by a xi-dependent
-    phase (a gauge twist that leaves all invariants unchanged).  ``w_scale``
+    omega_C := -2 da must equal 2 i w ^ conj(w); the construction uses the
+    round unit sphere (Mercator chart, tau_max = 3) over xi in (0, pi) with
+    h2 = sin, where a is half the Levi-Civita connection and w = sqrt(Omega)/2
+    dz, optionally rotated by a xi-dependent phase (a gauge twist that leaves
+    all invariants unchanged).  ``w_scale``
     exists to demonstrate the normalization check and must be 1 for a valid
     construction.
     """
-    surface = mercator_sphere(1.0, tau_max)
-    fam = eta2_zero_family(h2, interval,
-                           compact="s3" if interval == (0.0, np.pi) and h2 is np.sin else None,
-                           name="symplectic-base")
+    surface = mercator_sphere(1.0)
+    fam = eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name="symplectic-base")
     target = make_adjoint_interval_target(fam)
-    xi0, xi1 = interval
-    grid = build_patch((xi0, -tau_max, 0.0), (xi1, tau_max, 2 * np.pi),
+    grid = build_patch((0.0, surface.lo[0], 0.0), (np.pi, surface.hi[0], 2 * np.pi),
                        _triple(n), (False, False, True), margin)
     xi, tau, v = grid.meshes()
 
@@ -635,15 +618,15 @@ def symplectic_solution(
     phi = np.stack([xi, np.full(grid.shape, np.pi / 2), np.zeros(grid.shape)])
     g = np.zeros((3, 3) + grid.shape)
     g[0, 0] = 1.0
-    g[1, 1] = h2(xi) ** 2 * om
-    g[2, 2] = h2(xi) ** 2 * om
+    g[1, 1] = np.sin(xi) ** 2 * om
+    g[2, 2] = np.sin(xi) ** 2 * om
     cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=1)
 
     area = surface.area()
     return FamilyResult(
         family="symplectic",
         config=cfg,
-        params={"n": _triple(n), "margin": margin, "tau_max": tau_max,
+        params={"n": _triple(n), "margin": margin, "tau_max": 3.0,
                 "twisted": xi_phase is not None},
         diagnostics={
             "normalization_residual": norm_res,

@@ -1,12 +1,15 @@
 import csv
 import json
+import math
 import os
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from skybps import cli
+from skybps import cli, lie_target
 from skybps.cli import FAMILIES, build_family, build_target, main, run_sweep, run_verify
 from skybps.errors import ConfigError
 from skybps.exprs import Expression
@@ -254,6 +257,26 @@ def test_verify_cli_outputs_and_determinism(tmp_path):
     assert (tmp_path / "b" / "report.json").read_text() == rep_a
 
 
+def test_nonriemannian_base_metric_fails_every_row():
+    # the conformal coefficient sin^2 xi (3K - 2) is negative at K = 0.5, while
+    # det g_M > 0 still lets the star build
+    rep = run_verify({"family": "spinorial", "surface": {"curvature": 0.5}, "n": 16})
+    assert rep["exit"] == 1
+    verdicts = {c["name"]: c["pass"] for c in rep["checks"]}
+    target_level = ["moment_def_residual", "moment_constraint_residual", "bianchi_residual",
+                    "naturality[radial-1form]", "naturality[radial-area-2form]",
+                    "charge_density_cross"]
+    margins = ["riemannian[m=0.2]", "riemannian[m=0.1]", "riemannian[m=0.05]"]
+    assert list(verdicts) == target_level + margins
+    assert all(verdicts[name] for name in target_level)
+    assert not any(verdicts[name] for name in margins)
+    assert len(rep["rows"]) == 3
+    for row in rep["rows"]:
+        assert row["exit"] == 1
+        assert all(math.isnan(row[k]) for k in ("energy", "degree", "bound", "gap", "r1", "r2"))
+    assert rep["degree_extrapolated"] is None
+
+
 def test_verify_tolerance_failure_exit_1(tmp_path):
     cfg = verify_cfg(tmp_path)
     cfg["perturb"] = {"eps": 0.02, "seed": 0}
@@ -354,3 +377,60 @@ def test_sweep_convergence_columns():
     assert rep["convergence"], "n-doubling pair should produce an order column"
     order = rep["convergence"][0]["observed_order_r1"]
     assert order > 3.0
+
+
+def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
+    # the swept A_x leaves the target section unchanged, so Vol(N) is
+    # integrated once for the whole sweep instead of once per point
+    monkeypatch.setenv("SKYRME_THREADS", "1")
+    quadratures = []
+    integrate = lie_target.integrate
+
+    def counting_integrate(f, grid):
+        quadratures.append(grid.margin)
+        return integrate(f, grid)
+
+    monkeypatch.setattr(lie_target, "integrate", counting_integrate)
+    cfg = {
+        "family": "identity-u1",
+        "n": 12,
+        "margins": [0.36, 0.24, 0.16],
+        "sweep": {"param": "family_params.ax",
+                  "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)", "0.02*sin(theta)"]},
+    }
+    monkeypatch.setattr(cli, "_TARGETS", {})
+    cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
+    assert len(quadratures) == 3  # one per Vol(N) margin
+
+    build_target = cli.build_target
+
+    def unshared(section):
+        cli._TARGETS.clear()
+        return build_target(section)
+
+    quadratures.clear()
+    monkeypatch.setattr(cli, "build_target", unshared)
+    cli.write_outputs(run_sweep(cfg), str(tmp_path / "unshared"))
+    assert len(quadratures) == 9
+    for name in ("report.json", "results.csv"):
+        assert ((tmp_path / "shared" / name).read_bytes()
+                == (tmp_path / "unshared" / name).read_bytes())
+
+
+def test_build_target_shares_valid_sections_only(monkeypatch):
+    monkeypatch.setattr(cli, "_TARGETS", {})
+    section = {"name": "u1-fibered", "mu_y": "sin(x)^2", "bogus": 1}
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            build_target(section)
+    assert cli._TARGETS == {}
+    # concurrent first calls on one section still hand out a single object
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            targets = list(pool.map(lambda _: build_target({"name": "s3-round"}), range(32),
+                                    timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(targets) == 32 and all(t is targets[0] for t in targets)

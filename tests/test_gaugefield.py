@@ -8,8 +8,6 @@ from skybps.gaugefield import (
     Configuration,
     _curvature,
     cofactor,
-    configuration_from_json,
-    configuration_to_json,
     det_p,
     equivariant_pullback,
     gauge_transform,
@@ -339,21 +337,6 @@ def test_rank_profile_constant_map(u1_target):
     c = Configuration(grid, u1_target, phi, None, euclid(grid.shape))
     rp = rank_profile(c)
     assert set(rp["histogram"]) == {0}
-
-
-# -- serialization ----------------------------------------------------------------
-
-
-def test_configuration_json_roundtrip_bit_exact(u1_target):
-    c = smooth_u1_configuration(u1_target, n=8)
-    text = configuration_to_json(c, meta={"note": "test"})
-    c2 = configuration_from_json(text, u1_target)
-    assert np.array_equal(c2.phi, c.phi)
-    assert np.array_equal(c2.A, c.A)
-    assert np.array_equal(c2.gM.g, c.gM.g)
-    assert c2.grid == c.grid
-    # a second serialization is byte-identical
-    assert configuration_to_json(c2, meta={"note": "test"}) == text
 
 
 def test_memo_holds_no_copy_of_dphi(adjoint_round_target):
