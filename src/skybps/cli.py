@@ -48,7 +48,6 @@ from .grid import extrapolate_margin
 from .lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
-    eta2_zero_family,
     left_action_obstruction,
     make_adjoint_interval_target,
     make_su2_left_target,
@@ -153,21 +152,28 @@ def _expr_fn(text: str, *names: str):
     return fn
 
 
-_TARGETS: dict[str, TargetGeometry] = {}
+# objects built from equal config sections: targets and spinorial profile families
+_TARGETS: dict = {}
 
 
 def build_target(cfg: dict) -> TargetGeometry:
     """Target selection by name with profile parameters from the config.
 
     Equal sections share one target object, so sweep points that leave the
-    target unchanged reuse its Vol(N).  Only valid sections are kept: an
-    invalid one raises on every call.
+    target unchanged reuse its Vol(N).
     """
-    cfg = cfg or {"name": "default"}
-    key = json.dumps(cfg, sort_keys=True)
+    return _shared_section("target", cfg or {"name": "default"}, _make_target)
+
+
+def _shared_section(kind: str, cfg: dict, make):
+    """``make`` of a copy of the section, one object per kind and equal section.
+
+    Only valid sections are kept: an invalid one raises on every call.
+    """
+    key = json.dumps([kind, cfg], sort_keys=True)
     if key not in _TARGETS:
         # of two sweep threads that build the same section, the first stored wins
-        _TARGETS.setdefault(key, _make_target(dict(cfg)))
+        _TARGETS.setdefault(key, make(dict(cfg)))
     return _TARGETS[key]
 
 
@@ -239,17 +245,23 @@ def build_surface(cfg: dict):
 
 
 def _spinorial_family_from_target(cfg: dict):
-    """Profile family for the spinorial/twisted constructions (h1 = 1)."""
-    tcfg = dict(cfg or {"name": "s3-round"})
-    name = tcfg.pop("name", "s3-round")
+    """Profile family for the spinorial/twisted constructions (h1 = 1).
+
+    None selects ``spinorial_solution``'s default, the eta2 = 0
+    representative of the round metric (moment-map gauge).  Equal sections
+    share one family, and so one target.
+    """
+    return _shared_section("spinorial", cfg or {"name": "s3-round"}, _make_spinorial_family)
+
+
+def _make_spinorial_family(cfg: dict):
+    name = cfg.pop("name", "s3-round")
     if name in ("s3-round", "default"):
-        _check_keys(tcfg, set(), f"target {name!r}")
-        # the eta2 = 0 representative of the round metric (moment-map gauge)
-        return eta2_zero_family(np.sin, (0.0, np.pi), compact="s3",
-                                name="round-metric-eta2-zero")
+        _check_keys(cfg, set(), f"target {name!r}")
+        return None
     if name == "adjoint-interval":
         # the spinorial constructions fix h1 = 1, so the section may not set it
-        return _adjoint_interval_family(tcfg, _ADJOINT_KEYS - {"h1"})
+        return _adjoint_interval_family(cfg, _ADJOINT_KEYS - {"h1"})
     raise ConfigError(f"unknown spinorial target {name!r}")
 
 
@@ -456,13 +468,15 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
         for name, spec in naturality_check_specs(c.target):
             check(f"naturality[{name}]", pullback_naturality_residual(c, spec),
                   tols["naturality"])
+    # the margin's one pointwise pass, which the charge-cross check reads too
+    bg = bound_gap(c, p, vol_n) if c.gM.riemannian else None
+    if first:
         check("charge_density_cross", charge_density_cross_residual(c), tols["charge_cross"])
-    if not c.gM.riemannian:
+    if bg is None:
         check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
         return EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
                             np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
                             extras={"riemannian": False}, exit_code=1), p, vol_n
-    bg = bound_gap(c, p, vol_n)
     row = EnergyReport(
         family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
         margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],

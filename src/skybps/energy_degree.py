@@ -41,11 +41,13 @@ from .exterior import (
     Metric3,
     StarMap,
     _matvec,
+    mat_det,
     mat_inv,
+    metric_star,
     recover_metric,
     star_trace_residual,
 )
-from .gaugefield import Configuration, _curvature, equivariant_pullback
+from .gaugefield import Configuration, _curvature, equivariant_pullback, standard_specs
 from .grid import PatchGrid, partial_derivative
 from .lie_target import qconj, qmul, qrot, sph_x, su2_algebra
 
@@ -112,47 +114,103 @@ def integrate_density(c: Configuration, rho: np.ndarray) -> float:
     return c.orientation * float(np.sum(rho * c.grid.weights()))
 
 
-def _pullbacks(c: Configuration) -> dict:
-    if "pullbacks" not in c._memo:
-        # coefficients at phi come from the configuration's target fields;
+# ---------------------------------------------------------------------------
+# the pointwise pass
+# ---------------------------------------------------------------------------
+
+
+_TERMS = ("c1_dphi", "c2_sigma", "c3_nu", "c4_mu_sharp", "c5_nu_sigma", "c6_mu_sigma")
+
+
+def _margin_pass(c: Configuration, p: BPSParams | None) -> dict:
+    """All pointwise algebra of a configuration, one slab of rows at a time.
+
+    Each slab (``PatchGrid.slabs``) takes g_N, I and mu at phi, det g_N and
+    g_N^-1 once, the base star and its inverse, and the five pullbacks
+    Sig, nu, mus, phi^{*A} V_N and phi^{*A} mu.  From them it forms the six
+    energy densities, the Bogomolny density
+      |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
+    (B = Sig + 3 mus) with the two BPS sides, the cross density, the charge
+    density and the pointwise terms of the orthogonality and contraction
+    checks.  Only scalar densities are written to full-size arrays; sup norms
+    are taken per slab and then over the slabs, so every value equals that of
+    one full-grid pass.
+
+    The result is memoized with its ``p``, which fixes the BPS2 combination.
+    With ``p`` None a pass already run is reused, whatever its ``p``; if there
+    is none, one runs at alpha = beta = gamma = 0.
+    """
+    done = c._memo.get("pass")
+    if done is not None and (p is None or done["p"] == p):
+        return done
+    p = BPSParams() if p is None else p
+    t, gM, grid = c.target, c.gM, c.grid
+    P_all, F_all = c.covariant_differential(), c.curvature()
+    terms = {k: np.empty(grid.shape) for k in _TERMS}
+    bogomolny, cross, charge = (np.empty(grid.shape) for _ in range(3))
+    sups = {k: [] for k in ("r1", "r2", "ortho", "asym", "mu_max")}
+    for sl in grid.slabs():
+        # each slab-size field is dropped after its last reader, so that a
+        # grid of one slab (n <= 24) holds few of them at once
+        y, P, F = c.phi[:, sl], P_all[:, :, sl], F_all[:, :, sl]
+        gN, kil, mu = t.metric(y), t.killing(y), t.mu(y)
+        sups["asym"].append(_contraction_asymmetry(kil, mu))
+        sups["mu_max"].append(float(np.max(np.abs(mu))))
+        det, inv = mat_det(gN), mat_inv(gN)
         # (p, q) as in gaugefield.standard_specs
-        t, g = c.target, c.target_metric()
-        c._memo["pullbacks"] = {
-            "sigma": equivariant_pullback(c, 0, 2, t.sigma_dual(g)),
-            "nu": equivariant_pullback(c, 1, 0, c.killing()),
-            "mu_sharp": equivariant_pullback(c, 1, 0, t.mu_sharp(g, c.moment())),
-            "volume": equivariant_pullback(c, 0, 3, t.vol_coeff(g)),
-            "mu": equivariant_pullback(c, 1, 1, c.moment()),
-        }
-    return c._memo["pullbacks"]
+        sig = equivariant_pullback(P, F, 0, 2, t.sigma_dual(det, inv))
+        nu = equivariant_pullback(P, F, 1, 0, kil)
+        mus = equivariant_pullback(P, F, 1, 0, t.mu_sharp(inv, mu))
+        charge[sl] = (equivariant_pullback(P, F, 0, 3, t.vol_coeff(det))
+                      + equivariant_pullback(P, F, 1, 1, mu))
+        del kil, mu, det, inv
+        star = metric_star(gM.g[:, :, sl], gM.det()[sl], c.orientation)
+
+        # the energy densities: each right operand is star-applied once and
+        # paired with every left operand on it
+        dens = {}
+        s_op = star.on_2(sig)
+        dens["c2_sigma"], dens["c5_nu_sigma"], dens["c6_mu_sigma"] = (
+            _pair_starred(u, s_op, gN) for u in (sig, nu, mus))
+        del s_op
+        dens["c3_nu"] = _pair_starred(nu, star.on_2(nu), gN)
+        s_op = star.on_2(mus)
+        dens["c4_mu_sharp"] = _pair_starred(mus, s_op, gN)
+        if t.has_moment_constraint:
+            sups["ortho"].append(float(np.max(np.abs(_pair_starred(nu, s_op, gN)))))
+        del s_op
+        star_dphi = star.on_1(P)
+        dens["c1_dphi"] = _pair_starred(P, star_dphi, gN)
+        for key, coef in zip(_TERMS, p.c):
+            terms[key][sl] = coef * dens[key]
+
+        # the Bogomolny density and the two BPS sides
+        b = sig + 3.0 * mus
+        cross[sl] = _pair(star_dphi, b, 2, star, gN)
+        diff = star_dphi - b
+        del b, star_dphi
+        sups["r1"].append(float(np.max(np.abs(diff))))
+        bogomolny[sl] = _pair(diff, diff, 2, star, gN)
+        del diff
+        second = _second_equation(p, sig, mus, nu)
+        del sig, mus, nu
+        sups["r2"].append(float(np.max(np.abs(second))))
+        bogomolny[sl] += _pair(second, second, 2, star, gN)
+        bogomolny[sl] += 2.0 * cross[sl]
+    sup = {k: float(np.max(v)) if v else None for k, v in sups.items()}
+    c._memo["pass"] = {"p": p, "terms": terms, "bogomolny": bogomolny, "cross": cross,
+                       "charge": charge, **sup}
+    return c._memo["pass"]
 
 
-def _star_dphi(c: Configuration) -> np.ndarray:
-    """star_M d^A phi, the left side of BPS1."""
-    if "star_dphi" not in c._memo:
-        c._memo["star_dphi"] = c.star().on_1(c.covariant_differential())
-    return c._memo["star_dphi"]
-
-
-def _bps1_rhs(c: Configuration) -> np.ndarray:
-    """B = phi^{*A}(Sigma + 3 mu-sharp), the right side of BPS1.
-
-    A fresh array on every call: B is read once for the cross density and
-    once for star d^A phi - B, so it is not kept in the memo.
-    """
-    pb = _pullbacks(c)
-    return pb["sigma"] + 3.0 * pb["mu_sharp"]
-
-
-def _cross_density(c: Configuration, b: np.ndarray | None = None) -> np.ndarray:
-    """< star_M d^A phi, B >, the cross term of the Bogomolny decomposition.
-
-    Computed once per configuration; pass B when the caller has it at hand.
-    """
-    if "cross" not in c._memo:
-        b = _bps1_rhs(c) if b is None else b
-        c._memo["cross"] = _pair(_star_dphi(c), b, 2, c.star(), c.target_metric())
-    return c._memo["cross"]
+def _second_equation(p: BPSParams, sig, mus, nu) -> np.ndarray:
+    """alpha Sig + beta mus + gamma nu, summed in that order in one array."""
+    out = p.alpha * sig
+    tmp = np.empty_like(out)
+    for coef, x in ((p.beta, mus), (p.gamma, nu)):
+        np.multiply(coef, x, out=tmp)
+        out += tmp
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,38 +227,17 @@ def energy(c: Configuration, p: BPSParams) -> dict:
     """
     if not c.gM.riemannian:
         raise NotRiemannian("base metric is not positive definite on the grid")
-    c1, c2, c3, c4, c5, c6 = p.c
-    pb = _pullbacks(c)
-    star = c.star()
-    gN = c.target_metric()
-    sig, nu, mus = pb["sigma"], pb["nu"], pb["mu_sharp"]
-    # each right operand is star-applied once and paired with every left
-    # operand on it; star d^A phi is the memoized one
-    s_sig = star.on_2(sig)
-    d_sig, d_nu_sig, d_mu_sig = (_pair_starred(u, s_sig, gN) for u in (sig, nu, mus))
-    del s_sig
-    d_nu = _pair_starred(nu, star.on_2(nu), gN)
-    s_mus = star.on_2(mus)
-    d_mus = _pair_starred(mus, s_mus, gN)
-    ortho = _pair_starred(nu, s_mus, gN) if c.target.has_moment_constraint else None
-    del s_mus
-    dens = {
-        "c1_dphi": c1 * _pair_starred(c.covariant_differential(), _star_dphi(c), gN),
-        "c2_sigma": c2 * d_sig,
-        "c3_nu": c3 * d_nu,
-        "c4_mu_sharp": c4 * d_mus,
-        "c5_nu_sigma": c5 * d_nu_sig,
-        "c6_mu_sigma": c6 * d_mu_sig,
-    }
+    done = _margin_pass(c, p)
+    dens = done["terms"]
     terms = {k: integrate_density(c, v) for k, v in dens.items()}
     out = {
         "total": float(sum(terms.values())),
         "terms": terms,
         "density": sum(dens.values()),
     }
-    if ortho is not None:
+    if done["ortho"] is not None:
         scale = max(float(np.max(np.abs(out["density"]))), 1.0)
-        res = float(np.max(np.abs(ortho)))
+        res = done["ortho"]
         out["orthogonality_residual"] = res
         if res > 1e-10 * scale:
             raise MomentConditionFailed(
@@ -218,16 +255,11 @@ def energy(c: Configuration, p: BPSParams) -> dict:
 _CONSTRAINT_TOL = 1e-8
 
 
-def charge_density(c: Configuration) -> np.ndarray:
-    """Coordinate coefficient of phi^{*A}(V_N + mu)."""
-    pb = _pullbacks(c)
-    return pb["volume"] + pb["mu"]
-
-
 def charge_density_cross_residual(c: Configuration) -> float:
     """Pointwise mismatch of the two charge-density expressions (roundoff-level)."""
-    rho = charge_density(c)
-    alt = _cross_density(c) / 3.0
+    done = _margin_pass(c, None)
+    rho = done["charge"]
+    alt = done["cross"] / 3.0
     scale = max(float(np.max(np.abs(rho))), 1.0)
     return float(np.max(np.abs(rho - alt))) / scale
 
@@ -255,13 +287,13 @@ def degree(c: Configuration, vol_n: float | None = None) -> float:
     The numerator is the quadrature over this configuration's (margined)
     patch; callers extrapolate over margins when a global integer is claimed.
     """
-    kil, mu = c.killing(), c.moment()
-    if _contraction_asymmetry(kil, mu) > _CONSTRAINT_TOL * max(float(np.max(np.abs(mu))), 1.0):
+    done = _margin_pass(c, None)
+    if done["asym"] > _CONSTRAINT_TOL * max(done["mu_max"], 1.0):
         raise MomentConditionFailed(
             "target moment map violates the contraction constraint; degree undefined"
         )
     vol = c.target.volume() if vol_n is None else vol_n
-    return integrate_density(c, charge_density(c)) / vol
+    return integrate_density(c, done["charge"]) / vol
 
 
 # ---------------------------------------------------------------------------
@@ -271,42 +303,8 @@ def degree(c: Configuration, vol_n: float | None = None) -> float:
 
 def bps_residuals(c: Configuration, p: BPSParams) -> dict:
     """Sup-norm residuals of the two BPS equations over all components."""
-    _, r1, r2 = _bogomolny_density(c, p)
-    return {"r1": r1, "r2": r2}
-
-
-def _bogomolny_density(c: Configuration, p: BPSParams) -> tuple[np.ndarray, float, float]:
-    """|star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>,
-    with the BPS residuals r1, r2 read off the same two arrays.
-
-    The density is added term by term in that order, so that the two BPS
-    sides are never alive together.
-    """
-    star, gN = c.star(), c.target_metric()
-    b = _bps1_rhs(c)
-    cross = _cross_density(c, b)
-    diff = _star_dphi(c) - b
-    del b
-    r1 = float(np.max(np.abs(diff)))
-    dens = _pair(diff, diff, 2, star, gN)
-    del diff
-    second = _second_equation(c, p)
-    r2 = float(np.max(np.abs(second)))
-    dens += _pair(second, second, 2, star, gN)
-    del second
-    dens += 2.0 * cross
-    return dens, r1, r2
-
-
-def _second_equation(c: Configuration, p: BPSParams) -> np.ndarray:
-    """alpha Sig + beta mus + gamma nu, summed in that order in one array."""
-    pb = _pullbacks(c)
-    out = p.alpha * pb["sigma"]
-    tmp = np.empty_like(out)
-    for coef, key in ((p.beta, "mu_sharp"), (p.gamma, "nu")):
-        np.multiply(coef, pb[key], out=tmp)
-        out += tmp
-    return out
+    done = _margin_pass(c, p)
+    return {"r1": done["r1"], "r2": done["r2"]}
 
 
 def general_bound_coefficient(p: BPSParams) -> float | None:
@@ -334,7 +332,8 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
     orthogonality of nu-hat and mu-sharp-hat.
     """
     e = energy(c, p)
-    dens2, r1, r2 = _bogomolny_density(c, p)
+    done = _margin_pass(c, p)
+    dens2 = done["bogomolny"]
     scale = max(float(np.max(np.abs(e["density"]))), 1.0)
     decomp_residual = float(np.max(np.abs(dens2 - e["density"]))) / scale
     e2 = integrate_density(c, dens2)
@@ -349,8 +348,8 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
         "bound": bound,
         "gap": e["total"] - bound,
         "terms": e["terms"],
-        "r1": r1,
-        "r2": r2,
+        "r1": done["r1"],
+        "r2": done["r2"],
     }
 
 
@@ -365,7 +364,9 @@ def bps1_star_map(c: Configuration) -> StarMap:
     sv = np.linalg.svd(np.moveaxis(P, (0, 1), (-2, -1)), compute_uv=False)
     if np.any(sv[..., -1] <= 1e-8 * sv[..., 0]):
         raise RankDeficient("d^A phi is rank deficient; the star map is undefined")
-    b = _bps1_rhs(c)  # (value mu, dual m, *sp)
+    specs = standard_specs(c.target)
+    # (value mu, dual m, *sp)
+    b = specs["sigma"].pullback(c) + 3.0 * specs["mu_sharp"].pullback(c)
     # t[m, lam] = b[mu, m] (P^{-1})[lam, mu]
     return StarMap(s=_matvec(mat_inv(P), np.swapaxes(b, 0, 1)))
 

@@ -101,11 +101,14 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
 class Metric3:
     """Symmetric 3x3 metric components per grid point, shape (3, 3, *spatial).
 
-    ``riemannian`` is computed from Sylvester minors, never assumed.
+    ``riemannian`` is computed from Sylvester minors, never assumed.  The
+    determinant the last minor needs is kept (read-only) and is what ``det``
+    returns.
     """
 
     g: np.ndarray
     riemannian: bool = field(init=False)
+    _det: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         gt = np.swapaxes(self.g, 0, 1)
@@ -114,17 +117,18 @@ class Metric3:
         if asym > 1e-12 * scale:
             raise ValueError(f"metric asymmetry {asym:.3e} exceeds tolerance")
         self.g = 0.5 * (self.g + gt)
+        self._det = mat_det(self.g)
+        self._det.flags.writeable = False
         self.riemannian = bool(np.all(self.riemannian_mask()))
 
     def riemannian_mask(self) -> np.ndarray:
         g = self.g
         m1 = g[0, 0]
         m2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        m3 = mat_det(g)
-        return (m1 > 0) & (m2 > 0) & (m3 > 0)
+        return (m1 > 0) & (m2 > 0) & (self._det > 0)
 
     def det(self) -> np.ndarray:
-        return mat_det(self.g)
+        return self._det
 
     def inv(self) -> np.ndarray:
         return mat_inv(self.g)
@@ -180,10 +184,18 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def hodge_star(metric: Metric3, orientation: int = 1) -> StarMap:
     """Star map of a riemannian metric; raises ``SingularMetric`` if det <= 0."""
-    det = metric.det()
+    return metric_star(metric.g, metric.det(), orientation)
+
+
+def metric_star(g: np.ndarray, det: np.ndarray, orientation: int) -> StarMap:
+    """orientation * sqrt(det g) * g^-1 from metric components and their
+    determinant, for example on some rows of a :class:`Metric3`.
+
+    Raises ``SingularMetric`` if det <= 0.
+    """
     if np.any(det <= 0):
         raise SingularMetric("metric determinant <= 0 on the grid")
-    return StarMap(orientation * np.sqrt(det) * metric.inv())
+    return StarMap(orientation * np.sqrt(det) * mat_inv(g))
 
 
 def star_trace_residual(star: StarMap) -> float:

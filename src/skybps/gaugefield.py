@@ -7,9 +7,11 @@ around periodic axes (identity maps, fibre shifts) carry an explicit
 ``phi_winding`` slope matrix so that finite differences act on the periodic
 remainder only.  A is stored through its Lie-algebra components A^a_lambda(x).
 
-Derived fields are pure functions of the configuration; those read more than
-once are memoized, and a Configuration is treated as immutable after
-construction.
+Derived fields are pure functions of the configuration, and a Configuration
+is treated as immutable after construction.  Only the fields that need
+stencils, d^A phi and F, are memoized on the full grid; pointwise fields (the
+target fields at phi, the base star) are evaluated afresh on each call, and
+the verify pass evaluates them slab by slab (``PatchGrid.slabs``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .exterior import (
     _det,
     assert_finite,
     hodge_star,
+    mat_det,
+    mat_inv,
 )
 from .grid import PatchGrid, partial_derivative
 from .lie_target import TargetGeometry, qconj, qexp, qmul, qrot, target_partials
@@ -81,9 +85,8 @@ class Configuration:
     # -- derived fields ----------------------------------------------------
 
     def star(self) -> StarMap:
-        if "star" not in self._memo:
-            self._memo["star"] = hodge_star(self.gM, self.orientation)
-        return self._memo["star"]
+        """Base star map on the full grid, built on each call."""
+        return hodge_star(self.gM, self.orientation)
 
     def dphi(self) -> np.ndarray:
         """Plain differential d phi^mu, winding-aware; shape (3, 3, *grid).
@@ -106,31 +109,31 @@ class Configuration:
             self._memo["F"] = assert_finite(F, "curvature")
         return self._memo["F"]
 
-    # -- target fields at phi, each evaluated once -------------------------
-
-    def _at_phi(self, key: str, fn) -> np.ndarray:
-        if key not in self._memo:
-            self._memo[key] = fn(self.phi)
-        return self._memo[key]
+    # -- target fields at phi on the full grid, evaluated on each call ------
 
     def target_metric(self) -> np.ndarray:
         """g_N at phi, shape (3, 3, *grid)."""
-        return self._at_phi("gN", self.target.metric)
+        return self.target.metric(self.phi)
 
     def killing(self) -> np.ndarray:
         """Killing-field components I_a^mu at phi, shape (dim g, 3, *grid)."""
-        return self._at_phi("killing", self.target.killing)
+        return self.target.killing(self.phi)
 
     def moment(self) -> np.ndarray:
         """Moment-map coefficients mu_{a;mu} at phi, shape (dim g, 3, *grid)."""
-        return self._at_phi("mu", self.target.mu)
+        return self.target.mu(self.phi)
 
     def covariant_differential(self) -> np.ndarray:
-        """d^A phi^mu = d phi^mu - A^a I_a^mu(phi); shape (3 target, 3 form, *grid)."""
+        """d^A phi^mu = d phi^mu - A^a I_a^mu(phi); shape (3 target, 3 form, *grid).
+
+        d phi becomes d^A phi in place, one slab at a time, so I(phi) is never
+        held on the full grid.
+        """
         if "P" not in self._memo:
-            kil = self.killing()  # (a, mu, *grid)
-            out = self.dphi()  # fresh, so d phi becomes d^A phi in place
-            out -= np.einsum("alxyz,amxyz->mlxyz", self.A, kil)
+            out = self.dphi()  # fresh, so the caller owns it
+            for sl in self.grid.slabs():
+                kil = self.target.killing(self.phi[:, sl])  # (a, mu, *slab)
+                out[:, :, sl] -= np.einsum("alxyz,amxyz->mlxyz", self.A[:, :, sl], kil)
             self._memo["P"] = assert_finite(out, "covariant differential")
         return self._memo["P"]
 
@@ -203,20 +206,25 @@ class EquivariantFormSpec:
 
     def pullback(self, c: Configuration) -> np.ndarray:
         """phi^{*A} of this form on the configuration c."""
-        return equivariant_pullback(c, self.p, self.q, self.coeff(c.phi))
+        return equivariant_pullback(c.covariant_differential(), c.curvature(),
+                                    self.p, self.q, self.coeff(c.phi))
 
 
 def standard_specs(target: TargetGeometry) -> dict[str, EquivariantFormSpec]:
     """The named equivariant forms used by the energy and degree."""
     t = target
+
+    def sigma(y):
+        g = t.metric_fn(y)
+        return t.sigma_dual(mat_det(g), mat_inv(g))
+
     return {
-        "volume": EquivariantFormSpec(0, 3, lambda y: t.vol_coeff(t.metric_fn(y))),
+        "volume": EquivariantFormSpec(0, 3, lambda y: t.vol_coeff(mat_det(t.metric_fn(y)))),
         "mu": EquivariantFormSpec(1, 1, t.mu_fn),
-        "sigma": EquivariantFormSpec(
-            0, 2, lambda y: t.sigma_dual(t.metric_fn(y)), valued=True),
+        "sigma": EquivariantFormSpec(0, 2, sigma, valued=True),
         "nu": EquivariantFormSpec(1, 0, t.killing_fn, valued=True),
         "mu_sharp": EquivariantFormSpec(
-            1, 0, lambda y: t.mu_sharp(t.metric_fn(y), t.mu_fn(y)), valued=True),
+            1, 0, lambda y: t.mu_sharp(mat_inv(t.metric_fn(y)), t.mu_fn(y)), valued=True),
         "identity": EquivariantFormSpec(0, 1, _identity_coeff, valued=True),
     }
 
@@ -228,11 +236,14 @@ def _identity_coeff(y):
     ).astype(np.result_type(y))
 
 
-def equivariant_pullback(c: Configuration, p: int, q: int, coeff: np.ndarray) -> np.ndarray:
+def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
+                         coeff: np.ndarray) -> np.ndarray:
     """phi^{*A} of an equivariant form: F fills algebra slots, d^A phi form slots.
 
-    ``coeff`` holds the form's coefficients of bidegree (p, q) at phi, laid
-    out as for :class:`EquivariantFormSpec`.  Returns dual-storage components
+    P is d^A phi (3, 3, *sp) and F the curvature (dim g, 3, *sp) on the same
+    points (the full grid or some of its rows); ``coeff`` holds the form's
+    coefficients of bidegree (p, q) at phi there, laid out as for
+    :class:`EquivariantFormSpec`.  Returns dual-storage components
     of the degree-(2p+q) result, with a leading value axis when the form is
     tangent-valued.  Degrees above 3 are rejected; p >= 2 cannot occur below
     degree 4 on a 3-manifold.
@@ -242,7 +253,6 @@ def equivariant_pullback(c: Configuration, p: int, q: int, coeff: np.ndarray) ->
         raise DegreeOverflow(f"pullback of degree {deg} > 3 (p={p}, q={q})")
     if p >= 2:
         raise DegreeOverflow("p >= 2 needs degree >= 4, unreachable on a 3-manifold")
-    P = c.covariant_differential()
     if p == 0:
         if q == 0:
             return coeff
@@ -251,7 +261,6 @@ def equivariant_pullback(c: Configuration, p: int, q: int, coeff: np.ndarray) ->
         if q == 2:
             return np.einsum("...rxyz,mrxyz->...mxyz", coeff, cofactor(P))
         return coeff * det_p(P)
-    F = c.curvature()
     if q == 0:
         # (p=1, q=0): a 2-form; value slot optional
         return np.einsum("a...xyz,amxyz->...mxyz", coeff, F)
@@ -280,10 +289,11 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
     if p >= 1 or 2 * p + q >= 3:
         return 0.0
     grid = c.grid
+    P, F = c.covariant_differential(), c.curvature()
 
     # d(phi^{*A} beta) by grid finite differences
     beta = spec.coeff(c.phi)
-    pb = equivariant_pullback(c, p, q, beta)
+    pb = equivariant_pullback(P, F, p, q, beta)
     if q == 1:
         grads = np.stack([partial_derivative(pb, k, grid) for k in range(3)])
         rhs = np.einsum("mkl,klxyz->mxyz", EPS, grads)
@@ -293,9 +303,9 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
     # exterior-derivative part of d_g beta, pulled back
     dbeta = target_partials(spec.coeff, c.phi)
     if q == 1:
-        lhs = equivariant_pullback(c, 0, 2, np.einsum("mkl,klxyz->mxyz", EPS, dbeta))
+        lhs = equivariant_pullback(P, F, 0, 2, np.einsum("mkl,klxyz->mxyz", EPS, dbeta))
     else:
-        lhs = equivariant_pullback(c, 0, 3, np.einsum("mmxyz->xyz", dbeta))
+        lhs = equivariant_pullback(P, F, 0, 3, np.einsum("mmxyz->xyz", dbeta))
 
     # contraction part: (iota_{nu(I_a)} beta) is a (1, q-1) form
     if q == 1:
@@ -303,7 +313,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
     else:
         # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
         contr = np.cross(beta[None], c.killing(), axisa=1, axisb=1, axisc=1)
-    lhs = lhs - equivariant_pullback(c, 1, q - 1, contr)
+    lhs = lhs - equivariant_pullback(P, F, 1, q - 1, contr)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -319,7 +329,7 @@ def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, Equivarian
             return target.mu_fn(y)[0]
 
         def nu_volume(y):
-            return target.vol_coeff(target.metric_fn(y)) * target.killing_fn(y)[0]
+            return target.vol_coeff(mat_det(target.metric_fn(y))) * target.killing_fn(y)[0]
 
         return [
             ("mu-1form", EquivariantFormSpec(0, 1, mu_one_form)),
@@ -438,7 +448,9 @@ def rank_profile(c: Configuration) -> dict:
     cut = max(_RANK_THRESHOLD * global_scale, 1e-12)
     ranks = np.sum(sv > cut, axis=-1)
 
-    star_n = c.target.sigma_dual(c.target_metric())  # (rho dual, mu) target star
+    g_n = c.target_metric()
+    g_inv = mat_inv(g_n)
+    star_n = c.target.sigma_dual(mat_det(g_n), g_inv)  # (rho dual, mu) target star
     M = np.einsum("mrxyz,rnxyz->mnxyz", cofactor(P), star_n, optimize=True)
     sv_m = np.linalg.svd(np.moveaxis(M, (0, 1), (-2, -1)), compute_uv=False)
     # threshold against the composite's natural scale, not its own leading
@@ -453,7 +465,7 @@ def rank_profile(c: Configuration) -> dict:
 
     tracefree = None
     if np.any(~deficient):
-        mus = c.target.mu_sharp(c.target_metric(), c.moment())
+        mus = c.target.mu_sharp(g_inv, c.moment())
         F = c.curvature()
         mhat = np.einsum("auxyz,amxyz->muxyz", mus, F)  # map: u_mu -> dual m
         full = ~deficient

@@ -28,6 +28,9 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 # successive extrapolation inputs closer than this count as converged
 _MIN_SIGNAL = 1e-9
+# Pointwise algebra runs in slabs of the first axis holding at most this many
+# points: a (3, 3) field of a slab is then about 1 MB and stays in L2.
+_SLAB_POINTS = 24**3
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,13 @@ class PatchGrid:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.n
+
+    def slabs(self) -> list[slice]:
+        """Row ranges of the first axis, each at most ``_SLAB_POINTS`` points
+        (and at least one row); a grid of up to 24^3 points is one slab."""
+        n0, rest = self.n[0], self.n[1] * self.n[2]
+        rows = max(1, _SLAB_POINTS // rest)
+        return [slice(i, min(i + rows, n0)) for i in range(0, n0, rows)]
 
     def axis_points(self, i: int) -> np.ndarray:
         """1D coordinate array along axis i (periodic axes exclude hi)."""

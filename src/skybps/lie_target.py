@@ -185,6 +185,7 @@ class TargetGeometry:
     volume_margins: tuple[float, ...] = (0.2, 0.1, 0.05)
     extras: dict = field(default_factory=dict)
     _volume_cache: dict = field(default_factory=dict, repr=False)
+    _moment_cache: dict = field(default_factory=dict, repr=False)
 
     def chart_grid(self, n, margin: float | None = None) -> PatchGrid:
         m = self.default_margin if margin is None else margin
@@ -199,20 +200,20 @@ class TargetGeometry:
     def mu(self, y: np.ndarray) -> np.ndarray:
         return self.mu_fn(y)
 
-    # The derived tensors below are functions of the metric (and moment map)
-    # at the points, so a caller holding g_N at phi evaluates it only once.
+    # The derived tensors below are functions of det g_N and g_N^-1 at the
+    # points, so a caller takes each of those once and shares it.
 
-    def vol_coeff(self, g: np.ndarray) -> np.ndarray:
-        """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3, given g_N at the points."""
-        return np.sqrt(mat_det(g))
+    def vol_coeff(self, det_g: np.ndarray) -> np.ndarray:
+        """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3, given det g_N."""
+        return np.sqrt(det_g)
 
-    def sigma_dual(self, g: np.ndarray) -> np.ndarray:
+    def sigma_dual(self, det_g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
         """Hodge tensor Sigma as the N-side star matrix (value slot, dual slot)."""
-        return np.sqrt(mat_det(g)) * mat_inv(g)
+        return np.sqrt(det_g) * g_inv
 
-    def mu_sharp(self, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Metric dual of the moment map, components (dim, 3, ...), given g_N and mu."""
-        return np.einsum("mnxyz,anxyz->amxyz", mat_inv(g), mu)
+    def mu_sharp(self, g_inv: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Metric dual of the moment map, components (dim, 3, ...), given g_N^-1 and mu."""
+        return np.einsum("mnxyz,anxyz->amxyz", g_inv, mu)
 
     def volume(self, n=96, margins=None) -> float:
         """Margin-extrapolated integral of V_N over the chart.
@@ -231,7 +232,7 @@ class TargetGeometry:
                 if self.fiber_axis is not None:
                     axes[self.fiber_axis] = axes[self.fiber_axis][:1]
                 y = np.stack(np.meshgrid(*axes, indexing="ij"))
-                vol = np.broadcast_to(self.vol_coeff(self.metric_fn(y)), grid.shape)
+                vol = np.broadcast_to(self.vol_coeff(mat_det(self.metric_fn(y))), grid.shape)
                 vals.append(integrate(vol, grid))
             self._volume_cache[key] = extrapolate_margin(margins, vals)
         return self._volume_cache[key]
@@ -276,21 +277,27 @@ def verify_moment_conditions(target: TargetGeometry, n=64,
     constraint_residual: max_{a<=b} |(iota_{nu(I_a)} mu(I_b) + (a<->b)) / 2|,
                          the symmetrized contraction that must vanish for the
                          degree to be defined.
+
+    The result is kept on the target per (n, method), so sweep points that
+    share a target run the check once.
     """
-    grid = target.chart_grid(n)
-    y = np.stack(grid.meshes())
-    dmu = target_partials(target.mu_fn, y, grid, method)  # (k, a, comp, *sp)
-    curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
-    vol = target.vol_coeff(target.metric_fn(y))
-    kil = target.killing_fn(y)
-    def_res = float(np.max(np.abs(curl - vol * kil)))
-    q = np.einsum("amxyz,bmxyz->abxyz", kil, target.mu_fn(y))
-    sym = 0.5 * (q + np.swapaxes(q, 0, 1))
-    return {
-        "def_residual": def_res,
-        "constraint_residual": float(np.max(np.abs(sym))),
-        "constraint_matrix": np.mean(sym, axis=tuple(range(2, sym.ndim))),
-    }
+    key = (n, method)
+    if key not in target._moment_cache:
+        grid = target.chart_grid(n)
+        y = np.stack(grid.meshes())
+        dmu = target_partials(target.mu_fn, y, grid, method)  # (k, a, comp, *sp)
+        curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
+        vol = target.vol_coeff(mat_det(target.metric_fn(y)))
+        kil = target.killing_fn(y)
+        def_res = float(np.max(np.abs(curl - vol * kil)))
+        q = np.einsum("amxyz,bmxyz->abxyz", kil, target.mu_fn(y))
+        sym = 0.5 * (q + np.swapaxes(q, 0, 1))
+        target._moment_cache[key] = {
+            "def_residual": def_res,
+            "constraint_residual": float(np.max(np.abs(sym))),
+            "constraint_matrix": np.mean(sym, axis=tuple(range(2, sym.ndim))),
+        }
+    return target._moment_cache[key]
 
 
 def nu_homomorphism_residual(target: TargetGeometry, n=64) -> float:
@@ -324,9 +331,12 @@ def equivariance_residual(target: TargetGeometry, n=48) -> dict:
         + np.einsum("cab,cmxyz->abmxyz", f, mu)
     )
 
-    sig = target.sigma_dual(target.metric_fn(y))  # (value mu, dual m, *sp)
-    dsig = target_partials(lambda yc: target.sigma_dual(target.metric_fn(yc)),
-                           y)  # (k, mu, m, *sp)
+    def sigma(yc):
+        g = target.metric_fn(yc)
+        return target.sigma_dual(mat_det(g), mat_inv(g))
+
+    sig = sigma(y)  # (value mu, dual m, *sp)
+    dsig = target_partials(sigma, y)  # (k, mu, m, *sp)
     div_k = np.einsum("nbnxyz->bxyz", dk)
     # Lie derivative of the dual-stored 2-form slot: X.grad b + b div X - (b.grad) X
     lie_form = (
@@ -345,8 +355,9 @@ def sigma_duality_residual(target: TargetGeometry, n=24) -> float:
     """max |g_N(u, Sigma(v, w)) - V_N(u, v, w)| over basis triples and points."""
     y = np.stack(target.chart_grid(n).meshes())
     g = target.metric_fn(y)
-    sig = target.sigma_dual(g)
-    vol = target.vol_coeff(g)
+    det_g = mat_det(g)
+    sig = target.sigma_dual(det_g, mat_inv(g))
+    vol = target.vol_coeff(det_g)
     # Sigma(e_v, e_w) has components Sig[:, m] eps_mvw; pair with g and compare
     lhs = np.einsum("umxyz,mvw,euxyz->evwxyz", sig, EPS, g)
     rhs = EPS[..., None, None, None] * vol
@@ -474,12 +485,13 @@ def u1_s3_adjoint_target() -> TargetGeometry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class AdjointIntervalFamily:
     """Profile functions (h1, h2, eta1, eta2) on the interval, all complex-safe.
 
     The moment-map condition ties them together: 2 h1 h2^2 = eta2' - eta1 and
     the eta3 slot vanishes; this is enforced at construction on a dense sample.
+    A family compares and hashes by identity, so it can key a shared target.
     """
 
     h1: Callable

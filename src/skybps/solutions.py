@@ -56,6 +56,35 @@ from .lie_target import (
 )
 
 # ---------------------------------------------------------------------------
+# shared adjoint-interval targets
+# ---------------------------------------------------------------------------
+
+# Profile families by their defining parameters, and targets by family: a
+# sweep point that leaves the target unchanged then reuses its Vol(N), as
+# cli.build_target does for target sections.
+_SHARED: dict = {}
+
+
+def _shared(key, make):
+    """The object stored under ``key``, built by ``make()`` on first use; of two
+    threads that build it, the first stored wins."""
+    obj = _SHARED.get(key)
+    if obj is None:
+        obj = _SHARED.setdefault(key, make())
+    return obj
+
+
+def _adjoint_target(fam: AdjointIntervalFamily) -> TargetGeometry:
+    return _shared(fam, lambda: make_adjoint_interval_target(fam))
+
+
+def _round_eta2_zero(name: str) -> AdjointIntervalFamily:
+    """The round 3-sphere's eta2 = 0 representative (h2 = sin on (0, pi))."""
+    return _shared(("eta2-zero", name),
+                   lambda: eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name=name))
+
+
+# ---------------------------------------------------------------------------
 # conformal surface charts
 # ---------------------------------------------------------------------------
 
@@ -255,8 +284,8 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     r0, r1 = r_window
     s0, s1 = 1.0 / (2.0 * r1), 1.0 / (2.0 * r0)
     pad = 0.05 * (s1 - s0)
-    fam = monopole_family((s0 - pad, s1 + pad))
-    target = make_adjoint_interval_target(fam)
+    window = (s0 - pad, s1 + pad)
+    target = _adjoint_target(_shared(("monopole", window), lambda: monopole_family(window)))
     grid = build_patch((s0, 0.0, 0.0), (s1, np.pi, 2 * np.pi),
                        _triple(n), (False, False, True), margin)
     s, u, v = grid.meshes()
@@ -334,12 +363,12 @@ def spinorial_solution(
     with eta2 = -sin(2 xi)/2, or constant-h2 data) can be passed explicitly.
     """
     surface = surface or mercator_sphere(1.0)
-    fam = fam or eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name="round-metric-eta2-zero")
+    fam = fam or _round_eta2_zero("round-metric-eta2-zero")
     xi0, xi1 = fam.interval
     sample = np.linspace(xi0 + 1e-6, xi1 - 1e-6, 64)
     if np.max(np.abs(fam.h1(sample) - 1.0)) > 1e-12:
         raise ParamInconsistent("spinorial data needs coordinates with h1 = 1")
-    target = make_adjoint_interval_target(fam)
+    target = _adjoint_target(fam)
     grid = build_patch(
         (xi0, surface.lo[0], surface.lo[1]),
         (xi1, surface.hi[0], surface.hi[1]),
@@ -417,7 +446,7 @@ def twisted_spinorial_solution(
     if gamma == 0.0:
         raise ParamInconsistent("the twist needs gamma != 0")
     b = alpha / (2.0 * gamma)
-    fam = eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name="eta2-zero")
+    fam = _round_eta2_zero("eta2-zero")
     if alpha == 0.0:
         surface = mercator_sphere(1.0)
         beta_eff = 0.0 if beta is None else beta
@@ -508,9 +537,11 @@ def spherical_solution(
     def h2_fn(xi):
         return np.sqrt(h1h2sq(xi) / h1_fn(xi))
 
-    fam = AdjointIntervalFamily(h1=h1_fn, h2=h2_fn, eta1=eta1, eta2=eta2,
-                                interval=tuple(xi_window), name="spherical-profile")
-    target = make_adjoint_interval_target(fam)
+    fam = _shared(("spherical", c1, c2, alpha, beta, tuple(xi_window), h1),
+                  lambda: AdjointIntervalFamily(h1=h1_fn, h2=h2_fn, eta1=eta1, eta2=eta2,
+                                                interval=tuple(xi_window),
+                                                name="spherical-profile"))
+    target = _adjoint_target(fam)
     grid = build_patch((xi_window[0], 0.0, 0.0), (xi_window[1], np.pi, 2 * np.pi),
                        _triple(n), (False, False, True), margin)
     xi, u, v = grid.meshes()
@@ -583,8 +614,7 @@ def symplectic_solution(
     construction.
     """
     surface = mercator_sphere(1.0)
-    fam = eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name="symplectic-base")
-    target = make_adjoint_interval_target(fam)
+    target = _adjoint_target(_round_eta2_zero("symplectic-base"))
     grid = build_patch((0.0, surface.lo[0], 0.0), (np.pi, surface.hi[0], 2 * np.pi),
                        _triple(n), (False, False, True), margin)
     xi, tau, v = grid.meshes()

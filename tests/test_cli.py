@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from skybps import cli, lie_target
+from skybps import cli, lie_target, solutions
 from skybps.cli import FAMILIES, build_family, build_target, main, run_sweep, run_verify
 from skybps.errors import ConfigError
 from skybps.exprs import Expression
@@ -415,6 +415,53 @@ def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
     for name in ("report.json", "results.csv"):
         assert ((tmp_path / "shared" / name).read_bytes()
                 == (tmp_path / "unshared" / name).read_bytes())
+
+
+@pytest.mark.parametrize("target", [None, dict(_ADJOINT_SECTION, compact="s3")],
+                         ids=["default", "section"])
+def test_spinorial_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch, target):
+    # the swept perturbation leaves the profile family unchanged, so its
+    # target, and Vol(N), is built once for the whole sweep
+    monkeypatch.setenv("SKYRME_THREADS", "1")
+    quadratures = []
+    integrate = lie_target.integrate
+
+    def counting_integrate(f, grid):
+        quadratures.append(grid.margin)
+        return integrate(f, grid)
+
+    monkeypatch.setattr(lie_target, "integrate", counting_integrate)
+    cfg = {"family": "spinorial", "n": 12,
+           "sweep": {"param": "perturb.eps", "values": [0.0, 0.001, 0.002]}}
+    if target:
+        cfg["target"] = target
+    monkeypatch.setattr(cli, "_TARGETS", {})
+    monkeypatch.setattr(solutions, "_SHARED", {})
+    cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
+    assert len(quadratures) == 3  # one per Vol(N) margin
+
+    quadratures.clear()
+    monkeypatch.setattr(solutions, "_shared", lambda key, make: make())
+    monkeypatch.setattr(cli, "_shared_section", lambda kind, section, make: make(dict(section)))
+    cli.write_outputs(run_sweep(cfg), str(tmp_path / "unshared"))
+    assert len(quadratures) == 9
+    for name in ("report.json", "results.csv"):
+        assert ((tmp_path / "shared" / name).read_bytes()
+                == (tmp_path / "unshared" / name).read_bytes())
+
+
+def test_moment_conditions_run_once_per_shared_target(monkeypatch):
+    # the sweep points share one target, so its moment-map check (the one
+    # caller of lie_target's own target_partials binding in a verify) runs once
+    calls = []
+    partials = lie_target.target_partials
+    monkeypatch.setattr(lie_target, "target_partials",
+                        lambda *args: calls.append(args) or partials(*args))
+    monkeypatch.setattr(cli, "_TARGETS", {})
+    rep = run_sweep({"family": "identity-u1", "n": 12, "margins": [0.36, 0.24, 0.16],
+                     "sweep": {"param": "family_params.ax",
+                               "values": ["0.05*sin(theta)", "0.02*sin(theta)"]}})
+    assert len(rep["points"]) == 2 and len(calls) == 1
 
 
 def test_build_target_shares_valid_sections_only(monkeypatch):

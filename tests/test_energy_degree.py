@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
-from skybps import exterior
+from skybps import energy_degree, exterior, grid
 from skybps.cli import FAMILIES, build_family, run_verify
 from skybps.errors import MomentConditionFailed, RankDeficient, TargetMismatch
 from skybps.exterior import Metric3
-from skybps.gaugefield import Configuration, gauge_transform
+from skybps.gaugefield import Configuration, gauge_transform, standard_specs
 from skybps.grid import build_patch
 from skybps.energy_degree import (
-    _bogomolny_density,
     _contraction_asymmetry,
-    _cross_density,
+    _margin_pass,
     _pair,
-    _pullbacks,
     bound_gap,
     bps_coefficients,
     bps_residuals,
@@ -38,27 +36,30 @@ P0 = bps_coefficients(0.0, 0.0, 0.0)
     lambda: spinorial_solution(n=16),
     lambda: identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x), n=16),
 ], ids=["adjoint", "u1"])
-def test_target_fields_evaluated_once_at_phi(build):
+def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 5 * 16 * 16)  # slabs of 5, 5, 5 and 1 rows
     b = build().config  # the builder may have memoized fields already
     c = Configuration(b.grid, b.target, b.phi, b.A, b.gM, b.orientation, b.phi_winding)
-    calls = {}
+    points = {}
 
     def counted(name, fn):
         def wrapped(y):
-            if np.shape(y) == c.phi.shape and np.array_equal(y, c.phi):
-                calls[name] = calls.get(name, 0) + 1
+            if np.shares_memory(y, c.phi):
+                points[name] = points.get(name, 0) + np.size(y[0])
             return fn(y)
         return wrapped
 
     t = c.target
     for name in ("metric_fn", "killing_fn", "mu_fn"):
-        setattr(t, name, counted(name, getattr(t, name)))
+        monkeypatch.setattr(t, name, counted(name, getattr(t, name)))
     energy(c, P0)
     bound_gap(c, P0)
     bps_residuals(c, P0)
     degree(c)
     charge_density_cross_residual(c)
-    assert calls == {"metric_fn": 1, "killing_fn": 1, "mu_fn": 1}
+    # each grid point once; I once more, slab by slab, to form d^A phi
+    n = c.phi[0].size
+    assert points == {"metric_fn": n, "killing_fn": 2 * n, "mu_fn": n}
 
 
 def test_bps_coefficients_origin():
@@ -293,7 +294,7 @@ def test_energy_degree_residuals_gauge_invariant(u1_target):
     assert abs(r1["r2"] - r2["r2"]) < 1e-6
 
 
-# -- one Bogomolny pass against the per-pair code it replaced, kept as reference --
+# -- the slab pass against the full-grid, per-pair code it replaced, kept as reference --
 
 
 def _fresh_copy(b, target=None):
@@ -308,10 +309,17 @@ def _fresh(family, n=16):
                                     FAMILIES[family].margins[0])[0].config)
 
 
+def _full_grid(c):
+    """The five pullbacks, the base star and g_N, each formed on the full grid."""
+    specs = standard_specs(c.target)
+    pb = {k: specs[k].pullback(c) for k in ("sigma", "nu", "mu_sharp", "volume", "mu")}
+    return pb, c.star(), c.target_metric()
+
+
 def _energy_per_pair(c, p):
     """The former energy density: one star application per pairing."""
     c1, c2, c3, c4, c5, c6 = p.c
-    pb, star, gN = _pullbacks(c), c.star(), c.target_metric()
+    pb, star, gN = _full_grid(c)
     P = c.covariant_differential()
     return {
         "c1_dphi": c1 * _pair(P, P, 1, star, gN),
@@ -325,15 +333,15 @@ def _energy_per_pair(c, p):
 
 def _cross_per_pair(c):
     """The former cross density <star d^A phi, B>, with B formed afresh."""
-    pb = _pullbacks(c)
-    stard = c.star().on_1(c.covariant_differential())
+    pb, star, gN = _full_grid(c)
+    stard = star.on_1(c.covariant_differential())
     b = pb["sigma"] + 3.0 * pb["mu_sharp"]
-    return _pair(stard, b, 2, c.star(), c.target_metric())
+    return _pair(stard, b, 2, star, gN)
 
 
 def _bogomolny_per_pair(c, p):
     """The former bound_gap density and bps_residuals sup-norms."""
-    pb, star, gN = _pullbacks(c), c.star(), c.target_metric()
+    pb, star, gN = _full_grid(c)
     stard = star.on_1(c.covariant_differential())
     diff = stard - (pb["sigma"] + 3.0 * pb["mu_sharp"])
     second = p.alpha * pb["sigma"]
@@ -348,18 +356,42 @@ def _bogomolny_per_pair(c, p):
 
 
 @pytest.mark.parametrize("family", ["spherical", "identity-u1"])
-def test_bogomolny_pass_bit_identical_to_per_pair_code(family):
+def test_bogomolny_pass_bit_identical_to_per_pair_code(family, monkeypatch):
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)  # slabs of 6, 6 and 4 rows
     c = _fresh(family)
     p = bps_coefficients(0.3, -0.7, 0.5)  # every coefficient nonzero
     ref = _energy_per_pair(c, p)
     e = energy(c, p)
     assert np.array_equal(e["density"], sum(ref.values()))
     assert e["terms"] == {k: integrate_density(c, v) for k, v in ref.items()}
-    dens2, r1, r2 = _bogomolny_density(c, p)
+    done = _margin_pass(c, p)
     ref2, ref_r1, ref_r2 = _bogomolny_per_pair(c, p)
-    assert np.array_equal(dens2, ref2)
-    assert (r1, r2) == (ref_r1, ref_r2)
-    assert np.array_equal(_cross_density(c), _cross_per_pair(c))
+    assert np.array_equal(done["bogomolny"], ref2)
+    assert (done["r1"], done["r2"]) == (ref_r1, ref_r2)
+    assert np.array_equal(done["cross"], _cross_per_pair(c))
+    pb, _, _ = _full_grid(c)
+    assert np.array_equal(done["charge"], pb["volume"] + pb["mu"])
+
+
+@pytest.mark.parametrize("family", ["spherical", "identity-u1", "dirac-monopole"])
+def test_slabs_give_the_one_slab_values(family, monkeypatch):
+    p = bps_coefficients(0.3, -0.7, 0.5)
+
+    def run(points):
+        monkeypatch.setattr(grid, "_SLAB_POINTS", points)
+        c = _fresh(family, n=20)
+        return (c.grid.slabs(), bound_gap(c, p, 1.0), charge_density_cross_residual(c),
+                _margin_pass(c, p))
+
+    slabs, bg, cc, done = run(7 * 20 * 20)
+    assert [s.stop - s.start for s in slabs] == [7, 7, 6]  # a short last slab
+    one, bg1, cc1, done1 = run(20**3)
+    assert one == [slice(0, 20)]
+    assert bg == bg1 and cc == cc1
+    for k in done1["terms"]:
+        assert np.array_equal(done["terms"][k], done1["terms"][k]), k
+    for k in ("bogomolny", "cross", "charge"):
+        assert np.array_equal(done[k], done1[k]), k
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -376,17 +408,20 @@ def test_verify_rows_equal_separate_calls(family):
 
 
 def test_star_inverted_once_per_configuration(monkeypatch):
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)  # slabs of 6, 6 and 4 rows
     c = _fresh("spherical")
-    star = c.star()
-    inverted = []
-    real = exterior.mat_inv
-    monkeypatch.setattr(exterior, "mat_inv",
-                        lambda m: inverted.append(m is star.s) or real(m))
+    stars, inverted = [], []
+    real_star, real_inv = energy_degree.metric_star, exterior.mat_inv
+    monkeypatch.setattr(energy_degree, "metric_star",
+                        lambda *args: stars.append(real_star(*args)) or stars[-1])
+    monkeypatch.setattr(exterior, "mat_inv", lambda m: inverted.append(m) or real_inv(m))
     p = bps_coefficients(1.0, 2.0, 0.0)
     energy(c, p)
     bound_gap(c, p, 1.0)
     charge_density_cross_residual(c)
-    assert inverted.count(True) == 1
+    # one pass per configuration: one star per slab, each inverted once
+    assert len(stars) == len(c.grid.slabs()) == 3
+    assert [sum(m is star.s for m in inverted) for star in stars] == [1, 1, 1]
 
 
 # -- the degree's contraction check ---------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
+from skybps.energy_degree import bound_gap, bps_coefficients
 from skybps.errors import ChartExit, DegreeOverflow
-from skybps.exterior import EPS, Metric3
+from skybps.exterior import EPS, Metric3, mat_det
 from skybps.gaugefield import (
     Configuration,
     _curvature,
@@ -138,7 +139,8 @@ def test_pullback_flat_connection_ordinary_pullback(u1_target):
     det = np.einsum("uvw,uxyz,vxyz,wxyz->xyz", np.array(
         [[[float((i - j) * (j - k) * (k - i) / 2) for k in range(3)]
           for j in range(3)] for i in range(3)]), P[:, 0], P[:, 1], P[:, 2])
-    np.testing.assert_allclose(vol, u1_target.vol_coeff(u1_target.metric(c.phi)) * det, rtol=1e-12)
+    np.testing.assert_allclose(vol, u1_target.vol_coeff(mat_det(u1_target.metric(c.phi))) * det,
+                               rtol=1e-12)
 
 
 def test_pullback_spinorial_nu_vanishes():
@@ -154,7 +156,7 @@ def test_pullback_grading_and_overflow(u1_target):
     assert sp["mu"].pullback(c).shape == c.grid.shape  # 3-form
     assert sp["sigma"].pullback(c).shape == (3, 3) + c.grid.shape
     with pytest.raises(DegreeOverflow):
-        equivariant_pullback(c, 2, 0, None)
+        equivariant_pullback(c.covariant_differential(), c.curvature(), 2, 0, None)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -350,3 +352,16 @@ def test_memo_holds_no_copy_of_dphi(adjoint_round_target):
     dphi[...] = 0.0
     assert not np.shares_memory(dphi, c.dphi())
     assert np.array_equal(c.covariant_differential(), P)
+    # after the margin's pass the memo holds no other (., 3, *grid) field
+    bound_gap(c, bps_coefficients(0.3, -0.7, 0.5), 1.0)
+    fields = [v for v in _arrays(c._memo) if v.shape[-4:] == (3,) + c.grid.shape]
+    assert {id(v) for v in fields} == {id(P), id(c.curvature())} and len(fields) == 2
+
+
+def _arrays(x):
+    """Every array in a (nested) dict."""
+    if isinstance(x, dict):
+        for v in x.values():
+            yield from _arrays(v)
+    elif isinstance(x, np.ndarray):
+        yield x

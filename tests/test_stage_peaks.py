@@ -1,0 +1,33 @@
+"""Smoke test of ``scripts/stage_peaks.py`` on a small spherical verify."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from skybps import cli, energy_degree
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "stage_peaks.py"
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("stage_peaks", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_stage_peaks_smoke(tmp_path, capsys):
+    mod = _script()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "spherical", "n": 16}))
+    bound_gap = cli.bound_gap
+    assert mod.main([str(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out.splitlines()[-1])
+    stages = out["stages"]
+    assert stages["build"]["calls"] == stages["bound_gap"]["calls"] == 3
+    assert stages["bound_gap/energy/pass"]["calls"] == 3  # one pass per margin
+    assert stages["naturality"]["calls"] == 2 and stages["charge-cross"]["calls"] == 1
+    for st in stages.values():
+        assert 0.0 <= st["entry_mb"] <= st["peak_mb"] <= out["overall_peak_mb"]
+    # the wrappers are removed again
+    assert cli.bound_gap is bound_gap is energy_degree.bound_gap
