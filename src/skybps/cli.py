@@ -53,6 +53,7 @@ from .lie_target import (
     make_su2_left_target,
     make_u1_fibered_target,
     round_s3_family,
+    shared,
     u1_s3_adjoint_target,
     verify_moment_conditions,
 )
@@ -152,29 +153,15 @@ def _expr_fn(text: str, *names: str):
     return fn
 
 
-# objects built from equal config sections: targets and spinorial profile families
-_TARGETS: dict = {}
-
-
 def build_target(cfg: dict) -> TargetGeometry:
     """Target selection by name with profile parameters from the config.
 
     Equal sections share one target object, so sweep points that leave the
-    target unchanged reuse its Vol(N).
+    target unchanged reuse its Vol(N); an invalid section raises on every call.
     """
-    return _shared_section("target", cfg or {"name": "default"}, _make_target)
-
-
-def _shared_section(kind: str, cfg: dict, make):
-    """``make`` of a copy of the section, one object per kind and equal section.
-
-    Only valid sections are kept: an invalid one raises on every call.
-    """
-    key = json.dumps([kind, cfg], sort_keys=True)
-    if key not in _TARGETS:
-        # of two sweep threads that build the same section, the first stored wins
-        _TARGETS.setdefault(key, make(dict(cfg)))
-    return _TARGETS[key]
+    section = cfg or {"name": "default"}
+    return shared(("target", json.dumps(section, sort_keys=True)),
+                  lambda: _make_target(dict(section)))
 
 
 def _make_target(cfg: dict) -> TargetGeometry:
@@ -251,7 +238,9 @@ def _spinorial_family_from_target(cfg: dict):
     representative of the round metric (moment-map gauge).  Equal sections
     share one family, and so one target.
     """
-    return _shared_section("spinorial", cfg or {"name": "s3-round"}, _make_spinorial_family)
+    section = cfg or {"name": "s3-round"}
+    return shared(("spinorial", json.dumps(section, sort_keys=True)),
+                  lambda: _make_spinorial_family(dict(section)))
 
 
 def _make_spinorial_family(cfg: dict):

@@ -153,7 +153,7 @@ def _margin_pass(c: Configuration, p: BPSParams | None) -> dict:
         # each slab-size field is dropped after its last reader, so that a
         # grid of one slab (n <= 24) holds few of them at once
         y, P, F = c.phi[:, sl], P_all[:, :, sl], F_all[:, :, sl]
-        gN, kil, mu = t.metric(y), t.killing(y), t.mu(y)
+        gN, kil, mu = t.metric_fn(y), t.killing_fn(y), t.mu_fn(y)
         sups["asym"].append(_contraction_asymmetry(kil, mu))
         sups["mu_max"].append(float(np.max(np.abs(mu))))
         det, inv = mat_det(gN), mat_inv(gN)

@@ -61,5 +61,9 @@ class NormalizationFailed(SkybpsError):
     """A construction-time normalization identity fails beyond tolerance."""
 
 
+class NonFinite(SkybpsError):
+    """A field holds a NaN or an infinity."""
+
+
 class ConfigError(SkybpsError):
     """A run configuration is malformed (CLI exit code 2)."""

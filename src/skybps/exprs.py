@@ -6,52 +6,30 @@ Grammar (first match wins):
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | power
     power  := atom ('^' factor)?
-    atom   := NUMBER | 'pi' | NAME | NAME '(' expr ')' | '(' expr ')'
+    atom   := NUMBER | 'pi' | NAME | FUNC '(' expr ')' | '(' expr ')'
 
-Functions: sin cos tan exp ln sqrt.  Names resolve against the variable
-environment supplied at call time (numpy arrays or scalars); evaluation is
-complex-safe, so compiled expressions can be differentiated by complex step.
+NUMBER is a decimal literal, FUNC one of sin cos tan exp ln sqrt.  This is
+Python's grammar with ``^`` for ``**``: ``ast.parse`` reads the text and a
+whitelist of these nodes checks the tree.  Names resolve against the variables
+given at call time (numpy arrays or scalars); evaluation is complex-safe.
 """
 
-from __future__ import annotations
-
+import ast
 import re
 
 import numpy as np
 
 from .errors import ConfigError
 
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "ln": np.log,
-    "sqrt": np.sqrt,
-}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log,
+              "sqrt": np.sqrt}
+# the only globals an expression sees: no builtins, so no other call exists
+_NAMESPACE = {"__builtins__": {}, "pi": np.pi, **_FUNCTIONS}
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]\w*)|(.))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", m.group(0).strip()))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif op.strip():
-            if op not in "+-*/^()":
-                raise ConfigError(f"unexpected character {op!r} in expression {text!r}")
-            tokens.append(("op", op))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
+_BAD = re.compile(r"[^A-Za-z0-9_\s.+\-*/^()]|\*\*")
+_NUMBER = re.compile(r"(?<!\w)(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")  # not inside a name
+_NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
+          ast.UnaryOp, ast.USub, ast.Name, ast.Load)
 
 
 class Expression:
@@ -59,109 +37,44 @@ class Expression:
 
     def __init__(self, text: str):
         self.text = text
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self._ast = self._expr()
-        if self._peek()[0] != "end":
-            raise ConfigError(f"trailing input in expression {text!r}")
-        self.variables = sorted(self._collect_names(self._ast))
-
-    # -- parser -------------------------------------------------------------
-
-    def _peek(self):
-        return self._tokens[self._pos]
-
-    def _next(self):
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _expr(self):
-        node = self._term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._next()[1]
-            node = (op, node, self._term())
-        return node
-
-    def _term(self):
-        node = self._factor()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._next()[1]
-            node = (op, node, self._factor())
-        return node
-
-    def _factor(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            return ("neg", self._factor())
-        return self._power()
-
-    def _power(self):
-        node = self._atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            node = ("^", node, self._factor())
-        return node
-
-    def _atom(self):
-        kind, value = self._next()
-        if kind == "num":
-            return ("const", float(value))
-        if kind == "name":
-            if value == "pi":
-                return ("const", np.pi)
-            if self._peek() == ("op", "("):
-                if value not in _FUNCTIONS:
-                    raise ConfigError(f"unknown function {value!r} in {self.text!r}")
-                self._next()
-                arg = self._expr()
-                if self._next() != ("op", ")"):
-                    raise ConfigError(f"missing ')' in expression {self.text!r}")
-                return ("call", value, arg)
-            return ("var", value)
-        if (kind, value) == ("op", "("):
-            node = self._expr()
-            if self._next() != ("op", ")"):
-                raise ConfigError(f"missing ')' in expression {self.text!r}")
-            return node
-        raise ConfigError(f"unexpected token {value!r} in expression {self.text!r}")
-
-    def _collect_names(self, node) -> set:
-        tag = node[0]
-        if tag == "var":
-            return {node[1]}
-        if tag in ("+", "-", "*", "/", "^"):
-            return self._collect_names(node[1]) | self._collect_names(node[2])
-        if tag == "neg":
-            return self._collect_names(node[1])
-        if tag == "call":
-            return self._collect_names(node[2])
-        return set()
-
-    # -- evaluation ----------------------------------------------------------
+        if bad := _BAD.search(text):
+            raise ConfigError(f"unexpected {bad[0]!r} in expression {text!r}")
+        # "007" -> " 007. ": Python reads each literal as float(text) would, never
+        # as an int, hex or imaginary number, and no letter touches its end
+        source = _NUMBER.sub(lambda m: f" {m[0]}{'' if re.search('[.eE]', m[0]) else '.'} ",
+                             " ".join(text.split())).replace("^", "**")
+        try:
+            tree = ast.parse(source.strip(), mode="eval")
+        except (SyntaxError, RecursionError, MemoryError):
+            raise ConfigError(f"malformed expression {text!r}") from None
+        names, callees = [], set()
+        for node in ast.walk(tree):  # iterative: nesting depth costs no stack
+            if isinstance(node, ast.Call):
+                allowed = (isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                           and len(node.args) == 1 and not node.keywords)
+                callees.add(node.func)
+            elif isinstance(node, ast.Constant):
+                allowed = type(node.value) is float
+            else:
+                allowed = isinstance(node, _NODES)
+                if isinstance(node, ast.Name):
+                    names.append(node)
+            if not allowed:
+                raise ConfigError(f"{type(node).__name__} not allowed in expression {text!r}")
+        variables = {n.id for n in names if n not in callees} - {"pi"}
+        if variables & _FUNCTIONS.keys():
+            raise ConfigError(f"function without an argument in expression {text!r}")
+        self.variables = sorted(variables)
+        try:
+            self._code = compile(tree, "<expression>", "eval")
+        except (RecursionError, MemoryError):
+            raise ConfigError(f"expression {text!r} is nested too deeply") from None
 
     def __call__(self, **env):
-        return self._eval(self._ast, env)
-
-    def _eval(self, node, env):
-        tag = node[0]
-        if tag == "const":
-            return node[1]
-        if tag == "var":
-            if node[1] not in env:
-                raise ConfigError(f"unbound variable {node[1]!r} in {self.text!r}")
-            return env[node[1]]
-        if tag == "neg":
-            return -self._eval(node[1], env)
-        if tag == "call":
-            return _FUNCTIONS[node[1]](self._eval(node[2], env))
-        a, b = self._eval(node[1], env), self._eval(node[2], env)
-        if tag == "+":
-            return a + b
-        if tag == "-":
-            return a - b
-        if tag == "*":
-            return a * b
-        if tag == "/":
-            return a / b
-        return a**b
+        try:
+            # shared globals keep warnings' once-per-location registry across calls
+            return eval(self._code, _NAMESPACE, {v: env[v] for v in self.variables if v in env})
+        except NameError as exc:
+            raise ConfigError(f"unbound variable {exc.name!r} in {self.text!r}") from None
+        except ArithmeticError as exc:
+            raise ConfigError(f"{type(exc).__name__} in expression {self.text!r}: {exc}") from None

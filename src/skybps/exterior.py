@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintViolated, SingularMetric
+from .errors import ConstraintViolated, NonFinite, SingularMetric
 
 # Levi-Civita symbol, used throughout for dual-storage algebra.
 EPS = np.zeros((3, 3, 3))
@@ -45,7 +45,7 @@ EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
 
 def assert_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
     if not np.all(np.isfinite(values)):
-        raise FloatingPointError(f"{what} contains non-finite values")
+        raise NonFinite(f"{what} contains non-finite values")
     return values
 
 

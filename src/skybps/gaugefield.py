@@ -24,11 +24,9 @@ from .errors import ChartExit, DegreeOverflow, GridMismatch
 from .exterior import (
     EPS,
     Metric3,
-    StarMap,
     _adjugate,
     _det,
     assert_finite,
-    hodge_star,
     mat_det,
     mat_inv,
 )
@@ -84,10 +82,6 @@ class Configuration:
 
     # -- derived fields ----------------------------------------------------
 
-    def star(self) -> StarMap:
-        """Base star map on the full grid, built on each call."""
-        return hodge_star(self.gM, self.orientation)
-
     def dphi(self) -> np.ndarray:
         """Plain differential d phi^mu, winding-aware; shape (3, 3, *grid).
 
@@ -109,20 +103,6 @@ class Configuration:
             self._memo["F"] = assert_finite(F, "curvature")
         return self._memo["F"]
 
-    # -- target fields at phi on the full grid, evaluated on each call ------
-
-    def target_metric(self) -> np.ndarray:
-        """g_N at phi, shape (3, 3, *grid)."""
-        return self.target.metric(self.phi)
-
-    def killing(self) -> np.ndarray:
-        """Killing-field components I_a^mu at phi, shape (dim g, 3, *grid)."""
-        return self.target.killing(self.phi)
-
-    def moment(self) -> np.ndarray:
-        """Moment-map coefficients mu_{a;mu} at phi, shape (dim g, 3, *grid)."""
-        return self.target.mu(self.phi)
-
     def covariant_differential(self) -> np.ndarray:
         """d^A phi^mu = d phi^mu - A^a I_a^mu(phi); shape (3 target, 3 form, *grid).
 
@@ -132,7 +112,7 @@ class Configuration:
         if "P" not in self._memo:
             out = self.dphi()  # fresh, so the caller owns it
             for sl in self.grid.slabs():
-                kil = self.target.killing(self.phi[:, sl])  # (a, mu, *slab)
+                kil = self.target.killing_fn(self.phi[:, sl])  # (a, mu, *slab)
                 out[:, :, sl] -= np.einsum("alxyz,amxyz->mlxyz", self.A[:, :, sl], kil)
             self._memo["P"] = assert_finite(out, "covariant differential")
         return self._memo["P"]
@@ -309,10 +289,10 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
 
     # contraction part: (iota_{nu(I_a)} beta) is a (1, q-1) form
     if q == 1:
-        contr = np.einsum("alxyz,lxyz->axyz", c.killing(), beta)
+        contr = np.einsum("alxyz,lxyz->axyz", c.target.killing_fn(c.phi), beta)
     else:
         # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
-        contr = np.cross(beta[None], c.killing(), axisa=1, axisb=1, axisc=1)
+        contr = np.cross(beta[None], c.target.killing_fn(c.phi), axisa=1, axisb=1, axisc=1)
     lhs = lhs - equivariant_pullback(P, F, 1, q - 1, contr)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -380,7 +360,7 @@ def gauge_transform(c: Configuration, lam: np.ndarray, finite: bool = True,
     dlam += lam_winding[:, :, None, None, None]
 
     if not finite:
-        kil = c.killing()
+        kil = c.target.killing_fn(c.phi)
         phi_dot = np.einsum("axyz,amxyz->mxyz", lam, kil)
         a_dot = dlam + np.einsum("abc,blxyz,cxyz->alxyz", target.algebra.f, c.A, lam)
         return phi_dot, a_dot
@@ -448,7 +428,7 @@ def rank_profile(c: Configuration) -> dict:
     cut = max(_RANK_THRESHOLD * global_scale, 1e-12)
     ranks = np.sum(sv > cut, axis=-1)
 
-    g_n = c.target_metric()
+    g_n = c.target.metric_fn(c.phi)
     g_inv = mat_inv(g_n)
     star_n = c.target.sigma_dual(mat_det(g_n), g_inv)  # (rho dual, mu) target star
     M = np.einsum("mrxyz,rnxyz->mnxyz", cofactor(P), star_n, optimize=True)
@@ -465,7 +445,7 @@ def rank_profile(c: Configuration) -> dict:
 
     tracefree = None
     if np.any(~deficient):
-        mus = c.target.mu_sharp(g_inv, c.moment())
+        mus = c.target.mu_sharp(g_inv, c.target.mu_fn(c.phi))
         F = c.curvature()
         mhat = np.einsum("auxyz,amxyz->muxyz", mus, F)  # map: u_mu -> dual m
         full = ~deficient

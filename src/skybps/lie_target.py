@@ -191,15 +191,6 @@ class TargetGeometry:
         m = self.default_margin if margin is None else margin
         return build_patch(self.lo, self.hi, _triple(n), self.periodic, m)
 
-    def metric(self, y: np.ndarray) -> np.ndarray:
-        return self.metric_fn(y)
-
-    def killing(self, y: np.ndarray) -> np.ndarray:
-        return self.killing_fn(y)
-
-    def mu(self, y: np.ndarray) -> np.ndarray:
-        return self.mu_fn(y)
-
     # The derived tensors below are functions of det g_N and g_N^-1 at the
     # points, so a caller takes each of those once and shares it.
 
@@ -236,6 +227,21 @@ class TargetGeometry:
                 vals.append(integrate(vol, grid))
             self._volume_cache[key] = extrapolate_margin(margins, vals)
         return self._volume_cache[key]
+
+
+# Targets, profile families and config sections by key, one object per key:
+# a sweep point that leaves the target unchanged then reuses its Vol(N) and
+# its moment-condition check.
+_SHARED: dict = {}
+
+
+def shared(key, make):
+    """The object stored under ``key``, built by ``make()`` on first use; of two
+    threads that build it, the first stored wins.  A ``make`` that raises
+    stores nothing."""
+    if key not in _SHARED:
+        _SHARED.setdefault(key, make())
+    return _SHARED[key]
 
 
 def _triple(n):

@@ -40,7 +40,7 @@ from .errors import (
     NotRiemannian,
     ParamInconsistent,
 )
-from .exterior import Metric3
+from .exterior import Metric3, hodge_star
 from .gaugefield import Configuration
 from .grid import build_patch
 from .lie_target import (
@@ -51,37 +51,25 @@ from .lie_target import (
     eta2_zero_family,
     make_adjoint_interval_target,
     monopole_family,
+    shared,
     sph_frame,
     u1_s3_adjoint_target,
 )
 
 # ---------------------------------------------------------------------------
-# shared adjoint-interval targets
+# shared adjoint-interval targets: profile families by their defining
+# parameters, and targets by family
 # ---------------------------------------------------------------------------
-
-# Profile families by their defining parameters, and targets by family: a
-# sweep point that leaves the target unchanged then reuses its Vol(N), as
-# cli.build_target does for target sections.
-_SHARED: dict = {}
-
-
-def _shared(key, make):
-    """The object stored under ``key``, built by ``make()`` on first use; of two
-    threads that build it, the first stored wins."""
-    obj = _SHARED.get(key)
-    if obj is None:
-        obj = _SHARED.setdefault(key, make())
-    return obj
 
 
 def _adjoint_target(fam: AdjointIntervalFamily) -> TargetGeometry:
-    return _shared(fam, lambda: make_adjoint_interval_target(fam))
+    return shared(fam, lambda: make_adjoint_interval_target(fam))
 
 
 def _round_eta2_zero(name: str) -> AdjointIntervalFamily:
     """The round 3-sphere's eta2 = 0 representative (h2 = sin on (0, pi))."""
-    return _shared(("eta2-zero", name),
-                   lambda: eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name=name))
+    return shared(("eta2-zero", name),
+                  lambda: eta2_zero_family(np.sin, (0.0, np.pi), compact="s3", name=name))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +273,7 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     s0, s1 = 1.0 / (2.0 * r1), 1.0 / (2.0 * r0)
     pad = 0.05 * (s1 - s0)
     window = (s0 - pad, s1 + pad)
-    target = _adjoint_target(_shared(("monopole", window), lambda: monopole_family(window)))
+    target = _adjoint_target(shared(("monopole", window), lambda: monopole_family(window)))
     grid = build_patch((s0, 0.0, 0.0), (s1, np.pi, 2 * np.pi),
                        _triple(n), (False, False, True), margin)
     s, u, v = grid.meshes()
@@ -304,7 +292,7 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=-1,
                         phi_winding=winding)
 
-    star = cfg.star()
+    star = hodge_star(cfg.gM, cfg.orientation)
     dxi = cfg.dphi()[0]  # = ds exactly
     da = cfg.curvature()[0]
     res = float(np.max(np.abs(star.on_1(dxi[None])[0] + da)))
@@ -537,10 +525,10 @@ def spherical_solution(
     def h2_fn(xi):
         return np.sqrt(h1h2sq(xi) / h1_fn(xi))
 
-    fam = _shared(("spherical", c1, c2, alpha, beta, tuple(xi_window), h1),
-                  lambda: AdjointIntervalFamily(h1=h1_fn, h2=h2_fn, eta1=eta1, eta2=eta2,
-                                                interval=tuple(xi_window),
-                                                name="spherical-profile"))
+    fam = shared(("spherical", c1, c2, alpha, beta, tuple(xi_window), h1),
+                 lambda: AdjointIntervalFamily(h1=h1_fn, h2=h2_fn, eta1=eta1, eta2=eta2,
+                                               interval=tuple(xi_window),
+                                               name="spherical-profile"))
     target = _adjoint_target(fam)
     grid = build_patch((xi_window[0], 0.0, 0.0), (xi_window[1], np.pi, 2 * np.pi),
                        _triple(n), (False, False, True), margin)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import subprocess
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +53,47 @@ def test_expression_errors():
         Expression("sin(x")
     with pytest.raises(ConfigError):
         Expression("x")(y=1.0)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("007", 7.0), ("00.5", 0.5), ("1.e5", 1e5), (".25", 0.25), ("1e007", 1e7), ("--x", 2.0),
+    ("2^-1", 0.5), ("-x^2", -4.0), ("2^-x^2", 2.0**-4), (" x\n*\t3 ", 6.0), ("1/x^0", 1.0),
+])
+def test_expression_grammar_accepts(text, value):
+    got = Expression(text)(x=2.0)
+    assert got == value and type(got) is float
+
+
+@pytest.mark.parametrize("text", [
+    "x**2", "cos(x,)", "0x1", "1_0", "3j", "+x", "x.y", "True", "\u03b8", "pi(x)",
+    "sin(x)(y)", "x//2", "sin", "(" * 250 + "x" + ")" * 250, "+".join(["x"] * 3000),
+], ids=["power", "trailing-comma", "hex", "underscore", "imaginary", "unary-plus",
+        "attribute", "keyword", "non-ascii", "call-pi", "call-call", "floor-div",
+        "bare-function", "250-parens", "3000-terms"])
+def test_expression_grammar_rejects(text):
+    with pytest.raises(ConfigError):
+        Expression(text)
+
+
+@pytest.mark.parametrize("text", ["1/0*sin(theta)", "10^10^10*sin(theta)"])
+def test_expression_arithmetic_errors_are_config_errors(text):
+    e = Expression(text)
+    with pytest.raises(ConfigError):
+        e(theta=1.0)
+
+
+@pytest.mark.parametrize("ax,code", [
+    ("(" * 250 + "theta" + ")" * 250, 2), ("+".join(["theta"] * 3000), 2),
+    ("1/0*sin(theta)", 2), ("10^10^10*sin(theta)", 2), ("sin(theta)/0", 1),
+], ids=["250-parens", "3000-terms", "zero-division", "overflow", "non-finite"])
+def test_bad_ax_exits_cleanly(tmp_path, ax, code):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-m", "skybps.cli", "verify", "--family",
+                          "identity-u1", "-n", "12", "--ax", ax, "--output-dir", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    assert ("config error:" if code == 2 else "verification error: NonFinite") in res.stderr
 
 
 # -- configuration validation ----------------------------------------------------
@@ -366,6 +408,24 @@ def test_sweep_bad_n_is_a_point_error():
     assert "error" not in rep["points"][1] and rep["points"][1]["rows"]
 
 
+def test_sweep_non_finite_point_is_a_point_error(tmp_path):
+    # the middle point's A is infinite; the sweep records it and writes its report
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "family": "identity-u1",
+        "n": 12,
+        "margins": [0.36, 0.24, 0.16],
+        "sweep": {"param": "family_params.ax",
+                  "values": ["0.05*sin(theta)", "sin(theta)/0", "0.02*sin(theta)"]},
+    }))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["sweep", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 1
+    points = json.loads((tmp_path / "report.json").read_text())["points"]
+    assert len(points) == 3
+    assert points[1]["error"].startswith("NonFinite")
+    assert points[0]["rows"] and points[2]["rows"]
+
+
 def test_sweep_convergence_columns():
     rep = run_sweep({
         "family": "identity-u1",
@@ -398,14 +458,14 @@ def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
         "sweep": {"param": "family_params.ax",
                   "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)", "0.02*sin(theta)"]},
     }
-    monkeypatch.setattr(cli, "_TARGETS", {})
+    monkeypatch.setattr(lie_target, "_SHARED", {})
     cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
     assert len(quadratures) == 3  # one per Vol(N) margin
 
     build_target = cli.build_target
 
     def unshared(section):
-        cli._TARGETS.clear()
+        lie_target._SHARED.clear()
         return build_target(section)
 
     quadratures.clear()
@@ -435,14 +495,13 @@ def test_spinorial_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch,
            "sweep": {"param": "perturb.eps", "values": [0.0, 0.001, 0.002]}}
     if target:
         cfg["target"] = target
-    monkeypatch.setattr(cli, "_TARGETS", {})
-    monkeypatch.setattr(solutions, "_SHARED", {})
+    monkeypatch.setattr(lie_target, "_SHARED", {})
     cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
     assert len(quadratures) == 3  # one per Vol(N) margin
 
     quadratures.clear()
-    monkeypatch.setattr(solutions, "_shared", lambda key, make: make())
-    monkeypatch.setattr(cli, "_shared_section", lambda kind, section, make: make(dict(section)))
+    for module in (cli, solutions):  # the registry's two bindings
+        monkeypatch.setattr(module, "shared", lambda key, make: make())
     cli.write_outputs(run_sweep(cfg), str(tmp_path / "unshared"))
     assert len(quadratures) == 9
     for name in ("report.json", "results.csv"):
@@ -457,7 +516,7 @@ def test_moment_conditions_run_once_per_shared_target(monkeypatch):
     partials = lie_target.target_partials
     monkeypatch.setattr(lie_target, "target_partials",
                         lambda *args: calls.append(args) or partials(*args))
-    monkeypatch.setattr(cli, "_TARGETS", {})
+    monkeypatch.setattr(lie_target, "_SHARED", {})
     rep = run_sweep({"family": "identity-u1", "n": 12, "margins": [0.36, 0.24, 0.16],
                      "sweep": {"param": "family_params.ax",
                                "values": ["0.05*sin(theta)", "0.02*sin(theta)"]}})
@@ -465,12 +524,12 @@ def test_moment_conditions_run_once_per_shared_target(monkeypatch):
 
 
 def test_build_target_shares_valid_sections_only(monkeypatch):
-    monkeypatch.setattr(cli, "_TARGETS", {})
+    monkeypatch.setattr(lie_target, "_SHARED", {})
     section = {"name": "u1-fibered", "mu_y": "sin(x)^2", "bogus": 1}
     for _ in range(2):
         with pytest.raises(ConfigError):
             build_target(section)
-    assert cli._TARGETS == {}
+    assert lie_target._SHARED == {}
     # concurrent first calls on one section still hand out a single object
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

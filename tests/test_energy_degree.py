@@ -7,7 +7,7 @@ from conftest import smooth_adjoint_configuration, smooth_u1_configuration
 from skybps import energy_degree, exterior, grid
 from skybps.cli import FAMILIES, build_family, run_verify
 from skybps.errors import MomentConditionFailed, RankDeficient, TargetMismatch
-from skybps.exterior import Metric3
+from skybps.exterior import Metric3, hodge_star
 from skybps.gaugefield import Configuration, gauge_transform, standard_specs
 from skybps.grid import build_patch
 from skybps.energy_degree import (
@@ -211,7 +211,7 @@ def test_solve_base_metric_identity_family(u1_target):
 def test_solve_base_metric_ungauged_isometry(u1_target):
     res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=24, margin=0.1)
     rec = solve_base_metric(res.config)
-    pullback_metric = u1_target.metric(res.config.phi)
+    pullback_metric = u1_target.metric_fn(res.config.phi)
     assert np.max(np.abs(rec.g - pullback_metric)) < 1e-10
 
 
@@ -313,7 +313,7 @@ def _full_grid(c):
     """The five pullbacks, the base star and g_N, each formed on the full grid."""
     specs = standard_specs(c.target)
     pb = {k: specs[k].pullback(c) for k in ("sigma", "nu", "mu_sharp", "volume", "mu")}
-    return pb, c.star(), c.target_metric()
+    return pb, hodge_star(c.gM, c.orientation), c.target.metric_fn(c.phi)
 
 
 def _energy_per_pair(c, p):
@@ -430,7 +430,8 @@ def test_star_inverted_once_per_configuration(monkeypatch):
 def test_degree_refuses_a_moment_map_failing_the_contraction_check():
     # su2-left: iota_nu(X) mu(X) = K/2 != 0 (see make_su2_left_target)
     c = _fresh_copy(_fresh("spherical"), make_su2_left_target(1.0))
-    assert _contraction_asymmetry(c.killing(), c.moment()) == pytest.approx(0.5, rel=1e-12)
+    kil, mu = c.target.killing_fn(c.phi), c.target.mu_fn(c.phi)
+    assert _contraction_asymmetry(kil, mu) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(MomentConditionFailed):
         degree(c, 1.0)
 
@@ -441,7 +442,7 @@ def test_contraction_asymmetry_matches_einsum(family):
         c = _fresh_copy(_fresh("spherical"), make_su2_left_target(1.0))
     else:
         c = _fresh(family)
-    kil, mu = c.killing(), c.moment()
+    kil, mu = c.target.killing_fn(c.phi), c.target.mu_fn(c.phi)
     q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
     old = float(np.max(np.abs(0.5 * (q + np.swapaxes(q, 0, 1)))))
     scale = max(old, float(np.max(np.abs(mu))), 1.0)

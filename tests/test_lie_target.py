@@ -80,7 +80,7 @@ def test_sphere_chart_inverse():
 def test_u1_s3_metric_closed_form(u1_target):
     y = np.stack(np.meshgrid(np.array([0.5]), np.linspace(0.2, 1.3, 7),
                              np.array([1.0]), indexing="ij"))
-    g = u1_target.metric(y)
+    g = u1_target.metric_fn(y)
     x = y[1]
     np.testing.assert_allclose(g[0, 0], np.cos(x) ** 2, atol=1e-13)
     np.testing.assert_allclose(g[1, 1], 1.0, atol=1e-13)
@@ -136,7 +136,7 @@ def _full_grid_volume(t, n):
     vals = []
     for m in t.volume_margins:
         grid = t.chart_grid(n, m)
-        vals.append(integrate(t.vol_coeff(mat_det(t.metric(np.stack(grid.meshes())))), grid))
+        vals.append(integrate(t.vol_coeff(mat_det(t.metric_fn(np.stack(grid.meshes())))), grid))
     return extrapolate_margin(t.volume_margins, vals)
 
 
@@ -157,7 +157,7 @@ def _eta2_zero_target():
 def test_u1_vol_coeff_constant_along_fiber(make):
     t = make()
     grid = t.chart_grid(24)
-    full = t.vol_coeff(mat_det(t.metric(np.stack(grid.meshes()))))
+    full = t.vol_coeff(mat_det(t.metric_fn(np.stack(grid.meshes()))))
     first = np.take(full, [0], axis=t.fiber_axis)
     assert np.array_equal(full, np.broadcast_to(first, full.shape))
 
@@ -222,8 +222,8 @@ def test_adjoint_target_moment_and_mu_sharp(adjoint_round_target):
     t = adjoint_round_target
     grid = t.chart_grid(8, 0.3)
     y = np.stack(grid.meshes())
-    mu = t.mu(y)
-    g = t.metric(y)
+    mu = t.mu_fn(y)
+    g = t.metric_fn(y)
     ms = t.mu_sharp(mat_inv(g), mu)
     xi, u, v = y
     x = sph_x(u, v)
@@ -251,7 +251,7 @@ def test_sigma_adjoint_closed_form(adjoint_round_target):
     grid = t.chart_grid(8, 0.3)
     y = np.stack(grid.meshes())
     xi, u = y[0], y[1]
-    g = t.metric(y)
+    g = t.metric_fn(y)
     sig = t.sigma_dual(mat_det(g), mat_inv(g))
     h1, h2 = 1.0, np.sin(xi)
     np.testing.assert_allclose(sig[0, 0], h2**2 * np.sin(u) / h1, atol=1e-12)
@@ -274,7 +274,7 @@ def test_sigma_euclidean_target():
         mu_fn=lambda y: np.zeros((1, 3) + np.shape(y[0]), dtype=np.result_type(y)),
     )
     y = np.stack(t.chart_grid(5, 0.1).meshes())
-    g = t.metric(y)
+    g = t.metric_fn(y)
     np.testing.assert_allclose(t.sigma_dual(mat_det(g), mat_inv(g)),
                                np.broadcast_to(np.eye(3)[:, :, None, None, None],
                                                (3, 3) + y[0].shape), atol=1e-14)

@@ -61,7 +61,7 @@ def test_identity_u1_rejects_nonpositive_conformal_factor():
 
 def test_identity_u1_trivial_connection_is_isometry(u1_target):
     res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=16, margin=0.1)
-    np.testing.assert_allclose(res.config.gM.g, u1_target.metric(res.config.phi),
+    np.testing.assert_allclose(res.config.gM.g, u1_target.metric_fn(res.config.phi),
                                atol=1e-12)
     # ungauged case: r1 reduces to the residual of star dphi = phi* Sigma
     r = bps_residuals(res.config, P0)
