@@ -8,7 +8,7 @@ families satisfy.
 """
 
 from .energy_degree import BPSParams, EnergyReport, bps_coefficients
-from .exterior import Metric3, StarMap, hodge_star, recover_metric
+from .exterior import Metric3, StarMap, hodge_star
 from .gaugefield import Configuration
 from .grid import PatchGrid, build_patch, integrate, partial_derivative
 from .lie_target import TargetGeometry
@@ -26,7 +26,6 @@ __all__ = [
     "hodge_star",
     "integrate",
     "partial_derivative",
-    "recover_metric",
 ]
 
 __version__ = "0.1.0"

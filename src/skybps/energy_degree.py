@@ -20,6 +20,10 @@ density, giving E >= 6 Vol(N) |deg| with equality exactly on solutions of
 
 The degree is int_M phi^{*A}(V_N + mu) / int_N V_N; its integrand agrees
 pointwise with (1/3) < star_M d^A phi, phi^{*A}(Sigma + 3 mu-sharp) >.
+
+The sup norms r1 and r2 of the two BPS equations come with the bound gap,
+from the same pointwise pass.  The group-valued SU(2) form of the energy,
+which the tests compare ``energy`` against, is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,27 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    MomentConditionFailed,
-    NotRiemannian,
-    RankDeficient,
-    TargetMismatch,
-    TraceConstraintFailed,
-)
-from .exterior import (
-    EPS,
-    Metric3,
-    StarMap,
-    _matvec,
-    mat_det,
-    mat_inv,
-    metric_star,
-    recover_metric,
-    star_trace_residual,
-)
-from .gaugefield import Configuration, _curvature, equivariant_pullback, standard_specs
-from .grid import PatchGrid, partial_derivative
-from .lie_target import qconj, qmul, qrot, sph_x, su2_algebra
+from .errors import MomentConditionFailed, NotRiemannian
+from .exterior import StarMap, mat_det, mat_inv, metric_star
+from .gaugefield import Configuration, equivariant_pullback
 
 
 @dataclass(frozen=True)
@@ -157,7 +143,7 @@ def _margin_pass(c: Configuration, p: BPSParams | None) -> dict:
         sups["asym"].append(_contraction_asymmetry(kil, mu))
         sups["mu_max"].append(float(np.max(np.abs(mu))))
         det, inv = mat_det(gN), mat_inv(gN)
-        # (p, q) as in gaugefield.standard_specs
+        # (p, q): Sig (0, 2), nu and mus (1, 0), V_N (0, 3), mu (1, 1)
         sig = equivariant_pullback(P, F, 0, 2, t.sigma_dual(det, inv))
         nu = equivariant_pullback(P, F, 1, 0, kil)
         mus = equivariant_pullback(P, F, 1, 0, t.mu_sharp(inv, mu))
@@ -301,12 +287,6 @@ def degree(c: Configuration, vol_n: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bps_residuals(c: Configuration, p: BPSParams) -> dict:
-    """Sup-norm residuals of the two BPS equations over all components."""
-    done = _margin_pass(c, p)
-    return {"r1": done["r1"], "r2": done["r2"]}
-
-
 def general_bound_coefficient(p: BPSParams) -> float | None:
     """Coefficient of Vol(N) |deg| in the general (non-BPS) lower bound.
 
@@ -351,106 +331,6 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dic
         "r1": done["r1"],
         "r2": done["r2"],
     }
-
-
-# ---------------------------------------------------------------------------
-# metric recovery from BPS1
-# ---------------------------------------------------------------------------
-
-
-def bps1_star_map(c: Configuration) -> StarMap:
-    """The star-like map phi^{*A}(Sigma + 3 mu-sharp) o (phi^{*A})^{-1}."""
-    P = c.covariant_differential()
-    sv = np.linalg.svd(np.moveaxis(P, (0, 1), (-2, -1)), compute_uv=False)
-    if np.any(sv[..., -1] <= 1e-8 * sv[..., 0]):
-        raise RankDeficient("d^A phi is rank deficient; the star map is undefined")
-    specs = standard_specs(c.target)
-    # (value mu, dual m, *sp)
-    b = specs["sigma"].pullback(c) + 3.0 * specs["mu_sharp"].pullback(c)
-    # t[m, lam] = b[mu, m] (P^{-1})[lam, mu]
-    return StarMap(s=_matvec(mat_inv(P), np.swapaxes(b, 0, 1)))
-
-
-def solve_base_metric(c: Configuration, trace_tol: float = 1e-6) -> Metric3:
-    """Recover g_M from BPS1 via the trace identity and the bilinear inverse.
-
-    Raises ``TraceConstraintFailed`` when the star-like map cannot come from
-    any metric; the recovered tensor may legally fail positive definiteness
-    (``riemannian`` is computed, not assumed).
-    """
-    t = bps1_star_map(c)
-    res = star_trace_residual(t)
-    scale = max(float(np.max(np.abs(t.s))), 1.0)
-    if res > trace_tol * scale:
-        raise TraceConstraintFailed(
-            f"trace residual {res:.3e} exceeds {trace_tol:.1e} * {scale:.3e}"
-        )
-    return recover_metric(t, trace_tol=None)
-
-
-# ---------------------------------------------------------------------------
-# SU(2) adjoint reduction of the energy
-# ---------------------------------------------------------------------------
-
-
-def su2_matrix_fields(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    """Represent an adjoint round-sphere configuration by (U, A) fields.
-
-    U = cos(xi) + sin(xi) x(u, v) as a unit quaternion field.  Requires the
-    round adjoint-interval target (h1 = 1, h2 = sin).
-    """
-    fam = c.target.extras.get("family")
-    if fam is None or fam.name != "round-s3":
-        raise TargetMismatch("SU(2) reduction needs the round adjoint-interval target")
-    xi, u, v = c.phi
-    U = np.concatenate([np.cos(xi)[None], np.sin(xi) * sph_x(u, v)])
-    return U, c.A
-
-
-def _lie_pair(u, v, degree: int, star: StarMap) -> np.ndarray:
-    return _pair(u, v, degree, star, None)
-
-
-def energy_su2_reduced(U: np.ndarray, A: np.ndarray, grid: PatchGrid, gM: Metric3,
-                       p: BPSParams, orientation: int = 1) -> float:
-    """Energy in the group-valued form, for U: M -> SU(2) and an su(2) connection.
-
-    Uses L^A = U^{-1}(dU + [A, U]) and the curvature couplings
-
-        c1 |L|^2 + (c2/4) |L^L|^2 + (1/2)(4 c3 + c4) |F|^2
-        + (1/2)(c4 - 4 c3) <F, U^{-1} F U>
-        + (1/4) <(2 c5 - c6) F - (2 c5 + c6) U^{-1} F U, L^L>
-
-    with L^L = L ^ L.  Agrees with :func:`energy` on the round adjoint target.
-    """
-    from .exterior import hodge_star
-
-    if U.shape[0] != 4 or A.shape[:2] != (3, 3):
-        raise TargetMismatch("need a quaternion U field and an su(2) connection")
-    c1, c2, c3, c4, c5, c6 = p.c
-    f = su2_algebra().f
-    dU = np.stack([partial_derivative(U, k, grid) for k in range(3)], axis=1)  # (4, 3, *sp)
-    Uc = qconj(U)
-    L = np.empty((3, 3) + grid.shape)
-    for lam in range(3):
-        a_l = np.concatenate([np.zeros((1,) + grid.shape), A[:, lam]])
-        comm = qmul(a_l, U) - qmul(U, a_l)
-        L[:, lam] = qmul(Uc, dU[:, lam] + comm)[1:]
-    lwl = 0.5 * np.einsum("abc,bixyz,cjxyz,mij->amxyz", f, L, L, EPS, optimize=True)
-
-    F = _curvature(A, f, grid)
-    rot = qrot(Uc)
-    UFU = np.einsum("baxyz,amxyz->bmxyz", rot, F)  # U^{-1} F U components
-
-    star = hodge_star(gM, orientation)
-    dens = (
-        c1 * _lie_pair(L, L, 1, star)
-        + 0.25 * c2 * _lie_pair(lwl, lwl, 2, star)
-        + 0.5 * (4.0 * c3 + c4) * _lie_pair(F, F, 2, star)
-        + 0.5 * (c4 - 4.0 * c3) * _lie_pair(F, UFU, 2, star)
-        + 0.25 * _lie_pair((2.0 * c5 - c6) * F - (2.0 * c5 + c6) * UFU, lwl, 2, star)
-    )
-    return orientation * float(np.sum(dens * grid.weights()))
 
 
 # ---------------------------------------------------------------------------

@@ -37,24 +37,12 @@ class MomentConditionFailed(SkybpsError):
     """The moment-map defining condition or its contraction constraint fails."""
 
 
-class TargetMismatch(SkybpsError):
-    """An operation was handed a target geometry it does not support."""
-
-
 class ChartExit(SkybpsError):
     """A transformed field leaves the target coordinate chart."""
 
 
 class ParamInconsistent(SkybpsError):
     """Family parameters violate a compatibility relation."""
-
-
-class TraceConstraintFailed(SkybpsError):
-    """A star-like map fails the metric trace identity beyond tolerance."""
-
-
-class RankDeficient(SkybpsError):
-    """An operation requiring a full-rank covariant differential found rank < 3."""
 
 
 class NormalizationFailed(SkybpsError):

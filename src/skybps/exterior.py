@@ -13,13 +13,8 @@ the algebra concrete:
 The Hodge star of a metric g maps 1-forms to 2-forms; in dual storage it is
 the symmetric matrix  S = orientation * sqrt(det g) * g^{-1}.  Symmetry of S
 is exactly the trace identity tr(iota_V o star) = 0 satisfied by every metric
-star, and the bilinear form
-
-    g_star(V, W) = (1/2) sum_ij star(e^j)(V, E_i) star(e^i)(E_j, W)
-
-recovers g from S (a left inverse of g -> star on the trace-identity slice).
-Maps S that do not come from a metric are legal inputs here; the recovered
-tensor is then flagged when it fails positive definiteness.
+star.  The trace residual and the recovery of g from S, which the tests use
+as references, live in ``tests/oracles.py``.
 
 The pointwise 3x3 kernels (determinant, adjugate, inverse, matrix-vector
 product) are closed-form component arithmetic on the (3, 3, *spatial) layout:
@@ -35,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstraintViolated, NonFinite, SingularMetric
+from .errors import NonFinite, SingularMetric
 
 # Levi-Civita symbol, used throughout for dual-storage algebra.
 EPS = np.zeros((3, 3, 3))
@@ -130,9 +125,6 @@ class Metric3:
     def det(self) -> np.ndarray:
         return self._det
 
-    def inv(self) -> np.ndarray:
-        return mat_inv(self.g)
-
 
 @dataclass(frozen=True)
 class StarMap:
@@ -196,41 +188,3 @@ def metric_star(g: np.ndarray, det: np.ndarray, orientation: int) -> StarMap:
     if np.any(det <= 0):
         raise SingularMetric("metric determinant <= 0 on the grid")
     return StarMap(orientation * np.sqrt(det) * mat_inv(g))
-
-
-def star_trace_residual(star: StarMap) -> float:
-    """max over points and basis vectors V of |tr(iota_V o star)|.
-
-    In dual storage the trace against V = E_k is eps_kij S_ji, so the residual
-    is the largest antisymmetric part of S.
-    """
-    s = star.s
-    return float(
-        max(
-            np.max(np.abs(s[1, 2] - s[2, 1])),
-            np.max(np.abs(s[2, 0] - s[0, 2])),
-            np.max(np.abs(s[0, 1] - s[1, 0])),
-        )
-    )
-
-
-def recover_metric(star: StarMap, trace_tol: float | None = 1e-8) -> Metric3:
-    """Invert a star-like map back to a metric tensor.
-
-    Implements the bilinear left inverse
-    g(V, W) = (1/2) sum_ij star(e^j)(V, E_i) star(e^i)(E_j, W) in coordinate
-    bases.  The output may fail positive definiteness (``riemannian`` False);
-    that is a legal result for star-like maps not built from a metric.
-    """
-    if trace_tol is not None:
-        res = star_trace_residual(star)
-        scale = max(float(np.max(np.abs(star.s))), 1.0)
-        if res > trace_tol * scale:
-            raise ConstraintViolated(
-                f"trace residual {res:.3e} exceeds tolerance {trace_tol:.1e} * {scale:.3e}"
-            )
-    s = star.s
-    g = 0.5 * np.einsum("kim,jlp,mjxyz,pixyz->klxyz", EPS, EPS, s, s)
-    g = 0.5 * (g + np.swapaxes(g, 0, 1))  # kill roundoff asymmetry
-    return Metric3(g)
-

@@ -1,6 +1,5 @@
 """Gauged configurations (phi, A) over a patch: curvature, covariant
-differential, equivariant pullback, gauge transformations and rank
-diagnostics.
+differential, equivariant pullback and its naturality check.
 
 phi is stored through its target-chart components phi^mu(x); maps that wind
 around periodic axes (identity maps, fibre shifts) carry an explicit
@@ -21,17 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChartExit, DegreeOverflow, GridMismatch
-from .exterior import (
-    EPS,
-    Metric3,
-    _adjugate,
-    _det,
-    assert_finite,
-    mat_det,
-    mat_inv,
-)
+from .exterior import EPS, Metric3, _adjugate, _det, assert_finite, mat_det
 from .grid import PatchGrid, partial_derivative
-from .lie_target import TargetGeometry, qconj, qexp, qmul, qrot, target_partials
+from .lie_target import TargetGeometry, target_partials
 
 
 @dataclass
@@ -184,37 +175,6 @@ class EquivariantFormSpec:
     coeff: callable
     valued: bool = False
 
-    def pullback(self, c: Configuration) -> np.ndarray:
-        """phi^{*A} of this form on the configuration c."""
-        return equivariant_pullback(c.covariant_differential(), c.curvature(),
-                                    self.p, self.q, self.coeff(c.phi))
-
-
-def standard_specs(target: TargetGeometry) -> dict[str, EquivariantFormSpec]:
-    """The named equivariant forms used by the energy and degree."""
-    t = target
-
-    def sigma(y):
-        g = t.metric_fn(y)
-        return t.sigma_dual(mat_det(g), mat_inv(g))
-
-    return {
-        "volume": EquivariantFormSpec(0, 3, lambda y: t.vol_coeff(mat_det(t.metric_fn(y)))),
-        "mu": EquivariantFormSpec(1, 1, t.mu_fn),
-        "sigma": EquivariantFormSpec(0, 2, sigma, valued=True),
-        "nu": EquivariantFormSpec(1, 0, t.killing_fn, valued=True),
-        "mu_sharp": EquivariantFormSpec(
-            1, 0, lambda y: t.mu_sharp(mat_inv(t.metric_fn(y)), t.mu_fn(y)), valued=True),
-        "identity": EquivariantFormSpec(0, 1, _identity_coeff, valued=True),
-    }
-
-
-def _identity_coeff(y):
-    eye = np.eye(3)
-    return np.broadcast_to(
-        eye.reshape(3, 3, 1, 1, 1), (3, 3) + np.shape(y[0])
-    ).astype(np.result_type(y))
-
 
 def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
                          coeff: np.ndarray) -> np.ndarray:
@@ -331,137 +291,3 @@ def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, Equivarian
         ("radial-1form", EquivariantFormSpec(0, 1, radial_one_form)),
         ("radial-area-2form", EquivariantFormSpec(0, 2, radial_area_form)),
     ]
-
-
-# ---------------------------------------------------------------------------
-# gauge transformations
-# ---------------------------------------------------------------------------
-
-
-def gauge_transform(c: Configuration, lam: np.ndarray, finite: bool = True,
-                    lam_winding: np.ndarray | None = None):
-    """Apply a gauge transformation phi -> exp(-lam) . phi, A -> exp(-lam) . A.
-
-    ``lam`` has shape (dim g, *grid).  In finite mode a new Configuration is
-    returned; in infinitesimal mode the pair of first-order variation fields
-    (phi_dot, A_dot) is returned instead.  ``lam_winding`` (dim g, 3) declares
-    linear growth of lam along the axes so its differential is exact for
-    non-periodic profiles on periodic axes.
-    """
-    grid, target = c.grid, c.target
-    d = target.algebra.dim
-    if lam.shape != (d,) + grid.shape:
-        raise GridMismatch("gauge parameter does not match the grid/algebra")
-    if lam_winding is None:
-        lam_winding = np.zeros((d, 3))
-    mesh = np.stack(grid.meshes())
-    rem = lam - np.einsum("al,lxyz->axyz", lam_winding, mesh)
-    dlam = np.stack([partial_derivative(rem, k, grid) for k in range(3)], axis=1)
-    dlam += lam_winding[:, :, None, None, None]
-
-    if not finite:
-        kil = c.target.killing_fn(c.phi)
-        phi_dot = np.einsum("axyz,amxyz->mxyz", lam, kil)
-        a_dot = dlam + np.einsum("abc,blxyz,cxyz->alxyz", target.algebra.f, c.A, lam)
-        return phi_dot, a_dot
-
-    if target.algebra.dim == 1:
-        if target.action_fn is None or target.fiber_axis is None:
-            raise ValueError("target does not define a finite u(1) action")
-        phi_new = target.action_fn(lam[0], c.phi)
-        a_new = c.A + dlam
-        winding = c.phi_winding.copy()
-        winding[target.fiber_axis] += lam_winding[0]
-        return Configuration(grid, target, phi_new, a_new, c.gM, c.orientation, winding)
-
-    if target.action_fn is None:
-        raise ValueError("target does not define a finite group action")
-    u = qexp(-lam)  # group element acting on the target
-    g = qexp(lam)
-    phi_new = target.action_fn(u, c.phi)
-    # continuity across periodic wraps: keep the winding, re-wrap the remainder
-    phi_new = _rewrap(phi_new, c.phi, target)
-    dg = np.stack([partial_derivative(g, k, grid) for k in range(3)], axis=1)
-    pure = np.stack([qmul(qconj(g), dg[:, k]) for k in range(3)], axis=1)
-    maurer = pure[1:]  # e-basis components of g^{-1} dg
-    rot = qrot(qconj(g))
-    conjugated = np.einsum("baxyz,alxyz->blxyz", rot, c.A)
-    a_new = maurer + conjugated
-    return Configuration(grid, target, phi_new, a_new, c.gM, c.orientation,
-                         c.phi_winding.copy())
-
-
-def _rewrap(phi_new: np.ndarray, phi_old: np.ndarray, target: TargetGeometry) -> np.ndarray:
-    """Shift periodic target components by full periods to stay near phi_old."""
-    out = np.array(phi_new, copy=True)
-    for mu in range(3):
-        if not target.periodic[mu]:
-            continue
-        period = target.hi[mu] - target.lo[mu]
-        jump = out[mu] - phi_old[mu]
-        out[mu] = phi_old[mu] + (np.mod(jump + 0.5 * period, period) - 0.5 * period)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# rank diagnostics
-# ---------------------------------------------------------------------------
-
-_RANK_THRESHOLD = 1e-8  # relative singular-value cut
-
-
-def rank_profile(c: Configuration) -> dict:
-    """Pointwise rank of d^A phi with the induced-star consistency checks.
-
-    Singular values below 1e-8 of the patch-wide scale count as zero.
-    Reports the rank histogram, the rank of phi^{*A} star_N, whether the
-    nullity relation rk(phi^{*A} star_N) = max(rk - 1, 0) holds wherever
-    rk < 3, and the trace-free residual of the moment-map composite wherever
-    rk = 3.
-    """
-    P = c.covariant_differential()
-    Pm = np.moveaxis(P, (0, 1), (-2, -1))  # (..., mu, lam)
-    sv = np.linalg.svd(Pm, compute_uv=False)
-    # threshold relative to the largest singular value over the whole patch,
-    # with an absolute roundoff floor so all-tiny fields count as rank 0
-    global_scale = float(sv.max())
-    cut = max(_RANK_THRESHOLD * global_scale, 1e-12)
-    ranks = np.sum(sv > cut, axis=-1)
-
-    g_n = c.target.metric_fn(c.phi)
-    g_inv = mat_inv(g_n)
-    star_n = c.target.sigma_dual(mat_det(g_n), g_inv)  # (rho dual, mu) target star
-    M = np.einsum("mrxyz,rnxyz->mnxyz", cofactor(P), star_n, optimize=True)
-    sv_m = np.linalg.svd(np.moveaxis(M, (0, 1), (-2, -1)), compute_uv=False)
-    # threshold against the composite's natural scale, not its own leading
-    # singular value (which may itself be roundoff for degenerate maps)
-    cut_m = max(_RANK_THRESHOLD * global_scale**2 * float(np.max(np.abs(star_n))), 1e-12)
-    ranks_m = np.sum(sv_m > cut_m, axis=-1)
-
-    deficient = ranks < 3
-    nullity_ok = bool(
-        np.all(ranks_m[deficient] == np.maximum(ranks[deficient] - 1, 0))
-    ) if np.any(deficient) else True
-
-    tracefree = None
-    if np.any(~deficient):
-        mus = c.target.mu_sharp(g_inv, c.target.mu_fn(c.phi))
-        F = c.curvature()
-        mhat = np.einsum("auxyz,amxyz->muxyz", mus, F)  # map: u_mu -> dual m
-        full = ~deficient
-        Pf = np.moveaxis(P, (0, 1), (-2, -1))[full]  # rows mu, cols lam
-        inv = np.linalg.inv(np.swapaxes(Pf, -2, -1))  # (lam, mu)^{-1} -> (mu, lam)... see below
-        # composite K[m, lam] = mhat[m, mu] * (P^T)^{-1}[mu, lam]
-        mh = np.moveaxis(mhat, (0, 1), (-2, -1))[full]  # (..., m, mu)
-        comp = mh @ inv  # (..., m, lam)
-        anti = comp - np.swapaxes(comp, -2, -1)
-        tracefree = float(np.max(np.abs(anti))) if comp.size else 0.0
-
-    hist = {int(r): int(np.sum(ranks == r)) for r in np.unique(ranks)}
-    return {
-        "ranks": ranks,
-        "histogram": hist,
-        "star_pullback_ranks": ranks_m,
-        "nullity_consistent": nullity_ok,
-        "tracefree_residual": tracefree,
-    }

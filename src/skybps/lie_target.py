@@ -9,8 +9,9 @@ these evaluators, so the constructors only supply closed-form chart data.
 
 All coefficient evaluators must be complex-safe numpy expressions: target-side
 partial derivatives are taken by complex-step differentiation, which is exact
-to machine precision for closed-form data.  A real 4th-order grid stencil is
-available as an alternative (``method="grid-fd"``) and converges at O(h^4).
+to machine precision for closed-form data.  The finite group actions and the
+equivariance, nu-homomorphism and Sigma-duality residuals, which the tests
+use as references, live in ``tests/oracles.py``.
 
 Conventions.  su(2) uses the orthonormal basis e_a = -i sigma_a for the inner
 product (X, Y) = -tr(XY)/2, in which [e_b, e_c] = 2 eps_abc e_a; u(1) is R
@@ -20,14 +21,15 @@ quaternions (q0, q1, q2, q3) <-> q0 + q_a e_a.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
-from .exterior import EPS, mat_det, mat_inv
-from .grid import PatchGrid, build_patch, extrapolate_margin, integrate, partial_derivative
+from .exterior import EPS, mat_det
+from .grid import PatchGrid, build_patch, extrapolate_margin, integrate
 
 _CSTEP = 1e-30
 
@@ -100,27 +102,6 @@ def qconj(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def qexp(v: np.ndarray) -> np.ndarray:
-    """exp of a pure quaternion (components (3, ...)) as a unit quaternion."""
-    norm = np.sqrt(np.sum(v * v, axis=0))
-    small = norm < 1e-300
-    n = np.where(small, 1.0, norm)
-    sinc = np.where(small, 1.0, np.sin(norm) / n)
-    return np.concatenate([np.cos(norm)[None], sinc[None] * v])
-
-
-def qrot(q: np.ndarray) -> np.ndarray:
-    """SO(3) matrix R[a, b] with q e_b q^{-1} = R[a, b] e_a."""
-    w, x, y, z = q
-    return np.stack(
-        [
-            np.stack([w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)]),
-            np.stack([2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)]),
-            np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z]),
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # polar chart on the unit 2-sphere inside su(2)
 # ---------------------------------------------------------------------------
@@ -142,13 +123,6 @@ def sph_frame(u, v):
     xu = np.stack([cu * cv, cu * sv, -su * one])
     xv = np.stack([-su * sv, su * cv, np.zeros_like(u * v)])
     return x, xu, xv
-
-
-def sph_chart_of_x(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse chart: (u, v) with v wrapped into [0, 2 pi)."""
-    u = np.arccos(np.clip(x[2], -1.0, 1.0))
-    v = np.mod(np.arctan2(x[1], x[0]), 2.0 * np.pi)
-    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +154,15 @@ class TargetGeometry:
     # polar axis).  The metric must not depend on that coordinate, so
     # ``volume`` evaluates V_N on a single slice of the chart grid.
     fiber_axis: int | None = None
-    action_fn: Callable | None = None  # (quaternion field, y) -> transformed y
     default_margin: float = 0.05
     volume_margins: tuple[float, ...] = (0.2, 0.1, 0.05)
     extras: dict = field(default_factory=dict)
     _volume_cache: dict = field(default_factory=dict, repr=False)
     _moment_cache: dict = field(default_factory=dict, repr=False)
+    # held while either cache is filled, so that threads sharing the target
+    # compute each entry once
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  compare=False, repr=False)
 
     def chart_grid(self, n, margin: float | None = None) -> PatchGrid:
         m = self.default_margin if margin is None else margin
@@ -215,18 +192,20 @@ class TargetGeometry:
         """
         margins = tuple(margins) if margins is not None else self.volume_margins
         key = (_triple(n), margins)
-        if key not in self._volume_cache:
-            vals = []
-            for m in margins:
-                grid = self.chart_grid(n, m)
-                axes = [grid.axis_points(i) for i in range(3)]
-                if self.fiber_axis is not None:
-                    axes[self.fiber_axis] = axes[self.fiber_axis][:1]
-                y = np.stack(np.meshgrid(*axes, indexing="ij"))
-                vol = np.broadcast_to(self.vol_coeff(mat_det(self.metric_fn(y))), grid.shape)
-                vals.append(integrate(vol, grid))
-            self._volume_cache[key] = extrapolate_margin(margins, vals)
-        return self._volume_cache[key]
+        with self._lock:
+            if key not in self._volume_cache:
+                vals = []
+                for m in margins:
+                    grid = self.chart_grid(n, m)
+                    axes = [grid.axis_points(i) for i in range(3)]
+                    if self.fiber_axis is not None:
+                        axes[self.fiber_axis] = axes[self.fiber_axis][:1]
+                    y = np.stack(np.meshgrid(*axes, indexing="ij"))
+                    vol = np.broadcast_to(self.vol_coeff(mat_det(self.metric_fn(y))),
+                                          grid.shape)
+                    vals.append(integrate(vol, grid))
+                self._volume_cache[key] = extrapolate_margin(margins, vals)
+            return self._volume_cache[key]
 
 
 # Targets, profile families and config sections by key, one object per key:
@@ -250,33 +229,22 @@ def _triple(n):
     return tuple(int(k) for k in n)
 
 
-def target_partials(fn: Callable, y: np.ndarray, grid: PatchGrid | None = None,
-                    method: str = "complex-step") -> np.ndarray:
+def target_partials(fn: Callable, y: np.ndarray) -> np.ndarray:
     """Partial derivatives of a chart evaluator at the points y (3, *shape).
 
-    Returns d(fn)/dy^k stacked on a new leading axis k.  The complex-step
-    method is exact to machine precision for closed-form evaluators; the
-    grid-fd method applies the 4th-order grid stencils (requires ``grid`` and
-    y sampled on it).
+    Returns d(fn)/dy^k stacked on a new leading axis k, by complex step:
+    exact to machine precision for closed-form evaluators.
     """
-    if method == "complex-step":
-        rows = list(y)
-        return np.stack([_cstep(lambda *r: fn(np.stack(r)), rows, k) for k in range(3)])
-    if method == "grid-fd":
-        if grid is None:
-            raise ValueError("grid-fd differentiation needs the sampling grid")
-        vals = fn(y)
-        return np.stack([partial_derivative(vals, k, grid) for k in range(3)])
-    raise ValueError(f"unknown differentiation method {method!r}")
+    rows = list(y)
+    return np.stack([_cstep(lambda *r: fn(np.stack(r)), rows, k) for k in range(3)])
 
 
 # ---------------------------------------------------------------------------
-# moment-map and action diagnostics
+# moment-map conditions
 # ---------------------------------------------------------------------------
 
 
-def verify_moment_conditions(target: TargetGeometry, n=64,
-                             method: str = "complex-step") -> dict:
+def verify_moment_conditions(target: TargetGeometry, n=64) -> dict:
     """Residuals of the moment-map conditions on the target chart.
 
     def_residual:        max_a, points, comps |(d mu(I_a) - iota_{nu(I_a)} V_N)|
@@ -284,90 +252,25 @@ def verify_moment_conditions(target: TargetGeometry, n=64,
                          the symmetrized contraction that must vanish for the
                          degree to be defined.
 
-    The result is kept on the target per (n, method), so sweep points that
-    share a target run the check once.
+    The result is kept on the target per n, so sweep points that share a
+    target run the check once.
     """
-    key = (n, method)
-    if key not in target._moment_cache:
-        grid = target.chart_grid(n)
-        y = np.stack(grid.meshes())
-        dmu = target_partials(target.mu_fn, y, grid, method)  # (k, a, comp, *sp)
-        curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
-        vol = target.vol_coeff(mat_det(target.metric_fn(y)))
-        kil = target.killing_fn(y)
-        def_res = float(np.max(np.abs(curl - vol * kil)))
-        q = np.einsum("amxyz,bmxyz->abxyz", kil, target.mu_fn(y))
-        sym = 0.5 * (q + np.swapaxes(q, 0, 1))
-        target._moment_cache[key] = {
-            "def_residual": def_res,
-            "constraint_residual": float(np.max(np.abs(sym))),
-            "constraint_matrix": np.mean(sym, axis=tuple(range(2, sym.ndim))),
-        }
-    return target._moment_cache[key]
-
-
-def nu_homomorphism_residual(target: TargetGeometry, n=64) -> float:
-    """max |I_a . dI_b - I_b . dI_a - f^c_ab I_c| over basis pairs and points."""
-    y = np.stack(target.chart_grid(n).meshes())
-    kil = target.killing_fn(y)
-    dk = target_partials(target.killing_fn, y)  # (m, b, lam, *sp)
-    adv = np.einsum("amxyz,mblxyz->ablxyz", kil, dk)
-    bracket = adv - np.swapaxes(adv, 0, 1)
-    expected = np.einsum("cab,clxyz->ablxyz", target.algebra.f, kil)
-    return float(np.max(np.abs(bracket - expected)))
-
-
-def equivariance_residual(target: TargetGeometry, n=48) -> dict:
-    """Equivariance residuals of mu (Lie-slot 1-form) and Sigma (TN-valued 2-form).
-
-    For each basis direction b the Lie derivative along nu(I_b) must be
-    compensated by the coadjoint rotation of Lie slots (mu) and the tangent
-    rotation of value slots (Sigma).
-    """
-    y = np.stack(target.chart_grid(n).meshes())
-    kil = target.killing_fn(y)
-    dk = target_partials(target.killing_fn, y)  # (m, b, lam, *sp)
-    f = target.algebra.f
-
-    mu = target.mu_fn(y)
-    dmu = target_partials(target.mu_fn, y)  # (k, a, m, *sp)
-    res_mu = (
-        np.einsum("bnxyz,namxyz->abmxyz", kil, dmu)
-        + np.einsum("anxyz,mbnxyz->abmxyz", mu, dk)
-        + np.einsum("cab,cmxyz->abmxyz", f, mu)
-    )
-
-    def sigma(yc):
-        g = target.metric_fn(yc)
-        return target.sigma_dual(mat_det(g), mat_inv(g))
-
-    sig = sigma(y)  # (value mu, dual m, *sp)
-    dsig = target_partials(sigma, y)  # (k, mu, m, *sp)
-    div_k = np.einsum("nbnxyz->bxyz", dk)
-    # Lie derivative of the dual-stored 2-form slot: X.grad b + b div X - (b.grad) X
-    lie_form = (
-        np.einsum("bnxyz,nsmxyz->bsmxyz", kil, dsig)
-        + sig[None] * div_k[:, None, None]
-        - np.einsum("smxyz,mblxyz->bslxyz", sig, dk)
-    )
-    res_sig = lie_form - np.einsum("nmxyz,nbsxyz->bsmxyz", sig, dk)
-    return {
-        "mu_residual": float(np.max(np.abs(res_mu))),
-        "sigma_residual": float(np.max(np.abs(res_sig))),
-    }
-
-
-def sigma_duality_residual(target: TargetGeometry, n=24) -> float:
-    """max |g_N(u, Sigma(v, w)) - V_N(u, v, w)| over basis triples and points."""
-    y = np.stack(target.chart_grid(n).meshes())
-    g = target.metric_fn(y)
-    det_g = mat_det(g)
-    sig = target.sigma_dual(det_g, mat_inv(g))
-    vol = target.vol_coeff(det_g)
-    # Sigma(e_v, e_w) has components Sig[:, m] eps_mvw; pair with g and compare
-    lhs = np.einsum("umxyz,mvw,euxyz->evwxyz", sig, EPS, g)
-    rhs = EPS[..., None, None, None] * vol
-    return float(np.max(np.abs(lhs - rhs)))
+    with target._lock:
+        if n not in target._moment_cache:
+            y = np.stack(target.chart_grid(n).meshes())
+            dmu = target_partials(target.mu_fn, y)  # (k, a, comp, *sp)
+            curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
+            vol = target.vol_coeff(mat_det(target.metric_fn(y)))
+            kil = target.killing_fn(y)
+            def_res = float(np.max(np.abs(curl - vol * kil)))
+            q = np.einsum("amxyz,bmxyz->abxyz", kil, target.mu_fn(y))
+            sym = 0.5 * (q + np.swapaxes(q, 0, 1))
+            target._moment_cache[n] = {
+                "def_residual": def_res,
+                "constraint_residual": float(np.max(np.abs(sym))),
+                "constraint_matrix": np.mean(sym, axis=tuple(range(2, sym.ndim))),
+            }
+        return target._moment_cache[n]
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +338,6 @@ def make_u1_fibered_target(
         m[0, 2] = mu_y(x, yy)
         return m
 
-    def action_fn(lam, y):
-        out = np.array(y, copy=True)
-        out[0] = out[0] + lam
-        return out
-
     t = TargetGeometry(
         name=name,
         algebra=u1_algebra(),
@@ -450,7 +348,6 @@ def make_u1_fibered_target(
         killing_fn=killing_fn,
         mu_fn=mu_fn,
         fiber_axis=0,
-        action_fn=action_fn,
         extras={"mu_x": mu_x, "mu_y": mu_y, "h": h, "omega_x": omega_x, "w": _w},
     )
     if validate:
@@ -591,18 +488,6 @@ def monopole_family(xi_window=(0.15, 1.1)) -> AdjointIntervalFamily:
     )
 
 
-def _adjoint_action(lam_quat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rotate the S^2 chart part by the adjoint action of a quaternion field."""
-    u, v = y[1], y[2]
-    x = sph_x(u, v)
-    r = qrot(lam_quat)
-    xr = np.einsum("ab...,b...->a...", r, x)
-    ur, vr = sph_chart_of_x(xr)
-    out = np.array(y, copy=True)
-    out[1], out[2] = ur, vr
-    return out
-
-
 def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
     """Adjoint SU(2) target N = I x S^2 in the chart (xi, u, v).
 
@@ -652,7 +537,6 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
         killing_fn=killing_fn,
         mu_fn=mu_fn,
         fiber_axis=2,
-        action_fn=_adjoint_action,
         default_margin=0.1,
         volume_margins=(0.12, 0.06, 0.03),
         extras={"family": fam},

@@ -83,20 +83,20 @@ _STEP = 1e-5  # central-difference step of the outer derivative of ln Omega
 class SurfaceGeometry:
     """A surface C in a single conformal chart g_C = Omega (dx1^2 + dx2^2).
 
-    ``omega`` and ``gauss_k`` are complex-safe evaluators of the conformal
-    factor and the Gauss curvature; ``chi`` is the declared Euler
+    ``omega``, ``gauss_k`` and ``dlog_omega`` are complex-safe evaluators of
+    the conformal factor, the Gauss curvature and the gradient
+    (d_1 ln Omega, d_2 ln Omega); ``chi`` is the declared Euler
     characteristic (None for non-compact charts).  The declared curvature is
     checked against -(Delta ln Omega) / (2 Omega) to 1e-6 at construction.
     """
 
     omega: Callable
     gauss_k: Callable
+    dlog_omega: Callable
     lo: tuple[float, float]
     hi: tuple[float, float]
     periodic: tuple[bool, bool]
     chi: int | None = None
-    name: str = "surface"
-    dlog_omega: Callable | None = None  # analytic (d1 lnOmega, d2 lnOmega)
     area_exact: float | None = None  # closed-form total area, when known
 
     def __post_init__(self):
@@ -110,33 +110,17 @@ class SurfaceGeometry:
                 f"declared Gauss curvature differs from the conformal factor: {res:.3e}"
             )
 
-    def log_omega_grad(self, x1, x2):
-        """(d_1 ln Omega, d_2 ln Omega), analytic when supplied else complex step."""
-        if self.dlog_omega is not None:
-            return self.dlog_omega(x1, x2)
-        ln = lambda a, b: np.log(self.omega(a, b))
-        return _cstep(ln, (x1, x2), 0), _cstep(ln, (x1, x2), 1)
-
     def levi_civita_da_coeff(self, x1, x2):
         """dx1^dx2 coefficient of da for a = (d1 lnOmega dx2 - d2 lnOmega dx1)/4."""
-        if self.dlog_omega is not None:
-            d11 = _cstep(lambda a, b: self.dlog_omega(a, b)[0], (x1, x2), 0)
-            d22 = _cstep(lambda a, b: self.dlog_omega(a, b)[1], (x1, x2), 1)
-            return 0.25 * (d11 + d22)
-        h = _STEP
-        d11 = (self.log_omega_grad(x1 + h, x2)[0] - self.log_omega_grad(x1 - h, x2)[0]) / (2 * h)
-        d22 = (self.log_omega_grad(x1, x2 + h)[1] - self.log_omega_grad(x1, x2 - h)[1]) / (2 * h)
+        d11 = _cstep(lambda a, b: self.dlog_omega(a, b)[0], (x1, x2), 0)
+        d22 = _cstep(lambda a, b: self.dlog_omega(a, b)[1], (x1, x2), 1)
         return 0.25 * (d11 + d22)
 
     def curvature_from_omega(self, x1, x2):
         """K = -(Delta ln Omega) / (2 Omega); outer derivative by central step."""
         h = _STEP
-        d2 = (
-            self.log_omega_grad(x1 + h, x2)[0] - self.log_omega_grad(x1 - h, x2)[0]
-        ) / (2 * h)
-        d2 += (
-            self.log_omega_grad(x1, x2 + h)[1] - self.log_omega_grad(x1, x2 - h)[1]
-        ) / (2 * h)
+        d2 = (self.dlog_omega(x1 + h, x2)[0] - self.dlog_omega(x1 - h, x2)[0]) / (2 * h)
+        d2 += (self.dlog_omega(x1, x2 + h)[1] - self.dlog_omega(x1, x2 - h)[1]) / (2 * h)
         return -d2 / (2.0 * self.omega(x1, x2))
 
     def area(self) -> float:
@@ -161,12 +145,11 @@ def mercator_sphere(curvature: float = 1.0, tau_max: float = 3.0) -> SurfaceGeom
     return SurfaceGeometry(
         omega=lambda t, v: (1.0 / (K * np.cosh(t) ** 2)) * np.ones_like(v),
         gauss_k=lambda t, v: K * np.ones_like(t * v),
+        dlog_omega=lambda t, v: (-2.0 * np.tanh(t) * np.ones_like(v), np.zeros_like(t * v)),
         lo=(-tau_max, 0.0),
         hi=(tau_max, 2 * np.pi),
         periodic=(False, True),
         chi=2,
-        name=f"s2-round[K={K}]",
-        dlog_omega=lambda t, v: (-2.0 * np.tanh(t) * np.ones_like(v), np.zeros_like(t * v)),
         area_exact=4.0 * np.pi / K,
     )
 
@@ -182,7 +165,6 @@ class FamilyResult:
 
     family: str
     config: Configuration
-    params: dict
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -196,7 +178,6 @@ def identity_u1_solution(
     target: TargetGeometry | None = None,
     n=48,
     margin: float = 0.2,
-    da_x_dtheta: Callable | None = None,
 ) -> FamilyResult:
     """Identity map with connection A = A_x(theta, x) dx on a fibered target.
 
@@ -216,27 +197,20 @@ def identity_u1_solution(
     th, x, y = grid.meshes()
 
     ax_vals = a_x(th, x)
-    if da_x_dtheta is not None:
-        f_tx = da_x_dtheta(th, x)
-    else:
-        f_tx = _cstep(a_x, (th, x), 0)
+    f_tx = _cstep(a_x, (th, x), 0)
 
     mu_x, mu_y = ex["mu_x"](x, y), ex["mu_y"](x, y)
     hh, om, w = ex["h"](x, y), ex["omega_x"](x, y), ex["w"](x, y)
 
-    def metric_formula(f_theta_x):
-        kappa = 1.0 + 3.0 * f_theta_x * mu_y / w
-        fib = w * w / (hh * mu_y)
-        omt = om - ax_vals
-        g = np.zeros((3, 3) + grid.shape)
-        g[0, 0] = kappa * fib
-        g[0, 1] = g[1, 0] = kappa * fib * omt
-        g[1, 1] = kappa * (fib * omt * omt + hh) + mu_x * mu_x / mu_y
-        g[1, 2] = g[2, 1] = mu_x
-        g[2, 2] = mu_y
-        return g, kappa
-
-    g_arr, kappa = metric_formula(f_tx)
+    kappa = 1.0 + 3.0 * f_tx * mu_y / w
+    fib = w * w / (hh * mu_y)
+    omt = om - ax_vals
+    g = np.zeros((3, 3) + grid.shape)
+    g[0, 0] = kappa * fib
+    g[0, 1] = g[1, 0] = kappa * fib * omt
+    g[1, 1] = kappa * (fib * omt * omt + hh) + mu_x * mu_x / mu_y
+    g[1, 2] = g[2, 1] = mu_x
+    g[2, 2] = mu_y
     if np.any(kappa <= 0):
         raise NotRiemannian(
             f"conformal factor reaches {kappa.min():.4g} <= 0; shrink A or the margin"
@@ -245,13 +219,12 @@ def identity_u1_solution(
     A = np.zeros((1, 3) + grid.shape)
     A[0, 1] = ax_vals
     cfg = Configuration(
-        grid, target, phi, A, Metric3(g_arr), orientation=1, phi_winding=np.eye(3)
+        grid, target, phi, A, Metric3(g), orientation=1, phi_winding=np.eye(3)
     )
     return FamilyResult(
         family="identity-u1",
         config=cfg,
-        params={"n": _triple(n), "margin": margin},
-        diagnostics={"kappa_min": float(kappa.min()), "metric_formula": metric_formula},
+        diagnostics={"kappa_min": float(kappa.min())},
     )
 
 
@@ -299,7 +272,6 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     return FamilyResult(
         family="dirac-monopole",
         config=cfg,
-        params={"n": _triple(n), "margin": margin, "r_window": list(r_window)},
         diagnostics={"abelian_bps_residual": res},
     )
 
@@ -316,7 +288,7 @@ def _spinorial_gauge_field(surface: SurfaceGeometry, grid, x1, x2) -> np.ndarray
     a = (d_1 lnOmega dx2 - d_2 lnOmega dx1)/4 and w = sqrt(Omega)/2 (dx1 + i dx2);
     after the e_3 -> e_1 frame rotation the components are (a, Re w, Im w).
     """
-    g1, g2 = surface.log_omega_grad(x1, x2)
+    g1, g2 = surface.dlog_omega(x1, x2)
     sq = np.sqrt(surface.omega(x1, x2))
     A = np.zeros((3, 3) + grid.shape)
     A[0, 1] = -0.25 * g2  # a, dx1 component
@@ -401,8 +373,6 @@ def spinorial_solution(
     return FamilyResult(
         family="spinorial",
         config=cfg,
-        params={"n": _triple(n), "margin": margin, "surface": surface.name,
-                "family": fam.name, "twist_b": twist_b},
         diagnostics={
             "riemannian_everywhere": bool(np.all(mask)),
             "conformal_coefficient_min": float(np.min(coef)),
@@ -461,7 +431,6 @@ def twisted_spinorial_solution(
     cond2 = abs(2.0 * gamma * b - alpha)
     cond3 = 0.0  # eta2 = 0 by construction
     res.family = "twisted-spinorial"
-    res.params.update({"alpha": alpha, "beta": beta_eff, "gamma": gamma, "B": b})
     res.diagnostics.update(
         {"bps2_scalar_conditions": (cond1, cond2, cond3)}
     )
@@ -560,24 +529,11 @@ def spherical_solution(
     return FamilyResult(
         family="spherical",
         config=cfg,
-        params={"n": _triple(n), "margin": margin, "c1": c1, "c2": c2,
-                "alpha": alpha, "beta": beta, "xi_window": list(xi_window)},
         diagnostics={
             "bps2a_residual": float(np.max(np.abs(bps2a))),
             "bps2b_residual": float(np.max(np.abs(bps2b))),
-            "profiles": {"f": f, "eta1": eta1, "eta2": eta2, "h1h2sq": h1h2sq},
         },
     )
-
-
-def spherical_round_target_metric(xi):
-    """Target metric components (h1^2, h2^2) of the special round parameters.
-
-    With (c1, c2, beta) = (1, -1, 2 alpha) and h1 = 1/(1 + xi^2) the target
-    metric is dxi^2/(1+xi^2)^2 + (xi^2/(1+xi^2)) g_S2, which the substitution
-    arctan(xi) turns into the round 3-sphere.
-    """
-    return 1.0 / (1.0 + xi**2) ** 2, xi**2 / (1.0 + xi**2)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +572,7 @@ def symplectic_solution(
     w_re[1], w_re[2] = sq * np.cos(psi), -sq * np.sin(psi)
     w_im[1], w_im[2] = sq * np.sin(psi), sq * np.cos(psi)
 
-    g1, _ = surface.log_omega_grad(tau, v)
+    g1, _ = surface.dlog_omega(tau, v)
     a_v = 0.25 * g1  # a = (d_tau ln Omega)/4 dv on the Mercator chart
     A = np.zeros((3, 3) + grid.shape)
     A[0, 2] = a_v
@@ -644,8 +600,6 @@ def symplectic_solution(
     return FamilyResult(
         family="symplectic",
         config=cfg,
-        params={"n": _triple(n), "margin": margin, "tau_max": 3.0,
-                "twisted": xi_phase is not None},
         diagnostics={
             "normalization_residual": norm_res,
             "omega_c_integral_over_2pi": area / (2 * np.pi),

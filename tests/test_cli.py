@@ -441,8 +441,8 @@ def test_sweep_convergence_columns():
 
 def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
     # the swept A_x leaves the target section unchanged, so Vol(N) is
-    # integrated once for the whole sweep instead of once per point
-    monkeypatch.setenv("SKYRME_THREADS", "1")
+    # integrated once for the whole sweep instead of once per point, also
+    # when two threads reach the shared target together
     quadratures = []
     integrate = lie_target.integrate
 
@@ -458,9 +458,12 @@ def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
         "sweep": {"param": "family_params.ax",
                   "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)", "0.02*sin(theta)"]},
     }
-    monkeypatch.setattr(lie_target, "_SHARED", {})
-    cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
-    assert len(quadratures) == 3  # one per Vol(N) margin
+    for threads in ("2", "1"):
+        monkeypatch.setenv("SKYRME_THREADS", threads)
+        monkeypatch.setattr(lie_target, "_SHARED", {})
+        quadratures.clear()
+        cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
+        assert len(quadratures) == 3, threads  # one per Vol(N) margin
 
     build_target = cli.build_target
 

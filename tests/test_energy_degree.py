@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
+from oracles import (
+    TargetMismatch,
+    energy_su2_reduced,
+    gauge_transform,
+    standard_specs,
+    su2_matrix_fields,
+)
 from skybps import energy_degree, exterior, grid
 from skybps.cli import FAMILIES, build_family, run_verify
-from skybps.errors import MomentConditionFailed, RankDeficient, TargetMismatch
+from skybps.errors import MomentConditionFailed
 from skybps.exterior import Metric3, hodge_star
-from skybps.gaugefield import Configuration, gauge_transform, standard_specs
+from skybps.gaugefield import Configuration
 from skybps.grid import build_patch
 from skybps.energy_degree import (
     _contraction_asymmetry,
@@ -16,18 +23,14 @@ from skybps.energy_degree import (
     _pair,
     bound_gap,
     bps_coefficients,
-    bps_residuals,
     charge_density_cross_residual,
     degree,
     energy,
-    energy_su2_reduced,
     general_bound_coefficient,
     integrate_density,
-    solve_base_metric,
-    su2_matrix_fields,
 )
 from skybps.lie_target import make_su2_left_target
-from skybps.solutions import dirac_monopole, identity_u1_solution, spinorial_solution
+from skybps.solutions import identity_u1_solution, spinorial_solution
 
 P0 = bps_coefficients(0.0, 0.0, 0.0)
 
@@ -54,7 +57,6 @@ def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
         monkeypatch.setattr(t, name, counted(name, getattr(t, name)))
     energy(c, P0)
     bound_gap(c, P0)
-    bps_residuals(c, P0)
     degree(c)
     charge_density_cross_residual(c)
     # each grid point once; I once more, slab by slab, to form d^A phi
@@ -153,11 +155,11 @@ def test_residual_linear_in_perturbation(u1_target):
 
     base = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                 n=24, margin=0.2).config
-    r0 = bps_residuals(base, P0)["r1"]
+    r0 = _margin_pass(base, P0)["r1"]
     rs = []
     for eps in (0.02, 0.01, 0.005):
         c = perturb_configuration(base, eps, seed=1)
-        rs.append(bps_residuals(c, P0)["r1"] - r0)
+        rs.append(_margin_pass(c, P0)["r1"] - r0)
     assert rs[0] / rs[1] == pytest.approx(2.0, rel=0.15)
     assert rs[1] / rs[2] == pytest.approx(2.0, rel=0.15)
 
@@ -192,42 +194,6 @@ def test_general_bound_reported():
     assert general_bound_coefficient(bps_coefficients(0.5, 1.0, 2.0)) is not None
     # gamma = 0 makes the denominator collapse: reported as None, not an error
     assert general_bound_coefficient(bps_coefficients(1.0, 2.0, 0.0)) is None
-
-
-# -- metric recovery -----------------------------------------------------------------
-
-
-def test_solve_base_metric_identity_family(u1_target):
-    res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
-                               n=32, margin=0.2)
-    rec = solve_base_metric(res.config)
-    # compare against the closed-form metric built from the same discrete F
-    f_num = res.config.curvature()[0, 2]  # dual slot 2 = dtheta^dx coefficient
-    g_ref, _ = res.diagnostics["metric_formula"](f_num)
-    assert np.max(np.abs(rec.g - g_ref)) < 1e-6
-    assert rec.riemannian
-
-
-def test_solve_base_metric_ungauged_isometry(u1_target):
-    res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=24, margin=0.1)
-    rec = solve_base_metric(res.config)
-    pullback_metric = u1_target.metric_fn(res.config.phi)
-    assert np.max(np.abs(rec.g - pullback_metric)) < 1e-10
-
-
-def test_solve_base_metric_spinorial_coefficient():
-    res = spinorial_solution(n=32, margin=0.15)
-    rec = solve_base_metric(res.config, trace_tol=1e-4)
-    coef = res.diagnostics["conformal_coefficient"]
-    om = res.diagnostics["surface"].omega(*res.config.grid.meshes()[1:])
-    assert np.max(np.abs(rec.g[1, 1] - coef * om)) < 5e-3
-    np.testing.assert_allclose(rec.g[0, 0], 1.0, atol=5e-3)
-
-
-def test_solve_base_metric_rank_deficient():
-    res = dirac_monopole(n=16)
-    with pytest.raises(RankDeficient):
-        solve_base_metric(res.config)
 
 
 # -- SU(2) reduction ------------------------------------------------------------------
@@ -289,7 +255,7 @@ def test_energy_degree_residuals_gauge_invariant(u1_target):
     e1, e2 = energy(c, P0)["total"], energy(c2, P0)["total"]
     assert abs(e1 - e2) / abs(e1) < 1e-6
     assert abs(degree(c, vol) - degree(c2, vol)) < 1e-6
-    r1, r2 = bps_residuals(c, P0), bps_residuals(c2, P0)
+    r1, r2 = _margin_pass(c, P0), _margin_pass(c2, P0)
     assert abs(r1["r1"] - r2["r1"]) < 1e-6
     assert abs(r1["r2"] - r2["r2"]) < 1e-6
 
@@ -340,7 +306,7 @@ def _cross_per_pair(c):
 
 
 def _bogomolny_per_pair(c, p):
-    """The former bound_gap density and bps_residuals sup-norms."""
+    """The former bound_gap density and the sup norms of the two BPS equations."""
     pb, star, gN = _full_grid(c)
     stard = star.on_1(c.covariant_differential())
     diff = stard - (pb["sigma"] + 3.0 * pb["mu_sharp"])
@@ -400,7 +366,7 @@ def test_verify_rows_equal_separate_calls(family):
     cfg = report["config"]
     for row, m in zip(report["rows"], cfg["margins"]):
         res, p = build_family(cfg, m)
-        r = bps_residuals(res.config, p)
+        r = _margin_pass(res.config, p)
         bg = bound_gap(_fresh_copy(res.config), p, report["volume_n"])
         assert (row["r1"], row["r2"]) == (r["r1"], r["r2"]) == (bg["r1"], bg["r2"])
         assert (row["energy"], row["degree"], row["gap"]) == (bg["energy"], bg["degree"],

@@ -2,21 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import recover_metric, star_trace_residual
 from skybps.energy_degree import _pair
 from skybps.errors import ConstraintViolated, SingularMetric
-from skybps.exterior import (
-    Metric3,
-    StarMap,
-    _matvec,
-    hodge_star,
-    mat_det,
-    mat_inv,
-    recover_metric,
-    star_trace_residual,
-)
+from skybps.exterior import Metric3, StarMap, _matvec, hodge_star, mat_det, mat_inv
 
 SHAPE = (5, 5, 5)
 
@@ -117,9 +109,13 @@ def test_recover_metric_trace_violation_raises():
 
 
 @given(st.integers(0, 10_000))
+@example(seed=858)  # <u, v> cancels below rounding of its summands at one point
+@example(seed=2443)
 @settings(max_examples=25, deadline=None)
 def test_pairing_symmetry(seed):
-    # u ^ star v = v ^ star u = <u, v> V_g pointwise
+    # u ^ star v = v ^ star u = <u, v> V_g pointwise, to 1e-10 of the
+    # Cauchy-Schwarz scale |u|_g |v|_g V_g: a bound relative to <u, v> itself
+    # is below rounding wherever u and v are nearly g-orthogonal
     rng = np.random.default_rng(seed)
     m = random_spd(rng)
     s = hodge_star(m)
@@ -129,8 +125,11 @@ def test_pairing_symmetry(seed):
     right = _pair(v[None], u[None], 1, s, None)
     scale = np.max(np.abs(left)) + 1.0
     assert np.max(np.abs(left - right)) < 1e-12 * scale
-    inner = np.einsum("abxyz,axyz,bxyz->xyz", m.inv(), u, v)
-    np.testing.assert_allclose(left, inner * np.sqrt(m.det()), rtol=1e-10)
+    ginv, vol = mat_inv(m.g), np.sqrt(m.det())
+    inner = np.einsum("abxyz,axyz,bxyz->xyz", ginv, u, v)
+    norm_u = np.sqrt(np.einsum("abxyz,axyz,bxyz->xyz", ginv, u, u))
+    norm_v = np.sqrt(np.einsum("abxyz,axyz,bxyz->xyz", ginv, v, v))
+    assert np.all(np.abs(left - inner * vol) <= 1e-10 * norm_u * norm_v * vol)
 
 
 def test_orientation_reversal_flips_star():

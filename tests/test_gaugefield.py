@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
+from oracles import gauge_transform, standard_specs
 from skybps.energy_degree import bound_gap, bps_coefficients
 from skybps.errors import ChartExit, DegreeOverflow
 from skybps.exterior import EPS, Metric3, hodge_star, mat_det
@@ -11,11 +12,8 @@ from skybps.gaugefield import (
     cofactor,
     det_p,
     equivariant_pullback,
-    gauge_transform,
     naturality_check_specs,
     pullback_naturality_residual,
-    rank_profile,
-    standard_specs,
 )
 from skybps.grid import build_patch, partial_derivative
 from skybps.lie_target import sph_x, su2_algebra, u1_algebra
@@ -313,32 +311,6 @@ def test_pullback_gauge_invariance_smooth(adjoint_round_target):
         db = _pair(b, b, 2, star, c2.target.metric_fn(c2.phi))
         scale = max(np.max(np.abs(da)), 1.0)
         assert np.max(np.abs(da - db)) < 2e-4 * scale, name
-
-
-# -- rank diagnostics -----------------------------------------------------------
-
-
-def test_rank_profile_identity_full_rank(u1_target):
-    res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
-                               n=16, margin=0.2)
-    rp = rank_profile(res.config)
-    assert rp["histogram"] == {3: 16**3}
-    assert rp["tracefree_residual"] < 1e-10
-
-
-def test_rank_profile_monopole():
-    rp = rank_profile(dirac_monopole(n=16).config)
-    assert set(rp["histogram"]) == {1}
-    assert rp["nullity_consistent"]
-    assert np.all(rp["star_pullback_ranks"] == 0)
-
-
-def test_rank_profile_constant_map(u1_target):
-    grid = build_patch(u1_target.lo, u1_target.hi, (8, 8, 8), u1_target.periodic, 0.1)
-    phi = np.stack([np.full(grid.shape, v) for v in (1.0, 0.7, 2.0)])
-    c = Configuration(grid, u1_target, phi, None, euclid(grid.shape))
-    rp = rank_profile(c)
-    assert set(rp["histogram"]) == {0}
 
 
 def test_memo_holds_no_copy_of_dphi(adjoint_round_target):

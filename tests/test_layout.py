@@ -1,0 +1,73 @@
+"""The package holds only what its pipeline runs.
+
+Every public function and public method in ``src/skybps`` must be referenced
+somewhere in the package outside its own definition: a function by name or
+as an attribute, a method as an attribute.  Import statements and
+``__all__`` do not count.  A name that only tests reach belongs in the tests
+(``tests/oracles.py`` for references that tests compare against) or nowhere.
+``cli.main`` is the entry point.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "skybps"
+EXEMPT = {"cli.main"}
+
+
+def _public_definitions(tree: ast.Module, module: str):
+    """(qualified name, bare name, node) of public module-level functions and
+    public methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _is_all(node: ast.AST) -> bool:
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _references(tree: ast.Module):
+    """(name, node) for every Name and Attribute, skipping imports and ``__all__``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and _is_all(node):
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def unreferenced_public_names() -> list[str]:
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    refs: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for name, node in _references(tree):
+            refs.setdefault(name, []).append(node)
+    orphans = []
+    for module, tree in trees.items():
+        for qualified, name, node in _public_definitions(tree, module):
+            if name.startswith("_") or qualified in EXEMPT:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            uses = [r for r in refs.get(name, ()) if id(r) not in inside]
+            if qualified.count(".") == 2:
+                # a method is reached as an attribute; a local of its name is no use
+                uses = [r for r in uses if isinstance(r, ast.Attribute)]
+            if not uses:
+                orphans.append(qualified)
+    return orphans
+
+
+def test_every_public_name_is_reached_from_the_package():
+    assert unreferenced_public_names() == []

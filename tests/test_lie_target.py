@@ -1,27 +1,35 @@
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from oracles import (
+    adjoint_action,
+    equivariance_residual,
+    nu_homomorphism_residual,
+    qexp,
+    qrot,
+    sigma_duality_residual,
+    sph_chart_of_x,
+)
+from skybps import lie_target
 from skybps.errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
 from skybps.exterior import EPS, mat_det, mat_inv
 from skybps.grid import extrapolate_margin, integrate
 from skybps.lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
-    equivariance_residual,
     eta2_zero_family,
     left_action_obstruction,
     make_adjoint_interval_target,
     make_su2_left_target,
     make_u1_fibered_target,
     monopole_family,
-    nu_homomorphism_residual,
     qconj,
-    qexp,
     qmul,
-    qrot,
     round_s3_family,
-    sigma_duality_residual,
-    sph_chart_of_x,
     sph_frame,
     sph_x,
     su2_algebra,
@@ -94,13 +102,6 @@ def test_u1_moment_conditions(u1_target):
     assert res["constraint_residual"] < 1e-6
 
 
-def test_u1_moment_conditions_grid_fd(u1_target):
-    # the real 4th-order grid stencils confirm the complex-step result
-    res = verify_moment_conditions(u1_target, n=64, method="grid-fd")
-    assert res["def_residual"] < 1e-6
-    assert res["constraint_residual"] < 1e-6
-
-
 def test_u1_degenerate_w_rejected():
     with pytest.raises(MomentConditionFailed):
         make_u1_fibered_target(
@@ -168,7 +169,7 @@ def test_adjoint_action_translates_fiber_axis():
     assert t.fiber_axis == 2
     y = np.stack(t.chart_grid(8, 0.2).meshes())
     q = qexp(np.array([0.0, 0.0, 0.35])[:, None, None, None] * np.ones((3,) + y.shape[1:]))
-    z = t.action_fn(q, y)
+    z = adjoint_action(q, y)
     np.testing.assert_allclose(z[:2], y[:2], atol=1e-12)
     shift = np.mod(z[2] - y[2], 2 * np.pi)
     np.testing.assert_allclose(shift, shift.flat[0], atol=1e-12)
@@ -185,6 +186,35 @@ def test_adjoint_action_translates_fiber_axis():
 def test_volume_equals_full_grid_quadrature(make):
     t = make()
     assert t.volume(n=32) == _full_grid_volume(t, 32)
+
+
+def test_target_caches_filled_once_under_concurrent_first_calls(monkeypatch):
+    # eight threads ask a fresh target for Vol(N) and its moment check at once;
+    # the counted calls sleep, so that a thread that finds a cache empty is
+    # still computing when the others look
+    quadratures, partials = [], []
+    integrate, target_partials = lie_target.integrate, lie_target.target_partials
+
+    def counted(calls, fn):
+        def wrapped(*args):
+            calls.append(args)
+            time.sleep(0.01)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(lie_target, "integrate", counted(quadratures, integrate))
+    monkeypatch.setattr(lie_target, "target_partials", counted(partials, target_partials))
+    t = _round_adjoint_target()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            out = list(pool.map(lambda _: (t.volume(n=16), verify_moment_conditions(t, n=8)),
+                                range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(out) == 16 and all(v == out[0][0] and m is out[0][1] for v, m in out)
+    assert len(quadratures) == len(t.volume_margins) and len(partials) == 1
 
 
 # -- adjoint interval targets -------------------------------------------------
