@@ -5,7 +5,7 @@
 Runs ``skybps.cli.run_verify`` on the JSON configuration file CONFIG under
 ``tracemalloc``. A stage is a package function wrapped from outside, in the
 module that calls it; the package itself is not edited. A stage called
-inside another is named by its path, for example ``bound_gap/energy``.
+inside another is named by its path, for example ``bound_gap/pass``.
 
 For each stage it prints the number of calls, ``entry_mb``, the largest
 traced size at the stage's entry, and ``peak_mb``, the largest traced peak
@@ -31,10 +31,7 @@ STAGES = (
     ("bianchi", "skybps.gaugefield", "Configuration.bianchi_residual"),
     ("naturality", "skybps.cli", "pullback_naturality_residual"),
     ("bound_gap", "skybps.cli", "bound_gap"),
-    ("energy", "skybps.energy_degree", "energy"),
     ("pass", "skybps.energy_degree", "_margin_pass"),
-    ("degree", "skybps.energy_degree", "degree"),
-    ("charge-cross", "skybps.cli", "charge_density_cross_residual"),
 )
 
 MB = float(2**20)

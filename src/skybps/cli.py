@@ -36,9 +36,9 @@ import numpy as np
 from .energy_degree import (
     CSV_HEADER,
     EnergyReport,
+    _margin_pass,
     bound_gap,
     bps_coefficients,
-    charge_density_cross_residual,
     general_bound_coefficient,
 )
 from .errors import ConfigError, SkybpsError
@@ -78,7 +78,6 @@ _RETIRED_KEYS = {
     "seed": "the perturbation is seeded by 'perturb.seed'",
     "bps": "(alpha, beta, gamma) are set in 'family_params'",
 }
-_TOL_KEYS = {"residual", "gap_rel", "degree", "bianchi", "naturality", "moment", "charge_cross"}
 _DEFAULT_TOLS = {
     "residual": 5e-4,
     "gap_rel": 0.01,
@@ -410,7 +409,7 @@ def _validate_config(cfg: dict) -> dict:
         _check_int(pert["seed"], "perturb 'seed'")
     tols = dict(_DEFAULT_TOLS)
     user_tols = _section(cfg, "tolerances")
-    _check_keys(user_tols, _TOL_KEYS, "tolerances")
+    _check_keys(user_tols, set(_DEFAULT_TOLS), "tolerances")
     for k, v in user_tols.items():
         _check_real(v, f"tolerance {k!r}")
     tols.update(user_tols)
@@ -457,10 +456,10 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
         for name, spec in naturality_check_specs(c.target):
             check(f"naturality[{name}]", pullback_naturality_residual(c, spec),
                   tols["naturality"])
-    # the margin's one pointwise pass, which the charge-cross check reads too
     bg = bound_gap(c, p, vol_n) if c.gM.riemannian else None
-    if first:
-        check("charge_density_cross", charge_density_cross_residual(c), tols["charge_cross"])
+    if first:  # the charge-cross residual needs no positive definite metric
+        done = _margin_pass(c, p) if bg is None else bg
+        check("charge_density_cross", done["charge_cross"], tols["charge_cross"])
     if bg is None:
         check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
         return EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
@@ -539,39 +538,50 @@ def _row_params(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _set_path(cfg: dict, path: str, value):
-    keys = path.split(".")
-    node = cfg
-    for k in keys[:-1]:
+def _point_config(cfg: dict, path: str, value) -> dict:
+    """cfg without its sweep and with cfg[k1]...[kn] = value, for path "k1...kn"."""
+    sub = copy.deepcopy(cfg)
+    del sub["sweep"]
+    *parents, last = path.split(".")
+    node = sub
+    for k in parents:
         node = node.setdefault(k, {})
-    node[keys[-1]] = value
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep 'param' {path!r} passes through {k!r}, "
+                              f"which is not an object")
+    node[last] = value
+    return sub
 
 
 def run_sweep(cfg: dict) -> dict:
     """One verify run per sweep point; failures are per-row, the run continues."""
     cfg = _validate_config(cfg)
-    sweep = dict(cfg.get("sweep") or {})
+    sweep = _section(cfg, "sweep")
     _check_keys(sweep, {"param", "values"}, "sweep")
-    if "param" not in sweep or "values" not in sweep:
-        raise ConfigError("sweep needs 'param' and 'values'")
-    values = list(sweep["values"])
+    param, values = sweep.get("param"), sweep.get("values")
+    if not isinstance(param, str) or not isinstance(values, (list, tuple)):
+        raise ConfigError(f"sweep needs a dotted key path 'param' and a list 'values', "
+                          f"got {param!r} and {values!r}")
+    try:
+        workers = max(1, int(os.environ.get("SKYRME_THREADS", "1")))
+    except ValueError:
+        raise ConfigError(f"SKYRME_THREADS must be an integer, "
+                          f"got {os.environ['SKYRME_THREADS']!r}") from None
+    # every point's configuration is built, and so checked, before any point runs
+    subs = [_point_config(cfg, param, v) for v in values]
 
-    def one(value):
-        sub = copy.deepcopy(cfg)
-        sub.pop("sweep", None)
-        _set_path(sub, sweep["param"], value)
+    def one(value, sub):
         try:
             rep = run_verify(sub)
             return value, rep, None
         except SkybpsError as exc:
             return value, None, f"{type(exc).__name__}: {exc}"
 
-    workers = max(1, int(os.environ.get("SKYRME_THREADS", "1")))
     if workers > 1 and len(values) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, values))
+            results = list(pool.map(one, values, subs))
     else:
-        results = [one(v) for v in values]
+        results = [one(v, sub) for v, sub in zip(values, subs)]
 
     rows, points = [], []
     any_fail = False
@@ -590,7 +600,7 @@ def run_sweep(cfg: dict) -> dict:
         rows.extend(rep["_reports"])
     # observed convergence order for n-doubling pairs within the sweep
     conv = []
-    if sweep["param"] == "n":
+    if param == "n":
         by_n = {int(v): rep for (v, rep, err) in results if rep is not None}
         for n1 in sorted(by_n):
             if 2 * n1 in by_n:

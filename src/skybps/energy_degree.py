@@ -21,9 +21,12 @@ density, giving E >= 6 Vol(N) |deg| with equality exactly on solutions of
 The degree is int_M phi^{*A}(V_N + mu) / int_N V_N; its integrand agrees
 pointwise with (1/3) < star_M d^A phi, phi^{*A}(Sigma + 3 mu-sharp) >.
 
-The sup norms r1 and r2 of the two BPS equations come with the bound gap,
-from the same pointwise pass.  The group-valued SU(2) form of the energy,
-which the tests compare ``energy`` against, is in ``tests/oracles.py``.
+Every number a margin reports comes out of one pointwise pass,
+``_margin_pass``, and its one reader ``bound_gap``: the energy and its terms,
+the degree, the bound gap, the sup norms r1 and r2 of the two BPS equations,
+and the decomposition and charge-cross residuals.  The group-valued SU(2)
+form of the energy, which the tests compare against, is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MomentConditionFailed, NotRiemannian
+from .errors import MomentConditionFailed
 from .exterior import StarMap, mat_det, mat_inv, metric_star
 from .gaugefield import Configuration, equivariant_pullback
 
@@ -108,7 +111,7 @@ def integrate_density(c: Configuration, rho: np.ndarray) -> float:
 _TERMS = ("c1_dphi", "c2_sigma", "c3_nu", "c4_mu_sharp", "c5_nu_sigma", "c6_mu_sigma")
 
 
-def _margin_pass(c: Configuration, p: BPSParams | None) -> dict:
+def _margin_pass(c: Configuration, p: BPSParams) -> dict:
     """All pointwise algebra of a configuration, one slab of rows at a time.
 
     Each slab (``PatchGrid.slabs``) takes g_N, I and mu at phi, det g_N and
@@ -120,16 +123,10 @@ def _margin_pass(c: Configuration, p: BPSParams | None) -> dict:
     density and the pointwise terms of the orthogonality and contraction
     checks.  Only scalar densities are written to full-size arrays; sup norms
     are taken per slab and then over the slabs, so every value equals that of
-    one full-grid pass.
-
-    The result is memoized with its ``p``, which fixes the BPS2 combination.
-    With ``p`` None a pass already run is reused, whatever its ``p``; if there
-    is none, one runs at alpha = beta = gamma = 0.
+    one full-grid pass.  The charge-cross residual, which needs no positive
+    definite base metric, is formed here from the full-grid charge and cross
+    densities.
     """
-    done = c._memo.get("pass")
-    if done is not None and (p is None or done["p"] == p):
-        return done
-    p = BPSParams() if p is None else p
     t, gM, grid = c.target, c.gM, c.grid
     P_all, F_all = c.covariant_differential(), c.curvature()
     terms = {k: np.empty(grid.shape) for k in _TERMS}
@@ -184,9 +181,13 @@ def _margin_pass(c: Configuration, p: BPSParams | None) -> dict:
         bogomolny[sl] += _pair(second, second, 2, star, gN)
         bogomolny[sl] += 2.0 * cross[sl]
     sup = {k: float(np.max(v)) if v else None for k, v in sups.items()}
-    c._memo["pass"] = {"p": p, "terms": terms, "bogomolny": bogomolny, "cross": cross,
-                       "charge": charge, **sup}
-    return c._memo["pass"]
+    # the two charge-density expressions agree pointwise up to roundoff; their
+    # mismatch takes one scratch buffer, so the pass's peak does not grow
+    scale = max(float(np.max(np.abs(charge))), 1.0)
+    mismatch = cross / 3.0
+    np.subtract(charge, mismatch, out=mismatch)
+    sup["charge_cross"] = float(np.max(np.abs(mismatch, out=mismatch))) / scale
+    return {"terms": terms, "bogomolny": bogomolny, "cross": cross, "charge": charge, **sup}
 
 
 def _second_equation(p: BPSParams, sig, mus, nu) -> np.ndarray:
@@ -200,54 +201,12 @@ def _second_equation(p: BPSParams, sig, mus, nu) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# energy
-# ---------------------------------------------------------------------------
-
-
-def energy(c: Configuration, p: BPSParams) -> dict:
-    """Energy with per-term breakdown.
-
-    Also verifies pointwise that the moment-map contraction constraint makes
-    < nu-hat, mu-sharp-hat > vanish identically (skipped for targets without
-    a valid moment map).
-    """
-    if not c.gM.riemannian:
-        raise NotRiemannian("base metric is not positive definite on the grid")
-    done = _margin_pass(c, p)
-    dens = done["terms"]
-    terms = {k: integrate_density(c, v) for k, v in dens.items()}
-    out = {
-        "total": float(sum(terms.values())),
-        "terms": terms,
-        "density": sum(dens.values()),
-    }
-    if done["ortho"] is not None:
-        scale = max(float(np.max(np.abs(out["density"]))), 1.0)
-        res = done["ortho"]
-        out["orthogonality_residual"] = res
-        if res > 1e-10 * scale:
-            raise MomentConditionFailed(
-                f"< nu-hat, mu-sharp-hat > = {res:.3e} is not identically zero"
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# degree
+# the moment checks
 # ---------------------------------------------------------------------------
 
 
 # relative bound on the symmetrized contraction iota_nu(I_a) mu(I_b) at phi
 _CONSTRAINT_TOL = 1e-8
-
-
-def charge_density_cross_residual(c: Configuration) -> float:
-    """Pointwise mismatch of the two charge-density expressions (roundoff-level)."""
-    done = _margin_pass(c, None)
-    rho = done["charge"]
-    alt = done["cross"] / 3.0
-    scale = max(float(np.max(np.abs(rho))), 1.0)
-    return float(np.max(np.abs(rho - alt))) / scale
 
 
 def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray) -> float:
@@ -267,23 +226,8 @@ def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray) -> float:
     return worst
 
 
-def degree(c: Configuration, vol_n: float | None = None) -> float:
-    """Equivariant topological degree int_M phi^{*A}(V_N + mu) / Vol(N).
-
-    The numerator is the quadrature over this configuration's (margined)
-    patch; callers extrapolate over margins when a global integer is claimed.
-    """
-    done = _margin_pass(c, None)
-    if done["asym"] > _CONSTRAINT_TOL * max(done["mu_max"], 1.0):
-        raise MomentConditionFailed(
-            "target moment map violates the contraction constraint; degree undefined"
-        )
-    vol = c.target.volume() if vol_n is None else vol_n
-    return integrate_density(c, done["charge"]) / vol
-
-
 # ---------------------------------------------------------------------------
-# BPS residuals and the bound
+# the bound
 # ---------------------------------------------------------------------------
 
 
@@ -302,34 +246,44 @@ def general_bound_coefficient(p: BPSParams) -> float | None:
     return 6.0 * float(np.sqrt(num / den))
 
 
-def bound_gap(c: Configuration, p: BPSParams, vol_n: float | None = None) -> dict:
-    """E - 6 Vol(N) |deg|, with the sum-of-squares check and the BPS residuals.
+def bound_gap(c: Configuration, p: BPSParams, vol_n: float) -> dict:
+    """Energy, degree and E - 6 Vol(N) |deg| of one pass, with its residuals.
 
-    The energy density is recomputed from the Bogomolny decomposition
-      |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
-    (B = Sig + 3 mus) and compared pointwise against the six-term density;
-    the two agree algebraically given the coefficient map and the pointwise
-    orthogonality of nu-hat and mu-sharp-hat.
+    Raises MomentConditionFailed if nu-hat and mu-sharp-hat are not pointwise
+    orthogonal (for targets with a valid moment map), then if the moment map
+    violates the contraction constraint, which leaves the degree undefined.
+    The decomposition residual compares the Bogomolny density (see
+    ``_margin_pass``) with the six-term density pointwise; the two agree given
+    the coefficient map and that orthogonality.  The degree is the quadrature
+    over this (margined) patch; callers extrapolate over margins.
     """
-    e = energy(c, p)
     done = _margin_pass(c, p)
-    dens2 = done["bogomolny"]
-    scale = max(float(np.max(np.abs(e["density"]))), 1.0)
-    decomp_residual = float(np.max(np.abs(dens2 - e["density"]))) / scale
-    e2 = integrate_density(c, dens2)
-    vol = c.target.volume() if vol_n is None else vol_n
-    deg = degree(c, vol)
-    bound = 6.0 * vol * abs(deg)
+    density = sum(done["terms"].values())
+    scale = max(float(np.max(np.abs(density))), 1.0)
+    if done["ortho"] is not None and done["ortho"] > 1e-10 * scale:
+        raise MomentConditionFailed(
+            f"< nu-hat, mu-sharp-hat > = {done['ortho']:.3e} is not identically zero"
+        )
+    if done["asym"] > _CONSTRAINT_TOL * max(done["mu_max"], 1.0):
+        raise MomentConditionFailed(
+            "target moment map violates the contraction constraint; degree undefined"
+        )
+    terms = {k: integrate_density(c, v) for k, v in done["terms"].items()}
+    energy = float(sum(terms.values()))
+    deg = integrate_density(c, done["charge"]) / vol_n
+    bound = 6.0 * vol_n * abs(deg)
     return {
-        "energy": e["total"],
-        "energy_decomposed": e2,
-        "decomposition_residual": decomp_residual,
+        "energy": energy,
+        "energy_decomposed": integrate_density(c, done["bogomolny"]),
+        "decomposition_residual":
+            float(np.max(np.abs(done["bogomolny"] - density))) / scale,
         "degree": deg,
         "bound": bound,
-        "gap": e["total"] - bound,
-        "terms": e["terms"],
+        "gap": energy - bound,
+        "terms": terms,
         "r1": done["r1"],
         "r2": done["r2"],
+        "charge_cross": done["charge_cross"],
     }
 
 
@@ -359,21 +313,9 @@ class EnergyReport:
     exit_code: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "n": self.n,
-            "margin": self.margin,
-            "energy": self.energy,
-            "degree": self.degree,
-            "bound": self.bound,
-            "gap": self.gap,
-            "r1": self.r1,
-            "r2": self.r2,
-            "terms": self.terms,
-            "extras": self.extras,
-            "exit": self.exit_code,
-        }
+        out = {k: v for k, v in vars(self).items() if k != "exit_code"}
+        out["exit"] = self.exit_code
+        return out
 
     def to_csv_row(self) -> list[str]:
         return [

@@ -166,14 +166,13 @@ class EquivariantFormSpec:
     """Coefficient data of an equivariant form of bidegree (p, q).
 
     ``coeff`` maps chart points y (3, ...) to the coefficient array with axes
-    (algebra,)*p + (value 3,) if valued + (components of q,) if q > 0, then
-    the point axes.  Total degree is 2p + q.
+    (algebra,)*p + (value 3,) if tangent-valued + (components of q,) if q > 0,
+    then the point axes.  Total degree is 2p + q.
     """
 
     p: int
     q: int
     coeff: callable
-    valued: bool = False
 
 
 def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
@@ -223,8 +222,6 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) ->
     1 or 2; target-side coefficient derivatives are exact (complex step), the
     outer differential uses the 4th-order grid stencils.
     """
-    if spec.valued:
-        raise ValueError("naturality residual is defined for scalar-valued forms")
     p, q = spec.p, spec.q
     if p >= 1 or 2 * p + q >= 3:
         return 0.0

@@ -196,11 +196,11 @@ def standard_specs(target: TargetGeometry) -> dict[str, FormSpec]:
     return {
         "volume": FormSpec(0, 3, lambda y: t.vol_coeff(mat_det(t.metric_fn(y)))),
         "mu": FormSpec(1, 1, t.mu_fn),
-        "sigma": FormSpec(0, 2, sigma, valued=True),
-        "nu": FormSpec(1, 0, t.killing_fn, valued=True),
+        "sigma": FormSpec(0, 2, sigma),
+        "nu": FormSpec(1, 0, t.killing_fn),
         "mu_sharp": FormSpec(
-            1, 0, lambda y: t.mu_sharp(mat_inv(t.metric_fn(y)), t.mu_fn(y)), valued=True),
-        "identity": FormSpec(0, 1, _identity_coeff, valued=True),
+            1, 0, lambda y: t.mu_sharp(mat_inv(t.metric_fn(y)), t.mu_fn(y))),
+        "identity": FormSpec(0, 1, _identity_coeff),
     }
 
 

@@ -17,7 +17,7 @@ from oracles import (
     star_trace_residual,
     su2_matrix_fields,
 )
-from skybps.energy_degree import _margin_pass, bound_gap, bps_coefficients, degree, energy
+from skybps.energy_degree import _margin_pass, bound_gap, bps_coefficients
 from skybps.exterior import Metric3, hodge_star
 from skybps.gaugefield import naturality_check_specs, pullback_naturality_residual
 from skybps.grid import extrapolate_margin, integrate
@@ -63,7 +63,7 @@ def test_criterion_01_parameter_map():
 
 def test_criterion_02_ungauged_saturation():
     res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=48, margin=0.02)
-    e = energy(res.config, P0)["total"]
+    e = bound_gap(res.config, P0, 1.0)["energy"]
     rel = abs(e - 12 * np.pi**2) / (12 * np.pi**2)
     report(2, f"round-sphere isometry energy 12 pi^2 within 0.5% (rel={rel:.2e})",
            [("energy", rel < 5e-3)])
@@ -83,7 +83,8 @@ def test_criterion_03_identity_u1_family():
     target = res.config.target
     vol = target.volume()
     margins = [0.36, 0.24, 0.16]
-    degs = [degree(identity_u1_solution(AX, n=48, margin=m).config, vol) for m in margins]
+    degs = [bound_gap(identity_u1_solution(AX, n=48, margin=m).config, P0, vol)["degree"]
+            for m in margins]
     d = extrapolate_margin(margins, degs)
     entries.append((f"degree {d:.5f} within 1e-2 of 1", abs(d - 1.0) < 1e-2))
     report(3, "U(1) identity family: residuals, degree", entries)
@@ -116,7 +117,8 @@ def test_criterion_05_spinorial_family():
     target = res48.config.target
     vol = target.volume()
     margins = [0.2, 0.1, 0.05]
-    degs = [degree(spinorial_solution(n=48, margin=m).config, vol) for m in margins]
+    degs = [bound_gap(spinorial_solution(n=48, margin=m).config, P0, vol)["degree"]
+            for m in margins]
     d = extrapolate_margin(margins, degs)
     entries.append((f"degree {d:.5f} = chi(S^2)/2 within 1e-2", abs(d - 1.0) < 1e-2))
 
@@ -287,7 +289,7 @@ def test_criterion_12_su2_reduction():
     for trial in range(20):
         c = smooth_adjoint_configuration(target, n=32, seed=int(rng.integers(1 << 30)))
         p = bps_coefficients(*rng.uniform(-1.0, 1.0, size=3))
-        e1 = energy(c, p)["total"]
+        e1 = bound_gap(c, p, 1.0)["energy"]
         U, A = su2_matrix_fields(c)
         e2 = energy_su2_reduced(U, A, c.grid, c.gM, p, c.orientation)
         worst = max(worst, abs(e1 - e2) / max(abs(e1), 1e-10))

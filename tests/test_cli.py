@@ -349,6 +349,31 @@ def test_sweep_empty_grid(tmp_path):
     assert rep["points"] == []
 
 
+@pytest.mark.parametrize("sweep", [
+    "x",
+    {"param": "family_params.ax", "values": 5},
+    {"param": 7, "values": [1]},
+    {"param": "n.x", "values": [1]},
+], ids=["not-an-object", "values-not-a-list", "param-not-a-string", "param-through-int"])
+def test_malformed_sweep_exits_2(tmp_path, sweep):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "identity-u1", "n": 12, "margins": [0.2],
+                                    "sweep": sweep}))
+    assert main(["sweep", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SKYRME_THREADS", "abc")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "family": "identity-u1", "n": 12, "margins": [0.2],
+        "sweep": {"param": "family_params.ax", "values": ["0.05*sin(theta)"]},
+    }))
+    assert main(["sweep", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+    assert "SKYRME_THREADS" in capsys.readouterr().err
+
+
 def test_sweep_spherical_c1(tmp_path, monkeypatch):
     monkeypatch.setenv("SKYRME_THREADS", "2")
     # n = 24 keeps the test quick; FD-sized tolerances are scaled accordingly

@@ -23,9 +23,6 @@ from skybps.energy_degree import (
     _pair,
     bound_gap,
     bps_coefficients,
-    charge_density_cross_residual,
-    degree,
-    energy,
     general_bound_coefficient,
     integrate_density,
 )
@@ -55,10 +52,7 @@ def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
     t = c.target
     for name in ("metric_fn", "killing_fn", "mu_fn"):
         monkeypatch.setattr(t, name, counted(name, getattr(t, name)))
-    energy(c, P0)
-    bound_gap(c, P0)
-    degree(c)
-    charge_density_cross_residual(c)
+    bound_gap(c, P0, 1.0)
     # each grid point once; I once more, slab by slab, to form d^A phi
     n = c.phi[0].size
     assert points == {"metric_fn": n, "killing_fn": 2 * n, "mu_fn": n}
@@ -90,23 +84,21 @@ def test_energy_constant_configuration(u1_target):
     g = np.zeros((3, 3) + grid.shape)
     g[0, 0] = g[1, 1] = g[2, 2] = 1.0
     c = Configuration(grid, u1_target, phi, None, Metric3(g))
-    e = energy(c, P0)
-    assert abs(e["total"]) < 1e-20
-    bg = bound_gap(c, P0)
+    bg = bound_gap(c, P0, u1_target.volume())
+    assert abs(bg["energy"]) < 1e-20
     assert bg["degree"] == pytest.approx(0.0, abs=1e-20)
     assert bg["gap"] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_energy_orthogonality_enforced(u1_target):
     c = smooth_u1_configuration(u1_target, n=16)
-    e = energy(c, P0)
-    assert e["orthogonality_residual"] < 1e-12
+    assert _margin_pass(c, P0)["ortho"] < 1e-12
 
 
 def test_energy_ungauged_isometry_saturates(u1_target):
     res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=48, margin=0.02)
-    e = energy(res.config, P0)
-    assert e["total"] == pytest.approx(12 * np.pi**2, rel=5e-3)
+    e = bound_gap(res.config, P0, 1.0)["energy"]
+    assert e == pytest.approx(12 * np.pi**2, rel=5e-3)
 
 
 # -- degree ----------------------------------------------------------------------
@@ -116,7 +108,7 @@ def test_degree_identity_map(u1_target):
     res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                n=32, margin=0.2)
     vol = u1_target.volume(n=64)
-    d = degree(res.config, vol)
+    d = bound_gap(res.config, P0, vol)["degree"]
     # the windowed integral equals the windowed volume fraction exactly
     assert d == pytest.approx(np.cos(2 * 0.2), abs=2e-3)
 
@@ -127,7 +119,7 @@ def test_degree_independent_of_connection(u1_target):
     for ax in (lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                lambda th, x: 0.05 * np.sin(2 * th) * np.ones_like(x)):
         res = identity_u1_solution(ax, n=32, margin=0.2)
-        degs.append(degree(res.config, vol))
+        degs.append(bound_gap(res.config, P0, vol)["degree"])
     assert abs(degs[0] - degs[1]) < 1e-3
 
 
@@ -137,14 +129,14 @@ def test_degree_orientation_reversal(u1_target):
     flipped = Configuration(c.grid, c.target, c.phi, c.A, c.gM, orientation=-1,
                             phi_winding=c.phi_winding)
     vol = u1_target.volume(n=64)
-    assert degree(flipped, vol) == pytest.approx(-degree(c, vol), rel=1e-12)
-    assert energy(flipped, P0)["total"] == pytest.approx(energy(c, P0)["total"],
-                                                         rel=1e-12)
+    bg, bg_flipped = bound_gap(c, P0, vol), bound_gap(flipped, P0, vol)
+    assert bg_flipped["degree"] == pytest.approx(-bg["degree"], rel=1e-12)
+    assert bg_flipped["energy"] == pytest.approx(bg["energy"], rel=1e-12)
 
 
 def test_charge_density_cross_check(u1_target):
     c = smooth_u1_configuration(u1_target, n=24)
-    assert charge_density_cross_residual(c) < 1e-10
+    assert _margin_pass(c, P0)["charge_cross"] < 1e-10
 
 
 # -- residuals and the bound -------------------------------------------------------
@@ -202,7 +194,7 @@ def test_general_bound_reported():
 def test_su2_reduction_agreement(adjoint_round_target):
     c = smooth_adjoint_configuration(adjoint_round_target, n=32, seed=9)
     p = bps_coefficients(0.4, -0.3, 0.8)
-    e1 = energy(c, p)["total"]
+    e1 = bound_gap(c, p, 1.0)["energy"]
     U, A = su2_matrix_fields(c)
     e2 = energy_su2_reduced(U, A, c.grid, c.gM, p, c.orientation)
     assert abs(e1 - e2) / abs(e1) < 1e-6
@@ -215,9 +207,10 @@ def test_su2_reduction_flat_connection_is_ungauged(adjoint_round_target):
     U, A = su2_matrix_fields(c)
     e_red = energy_su2_reduced(U, A, c.grid, c.gM, p, 1)
     # with F = 0 only the c1 and c2 terms survive: the ungauged Skyrme energy
-    e_ung = energy(c, p)["total"]
+    bg = bound_gap(c, p, 1.0)
+    e_ung = bg["energy"]
     assert e_red == pytest.approx(e_ung, rel=1e-6)
-    terms = energy(c, p)["terms"]
+    terms = bg["terms"]
     assert abs(terms["c3_nu"]) < 1e-16 and abs(terms["c4_mu_sharp"]) < 1e-16
 
 
@@ -252,12 +245,12 @@ def test_energy_degree_residuals_gauge_invariant(u1_target):
     lx = c.grid.hi_eff[1] - c.grid.lo_eff[1]
     lam = (0.02 * np.sin(th) * np.sin(np.pi * (x - c.grid.lo_eff[1]) / lx))[None]
     c2 = gauge_transform(c, lam)
-    e1, e2 = energy(c, P0)["total"], energy(c2, P0)["total"]
+    bg1, bg2 = bound_gap(c, P0, vol), bound_gap(c2, P0, vol)
+    e1, e2 = bg1["energy"], bg2["energy"]
     assert abs(e1 - e2) / abs(e1) < 1e-6
-    assert abs(degree(c, vol) - degree(c2, vol)) < 1e-6
-    r1, r2 = _margin_pass(c, P0), _margin_pass(c2, P0)
-    assert abs(r1["r1"] - r2["r1"]) < 1e-6
-    assert abs(r1["r2"] - r2["r2"]) < 1e-6
+    assert abs(bg1["degree"] - bg2["degree"]) < 1e-6
+    assert abs(bg1["r1"] - bg2["r1"]) < 1e-6
+    assert abs(bg1["r2"] - bg2["r2"]) < 1e-6
 
 
 # -- the slab pass against the full-grid, per-pair code it replaced, kept as reference --
@@ -327,10 +320,10 @@ def test_bogomolny_pass_bit_identical_to_per_pair_code(family, monkeypatch):
     c = _fresh(family)
     p = bps_coefficients(0.3, -0.7, 0.5)  # every coefficient nonzero
     ref = _energy_per_pair(c, p)
-    e = energy(c, p)
-    assert np.array_equal(e["density"], sum(ref.values()))
-    assert e["terms"] == {k: integrate_density(c, v) for k, v in ref.items()}
     done = _margin_pass(c, p)
+    assert np.array_equal(sum(done["terms"].values()), sum(ref.values()))
+    assert bound_gap(c, p, 1.0)["terms"] == {k: integrate_density(c, v)
+                                             for k, v in ref.items()}
     ref2, ref_r1, ref_r2 = _bogomolny_per_pair(c, p)
     assert np.array_equal(done["bogomolny"], ref2)
     assert (done["r1"], done["r2"]) == (ref_r1, ref_r2)
@@ -346,14 +339,13 @@ def test_slabs_give_the_one_slab_values(family, monkeypatch):
     def run(points):
         monkeypatch.setattr(grid, "_SLAB_POINTS", points)
         c = _fresh(family, n=20)
-        return (c.grid.slabs(), bound_gap(c, p, 1.0), charge_density_cross_residual(c),
-                _margin_pass(c, p))
+        return c.grid.slabs(), bound_gap(c, p, 1.0), _margin_pass(c, p)
 
-    slabs, bg, cc, done = run(7 * 20 * 20)
+    slabs, bg, done = run(7 * 20 * 20)
     assert [s.stop - s.start for s in slabs] == [7, 7, 6]  # a short last slab
-    one, bg1, cc1, done1 = run(20**3)
+    one, bg1, done1 = run(20**3)
     assert one == [slice(0, 20)]
-    assert bg == bg1 and cc == cc1
+    assert bg == bg1
     for k in done1["terms"]:
         assert np.array_equal(done["terms"][k], done1["terms"][k]), k
     for k in ("bogomolny", "cross", "charge"):
@@ -382,9 +374,7 @@ def test_star_inverted_once_per_configuration(monkeypatch):
                         lambda *args: stars.append(real_star(*args)) or stars[-1])
     monkeypatch.setattr(exterior, "mat_inv", lambda m: inverted.append(m) or real_inv(m))
     p = bps_coefficients(1.0, 2.0, 0.0)
-    energy(c, p)
     bound_gap(c, p, 1.0)
-    charge_density_cross_residual(c)
     # one pass per configuration: one star per slab, each inverted once
     assert len(stars) == len(c.grid.slabs()) == 3
     assert [sum(m is star.s for m in inverted) for star in stars] == [1, 1, 1]
@@ -398,8 +388,8 @@ def test_degree_refuses_a_moment_map_failing_the_contraction_check():
     c = _fresh_copy(_fresh("spherical"), make_su2_left_target(1.0))
     kil, mu = c.target.killing_fn(c.phi), c.target.mu_fn(c.phi)
     assert _contraction_asymmetry(kil, mu) == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(MomentConditionFailed):
-        degree(c, 1.0)
+    with pytest.raises(MomentConditionFailed, match="contraction constraint"):
+        bound_gap(c, P0, 1.0)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES) + ["su2-left"])

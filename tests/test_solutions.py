@@ -8,7 +8,7 @@ from skybps.errors import (
     NotRiemannian,
     ParamInconsistent,
 )
-from skybps.energy_degree import _margin_pass, bps_coefficients, bound_gap, degree
+from skybps.energy_degree import _margin_pass, bps_coefficients, bound_gap
 from skybps.grid import extrapolate_margin, integrate
 from skybps.lie_target import eta2_zero_family, round_s3_family
 from skybps.solutions import (
@@ -258,7 +258,7 @@ def test_spherical_degree_extrapolates_to_one():
         res = spherical_solution(1.0, -1.0, 1.0, 2.0, n=32, margin=m)
         if vol is None:
             vol = res.config.target.volume(n=64)
-        degs.append(degree(res.config, vol))
+        degs.append(bound_gap(res.config, P0, vol)["degree"])
     d = extrapolate_margin(margins, degs)
     assert abs(d - round(d)) < 1e-2
     assert round(d) == 1
@@ -298,5 +298,5 @@ def test_symplectic_twisted_matches_untwisted_invariants():
     r_tw = _margin_pass(twisted.config, p)
     assert r_tw["r1"] < 1e-2 and r_tw["r2"] < 1e-2  # n = 24; under 5e-4 at n = 48
     vol = plain.config.target.volume(n=64)
-    assert degree(twisted.config, vol) == pytest.approx(degree(plain.config, vol),
-                                                        abs=1e-6)
+    assert bound_gap(twisted.config, p, vol)["degree"] == pytest.approx(
+        bound_gap(plain.config, p, vol)["degree"], abs=1e-6)

@@ -25,8 +25,8 @@ def test_stage_peaks_smoke(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out.splitlines()[-1])
     stages = out["stages"]
     assert stages["build"]["calls"] == stages["bound_gap"]["calls"] == 3
-    assert stages["bound_gap/energy/pass"]["calls"] == 3  # one pass per margin
-    assert stages["naturality"]["calls"] == 2 and stages["charge-cross"]["calls"] == 1
+    assert stages["bound_gap/pass"]["calls"] == 3  # one pass per margin
+    assert stages["naturality"]["calls"] == 2
     for st in stages.values():
         assert 0.0 <= st["entry_mb"] <= st["peak_mb"] <= out["overall_peak_mb"]
     # the wrappers are removed again
