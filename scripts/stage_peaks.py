@@ -5,7 +5,9 @@
 Runs ``skybps.cli.run_verify`` on the JSON configuration file CONFIG under
 ``tracemalloc``. A stage is a package function wrapped from outside, in the
 module that calls it; the package itself is not edited. A stage called
-inside another is named by its path, for example ``bound_gap/pass``.
+inside another is named by its path, for example ``bound_gap/pass`` or
+``bound_gap/pass/naturality``, the first margin's naturality check, which runs
+in the pass.
 
 For each stage it prints the number of calls, ``entry_mb``, the largest
 traced size at the stage's entry, and ``peak_mb``, the largest traced peak

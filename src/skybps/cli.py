@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import numbers
@@ -44,7 +45,7 @@ from .energy_degree import (
 from .errors import ConfigError, SkybpsError
 from .exprs import Expression
 from .gaugefield import Configuration, naturality_check_specs, pullback_naturality_residual
-from .grid import extrapolate_margin
+from .grid import extrapolate_margin, slab_rows
 from .lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
@@ -317,12 +318,13 @@ class _Family:
     margins: tuple[float, ...]
     sections: tuple[str, ...] = ()
     integer_degree: bool = True  # the margin-extrapolated degree sits at an integer
+    algebra_dim: int = 3  # dimension of the gauge algebra: su(2), or 1 for u(1)
 
 
 FAMILIES = {
     "identity-u1": _Family(
         _identity_u1, {"ax": (_expression("theta", "x"), "0.1*sin(theta)")},
-        margins=(0.36, 0.24, 0.16), sections=("target",)),
+        margins=(0.36, 0.24, 0.16), sections=("target",), algebra_dim=1),
     "dirac-monopole": _Family(
         _dirac_monopole, {"r_window": (_window, (0.5, 2.0)), "alpha": (_check_real, 0.0),
                           "beta": (_check_real, 0.0), "gamma": (_check_real, 0.0)},
@@ -434,31 +436,82 @@ def _validate_config(cfg: dict) -> dict:
     return out
 
 
+# The memory model of one verify, in float64 fields of the grid's size.  The
+# margin's pass holds the configuration (phi 3, A 3 dim, g_M 9 and its
+# determinant) and 9 scalar densities, and bound_gap 3 more; a build holds at
+# most about _BUILD_FIELDS.  A slab's working set is about _SLAB_FIELDS fields
+# on its rows and the 8 halo rows of the first margin's naturality check.  The
+# target-level checks are of fixed size: Vol(N) integrates a 96^3 chart grid
+# and the moment check evaluates (12 + 24 dim) fields on a 32^3 one.  The
+# constants bound the traced peaks (tracemalloc, numpy 2.4) of all six
+# families from n = 16 to 64, builds included.
+_BUILD_FIELDS = 36
+_SLAB_FIELDS = 100
+
+
+def _footprint(n: int, dim: int) -> int:
+    """Upper estimate, in bytes, of the memory one verify allocates at n
+    points per axis with a gauge algebra of dimension dim."""
+    field = 8 * n**3
+    rows = min(n, slab_rows(n * n) + 8)
+    slab = _SLAB_FIELDS * 8 * rows * n * n
+    fixed = max(8 * (12 + 24 * dim) * 32**3, 1.2 * 8 * 96**3)
+    held = (13 + 3 * dim + 9 + 3) * field
+    return int(max(_BUILD_FIELDS * field + slab, held + max(fixed, slab)))
+
+
+def _mem_available() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_footprint(cfg: dict):
+    """Refuse, before anything is built, a verify that needs more memory than
+    the machine has available."""
+    n = int(cfg.get("n", 48))
+    need, avail = _footprint(n, FAMILIES[cfg["family"]].algebra_dim), _mem_available()
+    if avail is not None and need > avail:
+        raise ConfigError(f"n = {n} needs about {need / 2**20:.0f} MB, more than the "
+                          f"{avail / 2**20:.0f} MB available")
+
+
 def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
     """Build the family at margin m, run its checks and return (row, BPSParams, Vol(N)).
 
-    The first margin also runs the target-level checks and computes Vol(N).
-    Only the row leaves this function, so the margin's configuration and its
-    memo are freed before the next margin is built.
+    The first margin also runs the target-level checks, computes Vol(N) and
+    runs the Bianchi and naturality checks in the margin's pass, on the same
+    slabs.  Only the row leaves this function, so the margin's configuration
+    is freed before the next margin is built.
     """
     tols = cfg["tolerances"]
     res, p = build_family(cfg, m)
     c = res.config
+    stencil_checks = []
     if first:
-        # Vol(N) first, while the configuration's memo is still empty: its
-        # 96^3 quadrature is then not stacked on the margin's fields
+        # Vol(N) before the pass: its 96^3 quadrature is then not stacked on
+        # the pass's densities
         vol_n = c.target.volume()
         mom = verify_moment_conditions(c.target, n=32)
         check("moment_def_residual", mom["def_residual"], tols["moment"])
         if c.target.has_moment_constraint:
             check("moment_constraint_residual", mom["constraint_residual"], tols["moment"])
-        check("bianchi_residual", c.bianchi_residual(), tols["bianchi"])
-        for name, spec in naturality_check_specs(c.target):
-            check(f"naturality[{name}]", pullback_naturality_residual(c, spec),
-                  tols["naturality"])
-    bg = bound_gap(c, p, vol_n) if c.gM.riemannian else None
-    if first:  # the charge-cross residual needs no positive definite metric
-        done = _margin_pass(c, p) if bg is None else bg
+        # each is a function of a slab, so that they share the pass's slabs
+        stencil_checks = [("bianchi_residual", c.bianchi_residual)] + [
+            (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
+            for name, spec in naturality_check_specs(c.target)]
+    bg = bound_gap(c, p, vol_n, stencil_checks) if c.gM.riemannian else None
+    if first:
+        # the charge-cross residual needs no positive definite metric
+        done = _margin_pass(c, p, stencil_checks) if bg is None else bg
+        for name, value in done["checks"].items():
+            check(name, value, tols["bianchi" if name == "bianchi_residual" else "naturality"])
         check("charge_density_cross", done["charge_cross"], tols["charge_cross"])
     if bg is None:
         check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
@@ -485,6 +538,7 @@ def run_verify(cfg: dict) -> dict:
     degree, a list of named checks, and the resulting exit code.
     """
     cfg = _validate_config(cfg)
+    _check_footprint(cfg)
     tols = cfg["tolerances"]
     margins = [float(m) for m in cfg["margins"]]
     checks: list[dict] = []

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import MomentConditionFailed
 from .exterior import StarMap, mat_det, mat_inv, metric_star
-from .gaugefield import Configuration, equivariant_pullback
+from .gaugefield import Configuration, Slab, equivariant_pullback
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,14 @@ def integrate_density(c: Configuration, rho: np.ndarray) -> float:
 _TERMS = ("c1_dphi", "c2_sigma", "c3_nu", "c4_mu_sharp", "c5_nu_sigma", "c6_mu_sigma")
 
 
-def _margin_pass(c: Configuration, p: BPSParams) -> dict:
+def _margin_pass(c: Configuration, p: BPSParams, checks=()) -> dict:
     """All pointwise algebra of a configuration, one slab of rows at a time.
 
-    Each slab (``PatchGrid.slabs``) takes g_N, I and mu at phi, det g_N and
-    g_N^-1 once, the base star and its inverse, and the five pullbacks
-    Sig, nu, mus, phi^{*A} V_N and phi^{*A} mu.  From them it forms the six
-    energy densities, the Bogomolny density
+    Each slab (``PatchGrid.slabs``) forms d^A phi and F on its rows, takes
+    g_N, I and mu at phi (I once, shared with d^A phi), det g_N and g_N^-1
+    once, the base star and its inverse, and the five pullbacks Sig, nu, mus,
+    phi^{*A} V_N and phi^{*A} mu.  From them it forms the six energy
+    densities, the Bogomolny density
       |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
     (B = Sig + 3 mus) with the two BPS sides, the cross density, the charge
     density and the pointwise terms of the orthogonality and contraction
@@ -126,68 +127,95 @@ def _margin_pass(c: Configuration, p: BPSParams) -> dict:
     one full-grid pass.  The charge-cross residual, which needs no positive
     definite base metric, is formed here from the full-grid charge and cross
     densities.
+
+    ``checks`` are (name, fn) pairs of stencil checks that read the same
+    slabs: fn(slab) is the check's value on the slab's rows, and the slab's
+    fields are then formed on its derivative halo.  Their maxima over the
+    slabs are returned under "checks".
     """
-    t, gM, grid = c.target, c.gM, c.grid
-    P_all, F_all = c.covariant_differential(), c.curvature()
-    terms = {k: np.empty(grid.shape) for k in _TERMS}
-    bogomolny, cross, charge = (np.empty(grid.shape) for _ in range(3))
+    grid = c.grid
+    full = {k: np.empty(grid.shape) for k in _TERMS + ("bogomolny", "cross", "charge")}
     sups = {k: [] for k in ("r1", "r2", "ortho", "asym", "mu_max")}
+    found = {name: [] for name, _ in checks}
     for sl in grid.slabs():
-        # each slab-size field is dropped after its last reader, so that a
-        # grid of one slab (n <= 24) holds few of them at once
-        y, P, F = c.phi[:, sl], P_all[:, :, sl], F_all[:, :, sl]
-        gN, kil, mu = t.metric_fn(y), t.killing_fn(y), t.mu_fn(y)
-        sups["asym"].append(_contraction_asymmetry(kil, mu))
-        sups["mu_max"].append(float(np.max(np.abs(mu))))
-        det, inv = mat_det(gN), mat_inv(gN)
-        # (p, q): Sig (0, 2), nu and mus (1, 0), V_N (0, 3), mu (1, 1)
-        sig = equivariant_pullback(P, F, 0, 2, t.sigma_dual(det, inv))
-        nu = equivariant_pullback(P, F, 1, 0, kil)
-        mus = equivariant_pullback(P, F, 1, 0, t.mu_sharp(inv, mu))
-        charge[sl] = (equivariant_pullback(P, F, 0, 3, t.vol_coeff(det))
-                      + equivariant_pullback(P, F, 1, 1, mu))
-        del kil, mu, det, inv
-        star = metric_star(gM.g[:, :, sl], gM.det()[sl], c.orientation)
-
-        # the energy densities: each right operand is star-applied once and
-        # paired with every left operand on it
-        dens = {}
-        s_op = star.on_2(sig)
-        dens["c2_sigma"], dens["c5_nu_sigma"], dens["c6_mu_sigma"] = (
-            _pair_starred(u, s_op, gN) for u in (sig, nu, mus))
-        del s_op
-        dens["c3_nu"] = _pair_starred(nu, star.on_2(nu), gN)
-        s_op = star.on_2(mus)
-        dens["c4_mu_sharp"] = _pair_starred(mus, s_op, gN)
-        if t.has_moment_constraint:
-            sups["ortho"].append(float(np.max(np.abs(_pair_starred(nu, s_op, gN)))))
-        del s_op
-        star_dphi = star.on_1(P)
-        dens["c1_dphi"] = _pair_starred(P, star_dphi, gN)
-        for key, coef in zip(_TERMS, p.c):
-            terms[key][sl] = coef * dens[key]
-
-        # the Bogomolny density and the two BPS sides
-        b = sig + 3.0 * mus
-        cross[sl] = _pair(star_dphi, b, 2, star, gN)
-        diff = star_dphi - b
-        del b, star_dphi
-        sups["r1"].append(float(np.max(np.abs(diff))))
-        bogomolny[sl] = _pair(diff, diff, 2, star, gN)
-        del diff
-        second = _second_equation(p, sig, mus, nu)
-        del sig, mus, nu
-        sups["r2"].append(float(np.max(np.abs(second))))
-        bogomolny[sl] += _pair(second, second, 2, star, gN)
-        bogomolny[sl] += 2.0 * cross[sl]
+        slab = c.slab(sl, halo=bool(checks))
+        for name, check in checks:
+            found[name].append(check(slab))
+        dens, sup = _slab_pass(c, p, slab)
+        for key, v in dens.items():
+            full[key][sl] = v
+        for key, v in sup.items():
+            sups[key].append(v)
+    terms = {k: full.pop(k) for k in _TERMS}
+    bogomolny, cross, charge = full["bogomolny"], full["cross"], full["charge"]
     sup = {k: float(np.max(v)) if v else None for k, v in sups.items()}
     # the two charge-density expressions agree pointwise up to roundoff; their
     # mismatch takes one scratch buffer, so the pass's peak does not grow
-    scale = max(float(np.max(np.abs(charge))), 1.0)
+    scale = max(float(np.max(charge)), -float(np.min(charge)), 1.0)
     mismatch = cross / 3.0
     np.subtract(charge, mismatch, out=mismatch)
     sup["charge_cross"] = float(np.max(np.abs(mismatch, out=mismatch))) / scale
-    return {"terms": terms, "bogomolny": bogomolny, "cross": cross, "charge": charge, **sup}
+    return {"terms": terms, "bogomolny": bogomolny, "cross": cross, "charge": charge,
+            "checks": {name: max(v) for name, v in found.items()}, **sup}
+
+
+def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
+    """The pass on one slab's rows: its densities by name and its sup norms.
+
+    Each slab-size field is dropped after its last reader, and all of them
+    on return, so that a grid of one slab (n <= 24) holds few of them at once.
+    """
+    t, sl = c.target, slab.rows
+    y, (P, F, kil) = c.phi[:, sl], slab.take()
+    sup = {}
+    gN, mu = t.metric_fn(y), t.mu_fn(y)
+    sup["asym"] = _contraction_asymmetry(kil, mu)
+    sup["mu_max"] = float(np.max(np.abs(mu)))
+    det, inv = mat_det(gN), mat_inv(gN)
+    # (p, q): Sig (0, 2), nu and mus (1, 0), V_N (0, 3), mu (1, 1)
+    sig = equivariant_pullback(P, F, 0, 2, t.sigma_dual(det, inv))
+    nu = equivariant_pullback(P, F, 1, 0, kil)
+    mus = equivariant_pullback(P, F, 1, 0, t.mu_sharp(inv, mu))
+    out = {"charge": equivariant_pullback(P, F, 0, 3, t.vol_coeff(det))
+           + equivariant_pullback(P, F, 1, 1, mu)}
+    del F, kil, mu, det, inv
+    star = metric_star(c.gM.g[:, :, sl], c.gM.det()[sl], c.orientation)
+
+    # the energy densities: each right operand is star-applied once and
+    # paired with every left operand on it
+    dens = {}
+    s_op = star.on_2(sig)
+    dens["c2_sigma"], dens["c5_nu_sigma"], dens["c6_mu_sigma"] = (
+        _pair_starred(u, s_op, gN) for u in (sig, nu, mus))
+    del s_op
+    dens["c3_nu"] = _pair_starred(nu, star.on_2(nu), gN)
+    s_op = star.on_2(mus)
+    dens["c4_mu_sharp"] = _pair_starred(mus, s_op, gN)
+    if t.has_moment_constraint:
+        sup["ortho"] = float(np.max(np.abs(_pair_starred(nu, s_op, gN))))
+    del s_op
+    star_dphi = star.on_1(P)
+    dens["c1_dphi"] = _pair_starred(P, star_dphi, gN)
+    del P
+    for key, coef in zip(_TERMS, p.c):
+        out[key] = coef * dens[key]
+    del dens
+
+    # the Bogomolny density and the two BPS sides
+    b = sig + 3.0 * mus
+    out["cross"] = _pair(star_dphi, b, 2, star, gN)
+    diff = star_dphi - b
+    del b, star_dphi
+    sup["r1"] = float(np.max(np.abs(diff)))
+    bogomolny = _pair(diff, diff, 2, star, gN)
+    del diff
+    second = _second_equation(p, sig, mus, nu)
+    del sig, mus, nu
+    sup["r2"] = float(np.max(np.abs(second)))
+    bogomolny += _pair(second, second, 2, star, gN)
+    bogomolny += 2.0 * out["cross"]
+    out["bogomolny"] = bogomolny
+    return out, sup
 
 
 def _second_equation(p: BPSParams, sig, mus, nu) -> np.ndarray:
@@ -246,8 +274,9 @@ def general_bound_coefficient(p: BPSParams) -> float | None:
     return 6.0 * float(np.sqrt(num / den))
 
 
-def bound_gap(c: Configuration, p: BPSParams, vol_n: float) -> dict:
-    """Energy, degree and E - 6 Vol(N) |deg| of one pass, with its residuals.
+def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=()) -> dict:
+    """Energy, degree and E - 6 Vol(N) |deg| of one pass, with its residuals
+    and the values of the stencil ``checks`` run in it (see ``_margin_pass``).
 
     Raises MomentConditionFailed if nu-hat and mu-sharp-hat are not pointwise
     orthogonal (for targets with a valid moment map), then if the moment map
@@ -257,9 +286,14 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float) -> dict:
     the coefficient map and that orthogonality.  The degree is the quadrature
     over this (margined) patch; callers extrapolate over margins.
     """
-    done = _margin_pass(c, p)
-    density = sum(done["terms"].values())
-    scale = max(float(np.max(np.abs(density))), 1.0)
+    done = _margin_pass(c, p, checks)
+    # the six-term density and, in its buffer, its mismatch with the
+    # Bogomolny density: one full-size array besides the pass's densities
+    first, *rest = done["terms"].values()
+    density = first.copy()
+    for term in rest:
+        density += term
+    scale = max(float(np.max(density)), -float(np.min(density)), 1.0)
     if done["ortho"] is not None and done["ortho"] > 1e-10 * scale:
         raise MomentConditionFailed(
             f"< nu-hat, mu-sharp-hat > = {done['ortho']:.3e} is not identically zero"
@@ -268,6 +302,9 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float) -> dict:
         raise MomentConditionFailed(
             "target moment map violates the contraction constraint; degree undefined"
         )
+    np.subtract(done["bogomolny"], density, out=density)
+    decomposition = float(np.max(np.abs(density, out=density))) / scale
+    del density
     terms = {k: integrate_density(c, v) for k, v in done["terms"].items()}
     energy = float(sum(terms.values()))
     deg = integrate_density(c, done["charge"]) / vol_n
@@ -275,8 +312,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float) -> dict:
     return {
         "energy": energy,
         "energy_decomposed": integrate_density(c, done["bogomolny"]),
-        "decomposition_residual":
-            float(np.max(np.abs(done["bogomolny"] - density))) / scale,
+        "decomposition_residual": decomposition,
         "degree": deg,
         "bound": bound,
         "gap": energy - bound,
@@ -284,6 +320,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float) -> dict:
         "r1": done["r1"],
         "r2": done["r2"],
         "charge_cross": done["charge_cross"],
+        "checks": done["checks"],
     }
 
 

@@ -98,7 +98,9 @@ class Metric3:
 
     ``riemannian`` is computed from Sylvester minors, never assumed.  The
     determinant the last minor needs is kept (read-only) and is what ``det``
-    returns.
+    returns.  ``g`` is symmetrized in place, one off-diagonal pair at a
+    time, so no (3, 3, *spatial) temporary is formed; a read-only ``g`` is
+    copied first.
     """
 
     g: np.ndarray
@@ -106,12 +108,21 @@ class Metric3:
     _det: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        gt = np.swapaxes(self.g, 0, 1)
-        scale = max(float(np.max(np.abs(self.g))), 1.0)
-        asym = float(np.max(np.abs(self.g - gt)))
+        g = self.g if self.g.flags.writeable else self.g.copy()
+        scale = max(float(np.max(g)), -float(np.min(g)), 1.0)
+        pairs = ((0, 1), (0, 2), (1, 2))
+        asym = 0.0
+        for i, j in pairs:
+            d = g[i, j] - g[j, i]
+            asym = max(asym, float(np.max(np.abs(d, out=d))))
         if asym > 1e-12 * scale:
             raise ValueError(f"metric asymmetry {asym:.3e} exceeds tolerance")
-        self.g = 0.5 * (self.g + gt)
+        # 0.5 (g + g^T); on the diagonal that is g itself
+        for i, j in pairs:
+            s = g[i, j] + g[j, i]
+            s *= 0.5
+            g[i, j] = g[j, i] = s
+        self.g = g
         self._det = mat_det(self.g)
         self._det.flags.writeable = False
         self.riemannian = bool(np.all(self.riemannian_mask()))
@@ -174,9 +185,10 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def hodge_star(metric: Metric3, orientation: int = 1) -> StarMap:
-    """Star map of a riemannian metric; raises ``SingularMetric`` if det <= 0."""
-    return metric_star(metric.g, metric.det(), orientation)
+def hodge_star(metric: Metric3, orientation: int = 1, rows: slice = slice(None)) -> StarMap:
+    """Star map of a riemannian metric on ``rows`` of the first spatial axis
+    (all by default); raises ``SingularMetric`` if det <= 0."""
+    return metric_star(metric.g[:, :, rows], metric.det()[rows], orientation)
 
 
 def metric_star(g: np.ndarray, det: np.ndarray, orientation: int) -> StarMap:

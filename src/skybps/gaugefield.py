@@ -7,21 +7,24 @@ around periodic axes (identity maps, fibre shifts) carry an explicit
 remainder only.  A is stored through its Lie-algebra components A^a_lambda(x).
 
 Derived fields are pure functions of the configuration, and a Configuration
-is treated as immutable after construction.  Only the fields that need
-stencils, d^A phi and F, are memoized on the full grid; pointwise fields (the
-target fields at phi, the base star) are evaluated afresh on each call, and
-the verify pass evaluates them slab by slab (``PatchGrid.slabs``).
+is treated as immutable after construction.  None is held: d phi, d^A phi
+and F are formed on a range of rows of the first axis (by default all of
+them) from the configuration's rows around it (``PatchGrid.halo``), so the
+verify forms them one slab at a time (:meth:`Configuration.slab`), and the
+Bianchi and naturality residuals are maxima over slabs.  On a grid of one
+slab the rows are the whole grid and no halo is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ChartExit, DegreeOverflow, GridMismatch
-from .exterior import EPS, Metric3, _adjugate, _det, assert_finite, mat_det
-from .grid import PatchGrid, partial_derivative
+from .exterior import Metric3, _adjugate, _cross_into, _det, _matvec, assert_finite, mat_det
+from .grid import PatchGrid, _take_rows, slab_derivative
 from .lie_target import TargetGeometry, target_partials
 
 
@@ -32,6 +35,10 @@ class Configuration:
     phi: (3, *grid) target-chart components; A: (dim g, 3, *grid) Lie-valued
     1-form components (None means A = 0); gM: base metric; orientation: sign
     of the coordinate frame dx^0 ^ dx^1 ^ dx^2 against the orientation of M.
+
+    The derived fields take ``rows``, a range of the first axis (all rows by
+    default; on a periodic axis it may leave [0, n), rows mod n), and return
+    their values there.
     """
 
     grid: PatchGrid
@@ -41,7 +48,6 @@ class Configuration:
     gM: Metric3
     orientation: int = 1
     phi_winding: np.ndarray | None = None  # (3 target, 3 axes) linear slopes
-    _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.phi.shape != (3,) + self.grid.shape:
@@ -73,62 +79,134 @@ class Configuration:
 
     # -- derived fields ----------------------------------------------------
 
-    def dphi(self) -> np.ndarray:
-        """Plain differential d phi^mu, winding-aware; shape (3, 3, *grid).
+    def _all(self, rows: slice | None) -> slice:
+        return slice(0, self.grid.n[0]) if rows is None else rows
 
-        Not memoized: the pipeline reads it only to form the memoized d^A phi,
-        so each call returns a fresh array that the caller owns.
+    def _unwound(self, rows: slice) -> np.ndarray:
+        """phi minus its linear winding, on rows: the part that is periodic."""
+        phi = self.grid.take_rows(self.phi, rows)
+        w = self.phi_winding
+        if not np.any(w):
+            return phi
+        x = [self.grid.axis_points(i) for i in range(3)]
+        x[0] = x[0][np.arange(rows.start, rows.stop) % self.grid.n[0]]
+        lin = np.zeros(phi.shape)
+        for lam, pts in enumerate(x):
+            shape = [1, 1, 1]
+            shape[lam] = len(pts)
+            lin += w[:, lam, None, None, None] * pts.reshape(shape)
+        return phi - lin
+
+    def dphi(self, rows: slice | None = None) -> np.ndarray:
+        """Plain differential d phi^mu on rows, winding-aware; shape (3, 3, *rows).
+
+        Each call returns a fresh array that the caller owns.
         """
-        mesh = np.stack(self.grid.meshes())
-        rem = self.phi - np.einsum("ml,lxyz->mxyz", self.phi_winding, mesh)
+        rows = self._all(rows)
+        rem = self._unwound(self.grid.halo(rows))
         out = np.stack(
-            [partial_derivative(rem, lam, self.grid) for lam in range(3)], axis=1
+            [slab_derivative(rem, lam, self.grid, rows) for lam in range(3)], axis=1
         )
         out += self.phi_winding[:, :, None, None, None]
         return out
 
-    def curvature(self) -> np.ndarray:
-        """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c, dual storage (dim g, 3, *grid)."""
-        if "F" not in self._memo:
-            F = _curvature(self.A, self.target.algebra.f, self.grid)
-            self._memo["F"] = assert_finite(F, "curvature")
-        return self._memo["F"]
+    def curvature(self, rows: slice | None = None) -> np.ndarray:
+        """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c on rows, dual storage (dim g, 3, *rows)."""
+        rows = self._all(rows)
+        window = self.grid.take_rows(self.A, self.grid.halo(rows))
+        F = _curvature(window, self.target.algebra.f, self.grid, rows)
+        return assert_finite(F, "curvature")
 
-    def covariant_differential(self) -> np.ndarray:
-        """d^A phi^mu = d phi^mu - A^a I_a^mu(phi); shape (3 target, 3 form, *grid).
+    def covariant_differential(self, rows: slice | None = None,
+                               kil: np.ndarray | None = None) -> np.ndarray:
+        """d^A phi^mu = d phi^mu - A^a I_a^mu(phi) on rows; shape (3 target, 3 form, *rows).
 
-        d phi becomes d^A phi in place, one slab at a time, so I(phi) is never
-        held on the full grid.
+        ``kil`` is I at phi on those rows, when the caller has it already.
         """
-        if "P" not in self._memo:
-            out = self.dphi()  # fresh, so the caller owns it
-            for sl in self.grid.slabs():
-                kil = self.target.killing_fn(self.phi[:, sl])  # (a, mu, *slab)
-                out[:, :, sl] -= np.einsum("alxyz,amxyz->mlxyz", self.A[:, :, sl], kil)
-            self._memo["P"] = assert_finite(out, "covariant differential")
-        return self._memo["P"]
+        rows = self._all(rows)
+        if kil is None:
+            kil = self.target.killing_fn(self.grid.take_rows(self.phi, rows))
+        out = self.dphi(rows)
+        out -= _slot_contract(kil, self.grid.take_rows(self.A, rows))
+        return assert_finite(out, "covariant differential")
 
-    def bianchi_residual(self) -> float:
-        """max |dF^a + f^a_bc A^b ^ F^c| (3-form coefficient, per algebra slot)."""
-        F = self.curvature()
-        div = sum(partial_derivative(F[:, m], m, self.grid) for m in range(3))
-        quad = np.einsum(
-            "abc,bmxyz,cmxyz->axyz", self.target.algebra.f, self.A, F, optimize=True
-        )
-        return float(np.max(np.abs(div + quad)))
+    def slab(self, rows: slice, halo: bool = False) -> Slab:
+        """The derived fields of one slab, formed when first read (see :class:`Slab`)."""
+        return Slab(self, rows, self.grid.halo(rows) if halo else rows)
+
+    def bianchi_residual(self, slab: Slab | None = None) -> float:
+        """max |dF^a + f^a_bc A^b ^ F^c| (3-form coefficient, per algebra slot),
+        on one slab's rows or, by default, over all slabs."""
+        if slab is None:
+            return max(self.bianchi_residual(self.slab(sl, halo=True))
+                       for sl in self.grid.slabs())
+        F, rows = slab.F, slab.rows
+        div = sum(slab_derivative(F[:, m], m, self.grid, rows) for m in range(3))
+        A, F = self.grid.take_rows(self.A, rows), slab.inner(F)
+        f = self.target.algebra.f
+        for a, b, c in zip(*np.nonzero(f)):
+            div[a] += f[a, b, c] * _dot(A[b], F[c])
+        return float(np.max(np.abs(div)))
 
 
-def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid) -> np.ndarray:
+@dataclass
+class Slab:
+    """d^A phi, F and I(phi) on the rows ``window`` around a slab's ``rows``.
+
+    Each field is formed on first read and kept until :meth:`take`.  A
+    slab read by a stencil check has the derivative halo as its window
+    (``PatchGrid.halo``); the margin's pass alone reads the slab's own rows.
+    ``inner`` cuts a window field down to the slab's rows.
+    """
+
+    config: Configuration
+    rows: slice
+    window: slice
+
+    def inner(self, values: np.ndarray) -> np.ndarray:
+        a = self.rows.start - self.window.start
+        return values[..., a:a + self.rows.stop - self.rows.start, :, :]
+
+    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d^A phi, F, I(phi)) on the slab's rows, handed over: the slab
+        keeps none of them, so each is freed with the caller's last use."""
+        names = ("P", "F", "kil")
+        out = tuple(self.inner(getattr(self, k)) for k in names)
+        for k in names:
+            del self.__dict__[k]  # the cached_property's stored value
+        return out
+
+    @cached_property
+    def kil(self) -> np.ndarray:
+        c = self.config
+        return c.target.killing_fn(c.grid.take_rows(c.phi, self.window))
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return self.config.covariant_differential(self.window, self.kil)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return self.config.curvature(self.window)
+
+
+def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid,
+               rows: slice | None = None) -> np.ndarray:
     """Curvature of the Lie-valued 1-form A (dim g, 3, *grid) in dual storage.
 
     F^a_m = d_{m+1} A^a_{m+2} - d_{m+2} A^a_{m+1}
             + sum_{b<c} f^a_bc (A^b_{m+1} A^c_{m+2} - A^b_{m+2} A^c_{m+1}),
 
     indices mod 3.  Only the nonzero structure constants are visited, so an
-    abelian algebra does no quadratic work.
+    abelian algebra does no quadratic work.  With ``rows``, F is formed on
+    those rows from A on ``grid.halo(rows)``.
     """
+    if rows is None:
+        rows = slice(0, grid.n[0])
     # dA[k][:, j] = d_k A_{k+1+j}: the two components whose curl uses d_k
-    dA = [partial_derivative(A[:, [(k + 1) % 3, (k + 2) % 3]], k, grid) for k in range(3)]
+    dA = [slab_derivative(A[:, [(k + 1) % 3, (k + 2) % 3]], k, grid, rows) for k in range(3)]
+    start = rows.start - grid.halo(rows).start
+    A = _take_rows(A, slice(start, start + rows.stop - rows.start), A.shape[-3])
     F = np.empty(A.shape, np.result_type(A, float))
     for m in range(3):
         i, j = (m + 1) % 3, (m + 2) % 3
@@ -185,7 +263,8 @@ def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
     :class:`EquivariantFormSpec`.  Returns dual-storage components
     of the degree-(2p+q) result, with a leading value axis when the form is
     tangent-valued.  Degrees above 3 are rejected; p >= 2 cannot occur below
-    degree 4 on a 3-manifold.
+    degree 4 on a 3-manifold.  Every contraction is a pointwise multiply-add
+    kernel, summed in index order.
     """
     deg = 2 * p + q
     if deg > 3:
@@ -196,15 +275,41 @@ def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
         if q == 0:
             return coeff
         if q == 1:
-            return np.einsum("...uxyz,ulxyz->...lxyz", coeff, P)
+            return _matvec(np.swapaxes(P, 0, 1), coeff)
         if q == 2:
-            return np.einsum("...rxyz,mrxyz->...mxyz", coeff, cofactor(P))
+            return _matvec(cofactor(P), coeff)
         return coeff * det_p(P)
     if q == 0:
         # (p=1, q=0): a 2-form; value slot optional
-        return np.einsum("a...xyz,amxyz->...mxyz", coeff, F)
-    # (p=1, q=1): a 3-form
-    return np.einsum("auxyz,amxyz,umxyz->xyz", coeff, F, P, optimize=True)
+        return _slot_contract(coeff, F)
+    # (p=1, q=1): the 3-form F^a ^ phi^*(coeff_a), phi^*(coeff_a) a 1-form
+    return _dot(F, _matvec(np.swapaxes(P, 0, 1), coeff))
+
+
+def _slot_contract(coeff: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """out[..., m] = sum_a coeff[a, ...] F[a, m], summed in slot order."""
+    sp = F.shape[-3:]
+    out = np.empty(coeff.shape[1:-3] + (3,) + sp, np.result_type(coeff, F))
+    tmp = np.empty(coeff.shape[1:-3] + sp, out.dtype)
+    for m in range(3):
+        row = out[..., m, :, :, :]
+        np.multiply(coeff[0], F[0, m], out=row)
+        for a in range(1, len(F)):
+            np.multiply(coeff[a], F[a, m], out=tmp)
+            row += tmp
+    return out
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum of u * v over every axis but the last three, in C order."""
+    sp = u.shape[-3:]
+    u, v = u.reshape((-1,) + sp), v.reshape((-1,) + sp)
+    out = u[0] * v[0]
+    tmp = np.empty_like(out)
+    for k in range(1, len(u)):
+        np.multiply(u[k], v[k], out=tmp)
+        out += tmp
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,46 +317,58 @@ def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
 # ---------------------------------------------------------------------------
 
 
-def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec) -> float:
-    """max-norm of phi^{*A}(d_g beta) - d(phi^{*A} beta).
+def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
+                                 slab: Slab | None = None) -> float:
+    """max-norm of phi^{*A}(d_g beta) - d(phi^{*A} beta), on one slab's rows
+    or, by default, over all slabs.
 
     d_g beta(X) = d(beta(X)) - iota_{nu(X)} beta(X): the first part raises q,
     the second raises p.  For p >= 1 or 2p + q >= 3 both sides are forms of
     degree > 3 and the residual vanishes structurally (returns 0).  The
     meaningful cases on a 3-manifold are invariant (p = 0) forms of degree
     1 or 2; target-side coefficient derivatives are exact (complex step), the
-    outer differential uses the 4th-order grid stencils.
+    outer differential uses the 4th-order grid stencils, so the slab's
+    d^A phi and I(phi) are read on its halo.
     """
     p, q = spec.p, spec.q
     if p >= 1 or 2 * p + q >= 3:
         return 0.0
-    grid = c.grid
-    P, F = c.covariant_differential(), c.curvature()
+    if slab is None:
+        return max(pullback_naturality_residual(c, spec, c.slab(sl, halo=True))
+                   for sl in c.grid.slabs())
+    grid, rows = c.grid, slab.rows
 
     # d(phi^{*A} beta) by grid finite differences
-    beta = spec.coeff(c.phi)
-    pb = equivariant_pullback(P, F, p, q, beta)
+    beta = spec.coeff(grid.take_rows(c.phi, slab.window))
+    pb = equivariant_pullback(slab.P, None, p, q, beta)
     if q == 1:
-        grads = np.stack([partial_derivative(pb, k, grid) for k in range(3)])
-        rhs = np.einsum("mkl,klxyz->mxyz", EPS, grads)
+        d = [slab_derivative(pb, k, grid, rows) for k in range(3)]
+        rhs = np.stack([d[(m + 1) % 3][(m + 2) % 3] - d[(m + 2) % 3][(m + 1) % 3]
+                        for m in range(3)])
     else:  # q == 2
-        rhs = sum(partial_derivative(pb[m], m, grid) for m in range(3))
+        rhs = sum(slab_derivative(pb[m], m, grid, rows) for m in range(3))
+    del pb
 
     # exterior-derivative part of d_g beta, pulled back
-    dbeta = target_partials(spec.coeff, c.phi)
+    dbeta = target_partials(spec.coeff, grid.take_rows(c.phi, rows))
+    P, F, kil, beta = (slab.inner(x) for x in (slab.P, slab.F, slab.kil, beta))
     if q == 1:
-        lhs = equivariant_pullback(P, F, 0, 2, np.einsum("mkl,klxyz->mxyz", EPS, dbeta))
+        curl = np.stack([dbeta[(m + 1) % 3, (m + 2) % 3] - dbeta[(m + 2) % 3, (m + 1) % 3]
+                         for m in range(3)])
+        lhs = equivariant_pullback(P, F, 0, 2, curl)
     else:
-        lhs = equivariant_pullback(P, F, 0, 3, np.einsum("mmxyz->xyz", dbeta))
+        lhs = equivariant_pullback(P, F, 0, 3, dbeta[0, 0] + dbeta[1, 1] + dbeta[2, 2])
 
     # contraction part: (iota_{nu(I_a)} beta) is a (1, q-1) form
     if q == 1:
-        contr = np.einsum("alxyz,lxyz->axyz", c.target.killing_fn(c.phi), beta)
+        contr = np.stack([_dot(k, beta) for k in kil])
     else:
         # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
-        contr = np.cross(beta[None], c.target.killing_fn(c.phi), axisa=1, axisb=1, axisc=1)
-    lhs = lhs - equivariant_pullback(P, F, 1, q - 1, contr)
-    return float(np.max(np.abs(lhs - rhs)))
+        contr = np.stack([_cross_into(np.empty(k.shape, np.result_type(beta, k)), beta, k)
+                          for k in kil])
+    lhs -= equivariant_pullback(P, F, 1, q - 1, contr)
+    lhs -= rhs
+    return float(np.max(np.abs(lhs)))
 
 
 def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, EquivariantFormSpec]]:

@@ -8,6 +8,11 @@ Simpson-type weights.  All derivatives are 4th-order finite differences:
 central stencils in the interior and on periodic axes, one-sided 5-point
 stencils (exact on polynomials of degree <= 4) at bounded-axis endpoints.
 
+Fields are streamed through slabs of the first axis (``PatchGrid.slabs``).  A
+slab's derivative reads two halo rows on each side (``PatchGrid.halo``) and
+gives, row for row, the bits of the full-grid derivative
+(:func:`slab_derivative`).
+
 Quantities that depend on the excluded margin slabs (volumes, degrees) are
 recovered by power-law Richardson extrapolation over a decreasing sequence of
 margins, see :func:`extrapolate_margin`.
@@ -90,9 +95,26 @@ class PatchGrid:
     def slabs(self) -> list[slice]:
         """Row ranges of the first axis, each at most ``_SLAB_POINTS`` points
         (and at least one row); a grid of up to 24^3 points is one slab."""
-        n0, rest = self.n[0], self.n[1] * self.n[2]
-        rows = max(1, _SLAB_POINTS // rest)
+        n0, rows = self.n[0], slab_rows(self.n[1] * self.n[2])
         return [slice(i, min(i + rows, n0)) for i in range(0, n0, rows)]
+
+    def halo(self, rows: slice) -> slice:
+        """Rows of the first axis that the derivative of ``rows`` reads.
+
+        Two more on each side.  At a bounded face they are clipped and the
+        range widened to the 5 rows its one-sided stencils read.  On a
+        periodic axis the range may leave [0, n) and rows are taken mod n
+        (:meth:`take_rows`); it becomes the whole axis once it would cover it.
+        """
+        a, b, n = rows.start, rows.stop, self.n[0]
+        if self.periodic[0]:
+            return slice(0, n) if b - a + 4 >= n else slice(a - 2, b + 2)
+        return slice(max(0, min(a - 2, n - 5)), min(n, max(b + 2, 5)))
+
+    def take_rows(self, values: np.ndarray, rows: slice) -> np.ndarray:
+        """``values[..., rows, :, :]`` on the first axis; a view unless the
+        rows wrap around a periodic axis."""
+        return _take_rows(values, rows, self.n[0])
 
     def axis_points(self, i: int) -> np.ndarray:
         """1D coordinate array along axis i (periodic axes exclude hi)."""
@@ -144,6 +166,11 @@ class PatchGrid:
         return w0[:, None, None] * w1[None, :, None] * w2[None, None, :]
 
 
+def slab_rows(row_points: int) -> int:
+    """Rows of the first axis in a slab, for rows of ``row_points`` points."""
+    return max(1, _SLAB_POINTS // row_points)
+
+
 def build_patch(lo, hi, n, periodic, margin=0.0) -> PatchGrid:
     """Construct a :class:`PatchGrid` with validated bounds and resolution."""
     return PatchGrid(tuple(map(float, lo)), tuple(map(float, hi)),
@@ -160,9 +187,50 @@ def partial_derivative(values: np.ndarray, axis: int, grid: PatchGrid) -> np.nda
     """
     if values.shape[-3:] != grid.shape:
         raise GridMismatch(f"field shape {values.shape[-3:]} != grid shape {grid.shape}")
+    return _derivative(values, axis, grid.h[axis], grid.periodic[axis])
+
+
+def slab_derivative(window: np.ndarray, axis: int, grid: PatchGrid, rows: slice) -> np.ndarray:
+    """d/dx_axis on ``rows`` of the first axis, from ``window``, the field on
+    the rows ``grid.halo(rows)``; bit-identical to those rows of
+    :func:`partial_derivative`.
+
+    Along axes 1 and 2 only the slab's own rows are differentiated.  Along
+    axis 0 the central stencil reads the halo; a slab at a bounded face
+    differentiates its whole window, which holds the 5 rows that the
+    one-sided stencils read, and drops the halo rows.
+    """
+    win = grid.halo(rows)
+    if win == rows:  # the whole grid: one slab reads no halo
+        return partial_derivative(window, axis, grid)
+    if window.shape[-2:] != grid.shape[1:]:
+        raise GridMismatch(f"field shape {window.shape[-3:]} does not fit grid {grid.shape}")
+    if window.shape[-3] != win.stop - win.start:
+        raise GridMismatch(f"window of {window.shape[-3]} rows != halo {win} of rows {rows}")
+    # the output rows, counted from the window's first row
+    a, b = rows.start - win.start, rows.stop - win.start
+    h, periodic = grid.h[axis], grid.periodic[axis]
+    if axis != 0:
+        return _derivative(_take_rows(window, slice(a, b), window.shape[-3]), axis, h, periodic)
+    if a >= 2 and b + 2 <= window.shape[-3]:
+        # every output row has two window rows on each side: the central
+        # stencil, in the order partial_derivative sums it
+        return (window[..., a - 2:b - 2, :, :] - 8.0 * window[..., a - 1:b - 1, :, :]
+                + 8.0 * window[..., a + 1:b + 1, :, :] - window[..., a + 2:b + 2, :, :]) / (12.0 * h)
+    return _take_rows(_derivative(window, 0, h, periodic), slice(a, b), window.shape[-3])
+
+
+def _take_rows(values: np.ndarray, rows: slice, n: int) -> np.ndarray:
+    """Rows of the third-last axis (length n), taken mod n outside [0, n)."""
+    if 0 <= rows.start and rows.stop <= n:
+        return values[..., rows, :, :]
+    return np.take(values, np.arange(rows.start, rows.stop) % n, axis=-3)
+
+
+def _derivative(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
+    """The stencils of :func:`partial_derivative` along one of the last three axes."""
     ax = values.ndim - 3 + axis
-    h = grid.h[axis]
-    if grid.periodic[axis]:
+    if periodic:
         out = (
             np.roll(values, 2, axis=ax)
             - 8.0 * np.roll(values, 1, axis=ax)
@@ -173,10 +241,15 @@ def partial_derivative(values: np.ndarray, axis: int, grid: PatchGrid) -> np.nda
     v = np.moveaxis(values, ax, -1)
     out = np.empty_like(v)
     out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
-    out[..., 0] = np.tensordot(v[..., :5], _EDGE0, axes=([-1], [0])) / h
-    out[..., 1] = np.tensordot(v[..., :5], _EDGE1, axes=([-1], [0])) / h
-    out[..., -1] = -np.tensordot(v[..., -5:], _EDGE0[::-1], axes=([-1], [0])) / h
-    out[..., -2] = -np.tensordot(v[..., -5:], _EDGE1[::-1], axes=([-1], [0])) / h
+    head, tail = v[..., :5], v[..., -5:]
+    if axis == 1:
+        # copied to C order, as the full grid's are by tensordot, so that the
+        # matrix-vector product sees the same memory layout on a slab of one row
+        head, tail = np.ascontiguousarray(head), np.ascontiguousarray(tail)
+    out[..., 0] = np.tensordot(head, _EDGE0, axes=([-1], [0])) / h
+    out[..., 1] = np.tensordot(head, _EDGE1, axes=([-1], [0])) / h
+    out[..., -1] = -np.tensordot(tail, _EDGE0[::-1], axes=([-1], [0])) / h
+    out[..., -2] = -np.tensordot(tail, _EDGE1[::-1], axes=([-1], [0])) / h
     return np.moveaxis(out, -1, ax)
 
 

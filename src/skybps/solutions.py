@@ -194,7 +194,8 @@ def identity_u1_solution(
         raise ParamInconsistent("identity_u1_solution needs a u1-fibered target")
     ex = target.extras
     grid = build_patch(target.lo, target.hi, _triple(n), target.periodic, margin)
-    th, x, y = grid.meshes()
+    phi = np.stack(grid.meshes())
+    th, x, y = phi
 
     ax_vals = a_x(th, x)
     f_tx = _cstep(a_x, (th, x), 0)
@@ -215,7 +216,6 @@ def identity_u1_solution(
         raise NotRiemannian(
             f"conformal factor reaches {kappa.min():.4g} <= 0; shrink A or the margin"
         )
-    phi = np.stack([th, x, y])
     A = np.zeros((1, 3) + grid.shape)
     A[0, 1] = ax_vals
     cfg = Configuration(
@@ -265,10 +265,12 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=-1,
                         phi_winding=winding)
 
-    star = hodge_star(cfg.gM, cfg.orientation)
-    dxi = cfg.dphi()[0]  # = ds exactly
-    da = cfg.curvature()[0]
-    res = float(np.max(np.abs(star.on_1(dxi[None])[0] + da)))
+    res = 0.0
+    for sl in grid.slabs():  # no derived field is held on the full grid
+        star = hodge_star(cfg.gM, cfg.orientation, sl)
+        dxi = cfg.dphi(sl)[0]  # = ds exactly
+        da = cfg.curvature(sl)[0]
+        res = max(res, float(np.max(np.abs(star.on_1(dxi[None])[0] + da))))
     return FamilyResult(
         family="dirac-monopole",
         config=cfg,
@@ -353,22 +355,27 @@ def spinorial_solution(
     g[2, 2] = coef * om
     cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=1)
 
-    F = cfg.curvature()
-    pred = np.zeros_like(F)
-    pred[0, 0] = 0.5 * (1.0 - kk) * om
-    if twist_b != 0.0:
-        # -B dxi ^ d^A Phi contributes B sqrt(Omega) on both transverse slots
-        sq = np.sqrt(om)
-        pred[1, 1] = twist_b * sq
-        pred[2, 2] = twist_b * sq
-    f_res = float(np.max(np.abs(F - pred)))
+    # the identities are checked slab by slab, so F and d^A phi are never
+    # held on the full grid
+    f_res = dphi_res = 0.0
+    for sl in grid.slabs():
+        F = cfg.curvature(sl)
+        pred = np.zeros_like(F)
+        pred[0, 0] = 0.5 * (1.0 - kk[sl]) * om[sl]
+        if twist_b != 0.0:
+            # -B dxi ^ d^A Phi contributes B sqrt(Omega) on both transverse slots
+            sq = np.sqrt(om[sl])
+            pred[1, 1] = twist_b * sq
+            pred[2, 2] = twist_b * sq
+        f_res = max(f_res, float(np.max(np.abs(F - pred))))
+        del F, pred
 
-    P = cfg.covariant_differential()
-    dphi_pred = np.zeros_like(P)
-    dphi_pred[0, 0] = 1.0
-    dphi_pred[1, 1] = np.sqrt(om)
-    dphi_pred[2, 2] = np.sqrt(om)
-    dphi_res = float(np.max(np.abs(P - dphi_pred)))
+        P = cfg.covariant_differential(sl)
+        dphi_pred = np.zeros_like(P)
+        dphi_pred[0, 0] = 1.0
+        dphi_pred[1, 1] = np.sqrt(om[sl])
+        dphi_pred[2, 2] = np.sqrt(om[sl])
+        dphi_res = max(dphi_res, float(np.max(np.abs(P - dphi_pred))))
 
     return FamilyResult(
         family="spinorial",
@@ -501,17 +508,19 @@ def spherical_solution(
     target = _adjoint_target(fam)
     grid = build_patch((xi_window[0], 0.0, 0.0), (xi_window[1], np.pi, 2 * np.pi),
                        _triple(n), (False, False, True), margin)
-    xi, u, v = grid.meshes()
+    phi = np.stack(grid.meshes())
+    xi, u, v = phi
 
+    # each frame field is dropped once A holds it, so that the build holds
+    # few fields besides the configuration's own
     x, xu, xv = sph_frame(u, v)
-    xxu = np.cross(x, xu, axisa=0, axisb=0, axisc=0)
-    xxv = np.cross(x, xv, axisa=0, axisb=0, axisc=0)
     half = 0.5 * (f(xi) - 1.0)
     A = np.zeros((3, 3) + grid.shape)
-    A[:, 1] = half * xxu
-    A[:, 2] = half * xxv
+    A[:, 1] = half * np.cross(x, xu, axisa=0, axisb=0, axisc=0)
+    del xu
+    A[:, 2] = half * np.cross(x, xv, axisa=0, axisb=0, axisc=0)
+    del x, xv, half
 
-    phi = np.stack([xi, u, v])
     sign = 1.0 - 3.0 * alpha / beta
     g = np.zeros((3, 3) + grid.shape)
     g[0, 0] = sign**2 * h1_fn(xi) ** 2
@@ -566,18 +575,16 @@ def symplectic_solution(
     om = surface.omega(tau, v)
     sq = 0.5 * w_scale * np.sqrt(om)
     psi = xi_phase(xi) if xi_phase is not None else np.zeros_like(xi)
-    w_re = np.zeros((3,) + grid.shape)
-    w_im = np.zeros((3,) + grid.shape)
+    A = np.zeros((3, 3) + grid.shape)
+    w_re, w_im = A[1], A[2]
     # w_xi = e^{i psi} (sq dtau + i sq dv): components on the (tau, v) axes
     w_re[1], w_re[2] = sq * np.cos(psi), -sq * np.sin(psi)
     w_im[1], w_im[2] = sq * np.sin(psi), sq * np.cos(psi)
+    del sq, psi
 
     g1, _ = surface.dlog_omega(tau, v)
-    a_v = 0.25 * g1  # a = (d_tau ln Omega)/4 dv on the Mercator chart
-    A = np.zeros((3, 3) + grid.shape)
-    A[0, 2] = a_v
-    A[1] = w_re
-    A[2] = w_im
+    A[0, 2] = 0.25 * g1  # a = (d_tau ln Omega)/4 dv on the Mercator chart
+    del g1, _
 
     # normalization 2 i w ^ conj(w) = -2 da, checked on the closed forms
     two_i_wwbar = 4.0 * (w_re[1] * w_im[2] - w_re[2] * w_im[1])  # dtau^dv coefficient

@@ -374,6 +374,51 @@ def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
     assert "SKYRME_THREADS" in capsys.readouterr().err
 
 
+# -- the memory estimate --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_footprint_bounds_the_traced_peak_within_3x(n, monkeypatch):
+    import tracemalloc
+
+    for family in sorted(FAMILIES):
+        # fresh targets, so that Vol(N) and the moment check run and count
+        monkeypatch.setattr(lie_target, "_SHARED", {})
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_verify({"family": family, "n": n})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = cli._footprint(n, FAMILIES[family].algebra_dim)
+        assert peak <= estimate <= 3 * peak, (family, peak, estimate)
+
+
+def test_footprint_grows_with_the_held_fields():
+    # from the point where one-row slabs keep the slab's share small, the
+    # estimate grows as n^3 times a fixed count of fields
+    ratio = cli._footprint(256, 3) / cli._footprint(128, 3)
+    assert 7.0 < ratio <= 8.0
+    assert cli._footprint(24, 3) > cli._footprint(24, 1)  # A and the moment check
+
+
+def test_run_refused_when_memory_is_short(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_mem_available", lambda: 2**20)  # 1 MB
+    built = []
+    monkeypatch.setattr(cli, "build_family", lambda *a: built.append(a))
+    code = main(["verify", "--family", "spherical", "-n", "16", "--output-dir", str(tmp_path)])
+    assert code == 2 and built == []
+    err = capsys.readouterr().err
+    assert "config error: n = 16 needs about" in err and "1 MB available" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_mem_available_reads_meminfo():
+    avail = cli._mem_available()
+    assert avail is None or avail > 0
+
+
 def test_sweep_spherical_c1(tmp_path, monkeypatch):
     monkeypatch.setenv("SKYRME_THREADS", "2")
     # n = 24 keeps the test quick; FD-sized tolerances are scaled accordingly

@@ -38,7 +38,7 @@ P0 = bps_coefficients(0.0, 0.0, 0.0)
 ], ids=["adjoint", "u1"])
 def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
     monkeypatch.setattr(grid, "_SLAB_POINTS", 5 * 16 * 16)  # slabs of 5, 5, 5 and 1 rows
-    b = build().config  # the builder may have memoized fields already
+    b = build().config
     c = Configuration(b.grid, b.target, b.phi, b.A, b.gM, b.orientation, b.phi_winding)
     points = {}
 
@@ -53,9 +53,9 @@ def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
     for name in ("metric_fn", "killing_fn", "mu_fn"):
         monkeypatch.setattr(t, name, counted(name, getattr(t, name)))
     bound_gap(c, P0, 1.0)
-    # each grid point once; I once more, slab by slab, to form d^A phi
+    # each grid point once; d^A phi, nu and the contraction check share I
     n = c.phi[0].size
-    assert points == {"metric_fn": n, "killing_fn": 2 * n, "mu_fn": n}
+    assert points == {"metric_fn": n, "killing_fn": n, "mu_fn": n}
 
 
 def test_bps_coefficients_origin():
@@ -257,13 +257,13 @@ def test_energy_degree_residuals_gauge_invariant(u1_target):
 
 
 def _fresh_copy(b, target=None):
-    """The same configuration with an empty memo (and optionally another target)."""
+    """The same configuration as a new object (optionally with another target)."""
     return Configuration(b.grid, target or b.target, b.phi, b.A, b.gM, b.orientation,
                          b.phi_winding)
 
 
 def _fresh(family, n=16):
-    """A family's configuration at its first default margin, with an empty memo."""
+    """A family's configuration at its first default margin, as a new object."""
     return _fresh_copy(build_family({"family": family, "n": n},
                                     FAMILIES[family].margins[0])[0].config)
 

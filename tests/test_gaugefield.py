@@ -15,6 +15,7 @@ from skybps.gaugefield import (
     naturality_check_specs,
     pullback_naturality_residual,
 )
+from skybps import grid as grid_module
 from skybps.grid import build_patch, partial_derivative
 from skybps.lie_target import sph_x, su2_algebra, u1_algebra
 from skybps.solutions import dirac_monopole, identity_u1_solution, spinorial_solution
@@ -318,16 +319,47 @@ def test_memo_holds_no_copy_of_dphi(adjoint_round_target):
     P = c.covariant_differential()
     dphi = c.dphi()
     assert not np.array_equal(P, dphi)  # A != 0, so d^A phi differs from d phi
-    held = [v for v in c._memo.values() if isinstance(v, np.ndarray)]
-    assert not any(v.shape == dphi.shape and np.array_equal(v, dphi) for v in held)
-    # each call hands out a fresh array; writing to it leaves d^A phi alone
+    # each call hands out a fresh array; writing to it leaves later calls alone
+    ref = P.copy()
     dphi[...] = 0.0
+    P[...] = 0.0
     assert not np.shares_memory(dphi, c.dphi())
-    assert np.array_equal(c.covariant_differential(), P)
-    # after the margin's pass the memo holds no other (., 3, *grid) field
+    assert np.array_equal(c.covariant_differential(), ref)
+    # nothing is memoized: after the margin's pass the configuration's only
+    # (., 3, *grid) arrays are its own phi, A and g_M
     bound_gap(c, bps_coefficients(0.3, -0.7, 0.5), 1.0)
-    fields = [v for v in _arrays(c._memo) if v.shape[-4:] == (3,) + c.grid.shape]
-    assert {id(v) for v in fields} == {id(P), id(c.curvature())} and len(fields) == 2
+    held = [v for v in _arrays({**vars(c), **vars(c.gM)})
+            if v.shape[-4:] == (3,) + c.grid.shape]
+    assert {id(v) for v in held} == {id(c.phi), id(c.A), id(c.gM.g)} and len(held) == 3
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "bounded"])
+def test_derived_fields_on_rows_are_the_full_grid_rows(periodic, u1_target,
+                                                       adjoint_round_target, monkeypatch):
+    # identity-u1's theta axis is periodic and its phi winds; the adjoint box is bounded
+    if periodic:
+        c = smooth_u1_configuration(u1_target, n=12)
+        rows = [slice(0, 1), slice(11, 12), slice(-2, 7), slice(10, 14), slice(-4, 5),
+                slice(3, 5)]
+    else:
+        c = smooth_adjoint_configuration(adjoint_round_target, n=12)
+        rows = [slice(0, 1), slice(0, 5), slice(1, 3), slice(5, 6), slice(9, 12),
+                slice(11, 12)]
+    full = {"dphi": c.dphi(), "P": c.covariant_differential(), "F": c.curvature()}
+    for r in rows:
+        assert np.array_equal(c.dphi(r), c.grid.take_rows(full["dphi"], r)), r
+        assert np.array_equal(c.covariant_differential(r),
+                              c.grid.take_rows(full["P"], r)), r
+        assert np.array_equal(c.curvature(r), c.grid.take_rows(full["F"], r)), r
+    # the stencil checks, as maxima over slabs of 1, 2 and 5 rows
+    bianchi = c.bianchi_residual()
+    natural = [pullback_naturality_residual(c, spec)
+               for _, spec in naturality_check_specs(c.target)]
+    for k in (1, 2, 5):
+        monkeypatch.setattr(grid_module, "_SLAB_POINTS", k * 12 * 12)
+        assert c.bianchi_residual() == bianchi
+        assert [pullback_naturality_residual(c, spec)
+                for _, spec in naturality_check_specs(c.target)] == natural
 
 
 def _arrays(x):

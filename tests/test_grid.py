@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from skybps import grid as grid_module
 from skybps.errors import BoundsError, GridMismatch, ResolutionError
 from skybps.grid import (
     build_patch,
     extrapolate_margin,
     integrate,
     partial_derivative,
+    slab_derivative,
 )
 
 PI = np.pi
@@ -157,3 +159,66 @@ def test_weights_built_once_per_grid_and_read_only():
     assert not w.flags.writeable
     w0, w1, w2 = (g.axis_weights(i) for i in range(3))
     assert np.array_equal(w, w0[:, None, None] * w1[None, :, None] * w2[None, None, :])
+
+
+# -- slabs with halos ---------------------------------------------------------------
+
+
+def test_halo_rows():
+    bounded = build_patch((0, 0, 0), (1, 1, 1), (12, 6, 7), (False, True, False), 0)
+    # two rows each side, clipped at a face and widened to the 5 stencil rows
+    assert bounded.halo(slice(5, 6)) == slice(3, 8)
+    assert bounded.halo(slice(0, 1)) == slice(0, 5)
+    assert bounded.halo(slice(1, 3)) == slice(0, 5)
+    assert bounded.halo(slice(11, 12)) == slice(7, 12)
+    assert bounded.halo(slice(0, 12)) == slice(0, 12)
+    periodic = build_patch((0, 0, 0), (1, 1, 1), (12, 6, 7), (True, False, False), 0)
+    # the halo wraps; rows outside [0, n) are taken mod n
+    assert periodic.halo(slice(0, 1)) == slice(-2, 3)
+    assert periodic.halo(slice(10, 12)) == slice(8, 14)
+    assert periodic.halo(slice(-2, 3)) == slice(-4, 5)
+    assert periodic.halo(slice(0, 8)) == slice(0, 12)  # it would cover the axis
+    v = np.arange(12.0)[:, None, None] * np.ones((12, 6, 7))
+    assert list(periodic.take_rows(v, slice(-2, 3))[:, 0, 0]) == [10, 11, 0, 1, 2]
+    assert np.shares_memory(periodic.take_rows(v, slice(3, 8)), v)
+
+
+def test_real_slabs_are_one_row_from_n_84():
+    # 24^3 points a slab: rows of 84^2 = 7056 points fit once, of 83^2 twice
+    g = build_patch((0, 0, 0), (1, 1, 1), (84, 84, 84), (False,) * 3, 0)
+    assert {s.stop - s.start for s in g.slabs()} == {1}
+    g = build_patch((0, 0, 0), (1, 1, 1), (83, 83, 83), (False,) * 3, 0)
+    assert {s.stop - s.start for s in g.slabs()} == {2, 1}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+def test_slab_derivative_is_partial_derivative_on_every_row(rows, periodic, monkeypatch):
+    g = build_patch((0, -1, 2), (2 * PI, 1.5, 3), (13, 6, 7), (periodic, False, True), 0)
+    monkeypatch.setattr(grid_module, "_SLAB_POINTS", rows * 6 * 7)
+    slabs = g.slabs()
+    assert slabs[0].start == 0 and slabs[-1].stop == 13  # slabs at both faces
+    assert {s.stop - s.start for s in slabs[:-1]} == {rows}
+    rng = np.random.default_rng(rows)
+    # a scalar, one slot, a 1-form and a slot-valued 1-form
+    for comps in [(), (1,), (3,), (2, 3)]:
+        v = rng.normal(size=comps + g.shape)
+        for axis in range(3):
+            full = partial_derivative(v, axis, g)
+            for sl in slabs:
+                window = g.take_rows(v, g.halo(sl))
+                assert np.array_equal(slab_derivative(window, axis, g, sl),
+                                      full[..., sl, :, :]), (comps, axis, sl)
+                # the halo rows themselves, from the halo of the halo (the
+                # rows naturality differentiates a pullback on)
+                wide = g.halo(sl)
+                window = g.take_rows(v, g.halo(wide))
+                assert np.array_equal(slab_derivative(window, axis, g, wide),
+                                      g.take_rows(full, wide)), (comps, axis, wide)
+
+
+def test_slab_derivative_rejects_a_window_of_other_rows():
+    g = build_patch((0, 0, 0), (1, 1, 1), (12, 6, 7), (False,) * 3, 0)
+    v = np.zeros(g.shape)
+    with pytest.raises(GridMismatch):
+        slab_derivative(v[3:7], 0, g, slice(5, 6))

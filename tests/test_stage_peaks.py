@@ -26,8 +26,14 @@ def test_stage_peaks_smoke(tmp_path, capsys):
     stages = out["stages"]
     assert stages["build"]["calls"] == stages["bound_gap"]["calls"] == 3
     assert stages["bound_gap/pass"]["calls"] == 3  # one pass per margin
-    assert stages["naturality"]["calls"] == 2
+    # the first margin's stencil checks run in its pass, once per slab (one
+    # slab at n = 16) and naturality once per form
+    assert stages["bound_gap/pass/bianchi"]["calls"] == 1
+    assert stages["bound_gap/pass/naturality"]["calls"] == 2
+    assert "bianchi" not in stages and "naturality" not in stages
     for st in stages.values():
         assert 0.0 <= st["entry_mb"] <= st["peak_mb"] <= out["overall_peak_mb"]
+    # the overall peak belongs to a named stage
+    assert out["overall_peak_mb"] == max(st["peak_mb"] for st in stages.values())
     # the wrappers are removed again
     assert cli.bound_gap is bound_gap is energy_degree.bound_gap
