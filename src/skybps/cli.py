@@ -42,7 +42,7 @@ from .energy_degree import (
     bps_coefficients,
     general_bound_coefficient,
 )
-from .errors import ConfigError, SkybpsError
+from .errors import ConfigError, NonFinite, SkybpsError
 from .exprs import Expression
 from .gaugefield import Configuration, naturality_check_specs, pullback_naturality_residual
 from .grid import extrapolate_margin, slab_rows
@@ -438,8 +438,8 @@ def _validate_config(cfg: dict) -> dict:
 
 # The memory model of one verify, in float64 fields of the grid's size.  The
 # margin's pass holds the configuration (phi 3, A 3 dim, g_M 9 and its
-# determinant) and 9 scalar densities, and bound_gap 3 more; a build holds at
-# most about _BUILD_FIELDS.  A slab's working set is about _SLAB_FIELDS fields
+# determinant) and reduces its densities slab by slab; a build holds at most
+# about _BUILD_FIELDS.  A slab's working set is about _SLAB_FIELDS fields
 # on its rows and the 8 halo rows of the first margin's naturality check.  The
 # target-level checks are of fixed size: Vol(N) integrates a 96^3 chart grid
 # and the moment check evaluates (12 + 24 dim) fields on a 32^3 one.  The
@@ -456,7 +456,7 @@ def _footprint(n: int, dim: int) -> int:
     rows = min(n, slab_rows(n * n) + 8)
     slab = _SLAB_FIELDS * 8 * rows * n * n
     fixed = max(8 * (12 + 24 * dim) * 32**3, 1.2 * 8 * 96**3)
-    held = (13 + 3 * dim + 9 + 3) * field
+    held = (13 + 3 * dim) * field
     return int(max(_BUILD_FIELDS * field + slab, held + max(fixed, slab)))
 
 
@@ -754,9 +754,9 @@ def _load_config(args) -> dict:
         v = getattr(args, k, None)
         if v is not None:
             cfg.setdefault("family_params", {})[k] = v
-    if getattr(args, "output_dir", None):
+    if args.output_dir is not None:
         cfg["output_dir"] = args.output_dir
-    if getattr(args, "emit_gnuplot", False):
+    if args.emit_gnuplot:
         cfg["emit_gnuplot"] = True
     return cfg
 
@@ -777,7 +777,7 @@ def main(argv=None) -> int:
     common.add_argument("--alpha", type=float)
     common.add_argument("--beta", type=float)
     common.add_argument("--gamma", type=float)
-    common.add_argument("--output-dir", dest="output_dir", default=".")
+    common.add_argument("--output-dir", dest="output_dir", help="default: config's, else .")
     common.add_argument("--emit-gnuplot", dest="emit_gnuplot", action="store_true")
 
     sub.add_parser("verify", parents=[common], help="verify one family")
@@ -789,9 +789,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "obstruction":
-            if args.K <= 0:
-                raise ConfigError("K must be positive")
-            value = left_action_obstruction(args.K)
+            if not (math.isfinite(args.K) and args.K > 0):
+                raise ConfigError("K must be positive and finite")
+            # an overflow is reported as a non-finite constant, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = left_action_obstruction(args.K)
+            if not math.isfinite(value):
+                raise NonFinite(f"obstruction constant for K={args.K!r} is {value!r}")
             print(f"iota_nu mu obstruction constant for K={args.K}: {value!r}")
             print(f"expected K/2 = {args.K / 2!r}; nonzero, so no valid degree exists")
             report = {
@@ -802,12 +806,14 @@ def main(argv=None) -> int:
                 "positive": value > 0,
                 "exit": 0 if value > 0 else 1,
             }
-            _atomic_write(os.path.join(args.output_dir, "report.json"),
+            _atomic_write(os.path.join(args.output_dir or ".", "report.json"),
                           json.dumps(report, indent=2, sort_keys=True))
             return report["exit"]
         cfg = _load_config(args)
-        out_dir = cfg.pop("output_dir", None) or args.output_dir
-        emit = bool(cfg.pop("emit_gnuplot", False) or args.emit_gnuplot)
+        out_dir, emit = cfg.pop("output_dir", "."), cfg.pop("emit_gnuplot", False)
+        if not isinstance(out_dir, str) or not isinstance(emit, bool):
+            raise ConfigError(f"'output_dir' must be a string and 'emit_gnuplot' true or "
+                              f"false, got {out_dir!r} and {emit!r}")
         if args.command == "verify":
             report = run_verify(cfg)
         else:

@@ -24,9 +24,10 @@ pointwise with (1/3) < star_M d^A phi, phi^{*A}(Sigma + 3 mu-sharp) >.
 Every number a margin reports comes out of one pointwise pass,
 ``_margin_pass``, and its one reader ``bound_gap``: the energy and its terms,
 the degree, the bound gap, the sup norms r1 and r2 of the two BPS equations,
-and the decomposition and charge-cross residuals.  The group-valued SU(2)
-form of the energy, which the tests compare against, is in
-``tests/oracles.py``.
+and the decomposition and charge-cross residuals.  The pass reduces each
+slab's densities to row sums and maxima before it forms the next slab, so no
+density of the grid's size is held.  The group-valued SU(2) form of the
+energy, which the tests compare against, is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MomentConditionFailed
-from .exterior import StarMap, mat_det, mat_inv, metric_star
+from .exterior import StarMap, hodge_star, mat_det, mat_inv
 from .gaugefield import Configuration, Slab, equivariant_pullback
 
 
@@ -98,11 +99,6 @@ def _pair_starred(u, sv, gslot: np.ndarray | None) -> np.ndarray:
     return rho
 
 
-def integrate_density(c: Configuration, rho: np.ndarray) -> float:
-    """Integral over M of the 3-form with coordinate coefficient rho."""
-    return c.orientation * float(np.sum(rho * c.grid.weights()))
-
-
 # ---------------------------------------------------------------------------
 # the pointwise pass
 # ---------------------------------------------------------------------------
@@ -122,11 +118,11 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=()) -> dict:
       |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
     (B = Sig + 3 mus) with the two BPS sides, the cross density, the charge
     density and the pointwise terms of the orthogonality and contraction
-    checks.  Only scalar densities are written to full-size arrays; sup norms
-    are taken per slab and then over the slabs, so every value equals that of
-    one full-grid pass.  The charge-cross residual, which needs no positive
-    definite base metric, is formed here from the full-grid charge and cross
-    densities.
+    checks.  Each slab reduces them before the next is formed: the energy
+    terms and the charge density to row sums (``PatchGrid.row_sums``), whose
+    sums are their integrals over M, and the rest to maxima (``_slab_pass``),
+    which combine over the slabs by max.  So no density of the grid's size is
+    held, and every value is that of one full-grid pass.
 
     ``checks`` are (name, fn) pairs of stencil checks that read the same
     slabs: fn(slab) is the check's value on the slab's rows, and the slab's
@@ -134,8 +130,8 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=()) -> dict:
     slabs are returned under "checks".
     """
     grid = c.grid
-    full = {k: np.empty(grid.shape) for k in _TERMS + ("bogomolny", "cross", "charge")}
-    sups = {k: [] for k in ("r1", "r2", "ortho", "asym", "mu_max")}
+    sums = {k: np.empty(grid.n[0]) for k in _TERMS + ("charge",)}
+    sups = {}
     found = {name: [] for name, _ in checks}
     for sl in grid.slabs():
         slab = c.slab(sl, halo=bool(checks))
@@ -143,24 +139,19 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=()) -> dict:
             found[name].append(check(slab))
         dens, sup = _slab_pass(c, p, slab)
         for key, v in dens.items():
-            full[key][sl] = v
+            sums[key][sl] = grid.row_sums(v, sl)
         for key, v in sup.items():
-            sups[key].append(v)
-    terms = {k: full.pop(k) for k in _TERMS}
-    bogomolny, cross, charge = full["bogomolny"], full["cross"], full["charge"]
-    sup = {k: float(np.max(v)) if v else None for k, v in sups.items()}
-    # the two charge-density expressions agree pointwise up to roundoff; their
-    # mismatch takes one scratch buffer, so the pass's peak does not grow
-    scale = max(float(np.max(charge)), -float(np.min(charge)), 1.0)
-    mismatch = cross / 3.0
-    np.subtract(charge, mismatch, out=mismatch)
-    sup["charge_cross"] = float(np.max(np.abs(mismatch, out=mismatch))) / scale
-    return {"terms": terms, "bogomolny": bogomolny, "cross": cross, "charge": charge,
-            "checks": {name: max(v) for name, v in found.items()}, **sup}
+            sups.setdefault(key, []).append(v)
+    done = {k: float(np.max(v)) for k, v in sups.items()}
+    done["charge_cross"] /= max(done.pop("charge_max"), 1.0)
+    integral = {k: c.orientation * float(np.sum(v)) for k, v in sums.items()}
+    return {"terms": {k: integral[k] for k in _TERMS}, "charge": integral["charge"],
+            "checks": {name: max(v) for name, v in found.items()}, **done}
 
 
 def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
-    """The pass on one slab's rows: its densities by name and its sup norms.
+    """The pass on one slab's rows: its seven integrands (the six energy
+    terms and the charge density) and its maxima, each by name.
 
     Each slab-size field is dropped after its last reader, and all of them
     on return, so that a grid of one slab (n <= 24) holds few of them at once.
@@ -179,7 +170,7 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     out = {"charge": equivariant_pullback(P, F, 0, 3, t.vol_coeff(det))
            + equivariant_pullback(P, F, 1, 1, mu)}
     del F, kil, mu, det, inv
-    star = metric_star(c.gM.g[:, :, sl], c.gM.det()[sl], c.orientation)
+    star = hodge_star(c.gM, c.orientation, sl)
 
     # the energy densities: each right operand is star-applied once and
     # paired with every left operand on it
@@ -203,7 +194,7 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
 
     # the Bogomolny density and the two BPS sides
     b = sig + 3.0 * mus
-    out["cross"] = _pair(star_dphi, b, 2, star, gN)
+    cross = _pair(star_dphi, b, 2, star, gN)
     diff = star_dphi - b
     del b, star_dphi
     sup["r1"] = float(np.max(np.abs(diff)))
@@ -213,8 +204,21 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     del sig, mus, nu
     sup["r2"] = float(np.max(np.abs(second)))
     bogomolny += _pair(second, second, 2, star, gN)
-    bogomolny += 2.0 * out["cross"]
-    out["bogomolny"] = bogomolny
+    bogomolny += 2.0 * cross
+
+    # the six-term density against the Bogomolny density, and the charge
+    # density against the cross density, which agree pointwise up to roundoff
+    first, *rest = (out[k] for k in _TERMS)
+    six = first.copy()
+    for term in rest:
+        six += term
+    sup["six_max"] = float(np.max(np.abs(six)))
+    np.subtract(bogomolny, six, out=six)
+    sup["decomposition"] = float(np.max(np.abs(six, out=six)))
+    sup["charge_max"] = float(np.max(np.abs(out["charge"])))
+    cross /= 3.0
+    np.subtract(out["charge"], cross, out=cross)
+    sup["charge_cross"] = float(np.max(np.abs(cross, out=cross)))
     return out, sup
 
 
@@ -287,14 +291,8 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=()) -> dict:
     over this (margined) patch; callers extrapolate over margins.
     """
     done = _margin_pass(c, p, checks)
-    # the six-term density and, in its buffer, its mismatch with the
-    # Bogomolny density: one full-size array besides the pass's densities
-    first, *rest = done["terms"].values()
-    density = first.copy()
-    for term in rest:
-        density += term
-    scale = max(float(np.max(density)), -float(np.min(density)), 1.0)
-    if done["ortho"] is not None and done["ortho"] > 1e-10 * scale:
+    scale = max(done["six_max"], 1.0)
+    if done.get("ortho", 0.0) > 1e-10 * scale:
         raise MomentConditionFailed(
             f"< nu-hat, mu-sharp-hat > = {done['ortho']:.3e} is not identically zero"
         )
@@ -302,21 +300,16 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=()) -> dict:
         raise MomentConditionFailed(
             "target moment map violates the contraction constraint; degree undefined"
         )
-    np.subtract(done["bogomolny"], density, out=density)
-    decomposition = float(np.max(np.abs(density, out=density))) / scale
-    del density
-    terms = {k: integrate_density(c, v) for k, v in done["terms"].items()}
-    energy = float(sum(terms.values()))
-    deg = integrate_density(c, done["charge"]) / vol_n
+    energy = float(sum(done["terms"].values()))
+    deg = done["charge"] / vol_n
     bound = 6.0 * vol_n * abs(deg)
     return {
         "energy": energy,
-        "energy_decomposed": integrate_density(c, done["bogomolny"]),
-        "decomposition_residual": decomposition,
+        "decomposition_residual": done["decomposition"] / scale,
         "degree": deg,
         "bound": bound,
         "gap": energy - bound,
-        "terms": terms,
+        "terms": done["terms"],
         "r1": done["r1"],
         "r2": done["r2"],
         "charge_cross": done["charge_cross"],

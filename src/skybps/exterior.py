@@ -186,17 +186,12 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def hodge_star(metric: Metric3, orientation: int = 1, rows: slice = slice(None)) -> StarMap:
-    """Star map of a riemannian metric on ``rows`` of the first spatial axis
-    (all by default); raises ``SingularMetric`` if det <= 0."""
-    return metric_star(metric.g[:, :, rows], metric.det()[rows], orientation)
-
-
-def metric_star(g: np.ndarray, det: np.ndarray, orientation: int) -> StarMap:
-    """orientation * sqrt(det g) * g^-1 from metric components and their
-    determinant, for example on some rows of a :class:`Metric3`.
+    """Star map orientation * sqrt(det g) * g^-1 of a riemannian metric on
+    ``rows`` of the first spatial axis (all by default).
 
     Raises ``SingularMetric`` if det <= 0.
     """
+    det = metric.det()[rows]
     if np.any(det <= 0):
         raise SingularMetric("metric determinant <= 0 on the grid")
-    return StarMap(orientation * np.sqrt(det) * mat_inv(g))
+    return StarMap(orientation * np.sqrt(det) * mat_inv(metric.g[:, :, rows]))

@@ -11,7 +11,9 @@ stencils (exact on polynomials of degree <= 4) at bounded-axis endpoints.
 Fields are streamed through slabs of the first axis (``PatchGrid.slabs``).  A
 slab's derivative reads two halo rows on each side (``PatchGrid.halo``) and
 gives, row for row, the bits of the full-grid derivative
-(:func:`slab_derivative`).
+(:func:`slab_derivative`).  A slab's densities are integrated on the slab:
+the quadrature is a sum of row sums (:meth:`PatchGrid.row_sums`), and a row's
+sum does not depend on the slab that holds the row.
 
 Quantities that depend on the excluded margin slabs (volumes, degrees) are
 recovered by power-law Richardson extrapolation over a decreasing sequence of
@@ -21,7 +23,6 @@ margins, see :func:`extrapolate_margin`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -147,23 +148,20 @@ class PatchGrid:
             w[m - 1 :] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
         return w
 
-    def weights(self) -> np.ndarray:
-        """Tensor-product quadrature weights, shape ``self.shape``.
-
-        Built once per grid and shared (read-only), for grids that integrate
-        many densities; a one-off integral uses :func:`integrate`.
-        """
-        return self._weights
-
-    @cached_property
-    def _weights(self) -> np.ndarray:
-        w = self._tensor_weights()
-        w.flags.writeable = False
-        return w
-
-    def _tensor_weights(self) -> np.ndarray:
+    def weights(self, rows: slice = slice(None)) -> np.ndarray:
+        """Tensor-product quadrature weights on ``rows`` of the first axis
+        (all by default); built afresh on each call."""
         w0, w1, w2 = (self.axis_weights(i) for i in range(3))
-        return w0[:, None, None] * w1[None, :, None] * w2[None, None, :]
+        return w0[rows, None, None] * w1[None, :, None] * w2[None, None, :]
+
+    def row_sums(self, f: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Quadrature sum of each row of the first axis of ``f``, the field on
+        ``rows``: the one quadrature rule of the patch.
+
+        A row's sum reads that row alone, so the sums of any partition of the
+        rows into slabs are, row for row, the full grid's.
+        """
+        return np.sum(f * self.weights(rows), axis=(1, 2))
 
 
 def slab_rows(row_points: int) -> int:
@@ -254,17 +252,16 @@ def _derivative(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
 
 
 def integrate(f: np.ndarray, grid: PatchGrid) -> float:
-    """Composite quadrature of ``f`` over the patch.
+    """Composite quadrature of ``f`` over the patch: the sum of its row sums
+    (:meth:`PatchGrid.row_sums`), so that a field streamed through slabs
+    integrates to the same bits as the whole field.
 
     np.sum performs pairwise reduction, so the result is reproducible for a
-    fixed grid and input.  The weights are built afresh, not taken from the
-    grid's cache: numpy then writes f * w into the weights' own buffer, so a
-    one-off integral (each Vol(N) chart grid is integrated once) holds one
-    full-size array instead of two.
+    fixed grid and input.
     """
     if f.shape != grid.shape:
         raise GridMismatch(f"integrand shape {f.shape} != grid shape {grid.shape}")
-    return float(np.sum(f * grid._tensor_weights()))
+    return float(np.sum(grid.row_sums(f)))
 
 
 def extrapolate_margin(margins, values):

@@ -262,6 +262,16 @@ def test_obstruction_command(tmp_path, capsys):
     assert main(["obstruction", "--K", "0"]) == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K, code", [("nan", 2), ("inf", 2), ("-inf", 2), ("1e308", 1)])
+def test_obstruction_non_finite_exits_cleanly(tmp_path, capsys, K, code):
+    # 1e308 is finite, but its constant overflows to inf
+    assert main(["obstruction", f"--K={K}", "--output-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert ("config error" if code == 2 else "NonFinite") in err
+    assert not (tmp_path / "report.json").exists()
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -335,6 +345,42 @@ def test_emit_gnuplot(tmp_path):
                  "--output-dir", str(tmp_path)]) == 0
     dat = (tmp_path / "results.dat").read_text()
     assert dat.startswith("# margin E deg gap r1 r2")
+
+
+def test_output_dir_flag_over_config_over_cwd(tmp_path, monkeypatch):
+    cfg = {"family": "identity-u1", "n": 16, "margins": [0.3, 0.2],
+           "output_dir": str(tmp_path / "from-config")}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_file)]) in (0, 1)
+    assert (tmp_path / "from-config" / "report.json").exists()
+    assert main(["verify", "--config", str(cfg_file),
+                 "--output-dir", str(tmp_path / "from-flag")]) in (0, 1)
+    assert (tmp_path / "from-flag" / "report.json").exists()
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--family", "identity-u1", "-n", "16", "--margins", "0.3,0.2"]) in (0, 1)
+    assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("output_dir", 3), ("output_dir", None),
+                                        ("emit_gnuplot", "no"), ("emit_gnuplot", 1)])
+def test_mistyped_output_keys_exit_2(tmp_path, key, value):
+    cfg = {"family": "identity-u1", "n": 16, "output_dir": str(tmp_path), key: value}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_emit_gnuplot_from_config(tmp_path):
+    for emit in (False, True):
+        out = tmp_path / str(emit)
+        cfg = {"family": "identity-u1", "n": 16, "margins": [0.3, 0.2],
+               "output_dir": str(out), "emit_gnuplot": emit}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        assert main(["verify", "--config", str(cfg_file)]) in (0, 1)
+        assert (out / "results.dat").exists() == emit
 
 
 # -- sweep ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ from skybps.cli import FAMILIES, build_family, run_verify
 from skybps.errors import MomentConditionFailed
 from skybps.exterior import Metric3, hodge_star
 from skybps.gaugefield import Configuration
-from skybps.grid import build_patch
+from skybps.grid import build_patch, integrate
 from skybps.energy_degree import (
     _contraction_asymmetry,
+    _TERMS,
     _margin_pass,
     _pair,
+    _slab_pass,
     bound_gap,
     bps_coefficients,
     general_bound_coefficient,
-    integrate_density,
 )
 from skybps.lie_target import make_su2_left_target
 from skybps.solutions import identity_u1_solution, spinorial_solution
@@ -320,16 +321,27 @@ def test_bogomolny_pass_bit_identical_to_per_pair_code(family, monkeypatch):
     c = _fresh(family)
     p = bps_coefficients(0.3, -0.7, 0.5)  # every coefficient nonzero
     ref = _energy_per_pair(c, p)
-    done = _margin_pass(c, p)
-    assert np.array_equal(sum(done["terms"].values()), sum(ref.values()))
-    assert bound_gap(c, p, 1.0)["terms"] == {k: integrate_density(c, v)
-                                             for k, v in ref.items()}
-    ref2, ref_r1, ref_r2 = _bogomolny_per_pair(c, p)
-    assert np.array_equal(done["bogomolny"], ref2)
-    assert (done["r1"], done["r2"]) == (ref_r1, ref_r2)
-    assert np.array_equal(done["cross"], _cross_per_pair(c))
     pb, _, _ = _full_grid(c)
-    assert np.array_equal(done["charge"], pb["volume"] + pb["mu"])
+    ref["charge"] = pb["volume"] + pb["mu"]
+    ref2, ref_r1, ref_r2 = _bogomolny_per_pair(c, p)
+    six = sum(ref[k] for k in _TERMS)
+    mismatch = ref["charge"] - _cross_per_pair(c) / 3.0
+    slabs = c.grid.slabs()
+    assert len(slabs) == 3
+    for sl in slabs:
+        dens, sup = _slab_pass(c, p, c.slab(sl, halo=False))
+        assert list(dens) == ["charge", *_TERMS]
+        for k, v in dens.items():
+            assert np.array_equal(v, ref[k][sl]), k
+        assert sup["six_max"] == float(np.max(np.abs(six[sl])))
+        assert sup["decomposition"] == float(np.max(np.abs(ref2[sl] - six[sl])))
+        assert sup["charge_max"] == float(np.max(np.abs(ref["charge"][sl])))
+        assert sup["charge_cross"] == float(np.max(np.abs(mismatch[sl])))
+    done = _margin_pass(c, p)
+    assert done["terms"] == {k: c.orientation * integrate(ref[k], c.grid) for k in _TERMS}
+    assert done["charge"] == c.orientation * integrate(ref["charge"], c.grid)
+    assert (done["r1"], done["r2"]) == (ref_r1, ref_r2)
+    assert bound_gap(c, p, 1.0)["terms"] == done["terms"]
 
 
 @pytest.mark.parametrize("family", ["spherical", "identity-u1", "dirac-monopole"])
@@ -346,10 +358,7 @@ def test_slabs_give_the_one_slab_values(family, monkeypatch):
     one, bg1, done1 = run(20**3)
     assert one == [slice(0, 20)]
     assert bg == bg1
-    for k in done1["terms"]:
-        assert np.array_equal(done["terms"][k], done1["terms"][k]), k
-    for k in ("bogomolny", "cross", "charge"):
-        assert np.array_equal(done[k], done1[k]), k
+    assert done == done1
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -369,8 +378,8 @@ def test_star_inverted_once_per_configuration(monkeypatch):
     monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)  # slabs of 6, 6 and 4 rows
     c = _fresh("spherical")
     stars, inverted = [], []
-    real_star, real_inv = energy_degree.metric_star, exterior.mat_inv
-    monkeypatch.setattr(energy_degree, "metric_star",
+    real_star, real_inv = energy_degree.hodge_star, exterior.mat_inv
+    monkeypatch.setattr(energy_degree, "hodge_star",
                         lambda *args: stars.append(real_star(*args)) or stars[-1])
     monkeypatch.setattr(exterior, "mat_inv", lambda m: inverted.append(m) or real_inv(m))
     p = bps_coefficients(1.0, 2.0, 0.0)

@@ -152,13 +152,21 @@ def test_extrapolate_margin_power_law():
     assert extrapolate_margin(margins, [5.0, 5.0, 5.0]) == 5.0
 
 
-def test_weights_built_once_per_grid_and_read_only():
-    g = build_patch((0, -1, 2), (2 * PI, 1.5, 3), (6, 7, 9), (True, False, False), 0.1)
-    w = g.weights()
-    assert g.weights() is w
-    assert not w.flags.writeable
+@pytest.mark.parametrize("n", [20, 24, 32, 48, 64])
+def test_row_sums_of_any_slabs_are_the_full_grid_row_sums(n):
+    rng = np.random.default_rng(n)
+    g = build_patch((0, -1, 2), (2 * PI, 1.5, 3), (n, n + 1, n + 3), (False, False, True), 0.1)
+    f = 0.5 + rng.random(g.shape)
     w0, w1, w2 = (g.axis_weights(i) for i in range(3))
-    assert np.array_equal(w, w0[:, None, None] * w1[None, :, None] * w2[None, None, :])
+    assert np.array_equal(g.weights(), w0[:, None, None] * w1[None, :, None] * w2[None, None, :])
+    full = g.row_sums(f)
+    assert full.shape == (n,)
+    for rows in range(1, 14):
+        sums = [g.row_sums(f[a:a + rows], slice(a, a + rows)) for a in range(0, n, rows)]
+        assert np.array_equal(np.concatenate(sums), full), rows
+    flat = float(np.sum(f * g.weights()))
+    assert integrate(f, g) == float(np.sum(full))
+    assert abs(integrate(f, g) - flat) <= 1e-15 * abs(flat)
 
 
 # -- slabs with halos ---------------------------------------------------------------
