@@ -371,16 +371,16 @@ def perturb_configuration(c: Configuration, eps: float, seed: int = 0) -> Config
     """Add a smooth bump of amplitude eps to phi (vanishing at open boundaries)."""
     rng = np.random.default_rng(seed)
     grid = c.grid
-    mesh = np.stack(grid.meshes())
-    bump = np.ones(grid.shape)
-    for ax in range(3):
+    bump = 1.0
+    for ax in range(3):  # a product of per-axis factors, broadcast to the grid
         lo, hi = grid.lo_eff[ax], grid.hi_eff[ax]
-        t = (mesh[ax] - lo) / (hi - lo)
-        bump = bump * (np.sin(np.pi * t) if not grid.periodic[ax] else np.sin(2 * np.pi * t))
+        t = (grid.axis_points(ax) - lo) / (hi - lo)
+        f = np.sin(np.pi * t) if not grid.periodic[ax] else np.sin(2 * np.pi * t)
+        bump = bump * f.reshape([-1 if i == ax else 1 for i in range(3)])
     phi = c.phi.copy()
     for mu in range(3):
         phi[mu] = phi[mu] + eps * rng.uniform(0.5, 1.0) * bump
-    return Configuration(grid, c.target, phi, c.A.copy(), c.gM, c.orientation,
+    return Configuration(grid, c.target, phi, c.A, c.gM, c.orientation,
                          c.phi_winding.copy())
 
 
@@ -485,10 +485,11 @@ def _check_footprint(cfg: dict):
 def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
     """Build the family at margin m, run its checks and return (row, BPSParams, Vol(N)).
 
-    The first margin also runs the target-level checks, computes Vol(N) and
-    runs the Bianchi and naturality checks in the margin's pass, on the same
-    slabs.  Only the row leaves this function, so the margin's configuration
-    is freed before the next margin is built.
+    The family's identity checks run in the margin's pass, on its slabs.  The
+    first margin also runs the target-level checks, computes Vol(N) and adds
+    the Bianchi and naturality checks to the pass, whose slabs then carry
+    the derivative halo.  Only the row leaves this function, so the margin's
+    configuration is freed before the next margin is built.
     """
     tols = cfg["tolerances"]
     res, p = build_family(cfg, m)
@@ -506,12 +507,14 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
         stencil_checks = [("bianchi_residual", c.bianchi_residual)] + [
             (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
             for name, spec in naturality_check_specs(c.target)]
-    bg = bound_gap(c, p, vol_n, stencil_checks) if c.gM.riemannian else None
+    checks = res.checks + stencil_checks
+    bg = bound_gap(c, p, vol_n, checks, halo=first) if c.gM.riemannian else None
     if first:
         # the charge-cross residual needs no positive definite metric
-        done = _margin_pass(c, p, stencil_checks) if bg is None else bg
-        for name, value in done["checks"].items():
-            check(name, value, tols["bianchi" if name == "bianchi_residual" else "naturality"])
+        done = _margin_pass(c, p, checks, halo=True) if bg is None else bg
+        for name, _ in stencil_checks:
+            tol = tols["bianchi" if name == "bianchi_residual" else "naturality"]
+            check(name, done["checks"][name], tol)
         check("charge_density_cross", done["charge_cross"], tols["charge_cross"])
     if bg is None:
         check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
@@ -522,7 +525,7 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
         family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
         margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],
         gap=bg["gap"], r1=bg["r1"], r2=bg["r2"], terms=bg["terms"],
-        extras={k: v for k, v in res.diagnostics.items() if isinstance(v, (int, float, bool))},
+        extras={**res.diagnostics, **{name: bg["checks"][name] for name, _ in res.checks}},
     )
     check(f"r1[m={m}]", bg["r1"], tols["residual"])
     check(f"r2[m={m}]", bg["r2"], tols["residual"])
@@ -782,9 +785,10 @@ def main(argv=None) -> int:
 
     sub.add_parser("verify", parents=[common], help="verify one family")
     sub.add_parser("sweep", parents=[common], help="verify a parameter grid")
-    ob = sub.add_parser("obstruction", parents=[common],
-                        help="left-action moment obstruction constant")
+    # obstruction reads no configuration, so it takes none of the flags above
+    ob = sub.add_parser("obstruction", help="left-action moment obstruction constant")
     ob.add_argument("--K", type=float, default=1.0)
+    ob.add_argument("--output-dir", dest="output_dir", help="default: .")
 
     args = parser.parse_args(argv)
     try:

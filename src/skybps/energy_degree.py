@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MomentConditionFailed
-from .exterior import StarMap, hodge_star, mat_det, mat_inv
+from .exterior import StarMap, mat_det, mat_inv
 from .gaugefield import Configuration, Slab, equivariant_pullback
 
 
@@ -65,36 +65,31 @@ def bps_coefficients(alpha: float, beta: float, gamma: float) -> BPSParams:
 # ---------------------------------------------------------------------------
 
 
-def _pair(u, v, degree: int, star: StarMap, gslot: np.ndarray | None) -> np.ndarray:
+def _pair(u, v, degree: int, star: StarMap, gslot: np.ndarray) -> np.ndarray:
     """Pointwise 3-form coefficient of g(u ^ star v) for slot-valued forms."""
     return _pair_starred(u, star.on_1(v) if degree == 1 else star.on_2(v), gslot)
 
 
-def _pair_starred(u, sv, gslot: np.ndarray | None) -> np.ndarray:
+def _pair_starred(u, sv, gslot: np.ndarray) -> np.ndarray:
     """Pointwise g(u ^ star v) from sv = star v, which is read, not overwritten.
 
-    u, sv have shape (slot, 3, *sp); gslot contracts the slots (None = delta,
-    for Lie-algebra slots in an orthonormal basis).  Products are summed in
-    slot, then component, order; the scratch buffers have shape *sp.
+    u, sv have shape (slot, 3, *sp); gslot contracts the slots.  Products are
+    summed in slot, then component, order; the scratch buffers have shape *sp.
     """
     n = len(sv)
-    dt = np.result_type(u, sv) if gslot is None else np.result_type(u, sv, gslot)
+    dt = np.result_type(u, sv, gslot)
     sp = sv.shape[-3:]
     rho = np.zeros(sp, dt)
     prod = np.empty(sp, dt)
-    if gslot is not None:
-        tmp = np.empty(sp, dt)
+    tmp = np.empty(sp, dt)
     for b in range(n):
         for i in range(3):
-            if gslot is None:
-                np.multiply(sv[b, i], u[b, i], out=prod)
-            else:
-                # lower the slot index of u: gslot[0, b] u^0_i + gslot[1, b] u^1_i + ...
-                np.multiply(gslot[0, b], u[0, i], out=prod)
-                for a in range(1, n):
-                    np.multiply(gslot[a, b], u[a, i], out=tmp)
-                    prod += tmp
-                np.multiply(sv[b, i], prod, out=prod)
+            # lower the slot index of u: gslot[0, b] u^0_i + gslot[1, b] u^1_i + ...
+            np.multiply(gslot[0, b], u[0, i], out=prod)
+            for a in range(1, n):
+                np.multiply(gslot[a, b], u[a, i], out=tmp)
+                prod += tmp
+            np.multiply(sv[b, i], prod, out=prod)
             rho += prod
     return rho
 
@@ -107,7 +102,7 @@ def _pair_starred(u, sv, gslot: np.ndarray | None) -> np.ndarray:
 _TERMS = ("c1_dphi", "c2_sigma", "c3_nu", "c4_mu_sharp", "c5_nu_sigma", "c6_mu_sigma")
 
 
-def _margin_pass(c: Configuration, p: BPSParams, checks=()) -> dict:
+def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) -> dict:
     """All pointwise algebra of a configuration, one slab of rows at a time.
 
     Each slab (``PatchGrid.slabs``) forms d^A phi and F on its rows, takes
@@ -124,20 +119,22 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=()) -> dict:
     which combine over the slabs by max.  So no density of the grid's size is
     held, and every value is that of one full-grid pass.
 
-    ``checks`` are (name, fn) pairs of stencil checks that read the same
-    slabs: fn(slab) is the check's value on the slab's rows, and the slab's
-    fields are then formed on its derivative halo.  Their maxima over the
-    slabs are returned under "checks".
+    ``checks`` are (name, fn) pairs that read the same slabs before the pass
+    does: fn(slab) is the check's value on the slab's rows, and their maxima
+    over the slabs are returned under "checks".  With ``halo`` the slab's
+    fields are formed on its derivative halo, for the stencil checks
+    (Bianchi, naturality) that differentiate them.
     """
     grid = c.grid
     sums = {k: np.empty(grid.n[0]) for k in _TERMS + ("charge",)}
     sups = {}
     found = {name: [] for name, _ in checks}
     for sl in grid.slabs():
-        slab = c.slab(sl, halo=bool(checks))
+        slab = c.slab(sl, halo)
         for name, check in checks:
             found[name].append(check(slab))
         dens, sup = _slab_pass(c, p, slab)
+        del slab  # and its star, before the row sums
         for key, v in dens.items():
             sums[key][sl] = grid.row_sums(v, sl)
         for key, v in sup.items():
@@ -154,7 +151,8 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     terms and the charge density) and its maxima, each by name.
 
     Each slab-size field is dropped after its last reader, and all of them
-    on return, so that a grid of one slab (n <= 24) holds few of them at once.
+    on return (the star with the slab, which the caller drops), so that a
+    grid of one slab (n <= 24) holds few of them at once.
     """
     t, sl = c.target, slab.rows
     y, (P, F, kil) = c.phi[:, sl], slab.take()
@@ -170,7 +168,7 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     out = {"charge": equivariant_pullback(P, F, 0, 3, t.vol_coeff(det))
            + equivariant_pullback(P, F, 1, 1, mu)}
     del F, kil, mu, det, inv
-    star = hodge_star(c.gM, c.orientation, sl)
+    star = slab.star
 
     # the energy densities: each right operand is star-applied once and
     # paired with every left operand on it
@@ -278,9 +276,10 @@ def general_bound_coefficient(p: BPSParams) -> float | None:
     return 6.0 * float(np.sqrt(num / den))
 
 
-def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=()) -> dict:
+def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=(),
+              halo: bool = False) -> dict:
     """Energy, degree and E - 6 Vol(N) |deg| of one pass, with its residuals
-    and the values of the stencil ``checks`` run in it (see ``_margin_pass``).
+    and the values of the ``checks`` run in it (see ``_margin_pass``).
 
     Raises MomentConditionFailed if nu-hat and mu-sharp-hat are not pointwise
     orthogonal (for targets with a valid moment map), then if the moment map
@@ -290,7 +289,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=()) -> dict:
     the coefficient map and that orthogonality.  The degree is the quadrature
     over this (margined) patch; callers extrapolate over margins.
     """
-    done = _margin_pass(c, p, checks)
+    done = _margin_pass(c, p, checks, halo)
     scale = max(done["six_max"], 1.0)
     if done.get("ortho", 0.0) > 1e-10 * scale:
         raise MomentConditionFailed(

@@ -11,8 +11,9 @@ is treated as immutable after construction.  None is held: d phi, d^A phi
 and F are formed on a range of rows of the first axis (by default all of
 them) from the configuration's rows around it (``PatchGrid.halo``), so the
 verify forms them one slab at a time (:meth:`Configuration.slab`), and the
-Bianchi and naturality residuals are maxima over slabs.  On a grid of one
-slab the rows are the whole grid and no halo is read.
+Bianchi and naturality residuals are those of one slab, which the margin's
+pass combines by max.  On a grid of one slab the rows are the whole grid and
+no halo is read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartExit, DegreeOverflow, GridMismatch
-from .exterior import Metric3, _adjugate, _cross_into, _det, _matvec, assert_finite, mat_det
+from .exterior import (Metric3, StarMap, _adjugate, _cross_into, _det, _matvec, assert_finite,
+                       hodge_star, mat_det)
 from .grid import PatchGrid, _take_rows, slab_derivative
 from .lie_target import TargetGeometry, target_partials
 
@@ -134,12 +136,9 @@ class Configuration:
         """The derived fields of one slab, formed when first read (see :class:`Slab`)."""
         return Slab(self, rows, self.grid.halo(rows) if halo else rows)
 
-    def bianchi_residual(self, slab: Slab | None = None) -> float:
-        """max |dF^a + f^a_bc A^b ^ F^c| (3-form coefficient, per algebra slot),
-        on one slab's rows or, by default, over all slabs."""
-        if slab is None:
-            return max(self.bianchi_residual(self.slab(sl, halo=True))
-                       for sl in self.grid.slabs())
+    def bianchi_residual(self, slab: Slab) -> float:
+        """max |dF^a + f^a_bc A^b ^ F^c| (3-form coefficient, per algebra slot)
+        on one slab's rows, from F on its halo."""
         F, rows = slab.F, slab.rows
         div = sum(slab_derivative(F[:, m], m, self.grid, rows) for m in range(3))
         A, F = self.grid.take_rows(self.A, rows), slab.inner(F)
@@ -151,12 +150,13 @@ class Configuration:
 
 @dataclass
 class Slab:
-    """d^A phi, F and I(phi) on the rows ``window`` around a slab's ``rows``.
+    """d^A phi, F and I(phi) on the rows ``window`` around a slab's ``rows``,
+    and the base star on the slab's rows.
 
-    Each field is formed on first read and kept until :meth:`take`.  A
-    slab read by a stencil check has the derivative halo as its window
-    (``PatchGrid.halo``); the margin's pass alone reads the slab's own rows.
-    ``inner`` cuts a window field down to the slab's rows.
+    Each field is formed on first read; d^A phi, F and I(phi) are kept until
+    :meth:`take`.  A slab read by a stencil check has the derivative halo as
+    its window (``PatchGrid.halo``); otherwise the window is the slab's own
+    rows.  ``inner`` cuts a window field down to the slab's rows.
     """
 
     config: Configuration
@@ -188,6 +188,11 @@ class Slab:
     @cached_property
     def F(self) -> np.ndarray:
         return self.config.curvature(self.window)
+
+    @cached_property
+    def star(self) -> StarMap:
+        c = self.config
+        return hodge_star(c.gM, c.orientation, self.rows)
 
 
 def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid,
@@ -318,9 +323,8 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
-                                 slab: Slab | None = None) -> float:
-    """max-norm of phi^{*A}(d_g beta) - d(phi^{*A} beta), on one slab's rows
-    or, by default, over all slabs.
+                                 slab: Slab) -> float:
+    """max-norm of phi^{*A}(d_g beta) - d(phi^{*A} beta) on one slab's rows.
 
     d_g beta(X) = d(beta(X)) - iota_{nu(X)} beta(X): the first part raises q,
     the second raises p.  For p >= 1 or 2p + q >= 3 both sides are forms of
@@ -333,9 +337,6 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     p, q = spec.p, spec.q
     if p >= 1 or 2 * p + q >= 3:
         return 0.0
-    if slab is None:
-        return max(pullback_naturality_residual(c, spec, c.slab(sl, halo=True))
-                   for sl in c.grid.slabs())
     grid, rows = c.grid, slab.rows
 
     # d(phi^{*A} beta) by grid finite differences

@@ -123,9 +123,11 @@ class PatchGrid:
             return self.lo_eff[i] + self.h[i] * np.arange(self.n[i])
         return np.linspace(self.lo_eff[i], self.hi_eff[i], self.n[i])
 
-    def meshes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinate fields (X0, X1, X2), each of shape ``self.shape``."""
-        return tuple(np.meshgrid(*(self.axis_points(i) for i in range(3)), indexing="ij"))
+    def meshes(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate fields (X0, X1, X2) on ``rows`` of the first axis (all
+        by default)."""
+        x0, x1, x2 = (self.axis_points(i) for i in range(3))
+        return tuple(np.meshgrid(x0[rows], x1, x2, indexing="ij"))
 
     def axis_weights(self, i: int) -> np.ndarray:
         """Composite quadrature weights along axis i; they sum to the axis length."""

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
-from .exterior import EPS, mat_det
+from .exterior import EPS, _matvec, mat_det
 from .grid import PatchGrid, build_patch, extrapolate_margin, integrate
 
 _CSTEP = 1e-30
@@ -181,7 +181,7 @@ class TargetGeometry:
 
     def mu_sharp(self, g_inv: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Metric dual of the moment map, components (dim, 3, ...), given g_N^-1 and mu."""
-        return np.einsum("mnxyz,anxyz->amxyz", g_inv, mu)
+        return _matvec(g_inv, mu)
 
     def volume(self, n=96, margins=None) -> float:
         """Margin-extrapolated integral of V_N over the chart.

@@ -1,5 +1,6 @@
 """Constructors for the explicit BPS families, each returning a ready
-Configuration together with family-specific diagnostics.
+Configuration together with the scalars its report rows carry and the
+identity checks that the margin's pass runs on its slabs.
 
 Families
 --------
@@ -40,8 +41,8 @@ from .errors import (
     NotRiemannian,
     ParamInconsistent,
 )
-from .exterior import Metric3, hodge_star
-from .gaugefield import Configuration
+from .exterior import Metric3
+from .gaugefield import Configuration, Slab
 from .grid import build_patch
 from .lie_target import (
     AdjointIntervalFamily,
@@ -161,11 +162,14 @@ def mercator_sphere(curvature: float = 1.0, tau_max: float = 3.0) -> SurfaceGeom
 
 @dataclass
 class FamilyResult:
-    """A constructed family member plus its construction-time diagnostics."""
+    """A constructed family member, the scalars its report rows carry, and
+    (name, fn) checks of its closed-form identities: fn(slab) is a residual
+    on the rows of a :class:`Slab` of ``config``, maximized by the pass."""
 
     family: str
     config: Configuration
     diagnostics: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +268,15 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     winding[0, 0] = 1.0
     cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=-1,
                         phi_winding=winding)
+    return FamilyResult(family="dirac-monopole", config=cfg,
+                        checks=[("abelian_bps_residual", _abelian_bps_residual)])
 
-    res = 0.0
-    for sl in grid.slabs():  # no derived field is held on the full grid
-        star = hodge_star(cfg.gM, cfg.orientation, sl)
-        dxi = cfg.dphi(sl)[0]  # = ds exactly
-        da = cfg.curvature(sl)[0]
-        res = max(res, float(np.max(np.abs(star.on_1(dxi[None])[0] + da))))
-    return FamilyResult(
-        family="dirac-monopole",
-        config=cfg,
-        diagnostics={"abelian_bps_residual": res},
-    )
+
+def _abelian_bps_residual(slab: Slab) -> float:
+    """max |star d xi + da| on a slab's rows.  d xi (= ds exactly) is the xi
+    row of d^A phi, since the action leaves xi fixed (I_a^xi = 0)."""
+    dxi, da = slab.inner(slab.P)[0], slab.inner(slab.F)[0]
+    return float(np.max(np.abs(slab.star.on_1(dxi[None])[0] + da)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +315,9 @@ def spinorial_solution(
 
         g_M = dxi^2 + (h2^2 + (3/2) eta1 (1 - K)) g_C.
 
-    The conformal-block coefficient may fail positivity; the returned
-    diagnostics carry the pointwise mask (a legal, flagged outcome) and the
-    curvature-identity residual |F - (1/2)(1 - K) omega_C Phi|.
+    The conformal-block coefficient may fail positivity (a legal, flagged
+    outcome); the diagnostics carry its minimum, and the checks the
+    residuals of F = (1/2)(1 - K) omega_C Phi and of d^A phi.
 
     The default profile family is the eta2 = 0 representative of the round
     3-sphere metric (h2 = sin, eta1 = -2 sin^2); choosing eta2 = 0 removes
@@ -345,51 +346,51 @@ def spinorial_solution(
         A[0, 0] = twist_b
     phi = np.stack([xi, np.full(grid.shape, np.pi / 2), np.zeros(grid.shape)])
 
-    kk = surface.gauss_k(x1, x2)
     om = surface.omega(x1, x2)
-    coef = fam.h2(xi) ** 2 + 1.5 * fam.eta1(xi) * (1.0 - kk)
-    mask = coef > 0
+    coef = fam.h2(xi) ** 2 + 1.5 * fam.eta1(xi) * (1.0 - surface.gauss_k(x1, x2))
     g = np.zeros((3, 3) + grid.shape)
     g[0, 0] = 1.0
     g[1, 1] = coef * om
     g[2, 2] = coef * om
     cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=1)
-
-    # the identities are checked slab by slab, so F and d^A phi are never
-    # held on the full grid
-    f_res = dphi_res = 0.0
-    for sl in grid.slabs():
-        F = cfg.curvature(sl)
-        pred = np.zeros_like(F)
-        pred[0, 0] = 0.5 * (1.0 - kk[sl]) * om[sl]
-        if twist_b != 0.0:
-            # -B dxi ^ d^A Phi contributes B sqrt(Omega) on both transverse slots
-            sq = np.sqrt(om[sl])
-            pred[1, 1] = twist_b * sq
-            pred[2, 2] = twist_b * sq
-        f_res = max(f_res, float(np.max(np.abs(F - pred))))
-        del F, pred
-
-        P = cfg.covariant_differential(sl)
-        dphi_pred = np.zeros_like(P)
-        dphi_pred[0, 0] = 1.0
-        dphi_pred[1, 1] = np.sqrt(om[sl])
-        dphi_pred[2, 2] = np.sqrt(om[sl])
-        dphi_res = max(dphi_res, float(np.max(np.abs(P - dphi_pred))))
-
     return FamilyResult(
         family="spinorial",
         config=cfg,
         diagnostics={
-            "riemannian_everywhere": bool(np.all(mask)),
+            "riemannian_everywhere": bool(np.all(coef > 0)),
             "conformal_coefficient_min": float(np.min(coef)),
-            "nonriemannian_mask": ~mask,
-            "conformal_coefficient": coef,
-            "curvature_identity_residual": f_res,
-            "covariant_differential_residual": dphi_res,
-            "surface": surface,
         },
+        checks=_spinorial_checks(surface, twist_b),
     )
+
+
+def _spinorial_checks(surface: SurfaceGeometry, twist_b: float) -> list:
+    """Checks of F = (1/2)(1 - K) omega_C Phi (plus the twist's part) and
+    d^A phi = dxi e_0 + sqrt(Omega) (dx1 e_1 + dx2 e_2), with K and Omega
+    evaluated on the slab's rows."""
+    def surface_mesh(slab: Slab):
+        return slab.config.grid.meshes(slab.rows)[1:]
+
+    def curvature_identity(slab: Slab) -> float:
+        x1, x2 = surface_mesh(slab)
+        om = surface.omega(x1, x2)
+        F = slab.inner(slab.F)
+        pred = np.zeros_like(F)
+        pred[0, 0] = 0.5 * (1.0 - surface.gauss_k(x1, x2)) * om
+        if twist_b != 0.0:
+            # -B dxi ^ d^A Phi contributes B sqrt(Omega) on both transverse slots
+            pred[1, 1] = pred[2, 2] = twist_b * np.sqrt(om)
+        return float(np.max(np.abs(F - pred)))
+
+    def covariant_differential(slab: Slab) -> float:
+        P = slab.inner(slab.P)
+        pred = np.zeros_like(P)
+        pred[0, 0] = 1.0
+        pred[1, 1] = pred[2, 2] = np.sqrt(surface.omega(*surface_mesh(slab)))
+        return float(np.max(np.abs(P - pred)))
+
+    return [("curvature_identity_residual", curvature_identity),
+            ("covariant_differential_residual", covariant_differential)]
 
 
 def twisted_spinorial_solution(
@@ -414,7 +415,6 @@ def twisted_spinorial_solution(
     fam = _round_eta2_zero("eta2-zero")
     if alpha == 0.0:
         surface = mercator_sphere(1.0)
-        beta_eff = 0.0 if beta is None else beta
     else:
         if beta is None or beta == 0.0:
             raise ParamInconsistent("alpha != 0 needs beta != 0 with K = 1 - alpha/beta")
@@ -424,23 +424,13 @@ def twisted_spinorial_solution(
                 f"implied constant curvature {curvature:.4g} <= 0 is not a shipped surface"
             )
         surface = mercator_sphere(curvature)
-        beta_eff = beta
         xi = np.linspace(1e-6, np.pi - 1e-6, 64)
         compat = np.sin(xi) ** 2 - beta * fam.eta1(xi) * (curvature - 1.0) / (2.0 * alpha)
         if np.max(np.abs(compat)) > 1e-10:
             raise ParamInconsistent("h2^2 = beta eta1 (K-1)/(2 alpha) fails")
 
     res = spinorial_solution(surface, fam, n=n, margin=margin, twist_b=b)
-    xi, tau, v = res.config.grid.meshes()
-    kk = surface.gauss_k(tau, v)
-    cond1 = float(np.max(np.abs(
-        alpha * np.sin(xi) ** 2 + 0.5 * beta_eff * fam.eta1(xi) * (1.0 - kk))))
-    cond2 = abs(2.0 * gamma * b - alpha)
-    cond3 = 0.0  # eta2 = 0 by construction
     res.family = "twisted-spinorial"
-    res.diagnostics.update(
-        {"bps2_scalar_conditions": (cond1, cond2, cond3)}
-    )
     return res
 
 
@@ -610,6 +600,5 @@ def symplectic_solution(
         diagnostics={
             "normalization_residual": norm_res,
             "omega_c_integral_over_2pi": area / (2 * np.pi),
-            "surface": surface,
         },
     )

@@ -4,10 +4,12 @@ None of this runs in ``skybps verify``, ``sweep`` or ``obstruction``:
 
 - finite gauge transformations, with the group actions on the target charts;
 - the named equivariant forms and their pullbacks, formed on the full grid;
+- a slab check's maximum over a configuration's slabs, without the pass;
 - the target-level equivariance, nu-homomorphism and Sigma-duality residuals;
 - the trace residual of a star-like map and the metric it recovers;
 - the group-valued form of the SU(2) energy;
-- the round 3-sphere metric of the spherical family's special parameters.
+- the round 3-sphere metric of the spherical family's special parameters;
+- the twisted spinorial family's scalar BPS2 conditions.
 """
 
 from __future__ import annotations
@@ -211,6 +213,12 @@ def _identity_coeff(y):
     ).astype(np.result_type(y))
 
 
+def over_slabs(c: Configuration, check) -> float:
+    """max of check(slab) over the slabs of c, each with its derivative halo:
+    the value that a margin's pass reports for the check."""
+    return max(check(c.slab(sl, halo=True)) for sl in c.grid.slabs())
+
+
 # ---------------------------------------------------------------------------
 # target-level action diagnostics
 # ---------------------------------------------------------------------------
@@ -342,7 +350,8 @@ def su2_matrix_fields(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lie_pair(u, v, degree: int, star: StarMap) -> np.ndarray:
-    return _pair(u, v, degree, star, None)
+    """The pairing of Lie-algebra slots in an orthonormal basis (delta)."""
+    return _pair(u, v, degree, star, np.eye(len(u))[:, :, None, None, None])
 
 
 def energy_su2_reduced(U: np.ndarray, A: np.ndarray, grid: PatchGrid, gM: Metric3,
@@ -399,3 +408,17 @@ def spherical_round_target_metric(xi):
     arctan(xi) turns into the round 3-sphere.
     """
     return 1.0 / (1.0 + xi**2) ** 2, xi**2 / (1.0 + xi**2)
+
+
+def bps2_scalar_conditions(res, alpha: float, beta: float, gamma: float):
+    """The three scalar conditions under which the twisted spinorial member
+    ``res`` solves BPS2, each as a maximum over its grid:
+    alpha h2^2 + (beta/2) eta1 (1 - K) with K = 1 - alpha/beta,
+    2 gamma B - alpha with B read off A, and eta2."""
+    c = res.config
+    fam = c.target.extras["family"]
+    xi = c.grid.meshes()[0]
+    k = 1.0 - alpha / beta
+    return (float(np.max(np.abs(alpha * fam.h2(xi) ** 2 + 0.5 * beta * fam.eta1(xi) * (1.0 - k)))),
+            float(np.max(np.abs(2.0 * gamma * c.A[0, 0] - alpha))),
+            float(np.max(np.abs(fam.eta2(xi)))))

@@ -262,6 +262,17 @@ def test_obstruction_command(tmp_path, capsys):
     assert main(["obstruction", "--K", "0"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--config", "/nonexistent.json"], ["--family", "spherical"],
+                                   ["-n", "3"], ["--emit-gnuplot"]],
+                         ids=["config", "family", "n", "emit-gnuplot"])
+def test_obstruction_refuses_flags_it_does_not_read(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction", *flags, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("K, code", [("nan", 2), ("inf", 2), ("-inf", 2), ("1e308", 1)])
 def test_obstruction_non_finite_exits_cleanly(tmp_path, capsys, K, code):
@@ -327,6 +338,21 @@ def test_nonriemannian_base_metric_fails_every_row():
         assert row["exit"] == 1
         assert all(math.isnan(row[k]) for k in ("energy", "degree", "bound", "gap", "r1", "r2"))
     assert rep["degree_extrapolated"] is None
+
+
+def test_perturbation_is_the_mesh_bump_and_shares_a():
+    base = solutions.spherical_solution(1.0, -1.0, 1.0, 2.0, n=20).config
+    pert = cli.perturb_configuration(base, 0.02, seed=3)
+    assert pert.A is base.A
+    # the bump formed on the full coordinate meshes, as a reference
+    grid, rng = base.grid, np.random.default_rng(3)
+    mesh = np.stack(grid.meshes())
+    bump = np.ones(grid.shape)
+    for ax in range(3):
+        t = (mesh[ax] - grid.lo_eff[ax]) / (grid.hi_eff[ax] - grid.lo_eff[ax])
+        bump = bump * np.sin((2 if grid.periodic[ax] else 1) * np.pi * t)
+    for mu in range(3):
+        assert np.array_equal(pert.phi[mu], base.phi[mu] + 0.02 * rng.uniform(0.5, 1.0) * bump)
 
 
 def test_verify_tolerance_failure_exit_1(tmp_path):

@@ -11,7 +11,7 @@ from oracles import (
     standard_specs,
     su2_matrix_fields,
 )
-from skybps import energy_degree, exterior, grid
+from skybps import exterior, gaugefield, grid
 from skybps.cli import FAMILIES, build_family, run_verify
 from skybps.errors import MomentConditionFailed
 from skybps.exterior import Metric3, hodge_star
@@ -374,19 +374,30 @@ def test_verify_rows_equal_separate_calls(family):
                                                               bg["gap"])
 
 
-def test_star_inverted_once_per_configuration(monkeypatch):
-    monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)  # slabs of 6, 6 and 4 rows
-    c = _fresh("spherical")
+def _stars_of_one_pass(family, monkeypatch):
+    """The stars that one pass with the family's checks forms, on slabs of 6,
+    6 and 4 rows, and how often each is inverted."""
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)
+    res, p = build_family({"family": family, "n": 16}, FAMILIES[family].margins[0])
     stars, inverted = [], []
-    real_star, real_inv = energy_degree.hodge_star, exterior.mat_inv
-    monkeypatch.setattr(energy_degree, "hodge_star",
+    real_star, real_inv = gaugefield.hodge_star, exterior.mat_inv
+    monkeypatch.setattr(gaugefield, "hodge_star",
                         lambda *args: stars.append(real_star(*args)) or stars[-1])
     monkeypatch.setattr(exterior, "mat_inv", lambda m: inverted.append(m) or real_inv(m))
-    p = bps_coefficients(1.0, 2.0, 0.0)
-    bound_gap(c, p, 1.0)
+    bound_gap(res.config, p, 1.0, res.checks)
+    assert len(res.config.grid.slabs()) == 3
+    return len(stars), [sum(m is star.s for m in inverted) for star in stars]
+
+
+def test_star_inverted_once_per_configuration(monkeypatch):
     # one pass per configuration: one star per slab, each inverted once
-    assert len(stars) == len(c.grid.slabs()) == 3
-    assert [sum(m is star.s for m in inverted) for star in stars] == [1, 1, 1]
+    assert _stars_of_one_pass("spherical", monkeypatch) == (3, [1, 1, 1])
+
+
+def test_family_check_reads_the_pass_star(monkeypatch):
+    # the monopole's abelian BPS check stars d xi on each slab before the pass
+    # does, and the pass reuses that star
+    assert _stars_of_one_pass("dirac-monopole", monkeypatch) == (3, [1, 1, 1])
 
 
 # -- the degree's contraction check ---------------------------------------------------

@@ -121,8 +121,9 @@ def test_pairing_symmetry(seed):
     s = hodge_star(m)
     u = rng.normal(size=(3,) + SHAPE)
     v = rng.normal(size=(3,) + SHAPE)
-    left = _pair(u[None], v[None], 1, s, None)
-    right = _pair(v[None], u[None], 1, s, None)
+    one = np.ones((1, 1, 1, 1, 1))  # the metric of a single slot
+    left = _pair(u[None], v[None], 1, s, one)
+    right = _pair(v[None], u[None], 1, s, one)
     scale = np.max(np.abs(left)) + 1.0
     assert np.max(np.abs(left - right)) < 1e-12 * scale
     ginv, vol = mat_inv(m.g), np.sqrt(m.det())
@@ -213,9 +214,6 @@ def test_pair_matches_einsum_both_branches(degree):
     v = rng.normal(size=(3, 3) + SHAPE)
     sv = star.on_1(v) if degree == 1 else star.on_2(v)
     gslot = random_spd(rng).g
-    ref = np.einsum("uixyz,uixyz->xyz", u, sv)
-    scale = np.einsum("uixyz,uixyz->xyz", np.abs(u), np.abs(sv))
-    assert np.max(np.abs(_pair(u, v, degree, star, None) - ref) / scale) < 1e-12
     ref = np.einsum("uvxyz,uixyz,vixyz->xyz", gslot, u, sv)
     scale = np.einsum("uvxyz,uixyz,vixyz->xyz", np.abs(gslot), np.abs(u), np.abs(sv))
     assert np.max(np.abs(_pair(u, v, degree, star, gslot) - ref) / scale) < 1e-12
@@ -238,7 +236,7 @@ def _pair_generator(u, v, degree, star, gslot):
     n = len(sv)
     rho = np.zeros(sv.shape[-3:], np.result_type(u, sv))
     for b in range(n):
-        ub = u[b] if gslot is None else sum(gslot[a, b] * u[a] for a in range(n))
+        ub = sum(gslot[a, b] * u[a] for a in range(n))
         for i in range(3):
             rho += ub[i] * sv[b, i]
     return rho
@@ -255,14 +253,13 @@ def test_matvec_bit_identical_to_broadcast_sum(lead, complex_):
     assert np.array_equal(out, _matvec_broadcast(m, v))
 
 
-@pytest.mark.parametrize("lowered", [False, True], ids=["delta", "gslot"])
-@pytest.mark.parametrize("degree", [1, 2])
-def test_pair_bit_identical_to_generator_lowering(degree, lowered):
+@pytest.mark.parametrize("degree", [1, 2], ids=["1-gslot", "2-gslot"])
+def test_pair_bit_identical_to_generator_lowering(degree):
     rng = np.random.default_rng(20 + degree)
     star = hodge_star(random_spd(rng))
     u = rng.normal(size=(3, 3) + SHAPE)
     v = rng.normal(size=(3, 3) + SHAPE)
-    gslot = random_spd(rng).g if lowered else None
+    gslot = random_spd(rng).g
     u0, v0 = u.copy(), v.copy()
     assert np.array_equal(_pair(u, v, degree, star, gslot),
                           _pair_generator(u, v, degree, star, gslot))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
-from oracles import gauge_transform, standard_specs
+from oracles import gauge_transform, over_slabs, standard_specs
 from skybps.energy_degree import bound_gap, bps_coefficients
 from skybps.errors import ChartExit, DegreeOverflow
 from skybps.exterior import EPS, Metric3, hodge_star, mat_det
@@ -74,18 +74,19 @@ def test_curvature_abelian_analytic_oracle(u1_target):
 
 
 def test_curvature_spinorial_block_identity():
-    res = spinorial_solution(n=32)
-    assert res.diagnostics["curvature_identity_residual"] < 1e-3
-    res2 = spinorial_solution(n=64)
-    assert (res.diagnostics["curvature_identity_residual"]
-            / res2.diagnostics["curvature_identity_residual"]) > 10.0
+    f_res = []
+    for n in (32, 64):
+        res = spinorial_solution(n=n)
+        f_res.append(over_slabs(res.config, dict(res.checks)["curvature_identity_residual"]))
+    assert f_res[0] < 1e-3
+    assert f_res[0] / f_res[1] > 10.0
 
 
 def test_bianchi_residual(adjoint_round_target):
     c = smooth_adjoint_configuration(adjoint_round_target, n=32)
-    assert c.bianchi_residual() < 1e-5
+    assert over_slabs(c, c.bianchi_residual) < 1e-5
     c2 = smooth_adjoint_configuration(adjoint_round_target, n=64)
-    assert c2.bianchi_residual() < c.bianchi_residual() / 8.0
+    assert over_slabs(c2, c2.bianchi_residual) < over_slabs(c, c.bianchi_residual) / 8.0
 
 
 # -- covariant differential ----------------------------------------------------
@@ -177,11 +178,15 @@ def test_cofactor_and_det_p_match_einsum(complex_):
 # -- naturality -----------------------------------------------------------------
 
 
+def naturality(c, spec):
+    return over_slabs(c, lambda slab: pullback_naturality_residual(c, spec, slab))
+
+
 def test_naturality_residual_mu_random_fields(u1_target):
     c = smooth_u1_configuration(u1_target, n=48)
     named = dict(naturality_check_specs(u1_target))
-    assert pullback_naturality_residual(c, named["mu-1form"]) < 1e-5
-    assert pullback_naturality_residual(c, named["iota-nu-volume-2form"]) < 1e-5
+    assert naturality(c, named["mu-1form"]) < 1e-5
+    assert naturality(c, named["iota-nu-volume-2form"]) < 1e-5
 
 
 def test_naturality_classical_flat_case(u1_target):
@@ -190,21 +195,20 @@ def test_naturality_classical_flat_case(u1_target):
     c = Configuration(c0.grid, c0.target, c0.phi, None, c0.gM,
                       phi_winding=c0.phi_winding)
     for _, spec in naturality_check_specs(u1_target):
-        assert pullback_naturality_residual(c, spec) < 1e-5
+        assert naturality(c, spec) < 1e-5
 
 
 def test_naturality_top_degree_trivial(u1_target):
     c = smooth_u1_configuration(u1_target, n=16)
-    assert pullback_naturality_residual(
-        c, standard_specs(u1_target)["volume"]) == 0.0
+    assert naturality(c, standard_specs(u1_target)["volume"]) == 0.0
     # the moment map itself has total degree 3: both sides vanish structurally
-    assert pullback_naturality_residual(c, standard_specs(u1_target)["mu"]) == 0.0
+    assert naturality(c, standard_specs(u1_target)["mu"]) == 0.0
 
 
 def test_naturality_adjoint_radial_forms(adjoint_round_target):
     c = smooth_adjoint_configuration(adjoint_round_target, n=32)
     for _, spec in naturality_check_specs(adjoint_round_target):
-        assert pullback_naturality_residual(c, spec) < 1e-5
+        assert naturality(c, spec) < 1e-5
 
 
 # -- gauge transformations --------------------------------------------------------
@@ -352,14 +356,12 @@ def test_derived_fields_on_rows_are_the_full_grid_rows(periodic, u1_target,
                               c.grid.take_rows(full["P"], r)), r
         assert np.array_equal(c.curvature(r), c.grid.take_rows(full["F"], r)), r
     # the stencil checks, as maxima over slabs of 1, 2 and 5 rows
-    bianchi = c.bianchi_residual()
-    natural = [pullback_naturality_residual(c, spec)
-               for _, spec in naturality_check_specs(c.target)]
+    bianchi = over_slabs(c, c.bianchi_residual)
+    natural = [naturality(c, spec) for _, spec in naturality_check_specs(c.target)]
     for k in (1, 2, 5):
         monkeypatch.setattr(grid_module, "_SLAB_POINTS", k * 12 * 12)
-        assert c.bianchi_residual() == bianchi
-        assert [pullback_naturality_residual(c, spec)
-                for _, spec in naturality_check_specs(c.target)] == natural
+        assert over_slabs(c, c.bianchi_residual) == bianchi
+        assert [naturality(c, spec) for _, spec in naturality_check_specs(c.target)] == natural
 
 
 def _arrays(x):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import spherical_round_target_metric, standard_specs
+from oracles import (
+    bps2_scalar_conditions,
+    over_slabs,
+    spherical_round_target_metric,
+    standard_specs,
+)
 from skybps.errors import (
     ConstraintViolated,
     NormalizationFailed,
@@ -9,6 +14,7 @@ from skybps.errors import (
     ParamInconsistent,
 )
 from skybps.energy_degree import _margin_pass, bps_coefficients, bound_gap
+from skybps.gaugefield import Configuration
 from skybps.grid import extrapolate_margin, integrate
 from skybps.lie_target import eta2_zero_family, round_s3_family
 from skybps.solutions import (
@@ -84,7 +90,7 @@ def test_identity_u1_residuals_and_refinement():
 
 def test_monopole_residuals_and_rank():
     res = dirac_monopole(n=32)
-    assert res.diagnostics["abelian_bps_residual"] < 1e-5
+    assert over_slabs(res.config, dict(res.checks)["abelian_bps_residual"]) < 1e-5
     sp = standard_specs(res.config.target)
     sigma_hat = sp["sigma"].pullback(res.config)
     assert np.max(np.abs(sigma_hat)) < 1e-12
@@ -93,6 +99,24 @@ def test_monopole_residuals_and_rank():
     sv = np.linalg.svd(np.moveaxis(res.config.covariant_differential(), (0, 1), (-2, -1)),
                        compute_uv=False)
     assert set(np.unique(np.sum(sv > 1e-8 * sv.max(), axis=-1))) == {1}
+
+
+@pytest.mark.parametrize("build", [lambda: dirac_monopole(n=12),
+                                   lambda: spinorial_solution(n=12),
+                                   lambda: twisted_spinorial_solution(-2.0, 0.5, 2.0, n=12)],
+                         ids=["dirac-monopole", "spinorial", "twisted-spinorial"])
+def test_builds_form_no_derived_fields(build, monkeypatch):
+    # their identities are checks that read the margin's slabs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family build formed a derived field")
+
+    for name in ("curvature", "covariant_differential", "dphi"):
+        monkeypatch.setattr(Configuration, name, refuse)
+    res = build()
+    assert res.checks
+    monkeypatch.undo()
+    for name, check in res.checks:
+        assert over_slabs(res.config, check) < 1e-2, name
 
 
 def test_monopole_r2_linear_in_beta():
@@ -107,12 +131,18 @@ def test_monopole_r2_linear_in_beta():
 # -- spinorial family -------------------------------------------------------------------
 
 
+def conformal_coefficient(res, surface):
+    """The spinorial metric's conformal-block coefficient, g_M[1, 1] / Omega."""
+    _, x1, x2 = res.config.grid.meshes()
+    return res.config.gM.g[1, 1] / surface.omega(x1, x2)
+
+
 def test_spinorial_flat_case_k1():
     res = spinorial_solution(n=24)
     # K = 1: A is flat up to FD error and g_M is the pullback metric
-    assert res.diagnostics["curvature_identity_residual"] < 2e-3
+    assert over_slabs(res.config, dict(res.checks)["curvature_identity_residual"]) < 2e-3
     xi = res.config.grid.meshes()[0]
-    coef = res.diagnostics["conformal_coefficient"]
+    coef = conformal_coefficient(res, mercator_sphere(1.0))
     np.testing.assert_allclose(coef, np.sin(xi) ** 2, atol=1e-12)
     assert res.diagnostics["riemannian_everywhere"]
 
@@ -122,7 +152,7 @@ def test_spinorial_k2_extends_to_s1xs2():
     # spheres is 1 - (3/2)(1 - K) = 5/2 > 0 and the metric extends
     res = spinorial_solution(surface=mercator_sphere(2.0), fam=round_s3_family(),
                              n=16, margin=0.1)
-    coef = res.diagnostics["conformal_coefficient"]
+    coef = conformal_coefficient(res, mercator_sphere(2.0))
     assert res.diagnostics["riemannian_everywhere"]
     assert coef.min() > 1.0
     xi = res.config.grid.meshes()[0]
@@ -135,8 +165,8 @@ def test_spinorial_nonriemannian_flag():
     # K = 1/2 with the canonical family: coefficient sin^2 - 3/4 changes sign
     res = spinorial_solution(surface=mercator_sphere(0.5), fam=round_s3_family(),
                              n=16, margin=0.1)
-    coef = res.diagnostics["conformal_coefficient"]
-    mask = res.diagnostics["nonriemannian_mask"]
+    coef = conformal_coefficient(res, mercator_sphere(0.5))
+    mask = ~res.config.gM.riemannian_mask()
     assert not res.diagnostics["riemannian_everywhere"]
     np.testing.assert_array_equal(mask, coef <= 0)
     assert mask.any() and not mask.all()
@@ -145,7 +175,7 @@ def test_spinorial_nonriemannian_flag():
 def test_spinorial_volume_identity():
     res = spinorial_solution(n=32, margin=0.1)
     c = res.config
-    surface = res.diagnostics["surface"]
+    surface = mercator_sphere(1.0)  # spinorial_solution's default
     vol_m = integrate(np.sqrt(c.gM.det()), c.grid)
     xi = c.grid.axis_points(0)
     w = c.grid.axis_weights(0)
@@ -179,7 +209,7 @@ def test_twisted_reduces_to_spinorial_at_alpha_zero():
 def test_twisted_b_value_and_conditions():
     rt = twisted_spinorial_solution(alpha=-2.0, gamma=0.5, beta=2.0, n=24)
     assert rt.config.A[0, 0] == pytest.approx(-2.0)
-    c1, c2, c3 = rt.diagnostics["bps2_scalar_conditions"]
+    c1, c2, c3 = bps2_scalar_conditions(rt, -2.0, 2.0, 0.5)
     assert max(c1, c2, c3) < 5e-4
     p = bps_coefficients(-2.0, 2.0, 0.5)
     r = _margin_pass(rt.config, p)

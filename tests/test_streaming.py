@@ -1,4 +1,5 @@
-"""A verify streams d^A phi, F and the stencil checks through halo slabs.
+"""A verify streams d^A phi, F, the stencil checks and the family identity
+checks through halo slabs.
 
 The slab size changes only how much is held at once: every report value is
 the same for one slab as for many, and a margin's pass holds slab fields
@@ -13,7 +14,8 @@ from skybps import cli, grid
 from skybps.cli import run_verify
 
 
-@pytest.mark.parametrize("family", ["spherical", "identity-u1", "spinorial"])
+@pytest.mark.parametrize("family", ["spherical", "identity-u1", "spinorial",
+                                    "dirac-monopole", "twisted-spinorial"])
 def test_verify_reports_equal_for_one_slab_and_many(family, monkeypatch):
     cfg = {"family": family, "n": 20}
     one = run_verify(cfg)  # 20^3 points: one slab, no halo read
@@ -37,10 +39,10 @@ def test_bound_gap_working_set_grows_as_a_row(monkeypatch):
         monkeypatch.setattr(grid, "_SLAB_POINTS", n * n)
         extra = []
 
-        def traced(*args):
+        def traced(*args, **kwargs):
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = real(*args)
+            out = real(*args, **kwargs)
             extra.append(tracemalloc.get_traced_memory()[1] - entry)
             return out
 
