@@ -50,10 +50,7 @@ from .lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
     left_action_obstruction,
-    make_adjoint_interval_target,
-    make_su2_left_target,
     make_u1_fibered_target,
-    round_s3_family,
     shared,
     u1_s3_adjoint_target,
     verify_moment_conditions,
@@ -148,13 +145,25 @@ def _expr_fn(text: str, *names: str):
         raise ConfigError(f"expression {text!r} uses unknown variable(s) {sorted(bad)}")
 
     def fn(*args):
-        return e(**dict(zip(names, args))) * np.ones_like(sum(args))
+        # a NaN or an infinity is reported once, by name, not as numpy warnings
+        with np.errstate(all="ignore"):
+            out = e(**dict(zip(names, args))) * np.ones_like(sum(args))
+        if not np.all(np.isfinite(out)):
+            raise NonFinite(f"expression {text!r} evaluates to NaN or infinity")
+        return out
 
     return fn
 
 
+def _required(cfg: dict, key: str, where: str):
+    if key not in cfg:
+        raise ConfigError(f"{where} needs {key!r}")
+    return cfg[key]
+
+
 def build_target(cfg: dict) -> TargetGeometry:
-    """Target selection by name with profile parameters from the config.
+    """The identity-u1 target named by a config section, with its profile
+    parameters.
 
     Equal sections share one target object, so sweep points that leave the
     target unchanged reuse its Vol(N); an invalid section raises on every call.
@@ -169,56 +178,22 @@ def _make_target(cfg: dict) -> TargetGeometry:
     if name in ("default", "u1-s3"):
         _check_keys(cfg, set(), f"target {name!r}")
         return u1_s3_adjoint_target()
-    if name == "u1-fibered":
-        _check_keys(cfg, {"mu_x", "mu_y", "h", "omega_x", "lo", "hi", "periodic"},
-                    "target 'u1-fibered'")
-        return make_u1_fibered_target(
-            mu_x=_expr_fn(cfg.get("mu_x", "0"), "x", "y"),
-            mu_y=_expr_fn(cfg["mu_y"], "x", "y"),
-            h=_expr_fn(cfg.get("h", "1"), "x", "y"),
-            omega_x=_expr_fn(cfg.get("omega_x", "0"), "x", "y"),
-            chart_lo=_check_tuple(cfg.get("lo", (0.0, 0.0, 0.0)), 3, "target 'lo'"),
-            chart_hi=_check_tuple(cfg.get("hi", (2 * np.pi, np.pi / 2, 4 * np.pi)), 3,
-                                  "target 'hi'"),
-            chart_periodic=_check_tuple(cfg.get("periodic", (True, False, True)), 3,
-                                        "target 'periodic'", _check_bool),
-        )
-    if name in ("adjoint-s3", "s3-round"):
-        _check_keys(cfg, set(), f"target {name!r}")
-        return make_adjoint_interval_target(round_s3_family())
-    if name == "adjoint-interval":
-        return make_adjoint_interval_target(_adjoint_interval_family(cfg, _ADJOINT_KEYS))
-    if name == "su2-left":
-        _check_keys(cfg, {"K"}, "target 'su2-left'")
-        _check_reals(cfg, ["K"], "target")
-        return make_su2_left_target(float(cfg.get("K", 1.0)))
-    raise ConfigError(f"unknown target {name!r}")
-
-
-_ADJOINT_KEYS = frozenset({"h1", "h2", "eta1", "eta2", "interval", "compact"})
-
-
-def _adjoint_interval_family(cfg: dict, allowed: frozenset) -> AdjointIntervalFamily:
-    """Profile family of an ``adjoint-interval`` target section (name popped).
-
-    ``allowed`` is the set of keys the caller accepts; a missing ``h1`` is 1.
-    """
-    _check_keys(cfg, allowed, "target 'adjoint-interval'")
-    return AdjointIntervalFamily(
-        h1=_expr_fn(cfg.get("h1", "1"), "xi"),
-        h2=_expr_fn(cfg["h2"], "xi"),
-        eta1=_expr_fn(cfg["eta1"], "xi"),
-        eta2=_expr_fn(cfg.get("eta2", "0"), "xi"),
-        interval=_check_tuple(cfg.get("interval", (0.0, np.pi)), 2, "target 'interval'"),
-        compact=_compact(cfg),
+    if name != "u1-fibered":
+        raise ConfigError(f"unknown identity-u1 target {name!r}: it takes 'u1-s3' "
+                          f"(or 'default') and 'u1-fibered'")
+    _check_keys(cfg, {"mu_x", "mu_y", "h", "omega_x", "lo", "hi", "periodic"},
+                "target 'u1-fibered'")
+    return make_u1_fibered_target(
+        mu_x=_expr_fn(cfg.get("mu_x", "0"), "x", "y"),
+        mu_y=_expr_fn(_required(cfg, "mu_y", "target 'u1-fibered'"), "x", "y"),
+        h=_expr_fn(cfg.get("h", "1"), "x", "y"),
+        omega_x=_expr_fn(cfg.get("omega_x", "0"), "x", "y"),
+        chart_lo=_check_tuple(cfg.get("lo", (0.0, 0.0, 0.0)), 3, "target 'lo'"),
+        chart_hi=_check_tuple(cfg.get("hi", (2 * np.pi, np.pi / 2, 4 * np.pi)), 3,
+                              "target 'hi'"),
+        chart_periodic=_check_tuple(cfg.get("periodic", (True, False, True)), 3,
+                                    "target 'periodic'", _check_bool),
     )
-
-
-def _compact(cfg: dict):
-    compact = cfg.get("compact")
-    if compact not in (None, "s3", "s1xs2"):
-        raise ConfigError(f"target 'compact' must be \"s3\" or \"s1xs2\", got {compact!r}")
-    return compact
 
 
 def build_surface(cfg: dict):
@@ -248,10 +223,23 @@ def _make_spinorial_family(cfg: dict):
     if name in ("s3-round", "default"):
         _check_keys(cfg, set(), f"target {name!r}")
         return None
-    if name == "adjoint-interval":
-        # the spinorial constructions fix h1 = 1, so the section may not set it
-        return _adjoint_interval_family(cfg, _ADJOINT_KEYS - {"h1"})
-    raise ConfigError(f"unknown spinorial target {name!r}")
+    if name != "adjoint-interval":
+        raise ConfigError(f"unknown spinorial target {name!r}: it takes 's3-round' "
+                          f"(or 'default') and 'adjoint-interval'")
+    # the spinorial constructions fix h1 = 1, so the section may not set it
+    where = "target 'adjoint-interval'"
+    _check_keys(cfg, {"h2", "eta1", "eta2", "interval", "compact"}, where)
+    compact = cfg.get("compact")
+    if compact not in (None, "s3", "s1xs2"):
+        raise ConfigError(f"target 'compact' must be \"s3\" or \"s1xs2\", got {compact!r}")
+    return AdjointIntervalFamily(
+        h1=_expr_fn("1", "xi"),
+        h2=_expr_fn(_required(cfg, "h2", where), "xi"),
+        eta1=_expr_fn(_required(cfg, "eta1", where), "xi"),
+        eta2=_expr_fn(cfg.get("eta2", "0"), "xi"),
+        interval=_check_tuple(cfg.get("interval", (0.0, np.pi)), 2, "target 'interval'"),
+        compact=compact,
+    )
 
 
 def _nullable(value, where: str):

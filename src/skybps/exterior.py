@@ -185,9 +185,9 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def hodge_star(metric: Metric3, orientation: int = 1, rows: slice = slice(None)) -> StarMap:
+def hodge_star(metric: Metric3, orientation: int, rows: slice) -> StarMap:
     """Star map orientation * sqrt(det g) * g^-1 of a riemannian metric on
-    ``rows`` of the first spatial axis (all by default).
+    ``rows`` of the first spatial axis.
 
     Raises ``SingularMetric`` if det <= 0.
     """

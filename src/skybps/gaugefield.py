@@ -8,12 +8,12 @@ remainder only.  A is stored through its Lie-algebra components A^a_lambda(x).
 
 Derived fields are pure functions of the configuration, and a Configuration
 is treated as immutable after construction.  None is held: d phi, d^A phi
-and F are formed on a range of rows of the first axis (by default all of
-them) from the configuration's rows around it (``PatchGrid.halo``), so the
-verify forms them one slab at a time (:meth:`Configuration.slab`), and the
-Bianchi and naturality residuals are those of one slab, which the margin's
-pass combines by max.  On a grid of one slab the rows are the whole grid and
-no halo is read.
+and F are formed on a range of rows of the first axis that the caller names,
+from the configuration's rows around it (``PatchGrid.halo``), so the verify
+forms them one slab at a time (:meth:`Configuration.slab`), and the Bianchi
+and naturality residuals are those of one slab, which the margin's pass
+combines by max.  On a grid of one slab the rows are the whole grid and no
+halo is read.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class Configuration:
     1-form components (None means A = 0); gM: base metric; orientation: sign
     of the coordinate frame dx^0 ^ dx^1 ^ dx^2 against the orientation of M.
 
-    The derived fields take ``rows``, a range of the first axis (all rows by
-    default; on a periodic axis it may leave [0, n), rows mod n), and return
-    their values there.
+    The derived fields take ``rows``, a range of the first axis (on a
+    periodic axis it may leave [0, n), rows mod n), and return their values
+    there.
     """
 
     grid: PatchGrid
@@ -81,9 +81,6 @@ class Configuration:
 
     # -- derived fields ----------------------------------------------------
 
-    def _all(self, rows: slice | None) -> slice:
-        return slice(0, self.grid.n[0]) if rows is None else rows
-
     def _unwound(self, rows: slice) -> np.ndarray:
         """phi minus its linear winding, on rows: the part that is periodic."""
         phi = self.grid.take_rows(self.phi, rows)
@@ -99,12 +96,11 @@ class Configuration:
             lin += w[:, lam, None, None, None] * pts.reshape(shape)
         return phi - lin
 
-    def dphi(self, rows: slice | None = None) -> np.ndarray:
+    def dphi(self, rows: slice) -> np.ndarray:
         """Plain differential d phi^mu on rows, winding-aware; shape (3, 3, *rows).
 
         Each call returns a fresh array that the caller owns.
         """
-        rows = self._all(rows)
         rem = self._unwound(self.grid.halo(rows))
         out = np.stack(
             [slab_derivative(rem, lam, self.grid, rows) for lam in range(3)], axis=1
@@ -112,22 +108,17 @@ class Configuration:
         out += self.phi_winding[:, :, None, None, None]
         return out
 
-    def curvature(self, rows: slice | None = None) -> np.ndarray:
+    def curvature(self, rows: slice) -> np.ndarray:
         """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c on rows, dual storage (dim g, 3, *rows)."""
-        rows = self._all(rows)
         window = self.grid.take_rows(self.A, self.grid.halo(rows))
         F = _curvature(window, self.target.algebra.f, self.grid, rows)
         return assert_finite(F, "curvature")
 
-    def covariant_differential(self, rows: slice | None = None,
-                               kil: np.ndarray | None = None) -> np.ndarray:
+    def covariant_differential(self, rows: slice, kil: np.ndarray) -> np.ndarray:
         """d^A phi^mu = d phi^mu - A^a I_a^mu(phi) on rows; shape (3 target, 3 form, *rows).
 
-        ``kil`` is I at phi on those rows, when the caller has it already.
+        ``kil`` is I at phi on those rows.
         """
-        rows = self._all(rows)
-        if kil is None:
-            kil = self.target.killing_fn(self.grid.take_rows(self.phi, rows))
         out = self.dphi(rows)
         out -= _slot_contract(kil, self.grid.take_rows(self.A, rows))
         return assert_finite(out, "covariant differential")
@@ -195,19 +186,16 @@ class Slab:
         return hodge_star(c.gM, c.orientation, self.rows)
 
 
-def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid,
-               rows: slice | None = None) -> np.ndarray:
+def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid, rows: slice) -> np.ndarray:
     """Curvature of the Lie-valued 1-form A (dim g, 3, *grid) in dual storage.
 
     F^a_m = d_{m+1} A^a_{m+2} - d_{m+2} A^a_{m+1}
             + sum_{b<c} f^a_bc (A^b_{m+1} A^c_{m+2} - A^b_{m+2} A^c_{m+1}),
 
     indices mod 3.  Only the nonzero structure constants are visited, so an
-    abelian algebra does no quadratic work.  With ``rows``, F is formed on
-    those rows from A on ``grid.halo(rows)``.
+    abelian algebra does no quadratic work.  F is formed on ``rows`` from A
+    on ``grid.halo(rows)``.
     """
-    if rows is None:
-        rows = slice(0, grid.n[0])
     # dA[k][:, j] = d_k A_{k+1+j}: the two components whose curl uses d_k
     dA = [slab_derivative(A[:, [(k + 1) % 3, (k + 2) % 3]], k, grid, rows) for k in range(3)]
     start = rows.start - grid.halo(rows).start

@@ -449,19 +449,6 @@ class AdjointIntervalFamily:
             raise ConstraintViolated("integral of eta1 differs from -Vol(N)/(2 pi)")
 
 
-def round_s3_family() -> AdjointIntervalFamily:
-    """Round 3-sphere: h1 = 1, h2 = sin, eta1 = -1, eta2 = -sin(2 xi)/2."""
-    return AdjointIntervalFamily(
-        h1=lambda xi: np.ones_like(xi),
-        h2=np.sin,
-        eta1=lambda xi: -np.ones_like(xi),
-        eta2=lambda xi: -0.5 * np.sin(2.0 * xi),
-        interval=(0.0, np.pi),
-        compact="s3",
-        name="round-s3",
-    )
-
-
 def eta2_zero_family(h2: Callable, interval, compact=None, name="eta2-zero") -> AdjointIntervalFamily:
     """Family with eta2 = 0, h1 = 1, so eta1 = -2 h2^2 (used by symplectic data)."""
     return AdjointIntervalFamily(
@@ -539,7 +526,6 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
         fiber_axis=2,
         default_margin=0.1,
         volume_margins=(0.12, 0.06, 0.03),
-        extras={"family": fam},
     )
 
 

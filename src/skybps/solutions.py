@@ -86,9 +86,8 @@ class SurfaceGeometry:
 
     ``omega``, ``gauss_k`` and ``dlog_omega`` are complex-safe evaluators of
     the conformal factor, the Gauss curvature and the gradient
-    (d_1 ln Omega, d_2 ln Omega); ``chi`` is the declared Euler
-    characteristic (None for non-compact charts).  The declared curvature is
-    checked against -(Delta ln Omega) / (2 Omega) to 1e-6 at construction.
+    (d_1 ln Omega, d_2 ln Omega).  The declared curvature is checked against
+    -(Delta ln Omega) / (2 Omega) to 1e-6 at construction.
     """
 
     omega: Callable
@@ -97,8 +96,6 @@ class SurfaceGeometry:
     lo: tuple[float, float]
     hi: tuple[float, float]
     periodic: tuple[bool, bool]
-    chi: int | None = None
-    area_exact: float | None = None  # closed-form total area, when known
 
     def __post_init__(self):
         x1 = np.linspace(self.lo[0] + 1e-3, self.hi[0] - 1e-3, 41)
@@ -150,8 +147,6 @@ def mercator_sphere(curvature: float = 1.0, tau_max: float = 3.0) -> SurfaceGeom
         lo=(-tau_max, 0.0),
         hi=(tau_max, 2 * np.pi),
         periodic=(False, True),
-        chi=2,
-        area_exact=4.0 * np.pi / K,
     )
 
 
@@ -194,8 +189,6 @@ def identity_u1_solution(
     (the moment-dual flow) and kappa must stay positive on the grid.
     """
     target = target or u1_s3_adjoint_target()
-    if target.fiber_axis != 0 or "mu_y" not in target.extras:
-        raise ParamInconsistent("identity_u1_solution needs a u1-fibered target")
     ex = target.extras
     grid = build_patch(target.lo, target.hi, _triple(n), target.periodic, margin)
     phi = np.stack(grid.meshes())
@@ -356,10 +349,7 @@ def spinorial_solution(
     return FamilyResult(
         family="spinorial",
         config=cfg,
-        diagnostics={
-            "riemannian_everywhere": bool(np.all(coef > 0)),
-            "conformal_coefficient_min": float(np.min(coef)),
-        },
+        diagnostics={"conformal_coefficient_min": float(np.min(coef))},
         checks=_spinorial_checks(surface, twist_b),
     )
 

@@ -4,11 +4,8 @@ import pytest
 from skybps.exterior import Metric3
 from skybps.gaugefield import Configuration
 from skybps.grid import build_patch
-from skybps.lie_target import (
-    make_adjoint_interval_target,
-    round_s3_family,
-    u1_s3_adjoint_target,
-)
+from oracles import round_s3_family
+from skybps.lie_target import make_adjoint_interval_target, u1_s3_adjoint_target
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,11 @@
 
 None of this runs in ``skybps verify``, ``sweep`` or ``obstruction``:
 
+- the round 3-sphere's adjoint-interval profile family, and the profiles an
+  adjoint-interval target carries;
 - finite gauge transformations, with the group actions on the target charts;
-- the named equivariant forms and their pullbacks, formed on the full grid;
+- d phi, d^A phi and F on every row, and the named equivariant forms pulled
+  back from them;
 - a slab check's maximum over a configuration's slabs, without the pass;
 - the target-level equivariance, nu-homomorphism and Sigma-duality residuals;
 - the trace residual of a star-like map and the metric it recovers;
@@ -27,6 +30,7 @@ from skybps.gaugefield import (
 )
 from skybps.grid import PatchGrid, partial_derivative
 from skybps.lie_target import (
+    AdjointIntervalFamily,
     TargetGeometry,
     qconj,
     qmul,
@@ -38,6 +42,35 @@ from skybps.lie_target import (
 
 class TargetMismatch(SkybpsError):
     """An operation was handed a target geometry it does not support."""
+
+
+# ---------------------------------------------------------------------------
+# adjoint-interval profiles
+# ---------------------------------------------------------------------------
+
+
+def round_s3_family() -> AdjointIntervalFamily:
+    """Round 3-sphere: h1 = 1, h2 = sin, eta1 = -1, eta2 = -sin(2 xi)/2."""
+    return AdjointIntervalFamily(
+        h1=lambda xi: np.ones_like(xi),
+        h2=np.sin,
+        eta1=lambda xi: -np.ones_like(xi),
+        eta2=lambda xi: -0.5 * np.sin(2.0 * xi),
+        interval=(0.0, np.pi),
+        compact="s3",
+        name="round-s3",
+    )
+
+
+def adjoint_profiles(target: TargetGeometry, xi: np.ndarray):
+    """(h1^2, h2^2, eta1, eta2) of an adjoint-interval target at the points xi.
+
+    They are read off the metric and the moment map at the orbit point
+    (u, v) = (pi/2, 0), where x = e_1 and x_u = -e_3 exactly.
+    """
+    y = np.stack([xi, np.full_like(xi, np.pi / 2), np.zeros_like(xi)])
+    g, mu = target.metric_fn(y), target.mu_fn(y)
+    return g[0, 0], g[1, 1], mu[0, 0], -mu[2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +130,7 @@ def _action(target: TargetGeometry):
     on u1-fibered targets, the orbit-sphere rotation on adjoint-interval ones."""
     if "mu_y" in target.extras:
         return u1_action
-    if "family" in target.extras:
+    if target.name.startswith("adjoint-interval["):
         return adjoint_action
     return None
 
@@ -174,8 +207,17 @@ def _rewrap(phi_new: np.ndarray, phi_old: np.ndarray, target: TargetGeometry) ->
 
 
 # ---------------------------------------------------------------------------
-# named equivariant forms, pulled back on the full grid
+# derived fields and named equivariant forms on the full grid
 # ---------------------------------------------------------------------------
+
+
+def full_grid_field(c: Configuration, name: str) -> np.ndarray:
+    """d phi ("dphi"), d^A phi ("P") or F ("F") of c on every row,
+    slice(0, n) of the first axis."""
+    rows = slice(0, c.grid.n[0])
+    if name == "P":
+        return c.covariant_differential(rows, c.target.killing_fn(c.phi))
+    return {"dphi": c.dphi, "F": c.curvature}[name](rows)
 
 
 class FormSpec(EquivariantFormSpec):
@@ -183,7 +225,7 @@ class FormSpec(EquivariantFormSpec):
 
     def pullback(self, c: Configuration) -> np.ndarray:
         """phi^{*A} of this form on the configuration c."""
-        return equivariant_pullback(c.covariant_differential(), c.curvature(),
+        return equivariant_pullback(full_grid_field(c, "P"), full_grid_field(c, "F"),
                                     self.p, self.q, self.coeff(c.phi))
 
 
@@ -341,8 +383,7 @@ def su2_matrix_fields(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
     U = cos(xi) + sin(xi) x(u, v) as a unit quaternion field.  Requires the
     round adjoint-interval target (h1 = 1, h2 = sin).
     """
-    fam = c.target.extras.get("family")
-    if fam is None or fam.name != "round-s3":
+    if c.target.name != "adjoint-interval[round-s3]":
         raise TargetMismatch("SU(2) reduction needs the round adjoint-interval target")
     xi, u, v = c.phi
     U = np.concatenate([np.cos(xi)[None], np.sin(xi) * sph_x(u, v)])
@@ -380,11 +421,11 @@ def energy_su2_reduced(U: np.ndarray, A: np.ndarray, grid: PatchGrid, gM: Metric
         L[:, lam] = qmul(Uc, dU[:, lam] + comm)[1:]
     lwl = 0.5 * np.einsum("abc,bixyz,cjxyz,mij->amxyz", f, L, L, EPS, optimize=True)
 
-    F = _curvature(A, f, grid)
+    F = _curvature(A, f, grid, slice(0, grid.n[0]))
     rot = qrot(Uc)
     UFU = np.einsum("baxyz,amxyz->bmxyz", rot, F)  # U^{-1} F U components
 
-    star = hodge_star(gM, orientation)
+    star = hodge_star(gM, orientation, slice(None))
     dens = (
         c1 * _lie_pair(L, L, 1, star)
         + 0.25 * c2 * _lie_pair(lwl, lwl, 2, star)
@@ -416,9 +457,8 @@ def bps2_scalar_conditions(res, alpha: float, beta: float, gamma: float):
     alpha h2^2 + (beta/2) eta1 (1 - K) with K = 1 - alpha/beta,
     2 gamma B - alpha with B read off A, and eta2."""
     c = res.config
-    fam = c.target.extras["family"]
-    xi = c.grid.meshes()[0]
+    _, h2sq, eta1, eta2 = adjoint_profiles(c.target, c.grid.meshes()[0])
     k = 1.0 - alpha / beta
-    return (float(np.max(np.abs(alpha * fam.h2(xi) ** 2 + 0.5 * beta * fam.eta1(xi) * (1.0 - k)))),
+    return (float(np.max(np.abs(alpha * h2sq + 0.5 * beta * eta1 * (1.0 - k)))),
             float(np.max(np.abs(2.0 * gamma * c.A[0, 0] - alpha))),
-            float(np.max(np.abs(fam.eta2(xi)))))
+            float(np.max(np.abs(eta2))))

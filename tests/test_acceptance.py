@@ -9,11 +9,13 @@ import pytest
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
 from oracles import (
+    adjoint_profiles,
     bps2_scalar_conditions,
     energy_su2_reduced,
     gauge_transform,
     over_slabs,
     recover_metric,
+    round_s3_family,
     spherical_round_target_metric,
     standard_specs,
     star_trace_residual,
@@ -29,7 +31,6 @@ from skybps.lie_target import (
     make_adjoint_interval_target,
     make_su2_left_target,
     monopole_family,
-    round_s3_family,
     u1_s3_adjoint_target,
     verify_moment_conditions,
 )
@@ -125,11 +126,11 @@ def test_criterion_05_spinorial_family():
     entries.append((f"degree {d:.5f} = chi(S^2)/2 within 1e-2", abs(d - 1.0) < 1e-2))
 
     c = res48.config
-    surface = mercator_sphere(1.0)  # spinorial_solution's default
     vol_m = integrate(np.sqrt(c.gM.det()), c.grid)
     xi_w = c.grid.axis_weights(0)
     h2sq = np.sin(c.grid.axis_points(0)) ** 2
-    rhs = float(np.sum(h2sq * xi_w)) * (6 * np.pi * surface.chi - 2 * surface.area_exact)
+    # spinorial_solution's default surface is the unit sphere: chi = 2, area 4 pi
+    rhs = float(np.sum(h2sq * xi_w)) * (6 * np.pi * 2 - 2 * 4 * np.pi)
     entries.append((f"volume identity rel err {abs(vol_m - rhs) / rhs:.2e} < 1%",
                     abs(vol_m - rhs) < 0.01 * abs(rhs)))
 
@@ -140,7 +141,7 @@ def test_criterion_05_spinorial_family():
     mask = ~flagged.config.gM.riemannian_mask()
     entries.append(("non-riemannian flag matches coefficient sign",
                     bool(np.all(mask == (coef <= 0))) and bool(mask.any())
-                    and not flagged.diagnostics["riemannian_everywhere"]))
+                    and flagged.diagnostics["conformal_coefficient_min"] <= 0))
     report(5, "spinorial family", entries)
 
 
@@ -185,11 +186,10 @@ def test_criterion_07_spherical_family():
 
     special = spherical_solution(1.0, -1.0, 1.0, 2.0, n=8,
                                  h1=lambda xi: 1.0 / (1.0 + xi**2))
-    fam = special.config.target.extras["family"]
     xi = np.linspace(0.25, 1.45, 129)
-    h1sq, h2sq = spherical_round_target_metric(xi)
-    err = max(float(np.max(np.abs(fam.h1(xi) ** 2 - h1sq))),
-              float(np.max(np.abs(fam.h2(xi) ** 2 - np.sin(np.arctan(xi)) ** 2))))
+    h1sq, h2sq, _, _ = adjoint_profiles(special.config.target, xi)
+    err = max(float(np.max(np.abs(h1sq - spherical_round_target_metric(xi)[0]))),
+              float(np.max(np.abs(h2sq - np.sin(np.arctan(xi)) ** 2))))
     entries.append((f"round-sphere target after arctan to 1e-8 ({err:.1e})",
                     err < 1e-8))
     report(7, "spherical family", entries)
@@ -277,7 +277,7 @@ def test_criterion_11_hodge_star_lemma():
     a = rng.normal(size=(1000, 3, 3))
     gm = np.einsum("nab,ncb->nac", a, a) + 0.5 * np.eye(3)
     metrics = Metric3(np.moveaxis(gm, 0, -1)[:, :, :, None, None])
-    star = hodge_star(metrics)
+    star = hodge_star(metrics, 1, slice(None))
     res = star_trace_residual(star)
     rec = recover_metric(star)
     err = float(np.max(np.abs(rec.g - metrics.g))) / float(np.max(np.abs(metrics.g)))

@@ -96,6 +96,25 @@ def test_bad_ax_exits_cleanly(tmp_path, ax, code):
     assert ("config error:" if code == 2 else "verification error: NonFinite") in res.stderr
 
 
+@pytest.mark.parametrize("flags,text", [
+    (["--ax", "sin(theta)/0"], "sin(theta)/0"),
+    (["--target", "u1-fibered"], "sqrt(x - 1)"),
+], ids=["ax", "u1-fibered-mu_y"])
+def test_non_finite_profile_prints_one_line(tmp_path, capfd, flags, text):
+    # the child writes to this process's stderr, so numpy warnings would show
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"target": {"mu_y": "sqrt(x - 1)"}}
+                                   if "--target" in flags else {}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = subprocess.run([sys.executable, "-m", "skybps.cli", "verify", "--config",
+                           str(cfg_file), "--family", "identity-u1", "-n", "12", *flags,
+                           "--output-dir", str(tmp_path)], env=env, timeout=120).returncode
+    err = capfd.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("verification error: NonFinite"), err
+    assert repr(text) in err[0]
+
+
 # -- configuration validation ----------------------------------------------------
 
 
@@ -183,7 +202,7 @@ def test_unread_section_exit_2(tmp_path, family, section):
     assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
 
 
-# one parser for the adjoint-interval section; the spinorial path fixes h1 = 1
+# the spinorial adjoint-interval section; the construction fixes h1 = 1
 _ADJOINT_SECTION = {"name": "adjoint-interval", "h2": "sin(xi)", "eta1": "-2*sin(xi)^2"}
 _ADJOINT_OPTIONAL = {"h1": "1", "eta2": "0", "interval": [0.0, 3.0], "compact": "s3"}
 
@@ -191,27 +210,52 @@ _ADJOINT_OPTIONAL = {"h1": "1", "eta2": "0", "interval": [0.0, 3.0], "compact": 
 @pytest.mark.parametrize("key", sorted(_ADJOINT_OPTIONAL) + ["bogus"])
 def test_adjoint_interval_section_keys(key):
     section = dict(_ADJOINT_SECTION, **{key: _ADJOINT_OPTIONAL.get(key, 1.0)})
-    if key == "bogus":
-        with pytest.raises(ConfigError):
-            build_target(section)
-    else:
-        build_target(section)
     if key in ("bogus", "h1"):
         with pytest.raises(ConfigError):
             cli._spinorial_family_from_target(section)
     else:
-        cli._spinorial_family_from_target(section)
+        fam = cli._spinorial_family_from_target(section)
+        xi = np.linspace(0.2, 2.9, 7)
+        assert np.array_equal(fam.h1(xi), np.ones_like(xi))
 
 
-def test_adjoint_interval_parsers_agree():
-    section = dict(_ADJOINT_SECTION, interval=[0.1, 3.0])
-    fam = cli._spinorial_family_from_target(section)
-    ref = build_target(section).extras["family"]
-    xi = np.linspace(0.2, 2.9, 7)
-    assert np.array_equal(fam.h1(xi), np.ones_like(xi))
-    for name in ("h1", "h2", "eta1", "eta2"):
-        assert np.array_equal(getattr(fam, name)(xi), getattr(ref, name)(xi))
-    assert (fam.interval, fam.compact) == (ref.interval, ref.compact) == ((0.1, 3.0), None)
+@pytest.mark.parametrize("name", ["u1-fibered", "adjoint-interval"])
+def test_target_section_needs_its_profiles(name):
+    family = "identity-u1" if name == "u1-fibered" else "spinorial"
+    with pytest.raises(ConfigError, match="needs"):
+        build_family({"family": family, "n": 8, "target": {"name": name}},
+                     FAMILIES[family].margins[0])
+
+
+# a minimal section for every target name that any family's section has taken
+_TARGET_SECTIONS = {
+    "default": {}, "u1-s3": {}, "s3-round": {}, "adjoint-s3": {}, "su2-left": {},
+    "u1-fibered": {"mu_y": "0.25*sin(x)^2"},
+    "adjoint-interval": {"h2": "sin(xi)", "eta1": "-2*sin(xi)^2", "compact": "s3"},
+}
+
+
+@pytest.mark.parametrize("family,name", [
+    (f, t) for f in sorted(FAMILIES) if "target" in FAMILIES[f].sections
+    for t in sorted(_TARGET_SECTIONS)])
+def test_every_target_a_family_accepts_builds(family, name):
+    # a name the family's parser does not refuse must give a family member
+    cfg = {"family": family, "n": 8, "target": dict(_TARGET_SECTIONS[name], name=name)}
+    try:
+        res, _ = build_family(cfg, FAMILIES[family].margins[0])
+    except ConfigError as exc:
+        assert f"unknown {family} target {name!r}" in str(exc)
+        return
+    assert res.family == family and res.config.grid.shape == (8, 8, 8)
+
+
+def test_identity_u1_refuses_a_target_it_cannot_verify(tmp_path, capsys):
+    code = main(["verify", "--family", "identity-u1", "-n", "8", "--target", "s3-round",
+                 "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error:")
+    assert "'u1-s3'" in err and "'u1-fibered'" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_verify_frees_each_margin_before_the_next(monkeypatch):
@@ -680,8 +724,9 @@ def test_build_target_shares_valid_sections_only(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            targets = list(pool.map(lambda _: build_target({"name": "s3-round"}), range(32),
-                                    timeout=60))
+            targets = list(pool.map(lambda _: build_target({"name": "u1-fibered",
+                                                            "mu_y": "0.25*sin(x)^2"}),
+                                    range(32), timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert len(targets) == 32 and all(t is targets[0] for t in targets)

@@ -7,6 +7,7 @@ from conftest import smooth_adjoint_configuration, smooth_u1_configuration
 from oracles import (
     TargetMismatch,
     energy_su2_reduced,
+    full_grid_field,
     gauge_transform,
     standard_specs,
     su2_matrix_fields,
@@ -273,14 +274,14 @@ def _full_grid(c):
     """The five pullbacks, the base star and g_N, each formed on the full grid."""
     specs = standard_specs(c.target)
     pb = {k: specs[k].pullback(c) for k in ("sigma", "nu", "mu_sharp", "volume", "mu")}
-    return pb, hodge_star(c.gM, c.orientation), c.target.metric_fn(c.phi)
+    return pb, hodge_star(c.gM, c.orientation, slice(None)), c.target.metric_fn(c.phi)
 
 
 def _energy_per_pair(c, p):
     """The former energy density: one star application per pairing."""
     c1, c2, c3, c4, c5, c6 = p.c
     pb, star, gN = _full_grid(c)
-    P = c.covariant_differential()
+    P = full_grid_field(c, "P")
     return {
         "c1_dphi": c1 * _pair(P, P, 1, star, gN),
         "c2_sigma": c2 * _pair(pb["sigma"], pb["sigma"], 2, star, gN),
@@ -294,7 +295,7 @@ def _energy_per_pair(c, p):
 def _cross_per_pair(c):
     """The former cross density <star d^A phi, B>, with B formed afresh."""
     pb, star, gN = _full_grid(c)
-    stard = star.on_1(c.covariant_differential())
+    stard = star.on_1(full_grid_field(c, "P"))
     b = pb["sigma"] + 3.0 * pb["mu_sharp"]
     return _pair(stard, b, 2, star, gN)
 
@@ -302,7 +303,7 @@ def _cross_per_pair(c):
 def _bogomolny_per_pair(c, p):
     """The former bound_gap density and the sup norms of the two BPS equations."""
     pb, star, gN = _full_grid(c)
-    stard = star.on_1(c.covariant_differential())
+    stard = star.on_1(full_grid_field(c, "P"))
     diff = stard - (pb["sigma"] + 3.0 * pb["mu_sharp"])
     second = p.alpha * pb["sigma"]
     second += p.beta * pb["mu_sharp"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
-from oracles import gauge_transform, over_slabs, standard_specs
+from oracles import full_grid_field, gauge_transform, over_slabs, standard_specs
 from skybps.energy_degree import bound_gap, bps_coefficients
 from skybps.errors import ChartExit, DegreeOverflow
 from skybps.exterior import EPS, Metric3, hodge_star, mat_det
@@ -35,7 +35,7 @@ def test_curvature_zero_connection(u1_target):
     phi = np.stack(grid.meshes())
     c = Configuration(grid, u1_target, phi, None, euclid(grid.shape),
                       phi_winding=np.eye(3))
-    assert np.max(np.abs(c.curvature())) == 0.0
+    assert np.max(np.abs(full_grid_field(c, "F"))) == 0.0
 
 
 @pytest.mark.parametrize("algebra", [u1_algebra(), su2_algebra()], ids=["u1", "su2"])
@@ -48,7 +48,7 @@ def test_curvature_closed_form_matches_einsum(algebra):
     grads = np.stack([partial_derivative(A, lam, grid) for lam in range(3)])
     ref = np.einsum("mkl,kalxyz->amxyz", EPS, grads) + 0.5 * np.einsum(
         "abc,bixyz,cjxyz,mij->amxyz", algebra.f, A, A, EPS, optimize=True)
-    F = _curvature(A, algebra.f, grid)
+    F = _curvature(A, algebra.f, grid, slice(0, grid.n[0]))
     assert np.max(np.abs(F - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -63,7 +63,7 @@ def test_curvature_abelian_analytic_oracle(u1_target):
         A[0, 1] = 0.3 * np.sin(th) * np.cos(y / 2)
         c = Configuration(grid, u1_target, phi, A, euclid(grid.shape),
                           phi_winding=np.eye(3))
-        F = c.curvature()[0]
+        F = full_grid_field(c, "F")[0]
         exact = np.zeros_like(F)
         # dA = d_theta A_x dtheta^dx + d_y A_x dy^dx
         exact[2] = 0.3 * np.cos(th) * np.cos(y / 2)
@@ -96,13 +96,14 @@ def test_covariant_differential_reduces_to_differential(u1_target):
     c = smooth_u1_configuration(u1_target, n=16)
     c_free = Configuration(c.grid, c.target, c.phi, None, c.gM,
                            phi_winding=c.phi_winding)
-    np.testing.assert_allclose(c_free.covariant_differential(), c_free.dphi())
+    np.testing.assert_allclose(full_grid_field(c_free, "P"),
+                               full_grid_field(c_free, "dphi"))
 
 
 def test_covariant_differential_identity_map(u1_target):
     res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                n=16, margin=0.2)
-    P = res.config.covariant_differential()
+    P = full_grid_field(res.config, "P")
     ax = 0.1 * np.sin(res.config.grid.meshes()[0])
     np.testing.assert_allclose(P[0, 0], 1.0, atol=1e-12)
     np.testing.assert_allclose(P[0, 1], -ax, atol=1e-12)  # dtheta - A
@@ -112,7 +113,7 @@ def test_covariant_differential_identity_map(u1_target):
 
 def test_covariant_differential_monopole_rank_one():
     res = dirac_monopole(n=16)
-    P = res.config.covariant_differential()
+    P = full_grid_field(res.config, "P")
     # only the radial slot survives: d^A phi = dxi (x) d_xi
     np.testing.assert_allclose(P[0, 0], 1.0, atol=1e-12)
     assert np.max(np.abs(P[1:])) < 1e-12
@@ -126,7 +127,7 @@ def test_pullback_identity_section_is_covariant_differential(u1_target):
     c = smooth_u1_configuration(u1_target, n=16)
     specs = standard_specs(u1_target)
     np.testing.assert_allclose(specs["identity"].pullback(c),
-                               c.covariant_differential())
+                               full_grid_field(c, "P"))
 
 
 def test_pullback_flat_connection_ordinary_pullback(u1_target):
@@ -135,7 +136,7 @@ def test_pullback_flat_connection_ordinary_pullback(u1_target):
                       phi_winding=c0.phi_winding)
     vol = standard_specs(u1_target)["volume"].pullback(c)
     # phi* V_N = rho(phi) det(d phi)
-    P = c.dphi()
+    P = full_grid_field(c, "dphi")
     det = np.einsum("uvw,uxyz,vxyz,wxyz->xyz", np.array(
         [[[float((i - j) * (j - k) * (k - i) / 2) for k in range(3)]
           for j in range(3)] for i in range(3)]), P[:, 0], P[:, 1], P[:, 2])
@@ -156,7 +157,7 @@ def test_pullback_grading_and_overflow(u1_target):
     assert sp["mu"].pullback(c).shape == c.grid.shape  # 3-form
     assert sp["sigma"].pullback(c).shape == (3, 3) + c.grid.shape
     with pytest.raises(DegreeOverflow):
-        equivariant_pullback(c.covariant_differential(), c.curvature(), 2, 0, None)
+        equivariant_pullback(full_grid_field(c, "P"), full_grid_field(c, "F"), 2, 0, None)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -308,7 +309,7 @@ def test_pullback_gauge_invariance_smooth(adjoint_round_target):
         b = sp[name].pullback(c2)
         scale = max(np.max(np.abs(a)), 1.0)
         assert np.max(np.abs(a - b)) < 1e-5 * scale, name
-    star = hodge_star(c.gM, c.orientation)
+    star = hodge_star(c.gM, c.orientation, slice(None))
     for name in ("sigma", "nu", "mu_sharp"):
         a = sp[name].pullback(c)
         b = sp[name].pullback(c2)
@@ -320,15 +321,15 @@ def test_pullback_gauge_invariance_smooth(adjoint_round_target):
 
 def test_memo_holds_no_copy_of_dphi(adjoint_round_target):
     c = smooth_adjoint_configuration(adjoint_round_target, n=12)
-    P = c.covariant_differential()
-    dphi = c.dphi()
+    P = full_grid_field(c, "P")
+    dphi = full_grid_field(c, "dphi")
     assert not np.array_equal(P, dphi)  # A != 0, so d^A phi differs from d phi
     # each call hands out a fresh array; writing to it leaves later calls alone
     ref = P.copy()
     dphi[...] = 0.0
     P[...] = 0.0
-    assert not np.shares_memory(dphi, c.dphi())
-    assert np.array_equal(c.covariant_differential(), ref)
+    assert not np.shares_memory(dphi, full_grid_field(c, "dphi"))
+    assert np.array_equal(full_grid_field(c, "P"), ref)
     # nothing is memoized: after the margin's pass the configuration's only
     # (., 3, *grid) arrays are its own phi, A and g_M
     bound_gap(c, bps_coefficients(0.3, -0.7, 0.5), 1.0)
@@ -349,10 +350,11 @@ def test_derived_fields_on_rows_are_the_full_grid_rows(periodic, u1_target,
         c = smooth_adjoint_configuration(adjoint_round_target, n=12)
         rows = [slice(0, 1), slice(0, 5), slice(1, 3), slice(5, 6), slice(9, 12),
                 slice(11, 12)]
-    full = {"dphi": c.dphi(), "P": c.covariant_differential(), "F": c.curvature()}
+    full = {name: full_grid_field(c, name) for name in ("dphi", "P", "F")}
     for r in rows:
+        kil = c.target.killing_fn(c.grid.take_rows(c.phi, r))
         assert np.array_equal(c.dphi(r), c.grid.take_rows(full["dphi"], r)), r
-        assert np.array_equal(c.covariant_differential(r),
+        assert np.array_equal(c.covariant_differential(r, kil),
                               c.grid.take_rows(full["P"], r)), r
         assert np.array_equal(c.curvature(r), c.grid.take_rows(full["F"], r)), r
     # the stencil checks, as maxima over slabs of 1, 2 and 5 rows

@@ -6,6 +6,10 @@ as an attribute, a method as an attribute.  Import statements and
 ``__all__`` do not count.  A name that only tests reach belongs in the tests
 (``tests/oracles.py`` for references that tests compare against) or nowhere.
 ``cli.main`` is the entry point.
+
+Every field of a dataclass in ``src/skybps`` must be read in the package: as
+an attribute, or, for a class whose own methods read ``vars(self)``, through
+that.  A field that only tests read is not carried.
 """
 
 import ast
@@ -48,8 +52,12 @@ def _references(tree: ast.Module):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
 def unreferenced_public_names() -> list[str]:
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     refs: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for name, node in _references(tree):
@@ -69,5 +77,38 @@ def unreferenced_public_names() -> list[str]:
     return orphans
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _reads_vars_of_self(node: ast.ClassDef) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "vars" and len(n.args) == 1
+               and isinstance(n.args[0], ast.Name) and n.args[0].id == "self"
+               for n in ast.walk(node))
+
+
+def unread_dataclass_fields() -> list[str]:
+    trees = _trees()
+    reads = {n.attr for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if (not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls))
+                    or _reads_vars_of_self(cls)):
+                continue
+            for item in cls.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and item.target.id not in reads):
+                    unread.append(f"{module}.{cls.name}.{item.target.id}")
+    return unread
+
+
 def test_every_public_name_is_reached_from_the_package():
     assert unreferenced_public_names() == []
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_dataclass_fields() == []

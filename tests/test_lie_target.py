@@ -11,6 +11,7 @@ from oracles import (
     nu_homomorphism_residual,
     qexp,
     qrot,
+    round_s3_family,
     sigma_duality_residual,
     sph_chart_of_x,
 )
@@ -29,7 +30,6 @@ from skybps.lie_target import (
     monopole_family,
     qconj,
     qmul,
-    round_s3_family,
     sph_frame,
     sph_x,
     su2_algebra,

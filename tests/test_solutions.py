@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    adjoint_profiles,
     bps2_scalar_conditions,
+    full_grid_field,
     over_slabs,
+    round_s3_family,
     spherical_round_target_metric,
     standard_specs,
 )
@@ -16,7 +19,7 @@ from skybps.errors import (
 from skybps.energy_degree import _margin_pass, bps_coefficients, bound_gap
 from skybps.gaugefield import Configuration
 from skybps.grid import extrapolate_margin, integrate
-from skybps.lie_target import eta2_zero_family, round_s3_family
+from skybps.lie_target import eta2_zero_family
 from skybps.solutions import (
     SurfaceGeometry,
     dirac_monopole,
@@ -38,7 +41,6 @@ def test_mercator_sphere_consistency():
     for k in (0.5, 1.0, 2.0):
         s = mercator_sphere(k)
         assert s.area() == pytest.approx(4 * np.pi / k, rel=5e-3)
-        assert s.area_exact == pytest.approx(4 * np.pi / k)
 
 
 def test_surface_declared_curvature_checked():
@@ -47,7 +49,7 @@ def test_surface_declared_curvature_checked():
             omega=lambda t, v: 1.0 / np.cosh(t) ** 2 * np.ones_like(v),
             gauss_k=lambda t, v: 2.0 * np.ones_like(t * v),  # wrong: K = 1
             dlog_omega=lambda t, v: (-2.0 * np.tanh(t) * np.ones_like(v), np.zeros_like(t * v)),
-            lo=(-2, 0), hi=(2, 2 * np.pi), periodic=(False, True), chi=2,
+            lo=(-2, 0), hi=(2, 2 * np.pi), periodic=(False, True),
         )
 
 
@@ -96,7 +98,7 @@ def test_monopole_residuals_and_rank():
     assert np.max(np.abs(sigma_hat)) < 1e-12
     nu_hat = sp["nu"].pullback(res.config)
     assert np.max(np.abs(nu_hat)) < 1e-12
-    sv = np.linalg.svd(np.moveaxis(res.config.covariant_differential(), (0, 1), (-2, -1)),
+    sv = np.linalg.svd(np.moveaxis(full_grid_field(res.config, "P"), (0, 1), (-2, -1)),
                        compute_uv=False)
     assert set(np.unique(np.sum(sv > 1e-8 * sv.max(), axis=-1))) == {1}
 
@@ -144,7 +146,7 @@ def test_spinorial_flat_case_k1():
     xi = res.config.grid.meshes()[0]
     coef = conformal_coefficient(res, mercator_sphere(1.0))
     np.testing.assert_allclose(coef, np.sin(xi) ** 2, atol=1e-12)
-    assert res.diagnostics["riemannian_everywhere"]
+    assert res.diagnostics["conformal_coefficient_min"] > 0
 
 
 def test_spinorial_k2_extends_to_s1xs2():
@@ -153,7 +155,7 @@ def test_spinorial_k2_extends_to_s1xs2():
     res = spinorial_solution(surface=mercator_sphere(2.0), fam=round_s3_family(),
                              n=16, margin=0.1)
     coef = conformal_coefficient(res, mercator_sphere(2.0))
-    assert res.diagnostics["riemannian_everywhere"]
+    assert res.diagnostics["conformal_coefficient_min"] > 0
     assert coef.min() > 1.0
     xi = res.config.grid.meshes()[0]
     end = np.sin(xi) ** 2 + 1.5  # h2^2 + (3/2)(K - 1) at K = 2
@@ -167,7 +169,7 @@ def test_spinorial_nonriemannian_flag():
                              n=16, margin=0.1)
     coef = conformal_coefficient(res, mercator_sphere(0.5))
     mask = ~res.config.gM.riemannian_mask()
-    assert not res.diagnostics["riemannian_everywhere"]
+    assert res.diagnostics["conformal_coefficient_min"] <= 0
     np.testing.assert_array_equal(mask, coef <= 0)
     assert mask.any() and not mask.all()
 
@@ -175,12 +177,12 @@ def test_spinorial_nonriemannian_flag():
 def test_spinorial_volume_identity():
     res = spinorial_solution(n=32, margin=0.1)
     c = res.config
-    surface = mercator_sphere(1.0)  # spinorial_solution's default
     vol_m = integrate(np.sqrt(c.gM.det()), c.grid)
     xi = c.grid.axis_points(0)
     w = c.grid.axis_weights(0)
     h2sq_int = float(np.sum(np.sin(xi) ** 2 * w))
-    rhs = h2sq_int * (6 * np.pi * surface.chi - 2 * surface.area_exact)
+    # spinorial_solution's default surface is the unit sphere: chi = 2, area 4 pi
+    rhs = h2sq_int * (6 * np.pi * 2 - 2 * 4 * np.pi)
     assert vol_m == pytest.approx(rhs, rel=1e-2)
 
 
@@ -243,14 +245,14 @@ def test_spherical_round_target_special_parameters():
     # target is the round 3-sphere
     res = spherical_solution(1.0, -1.0, 1.0, 2.0, n=8,
                              h1=lambda xi: 1.0 / (1.0 + xi**2))
-    fam = res.config.target.extras["family"]
     xi = np.linspace(0.25, 1.45, 33)
-    h1sq, h2sq = spherical_round_target_metric(xi)
-    np.testing.assert_allclose(fam.h1(xi) ** 2, h1sq, atol=1e-8)
-    np.testing.assert_allclose(fam.h2(xi) ** 2, h2sq, atol=1e-8)
+    h1sq, h2sq, eta1, _ = adjoint_profiles(res.config.target, xi)
+    ref_h1sq, ref_h2sq = spherical_round_target_metric(xi)
+    np.testing.assert_allclose(h1sq, ref_h1sq, atol=1e-8)
+    np.testing.assert_allclose(h2sq, ref_h2sq, atol=1e-8)
     xt = np.arctan(xi)
-    np.testing.assert_allclose(fam.h2(xi) ** 2, np.sin(xt) ** 2, atol=1e-8)
-    np.testing.assert_allclose(fam.eta1(xi), -1.0 / (1.0 + xi**2), atol=1e-8)
+    np.testing.assert_allclose(h2sq, np.sin(xt) ** 2, atol=1e-8)
+    np.testing.assert_allclose(eta1, -1.0 / (1.0 + xi**2), atol=1e-8)
 
 
 def test_spherical_excluded_branches():
