@@ -10,7 +10,7 @@ families satisfy.
 from .energy_degree import BPSParams, EnergyReport, bps_coefficients
 from .exterior import Metric3, StarMap, hodge_star
 from .gaugefield import Configuration
-from .grid import PatchGrid, build_patch, integrate, partial_derivative
+from .grid import PatchGrid, build_patch, partial_derivative
 from .lie_target import TargetGeometry
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "bps_coefficients",
     "build_patch",
     "hodge_star",
-    "integrate",
     "partial_derivative",
 ]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -37,7 +38,6 @@ import numpy as np
 from .energy_degree import (
     CSV_HEADER,
     EnergyReport,
-    _margin_pass,
     bound_gap,
     bps_coefficients,
     general_bound_coefficient,
@@ -356,20 +356,29 @@ def build_family(cfg: dict, margin: float):
 
 
 def perturb_configuration(c: Configuration, eps: float, seed: int = 0) -> Configuration:
-    """Add a smooth bump of amplitude eps to phi (vanishing at open boundaries)."""
+    """Add a smooth bump of amplitude eps to phi (vanishing at open boundaries).
+
+    The bump is a product of per-axis factors, evaluated once on each axis
+    and multiplied out on the rows that the configuration is evaluated on.
+    """
     rng = np.random.default_rng(seed)
     grid = c.grid
-    bump = 1.0
-    for ax in range(3):  # a product of per-axis factors, broadcast to the grid
+    factors = []
+    for ax in range(3):
         lo, hi = grid.lo_eff[ax], grid.hi_eff[ax]
         t = (grid.axis_points(ax) - lo) / (hi - lo)
-        f = np.sin(np.pi * t) if not grid.periodic[ax] else np.sin(2 * np.pi * t)
-        bump = bump * f.reshape([-1 if i == ax else 1 for i in range(3)])
-    phi = c.phi.copy()
-    for mu in range(3):
-        phi[mu] = phi[mu] + eps * rng.uniform(0.5, 1.0) * bump
-    return Configuration(grid, c.target, phi, c.A, c.gM, c.orientation,
-                         c.phi_winding.copy())
+        factors.append(np.sin(np.pi * t) if not grid.periodic[ax] else np.sin(2 * np.pi * t))
+    amplitude = [eps * rng.uniform(0.5, 1.0) for _ in range(3)]
+    fields, (f0, f1, f2) = c.fields, factors
+
+    def perturbed(rows):
+        phi, A = fields(rows)
+        bump = f0[grid.row_index(rows), None, None] * f1[:, None] * f2
+        for mu in range(3):
+            phi[mu] = phi[mu] + amplitude[mu] * bump
+        return phi, A
+
+    return dataclasses.replace(c, fields=perturbed, phi_winding=c.phi_winding.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -424,28 +433,27 @@ def _validate_config(cfg: dict) -> dict:
     return out
 
 
-# The memory model of one verify, in float64 fields of the grid's size.  The
-# margin's pass holds the configuration (phi 3, A 3 dim, g_M 9 and its
-# determinant) and reduces its densities slab by slab; a build holds at most
-# about _BUILD_FIELDS.  A slab's working set is about _SLAB_FIELDS fields
-# on its rows and the 8 halo rows of the first margin's naturality check.  The
-# target-level checks are of fixed size: Vol(N) integrates a 96^3 chart grid
-# and the moment check evaluates (12 + 24 dim) fields on a 32^3 one.  The
-# constants bound the traced peaks (tracemalloc, numpy 2.4) of all six
-# families from n = 16 to 64, builds included.
-_BUILD_FIELDS = 36
-_SLAB_FIELDS = 100
+# The memory model of one verify, in float64 fields.  A verify holds no field
+# of the grid's size: its configuration is closed forms, evaluated slab by
+# slab.  Its peak is the larger of two working sets, each freed before the
+# next stage begins: a slab of a margin's pass, about _SLAB_FIELDS fields on
+# the slab's rows and the 8 halo rows that the first margin's stencil checks
+# read, and a slab of the moment check's 32^3 chart grid, (20 + 24 dim)
+# fields with the complex-step partials of mu.  The slabs of Vol(N)'s 96^3
+# chart grids are one row and smaller than either.  The constants bound the
+# traced peaks (tracemalloc, numpy 2.4) of all six families from n = 16 to
+# 64; from n = 48 on the estimate is 2 to 3.5 times the peak, since halo
+# rows hold fewer fields than a slab's own rows.
+_SLAB_FIELDS = 128
 
 
 def _footprint(n: int, dim: int) -> int:
     """Upper estimate, in bytes, of the memory one verify allocates at n
     points per axis with a gauge algebra of dimension dim."""
-    field = 8 * n**3
     rows = min(n, slab_rows(n * n) + 8)
     slab = _SLAB_FIELDS * 8 * rows * n * n
-    fixed = max(8 * (12 + 24 * dim) * 32**3, 1.2 * 8 * 96**3)
-    held = (13 + 3 * dim) * field
-    return int(max(_BUILD_FIELDS * field + slab, held + max(fixed, slab)))
+    moment = 8 * (20 + 24 * dim) * slab_rows(32 * 32) * 32 * 32
+    return max(slab, moment)
 
 
 def _mem_available() -> int | None:
@@ -476,16 +484,18 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
     The family's identity checks run in the margin's pass, on its slabs.  The
     first margin also runs the target-level checks, computes Vol(N) and adds
     the Bianchi and naturality checks to the pass, whose slabs then carry
-    the derivative halo.  Only the row leaves this function, so the margin's
-    configuration is freed before the next margin is built.
+    the derivative halo; its pass runs to the end even where the metric is
+    not riemannian, since those checks and the charge-cross residual need no
+    positive definite metric.  Only the row leaves this function, so the
+    margin's configuration is freed before the next margin is built.
     """
     tols = cfg["tolerances"]
     res, p = build_family(cfg, m)
     c = res.config
     stencil_checks = []
     if first:
-        # Vol(N) before the pass: its 96^3 quadrature is then not stacked on
-        # the pass's densities
+        # Vol(N) before the pass: its quadrature is then not stacked on the
+        # pass's densities
         vol_n = c.target.volume()
         mom = verify_moment_conditions(c.target, n=32)
         check("moment_def_residual", mom["def_residual"], tols["moment"])
@@ -496,15 +506,13 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
             (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
             for name, spec in naturality_check_specs(c.target)]
     checks = res.checks + stencil_checks
-    bg = bound_gap(c, p, vol_n, checks, halo=first) if c.gM.riemannian else None
+    bg = bound_gap(c, p, vol_n, checks, halo=first)
     if first:
-        # the charge-cross residual needs no positive definite metric
-        done = _margin_pass(c, p, checks, halo=True) if bg is None else bg
         for name, _ in stencil_checks:
             tol = tols["bianchi" if name == "bianchi_residual" else "naturality"]
-            check(name, done["checks"][name], tol)
-        check("charge_density_cross", done["charge_cross"], tols["charge_cross"])
-    if bg is None:
+            check(name, bg["checks"][name], tol)
+        check("charge_density_cross", bg["charge_cross"], tols["charge_cross"])
+    if not bg["riemannian"]:
         check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
         return EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
                             np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
@@ -513,7 +521,8 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
         family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
         margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],
         gap=bg["gap"], r1=bg["r1"], r2=bg["r2"], terms=bg["terms"],
-        extras={**res.diagnostics, **{name: bg["checks"][name] for name, _ in res.checks}},
+        extras={**res.diagnostics, **bg["diagnostics"],
+                **{name: bg["checks"][name] for name, _ in res.checks}},
     )
     check(f"r1[m={m}]", bg["r1"], tols["residual"])
     check(f"r2[m={m}]", bg["r2"], tols["residual"])

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import MomentConditionFailed
 from .exterior import StarMap, mat_det, mat_inv
-from .gaugefield import Configuration, Slab, equivariant_pullback
+from .gaugefield import Configuration, Slab, Survey, equivariant_pullback
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ _TERMS = ("c1_dphi", "c2_sigma", "c3_nu", "c4_mu_sharp", "c5_nu_sigma", "c6_mu_s
 def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) -> dict:
     """All pointwise algebra of a configuration, one slab of rows at a time.
 
-    Each slab (``PatchGrid.slabs``) forms d^A phi and F on its rows, takes
+    Each slab (``PatchGrid.slabs``) evaluates phi, A and g_M, which a
+    :class:`Survey` checks first.  It forms d^A phi and F on its rows, takes
     g_N, I and mu at phi (I once, shared with d^A phi), det g_N and g_N^-1
     once, the base star and its inverse, and the five pullbacks Sig, nu, mus,
     phi^{*A} V_N and phi^{*A} mu.  From them it forms the six energy
@@ -116,7 +117,7 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
     checks.  Each slab reduces them before the next is formed: the energy
     terms and the charge density to row sums (``PatchGrid.row_sums``), whose
     sums are their integrals over M, and the rest to maxima (``_slab_pass``),
-    which combine over the slabs by max.  So no density of the grid's size is
+    which combine over the slabs by max.  So no field of the grid's size is
     held, and every value is that of one full-grid pass.
 
     ``checks`` are (name, fn) pairs that read the same slabs before the pass
@@ -124,13 +125,25 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
     over the slabs are returned under "checks".  With ``halo`` the slab's
     fields are formed on its derivative halo, for the stencil checks
     (Bianchi, naturality) that differentiate them.
+
+    Once the slabs read so far fail the survey, the rest are only surveyed,
+    and the survey's error is raised after the last.  "riemannian" and the
+    configuration's "diagnostics" are always returned.  A metric that is not
+    riemannian leaves no energy to report, so a pass without ``halo`` only
+    surveys the slabs from the first such slab on and returns nothing else;
+    a pass with ``halo`` serves the stencil checks and the charge-cross
+    residual, which need no positive definite metric, and runs to the end.
     """
     grid = c.grid
+    survey = Survey(c)
     sums = {k: np.empty(grid.n[0]) for k in _TERMS + ("charge",)}
     sups = {}
     found = {name: [] for name, _ in checks}
     for sl in grid.slabs():
         slab = c.slab(sl, halo)
+        survey.read(slab)
+        if survey.failed or not (halo or survey.riemannian):
+            continue
         for name, check in checks:
             found[name].append(check(slab))
         dens, sup = _slab_pass(c, p, slab)
@@ -139,11 +152,15 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
             sums[key][sl] = grid.row_sums(v, sl)
         for key, v in sup.items():
             sups.setdefault(key, []).append(v)
+    survey.close()
+    out = {"riemannian": survey.riemannian, "diagnostics": survey.diagnostics}
+    if not (halo or survey.riemannian):
+        return out
     done = {k: float(np.max(v)) for k, v in sups.items()}
     done["charge_cross"] /= max(done.pop("charge_max"), 1.0)
     integral = {k: c.orientation * float(np.sum(v)) for k, v in sums.items()}
     return {"terms": {k: integral[k] for k in _TERMS}, "charge": integral["charge"],
-            "checks": {name: max(v) for name, v in found.items()}, **done}
+            "checks": {name: max(v) for name, v in found.items()}, **done, **out}
 
 
 def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
@@ -154,8 +171,8 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     on return (the star with the slab, which the caller drops), so that a
     grid of one slab (n <= 24) holds few of them at once.
     """
-    t, sl = c.target, slab.rows
-    y, (P, F, kil) = c.phi[:, sl], slab.take()
+    t = c.target
+    y, (P, F, kil) = slab.inner(slab.phi), slab.take()
     sup = {}
     gN, mu = t.metric_fn(y), t.mu_fn(y)
     sup["asym"] = _contraction_asymmetry(kil, mu)
@@ -278,10 +295,13 @@ def general_bound_coefficient(p: BPSParams) -> float | None:
 
 def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=(),
               halo: bool = False) -> dict:
-    """Energy, degree and E - 6 Vol(N) |deg| of one pass, with its residuals
-    and the values of the ``checks`` run in it (see ``_margin_pass``).
+    """Energy, degree and E - 6 Vol(N) |deg| of one pass, with its residuals,
+    the configuration's diagnostics and the values of the ``checks`` run in
+    it (see ``_margin_pass``).
 
-    Raises MomentConditionFailed if nu-hat and mu-sharp-hat are not pointwise
+    A configuration whose metric is not riemannian has no energy to bound:
+    its result is the pass's, with "riemannian" false.  Otherwise raises
+    MomentConditionFailed if nu-hat and mu-sharp-hat are not pointwise
     orthogonal (for targets with a valid moment map), then if the moment map
     violates the contraction constraint, which leaves the degree undefined.
     The decomposition residual compares the Bogomolny density (see
@@ -290,6 +310,8 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=(),
     over this (margined) patch; callers extrapolate over margins.
     """
     done = _margin_pass(c, p, checks, halo)
+    if not done["riemannian"]:
+        return done
     scale = max(done["six_max"], 1.0)
     if done.get("ortho", 0.0) > 1e-10 * scale:
         raise MomentConditionFailed(
@@ -303,6 +325,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=(),
     deg = done["charge"] / vol_n
     bound = 6.0 * vol_n * abs(deg)
     return {
+        "riemannian": True,
         "energy": energy,
         "decomposition_residual": done["decomposition"] / scale,
         "degree": deg,
@@ -313,6 +336,7 @@ def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=(),
         "r2": done["r2"],
         "charge_cross": done["charge_cross"],
         "checks": done["checks"],
+        "diagnostics": done["diagnostics"],
     }
 
 

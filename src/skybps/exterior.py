@@ -185,13 +185,13 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def hodge_star(metric: Metric3, orientation: int, rows: slice) -> StarMap:
-    """Star map orientation * sqrt(det g) * g^-1 of a riemannian metric on
-    ``rows`` of the first spatial axis.
+def hodge_star(metric: Metric3, orientation: int) -> StarMap:
+    """Star map orientation * sqrt(det g) * g^-1 of a riemannian metric, on
+    the points the metric holds.
 
     Raises ``SingularMetric`` if det <= 0.
     """
-    det = metric.det()[rows]
+    det = metric.det()
     if np.any(det <= 0):
         raise SingularMetric("metric determinant <= 0 on the grid")
-    return StarMap(orientation * np.sqrt(det) * mat_inv(metric.g[:, :, rows]))
+    return StarMap(orientation * np.sqrt(det) * mat_inv(metric.g))

@@ -1,29 +1,32 @@
 """Gauged configurations (phi, A) over a patch: curvature, covariant
 differential, equivariant pullback and its naturality check.
 
-phi is stored through its target-chart components phi^mu(x); maps that wind
+phi is given through its target-chart components phi^mu(x); maps that wind
 around periodic axes (identity maps, fibre shifts) carry an explicit
 ``phi_winding`` slope matrix so that finite differences act on the periodic
-remainder only.  A is stored through its Lie-algebra components A^a_lambda(x).
+remainder only.  A is given through its Lie-algebra components A^a_lambda(x).
 
-Derived fields are pure functions of the configuration, and a Configuration
-is treated as immutable after construction.  None is held: d phi, d^A phi
-and F are formed on a range of rows of the first axis that the caller names,
-from the configuration's rows around it (``PatchGrid.halo``), so the verify
-forms them one slab at a time (:meth:`Configuration.slab`), and the Bianchi
-and naturality residuals are those of one slab, which the margin's pass
-combines by max.  On a grid of one slab the rows are the whole grid and no
-halo is read.
+A Configuration holds no field of the grid's size.  It holds evaluators of
+its closed forms on a range of rows of the first axis, and a verify
+evaluates them one slab at a time (:meth:`Configuration.slab`): phi and A on
+the rows around the slab that its stencils read (``PatchGrid.halo``), g_M on
+the slab's rows.  d phi, d^A phi and F are formed there, the Bianchi and
+naturality residuals are those of one slab, which the margin's pass combines
+by max, and the checks that a field held on the whole grid would have had on
+construction (finiteness, the target chart, the family's own bounds) are
+folded over the slabs by a :class:`Survey`.  On a grid of one slab the rows
+are the whole grid and no halo is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .errors import ChartExit, DegreeOverflow, GridMismatch
+from .errors import ChartExit, DegreeOverflow, NonFinite, SkybpsError
 from .exterior import (Metric3, StarMap, _adjugate, _cross_into, _det, _matvec, assert_finite,
                        hodge_star, mat_det)
 from .grid import PatchGrid, _take_rows, slab_derivative
@@ -34,97 +37,35 @@ from .lie_target import TargetGeometry, target_partials
 class Configuration:
     """A gauged Skyrme pair (phi, A) with base metric over a PatchGrid.
 
-    phi: (3, *grid) target-chart components; A: (dim g, 3, *grid) Lie-valued
-    1-form components (None means A = 0); gM: base metric; orientation: sign
+    ``fields(rows)`` returns (phi, A) on a range of rows of the first axis:
+    phi (3, *rows) target-chart components and A (dim g, 3, *rows) Lie-valued
+    1-form components; ``metric(rows)`` returns g_M (3, 3, *rows).  On a
+    periodic axis ``rows`` may leave [0, n), and the rows are taken mod n.
+    Each call returns fresh arrays that the caller owns.  orientation: sign
     of the coordinate frame dx^0 ^ dx^1 ^ dx^2 against the orientation of M.
 
-    The derived fields take ``rows``, a range of the first axis (on a
-    periodic axis it may leave [0, n), rows mod n), and return their values
-    there.
+    ``diagnostics`` are (name, fn, combine): fn(rows) is a scalar of the
+    family on rows, and ``combine`` (max or min) folds the slabs' values into
+    the grid's.  ``guard`` maps those grid values to the error that makes
+    the configuration invalid, or None.  A name that starts with an
+    underscore is folded for the guard only and not reported.
     """
 
     grid: PatchGrid
     target: TargetGeometry
-    phi: np.ndarray
-    A: np.ndarray | None
-    gM: Metric3
+    fields: Callable
+    metric: Callable
     orientation: int = 1
     phi_winding: np.ndarray | None = None  # (3 target, 3 axes) linear slopes
+    diagnostics: tuple = ()
+    guard: Callable | None = None
 
     def __post_init__(self):
-        if self.phi.shape != (3,) + self.grid.shape:
-            raise GridMismatch("phi components do not match the grid")
-        d = self.target.algebra.dim
-        if self.A is None:
-            self.A = np.zeros((d, 3) + self.grid.shape)
-        if self.A.shape != (d, 3) + self.grid.shape:
-            raise GridMismatch("A components do not match the grid/algebra")
-        if self.gM.g.shape != (3, 3) + self.grid.shape:
-            raise GridMismatch("gM does not match the grid")
         if self.phi_winding is None:
             self.phi_winding = np.zeros((3, 3))
-        assert_finite(self.phi, "phi")
-        assert_finite(self.A, "A")
-        self._check_chart()
-
-    def _check_chart(self):
-        for mu in range(3):
-            if self.target.periodic[mu]:
-                continue
-            lo, hi = self.target.lo[mu], self.target.hi[mu]
-            vals = self.phi[mu]
-            if vals.min() <= lo or vals.max() >= hi:
-                raise ChartExit(
-                    f"phi^{mu} in [{vals.min():.4g}, {vals.max():.4g}] leaves the "
-                    f"open target chart ({lo:.4g}, {hi:.4g})"
-                )
-
-    # -- derived fields ----------------------------------------------------
-
-    def _unwound(self, rows: slice) -> np.ndarray:
-        """phi minus its linear winding, on rows: the part that is periodic."""
-        phi = self.grid.take_rows(self.phi, rows)
-        w = self.phi_winding
-        if not np.any(w):
-            return phi
-        x = [self.grid.axis_points(i) for i in range(3)]
-        x[0] = x[0][np.arange(rows.start, rows.stop) % self.grid.n[0]]
-        lin = np.zeros(phi.shape)
-        for lam, pts in enumerate(x):
-            shape = [1, 1, 1]
-            shape[lam] = len(pts)
-            lin += w[:, lam, None, None, None] * pts.reshape(shape)
-        return phi - lin
-
-    def dphi(self, rows: slice) -> np.ndarray:
-        """Plain differential d phi^mu on rows, winding-aware; shape (3, 3, *rows).
-
-        Each call returns a fresh array that the caller owns.
-        """
-        rem = self._unwound(self.grid.halo(rows))
-        out = np.stack(
-            [slab_derivative(rem, lam, self.grid, rows) for lam in range(3)], axis=1
-        )
-        out += self.phi_winding[:, :, None, None, None]
-        return out
-
-    def curvature(self, rows: slice) -> np.ndarray:
-        """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c on rows, dual storage (dim g, 3, *rows)."""
-        window = self.grid.take_rows(self.A, self.grid.halo(rows))
-        F = _curvature(window, self.target.algebra.f, self.grid, rows)
-        return assert_finite(F, "curvature")
-
-    def covariant_differential(self, rows: slice, kil: np.ndarray) -> np.ndarray:
-        """d^A phi^mu = d phi^mu - A^a I_a^mu(phi) on rows; shape (3 target, 3 form, *rows).
-
-        ``kil`` is I at phi on those rows.
-        """
-        out = self.dphi(rows)
-        out -= _slot_contract(kil, self.grid.take_rows(self.A, rows))
-        return assert_finite(out, "covariant differential")
 
     def slab(self, rows: slice, halo: bool = False) -> Slab:
-        """The derived fields of one slab, formed when first read (see :class:`Slab`)."""
+        """The fields of one slab, evaluated when first read (see :class:`Slab`)."""
         return Slab(self, rows, self.grid.halo(rows) if halo else rows)
 
     def bianchi_residual(self, slab: Slab) -> float:
@@ -132,7 +73,7 @@ class Configuration:
         on one slab's rows, from F on its halo."""
         F, rows = slab.F, slab.rows
         div = sum(slab_derivative(F[:, m], m, self.grid, rows) for m in range(3))
-        A, F = self.grid.take_rows(self.A, rows), slab.inner(F)
+        A, F = slab.inner(slab.A), slab.inner(F)
         f = self.target.algebra.f
         for a, b, c in zip(*np.nonzero(f)):
             div[a] += f[a, b, c] * _dot(A[b], F[c])
@@ -141,13 +82,16 @@ class Configuration:
 
 @dataclass
 class Slab:
-    """d^A phi, F and I(phi) on the rows ``window`` around a slab's ``rows``,
-    and the base star on the slab's rows.
+    """One slab's fields: phi and A on the rows ``window`` around the slab's
+    ``rows``, d^A phi, F and I(phi) there, g_M and the base star on the
+    slab's rows.
 
-    Each field is formed on first read; d^A phi, F and I(phi) are kept until
-    :meth:`take`.  A slab read by a stencil check has the derivative halo as
-    its window (``PatchGrid.halo``); otherwise the window is the slab's own
-    rows.  ``inner`` cuts a window field down to the slab's rows.
+    Each is formed on first read; phi, A, d^A phi, F and I(phi) are kept
+    until :meth:`take`.  A slab read by a stencil check has the derivative
+    halo as its window (``PatchGrid.halo``); otherwise the window is the
+    slab's own rows.  phi and A are evaluated once, on the halo of the
+    window, which d^A phi and F on the window read.  ``inner`` cuts a window
+    field down to the slab's rows.
     """
 
     config: Configuration
@@ -160,30 +104,147 @@ class Slab:
 
     def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d^A phi, F, I(phi)) on the slab's rows, handed over: the slab
-        keeps none of them, so each is freed with the caller's last use."""
+        keeps none of them, nor phi and A, so each is freed with the
+        caller's last use."""
         names = ("P", "F", "kil")
         out = tuple(self.inner(getattr(self, k)) for k in names)
-        for k in names:
-            del self.__dict__[k]  # the cached_property's stored value
+        for k in names + ("_fields",):
+            self.__dict__.pop(k, None)  # the cached_property's stored value
         return out
 
     @cached_property
-    def kil(self) -> np.ndarray:
+    def _fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """phi and A on the halo of the window."""
         c = self.config
-        return c.target.killing_fn(c.grid.take_rows(c.phi, self.window))
+        return c.fields(c.grid.halo(self.window))
+
+    def _on_window(self, values: np.ndarray) -> np.ndarray:
+        """A field on the halo of the window, cut to the window (mod the halo's
+        length, which on a periodic axis may be the whole axis)."""
+        a = self.window.start - self.config.grid.halo(self.window).start
+        return _take_rows(values, slice(a, a + self.window.stop - self.window.start),
+                          values.shape[-3])
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self._on_window(self._fields[0])
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._on_window(self._fields[1])
+
+    @cached_property
+    def kil(self) -> np.ndarray:
+        return self.config.target.killing_fn(self.phi)
 
     @cached_property
     def P(self) -> np.ndarray:
-        return self.config.covariant_differential(self.window, self.kil)
+        """d^A phi^mu = d phi^mu - A^a I_a^mu(phi) on the window; shape
+        (3 target, 3 form, *window)."""
+        c = self.config
+        out = _dphi(c, self._fields[0], self.window)
+        out -= _slot_contract(self.kil, self.A)
+        return assert_finite(out, "covariant differential")
 
     @cached_property
     def F(self) -> np.ndarray:
-        return self.config.curvature(self.window)
+        """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c on the window, dual storage."""
+        c = self.config
+        F = _curvature(self._fields[1], c.target.algebra.f, c.grid, self.window)
+        return assert_finite(F, "curvature")
+
+    @cached_property
+    def gM(self) -> Metric3:
+        return Metric3(self.config.metric(self.rows))
 
     @cached_property
     def star(self) -> StarMap:
+        return hodge_star(self.gM, self.config.orientation)
+
+
+def _dphi(c: Configuration, phi: np.ndarray, rows: slice) -> np.ndarray:
+    """Plain differential d phi^mu on rows, winding-aware, from phi on
+    ``c.grid.halo(rows)``; shape (3, 3, *rows), a fresh array."""
+    grid, w = c.grid, c.phi_winding
+    if np.any(w):
+        # phi minus its linear winding: the part that is periodic
+        win = grid.halo(rows)
+        x = [grid.axis_points(i) for i in range(3)]
+        x[0] = x[0][grid.row_index(win)]
+        lin = np.zeros(phi.shape)
+        for lam, pts in enumerate(x):
+            shape = [1, 1, 1]
+            shape[lam] = len(pts)
+            lin += w[:, lam, None, None, None] * pts.reshape(shape)
+        phi = phi - lin
+    out = np.stack([slab_derivative(phi, lam, grid, rows) for lam in range(3)], axis=1)
+    out += w[:, :, None, None, None]
+    return out
+
+
+class Survey:
+    """The checks of a configuration that read every grid point, folded over
+    its slabs in the order the margin's pass reads them.
+
+    :meth:`read` takes a slab's phi and A on its rows, its g_M and its
+    diagnostics.  It keeps whether phi and A are finite, the extrema of each
+    bounded target-chart component of phi, whether g_M is riemannian and the
+    combined diagnostics.  ``failed`` is set once the slabs read so far
+    already fail a check; :meth:`close` raises, after the last slab, the
+    error that the whole grid fails first: the family's guard, then
+    non-finite phi, non-finite A, then phi leaving the chart, whose message
+    quotes the grid's extrema.
+    """
+
+    def __init__(self, config: Configuration):
+        self.config = config
+        self.riemannian = True
+        self.values: dict[str, float] = {}
+        self._finite = {"phi": True, "A": True}
+        self._extrema: dict[int, list[float]] = {}
+        self.failed = False
+
+    def read(self, slab: Slab):
         c = self.config
-        return hodge_star(c.gM, c.orientation, self.rows)
+        phi = slab.inner(slab.phi)
+        for name, values in (("phi", phi), ("A", slab.inner(slab.A))):
+            self._finite[name] = self._finite[name] and bool(np.all(np.isfinite(values)))
+        if self._finite["phi"]:
+            for mu in range(3):
+                if not c.target.periodic[mu]:
+                    lo, hi = float(phi[mu].min()), float(phi[mu].max())
+                    old = self._extrema.setdefault(mu, [lo, hi])
+                    old[:] = [min(old[0], lo), max(old[1], hi)]
+        for name, fn, combine in c.diagnostics:
+            v = fn(slab.rows)
+            self.values[name] = combine(self.values[name], v) if name in self.values else v
+        self.riemannian = self.riemannian and slab.gM.riemannian
+        self.failed = not all(self._finite.values()) or self._chart_exit() is not None
+
+    @property
+    def diagnostics(self) -> dict[str, float]:
+        """The configuration's reported diagnostics over the slabs read."""
+        return {k: v for k, v in self.values.items() if not k.startswith("_")}
+
+    def _chart_exit(self) -> ChartExit | None:
+        target = self.config.target
+        for mu, (vmin, vmax) in sorted(self._extrema.items()):
+            lo, hi = target.lo[mu], target.hi[mu]
+            if vmin <= lo or vmax >= hi:
+                return ChartExit(f"phi^{mu} in [{vmin:.4g}, {vmax:.4g}] leaves the "
+                                 f"open target chart ({lo:.4g}, {hi:.4g})")
+        return None
+
+    def close(self):
+        guard = self.config.guard
+        error: SkybpsError | None = guard(self.values) if guard is not None else None
+        for name, ok in self._finite.items():
+            if error is None and not ok:
+                error = NonFinite(f"{name} contains non-finite values")
+        if error is None:
+            error = self._chart_exit()
+        if error is not None:
+            raise error
 
 
 def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid, rows: slice) -> np.ndarray:
@@ -328,7 +389,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     grid, rows = c.grid, slab.rows
 
     # d(phi^{*A} beta) by grid finite differences
-    beta = spec.coeff(grid.take_rows(c.phi, slab.window))
+    beta = spec.coeff(slab.phi)
     pb = equivariant_pullback(slab.P, None, p, q, beta)
     if q == 1:
         d = [slab_derivative(pb, k, grid, rows) for k in range(3)]
@@ -339,7 +400,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     del pb
 
     # exterior-derivative part of d_g beta, pulled back
-    dbeta = target_partials(spec.coeff, grid.take_rows(c.phi, rows))
+    dbeta = target_partials(spec.coeff, slab.inner(slab.phi))
     P, F, kil, beta = (slab.inner(x) for x in (slab.P, slab.F, slab.kil, beta))
     if q == 1:
         curl = np.stack([dbeta[(m + 1) % 3, (m + 2) % 3] - dbeta[(m + 2) % 3, (m + 1) % 3]

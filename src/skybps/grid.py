@@ -105,17 +105,12 @@ class PatchGrid:
         Two more on each side.  At a bounded face they are clipped and the
         range widened to the 5 rows its one-sided stencils read.  On a
         periodic axis the range may leave [0, n) and rows are taken mod n
-        (:meth:`take_rows`); it becomes the whole axis once it would cover it.
+        (:meth:`row_index`); it becomes the whole axis once it would cover it.
         """
         a, b, n = rows.start, rows.stop, self.n[0]
         if self.periodic[0]:
             return slice(0, n) if b - a + 4 >= n else slice(a - 2, b + 2)
         return slice(max(0, min(a - 2, n - 5)), min(n, max(b + 2, 5)))
-
-    def take_rows(self, values: np.ndarray, rows: slice) -> np.ndarray:
-        """``values[..., rows, :, :]`` on the first axis; a view unless the
-        rows wrap around a periodic axis."""
-        return _take_rows(values, rows, self.n[0])
 
     def axis_points(self, i: int) -> np.ndarray:
         """1D coordinate array along axis i (periodic axes exclude hi)."""
@@ -128,6 +123,20 @@ class PatchGrid:
         by default)."""
         x0, x1, x2 = (self.axis_points(i) for i in range(3))
         return tuple(np.meshgrid(x0[rows], x1, x2, indexing="ij"))
+
+    def row_index(self, rows: slice) -> np.ndarray:
+        """Indices of ``rows`` of the first axis, taken mod n."""
+        return np.arange(rows.start, rows.stop) % self.n[0]
+
+    def points(self, rows: slice) -> np.ndarray:
+        """The coordinates of the points of ``rows`` of the first axis (mod
+        n, so that they may leave [0, n) on a periodic axis), stacked: shape
+        (3, rows, n1, n2)."""
+        out = np.empty((3, rows.stop - rows.start) + self.n[1:])
+        out[0] = self.axis_points(0)[self.row_index(rows), None, None]
+        out[1] = self.axis_points(1)[:, None]
+        out[2] = self.axis_points(2)
+        return out
 
     def axis_weights(self, i: int) -> np.ndarray:
         """Composite quadrature weights along axis i; they sum to the axis length."""
@@ -251,19 +260,6 @@ def _derivative(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
     out[..., -1] = -np.tensordot(tail, _EDGE0[::-1], axes=([-1], [0])) / h
     out[..., -2] = -np.tensordot(tail, _EDGE1[::-1], axes=([-1], [0])) / h
     return np.moveaxis(out, -1, ax)
-
-
-def integrate(f: np.ndarray, grid: PatchGrid) -> float:
-    """Composite quadrature of ``f`` over the patch: the sum of its row sums
-    (:meth:`PatchGrid.row_sums`), so that a field streamed through slabs
-    integrates to the same bits as the whole field.
-
-    np.sum performs pairwise reduction, so the result is reproducible for a
-    fixed grid and input.
-    """
-    if f.shape != grid.shape:
-        raise GridMismatch(f"integrand shape {f.shape} != grid shape {grid.shape}")
-    return float(np.sum(grid.row_sums(f)))
 
 
 def extrapolate_margin(margins, values):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
 from .exterior import EPS, _matvec, mat_det
-from .grid import PatchGrid, build_patch, extrapolate_margin, integrate
+from .grid import PatchGrid, build_patch, extrapolate_margin
 
 _CSTEP = 1e-30
 
@@ -186,9 +186,11 @@ class TargetGeometry:
     def volume(self, n=96, margins=None) -> float:
         """Margin-extrapolated integral of V_N over the chart.
 
-        With a ``fiber_axis``, V_N is evaluated on one slice of each chart
-        grid and broadcast along that axis, so the quadrature sees the same
-        values as on the full grid.
+        Each chart grid is integrated slab by slab (``PatchGrid.slabs``), as
+        the sum of its row sums (``PatchGrid.row_sums``), so no field of its
+        size is formed.  With a ``fiber_axis``, V_N is evaluated once on one
+        slice of the chart grid and broadcast along that axis, so the
+        quadrature sees the same values as on the full grid.
         """
         margins = tuple(margins) if margins is not None else self.volume_margins
         key = (_triple(n), margins)
@@ -197,15 +199,28 @@ class TargetGeometry:
                 vals = []
                 for m in margins:
                     grid = self.chart_grid(n, m)
-                    axes = [grid.axis_points(i) for i in range(3)]
-                    if self.fiber_axis is not None:
-                        axes[self.fiber_axis] = axes[self.fiber_axis][:1]
-                    y = np.stack(np.meshgrid(*axes, indexing="ij"))
-                    vol = np.broadcast_to(self.vol_coeff(mat_det(self.metric_fn(y))),
-                                          grid.shape)
-                    vals.append(integrate(vol, grid))
+                    sums = np.empty(grid.n[0])
+                    fiber = None if self.fiber_axis is None else self._vol_density(grid)
+                    for sl in grid.slabs():
+                        if fiber is None:
+                            vol = self._vol_density(grid, sl)
+                        else:
+                            vol = fiber if self.fiber_axis == 0 else fiber[sl]
+                        shape = (sl.stop - sl.start,) + grid.n[1:]
+                        sums[sl] = grid.row_sums(np.broadcast_to(vol, shape), sl)
+                    vals.append(float(np.sum(sums)))
                 self._volume_cache[key] = extrapolate_margin(margins, vals)
             return self._volume_cache[key]
+
+    def _vol_density(self, grid: PatchGrid, rows: slice = slice(None)) -> np.ndarray:
+        """The V_N coefficient on ``rows`` of the chart grid; with a
+        ``fiber_axis``, on the first point of that axis only."""
+        axes = [grid.axis_points(i) for i in range(3)]
+        axes[0] = axes[0][rows]
+        if self.fiber_axis is not None:
+            axes[self.fiber_axis] = axes[self.fiber_axis][:1]
+        y = np.stack(np.meshgrid(*axes, indexing="ij"))
+        return self.vol_coeff(mat_det(self.metric_fn(y)))
 
 
 # Targets, profile families and config sections by key, one object per key:
@@ -252,25 +267,33 @@ def verify_moment_conditions(target: TargetGeometry, n=64) -> dict:
                          the symmetrized contraction that must vanish for the
                          degree to be defined.
 
-    The result is kept on the target per n, so sweep points that share a
-    target run the check once.
+    Both are formed on each slab of the n^3 chart grid (``PatchGrid.slabs``)
+    and combined by max.  The result is kept on the target per n, so sweep
+    points that share a target run the check once.
     """
     with target._lock:
         if n not in target._moment_cache:
-            y = np.stack(target.chart_grid(n).meshes())
-            dmu = target_partials(target.mu_fn, y)  # (k, a, comp, *sp)
-            curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
-            vol = target.vol_coeff(mat_det(target.metric_fn(y)))
-            kil = target.killing_fn(y)
-            def_res = float(np.max(np.abs(curl - vol * kil)))
-            q = np.einsum("amxyz,bmxyz->abxyz", kil, target.mu_fn(y))
-            sym = 0.5 * (q + np.swapaxes(q, 0, 1))
-            target._moment_cache[n] = {
-                "def_residual": def_res,
-                "constraint_residual": float(np.max(np.abs(sym))),
-                "constraint_matrix": np.mean(sym, axis=tuple(range(2, sym.ndim))),
-            }
+            grid = target.chart_grid(n)
+            def_res = con_res = 0.0
+            for sl in grid.slabs():
+                y = np.stack(grid.meshes(sl))
+                dmu = target_partials(target.mu_fn, y)  # (k, a, comp, *sp)
+                curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
+                del dmu
+                vol = target.vol_coeff(mat_det(target.metric_fn(y)))
+                kil = target.killing_fn(y)
+                def_res = max(def_res, float(np.max(np.abs(curl - vol * kil))))
+                del curl, vol
+                con_res = max(con_res, float(np.max(np.abs(_symmetrized_contraction(
+                    kil, target.mu_fn(y))))))
+            target._moment_cache[n] = {"def_residual": def_res, "constraint_residual": con_res}
         return target._moment_cache[n]
+
+
+def _symmetrized_contraction(kil: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(iota_{nu(I_a)} mu(I_b) + (a <-> b)) / 2 at each point, shape (dim, dim, *sp)."""
+    q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
+    return 0.5 * (q + np.swapaxes(q, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +641,9 @@ def left_action_obstruction(K: float) -> float:
     if K <= 0:
         raise ValueError("K must be positive")
     target = make_su2_left_target(K)
-    res = verify_moment_conditions(target, n=24)
-    diag = np.diag(res["constraint_matrix"])
+    y = np.stack(target.chart_grid(24).meshes())
+    sym = _symmetrized_contraction(target.killing_fn(y), target.mu_fn(y))
+    diag = np.diag(np.mean(sym, axis=(2, 3, 4)))
     val = float(np.mean(diag))
     if abs(val) < 1e-12 or np.max(np.abs(diag - val)) > 1e-9 * abs(val):
         raise ConstraintViolated("obstruction constant is not uniform over the basis")

@@ -2,6 +2,13 @@
 Configuration together with the scalars its report rows carry and the
 identity checks that the margin's pass runs on its slabs.
 
+A family's fields are closed forms of the grid coordinates.  A constructor
+evaluates each factor of them once, on the axis or the coordinate plane it
+depends on (a profile of xi, the surface's conformal factor, the frame of the
+orbit sphere), and returns a Configuration whose evaluators assemble phi, A
+and g_M from those factors on the rows a slab asks for.  No constructor
+forms a field of the grid's size.
+
 Families
 --------
 identity_u1     identity section of a U(1)-fibered target with A = A_x dx and
@@ -41,7 +48,6 @@ from .errors import (
     NotRiemannian,
     ParamInconsistent,
 )
-from .exterior import Metric3
 from .gaugefield import Configuration, Slab
 from .grid import build_patch
 from .lie_target import (
@@ -159,12 +165,35 @@ def mercator_sphere(curvature: float = 1.0, tau_max: float = 3.0) -> SurfaceGeom
 class FamilyResult:
     """A constructed family member, the scalars its report rows carry, and
     (name, fn) checks of its closed-form identities: fn(slab) is a residual
-    on the rows of a :class:`Slab` of ``config``, maximized by the pass."""
+    on the rows of a :class:`Slab` of ``config``, maximized by the pass.
+    Scalars that read every grid point are the configuration's
+    ``diagnostics``, reduced by the pass as well."""
 
     family: str
     config: Configuration
     diagnostics: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
+
+
+def _on_rows(values: np.ndarray, grid, rows: slice) -> np.ndarray:
+    """A profile of the first axis (n0, ...) on ``rows``, shaped to broadcast
+    over the other two: (rows, ..., 1, 1) for a 1-D profile."""
+    return values[grid.row_index(rows)][(...,) + (None,) * (3 - values.ndim)]
+
+
+def _constant_phi(grid, rows: slice) -> np.ndarray:
+    """phi = (xi, pi/2, 0): xi is the first coordinate, and the sphere factor
+    sits at the chart point of Phi = e_1."""
+    phi = np.empty((3, rows.stop - rows.start) + grid.n[1:])
+    phi[0] = _on_rows(grid.axis_points(0), grid, rows)
+    phi[1] = np.pi / 2
+    phi[2] = 0.0
+    return phi
+
+
+def _plane(grid, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate plane of axes i and j, as two (n_i, n_j) fields."""
+    return tuple(np.meshgrid(grid.axis_points(i), grid.axis_points(j), indexing="ij"))
 
 
 # ---------------------------------------------------------------------------
@@ -186,43 +215,52 @@ def identity_u1_solution(
         kappa = 1 + 3 F_{theta x} mu_y / W,  W = d_x mu_y - d_y mu_x,
 
     and BPS2 holds with alpha = beta = gamma = 0.  A_x must not depend on y
-    (the moment-dual flow) and kappa must stay positive on the grid.
+    (the moment-dual flow) and kappa must stay positive on the grid.  A_x and
+    F_{theta x} are evaluated on the (theta, x) plane, the target's profiles
+    on the (x, y) plane.
     """
     target = target or u1_s3_adjoint_target()
     ex = target.extras
     grid = build_patch(target.lo, target.hi, _triple(n), target.periodic, margin)
-    phi = np.stack(grid.meshes())
-    th, x, y = phi
 
+    th, x = _plane(grid, 0, 1)
     ax_vals = a_x(th, x)
     f_tx = _cstep(a_x, (th, x), 0)
-
+    x, y = _plane(grid, 1, 2)
     mu_x, mu_y = ex["mu_x"](x, y), ex["mu_y"](x, y)
     hh, om, w = ex["h"](x, y), ex["omega_x"](x, y), ex["w"](x, y)
-
-    kappa = 1.0 + 3.0 * f_tx * mu_y / w
     fib = w * w / (hh * mu_y)
-    omt = om - ax_vals
-    g = np.zeros((3, 3) + grid.shape)
-    g[0, 0] = kappa * fib
-    g[0, 1] = g[1, 0] = kappa * fib * omt
-    g[1, 1] = kappa * (fib * omt * omt + hh) + mu_x * mu_x / mu_y
-    g[1, 2] = g[2, 1] = mu_x
-    g[2, 2] = mu_y
-    if np.any(kappa <= 0):
-        raise NotRiemannian(
-            f"conformal factor reaches {kappa.min():.4g} <= 0; shrink A or the margin"
-        )
-    A = np.zeros((1, 3) + grid.shape)
-    A[0, 1] = ax_vals
-    cfg = Configuration(
-        grid, target, phi, A, Metric3(g), orientation=1, phi_winding=np.eye(3)
-    )
-    return FamilyResult(
-        family="identity-u1",
-        config=cfg,
-        diagnostics={"kappa_min": float(kappa.min())},
-    )
+
+    def kappa(rows):
+        return 1.0 + 3.0 * _on_rows(f_tx, grid, rows) * mu_y / w
+
+    def fields(rows):
+        phi = grid.points(rows)
+        A = np.zeros((1, 3) + phi.shape[1:])
+        A[0, 1] = _on_rows(ax_vals, grid, rows)
+        return phi, A
+
+    def metric(rows):
+        k = kappa(rows)
+        omt = om - _on_rows(ax_vals, grid, rows)
+        g = np.zeros((3, 3) + k.shape)
+        g[0, 0] = k * fib
+        g[0, 1] = g[1, 0] = k * fib * omt
+        g[1, 1] = k * (fib * omt * omt + hh) + mu_x * mu_x / mu_y
+        g[1, 2] = g[2, 1] = mu_x
+        g[2, 2] = mu_y
+        return g
+
+    def guard(values):
+        k = values["kappa_min"]
+        if k <= 0:
+            return NotRiemannian(f"conformal factor reaches {k:.4g} <= 0; shrink A or the margin")
+        return None
+
+    cfg = Configuration(grid, target, fields, metric, orientation=1, phi_winding=np.eye(3),
+                        diagnostics=(("kappa_min", lambda rows: float(np.min(kappa(rows))), min),),
+                        guard=guard)
+    return FamilyResult(family="identity-u1", config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +284,27 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     target = _adjoint_target(shared(("monopole", window), lambda: monopole_family(window)))
     grid = build_patch((s0, 0.0, 0.0), (s1, np.pi, 2 * np.pi),
                        _triple(n), (False, False, True), margin)
-    s, u, v = grid.meshes()
+    s, u = grid.axis_points(0), grid.axis_points(1)
+    a_v = 0.5 * (1.0 - np.cos(u))  # a = (1 - cos u)/2 dv along Phi = e_1
+    g_ss, g_uu, s_sq = 0.25 / s**4, 0.25 / s**2, s**2
+    quarter_sin_sq = 0.25 * np.sin(u) ** 2
 
-    phi = np.stack([s, np.full(grid.shape, np.pi / 2), np.zeros(grid.shape)])
-    A = np.zeros((3, 3) + grid.shape)
-    A[0, 2] = 0.5 * (1.0 - np.cos(u))  # a = (1 - cos u)/2 dv along Phi = e_1
+    def fields(rows):
+        phi = _constant_phi(grid, rows)
+        A = np.zeros((3, 3) + phi.shape[1:])
+        A[0, 2] = a_v[:, None]
+        return phi, A
 
-    g = np.zeros((3, 3) + grid.shape)
-    g[0, 0] = 0.25 / s**4
-    g[1, 1] = 0.25 / s**2
-    g[2, 2] = 0.25 * np.sin(u) ** 2 / s**2
+    def metric(rows):
+        g = np.zeros((3, 3, rows.stop - rows.start) + grid.n[1:])
+        g[0, 0] = _on_rows(g_ss, grid, rows)
+        g[1, 1] = _on_rows(g_uu, grid, rows)
+        g[2, 2] = quarter_sin_sq[:, None] / _on_rows(s_sq, grid, rows)
+        return g
 
     winding = np.zeros((3, 3))
     winding[0, 0] = 1.0
-    cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=-1,
-                        phi_winding=winding)
+    cfg = Configuration(grid, target, fields, metric, orientation=-1, phi_winding=winding)
     return FamilyResult(family="dirac-monopole", config=cfg,
                         checks=[("abelian_bps_residual", _abelian_bps_residual)])
 
@@ -277,23 +321,6 @@ def _abelian_bps_residual(slab: Slab) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _spinorial_gauge_field(surface: SurfaceGeometry, grid, x1, x2) -> np.ndarray:
-    """Connection components of the shifted spin connection in the e-basis.
-
-    In the matrix gauge A = [[-i a, -conj(w)], [w, i a]] with
-    a = (d_1 lnOmega dx2 - d_2 lnOmega dx1)/4 and w = sqrt(Omega)/2 (dx1 + i dx2);
-    after the e_3 -> e_1 frame rotation the components are (a, Re w, Im w).
-    """
-    g1, g2 = surface.dlog_omega(x1, x2)
-    sq = np.sqrt(surface.omega(x1, x2))
-    A = np.zeros((3, 3) + grid.shape)
-    A[0, 1] = -0.25 * g2  # a, dx1 component
-    A[0, 2] = 0.25 * g1  # a, dx2 component
-    A[1, 1] = 0.5 * sq  # Re w
-    A[2, 2] = 0.5 * sq  # Im w
-    return A
-
-
 def spinorial_solution(
     surface: SurfaceGeometry | None = None,
     fam: AdjointIntervalFamily | None = None,
@@ -308,9 +335,13 @@ def spinorial_solution(
 
         g_M = dxi^2 + (h2^2 + (3/2) eta1 (1 - K)) g_C.
 
+    In the matrix gauge A = [[-i a, -conj(w)], [w, i a]] with
+    a = (d_1 lnOmega dx2 - d_2 lnOmega dx1)/4 and w = sqrt(Omega)/2 (dx1 + i dx2);
+    after the e_3 -> e_1 frame rotation the components are (a, Re w, Im w).
+
     The conformal-block coefficient may fail positivity (a legal, flagged
-    outcome); the diagnostics carry its minimum, and the checks the
-    residuals of F = (1/2)(1 - K) omega_C Phi and of d^A phi.
+    outcome); the configuration's diagnostics carry its minimum, and the
+    checks the residuals of F = (1/2)(1 - K) omega_C Phi and of d^A phi.
 
     The default profile family is the eta2 = 0 representative of the round
     3-sphere metric (h2 = sin, eta1 = -2 sin^2); choosing eta2 = 0 removes
@@ -332,51 +363,62 @@ def spinorial_solution(
         (False, surface.periodic[0], surface.periodic[1]),
         margin,
     )
-    xi, x1, x2 = grid.meshes()
-
-    A = _spinorial_gauge_field(surface, grid, x1, x2)
-    if twist_b != 0.0:
-        A[0, 0] = twist_b
-    phi = np.stack([xi, np.full(grid.shape, np.pi / 2), np.zeros(grid.shape)])
-
+    # the surface's factors on the (x1, x2) plane, the profiles on the xi axis
+    x1, x2 = _plane(grid, 1, 2)
+    g1, g2 = surface.dlog_omega(x1, x2)
+    a = {(0, 1): -0.25 * g2, (0, 2): 0.25 * g1}  # a, on the dx1 and dx2 slots
     om = surface.omega(x1, x2)
-    coef = fam.h2(xi) ** 2 + 1.5 * fam.eta1(xi) * (1.0 - surface.gauss_k(x1, x2))
-    g = np.zeros((3, 3) + grid.shape)
-    g[0, 0] = 1.0
-    g[1, 1] = coef * om
-    g[2, 2] = coef * om
-    cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=1)
-    return FamilyResult(
-        family="spinorial",
-        config=cfg,
-        diagnostics={"conformal_coefficient_min": float(np.min(coef))},
-        checks=_spinorial_checks(surface, twist_b),
-    )
+    sq = np.sqrt(om)
+    half_sq = 0.5 * sq  # Re w and Im w
+    xi = grid.axis_points(0)
+    h2_sq, eta1 = fam.h2(xi) ** 2, 1.5 * fam.eta1(xi)
+    one_minus_k = 1.0 - surface.gauss_k(x1, x2)
+
+    def fields(rows):
+        phi = _constant_phi(grid, rows)
+        A = np.zeros((3, 3) + phi.shape[1:])
+        for slot, values in a.items():
+            A[slot] = values
+        A[1, 1] = A[2, 2] = half_sq
+        if twist_b != 0.0:
+            A[0, 0] = twist_b
+        return phi, A
+
+    def coef(rows):
+        return _on_rows(h2_sq, grid, rows) + _on_rows(eta1, grid, rows) * one_minus_k
+
+    def metric(rows):
+        c = coef(rows)
+        g = np.zeros((3, 3) + c.shape)
+        g[0, 0] = 1.0
+        g[1, 1] = c * om
+        g[2, 2] = c * om
+        return g
+
+    cfg = Configuration(grid, target, fields, metric, orientation=1, diagnostics=(
+        ("conformal_coefficient_min", lambda rows: float(np.min(coef(rows))), min),))
+    return FamilyResult(family="spinorial", config=cfg,
+                        checks=_spinorial_checks(0.5 * one_minus_k * om, sq, twist_b))
 
 
-def _spinorial_checks(surface: SurfaceGeometry, twist_b: float) -> list:
+def _spinorial_checks(curvature: np.ndarray, sq: np.ndarray, twist_b: float) -> list:
     """Checks of F = (1/2)(1 - K) omega_C Phi (plus the twist's part) and
-    d^A phi = dxi e_0 + sqrt(Omega) (dx1 e_1 + dx2 e_2), with K and Omega
-    evaluated on the slab's rows."""
-    def surface_mesh(slab: Slab):
-        return slab.config.grid.meshes(slab.rows)[1:]
-
+    d^A phi = dxi e_0 + sqrt(Omega) (dx1 e_1 + dx2 e_2).  ``curvature`` is
+    (1/2)(1 - K) Omega and ``sq`` sqrt(Omega) on the surface's plane."""
     def curvature_identity(slab: Slab) -> float:
-        x1, x2 = surface_mesh(slab)
-        om = surface.omega(x1, x2)
         F = slab.inner(slab.F)
         pred = np.zeros_like(F)
-        pred[0, 0] = 0.5 * (1.0 - surface.gauss_k(x1, x2)) * om
+        pred[0, 0] = curvature
         if twist_b != 0.0:
             # -B dxi ^ d^A Phi contributes B sqrt(Omega) on both transverse slots
-            pred[1, 1] = pred[2, 2] = twist_b * np.sqrt(om)
+            pred[1, 1] = pred[2, 2] = twist_b * sq
         return float(np.max(np.abs(F - pred)))
 
     def covariant_differential(slab: Slab) -> float:
         P = slab.inner(slab.P)
         pred = np.zeros_like(P)
         pred[0, 0] = 1.0
-        pred[1, 1] = pred[2, 2] = np.sqrt(surface.omega(*surface_mesh(slab)))
+        pred[1, 1] = pred[2, 2] = sq
         return float(np.max(np.abs(P - pred)))
 
     return [("curvature_identity_residual", curvature_identity),
@@ -448,7 +490,9 @@ def spherical_solution(
         h1 h2^2 = -(beta / 2 alpha) c1 c2 xi^2 f^(-beta/alpha - 2).
 
     The base metric is (1 - 3 alpha/beta)^2 (h1^2 dxi^2 + f^2 h2^2 g_S2) with
-    the orientation carrying the sign of 1 - 3 alpha/beta.
+    the orientation carrying the sign of 1 - 3 alpha/beta.  The profiles are
+    evaluated on the xi axis, the frame of the orbit sphere on the (u, v)
+    plane, and the BPS2 residuals, which depend on xi alone, on the xi axis.
     """
     if alpha == 0.0 or beta == 0.0:
         raise ParamInconsistent("spherical family needs alpha != 0 and beta != 0")
@@ -488,29 +532,37 @@ def spherical_solution(
     target = _adjoint_target(fam)
     grid = build_patch((xi_window[0], 0.0, 0.0), (xi_window[1], np.pi, 2 * np.pi),
                        _triple(n), (False, False, True), margin)
-    phi = np.stack(grid.meshes())
-    xi, u, v = phi
+    xi, u = grid.axis_points(0), grid.axis_points(1)
 
-    # each frame field is dropped once A holds it, so that the build holds
-    # few fields besides the configuration's own
-    x, xu, xv = sph_frame(u, v)
+    x, xu, xv = sph_frame(*_plane(grid, 1, 2))
+    # A_u and A_v are (f - 1)/2 times x cross x_u and x cross x_v
     half = 0.5 * (f(xi) - 1.0)
-    A = np.zeros((3, 3) + grid.shape)
-    A[:, 1] = half * np.cross(x, xu, axisa=0, axisb=0, axisc=0)
-    del xu
-    A[:, 2] = half * np.cross(x, xv, axisa=0, axisb=0, axisc=0)
-    del x, xv, half
+    cross = [np.cross(x, d, axisa=0, axisb=0, axisc=0)[:, None] for d in (xu, xv)]
 
     sign = 1.0 - 3.0 * alpha / beta
-    g = np.zeros((3, 3) + grid.shape)
-    g[0, 0] = sign**2 * h1_fn(xi) ** 2
-    g[1, 1] = sign**2 * f(xi) ** 2 * h2_fn(xi) ** 2
-    g[2, 2] = g[1, 1] * np.sin(u) ** 2
+    g_xi = sign**2 * h1_fn(xi) ** 2
+    g_sphere = sign**2 * f(xi) ** 2 * h2_fn(xi) ** 2
+    sin_sq = np.sin(u) ** 2
+
+    def fields(rows):
+        phi = grid.points(rows)
+        A = np.zeros((3, 3) + phi.shape[1:])
+        for lam, values in zip((1, 2), cross):
+            A[:, lam] = _on_rows(half, grid, rows) * values
+        return phi, A
+
+    def metric(rows):
+        g = np.zeros((3, 3, rows.stop - rows.start) + grid.n[1:])
+        g[0, 0] = _on_rows(g_xi, grid, rows)
+        g[1, 1] = _on_rows(g_sphere, grid, rows)
+        g[2, 2] = _on_rows(g_sphere, grid, rows) * sin_sq[:, None]
+        return g
+
     winding = np.zeros((3, 3))
     winding[1, 1] = 1.0
     winding[2, 2] = 1.0
-    cfg = Configuration(grid, target, phi, A, Metric3(g),
-                        orientation=int(np.sign(sign)), phi_winding=winding)
+    cfg = Configuration(grid, target, fields, metric, orientation=int(np.sign(sign)),
+                        phi_winding=winding)
 
     fp = c1 * xi / f(xi)
     bps2a = 2.0 * alpha * h1h2sq(xi) * f(xi) ** 2 + beta * eta1(xi) * (f(xi) ** 2 - 1.0)
@@ -542,53 +594,65 @@ def symplectic_solution(
     round unit sphere (Mercator chart, tau_max = 3) over xi in (0, pi) with
     h2 = sin, where a is half the Levi-Civita connection and w = sqrt(Omega)/2
     dz, optionally rotated by a xi-dependent phase (a gauge twist that leaves
-    all invariants unchanged).  ``w_scale``
-    exists to demonstrate the normalization check and must be 1 for a valid
-    construction.
+    all invariants unchanged).  The normalization is checked on every grid
+    point, in the margin's pass.  ``w_scale`` exists to demonstrate that
+    check and must be 1 for a valid construction.
     """
     surface = mercator_sphere(1.0)
     target = _adjoint_target(_round_eta2_zero("symplectic-base"))
     grid = build_patch((0.0, surface.lo[0], 0.0), (np.pi, surface.hi[0], 2 * np.pi),
                        _triple(n), (False, False, True), margin)
-    xi, tau, v = grid.meshes()
+    xi = grid.axis_points(0)
+    tau, v = _plane(grid, 1, 2)
 
     om = surface.omega(tau, v)
     sq = 0.5 * w_scale * np.sqrt(om)
     psi = xi_phase(xi) if xi_phase is not None else np.zeros_like(xi)
-    A = np.zeros((3, 3) + grid.shape)
-    w_re, w_im = A[1], A[2]
-    # w_xi = e^{i psi} (sq dtau + i sq dv): components on the (tau, v) axes
-    w_re[1], w_re[2] = sq * np.cos(psi), -sq * np.sin(psi)
-    w_im[1], w_im[2] = sq * np.sin(psi), sq * np.cos(psi)
-    del sq, psi
-
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
     g1, _ = surface.dlog_omega(tau, v)
-    A[0, 2] = 0.25 * g1  # a = (d_tau ln Omega)/4 dv on the Mercator chart
-    del g1, _
+    a_v = 0.25 * g1  # a = (d_tau ln Omega)/4 dv on the Mercator chart
+    two_da = 2.0 * surface.levi_civita_da_coeff(tau, v)
+    sin_sq = np.sin(xi) ** 2
 
-    # normalization 2 i w ^ conj(w) = -2 da, checked on the closed forms
-    two_i_wwbar = 4.0 * (w_re[1] * w_im[2] - w_re[2] * w_im[1])  # dtau^dv coefficient
-    da_coeff = surface.levi_civita_da_coeff(tau, v)
-    norm_res = float(np.max(np.abs(two_i_wwbar + 2.0 * da_coeff)))
-    scale = float(np.max(np.abs(two_i_wwbar))) or 1.0
-    if norm_res > 1e-10 * scale:
-        raise NormalizationFailed(
-            f"2 i w ^ conj(w) differs from -2 da by {norm_res:.3e}"
-        )
+    def w(rows):
+        """w_xi = e^{i psi} (sq dtau + i sq dv): its real and imaginary parts'
+        components on the (tau, v) axes."""
+        c, s = _on_rows(cos_psi, grid, rows), _on_rows(sin_psi, grid, rows)
+        return (sq * c, -sq * s), (sq * s, sq * c)
 
-    phi = np.stack([xi, np.full(grid.shape, np.pi / 2), np.zeros(grid.shape)])
-    g = np.zeros((3, 3) + grid.shape)
-    g[0, 0] = 1.0
-    g[1, 1] = np.sin(xi) ** 2 * om
-    g[2, 2] = np.sin(xi) ** 2 * om
-    cfg = Configuration(grid, target, phi, A, Metric3(g), orientation=1)
+    def fields(rows):
+        phi = _constant_phi(grid, rows)
+        A = np.zeros((3, 3) + phi.shape[1:])
+        (A[1, 1], A[1, 2]), (A[2, 1], A[2, 2]) = w(rows)
+        A[0, 2] = a_v
+        return phi, A
 
-    area = surface.area()
-    return FamilyResult(
-        family="symplectic",
-        config=cfg,
-        diagnostics={
-            "normalization_residual": norm_res,
-            "omega_c_integral_over_2pi": area / (2 * np.pi),
-        },
+    def metric(rows):
+        g = np.zeros((3, 3, rows.stop - rows.start) + grid.n[1:])
+        g[0, 0] = 1.0
+        g[1, 1] = _on_rows(sin_sq, grid, rows) * om
+        g[2, 2] = _on_rows(sin_sq, grid, rows) * om
+        return g
+
+    def two_i_wwbar(rows):
+        """2 i w ^ conj(w), its dtau^dv coefficient."""
+        (re1, re2), (im1, im2) = w(rows)
+        return 4.0 * (re1 * im2 - re2 * im1)
+
+    def guard(values):
+        # normalization 2 i w ^ conj(w) = -2 da, on the closed forms
+        res, scale = values["normalization_residual"], values["_normalization_scale"] or 1.0
+        if res > 1e-10 * scale:
+            return NormalizationFailed(f"2 i w ^ conj(w) differs from -2 da by {res:.3e}")
+        return None
+
+    diagnostics = (
+        ("normalization_residual",
+         lambda rows: float(np.max(np.abs(two_i_wwbar(rows) + two_da))), max),
+        ("_normalization_scale", lambda rows: float(np.max(np.abs(two_i_wwbar(rows)))), max),
     )
+    cfg = Configuration(grid, target, fields, metric, orientation=1, diagnostics=diagnostics,
+                        guard=guard)
+    area = surface.area()
+    return FamilyResult(family="symplectic", config=cfg,
+                        diagnostics={"omega_c_integral_over_2pi": area / (2 * np.pi)})

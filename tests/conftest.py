@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from skybps.exterior import Metric3
-from skybps.gaugefield import Configuration
 from skybps.grid import build_patch
-from oracles import round_s3_family
+from oracles import from_arrays, round_s3_family
 from skybps.lie_target import make_adjoint_interval_target, u1_s3_adjoint_target
 
 
@@ -44,7 +43,7 @@ def smooth_u1_configuration(target, n=32, margin=0.2, amp=0.1, seed=3):
     g = np.zeros((3, 3) + grid.shape)
     g[0, 0] = g[1, 1] = g[2, 2] = 1.0
     g[0, 1] = g[1, 0] = 0.1 * np.sin(th)
-    return Configuration(grid, target, phi, A, Metric3(g), phi_winding=np.eye(3))
+    return from_arrays(grid, target, phi, A, g, phi_winding=np.eye(3))
 
 
 def smooth_adjoint_configuration(target, n=32, seed=5, amp=0.25, box=(0.0, 1.0)):
@@ -66,4 +65,4 @@ def smooth_adjoint_configuration(target, n=32, seed=5, amp=0.25, box=(0.0, 1.0))
     g = np.zeros((3, 3) + grid.shape)
     g[0, 0] = g[1, 1] = g[2, 2] = 1.0
     g[0, 1] = g[1, 0] = 0.1 * np.sin(X + Y)
-    return Configuration(grid, target, phi, A, Metric3(g))
+    return from_arrays(grid, target, phi, A, g)

@@ -4,6 +4,11 @@ None of this runs in ``skybps verify``, ``sweep`` or ``obstruction``:
 
 - the round 3-sphere's adjoint-interval profile family, and the profiles an
   adjoint-interval target carries;
+- rows of a whole-grid array, a Configuration held as whole-grid arrays,
+  and a configuration's phi, A and g_M on every row, from its own
+  evaluators;
+- the whole-grid quadrature of a field;
+- the perturbation bump formed on the whole grid;
 - finite gauge transformations, with the group actions on the target charts;
 - d phi, d^A phi and F on every row, and the named equivariant forms pulled
   back from them;
@@ -26,9 +31,10 @@ from skybps.gaugefield import (
     Configuration,
     EquivariantFormSpec,
     _curvature,
+    _dphi,
     equivariant_pullback,
 )
-from skybps.grid import PatchGrid, partial_derivative
+from skybps.grid import PatchGrid, _take_rows, partial_derivative
 from skybps.lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
@@ -42,6 +48,74 @@ from skybps.lie_target import (
 
 class TargetMismatch(SkybpsError):
     """An operation was handed a target geometry it does not support."""
+
+
+# ---------------------------------------------------------------------------
+# configurations as whole-grid arrays
+# ---------------------------------------------------------------------------
+
+
+def take_rows(grid: PatchGrid, values: np.ndarray, rows: slice) -> np.ndarray:
+    """``values[..., rows, :, :]`` on the first axis, rows taken mod n; a view
+    unless the rows wrap around a periodic axis."""
+    return _take_rows(values, rows, grid.n[0])
+
+
+def from_arrays(grid: PatchGrid, target: TargetGeometry, phi: np.ndarray,
+                A: np.ndarray | None, gM, orientation: int = 1,
+                phi_winding: np.ndarray | None = None) -> Configuration:
+    """A Configuration whose evaluators read phi (3, *grid), A (dim g, 3,
+    *grid; None means A = 0) and g_M (a Metric3 or a (3, 3, *grid) array)."""
+    if phi.shape != (3,) + grid.shape:
+        raise GridMismatch("phi components do not match the grid")
+    d = target.algebra.dim
+    A = np.zeros((d, 3) + grid.shape) if A is None else A
+    if A.shape != (d, 3) + grid.shape:
+        raise GridMismatch("A components do not match the grid/algebra")
+    g = gM.g if isinstance(gM, Metric3) else gM
+    if g.shape != (3, 3) + grid.shape:
+        raise GridMismatch("gM does not match the grid")
+
+    def fields(rows):
+        return take_rows(grid, phi, rows).copy(), take_rows(grid, A, rows).copy()
+
+    def metric(rows):
+        return take_rows(grid, g, rows).copy()
+
+    return Configuration(grid, target, fields, metric, orientation, phi_winding)
+
+
+def full_fields(c: Configuration) -> tuple[np.ndarray, np.ndarray, Metric3]:
+    """phi, A and g_M of c on every row, from its evaluators."""
+    rows = slice(0, c.grid.n[0])
+    phi, A = c.fields(rows)
+    return phi, A, Metric3(c.metric(rows))
+
+
+def integrate(f: np.ndarray, grid: PatchGrid) -> float:
+    """Composite quadrature of ``f`` over the patch: the sum of its row sums
+    (``PatchGrid.row_sums``), as the margin's pass integrates."""
+    if f.shape != grid.shape:
+        raise GridMismatch(f"integrand shape {f.shape} != grid shape {grid.shape}")
+    return float(np.sum(grid.row_sums(f)))
+
+
+def perturbed_phi(c: Configuration, eps: float, seed: int = 0) -> np.ndarray:
+    """phi of ``cli.perturb_configuration(c, eps, seed)`` on the whole grid,
+    with the bump formed on the whole grid: a product of per-axis factors,
+    broadcast to the grid."""
+    rng = np.random.default_rng(seed)
+    grid = c.grid
+    bump = 1.0
+    for ax in range(3):
+        lo, hi = grid.lo_eff[ax], grid.hi_eff[ax]
+        t = (grid.axis_points(ax) - lo) / (hi - lo)
+        f = np.sin(np.pi * t) if not grid.periodic[ax] else np.sin(2 * np.pi * t)
+        bump = bump * f.reshape([-1 if i == ax else 1 for i in range(3)])
+    phi = full_fields(c)[0]
+    for mu in range(3):
+        phi[mu] = phi[mu] + eps * rng.uniform(0.5, 1.0) * bump
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +225,7 @@ def gauge_transform(c: Configuration, lam: np.ndarray, finite: bool = True,
     non-periodic profiles on periodic axes.
     """
     grid, target = c.grid, c.target
+    phi, A, gM = full_fields(c)
     d = target.algebra.dim
     if lam.shape != (d,) + grid.shape:
         raise GridMismatch("gauge parameter does not match the grid/algebra")
@@ -162,36 +237,35 @@ def gauge_transform(c: Configuration, lam: np.ndarray, finite: bool = True,
     dlam += lam_winding[:, :, None, None, None]
 
     if not finite:
-        kil = c.target.killing_fn(c.phi)
+        kil = c.target.killing_fn(phi)
         phi_dot = np.einsum("axyz,amxyz->mxyz", lam, kil)
-        a_dot = dlam + np.einsum("abc,blxyz,cxyz->alxyz", target.algebra.f, c.A, lam)
+        a_dot = dlam + np.einsum("abc,blxyz,cxyz->alxyz", target.algebra.f, A, lam)
         return phi_dot, a_dot
 
     action = _action(target)
     if target.algebra.dim == 1:
         if action is None or target.fiber_axis is None:
             raise ValueError("target does not define a finite u(1) action")
-        phi_new = action(lam[0], c.phi)
-        a_new = c.A + dlam
+        phi_new = action(lam[0], phi)
+        a_new = A + dlam
         winding = c.phi_winding.copy()
         winding[target.fiber_axis] += lam_winding[0]
-        return Configuration(grid, target, phi_new, a_new, c.gM, c.orientation, winding)
+        return from_arrays(grid, target, phi_new, a_new, gM, c.orientation, winding)
 
     if action is None:
         raise ValueError("target does not define a finite group action")
     u = qexp(-lam)  # group element acting on the target
     g = qexp(lam)
-    phi_new = action(u, c.phi)
+    phi_new = action(u, phi)
     # continuity across periodic wraps: keep the winding, re-wrap the remainder
-    phi_new = _rewrap(phi_new, c.phi, target)
+    phi_new = _rewrap(phi_new, phi, target)
     dg = np.stack([partial_derivative(g, k, grid) for k in range(3)], axis=1)
     pure = np.stack([qmul(qconj(g), dg[:, k]) for k in range(3)], axis=1)
     maurer = pure[1:]  # e-basis components of g^{-1} dg
     rot = qrot(qconj(g))
-    conjugated = np.einsum("baxyz,alxyz->blxyz", rot, c.A)
+    conjugated = np.einsum("baxyz,alxyz->blxyz", rot, A)
     a_new = maurer + conjugated
-    return Configuration(grid, target, phi_new, a_new, c.gM, c.orientation,
-                         c.phi_winding.copy())
+    return from_arrays(grid, target, phi_new, a_new, gM, c.orientation, c.phi_winding.copy())
 
 
 def _rewrap(phi_new: np.ndarray, phi_old: np.ndarray, target: TargetGeometry) -> np.ndarray:
@@ -215,9 +289,9 @@ def full_grid_field(c: Configuration, name: str) -> np.ndarray:
     """d phi ("dphi"), d^A phi ("P") or F ("F") of c on every row,
     slice(0, n) of the first axis."""
     rows = slice(0, c.grid.n[0])
-    if name == "P":
-        return c.covariant_differential(rows, c.target.killing_fn(c.phi))
-    return {"dphi": c.dphi, "F": c.curvature}[name](rows)
+    if name == "dphi":
+        return _dphi(c, c.fields(rows)[0], rows)
+    return getattr(c.slab(rows), name)
 
 
 class FormSpec(EquivariantFormSpec):
@@ -226,7 +300,7 @@ class FormSpec(EquivariantFormSpec):
     def pullback(self, c: Configuration) -> np.ndarray:
         """phi^{*A} of this form on the configuration c."""
         return equivariant_pullback(full_grid_field(c, "P"), full_grid_field(c, "F"),
-                                    self.p, self.q, self.coeff(c.phi))
+                                    self.p, self.q, self.coeff(full_fields(c)[0]))
 
 
 def standard_specs(target: TargetGeometry) -> dict[str, FormSpec]:
@@ -385,9 +459,9 @@ def su2_matrix_fields(c: Configuration) -> tuple[np.ndarray, np.ndarray]:
     """
     if c.target.name != "adjoint-interval[round-s3]":
         raise TargetMismatch("SU(2) reduction needs the round adjoint-interval target")
-    xi, u, v = c.phi
+    (xi, u, v), A, _ = full_fields(c)
     U = np.concatenate([np.cos(xi)[None], np.sin(xi) * sph_x(u, v)])
-    return U, c.A
+    return U, A
 
 
 def _lie_pair(u, v, degree: int, star: StarMap) -> np.ndarray:
@@ -425,7 +499,7 @@ def energy_su2_reduced(U: np.ndarray, A: np.ndarray, grid: PatchGrid, gM: Metric
     rot = qrot(Uc)
     UFU = np.einsum("baxyz,amxyz->bmxyz", rot, F)  # U^{-1} F U components
 
-    star = hodge_star(gM, orientation, slice(None))
+    star = hodge_star(gM, orientation)
     dens = (
         c1 * _lie_pair(L, L, 1, star)
         + 0.25 * c2 * _lie_pair(lwl, lwl, 2, star)
@@ -460,5 +534,5 @@ def bps2_scalar_conditions(res, alpha: float, beta: float, gamma: float):
     _, h2sq, eta1, eta2 = adjoint_profiles(c.target, c.grid.meshes()[0])
     k = 1.0 - alpha / beta
     return (float(np.max(np.abs(alpha * h2sq + 0.5 * beta * eta1 * (1.0 - k)))),
-            float(np.max(np.abs(2.0 * gamma * c.A[0, 0] - alpha))),
+            float(np.max(np.abs(2.0 * gamma * full_fields(c)[1][0, 0] - alpha))),
             float(np.max(np.abs(eta2))))

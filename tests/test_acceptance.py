@@ -12,7 +12,9 @@ from oracles import (
     adjoint_profiles,
     bps2_scalar_conditions,
     energy_su2_reduced,
+    full_fields,
     gauge_transform,
+    integrate,
     over_slabs,
     recover_metric,
     round_s3_family,
@@ -24,7 +26,7 @@ from oracles import (
 from skybps.energy_degree import _margin_pass, bound_gap, bps_coefficients
 from skybps.exterior import Metric3, hodge_star
 from skybps.gaugefield import naturality_check_specs, pullback_naturality_residual
-from skybps.grid import extrapolate_margin, integrate
+from skybps.grid import extrapolate_margin
 from skybps.lie_target import (
     eta2_zero_family,
     left_action_obstruction,
@@ -126,7 +128,7 @@ def test_criterion_05_spinorial_family():
     entries.append((f"degree {d:.5f} = chi(S^2)/2 within 1e-2", abs(d - 1.0) < 1e-2))
 
     c = res48.config
-    vol_m = integrate(np.sqrt(c.gM.det()), c.grid)
+    vol_m = integrate(np.sqrt(full_fields(c)[2].det()), c.grid)
     xi_w = c.grid.axis_weights(0)
     h2sq = np.sin(c.grid.axis_points(0)) ** 2
     # spinorial_solution's default surface is the unit sphere: chi = 2, area 4 pi
@@ -138,10 +140,12 @@ def test_criterion_05_spinorial_family():
     flagged = spinorial_solution(surface=mercator_sphere(0.5), fam=fam, n=24, margin=0.1)
     xi = flagged.config.grid.meshes()[0]
     coef = fam.h2(xi) ** 2 + 1.5 * fam.eta1(xi) * (1.0 - 0.5)
-    mask = ~flagged.config.gM.riemannian_mask()
+    mask = ~full_fields(flagged.config)[2].riemannian_mask()
+    done = _margin_pass(flagged.config, P0)
     entries.append(("non-riemannian flag matches coefficient sign",
                     bool(np.all(mask == (coef <= 0))) and bool(mask.any())
-                    and flagged.diagnostics["conformal_coefficient_min"] <= 0))
+                    and not done["riemannian"]
+                    and done["diagnostics"]["conformal_coefficient_min"] <= 0))
     report(5, "spinorial family", entries)
 
 
@@ -149,7 +153,8 @@ def test_criterion_06_twisted_spinorial():
     entries = []
     alpha, beta, gamma = -2.0, 2.0, 0.5
     rt = twisted_spinorial_solution(alpha=alpha, gamma=gamma, beta=beta, n=48)
-    entries.append(("B = alpha/(2 gamma)", np.all(rt.config.A[0, 0] == alpha / (2 * gamma))))
+    entries.append(("B = alpha/(2 gamma)",
+                    np.all(full_fields(rt.config)[1][0, 0] == alpha / (2 * gamma))))
     conds = bps2_scalar_conditions(rt, alpha, beta, gamma)
     entries.append((f"three scalar conditions max {max(conds):.2e} < 5e-4",
                     max(conds) < 5e-4))
@@ -161,9 +166,9 @@ def test_criterion_06_twisted_spinorial():
     rs0 = spinorial_solution(surface=mercator_sphere(1.0),
                              fam=eta2_zero_family(np.sin, (0.0, np.pi), compact="s3"),
                              n=32)
-    diff = max(float(np.max(np.abs(rt0.config.phi - rs0.config.phi))),
-               float(np.max(np.abs(rt0.config.A - rs0.config.A))),
-               float(np.max(np.abs(rt0.config.gM.g - rs0.config.gM.g))))
+    (phi_t, A_t, g_t), (phi_s, A_s, g_s) = full_fields(rt0.config), full_fields(rs0.config)
+    diff = max(float(np.max(np.abs(phi_t - phi_s))), float(np.max(np.abs(A_t - A_s))),
+               float(np.max(np.abs(g_t.g - g_s.g))))
     entries.append((f"alpha=0 limit coincides with spinorial ({diff:.1e} <= 1e-12)",
                     diff <= 1e-12))
     report(6, "twisted spinorial family", entries)
@@ -198,9 +203,9 @@ def test_criterion_07_spherical_family():
 def test_criterion_08_symplectic_family():
     entries = []
     res = symplectic_solution(n=48)
-    entries.append((f"normalization {res.diagnostics['normalization_residual']:.2e} "
-                    "< 1e-10", res.diagnostics["normalization_residual"] < 1e-10))
     r = _margin_pass(res.config, bps_coefficients(0.0, 1.0, 0.0))
+    norm = r["diagnostics"]["normalization_residual"]
+    entries.append((f"normalization {norm:.2e} < 1e-10", norm < 1e-10))
     entries.append((f"r1={r['r1']:.2e}, r2={r['r2']:.2e} < 5e-4",
                     r["r1"] < 5e-4 and r["r2"] < 5e-4))
     val = res.diagnostics["omega_c_integral_over_2pi"]
@@ -277,7 +282,7 @@ def test_criterion_11_hodge_star_lemma():
     a = rng.normal(size=(1000, 3, 3))
     gm = np.einsum("nab,ncb->nac", a, a) + 0.5 * np.eye(3)
     metrics = Metric3(np.moveaxis(gm, 0, -1)[:, :, :, None, None])
-    star = hodge_star(metrics, 1, slice(None))
+    star = hodge_star(metrics, 1)
     res = star_trace_residual(star)
     rec = recover_metric(star)
     err = float(np.max(np.abs(rec.g - metrics.g))) / float(np.max(np.abs(metrics.g)))
@@ -295,7 +300,7 @@ def test_criterion_12_su2_reduction():
         p = bps_coefficients(*rng.uniform(-1.0, 1.0, size=3))
         e1 = bound_gap(c, p, 1.0)["energy"]
         U, A = su2_matrix_fields(c)
-        e2 = energy_su2_reduced(U, A, c.grid, c.gM, p, c.orientation)
+        e2 = energy_su2_reduced(U, A, c.grid, full_fields(c)[2], p, c.orientation)
         worst = max(worst, abs(e1 - e2) / max(abs(e1), 1e-10))
     report(12, f"SU(2) reduction agrees with the energy on 20 random "
                f"configurations (worst rel {worst:.1e} < 1e-6)",

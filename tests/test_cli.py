@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from oracles import full_fields, perturbed_phi, take_rows
 from skybps import cli, lie_target, solutions
 from skybps.cli import FAMILIES, build_family, build_target, main, run_sweep, run_verify
 from skybps.errors import ConfigError
@@ -384,10 +385,12 @@ def test_nonriemannian_base_metric_fails_every_row():
     assert rep["degree_extrapolated"] is None
 
 
-def test_perturbation_is_the_mesh_bump_and_shares_a():
+def test_perturbation_is_the_mesh_bump_and_leaves_a():
     base = solutions.spherical_solution(1.0, -1.0, 1.0, 2.0, n=20).config
     pert = cli.perturb_configuration(base, 0.02, seed=3)
-    assert pert.A is base.A
+    phi0, A0, _ = full_fields(base)
+    phi, A, _ = full_fields(pert)
+    assert np.array_equal(A, A0)
     # the bump formed on the full coordinate meshes, as a reference
     grid, rng = base.grid, np.random.default_rng(3)
     mesh = np.stack(grid.meshes())
@@ -396,7 +399,20 @@ def test_perturbation_is_the_mesh_bump_and_shares_a():
         t = (mesh[ax] - grid.lo_eff[ax]) / (grid.hi_eff[ax] - grid.lo_eff[ax])
         bump = bump * np.sin((2 if grid.periodic[ax] else 1) * np.pi * t)
     for mu in range(3):
-        assert np.array_equal(pert.phi[mu], base.phi[mu] + 0.02 * rng.uniform(0.5, 1.0) * bump)
+        assert np.array_equal(phi[mu], phi0[mu] + 0.02 * rng.uniform(0.5, 1.0) * bump)
+
+
+@pytest.mark.parametrize("family", ["spherical", "identity-u1"])
+def test_perturbation_rows_are_the_full_grid_bump(family):
+    # identity-u1's first axis is periodic: its halo rows wrap around it
+    res, _ = build_family({"family": family, "n": 20}, FAMILIES[family].margins[0])
+    pert = cli.perturb_configuration(res.config, 0.02, seed=5)
+    ref = perturbed_phi(res.config, 0.02, seed=5)
+    g = pert.grid
+    rows = [slice(0, 20), slice(0, 1), slice(7, 14), slice(19, 20), g.halo(slice(0, 3)),
+            g.halo(slice(17, 20)), g.halo(g.halo(slice(9, 10)))]
+    for r in rows:
+        assert np.array_equal(pert.fields(r)[0], take_rows(g, ref, r)), r
 
 
 def test_verify_tolerance_failure_exit_1(tmp_path):
@@ -511,12 +527,12 @@ def test_footprint_bounds_the_traced_peak_within_3x(n, monkeypatch):
         assert peak <= estimate <= 3 * peak, (family, peak, estimate)
 
 
-def test_footprint_grows_with_the_held_fields():
-    # from the point where one-row slabs keep the slab's share small, the
-    # estimate grows as n^3 times a fixed count of fields
-    ratio = cli._footprint(256, 3) / cli._footprint(128, 3)
-    assert 7.0 < ratio <= 8.0
-    assert cli._footprint(24, 3) > cli._footprint(24, 1)  # A and the moment check
+def test_footprint_grows_as_a_slab_of_one_row():
+    # nothing of the grid's size is held: once slabs are one row (n >= 84) the
+    # estimate is a fixed count of fields on the slab's row and its 8 halo
+    # rows, and grows as n^2
+    assert cli._footprint(256, 3) / cli._footprint(128, 3) == 4.0
+    assert cli._footprint(16, 3) > cli._footprint(16, 1)  # the moment check's slab
 
 
 def test_run_refused_when_memory_is_short(tmp_path, monkeypatch, capsys):
@@ -630,13 +646,13 @@ def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
     # integrated once for the whole sweep instead of once per point, also
     # when two threads reach the shared target together
     quadratures = []
-    integrate = lie_target.integrate
+    density = lie_target.TargetGeometry._vol_density
 
-    def counting_integrate(f, grid):
-        quadratures.append(grid.margin)
-        return integrate(f, grid)
+    def counting_density(target, grid, *rows):
+        quadratures.append(grid.margin)  # once per chart grid: the targets have a fiber axis
+        return density(target, grid, *rows)
 
-    monkeypatch.setattr(lie_target, "integrate", counting_integrate)
+    monkeypatch.setattr(lie_target.TargetGeometry, "_vol_density", counting_density)
     cfg = {
         "family": "identity-u1",
         "n": 12,
@@ -673,13 +689,13 @@ def test_spinorial_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch,
     # target, and Vol(N), is built once for the whole sweep
     monkeypatch.setenv("SKYRME_THREADS", "1")
     quadratures = []
-    integrate = lie_target.integrate
+    density = lie_target.TargetGeometry._vol_density
 
-    def counting_integrate(f, grid):
-        quadratures.append(grid.margin)
-        return integrate(f, grid)
+    def counting_density(target, grid, *rows):
+        quadratures.append(grid.margin)  # once per chart grid: the targets have a fiber axis
+        return density(target, grid, *rows)
 
-    monkeypatch.setattr(lie_target, "integrate", counting_integrate)
+    monkeypatch.setattr(lie_target.TargetGeometry, "_vol_density", counting_density)
     cfg = {"family": "spinorial", "n": 12,
            "sweep": {"param": "perturb.eps", "values": [0.0, 0.001, 0.002]}}
     if target:
@@ -709,7 +725,8 @@ def test_moment_conditions_run_once_per_shared_target(monkeypatch):
     rep = run_sweep({"family": "identity-u1", "n": 12, "margins": [0.36, 0.24, 0.16],
                      "sweep": {"param": "family_params.ax",
                                "values": ["0.05*sin(theta)", "0.02*sin(theta)"]}})
-    assert len(rep["points"]) == 2 and len(calls) == 1
+    # once per slab of its 32^3 chart grid (13, 13 and 6 rows)
+    assert len(rep["points"]) == 2 and len(calls) == 3
 
 
 def test_build_target_shares_valid_sections_only(monkeypatch):

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import smooth_adjoint_configuration, smooth_u1_configuration
-from oracles import full_grid_field, gauge_transform, over_slabs, standard_specs
+from oracles import (
+    from_arrays,
+    full_fields,
+    full_grid_field,
+    gauge_transform,
+    over_slabs,
+    standard_specs,
+    take_rows,
+)
 from skybps.energy_degree import bound_gap, bps_coefficients
 from skybps.errors import ChartExit, DegreeOverflow
 from skybps.exterior import EPS, Metric3, hodge_star, mat_det
 from skybps.gaugefield import (
-    Configuration,
     _curvature,
+    _dphi,
     cofactor,
     det_p,
     equivariant_pullback,
@@ -19,6 +27,12 @@ from skybps import grid as grid_module
 from skybps.grid import build_patch, partial_derivative
 from skybps.lie_target import sph_x, su2_algebra, u1_algebra
 from skybps.solutions import dirac_monopole, identity_u1_solution, spinorial_solution
+
+
+def without_connection(c):
+    """c with A = 0."""
+    phi, _, gM = full_fields(c)
+    return from_arrays(c.grid, c.target, phi, None, gM, c.orientation, c.phi_winding)
 
 
 def euclid(shape):
@@ -33,8 +47,7 @@ def euclid(shape):
 def test_curvature_zero_connection(u1_target):
     grid = build_patch(u1_target.lo, u1_target.hi, (8, 8, 8), u1_target.periodic, 0.1)
     phi = np.stack(grid.meshes())
-    c = Configuration(grid, u1_target, phi, None, euclid(grid.shape),
-                      phi_winding=np.eye(3))
+    c = from_arrays(grid, u1_target, phi, None, euclid(grid.shape), phi_winding=np.eye(3))
     assert np.max(np.abs(full_grid_field(c, "F"))) == 0.0
 
 
@@ -61,8 +74,7 @@ def test_curvature_abelian_analytic_oracle(u1_target):
         phi = np.stack([th, x, y])
         A = np.zeros((1, 3) + grid.shape)
         A[0, 1] = 0.3 * np.sin(th) * np.cos(y / 2)
-        c = Configuration(grid, u1_target, phi, A, euclid(grid.shape),
-                          phi_winding=np.eye(3))
+        c = from_arrays(grid, u1_target, phi, A, euclid(grid.shape), phi_winding=np.eye(3))
         F = full_grid_field(c, "F")[0]
         exact = np.zeros_like(F)
         # dA = d_theta A_x dtheta^dx + d_y A_x dy^dx
@@ -93,9 +105,7 @@ def test_bianchi_residual(adjoint_round_target):
 
 
 def test_covariant_differential_reduces_to_differential(u1_target):
-    c = smooth_u1_configuration(u1_target, n=16)
-    c_free = Configuration(c.grid, c.target, c.phi, None, c.gM,
-                           phi_winding=c.phi_winding)
+    c_free = without_connection(smooth_u1_configuration(u1_target, n=16))
     np.testing.assert_allclose(full_grid_field(c_free, "P"),
                                full_grid_field(c_free, "dphi"))
 
@@ -131,16 +141,15 @@ def test_pullback_identity_section_is_covariant_differential(u1_target):
 
 
 def test_pullback_flat_connection_ordinary_pullback(u1_target):
-    c0 = smooth_u1_configuration(u1_target, n=16)
-    c = Configuration(c0.grid, c0.target, c0.phi, None, c0.gM,
-                      phi_winding=c0.phi_winding)
+    c = without_connection(smooth_u1_configuration(u1_target, n=16))
     vol = standard_specs(u1_target)["volume"].pullback(c)
     # phi* V_N = rho(phi) det(d phi)
     P = full_grid_field(c, "dphi")
     det = np.einsum("uvw,uxyz,vxyz,wxyz->xyz", np.array(
         [[[float((i - j) * (j - k) * (k - i) / 2) for k in range(3)]
           for j in range(3)] for i in range(3)]), P[:, 0], P[:, 1], P[:, 2])
-    np.testing.assert_allclose(vol, u1_target.vol_coeff(mat_det(u1_target.metric_fn(c.phi))) * det,
+    phi = full_fields(c)[0]
+    np.testing.assert_allclose(vol, u1_target.vol_coeff(mat_det(u1_target.metric_fn(phi))) * det,
                                rtol=1e-12)
 
 
@@ -192,9 +201,7 @@ def test_naturality_residual_mu_random_fields(u1_target):
 
 def test_naturality_classical_flat_case(u1_target):
     # A = 0: reduces to d(phi* beta) = phi*(d beta)
-    c0 = smooth_u1_configuration(u1_target, n=48)
-    c = Configuration(c0.grid, c0.target, c0.phi, None, c0.gM,
-                      phi_winding=c0.phi_winding)
+    c = without_connection(smooth_u1_configuration(u1_target, n=48))
     for _, spec in naturality_check_specs(u1_target):
         assert naturality(c, spec) < 1e-5
 
@@ -219,8 +226,8 @@ def test_gauge_transform_identity(u1_target):
     c = smooth_u1_configuration(u1_target, n=16)
     lam = np.zeros((1,) + c.grid.shape)
     c2 = gauge_transform(c, lam)
-    np.testing.assert_allclose(c2.phi, c.phi)
-    np.testing.assert_allclose(c2.A, c.A)
+    for new, old in zip(full_fields(c2)[:2], full_fields(c)[:2]):
+        np.testing.assert_allclose(new, old)
 
 
 def test_gauge_transform_u1_rules(u1_target):
@@ -228,10 +235,11 @@ def test_gauge_transform_u1_rules(u1_target):
     th, x, y = c.grid.meshes()
     lam = (0.05 * np.sin(th) * np.cos(y / 2))[None]
     c2 = gauge_transform(c, lam)
-    np.testing.assert_allclose(c2.phi[0], c.phi[0] + lam[0])
-    np.testing.assert_allclose(c2.phi[1:], c.phi[1:])
+    (phi, A, _), (phi2, A2, _) = full_fields(c), full_fields(c2)
+    np.testing.assert_allclose(phi2[0], phi[0] + lam[0])
+    np.testing.assert_allclose(phi2[1:], phi[1:])
     # A -> A + d lambda
-    dl = c2.A - c.A
+    dl = A2 - A
     exact = np.stack([
         0.05 * np.cos(th) * np.cos(y / 2),
         np.zeros_like(th),
@@ -245,12 +253,13 @@ def test_gauge_transform_infinitesimal_consistency(u1_target):
     th, _, y = c.grid.meshes()
     lam = (0.3 * np.cos(th) * np.sin(y / 2))[None]
     phi_dot, a_dot = gauge_transform(c, lam, finite=False)
+    phi, A, _ = full_fields(c)
     errs = []
     for t in (0.1, 0.05):
-        ct = gauge_transform(c, t * lam)
+        phi_t, A_t, _ = full_fields(gauge_transform(c, t * lam))
         errs.append(max(
-            np.max(np.abs((ct.phi - c.phi) / t - phi_dot)),
-            np.max(np.abs((ct.A - c.A) / t - a_dot)),
+            np.max(np.abs((phi_t - phi) / t - phi_dot)),
+            np.max(np.abs((A_t - A) / t - a_dot)),
         ))
     # u(1) action is affine: the variation is exact at first order
     assert errs[0] < 1e-12
@@ -262,22 +271,24 @@ def test_gauge_transform_su2_infinitesimal_first_order(adjoint_round_target):
     X, Y, Z = c.grid.meshes()
     lam = 0.2 * np.stack([np.sin(1.3 * X + a) * np.cos(0.9 * Y) for a in range(3)])
     phi_dot, a_dot = gauge_transform(c, lam, finite=False)
+    phi, A, _ = full_fields(c)
     errs = []
     for t in (0.2, 0.1):
-        ct = gauge_transform(c, t * lam)
+        phi_t, A_t, _ = full_fields(gauge_transform(c, t * lam))
         errs.append(max(
-            np.max(np.abs((ct.phi - c.phi) / t - phi_dot)),
-            np.max(np.abs((ct.A - c.A) / t - a_dot)),
+            np.max(np.abs((phi_t - phi) / t - phi_dot)),
+            np.max(np.abs((A_t - A) / t - a_dot)),
         ))
     assert errs[1] < 0.6 * errs[0]  # first-order convergence
 
 
-def test_chart_exit_on_construction(adjoint_round_target):
+def test_chart_exit_in_the_pass(adjoint_round_target):
     c = smooth_adjoint_configuration(adjoint_round_target, n=8)
-    phi = c.phi.copy()
+    phi, A, gM = full_fields(c)
     phi[0] += 3.0  # push xi past the end of the interval chart
-    with pytest.raises(ChartExit):
-        Configuration(c.grid, c.target, phi, c.A, c.gM)
+    out = from_arrays(c.grid, c.target, phi, A, gM)
+    with pytest.raises(ChartExit, match=r"phi\^0 in \[4\.\d+, 4\.\d+\] leaves"):
+        bound_gap(out, bps_coefficients(0.0, 0.0, 0.0), 1.0)
 
 
 def test_pullback_gauge_invariance_exact_linear(u1_target):
@@ -309,12 +320,12 @@ def test_pullback_gauge_invariance_smooth(adjoint_round_target):
         b = sp[name].pullback(c2)
         scale = max(np.max(np.abs(a)), 1.0)
         assert np.max(np.abs(a - b)) < 1e-5 * scale, name
-    star = hodge_star(c.gM, c.orientation, slice(None))
+    star = hodge_star(full_fields(c)[2], c.orientation)
     for name in ("sigma", "nu", "mu_sharp"):
         a = sp[name].pullback(c)
         b = sp[name].pullback(c2)
-        da = _pair(a, a, 2, star, c.target.metric_fn(c.phi))
-        db = _pair(b, b, 2, star, c2.target.metric_fn(c2.phi))
+        da = _pair(a, a, 2, star, c.target.metric_fn(full_fields(c)[0]))
+        db = _pair(b, b, 2, star, c2.target.metric_fn(full_fields(c2)[0]))
         scale = max(np.max(np.abs(da)), 1.0)
         assert np.max(np.abs(da - db)) < 2e-4 * scale, name
 
@@ -330,12 +341,10 @@ def test_memo_holds_no_copy_of_dphi(adjoint_round_target):
     P[...] = 0.0
     assert not np.shares_memory(dphi, full_grid_field(c, "dphi"))
     assert np.array_equal(full_grid_field(c, "P"), ref)
-    # nothing is memoized: after the margin's pass the configuration's only
-    # (., 3, *grid) arrays are its own phi, A and g_M
+    # nothing is memoized: after the margin's pass the configuration holds
+    # no array but its winding
     bound_gap(c, bps_coefficients(0.3, -0.7, 0.5), 1.0)
-    held = [v for v in _arrays({**vars(c), **vars(c.gM)})
-            if v.shape[-4:] == (3,) + c.grid.shape]
-    assert {id(v) for v in held} == {id(c.phi), id(c.A), id(c.gM.g)} and len(held) == 3
+    assert [v.shape for v in _arrays(vars(c))] == [(3, 3)]
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "bounded"])
@@ -352,11 +361,11 @@ def test_derived_fields_on_rows_are_the_full_grid_rows(periodic, u1_target,
                 slice(11, 12)]
     full = {name: full_grid_field(c, name) for name in ("dphi", "P", "F")}
     for r in rows:
-        kil = c.target.killing_fn(c.grid.take_rows(c.phi, r))
-        assert np.array_equal(c.dphi(r), c.grid.take_rows(full["dphi"], r)), r
-        assert np.array_equal(c.covariant_differential(r, kil),
-                              c.grid.take_rows(full["P"], r)), r
-        assert np.array_equal(c.curvature(r), c.grid.take_rows(full["F"], r)), r
+        slab = c.slab(r)  # its window is r, which may wrap
+        dphi = _dphi(c, c.fields(c.grid.halo(r))[0], r)
+        assert np.array_equal(dphi, take_rows(c.grid, full["dphi"], r)), r
+        assert np.array_equal(slab.P, take_rows(c.grid, full["P"], r)), r
+        assert np.array_equal(slab.F, take_rows(c.grid, full["F"], r)), r
     # the stencil checks, as maxima over slabs of 1, 2 and 5 rows
     bianchi = over_slabs(c, c.bianchi_residual)
     natural = [naturality(c, spec) for _, spec in naturality_check_specs(c.target)]

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     adjoint_action,
     equivariance_residual,
+    integrate,
     nu_homomorphism_residual,
     qexp,
     qrot,
@@ -18,7 +19,7 @@ from oracles import (
 from skybps import lie_target
 from skybps.errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
 from skybps.exterior import EPS, mat_det, mat_inv
-from skybps.grid import extrapolate_margin, integrate
+from skybps.grid import extrapolate_margin
 from skybps.lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
@@ -193,7 +194,7 @@ def test_target_caches_filled_once_under_concurrent_first_calls(monkeypatch):
     # the counted calls sleep, so that a thread that finds a cache empty is
     # still computing when the others look
     quadratures, partials = [], []
-    integrate, target_partials = lie_target.integrate, lie_target.target_partials
+    density, target_partials = lie_target.TargetGeometry._vol_density, lie_target.target_partials
 
     def counted(calls, fn):
         def wrapped(*args):
@@ -202,7 +203,8 @@ def test_target_caches_filled_once_under_concurrent_first_calls(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(lie_target, "integrate", counted(quadratures, integrate))
+    # V_N is evaluated once per chart grid, on the slice across its fiber axis
+    monkeypatch.setattr(lie_target.TargetGeometry, "_vol_density", counted(quadratures, density))
     monkeypatch.setattr(lie_target, "target_partials", counted(partials, target_partials))
     t = _round_adjoint_target()
     interval = sys.getswitchinterval()

@@ -4,7 +4,9 @@ import pytest
 from oracles import (
     adjoint_profiles,
     bps2_scalar_conditions,
+    full_fields,
     full_grid_field,
+    integrate,
     over_slabs,
     round_s3_family,
     spherical_round_target_metric,
@@ -17,8 +19,9 @@ from skybps.errors import (
     ParamInconsistent,
 )
 from skybps.energy_degree import _margin_pass, bps_coefficients, bound_gap
+from skybps import gaugefield
 from skybps.gaugefield import Configuration
-from skybps.grid import extrapolate_margin, integrate
+from skybps.grid import extrapolate_margin
 from skybps.lie_target import eta2_zero_family
 from skybps.solutions import (
     SurfaceGeometry,
@@ -62,15 +65,18 @@ def test_mercator_rejects_nonpositive_curvature():
 
 
 def test_identity_u1_rejects_nonpositive_conformal_factor():
-    with pytest.raises(NotRiemannian):
-        identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
-                             n=16, margin=0.05)
+    # the conformal factor is a closed form on every grid point: the margin's
+    # pass reads it slab by slab and raises with the grid's minimum
+    res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
+                               n=16, margin=0.05)
+    with pytest.raises(NotRiemannian, match=r"conformal factor reaches -\d"):
+        _margin_pass(res.config, P0)
 
 
 def test_identity_u1_trivial_connection_is_isometry(u1_target):
     res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=16, margin=0.1)
-    np.testing.assert_allclose(res.config.gM.g, u1_target.metric_fn(res.config.phi),
-                               atol=1e-12)
+    phi, _, gM = full_fields(res.config)
+    np.testing.assert_allclose(gM.g, u1_target.metric_fn(phi), atol=1e-12)
     # ungauged case: r1 reduces to the residual of star dphi = phi* Sigma
     r = _margin_pass(res.config, P0)
     assert r["r1"] < 1e-12 and r["r2"] == 0.0
@@ -112,8 +118,9 @@ def test_builds_form_no_derived_fields(build, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a family build formed a derived field")
 
-    for name in ("curvature", "covariant_differential", "dphi"):
-        monkeypatch.setattr(Configuration, name, refuse)
+    monkeypatch.setattr(Configuration, "slab", refuse)
+    for name in ("_curvature", "_dphi"):
+        monkeypatch.setattr(gaugefield, name, refuse)
     res = build()
     assert res.checks
     monkeypatch.undo()
@@ -133,10 +140,15 @@ def test_monopole_r2_linear_in_beta():
 # -- spinorial family -------------------------------------------------------------------
 
 
+def coefficient_min(res) -> float:
+    """The spinorial conformal-block coefficient's minimum, from the pass."""
+    return _margin_pass(res.config, P0)["diagnostics"]["conformal_coefficient_min"]
+
+
 def conformal_coefficient(res, surface):
     """The spinorial metric's conformal-block coefficient, g_M[1, 1] / Omega."""
     _, x1, x2 = res.config.grid.meshes()
-    return res.config.gM.g[1, 1] / surface.omega(x1, x2)
+    return full_fields(res.config)[2].g[1, 1] / surface.omega(x1, x2)
 
 
 def test_spinorial_flat_case_k1():
@@ -146,7 +158,7 @@ def test_spinorial_flat_case_k1():
     xi = res.config.grid.meshes()[0]
     coef = conformal_coefficient(res, mercator_sphere(1.0))
     np.testing.assert_allclose(coef, np.sin(xi) ** 2, atol=1e-12)
-    assert res.diagnostics["conformal_coefficient_min"] > 0
+    assert coefficient_min(res) > 0
 
 
 def test_spinorial_k2_extends_to_s1xs2():
@@ -155,7 +167,7 @@ def test_spinorial_k2_extends_to_s1xs2():
     res = spinorial_solution(surface=mercator_sphere(2.0), fam=round_s3_family(),
                              n=16, margin=0.1)
     coef = conformal_coefficient(res, mercator_sphere(2.0))
-    assert res.diagnostics["conformal_coefficient_min"] > 0
+    assert coefficient_min(res) > 0
     assert coef.min() > 1.0
     xi = res.config.grid.meshes()[0]
     end = np.sin(xi) ** 2 + 1.5  # h2^2 + (3/2)(K - 1) at K = 2
@@ -168,8 +180,8 @@ def test_spinorial_nonriemannian_flag():
     res = spinorial_solution(surface=mercator_sphere(0.5), fam=round_s3_family(),
                              n=16, margin=0.1)
     coef = conformal_coefficient(res, mercator_sphere(0.5))
-    mask = ~res.config.gM.riemannian_mask()
-    assert res.diagnostics["conformal_coefficient_min"] <= 0
+    mask = ~full_fields(res.config)[2].riemannian_mask()
+    assert coefficient_min(res) <= 0
     np.testing.assert_array_equal(mask, coef <= 0)
     assert mask.any() and not mask.all()
 
@@ -177,7 +189,7 @@ def test_spinorial_nonriemannian_flag():
 def test_spinorial_volume_identity():
     res = spinorial_solution(n=32, margin=0.1)
     c = res.config
-    vol_m = integrate(np.sqrt(c.gM.det()), c.grid)
+    vol_m = integrate(np.sqrt(full_fields(c)[2].det()), c.grid)
     xi = c.grid.axis_points(0)
     w = c.grid.axis_weights(0)
     h2sq_int = float(np.sum(np.sin(xi) ** 2 * w))
@@ -202,15 +214,16 @@ def test_twisted_reduces_to_spinorial_at_alpha_zero():
     rs = spinorial_solution(surface=mercator_sphere(1.0),
                             fam=eta2_zero_family(np.sin, (0.0, np.pi), compact="s3"),
                             n=16)
-    assert np.max(np.abs(rt.config.phi - rs.config.phi)) < 1e-12
-    assert np.max(np.abs(rt.config.A - rs.config.A)) < 1e-12
-    assert np.max(np.abs(rt.config.gM.g - rs.config.gM.g)) < 1e-12
-    assert np.all(rt.config.A[0, 0] == 0.0)
+    (phi_t, A_t, g_t), (phi_s, A_s, g_s) = full_fields(rt.config), full_fields(rs.config)
+    assert np.max(np.abs(phi_t - phi_s)) < 1e-12
+    assert np.max(np.abs(A_t - A_s)) < 1e-12
+    assert np.max(np.abs(g_t.g - g_s.g)) < 1e-12
+    assert np.all(A_t[0, 0] == 0.0)
 
 
 def test_twisted_b_value_and_conditions():
     rt = twisted_spinorial_solution(alpha=-2.0, gamma=0.5, beta=2.0, n=24)
-    assert rt.config.A[0, 0] == pytest.approx(-2.0)
+    assert full_fields(rt.config)[1][0, 0] == pytest.approx(-2.0)
     c1, c2, c3 = bps2_scalar_conditions(rt, -2.0, 2.0, 0.5)
     assert max(c1, c2, c3) < 5e-4
     p = bps_coefficients(-2.0, 2.0, 0.5)
@@ -301,13 +314,14 @@ def test_spherical_degree_extrapolates_to_one():
 
 def test_symplectic_normalization_and_chi():
     res = symplectic_solution(n=24)
-    assert res.diagnostics["normalization_residual"] < 1e-10
+    assert _margin_pass(res.config, P0)["diagnostics"]["normalization_residual"] < 1e-10
     assert res.diagnostics["omega_c_integral_over_2pi"] == pytest.approx(2.0, abs=2e-2)
 
 
 def test_symplectic_normalization_violation():
-    with pytest.raises(NormalizationFailed):
-        symplectic_solution(n=8, w_scale=1.01)
+    res = symplectic_solution(n=8, w_scale=1.01)
+    with pytest.raises(NormalizationFailed, match="differs from -2 da by"):
+        _margin_pass(res.config, P0)
 
 
 def test_symplectic_untwisted_is_spinorial():
@@ -317,9 +331,10 @@ def test_symplectic_untwisted_is_spinorial():
                             fam=eta2_zero_family(np.sin, (0.0, np.pi), compact="s3",
                                                  name="symplectic-base"),
                             n=16)
-    assert np.max(np.abs(sy.config.A - sp.config.A)) < 1e-12
-    assert np.max(np.abs(sy.config.phi - sp.config.phi)) < 1e-12
-    assert np.max(np.abs(sy.config.gM.g - sp.config.gM.g)) < 1e-12
+    (phi_y, A_y, g_y), (phi_p, A_p, g_p) = full_fields(sy.config), full_fields(sp.config)
+    assert np.max(np.abs(A_y - A_p)) < 1e-12
+    assert np.max(np.abs(phi_y - phi_p)) < 1e-12
+    assert np.max(np.abs(g_y.g - g_p.g)) < 1e-12
 
 
 def test_symplectic_twisted_matches_untwisted_invariants():

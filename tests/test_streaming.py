@@ -1,17 +1,27 @@
-"""A verify streams d^A phi, F, the stencil checks and the family identity
-checks through halo slabs.
+"""A verify streams phi, A, g_M, d^A phi, F, the stencil checks and the
+family identity checks through halo slabs.
 
 The slab size changes only how much is held at once: every report value is
-the same for one slab as for many, and a margin's pass holds slab fields
-only, on top of the configuration.
+the same for one slab as for many, a margin's pass holds slab fields only,
+and a build holds nothing of the grid's size.  The checks that read every
+grid point (the target chart, the family's bounds, the riemannian metric)
+give the errors and messages of a check of the whole grid.
 """
 
+import dataclasses
+import functools
+import inspect
+import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from skybps import cli, grid
-from skybps.cli import run_verify
+from skybps import cli, energy_degree, grid
+from skybps.cli import FAMILIES, build_family, main, run_verify
+from skybps.energy_degree import bound_gap
+from skybps.errors import ChartExit, NotRiemannian
+from skybps.gaugefield import naturality_check_specs, pullback_naturality_residual
 
 
 @pytest.mark.parametrize("family", ["spherical", "identity-u1", "spinorial",
@@ -57,3 +67,128 @@ def test_bound_gap_working_set_grows_as_a_row(monkeypatch):
     small, large = extra_bytes(16), extra_bytes(32)
     assert len(small) == len(large) == 3  # the first margin runs the stencil checks
     assert all(b <= 4.5 * a for a, b in zip(small, large)), (small, large)
+
+
+# -- nothing of the grid's size is held -------------------------------------------
+
+
+def _held_arrays(obj, seen=None):
+    """Every array reachable from obj through dataclass fields, containers,
+    partials and the closures of functions."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = list(vars(obj).values())
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, functools.partial):
+        children = [obj.func, obj.args, obj.keywords]
+    elif inspect.isfunction(obj):
+        children = [cell.cell_contents for cell in obj.__closure__ or ()]
+    else:
+        return
+    for child in children:
+        yield from _held_arrays(child, seen)
+
+
+@pytest.mark.parametrize("family", ["spherical", "identity-u1"])
+def test_builds_hold_no_array_of_the_grid_size(family):
+    n = 48
+    cfg = {"family": family, "n": n, "perturb": {"eps": 1e-3, "seed": 2}}
+    build_family(cfg, FAMILIES[family].margins[0])  # numpy's lazy imports, the target
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        res, _ = build_family(cfg, FAMILIES[family].margins[0])
+        built = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert built < 8 * n**3  # the build and the perturbation form no field of the grid
+    sizes = [a.size for a in _held_arrays(res)]
+    assert max(sizes) < n**3, sorted(sizes)[-5:]
+    assert max(sizes) >= n * n  # the walk reaches the evaluators' coordinate planes
+
+
+@pytest.mark.parametrize("family", ["spherical", "identity-u1"])
+def test_bound_gap_and_checks_equal_for_1_3_and_7_slabs(family, monkeypatch):
+    # identity-u1's first axis is periodic and its phi winds: the halo rows of
+    # its end slabs wrap around it
+    results = []
+    for rows, count in ((20, 1), (7, 3), (3, 7)):
+        monkeypatch.setattr(grid, "_SLAB_POINTS", rows * 20 * 20)
+        res, p = build_family({"family": family, "n": 20}, FAMILIES[family].margins[0])
+        c = res.config
+        assert len(c.grid.slabs()) == count
+        checks = res.checks + [("bianchi", c.bianchi_residual)] + [
+            (name, functools.partial(pullback_naturality_residual, c, spec))
+            for name, spec in naturality_check_specs(c.target)]
+        results.append(bound_gap(c, p, 1.0, checks, halo=True))
+    assert results[0]["checks"] and results[0]["diagnostics"] == (
+        {"kappa_min": results[0]["diagnostics"]["kappa_min"]} if family == "identity-u1" else {})
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+# -- the errors that read the whole grid ----------------------------------------------
+
+
+@pytest.mark.parametrize("cfg, error, message", [
+    ({"family": "spherical", "perturb": {"eps": 2.0, "seed": 1}}, ChartExit,
+     "phi^0 in [-0.6942, 2.394] leaves the open target chart (0.2, 1.5)"),
+    ({"family": "identity-u1", "family_params": {"ax": "0.5*sin(theta)"}}, NotRiemannian,
+     "conformal factor reaches -0.9925 <= 0; shrink A or the margin"),
+], ids=["chart-exit", "conformal-factor"])
+def test_whole_grid_errors_quote_the_grid_extrema(cfg, error, message, monkeypatch):
+    # the extremum lies in one slab; the message is the one a check of the
+    # whole grid gives, whatever the slabs
+    for rows in (20, 7, 3):
+        monkeypatch.setattr(grid, "_SLAB_POINTS", rows * 20 * 20)
+        with pytest.raises(error) as info:
+            run_verify({**cfg, "n": 20})
+        assert str(info.value) == message
+
+
+def test_non_finite_profile_on_an_axis_exits_1(tmp_path, capsys):
+    # symplectic's twist is a profile of xi, evaluated once on the xi axis
+    code = main(["verify", "--family", "symplectic", "-n", "12", "--output-dir", str(tmp_path),
+                 "--config", _write(tmp_path, {"family_params": {"twist": "ln(xi - 1)"}})])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == ["verification error: NonFinite: expression 'ln(xi - 1)' evaluates to "
+                   "NaN or infinity"]
+
+
+def test_non_riemannian_margins_report_alike_for_any_slabs(monkeypatch):
+    # the first margin runs its whole pass for the stencil and charge-cross
+    # checks; the others stop their algebra at the first slab that is not
+    # riemannian, so their rows are NaN as when no pass ran
+    cfg = {"family": "spinorial", "surface": {"curvature": 0.5}, "n": 20}
+    passes = []
+    real = energy_degree._slab_pass
+    monkeypatch.setattr(energy_degree, "_slab_pass",
+                        lambda c, p, slab: passes.append(slab.rows) or real(c, p, slab))
+    reports = []
+    for rows in (20, 7, 3):
+        monkeypatch.setattr(grid, "_SLAB_POINTS", rows * 20 * 20)
+        passes.clear()
+        reports.append(run_verify(cfg))
+        assert len(passes) == len(grid.build_patch((0, 0, 0), (1, 1, 1), (20, 20, 20),
+                                                   (False,) * 3).slabs())
+    assert reports[0]["exit"] == 1
+    assert [r["extras"] for r in reports[0]["rows"]] == [{"riemannian": False}] * 3
+    assert reports[0]["volume_n"] == pytest.approx(19.738875179944888, rel=1e-12)
+    assert json.dumps(reports[1], default=str) == json.dumps(reports[0], default=str)
+    assert json.dumps(reports[2], default=str) == json.dumps(reports[0], default=str)
+
+
+def _write(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
