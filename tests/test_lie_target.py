@@ -189,6 +189,31 @@ def test_volume_equals_full_grid_quadrature(make):
     assert t.volume(n=32) == _full_grid_volume(t, 32)
 
 
+def _full_grid_moment_residuals(t, n):
+    """The moment-condition residuals formed on the whole n^3 chart grid at once."""
+    y = np.stack(t.chart_grid(n).meshes())
+    curl = np.einsum("mkl,kalxyz->amxyz", EPS, lie_target.target_partials(t.mu_fn, y))
+    kil = t.killing_fn(y)
+    q = np.einsum("amxyz,bmxyz->abxyz", kil, t.mu_fn(y))
+    return {"def_residual": float(np.max(np.abs(curl - t.vol_coeff(mat_det(t.metric_fn(y)))
+                                                 * kil))),
+            "constraint_residual": float(np.max(np.abs(0.5 * (q + np.swapaxes(q, 0, 1)))))}
+
+
+@pytest.mark.parametrize("make", [
+    u1_s3_adjoint_target,
+    _general_u1_target,
+    lambda: make_adjoint_interval_target(round_s3_family()),
+    _spherical_profile_target,
+    lambda: make_su2_left_target(1.0),
+])
+def test_moment_conditions_equal_full_grid_check(make):
+    # the check runs on slabs of 13, 13 and 6 rows of the 32^3 chart grid
+    t = make()
+    assert len(t.chart_grid(32).slabs()) == 3
+    assert verify_moment_conditions(t, n=32) == _full_grid_moment_residuals(t, 32)
+
+
 def test_target_caches_filled_once_under_concurrent_first_calls(monkeypatch):
     # eight threads ask a fresh target for Vol(N) and its moment check at once;
     # the counted calls sleep, so that a thread that finds a cache empty is
