@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MomentConditionFailed
-from .exterior import StarMap, mat_det, mat_inv
+from .exterior import StarMap, _is_zero, mat_det, mat_inv
 from .gaugefield import Configuration, Slab, Survey, equivariant_pullback
 
 
@@ -74,7 +74,8 @@ def _pair_starred(u, sv, gslot: np.ndarray) -> np.ndarray:
     """Pointwise g(u ^ star v) from sv = star v, which is read, not overwritten.
 
     u, sv have shape (slot, 3, *sp); gslot contracts the slots.  Products are
-    summed in slot, then component, order; the scratch buffers have shape *sp.
+    summed in slot, then component, order, with no product by a component of
+    gslot that is exactly 0 (``_is_zero``); the scratch buffers have shape *sp.
     """
     n = len(sv)
     dt = np.result_type(u, sv, gslot)
@@ -83,10 +84,14 @@ def _pair_starred(u, sv, gslot: np.ndarray) -> np.ndarray:
     prod = np.empty(sp, dt)
     tmp = np.empty(sp, dt)
     for b in range(n):
+        slots = [a for a in range(n) if not _is_zero(gslot[a, b])]
+        if not slots:
+            continue
+        first, *rest = slots
         for i in range(3):
             # lower the slot index of u: gslot[0, b] u^0_i + gslot[1, b] u^1_i + ...
-            np.multiply(gslot[0, b], u[0, i], out=prod)
-            for a in range(1, n):
+            np.multiply(gslot[first, b], u[first, i], out=prod)
+            for a in rest:
                 np.multiply(gslot[a, b], u[a, i], out=tmp)
                 prod += tmp
             np.multiply(sv[b, i], prod, out=prod)
@@ -109,8 +114,8 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
     :class:`Survey` checks first.  It forms d^A phi and F on its rows, takes
     g_N, I and mu at phi (I once, shared with d^A phi), det g_N and g_N^-1
     once, the base star and its inverse, and the five pullbacks Sig, nu, mus,
-    phi^{*A} V_N and phi^{*A} mu.  From them it forms the six energy
-    densities, the Bogomolny density
+    phi^{*A} V_N and phi^{*A} mu.  From them it forms the energy densities,
+    the Bogomolny density
       |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
     (B = Sig + 3 mus) with the two BPS sides, the cross density, the charge
     density and the pointwise terms of the orthogonality and contraction
@@ -119,6 +124,12 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
     sums are their integrals over M, and the rest to maxima (``_slab_pass``),
     which combine over the slabs by max.  So no field of the grid's size is
     held, and every value is that of one full-grid pass.
+
+    An energy term or a summand of the second BPS equation whose coefficient
+    is exactly 0 is not formed: the term's integral is orientation * 0.0,
+    and with alpha = beta = gamma = 0, r2 is 0.0.  Each would be a sum of
+    +-0, so the reported values keep their bits (a zero term's dense sum
+    has the other sign only where every one of its products is -0).
 
     ``checks`` are (name, fn) pairs that read the same slabs before the pass
     does: fn(slab) is the check's value on the slab's rows, and their maxima
@@ -136,7 +147,7 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
     """
     grid = c.grid
     survey = Survey(c)
-    sums = {k: np.empty(grid.n[0]) for k in _TERMS + ("charge",)}
+    sums = {k: np.zeros(grid.n[0]) for k in _TERMS + ("charge",)}
     sups = {}
     found = {name: [] for name, _ in checks}
     for sl in grid.slabs():
@@ -164,8 +175,8 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
 
 
 def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
-    """The pass on one slab's rows: its seven integrands (the six energy
-    terms and the charge density) and its maxima, each by name.
+    """The pass on one slab's rows: its integrands (the charge density and
+    the energy terms with a nonzero coefficient) and its maxima, each by name.
 
     Each slab-size field is dropped after its last reader, and all of them
     on return (the star with the slab, which the caller drops), so that a
@@ -187,27 +198,37 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     del F, kil, mu, det, inv
     star = slab.star
 
-    # the energy densities: each right operand is star-applied once and
-    # paired with every left operand on it
-    dens = {}
+    # the energy terms: each right operand is star-applied once and paired
+    # with every left operand on it; a term whose coefficient is exactly 0
+    # is not formed, and its row sums stay 0
+    coef = dict(zip(_TERMS, p.c))
+    terms = {}
+
+    def pair_term(key, u, sv):
+        if coef[key]:
+            terms[key] = _pair_starred(u, sv, gN)
+            terms[key] *= coef[key]
+
     s_op = star.on_2(sig)
-    dens["c2_sigma"], dens["c5_nu_sigma"], dens["c6_mu_sigma"] = (
-        _pair_starred(u, s_op, gN) for u in (sig, nu, mus))
+    for key, u in (("c2_sigma", sig), ("c5_nu_sigma", nu), ("c6_mu_sigma", mus)):
+        pair_term(key, u, s_op)
     del s_op
-    dens["c3_nu"] = _pair_starred(nu, star.on_2(nu), gN)
+    if coef["c3_nu"]:
+        pair_term("c3_nu", nu, star.on_2(nu))
     s_op = star.on_2(mus)
-    dens["c4_mu_sharp"] = _pair_starred(mus, s_op, gN)
+    pair_term("c4_mu_sharp", mus, s_op)
     if t.has_moment_constraint:
         sup["ortho"] = float(np.max(np.abs(_pair_starred(nu, s_op, gN))))
     del s_op
     star_dphi = star.on_1(P)
-    dens["c1_dphi"] = _pair_starred(P, star_dphi, gN)
+    pair_term("c1_dphi", P, star_dphi)
     del P
-    for key, coef in zip(_TERMS, p.c):
-        out[key] = coef * dens[key]
-    del dens
+    out.update((k, terms[k]) for k in _TERMS if k in terms)
+    del terms
 
-    # the Bogomolny density and the two BPS sides
+    # the Bogomolny density and the two BPS sides; the second is
+    # alpha Sig + beta mus + gamma nu, summed in that order over the
+    # summands whose coefficient is not exactly 0
     b = sig + 3.0 * mus
     cross = _pair(star_dphi, b, 2, star, gN)
     diff = star_dphi - b
@@ -215,15 +236,23 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     sup["r1"] = float(np.max(np.abs(diff)))
     bogomolny = _pair(diff, diff, 2, star, gN)
     del diff
-    second = _second_equation(p, sig, mus, nu)
+    second = None
+    for k, x in ((p.alpha, sig), (p.beta, mus), (p.gamma, nu)):
+        if k and second is None:
+            second = k * x
+        elif k:
+            second += k * x
     del sig, mus, nu
-    sup["r2"] = float(np.max(np.abs(second)))
-    bogomolny += _pair(second, second, 2, star, gN)
+    sup["r2"] = 0.0
+    if second is not None:
+        sup["r2"] = float(np.max(np.abs(second)))
+        bogomolny += _pair(second, second, 2, star, gN)
+        del second
     bogomolny += 2.0 * cross
 
     # the six-term density against the Bogomolny density, and the charge
     # density against the cross density, which agree pointwise up to roundoff
-    first, *rest = (out[k] for k in _TERMS)
+    first, *rest = (out[k] for k in _TERMS if k in out)
     six = first.copy()
     for term in rest:
         six += term
@@ -235,16 +264,6 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     np.subtract(out["charge"], cross, out=cross)
     sup["charge_cross"] = float(np.max(np.abs(cross, out=cross)))
     return out, sup
-
-
-def _second_equation(p: BPSParams, sig, mus, nu) -> np.ndarray:
-    """alpha Sig + beta mus + gamma nu, summed in that order in one array."""
-    out = p.alpha * sig
-    tmp = np.empty_like(out)
-    for coef, x in ((p.beta, mus), (p.gamma, nu)):
-        np.multiply(coef, x, out=tmp)
-        out += tmp
-    return out
 
 
 # ---------------------------------------------------------------------------

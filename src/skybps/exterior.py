@@ -167,19 +167,36 @@ class StarMap:
         return inv
 
 
+def _is_zero(c: np.ndarray) -> bool:
+    """Whether every entry of a matrix component field is exactly 0.
+
+    A nonzero first entry, the usual case, answers without reading the rest.
+    A product with such a component is +-0 wherever its other factor is
+    finite, so a kernel that skips it leaves every nonzero sum bit for bit
+    as it was.
+    """
+    return c.flat[0] == 0 and not c.any()
+
+
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(3,3,*sp) matrix times (...,3,*sp) vector over the -4 axis.
 
     Row i is m[i,0] v_0 + m[i,1] v_1 + m[i,2] v_2, summed in that order and
-    written in place; one (..., *sp) scratch buffer holds each product.
+    written in place, with no product by a component that is exactly 0
+    (``_is_zero``); one (..., *sp) scratch buffer holds each product.
     """
     sp = np.broadcast_shapes(m.shape[2:], v.shape[-3:])
     out = np.empty(v.shape[:-4] + (3,) + sp, np.result_type(m, v))
-    tmp = np.empty(v.shape[:-4] + sp, out.dtype)
+    cols = [[j for j in range(3) if not _is_zero(m[i, j])] for i in range(3)]
+    tmp = np.empty(v.shape[:-4] + sp, out.dtype) if max(map(len, cols)) > 1 else None
     for i in range(3):
         row = out[..., i, :, :, :]
-        np.multiply(m[i, 0], v[..., 0, :, :, :], out=row)
-        for j in (1, 2):
+        if not cols[i]:
+            row.fill(0)
+            continue
+        first, *rest = cols[i]
+        np.multiply(m[i, first], v[..., first, :, :, :], out=row)
+        for j in rest:
             np.multiply(m[i, j], v[..., j, :, :, :], out=tmp)
             row += tmp
     return out

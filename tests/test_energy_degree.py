@@ -319,33 +319,53 @@ def _bogomolny_per_pair(c, p):
     return dens2, float(np.max(np.abs(diff))), float(np.max(np.abs(second)))
 
 
+# (alpha, beta, gamma) and the star applications per slab: one to each of
+# Sig, nu and mus for the energy terms, one each for the cross density, the
+# first and the second BPS equation; nu's is skipped with c3 = gamma^2 = 0,
+# the second equation's with alpha = beta = gamma = 0
+PASS_PARAMS = [((0.3, -0.7, 0.5), 6),  # every coefficient nonzero
+               ((0.0, 0.0, 0.0), 4), ((1.0, 2.0, 0.0), 5), ((0.0, 1.5, 1.0), 6)]
+
+
 @pytest.mark.parametrize("family", ["spherical", "identity-u1"])
 def test_bogomolny_pass_bit_identical_to_per_pair_code(family, monkeypatch):
     monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)  # slabs of 6, 6 and 4 rows
+    real_on_2, starred = exterior.StarMap.on_2, []
+    monkeypatch.setattr(exterior.StarMap, "on_2",
+                        lambda self, dual: starred.append(1) or real_on_2(self, dual))
     c = _fresh(family)
-    p = bps_coefficients(0.3, -0.7, 0.5)  # every coefficient nonzero
-    ref = _energy_per_pair(c, p)
-    pb, _, _ = _full_grid(c)
-    ref["charge"] = pb["volume"] + pb["mu"]
-    ref2, ref_r1, ref_r2 = _bogomolny_per_pair(c, p)
-    six = sum(ref[k] for k in _TERMS)
-    mismatch = ref["charge"] - _cross_per_pair(c) / 3.0
-    slabs = c.grid.slabs()
-    assert len(slabs) == 3
-    for sl in slabs:
-        dens, sup = _slab_pass(c, p, c.slab(sl, halo=False))
-        assert list(dens) == ["charge", *_TERMS]
-        for k, v in dens.items():
-            assert np.array_equal(v, ref[k][sl]), k
-        assert sup["six_max"] == float(np.max(np.abs(six[sl])))
-        assert sup["decomposition"] == float(np.max(np.abs(ref2[sl] - six[sl])))
-        assert sup["charge_max"] == float(np.max(np.abs(ref["charge"][sl])))
-        assert sup["charge_cross"] == float(np.max(np.abs(mismatch[sl])))
-    done = _margin_pass(c, p)
-    assert done["terms"] == {k: c.orientation * integrate(ref[k], c.grid) for k in _TERMS}
-    assert done["charge"] == c.orientation * integrate(ref["charge"], c.grid)
-    assert (done["r1"], done["r2"]) == (ref_r1, ref_r2)
-    assert bound_gap(c, p, 1.0)["terms"] == done["terms"]
+    for params, stars in PASS_PARAMS:
+        p = bps_coefficients(*params)
+        # the reference forms every term, those with a coefficient 0 too
+        ref = _energy_per_pair(c, p)
+        pb, _, _ = _full_grid(c)
+        ref["charge"] = pb["volume"] + pb["mu"]
+        ref2, ref_r1, ref_r2 = _bogomolny_per_pair(c, p)
+        six = sum(ref[k] for k in _TERMS)
+        mismatch = ref["charge"] - _cross_per_pair(c) / 3.0
+        formed = [k for k, coef in zip(_TERMS, p.c) if coef]
+        slabs = c.grid.slabs()
+        assert len(slabs) == 3
+        for sl in slabs:
+            starred.clear()
+            dens, sup = _slab_pass(c, p, c.slab(sl, halo=False))
+            assert len(starred) == stars, params
+            assert list(dens) == ["charge", *formed]
+            for k, v in dens.items():
+                assert np.array_equal(v, ref[k][sl]), (params, k)
+            assert sup["six_max"] == float(np.max(np.abs(six[sl])))
+            assert sup["decomposition"] == float(np.max(np.abs(ref2[sl] - six[sl])))
+            assert sup["charge_max"] == float(np.max(np.abs(ref["charge"][sl])))
+            assert sup["charge_cross"] == float(np.max(np.abs(mismatch[sl])))
+        done = _margin_pass(c, p)
+        assert done["terms"] == {k: c.orientation * integrate(ref[k], c.grid) for k in _TERMS}
+        for k in set(_TERMS) - set(formed):
+            assert not np.any(ref[k]) and done["terms"][k] == 0.0, (params, k)
+        assert done["charge"] == c.orientation * integrate(ref["charge"], c.grid)
+        assert (done["r1"], done["r2"]) == (ref_r1, ref_r2)
+        if not any(params):
+            assert done["r2"] == 0.0
+        assert bound_gap(c, p, 1.0)["terms"] == done["terms"]
 
 
 @pytest.mark.parametrize("family", ["spherical", "identity-u1", "dirac-monopole"])

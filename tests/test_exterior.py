@@ -242,15 +242,40 @@ def _pair_generator(u, v, degree, star, gslot):
     return rho
 
 
+# exact-zero patterns of a (3, 3, *sp) matrix field, which the kernels skip
+ZERO_PATTERNS = {
+    "dense": np.ones((3, 3)),
+    "diagonal": np.eye(3),
+    "zero-row": np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+    "all-zero": np.zeros((3, 3)),
+}
+
+
+def with_zeros(m, pattern):
+    """m with the components that ``pattern`` marks 0 set to exactly 0."""
+    return m * ZERO_PATTERNS[pattern].reshape((3, 3) + (1,) * (m.ndim - 2))
+
+
+def zero_variants(m):
+    """(name, m with exact zeros): each of ZERO_PATTERNS, and every component
+    0 at its first point only, which no kernel may take for a 0 component."""
+    for pattern in ZERO_PATTERNS:
+        yield pattern, with_zeros(m, pattern)
+    first = m.copy()
+    first[(slice(None), slice(None)) + (0,) * (m.ndim - 2)] = 0
+    yield "first-point", first
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("lead", [(), (4,)], ids=["no-slot", "slot"])
 def test_matvec_bit_identical_to_broadcast_sum(lead, complex_):
     rng = np.random.default_rng(18)
     m = random_field(rng, KERNEL_SHAPE, complex_)
     v = random_field(rng, lead + KERNEL_SHAPE[1:], complex_)
-    out = _matvec(m, v)
-    assert out.shape == lead + KERNEL_SHAPE[1:]
-    assert np.array_equal(out, _matvec_broadcast(m, v))
+    for pattern, mz in zero_variants(m):
+        out = _matvec(mz, v)
+        assert out.shape == lead + KERNEL_SHAPE[1:]
+        assert np.array_equal(out, _matvec_broadcast(mz, v)), pattern
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["1-gslot", "2-gslot"])
@@ -261,10 +286,32 @@ def test_pair_bit_identical_to_generator_lowering(degree):
     v = rng.normal(size=(3, 3) + SHAPE)
     gslot = random_spd(rng).g
     u0, v0 = u.copy(), v.copy()
-    assert np.array_equal(_pair(u, v, degree, star, gslot),
-                          _pair_generator(u, v, degree, star, gslot))
+    # real only: for complex operands the reference's last product, ub * sv,
+    # is the kernel's sv * ub in the other order, which can round otherwise
+    for pattern, gz in zero_variants(gslot):
+        assert np.array_equal(_pair(u, v, degree, star, gz),
+                              _pair_generator(u, v, degree, star, gz)), pattern
     # the operands are read, never overwritten
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
+@pytest.mark.parametrize("pattern", ["dense", "diagonal"])
+def test_zero_skips_keep_a_nan_operand(pattern):
+    # a nonsingular matrix has a nonzero entry in every column, so a NaN in
+    # any vector component reaches the output at its point, as it does in
+    # the dense sum
+    rng = np.random.default_rng(24)
+    m = with_zeros(random_field(rng, KERNEL_SHAPE, False), pattern)
+    star, point = StarMap(m), (2, 3, 4)
+    for j in range(3):
+        v = rng.normal(size=KERNEL_SHAPE[1:])
+        v[(j,) + point] = np.nan
+        assert np.isnan(_matvec(m, v)[(slice(None),) + point]).any(), j
+        # a NaN in either operand of a pairing, with m as star and slot metric
+        for which in (0, 1):
+            u, w = rng.normal(size=(2, 3, 3) + KERNEL_SHAPE[2:])
+            (u, w)[which][(j, 0) + point] = np.nan
+            assert np.isnan(_pair(u, w, 1, star, m)[point]), (j, which)
 
 
 def test_star_map_is_frozen_and_keeps_its_inverse():
