@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import ctypes
 import dataclasses
 import functools
 import json
@@ -436,24 +437,29 @@ def _validate_config(cfg: dict) -> dict:
 # The memory model of one verify, in float64 fields.  A verify holds no field
 # of the grid's size: its configuration is closed forms, evaluated slab by
 # slab.  Its peak is the larger of two working sets, each freed before the
-# next stage begins: a slab of a margin's pass, about _SLAB_FIELDS fields on
-# the slab's rows and the 8 halo rows that the first margin's stencil checks
-# read, and a slab of the moment check's 32^3 chart grid, (20 + 24 dim)
-# fields with the complex-step partials of mu.  The slabs of Vol(N)'s 96^3
-# chart grids are one row and smaller than either.  The constants bound the
-# traced peaks (tracemalloc, numpy 2.4) of all six families from n = 16 to
-# 64; from n = 48 on the estimate is 2 to 3.5 times the peak, since halo
-# rows hold fewer fields than a slab's own rows.
+# next stage begins: a slab of a margin's pass and a slab of the moment
+# check's 32^3 chart grid, (20 + 24 dim) fields with the complex-step
+# partials of mu.  A slab of the pass holds about _SLAB_FIELDS fields on each
+# of its rows.  It evaluates phi and A on up to 4 more rows on each side: the
+# first margin's stencil checks read d^A phi, F and I(phi) on the inner two
+# of them, and the outer two hold only phi and A (3 + 3 dim fields).  An
+# inner row holds those five, 12 + 9 dim fields, and the checks' products of
+# them, about 20 more.  The slabs of Vol(N)'s 96^3 chart grids are one row
+# and smaller than either working set.  The estimate is 1.06 to 1.44 times
+# the traced peak (tracemalloc, numpy 2.4) of all six families from n = 16
+# to 96.
 _SLAB_FIELDS = 128
 
 
 def _footprint(n: int, dim: int) -> int:
     """Upper estimate, in bytes, of the memory one verify allocates at n
     points per axis with a gauge algebra of dimension dim."""
-    rows = min(n, slab_rows(n * n) + 8)
-    slab = _SLAB_FIELDS * 8 * rows * n * n
-    moment = 8 * (20 + 24 * dim) * slab_rows(32 * 32) * 32 * 32
-    return max(slab, moment)
+    rows = min(n, slab_rows(n * n))
+    inner = min(4, n - rows)
+    outer = min(4, n - rows - inner)
+    fields = _SLAB_FIELDS * rows + (32 + 9 * dim) * inner + (3 + 3 * dim) * outer
+    moment = (20 + 24 * dim) * slab_rows(32 * 32) * 32 * 32
+    return 8 * max(fields * n * n, moment)
 
 
 def _mem_available() -> int | None:
@@ -476,6 +482,29 @@ def _check_footprint(cfg: dict):
     if avail is not None and need > avail:
         raise ConfigError(f"n = {n} needs about {need / 2**20:.0f} MB, more than the "
                           f"{avail / 2**20:.0f} MB available")
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_pages():
+    """Have glibc's malloc hand the pages one slab frees to the next slab.
+
+    By default glibc serves each large slab field from its own mmap and
+    returns freed heap to the system, so every slab faults in fresh zeroed
+    pages.  Fields below 32 MiB now come from the heap, and up to 128 MiB of
+    freed heap stays mapped.  Where ``mallopt`` is missing or refuses a
+    value nothing changes; no arithmetic depends on it.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
 def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
@@ -815,6 +844,7 @@ def main(argv=None) -> int:
         if not isinstance(out_dir, str) or not isinstance(emit, bool):
             raise ConfigError(f"'output_dir' must be a string and 'emit_gnuplot' true or "
                               f"false, got {out_dir!r} and {emit!r}")
+        _keep_freed_pages()
         if args.command == "verify":
             report = run_verify(cfg)
         else:

@@ -509,11 +509,14 @@ def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
 # -- the memory estimate --------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [16, 24])
-def test_footprint_bounds_the_traced_peak_within_3x(n, monkeypatch):
+@pytest.mark.parametrize("n, families", [
+    (16, sorted(FAMILIES)), (24, sorted(FAMILIES)), (32, sorted(FAMILIES)),
+    (48, ["spherical"]),
+], ids=["16", "24", "32", "48-spherical"])
+def test_footprint_bounds_the_traced_peak_within_1_5x(n, families, monkeypatch):
     import tracemalloc
 
-    for family in sorted(FAMILIES):
+    for family in families:
         # fresh targets, so that Vol(N) and the moment check run and count
         monkeypatch.setattr(lie_target, "_SHARED", {})
         tracemalloc.start()
@@ -524,7 +527,7 @@ def test_footprint_bounds_the_traced_peak_within_3x(n, monkeypatch):
         finally:
             tracemalloc.stop()
         estimate = cli._footprint(n, FAMILIES[family].algebra_dim)
-        assert peak <= estimate <= 3 * peak, (family, peak, estimate)
+        assert peak <= estimate <= 1.5 * peak, (family, peak, estimate)
 
 
 def test_footprint_grows_as_a_slab_of_one_row():
@@ -544,6 +547,44 @@ def test_run_refused_when_memory_is_short(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "config error: n = 16 needs about" in err and "1 MB available" in err
     assert not (tmp_path / "report.json").exists()
+
+
+class _RefusingMallopt:
+    """A mallopt that records its calls and refuses each (returns 0)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 0
+
+
+def _raise_os_error(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", ["no-library", "no-mallopt", "refusing-mallopt"])
+def test_allocator_setting_changes_no_output(tmp_path, monkeypatch, libc):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(verify_cfg(tmp_path)))
+
+    def verify(out):
+        assert main(["verify", "--config", str(cfg_file), "--output-dir", str(out)]) == 0
+        return [(out / name).read_bytes() for name in ("report.json", "results.csv")]
+
+    reference = verify(tmp_path / "ref")
+    mallopt = _RefusingMallopt()
+    lib = {"no-library": _raise_os_error,
+           "no-mallopt": lambda name: object(),
+           "refusing-mallopt": lambda name: type("Lib", (), {"mallopt": mallopt})()}[libc]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lib)
+    assert verify(tmp_path / "out") == reference
+    if libc == "refusing-mallopt":
+        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 128 MiB
+        assert mallopt.calls == [(-3, 32 << 20), (-1, 128 << 20)]
+        assert mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+        assert mallopt.restype is cli.ctypes.c_int
 
 
 def test_mem_available_reads_meminfo():
