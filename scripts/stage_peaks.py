@@ -5,9 +5,11 @@
 Runs ``skybps.cli.run_verify`` on the JSON configuration file CONFIG under
 ``tracemalloc``. A stage is a package function wrapped from outside, in the
 module that calls it; the package itself is not edited. A stage called
-inside another is named by its path, for example ``bound_gap/pass`` or
-``bound_gap/pass/naturality``, the first margin's naturality check, which runs
-in the pass.
+inside another is named by its path, for example ``bound_gap/pass[m=0.12]``,
+the pass of the margin 0.12, or ``bound_gap/pass[m=0.12]/naturality``, the
+first margin's naturality check, which runs in that margin's pass. Each
+margin's pass has a line of its own, so the first margin's, which carries the
+stencil checks' halo, shows next to the later margins'.
 
 For each stage it prints the number of calls, ``entry_mb``, the largest
 traced size at the stage's entry, and ``peak_mb``, the largest traced peak
@@ -25,15 +27,21 @@ import json
 import sys
 import tracemalloc
 
-# (stage, module, attribute): the binding that the verify pipeline calls
+def _margin(config, *args, **kwargs) -> str:
+    """The margin of the configuration a pass reads, as a name suffix."""
+    return f"[m={config.grid.margin}]"
+
+
+# (stage, module, attribute, suffix): the binding that the verify pipeline
+# calls, and a function of its arguments that tells its calls apart, or None
 STAGES = (
-    ("build", "skybps.cli", "build_family"),
-    ("volume", "skybps.lie_target", "TargetGeometry.volume"),
-    ("moment", "skybps.cli", "verify_moment_conditions"),
-    ("bianchi", "skybps.gaugefield", "Configuration.bianchi_residual"),
-    ("naturality", "skybps.cli", "pullback_naturality_residual"),
-    ("bound_gap", "skybps.cli", "bound_gap"),
-    ("pass", "skybps.energy_degree", "_margin_pass"),
+    ("build", "skybps.cli", "build_family", None),
+    ("volume", "skybps.lie_target", "TargetGeometry.volume", None),
+    ("moment", "skybps.cli", "verify_moment_conditions", None),
+    ("bianchi", "skybps.gaugefield", "Configuration.bianchi_residual", None),
+    ("naturality", "skybps.cli", "pullback_naturality_residual", None),
+    ("bound_gap", "skybps.cli", "bound_gap", None),
+    ("pass", "skybps.energy_degree", "_margin_pass", _margin),
 )
 
 MB = float(2**20)
@@ -54,14 +62,15 @@ class _Recorder:
         else:
             self.top = max(self.top, peak)
 
-    def wrap(self, fn, stage: str):
+    def wrap(self, fn, stage: str, suffix=None):
         @functools.wraps(fn)
         def staged(*args, **kwargs):
+            name = stage + (suffix(*args, **kwargs) if suffix else "")
             cur, peak = tracemalloc.get_traced_memory()
             self._fold(peak)
             tracemalloc.reset_peak()
-            path = "/".join([f[0] for f in self.open] + [stage])
-            self.open.append([stage, cur])
+            path = "/".join([f[0] for f in self.open] + [name])
+            self.open.append([name, cur])
             st = self.stats.setdefault(path, {"calls": 0, "entry_mb": 0.0, "peak_mb": 0.0})
             st["calls"] += 1
             st["entry_mb"] = max(st["entry_mb"], cur / MB)
@@ -82,7 +91,7 @@ def stage_peaks(cfg: dict) -> dict:
 
     rec = _Recorder()
     patched = []  # (owner, attribute, original)
-    for stage, module, attr in STAGES:
+    for stage, module, attr, suffix in STAGES:
         owner = importlib.import_module(module)
         *path, name = attr.split(".")
         for part in path:
@@ -91,7 +100,7 @@ def stage_peaks(cfg: dict) -> dict:
         if original is None:
             continue
         patched.append((owner, name, original))
-        setattr(owner, name, rec.wrap(original, stage))
+        setattr(owner, name, rec.wrap(original, stage, suffix))
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -117,10 +126,10 @@ def main(argv=None) -> int:
     with open(args.config) as f:
         cfg = json.load(f)
     out = stage_peaks(cfg)
-    print(f"{'stage':<28} {'calls':>5} {'entry_mb':>9} {'peak_mb':>8}")
+    print(f"{'stage':<36} {'calls':>5} {'entry_mb':>9} {'peak_mb':>8}")
     for name, st in out["stages"].items():
-        print(f"{name:<28} {st['calls']:>5} {st['entry_mb']:>9.1f} {st['peak_mb']:>8.1f}")
-    print(f"{'overall':<28} {'':>5} {'':>9} {out['overall_peak_mb']:>8.1f}")
+        print(f"{name:<36} {st['calls']:>5} {st['entry_mb']:>9.1f} {st['peak_mb']:>8.1f}")
+    print(f"{'overall':<36} {'':>5} {'':>9} {out['overall_peak_mb']:>8.1f}")
     print(json.dumps(out))
     return 0
 

@@ -12,8 +12,8 @@ Configuration is JSON (``--config``), with common fields overridable by
 flags.  Unknown keys are rejected.  Outputs: ``report.json`` (nested,
 schema-versioned) and ``results.csv`` with the fixed header
 family,params,n,margin,E,deg,bound,gap,r1,r2,exit.  Files are written
-atomically.  SKYRME_THREADS caps sweep parallelism; runs are deterministic
-for a fixed configuration.
+atomically.  SKYRME_THREADS caps sweep parallelism, and so does the memory
+available; runs are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -440,15 +440,14 @@ def _validate_config(cfg: dict) -> dict:
 # next stage begins: a slab of a margin's pass and a slab of the moment
 # check's 32^3 chart grid, (20 + 24 dim) fields with the complex-step
 # partials of mu.  A slab of the pass holds about _SLAB_FIELDS fields on each
-# of its rows.  It evaluates phi and A on up to 4 more rows on each side: the
-# first margin's stencil checks read d^A phi, F and I(phi) on the inner two
-# of them, and the outer two hold only phi and A (3 + 3 dim fields).  An
-# inner row holds those five, 12 + 9 dim fields, and the checks' products of
-# them, about 20 more.  The slabs of Vol(N)'s 96^3 chart grids are one row
-# and smaller than either working set.  The estimate is 1.06 to 1.44 times
-# the traced peak (tracemalloc, numpy 2.4) of all six families from n = 16
-# to 96.
-_SLAB_FIELDS = 128
+# of its rows, each freed after its last reader.  On the first margin it
+# evaluates phi and A on up to 4 more rows on each side: the stencil checks
+# read d^A phi, F and I(phi) on the inner two of them, which hold those five,
+# 12 + 9 dim fields, and the outer two hold only phi and A (3 + 3 dim
+# fields).  The slabs of Vol(N)'s 96^3 chart grids are one row and smaller
+# than either working set.  The estimate is 1.07 to 1.43 times the traced
+# peak (tracemalloc, numpy 2.4) of all six families from n = 16 to 96.
+_SLAB_FIELDS = 88
 
 
 def _footprint(n: int, dim: int) -> int:
@@ -457,7 +456,7 @@ def _footprint(n: int, dim: int) -> int:
     rows = min(n, slab_rows(n * n))
     inner = min(4, n - rows)
     outer = min(4, n - rows - inner)
-    fields = _SLAB_FIELDS * rows + (32 + 9 * dim) * inner + (3 + 3 * dim) * outer
+    fields = _SLAB_FIELDS * rows + (12 + 9 * dim) * inner + (3 + 3 * dim) * outer
     moment = (20 + 24 * dim) * slab_rows(32 * 32) * 32 * 32
     return 8 * max(fields * n * n, moment)
 
@@ -474,14 +473,18 @@ def _mem_available() -> int | None:
     return None
 
 
+def _verify_footprint(cfg: dict) -> int:
+    """:func:`_footprint` of the verify of a validated configuration."""
+    return _footprint(int(cfg.get("n", 48)), FAMILIES[cfg["family"]].algebra_dim)
+
+
 def _check_footprint(cfg: dict):
     """Refuse, before anything is built, a verify that needs more memory than
     the machine has available."""
-    n = int(cfg.get("n", 48))
-    need, avail = _footprint(n, FAMILIES[cfg["family"]].algebra_dim), _mem_available()
+    need, avail = _verify_footprint(cfg), _mem_available()
     if avail is not None and need > avail:
-        raise ConfigError(f"n = {n} needs about {need / 2**20:.0f} MB, more than the "
-                          f"{avail / 2**20:.0f} MB available")
+        raise ConfigError(f"n = {int(cfg.get('n', 48))} needs about {need / 2**20:.0f} MB, "
+                          f"more than the {avail / 2**20:.0f} MB available")
 
 
 # glibc's mallopt parameters (malloc.h)
@@ -534,7 +537,8 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
         stencil_checks = [("bianchi_residual", c.bianchi_residual)] + [
             (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
             for name, spec in naturality_check_specs(c.target)]
-    checks = res.checks + stencil_checks
+    # Bianchi first: it reads A, which a slab drops once d^A phi and F exist
+    checks = stencil_checks + res.checks
     bg = bound_gap(c, p, vol_n, checks, halo=first)
     if first:
         for name, _ in stencil_checks:
@@ -652,6 +656,17 @@ def run_sweep(cfg: dict) -> dict:
                           f"got {os.environ['SKYRME_THREADS']!r}") from None
     # every point's configuration is built, and so checked, before any point runs
     subs = [_point_config(cfg, param, v) for v in values]
+    # as many points run at once as the largest point's footprint fits in the
+    # memory available; a point that does not validate fails when it runs
+    needs = []
+    for sub in subs:
+        try:
+            needs.append(_verify_footprint(_validate_config(sub)))
+        except SkybpsError:
+            pass
+    avail = _mem_available()
+    if avail is not None and needs:
+        workers = min(workers, max(1, avail // max(needs)))
 
     def one(value, sub):
         try:

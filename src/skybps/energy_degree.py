@@ -163,6 +163,7 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
             sums[key][sl] = grid.row_sums(v, sl)
         for key, v in sup.items():
             sups.setdefault(key, []).append(v)
+        del dens  # before the next slab's fields are formed
     survey.close()
     out = {"riemannian": survey.riemannian, "diagnostics": survey.diagnostics}
     if not (halo or survey.riemannian):
@@ -183,20 +184,34 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     grid of one slab (n <= 24) holds few of them at once.
     """
     t = c.target
-    y, (P, F, kil) = slab.inner(slab.phi), slab.take()
+    y, P, F, kil = slab.take()
     sup = {}
     gN, mu = t.metric_fn(y), t.mu_fn(y)
+    del y
     sup["asym"] = _contraction_asymmetry(kil, mu)
     sup["mu_max"] = float(np.max(np.abs(mu)))
-    det, inv = mat_det(gN), mat_inv(gN)
-    # (p, q): Sig (0, 2), nu and mus (1, 0), V_N (0, 3), mu (1, 1)
-    sig = equivariant_pullback(P, F, 0, 2, t.sigma_dual(det, inv))
+    star = slab.star  # and g_M freed
+    # (p, q): Sig (0, 2), nu and mus (1, 0), V_N (0, 3), mu (1, 1), formed
+    # so that I(phi), mu, F, g_N^-1 and det g_N are each freed after their
+    # last pullback, and g_N^-1 and det g_N are formed only once the fields
+    # before them are freed; the charge density phi^{*A} V_N + phi^{*A} mu
+    # takes its mu part first, and IEEE addition commutes, so its sum has
+    # the same bits
     nu = equivariant_pullback(P, F, 1, 0, kil)
-    mus = equivariant_pullback(P, F, 1, 0, t.mu_sharp(inv, mu))
-    out = {"charge": equivariant_pullback(P, F, 0, 3, t.vol_coeff(det))
-           + equivariant_pullback(P, F, 1, 1, mu)}
-    del F, kil, mu, det, inv
-    star = slab.star
+    del kil
+    charge = equivariant_pullback(P, F, 1, 1, mu)
+    inv = mat_inv(gN)
+    coeff = t.mu_sharp(inv, mu)
+    del mu
+    mus = equivariant_pullback(P, F, 1, 0, coeff)
+    del F, coeff
+    det = mat_det(gN)
+    coeff = t.sigma_dual(det, inv)
+    del inv
+    charge += equivariant_pullback(P, None, 0, 3, t.vol_coeff(det))
+    del det
+    sig = equivariant_pullback(P, None, 0, 2, coeff)
+    del coeff
 
     # the energy terms: each right operand is star-applied once and paired
     # with every left operand on it; a term whose coefficient is exactly 0
@@ -220,35 +235,44 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     if t.has_moment_constraint:
         sup["ortho"] = float(np.max(np.abs(_pair_starred(nu, s_op, gN))))
     del s_op
+
+    # the second BPS side alpha Sig + beta mus + gamma nu, summed in that
+    # order over the summands whose coefficient is not exactly 0 (nu is
+    # freed here unless it is one of them), and its square in the
+    # Bogomolny density
+    #   |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
+    # (B = Sig + 3 mus)
+    summands = [(k, x) for k, x in ((p.alpha, sig), (p.beta, mus), (p.gamma, nu)) if k]
+    del nu
+    sup["r2"] = 0.0
+    square = None
+    if summands:
+        (k, x), *rest = summands
+        second = k * x
+        for k, x in rest:
+            second += k * x
+        del summands, rest, x
+        sup["r2"] = float(np.max(np.abs(second)))
+        square = _pair(second, second, 2, star, gN)
+        del second
+
+    b = sig + 3.0 * mus
+    del sig, mus
     star_dphi = star.on_1(P)
     pair_term("c1_dphi", P, star_dphi)
     del P
-    out.update((k, terms[k]) for k in _TERMS if k in terms)
-    del terms
-
-    # the Bogomolny density and the two BPS sides; the second is
-    # alpha Sig + beta mus + gamma nu, summed in that order over the
-    # summands whose coefficient is not exactly 0
-    b = sig + 3.0 * mus
     cross = _pair(star_dphi, b, 2, star, gN)
     diff = star_dphi - b
     del b, star_dphi
     sup["r1"] = float(np.max(np.abs(diff)))
     bogomolny = _pair(diff, diff, 2, star, gN)
     del diff
-    second = None
-    for k, x in ((p.alpha, sig), (p.beta, mus), (p.gamma, nu)):
-        if k and second is None:
-            second = k * x
-        elif k:
-            second += k * x
-    del sig, mus, nu
-    sup["r2"] = 0.0
-    if second is not None:
-        sup["r2"] = float(np.max(np.abs(second)))
-        bogomolny += _pair(second, second, 2, star, gN)
-        del second
+    if square is not None:
+        bogomolny += square
+        del square
     bogomolny += 2.0 * cross
+    out = {"charge": charge, **{k: terms[k] for k in _TERMS if k in terms}}
+    del terms
 
     # the six-term density against the Bogomolny density, and the charge
     # density against the cross density, which agree pointwise up to roundoff

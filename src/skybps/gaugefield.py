@@ -73,7 +73,7 @@ class Configuration:
         on one slab's rows, from F on its halo."""
         F, rows = slab.F, slab.rows
         div = sum(slab_derivative(F[:, m], m, self.grid, rows) for m in range(3))
-        A, F = slab.inner(slab.A), slab.inner(F)
+        A, F = slab.inner("A"), slab.inner("F")
         f = self.target.algebra.f
         for a, b, c in zip(*np.nonzero(f)):
             div[a] += f[a, b, c] * _dot(A[b], F[c])
@@ -86,72 +86,105 @@ class Slab:
     ``rows``, d^A phi, F and I(phi) there, g_M and the base star on the
     slab's rows.
 
-    Each is formed on first read; phi, A, d^A phi, F and I(phi) are kept
-    until :meth:`take`.  A slab read by a stencil check has the derivative
-    halo as its window (``PatchGrid.halo``); otherwise the window is the
-    slab's own rows.  phi and A are evaluated once, on the halo of the
-    window, which d^A phi and F on the window read.  ``inner`` cuts a window
-    field down to the slab's rows.
+    A slab read by a stencil check has the derivative halo as its window
+    (``PatchGrid.halo``); otherwise the window is the slab's own rows.  Each
+    field is formed on first read: phi and A once, on the halo of the
+    window, which d^A phi and F on the window read.  Each is then held on
+    the rows that its remaining readers need, and copied out of the rows it
+    had as soon as they need fewer (see :meth:`_form`).  The stencil checks
+    read phi, d^A phi and F on the window (``phi``, ``P``, ``F``) and every
+    field on the slab's rows (:meth:`inner`).  g_M is dropped once the star
+    is built from it, and :meth:`take` hands the rest over.
     """
 
     config: Configuration
     rows: slice
     window: slice
 
-    def inner(self, values: np.ndarray) -> np.ndarray:
-        a = self.rows.start - self.window.start
-        return values[..., a:a + self.rows.stop - self.rows.start, :, :]
-
-    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(d^A phi, F, I(phi)) on the slab's rows, handed over: the slab
-        keeps none of them, nor phi and A, so each is freed with the
-        caller's last use."""
-        names = ("P", "F", "kil")
-        out = tuple(self.inner(getattr(self, k)) for k in names)
-        for k in names + ("_fields",):
-            self.__dict__.pop(k, None)  # the cached_property's stored value
-        return out
-
-    @cached_property
-    def _fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """phi and A on the halo of the window."""
-        c = self.config
-        return c.fields(c.grid.halo(self.window))
-
-    def _on_window(self, values: np.ndarray) -> np.ndarray:
-        """A field on the halo of the window, cut to the window (mod the halo's
-        length, which on a periodic axis may be the whole axis)."""
-        a = self.window.start - self.config.grid.halo(self.window).start
-        return _take_rows(values, slice(a, a + self.window.stop - self.window.start),
-                          values.shape[-3])
+    def __post_init__(self):
+        # name -> (the field, the rows of the first axis it is held on)
+        self._held: dict[str, tuple[np.ndarray, slice]] = {}
 
     @property
     def phi(self) -> np.ndarray:
-        return self._on_window(self._fields[0])
+        return self._on("phi", self.window)
 
     @property
-    def A(self) -> np.ndarray:
-        return self._on_window(self._fields[1])
-
-    @cached_property
-    def kil(self) -> np.ndarray:
-        return self.config.target.killing_fn(self.phi)
-
-    @cached_property
     def P(self) -> np.ndarray:
         """d^A phi^mu = d phi^mu - A^a I_a^mu(phi) on the window; shape
         (3 target, 3 form, *window)."""
-        c = self.config
-        out = _dphi(c, self._fields[0], self.window)
-        out -= _slot_contract(self.kil, self.A)
-        return assert_finite(out, "covariant differential")
+        return self._on("P", self.window)
 
-    @cached_property
+    @property
     def F(self) -> np.ndarray:
         """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c on the window, dual storage."""
-        c = self.config
-        F = _curvature(self._fields[1], c.target.algebra.f, c.grid, self.window)
-        return assert_finite(F, "curvature")
+        return self._on("F", self.window)
+
+    def inner(self, name: str) -> np.ndarray:
+        """The field ``name`` (phi, A, P, F or kil, for I(phi)) on the slab's
+        rows: a view."""
+        return self._on(name, self.rows)
+
+    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(phi, d^A phi, F, I(phi)) on the slab's rows, handed over: each is
+        copied out of a field held on more rows, and the slab keeps none of
+        them, so each is freed with the caller's last use."""
+        for name in ("F", "P"):  # F first, so that A's halo is freed before d^A phi
+            self._field(name)
+        out = []
+        for name in ("phi", "P", "F", "kil"):
+            out.append(_copy_rows(*self._held.pop(name), self.rows))
+        self._held.clear()
+        return tuple(out)
+
+    def _on(self, name: str, rows: slice) -> np.ndarray:
+        values, held = self._field(name)
+        return _cut(values, held, rows)
+
+    def _field(self, name: str) -> tuple[np.ndarray, slice]:
+        if name not in self._held:
+            c = self.config
+            if name in ("phi", "A"):  # the one not held yet, or both
+                halo = c.grid.halo(self.window)
+                for key, values in zip(("phi", "A"), c.fields(halo)):
+                    self._held.setdefault(key, (values, halo))
+            else:
+                self._held[name] = (self._form(name), self.window)
+        return self._held[name]
+
+    def _form(self, name: str) -> np.ndarray:
+        """A window field.  phi, A and I(phi) are cut down as soon as the
+        rows they are held on have no reader left: A to the window once F
+        exists, phi to the window and I(phi) to the slab's rows once d^A phi
+        exists.  Once both exist, A is read only by the Bianchi check, which
+        a verify runs before the checks that form d^A phi, so it is dropped;
+        a later read evaluates it again."""
+        c, window = self.config, self.window
+        halo = c.grid.halo(window)
+        if name == "kil":
+            return c.target.killing_fn(self._on("phi", window))
+        if name == "F":
+            F = _curvature(self._on("A", halo), c.target.algebra.f, c.grid, window)
+            if "P" in self._held:
+                del self._held["A"]
+            else:
+                self._keep("A", window)
+            return assert_finite(F, "curvature")
+        P = _dphi(c, self._on("phi", halo), window)
+        self._keep("phi", window)
+        kil, A = self._on("kil", window), self._on("A", window)
+        for m in range(3):  # one form component of A^a I_a(phi) at a time
+            P[:, m] -= _slot_contract(kil, A[:, m:m + 1])[:, 0]
+        del kil, A
+        self._keep("kil", self.rows)
+        if "F" in self._held:
+            del self._held["A"]
+        return assert_finite(P, "covariant differential")
+
+    def _keep(self, name: str, rows: slice):
+        """Hold the field ``name`` on ``rows`` only, copied out of the rows it
+        had, which are freed."""
+        self._held[name] = (_copy_rows(*self._held[name], rows), rows)
 
     @cached_property
     def gM(self) -> Metric3:
@@ -159,7 +192,24 @@ class Slab:
 
     @cached_property
     def star(self) -> StarMap:
-        return hodge_star(self.gM, self.config.orientation)
+        star = hodge_star(self.gM, self.config.orientation)
+        del self.gM  # its last reader
+        return star
+
+
+def _cut(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
+    """The ``rows`` of a field held on the rows ``held`` (mod its length,
+    which on a periodic axis may be the whole axis): a view where they lie
+    in it."""
+    if rows == held:
+        return values
+    a = rows.start - held.start
+    return _take_rows(values, slice(a, a + rows.stop - rows.start), values.shape[-3])
+
+
+def _copy_rows(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
+    """:func:`_cut` as an array of its own, so that ``values`` can be freed."""
+    return values if rows == held else _cut(values, held, rows).copy()
 
 
 def _dphi(c: Configuration, phi: np.ndarray, rows: slice) -> np.ndarray:
@@ -177,7 +227,10 @@ def _dphi(c: Configuration, phi: np.ndarray, rows: slice) -> np.ndarray:
             shape[lam] = len(pts)
             lin += w[:, lam, None, None, None] * pts.reshape(shape)
         phi = phi - lin
-    out = np.stack([slab_derivative(phi, lam, grid, rows) for lam in range(3)], axis=1)
+        del lin
+    out = np.empty((len(phi), 3, rows.stop - rows.start) + grid.n[1:], np.result_type(phi, float))
+    for lam in range(3):  # one direction's derivative held at a time
+        out[:, lam] = slab_derivative(phi, lam, grid, rows)
     out += w[:, :, None, None, None]
     return out
 
@@ -206,8 +259,8 @@ class Survey:
 
     def read(self, slab: Slab):
         c = self.config
-        phi = slab.inner(slab.phi)
-        for name, values in (("phi", phi), ("A", slab.inner(slab.A))):
+        phi = slab.inner("phi")
+        for name, values in (("phi", phi), ("A", slab.inner("A"))):
             self._finite[name] = self._finite[name] and bool(np.all(np.isfinite(values)))
         if self._finite["phi"]:
             for mu in range(3):
@@ -257,14 +310,30 @@ def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid, rows: slice) -> np
     abelian algebra does no quadratic work.  F is formed on ``rows`` from A
     on ``grid.halo(rows)``.
     """
-    # dA[k][:, j] = d_k A_{k+1+j}: the two components whose curl uses d_k
-    dA = [slab_derivative(A[:, [(k + 1) % 3, (k + 2) % 3]], k, grid, rows) for k in range(3)]
-    start = rows.start - grid.halo(rows).start
-    A = _take_rows(A, slice(start, start + rows.stop - rows.start), A.shape[-3])
-    F = np.empty(A.shape, np.result_type(A, float))
-    for m in range(3):
-        i, j = (m + 1) % 3, (m + 2) % 3
-        np.subtract(dA[i][:, 0], dA[j][:, 1], out=F[:, m])
+    on_rows = _cut(A, grid.halo(rows), rows)
+    # d_k of the two components whose curl uses it (a view of A: components
+    # k+1 and k+2 mod 3 are a slice), one k at a time, from A on the halo
+    # along axis 0 and on the rows alone along axes 1 and 2: d_k A_{k+1} is
+    # the first term of F_{k+2} and d_k A_{k+2} the second of F_{k+1}.  A
+    # term that comes before its partner waits in F, so that each F_m is the
+    # one rounded difference of its two terms
+    F, filled = None, set()
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        pair = slice(i, j + 1 if j > i else None, j - i)
+        d = slab_derivative((A if k == 0 else on_rows)[:, pair], k, grid, rows)
+        if F is None:
+            F = np.empty(d.shape[:1] + (3,) + d.shape[2:], np.result_type(A, float))
+        for m, term, first in (((k + 2) % 3, d[:, 0], True), ((k + 1) % 3, d[:, 1], False)):
+            if m not in filled:
+                F[:, m] = term
+                filled.add(m)
+            elif first:
+                np.subtract(term, F[:, m], out=F[:, m])
+            else:
+                F[:, m] -= term
+        del d, term
+    A = on_rows
     for a, b, c in zip(*np.nonzero(f)):
         if b < c:
             for m in range(3):
@@ -343,9 +412,9 @@ def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
 def _slot_contract(coeff: np.ndarray, F: np.ndarray) -> np.ndarray:
     """out[..., m] = sum_a coeff[a, ...] F[a, m], summed in slot order."""
     sp = F.shape[-3:]
-    out = np.empty(coeff.shape[1:-3] + (3,) + sp, np.result_type(coeff, F))
+    out = np.empty(coeff.shape[1:-3] + F.shape[1:2] + sp, np.result_type(coeff, F))
     tmp = np.empty(coeff.shape[1:-3] + sp, out.dtype)
-    for m in range(3):
+    for m in range(F.shape[1]):
         row = out[..., m, :, :, :]
         np.multiply(coeff[0], F[0, m], out=row)
         for a in range(1, len(F)):
@@ -381,42 +450,54 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     meaningful cases on a 3-manifold are invariant (p = 0) forms of degree
     1 or 2; target-side coefficient derivatives are exact (complex step), the
     outer differential uses the 4th-order grid stencils, so the slab's
-    d^A phi and I(phi) are read on its halo.
+    phi and d^A phi are read on its window.  Each intermediate is freed
+    after its last reader.
     """
     p, q = spec.p, spec.q
     if p >= 1 or 2 * p + q >= 3:
         return 0.0
     grid, rows = c.grid, slab.rows
 
-    # d(phi^{*A} beta) by grid finite differences
-    beta = spec.coeff(slab.phi)
-    pb = equivariant_pullback(slab.P, None, p, q, beta)
-    if q == 1:
-        d = [slab_derivative(pb, k, grid, rows) for k in range(3)]
-        rhs = np.stack([d[(m + 1) % 3][(m + 2) % 3] - d[(m + 2) % 3][(m + 1) % 3]
-                        for m in range(3)])
-    else:  # q == 2
-        rhs = sum(slab_derivative(pb[m], m, grid, rows) for m in range(3))
-    del pb
+    # d^A phi is formed first, so that phi's halo rows are freed before the
+    # target side is evaluated; the window fields are read last, by the
+    # grid stencils
+    P, F, kil = (slab.inner(name) for name in ("P", "F", "kil"))
 
     # exterior-derivative part of d_g beta, pulled back
-    dbeta = target_partials(spec.coeff, slab.inner(slab.phi))
-    P, F, kil, beta = (slab.inner(x) for x in (slab.P, slab.F, slab.kil, beta))
+    dbeta = target_partials(spec.coeff, slab.inner("phi"))
     if q == 1:
-        curl = np.stack([dbeta[(m + 1) % 3, (m + 2) % 3] - dbeta[(m + 2) % 3, (m + 1) % 3]
-                         for m in range(3)])
-        lhs = equivariant_pullback(P, F, 0, 2, curl)
+        coeff = np.stack([dbeta[(m + 1) % 3, (m + 2) % 3] - dbeta[(m + 2) % 3, (m + 1) % 3]
+                          for m in range(3)])
     else:
-        lhs = equivariant_pullback(P, F, 0, 3, dbeta[0, 0] + dbeta[1, 1] + dbeta[2, 2])
+        coeff = dbeta[0, 0] + dbeta[1, 1] + dbeta[2, 2]
+    del dbeta
+    lhs = equivariant_pullback(P, F, 0, q + 1, coeff)
 
     # contraction part: (iota_{nu(I_a)} beta) is a (1, q-1) form
+    beta = spec.coeff(slab.phi)
+    on_rows = _cut(beta, slab.window, rows)
     if q == 1:
-        contr = np.stack([_dot(k, beta) for k in kil])
+        coeff = np.stack([_dot(k, on_rows) for k in kil])
     else:
         # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
-        contr = np.stack([_cross_into(np.empty(k.shape, np.result_type(beta, k)), beta, k)
+        coeff = np.stack([_cross_into(np.empty(k.shape, np.result_type(on_rows, k)), on_rows, k)
                           for k in kil])
-    lhs -= equivariant_pullback(P, F, 1, q - 1, contr)
+    del on_rows
+    lhs -= equivariant_pullback(P, F, 1, q - 1, coeff)
+    del coeff, P, F, kil
+
+    # d(phi^{*A} beta) by grid finite differences
+    pb = equivariant_pullback(slab.P, None, p, q, beta)
+    del beta
+    if q == 1:
+        d = [slab_derivative(pb, k, grid, rows) for k in range(3)]
+        del pb
+        rhs = np.stack([d[(m + 1) % 3][(m + 2) % 3] - d[(m + 2) % 3][(m + 1) % 3]
+                        for m in range(3)])
+        del d
+    else:  # q == 2
+        rhs = sum(slab_derivative(pb[m], m, grid, rows) for m in range(3))
+        del pb
     lhs -= rhs
     return float(np.max(np.abs(lhs)))
 

@@ -204,28 +204,30 @@ def slab_derivative(window: np.ndarray, axis: int, grid: PatchGrid, rows: slice)
     the rows ``grid.halo(rows)``; bit-identical to those rows of
     :func:`partial_derivative`.
 
-    Along axes 1 and 2 only the slab's own rows are differentiated.  Along
-    axis 0 the central stencil reads the halo; a slab at a bounded face
-    differentiates its whole window, which holds the 5 rows that the
-    one-sided stencils read, and drops the halo rows.
+    Along axes 1 and 2 only the slab's own rows are differentiated, and
+    ``window`` may hold those rows alone.  Along axis 0 the central stencil
+    reads the halo; a slab at a bounded face differentiates its whole
+    window, which holds the 5 rows that the one-sided stencils read, and
+    drops the halo rows.
     """
     win = grid.halo(rows)
     if win == rows:  # the whole grid: one slab reads no halo
         return partial_derivative(window, axis, grid)
     if window.shape[-2:] != grid.shape[1:]:
         raise GridMismatch(f"field shape {window.shape[-3:]} does not fit grid {grid.shape}")
+    h, periodic = grid.h[axis], grid.periodic[axis]
+    if axis != 0 and window.shape[-3] == rows.stop - rows.start:
+        return _derivative(window, axis, h, periodic)
     if window.shape[-3] != win.stop - win.start:
         raise GridMismatch(f"window of {window.shape[-3]} rows != halo {win} of rows {rows}")
     # the output rows, counted from the window's first row
     a, b = rows.start - win.start, rows.stop - win.start
-    h, periodic = grid.h[axis], grid.periodic[axis]
     if axis != 0:
         return _derivative(_take_rows(window, slice(a, b), window.shape[-3]), axis, h, periodic)
     if a >= 2 and b + 2 <= window.shape[-3]:
         # every output row has two window rows on each side: the central
         # stencil, in the order partial_derivative sums it
-        return (window[..., a - 2:b - 2, :, :] - 8.0 * window[..., a - 1:b - 1, :, :]
-                + 8.0 * window[..., a + 1:b + 1, :, :] - window[..., a + 2:b + 2, :, :]) / (12.0 * h)
+        return _central(lambda i: window[..., a + i:b + i, :, :], h)
     return _take_rows(_derivative(window, 0, h, periodic), slice(a, b), window.shape[-3])
 
 
@@ -239,17 +241,15 @@ def _take_rows(values: np.ndarray, rows: slice, n: int) -> np.ndarray:
 def _derivative(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     """The stencils of :func:`partial_derivative` along one of the last three axes."""
     ax = values.ndim - 3 + axis
-    if periodic:
-        out = (
-            np.roll(values, 2, axis=ax)
-            - 8.0 * np.roll(values, 1, axis=ax)
-            + 8.0 * np.roll(values, -1, axis=ax)
-            - np.roll(values, -2, axis=ax)
-        ) / (12.0 * h)
-        return out
     v = np.moveaxis(values, ax, -1)
+    n = v.shape[-1]
     out = np.empty_like(v)
-    out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
+    _central(lambda i: v[..., 2 + i:n - 2 + i], h, out=out[..., 2:-2])
+    if periodic:
+        # the two points at each end, whose stencil wraps around the axis
+        ends = np.array([0, 1, n - 2, n - 1])
+        out[..., ends] = _central(lambda i: v[..., (ends + i) % n], h)
+        return np.moveaxis(out, -1, ax)
     head, tail = v[..., :5], v[..., -5:]
     if axis == 1:
         # copied to C order, as the full grid's are by tensordot, so that the
@@ -260,6 +260,21 @@ def _derivative(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
     out[..., -1] = -np.tensordot(tail, _EDGE0[::-1], axes=([-1], [0])) / h
     out[..., -2] = -np.tensordot(tail, _EDGE1[::-1], axes=([-1], [0])) / h
     return np.moveaxis(out, -1, ax)
+
+
+def _central(shifted, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(f[-2] - 8 f[-1] + 8 f[1] - f[2]) / 12h, where ``shifted(i)`` is the
+    field f shifted by i points along the axis (a view, or a copy that is
+    then freed), summed left to right as that expression is, in ``out`` and
+    one scratch field."""
+    out = np.multiply(shifted(-1), 8.0, out=out)
+    np.subtract(shifted(-2), out, out=out)
+    scratch = np.multiply(shifted(1), 8.0)
+    out += scratch
+    del scratch
+    out -= shifted(2)
+    out /= 12.0 * h
+    return out
 
 
 def extrapolate_margin(margins, values):

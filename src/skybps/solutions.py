@@ -312,7 +312,7 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
 def _abelian_bps_residual(slab: Slab) -> float:
     """max |star d xi + da| on a slab's rows.  d xi (= ds exactly) is the xi
     row of d^A phi, since the action leaves xi fixed (I_a^xi = 0)."""
-    dxi, da = slab.inner(slab.P)[0], slab.inner(slab.F)[0]
+    dxi, da = slab.inner("P")[0], slab.inner("F")[0]
     return float(np.max(np.abs(slab.star.on_1(dxi[None])[0] + da)))
 
 
@@ -406,7 +406,7 @@ def _spinorial_checks(curvature: np.ndarray, sq: np.ndarray, twist_b: float) -> 
     d^A phi = dxi e_0 + sqrt(Omega) (dx1 e_1 + dx2 e_2).  ``curvature`` is
     (1/2)(1 - K) Omega and ``sq`` sqrt(Omega) on the surface's plane."""
     def curvature_identity(slab: Slab) -> float:
-        F = slab.inner(slab.F)
+        F = slab.inner("F")
         pred = np.zeros_like(F)
         pred[0, 0] = curvature
         if twist_b != 0.0:
@@ -415,7 +415,7 @@ def _spinorial_checks(curvature: np.ndarray, sq: np.ndarray, twist_b: float) -> 
         return float(np.max(np.abs(F - pred)))
 
     def covariant_differential(slab: Slab) -> float:
-        P = slab.inner(slab.P)
+        P = slab.inner("P")
         pred = np.zeros_like(P)
         pred[0, 0] = 1.0
         pred[1, 1] = pred[2, 2] = sq

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -623,6 +625,38 @@ def test_sweep_outputs_identical_across_thread_counts(tmp_path, monkeypatch):
         monkeypatch.setenv("SKYRME_THREADS", threads)
         assert main(["sweep", "--config", str(cfg_file),
                      "--output-dir", str(tmp_path / threads)]) == 0
+    for name in ("report.json", "results.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_sweep_runs_as_many_points_at_once_as_fit_in_memory(tmp_path, monkeypatch):
+    # memory for one and a half verifies: two threads run one point at a time
+    monkeypatch.setattr(cli, "_mem_available", lambda: int(1.5 * cli._footprint(16, 1)))
+    real, lock, running, most = cli.run_verify, threading.Lock(), [0], [0]
+
+    def counted(cfg):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        try:
+            time.sleep(0.05)  # long enough for a second point to start, if it may
+            return real(cfg)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(cli, "run_verify", counted)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "family": "identity-u1", "n": 16, "margins": [0.36, 0.24, 0.16],
+        "sweep": {"param": "family_params.ax",
+                  "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)", "0.02*sin(theta)"]},
+    }))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SKYRME_THREADS", threads)
+        assert main(["sweep", "--config", str(cfg_file),
+                     "--output-dir", str(tmp_path / threads)]) == 0
+    assert most[0] == 1
     for name in ("report.json", "results.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skybps import cli, energy_degree, grid
+from skybps import energy_degree, gaugefield, grid
 from skybps.cli import FAMILIES, build_family, main, run_verify
 from skybps.energy_degree import bound_gap
 from skybps.errors import ChartExit, NotRiemannian
@@ -38,35 +38,82 @@ def test_verify_reports_equal_for_one_slab_and_many(family, monkeypatch):
     assert reports[1] == one
 
 
-def test_bound_gap_working_set_grows_as_a_row(monkeypatch):
-    # with one-row slabs a margin's pass allocates slab fields only: its
-    # traced peak above its entry grows as a row (n^2, a ratio of 4 from
-    # n = 16 to 32; measured 3.5 to 3.7), not as the grid (n^3, a ratio of 8).
-    # A pass that held its nine densities on the grid measured 5.1 to 5.9.
-    real = cli.bound_gap
+def _pass_extras(family: str, n: int) -> list[int]:
+    """Traced peak above entry of each margin's pass of a verify at n with
+    one-row slabs, in bytes."""
+    real, extra = energy_degree._margin_pass, []
 
-    def extra_bytes(n):
-        monkeypatch.setattr(grid, "_SLAB_POINTS", n * n)
-        extra = []
+    def traced(*args, **kwargs):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real(*args, **kwargs)
+        extra.append(tracemalloc.get_traced_memory()[1] - entry)
+        return out
 
-        def traced(*args, **kwargs):
-            entry = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = real(*args, **kwargs)
-            extra.append(tracemalloc.get_traced_memory()[1] - entry)
-            return out
-
-        monkeypatch.setattr(cli, "bound_gap", traced)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(grid, "_SLAB_POINTS", n * n)
+        m.setattr(energy_degree, "_margin_pass", traced)
         tracemalloc.start()
         try:
-            run_verify({"family": "spherical", "n": n})
+            run_verify({"family": family, "n": n})
         finally:
             tracemalloc.stop()
-        return extra
+    return extra
 
-    small, large = extra_bytes(16), extra_bytes(32)
+
+def test_bound_gap_working_set_grows_as_a_row():
+    # with one-row slabs a margin's pass allocates slab fields only: its
+    # traced peak above its entry grows as a row (n^2, a ratio of 4 from
+    # n = 16 to 32; measured 3.6 to 3.7), not as the grid (n^3, a ratio of 8).
+    # A pass that held its nine densities on the grid measured 5.1 to 5.9.
+    small, large = _pass_extras("spherical", 16), _pass_extras("spherical", 32)
     assert len(small) == len(large) == 3  # the first margin runs the stencil checks
     assert all(b <= 4.5 * a for a, b in zip(small, large)), (small, large)
+
+
+@pytest.mark.parametrize("family, rows, ratio", [
+    ("spherical", 270, 1.9), ("dirac-monopole", 265, 1.8),
+])
+def test_first_margin_halo_costs_a_pinned_share_of_a_row(family, rows, ratio):
+    # with one-row slabs the first margin's stencil checks form d^A phi, F and
+    # I(phi) on 5 rows from phi and A on 9; each is cut down or freed at its
+    # last reader, so the first margin's pass peaks at about 250 fields of one
+    # row above its entry (measured 253 spherical, 246 dirac-monopole; 348 and
+    # 420 when the window fields lived to the end of the pass), 1.83 and 1.71
+    # times a later margin's (1.81 and 2.19 then)
+    n = 32
+    first, *later = _pass_extras(family, n)
+    assert first <= rows * 8 * n * n, first / (8 * n * n)
+    assert first <= ratio * min(later), first / min(later)
+
+
+def test_take_hands_over_no_window_or_halo_buffer(monkeypatch):
+    # the pass reads phi, d^A phi, F and I(phi) from Slab.take(); on a halo
+    # slab each is a copy of the slab's own rows, so no window- or halo-sized
+    # buffer lives on through the pass
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 3 * 20 * 20)
+    res, p = build_family({"family": "spherical", "n": 20}, FAMILIES["spherical"].margins[0])
+    c = res.config
+    real, taken = gaugefield.Slab.take, []
+
+    def take(slab):
+        wide = [slab.phi, slab.P, slab.F]  # on the window, or views of the halo
+        wide += [a.base for a in wide if a.base is not None]
+        out = real(slab)
+        taken.append((slab.rows, wide, out))
+        return out
+
+    monkeypatch.setattr(gaugefield.Slab, "take", take)
+    checks = [("bianchi", c.bianchi_residual)] + [
+        (name, functools.partial(pullback_naturality_residual, c, spec))
+        for name, spec in naturality_check_specs(c.target)]
+    bound_gap(c, p, 1.0, checks, halo=True)
+    assert len(taken) == len(c.grid.slabs()) == 7
+    for rows, wide, out in taken:
+        for a in out:
+            assert a.shape[-3] == rows.stop - rows.start
+            assert a.base is None and not any(np.shares_memory(a, w) for w in wide)
+        assert len(out) == 4  # phi, d^A phi, F, I(phi)
 
 
 # -- nothing of the grid's size is held -------------------------------------------
