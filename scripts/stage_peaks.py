@@ -5,11 +5,9 @@
 Runs ``skybps.cli.run_verify`` on the JSON configuration file CONFIG under
 ``tracemalloc``. A stage is a package function wrapped from outside, in the
 module that calls it; the package itself is not edited. A stage called
-inside another is named by its path, for example ``bound_gap/pass[m=0.12]``,
-the pass of the margin 0.12, or ``bound_gap/pass[m=0.12]/naturality``, the
-first margin's naturality check, which runs in that margin's pass. Each
-margin's pass has a line of its own, so the first margin's, which carries the
-stencil checks' halo, shows next to the later margins'.
+inside another is named by its path, for example ``bound_gap/pass``, the one
+pass that serves every margin, or ``bound_gap/pass/naturality``, the
+naturality check, which runs in that pass.
 
 For each stage it prints the number of calls, ``entry_mb``, the largest
 traced size at the stage's entry, and ``peak_mb``, the largest traced peak
@@ -27,21 +25,15 @@ import json
 import sys
 import tracemalloc
 
-def _margin(config, *args, **kwargs) -> str:
-    """The margin of the configuration a pass reads, as a name suffix."""
-    return f"[m={config.grid.margin}]"
-
-
-# (stage, module, attribute, suffix): the binding that the verify pipeline
-# calls, and a function of its arguments that tells its calls apart, or None
+# (stage, module, attribute): the binding that the verify pipeline calls
 STAGES = (
-    ("build", "skybps.cli", "build_family", None),
-    ("volume", "skybps.lie_target", "TargetGeometry.volume", None),
-    ("moment", "skybps.cli", "verify_moment_conditions", None),
-    ("bianchi", "skybps.gaugefield", "Configuration.bianchi_residual", None),
-    ("naturality", "skybps.cli", "pullback_naturality_residual", None),
-    ("bound_gap", "skybps.cli", "bound_gap", None),
-    ("pass", "skybps.energy_degree", "_margin_pass", _margin),
+    ("build", "skybps.cli", "build_family"),
+    ("volume", "skybps.lie_target", "TargetGeometry.volume"),
+    ("moment", "skybps.cli", "verify_moment_conditions"),
+    ("bianchi", "skybps.gaugefield", "Configuration.bianchi_residual"),
+    ("naturality", "skybps.cli", "pullback_naturality_residual"),
+    ("bound_gap", "skybps.cli", "bound_gap"),
+    ("pass", "skybps.energy_degree", "_margin_pass"),
 )
 
 MB = float(2**20)
@@ -62,10 +54,9 @@ class _Recorder:
         else:
             self.top = max(self.top, peak)
 
-    def wrap(self, fn, stage: str, suffix=None):
+    def wrap(self, fn, name: str):
         @functools.wraps(fn)
         def staged(*args, **kwargs):
-            name = stage + (suffix(*args, **kwargs) if suffix else "")
             cur, peak = tracemalloc.get_traced_memory()
             self._fold(peak)
             tracemalloc.reset_peak()
@@ -91,7 +82,7 @@ def stage_peaks(cfg: dict) -> dict:
 
     rec = _Recorder()
     patched = []  # (owner, attribute, original)
-    for stage, module, attr, suffix in STAGES:
+    for stage, module, attr in STAGES:
         owner = importlib.import_module(module)
         *path, name = attr.split(".")
         for part in path:
@@ -100,7 +91,7 @@ def stage_peaks(cfg: dict) -> dict:
         if original is None:
             continue
         patched.append((owner, name, original))
-        setattr(owner, name, rec.wrap(original, stage, suffix))
+        setattr(owner, name, rec.wrap(original, stage))
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

@@ -4,6 +4,11 @@ Subcommands
 -----------
 verify        one family at each margin in the margin list, extrapolate the
               degree, check every tolerance; exit 0 iff all checks pass.
+              The family is built once, on the grid of the smallest margin,
+              and one pass over it serves every margin: a coarser margin m
+              is the sub-box [lo + m, hi - m] of that grid on every bounded
+              axis, whose quadrature integrates a face between two rows
+              over its part cell.  Every row reports the n of that grid.
 sweep         verify once per point of a parameter grid; per-row failures are
               recorded and the run continues.
 obstruction   evaluate the left-action moment-map obstruction constant K/2.
@@ -43,7 +48,7 @@ from .energy_degree import (
     bps_coefficients,
     general_bound_coefficient,
 )
-from .errors import ConfigError, NonFinite, SkybpsError
+from .errors import ConfigError, NonFinite, ResolutionError, SkybpsError
 from .exprs import Expression
 from .gaugefield import Configuration, naturality_check_specs, pullback_naturality_residual
 from .grid import extrapolate_margin, slab_rows
@@ -352,23 +357,35 @@ def build_family(cfg: dict, margin: float):
     pert = _section(cfg, "perturb")
     eps = float(pert.get("eps", 0.0))
     if eps:
-        res.config = perturb_configuration(res.config, eps, int(pert.get("seed", 0)))
+        # inside the coarsest margin's sub-box, so that it vanishes on every face
+        inset = max(float(m) for m in cfg.get("margins", [margin])) - margin
+        res.config = perturb_configuration(res.config, eps, int(pert.get("seed", 0)), inset)
     return res, bps_coefficients(*bps)
 
 
-def perturb_configuration(c: Configuration, eps: float, seed: int = 0) -> Configuration:
-    """Add a smooth bump of amplitude eps to phi (vanishing at open boundaries).
+def perturb_configuration(c: Configuration, eps: float, seed: int = 0,
+                          inset: float = 0.0) -> Configuration:
+    """Add a smooth bump of amplitude eps to phi, supported inside the box
+    that ``inset`` more margin leaves at every bounded face.
 
-    The bump is a product of per-axis factors, evaluated once on each axis
-    and multiplied out on the rows that the configuration is evaluated on.
+    On a bounded axis the bump is sin(pi t)^3 on that box (t from 0 to 1
+    across it) and 0 outside, so it vanishes, with its first two
+    derivatives, on the faces of every sub-box of a verify
+    (``PatchGrid.box``) when ``inset`` is the coarsest margin's; on a
+    periodic axis it is sin(2 pi t).  It is a product of per-axis factors,
+    evaluated once on each axis and multiplied out on the rows that the
+    configuration is evaluated on.
     """
     rng = np.random.default_rng(seed)
     grid = c.grid
     factors = []
     for ax in range(3):
         lo, hi = grid.lo_eff[ax], grid.hi_eff[ax]
+        if not grid.periodic[ax]:
+            lo, hi = lo + inset, hi - inset
         t = (grid.axis_points(ax) - lo) / (hi - lo)
-        factors.append(np.sin(np.pi * t) if not grid.periodic[ax] else np.sin(2 * np.pi * t))
+        factors.append(np.sin(2 * np.pi * t) if grid.periodic[ax]
+                       else np.sin(np.pi * np.clip(t, 0.0, 1.0)) ** 3)
     amplitude = [eps * rng.uniform(0.5, 1.0) for _ in range(3)]
     fields, (f0, f1, f2) = c.fields, factors
 
@@ -437,16 +454,16 @@ def _validate_config(cfg: dict) -> dict:
 # The memory model of one verify, in float64 fields.  A verify holds no field
 # of the grid's size: its configuration is closed forms, evaluated slab by
 # slab.  Its peak is the larger of two working sets, each freed before the
-# next stage begins: a slab of a margin's pass and a slab of the moment
-# check's 32^3 chart grid, (20 + 24 dim) fields with the complex-step
-# partials of mu.  A slab of the pass holds about _SLAB_FIELDS fields on each
-# of its rows, each freed after its last reader.  On the first margin it
-# evaluates phi and A on up to 4 more rows on each side: the stencil checks
-# read d^A phi, F and I(phi) on the inner two of them, which hold those five,
-# 12 + 9 dim fields, and the outer two hold only phi and A (3 + 3 dim
-# fields).  The slabs of Vol(N)'s 96^3 chart grids are one row and smaller
-# than either working set.  The estimate is 1.07 to 1.43 times the traced
-# peak (tracemalloc, numpy 2.4) of all six families from n = 16 to 96.
+# next stage begins: a slab of the pass and a slab of the moment check's
+# 32^3 chart grid, (20 + 24 dim) fields with the complex-step partials of
+# mu.  A slab of the pass holds about _SLAB_FIELDS fields on each of its
+# rows, each freed after its last reader.  It evaluates phi and A on up to 4
+# more rows on each side: the stencil checks read d^A phi, F and I(phi) on
+# the inner two of them, which hold those five, 12 + 9 dim fields, and the
+# outer two hold only phi and A (3 + 3 dim fields).  The slabs of Vol(N)'s
+# 96^3 chart grids are one row and smaller than either working set.  The
+# estimate is 1.05 to 1.43 times the traced peak (tracemalloc, numpy 2.4) of
+# all six families from n = 16 to 96.
 _SLAB_FIELDS = 88
 
 
@@ -510,46 +527,32 @@ def _keep_freed_pages():
     mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
-def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
-    """Build the family at margin m, run its checks and return (row, BPSParams, Vol(N)).
-
-    The family's identity checks run in the margin's pass, on its slabs.  The
-    first margin also runs the target-level checks, computes Vol(N) and adds
-    the Bianchi and naturality checks to the pass, whose slabs then carry
-    the derivative halo; its pass runs to the end even where the metric is
-    not riemannian, since those checks and the charge-cross residual need no
-    positive definite metric.  Only the row leaves this function, so the
-    margin's configuration is freed before the next margin is built.
+def _margin_insets(grid, margins: list[float]) -> list[float]:
+    """The inset m - m_min of each margin's sub-box in ``grid``, the finest
+    margin's: the box [lo + m, hi - m] on every bounded axis, as a grid
+    built at m would mesh.  Refuses the margins that such a grid would
+    refuse (a quarter of a bounded axis or more), and (exit 2) a coarsest
+    sub-box with fewer than 5 rows inside it on a bounded axis.
     """
-    tols = cfg["tolerances"]
-    res, p = build_family(cfg, m)
-    c = res.config
-    stencil_checks = []
-    if first:
-        # Vol(N) before the pass: its quadrature is then not stacked on the
-        # pass's densities
-        vol_n = c.target.volume()
-        mom = verify_moment_conditions(c.target, n=32)
-        check("moment_def_residual", mom["def_residual"], tols["moment"])
-        if c.target.has_moment_constraint:
-            check("moment_constraint_residual", mom["constraint_residual"], tols["moment"])
-        # each is a function of a slab, so that they share the pass's slabs
-        stencil_checks = [("bianchi_residual", c.bianchi_residual)] + [
-            (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
-            for name, spec in naturality_check_specs(c.target)]
-    # Bianchi first: it reads A, which a slab drops once d^A phi and F exist
-    checks = stencil_checks + res.checks
-    bg = bound_gap(c, p, vol_n, checks, halo=first)
-    if first:
-        for name, _ in stencil_checks:
-            tol = tols["bianchi" if name == "bianchi_residual" else "naturality"]
-            check(name, bg["checks"][name], tol)
-        check("charge_density_cross", bg["charge_cross"], tols["charge_cross"])
+    dataclasses.replace(grid, margin=margins[0])  # PatchGrid's bounds on the margin
+    insets = [m - margins[-1] for m in margins]
+    try:
+        for i in range(3):
+            grid.axis_weights(i, insets[0])
+    except ResolutionError as exc:
+        raise ConfigError(f"margin {margins[0]}: {exc}") from None
+    return insets
+
+
+def _margin_row(cfg: dict, res, m: float, bg: dict, check):
+    """The report row of the margin m, from its sub-box's :func:`bound_gap`,
+    and its per-margin checks.  A row on which the metric is not riemannian
+    is NaN."""
     if not bg["riemannian"]:
         check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
         return EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
                             np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
-                            extras={"riemannian": False}, exit_code=1), p, vol_n
+                            extras={"riemannian": False}, exit_code=1)
     row = EnergyReport(
         family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
         margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],
@@ -557,16 +560,19 @@ def _verify_margin(cfg: dict, m: float, check, vol_n, first: bool):
         extras={**res.diagnostics, **bg["diagnostics"],
                 **{name: bg["checks"][name] for name, _ in res.checks}},
     )
+    tols = cfg["tolerances"]
     check(f"r1[m={m}]", bg["r1"], tols["residual"])
     check(f"r2[m={m}]", bg["r2"], tols["residual"])
     check(f"gap_rel[m={m}]", abs(bg["gap"]) / max(abs(bg["energy"]), 1e-30), tols["gap_rel"])
     check(f"decomposition[m={m}]", bg["decomposition_residual"], 1e-10)
-    return row, p, vol_n
+    return row
 
 
 def run_verify(cfg: dict) -> dict:
     """Full verification of one family: construct, check, extrapolate.
 
+    The family is built once, at the smallest margin, and one pass over that
+    grid reduces every margin's row over its sub-box (:func:`_margin_insets`).
     Returns a report dict with per-margin rows, the margin-extrapolated
     degree, a list of named checks, and the resulting exit code.
     """
@@ -575,24 +581,41 @@ def run_verify(cfg: dict) -> dict:
     tols = cfg["tolerances"]
     margins = [float(m) for m in cfg["margins"]]
     checks: list[dict] = []
-    rows: list[EnergyReport] = []
-    degs = []
 
     def check(name, value, tol, ok=None):
         ok = bool(value <= tol) if ok is None else bool(ok)
         checks.append({"name": name, "value": value, "tol": tol, "pass": ok})
         return ok
 
-    vol_n = None
-    for i, m in enumerate(margins):
-        row, p, vol_n = _verify_margin(cfg, m, check, vol_n, first=i == 0)
-        rows.append(row)
-        if row.exit_code == 0:  # a riemannian row; the verdict is set below
-            degs.append(row.degree)
+    res, p = build_family(cfg, margins[-1])
+    c = res.config
+    insets = _margin_insets(c.grid, margins)
+    # Vol(N) before the pass: its quadrature is then not stacked on the
+    # pass's densities
+    vol_n = c.target.volume()
+    mom = verify_moment_conditions(c.target, n=32)
+    check("moment_def_residual", mom["def_residual"], tols["moment"])
+    if c.target.has_moment_constraint:
+        check("moment_constraint_residual", mom["constraint_residual"], tols["moment"])
+    # each is a function of a slab, so that they share the pass's slabs;
+    # Bianchi first: it reads A, which a slab drops once d^A phi and F exist
+    stencil_checks = [("bianchi_residual", c.bianchi_residual)] + [
+        (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
+        for name, spec in naturality_check_specs(c.target)]
+    # the slabs carry the derivative halo for the stencil checks, and the
+    # pass runs to the end even where the metric is not riemannian, since
+    # those checks and the charge-cross residual need no positive definite
+    # metric; they are reported on the coarsest sub-box
+    bgs = bound_gap(c, p, vol_n, stencil_checks + res.checks, insets=insets)
+    for name, _ in stencil_checks:
+        tol = tols["bianchi" if name == "bianchi_residual" else "naturality"]
+        check(name, bgs[0]["checks"][name], tol)
+    check("charge_density_cross", bgs[0]["charge_cross"], tols["charge_cross"])
+    rows = [_margin_row(cfg, res, m, bg, check) for m, bg in zip(margins, bgs)]
 
     deg_extrap = None
-    if degs and len(degs) == len(margins):
-        deg_extrap = extrapolate_margin(margins, degs)
+    if all(row.exit_code == 0 for row in rows):  # every row riemannian
+        deg_extrap = extrapolate_margin(margins, [row.degree for row in rows])
         # the integer claim holds for the margin -> 0 limit, so it needs at
         # least two margins to extrapolate from
         if FAMILIES[cfg["family"]].integer_degree and len(margins) >= 2:

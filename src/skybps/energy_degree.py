@@ -26,7 +26,9 @@ Every number a margin reports comes out of one pointwise pass,
 the degree, the bound gap, the sup norms r1 and r2 of the two BPS equations,
 and the decomposition and charge-cross residuals.  The pass reduces each
 slab's densities to row sums and maxima before it forms the next slab, so no
-density of the grid's size is held.  The group-valued SU(2) form of the
+density of the grid's size is held.  It reduces them once for each sub-box
+of the grid it is asked for (``PatchGrid.box``), so one pass over the finest
+grid serves every margin of a verify.  The group-valued SU(2) form of the
 energy, which the tests compare against, is in ``tests/oracles.py``.
 """
 
@@ -107,8 +109,9 @@ def _pair_starred(u, sv, gslot: np.ndarray) -> np.ndarray:
 _TERMS = ("c1_dphi", "c2_sigma", "c3_nu", "c4_mu_sharp", "c5_nu_sigma", "c6_mu_sigma")
 
 
-def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) -> dict:
-    """All pointwise algebra of a configuration, one slab of rows at a time.
+def _margin_pass(c: Configuration, p: BPSParams, checks=(), insets=(0.0,)) -> list[dict]:
+    """All pointwise algebra of a configuration, one slab of rows at a time,
+    reduced over each sub-box that ``insets`` names: one dict for each.
 
     Each slab (``PatchGrid.slabs``) evaluates phi, A and g_M, which a
     :class:`Survey` checks first.  It forms d^A phi and F on its rows, takes
@@ -121,9 +124,15 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
     density and the pointwise terms of the orthogonality and contraction
     checks.  Each slab reduces them before the next is formed: the energy
     terms and the charge density to row sums (``PatchGrid.row_sums``), whose
-    sums are their integrals over M, and the rest to maxima (``_slab_pass``),
-    which combine over the slabs by max.  So no field of the grid's size is
-    held, and every value is that of one full-grid pass.
+    sums are their integrals, and the rest to maxima (``_slab_pass``), which
+    combine over the slabs by max.  So no field of the grid's size is held,
+    and every value is that of one full-grid pass.
+
+    A sub-box is the box that the coordinate ``inset`` more margin leaves
+    at every bounded face (``PatchGrid.box``); inset 0 is the whole grid.
+    Each sub-box's row sums use its own quadrature weights, and its maxima
+    read its points alone, so a value at a point outside it does not enter
+    them.
 
     An energy term or a summand of the second BPS equation whose coefficient
     is exactly 0 is not formed: the term's integral is orientation * 0.0,
@@ -132,64 +141,75 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), halo: bool = False) 
     has the other sign only where every one of its products is -0).
 
     ``checks`` are (name, fn) pairs that read the same slabs before the pass
-    does: fn(slab) is the check's value on the slab's rows, and their maxima
-    over the slabs are returned under "checks".  With ``halo`` the slab's
+    does: fn(slab) is the check's residual at each point of the slab's rows,
+    and its maxima over each sub-box are returned under "checks".  A slab's
     fields are formed on its derivative halo, for the stencil checks
     (Bianchi, naturality) that differentiate them.
 
     Once the slabs read so far fail the survey, the rest are only surveyed,
-    and the survey's error is raised after the last.  "riemannian" and the
-    configuration's "diagnostics" are always returned.  A metric that is not
-    riemannian leaves no energy to report, so a pass without ``halo`` only
-    surveys the slabs from the first such slab on and returns nothing else;
-    a pass with ``halo`` serves the stencil checks and the charge-cross
-    residual, which need no positive definite metric, and runs to the end.
+    and the survey's error is raised after the last.  A sub-box on which the
+    metric is not riemannian still gets every value: the stencil checks and
+    the charge-cross residual need no positive definite metric, and its
+    "riemannian" flag tells the caller that its energy means nothing.
     """
     grid = c.grid
-    survey = Survey(c)
-    sums = {k: np.zeros(grid.n[0]) for k in _TERMS + ("charge",)}
+    survey = Survey(c, insets)
+    sums = {k: np.zeros((len(insets), grid.n[0])) for k in _TERMS + ("charge",)}
     sups = {}
-    found = {name: [] for name, _ in checks}
+    found = {name: np.zeros(len(insets)) for name, _ in checks}
     for sl in grid.slabs():
-        slab = c.slab(sl, halo)
+        slab = c.slab(sl)
         survey.read(slab)
-        if survey.failed or not (halo or survey.riemannian):
+        if survey.failed:
             continue
+        at = [grid.in_box(sl, d) for d in insets]
+
+        def peak(a):  # the maximum over each sub-box's points on the slab
+            return np.array([np.max(a[i]) if i is not None else 0.0 for i in at])
+
         for name, check in checks:
-            found[name].append(check(slab))
-        dens, sup = _slab_pass(c, p, slab)
+            found[name] = np.maximum(found[name], peak(check(slab)))
+        dens, sup = _slab_pass(c, p, slab, peak)
         del slab  # and its star, before the row sums
         for key, v in dens.items():
-            sums[key][sl] = grid.row_sums(v, sl)
+            for i, (d, box) in enumerate(zip(insets, at)):
+                if box is not None:
+                    rows = slice(sl.start + box[1].start, sl.start + box[1].stop)
+                    sums[key][i, rows] = grid.row_sums(v, sl, d)
         for key, v in sup.items():
-            sups.setdefault(key, []).append(v)
+            sups[key] = np.maximum(sups.get(key, np.zeros(len(insets))), v)
         del dens  # before the next slab's fields are formed
     survey.close()
-    out = {"riemannian": survey.riemannian, "diagnostics": survey.diagnostics}
-    if not (halo or survey.riemannian):
-        return out
-    done = {k: float(np.max(v)) for k, v in sups.items()}
-    done["charge_cross"] /= max(done.pop("charge_max"), 1.0)
-    integral = {k: c.orientation * float(np.sum(v)) for k, v in sums.items()}
-    return {"terms": {k: integral[k] for k in _TERMS}, "charge": integral["charge"],
-            "checks": {name: max(v) for name, v in found.items()}, **done, **out}
+    out = []
+    for i, d in enumerate(insets):
+        done = {key: float(v[i]) for key, v in sups.items()}
+        done["charge_cross"] /= max(done.pop("charge_max"), 1.0)
+        rows = grid.box(d)[0]
+        integral = {key: c.orientation * float(np.sum(v[i, rows])) for key, v in sums.items()}
+        out.append({"terms": {key: integral[key] for key in _TERMS},
+                    "charge": integral["charge"],
+                    "checks": {name: float(v[i]) for name, v in found.items()}, **done,
+                    "riemannian": survey.riemannian[i], "diagnostics": survey.diagnostics[i]})
+    return out
 
 
-def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
+def _slab_pass(c: Configuration, p: BPSParams, slab: Slab, peak) -> tuple[dict, dict]:
     """The pass on one slab's rows: its integrands (the charge density and
     the energy terms with a nonzero coefficient) and its maxima, each by name.
 
-    Each slab-size field is dropped after its last reader, and all of them
-    on return (the star with the slab, which the caller drops), so that a
-    grid of one slab (n <= 24) holds few of them at once.
+    ``peak`` reduces a nonnegative field of the slab's rows to its maxima,
+    one for each sub-box (see ``_margin_pass``).  Each slab-size field is dropped after its last
+    reader, and all of them on return (the star with the slab, which the
+    caller drops), so that a grid of one slab (n <= 24) holds few of them at
+    once.
     """
     t = c.target
     y, P, F, kil = slab.take()
     sup = {}
     gN, mu = t.metric_fn(y), t.mu_fn(y)
     del y
-    sup["asym"] = _contraction_asymmetry(kil, mu)
-    sup["mu_max"] = float(np.max(np.abs(mu)))
+    sup["asym"] = _contraction_asymmetry(kil, mu, peak)
+    sup["mu_max"] = peak(np.abs(mu))
     star = slab.star  # and g_M freed
     # (p, q): Sig (0, 2), nu and mus (1, 0), V_N (0, 3), mu (1, 1), formed
     # so that I(phi), mu, F, g_N^-1 and det g_N are each freed after their
@@ -233,7 +253,9 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     s_op = star.on_2(mus)
     pair_term("c4_mu_sharp", mus, s_op)
     if t.has_moment_constraint:
-        sup["ortho"] = float(np.max(np.abs(_pair_starred(nu, s_op, gN))))
+        ortho = _pair_starred(nu, s_op, gN)
+        sup["ortho"] = peak(np.abs(ortho, out=ortho))
+        del ortho
     del s_op
 
     # the second BPS side alpha Sig + beta mus + gamma nu, summed in that
@@ -252,7 +274,7 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
         for k, x in rest:
             second += k * x
         del summands, rest, x
-        sup["r2"] = float(np.max(np.abs(second)))
+        sup["r2"] = peak(np.abs(second))
         square = _pair(second, second, 2, star, gN)
         del second
 
@@ -264,7 +286,7 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     cross = _pair(star_dphi, b, 2, star, gN)
     diff = star_dphi - b
     del b, star_dphi
-    sup["r1"] = float(np.max(np.abs(diff)))
+    sup["r1"] = peak(np.abs(diff))
     bogomolny = _pair(diff, diff, 2, star, gN)
     del diff
     if square is not None:
@@ -280,13 +302,13 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
     six = first.copy()
     for term in rest:
         six += term
-    sup["six_max"] = float(np.max(np.abs(six)))
+    sup["six_max"] = peak(np.abs(six))
     np.subtract(bogomolny, six, out=six)
-    sup["decomposition"] = float(np.max(np.abs(six, out=six)))
-    sup["charge_max"] = float(np.max(np.abs(out["charge"])))
+    sup["decomposition"] = peak(np.abs(six, out=six))
+    sup["charge_max"] = peak(np.abs(out["charge"]))
     cross /= 3.0
     np.subtract(out["charge"], cross, out=cross)
-    sup["charge_cross"] = float(np.max(np.abs(cross, out=cross)))
+    sup["charge_cross"] = peak(np.abs(cross, out=cross))
     return out, sup
 
 
@@ -299,8 +321,9 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab) -> tuple[dict, dict]:
 _CONSTRAINT_TOL = 1e-8
 
 
-def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray) -> float:
-    """max |(q_ab + q_ba) / 2| over slot pairs a <= b, q_ab = sum_m I_a^m mu_{b;m}."""
+def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray, peak):
+    """max |(q_ab + q_ba) / 2| over slot pairs a <= b, q_ab = sum_m I_a^m mu_{b;m},
+    and over the points that ``peak`` reduces (see ``_slab_pass``)."""
     sp = kil.shape[2:]
     dt = np.result_type(kil, mu)
     sym, tmp = np.empty(sp, dt), np.empty(sp, dt)
@@ -312,7 +335,7 @@ def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray) -> float:
                 for x, y in ((a, b), (b, a)):
                     np.multiply(kil[x, m], mu[y, m], out=tmp)
                     sym += tmp
-            worst = max(worst, 0.5 * float(np.max(np.abs(sym, out=sym))))
+            worst = np.maximum(worst, 0.5 * peak(np.abs(sym, out=sym)))
     return worst
 
 
@@ -337,22 +360,28 @@ def general_bound_coefficient(p: BPSParams) -> float | None:
 
 
 def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=(),
-              halo: bool = False) -> dict:
+              insets=(0.0,)) -> list[dict]:
     """Energy, degree and E - 6 Vol(N) |deg| of one pass, with its residuals,
     the configuration's diagnostics and the values of the ``checks`` run in
-    it (see ``_margin_pass``).
+    it, for each sub-box that ``insets`` names (see ``_margin_pass``): one dict
+    for each.
 
-    A configuration whose metric is not riemannian has no energy to bound:
-    its result is the pass's, with "riemannian" false.  Otherwise raises
-    MomentConditionFailed if nu-hat and mu-sharp-hat are not pointwise
-    orthogonal (for targets with a valid moment map), then if the moment map
-    violates the contraction constraint, which leaves the degree undefined.
-    The decomposition residual compares the Bogomolny density (see
-    ``_margin_pass``) with the six-term density pointwise; the two agree given
-    the coefficient map and that orthogonality.  The degree is the quadrature
-    over this (margined) patch; callers extrapolate over margins.
+    A sub-box on which the metric is not riemannian has no energy to bound:
+    its result is the pass's, with "riemannian" false.  For each other
+    sub-box, in turn, raises MomentConditionFailed if nu-hat and
+    mu-sharp-hat are not pointwise orthogonal on it (for targets with a
+    valid moment map), then if the moment map violates the contraction
+    constraint, which leaves the degree undefined.  The decomposition
+    residual compares the Bogomolny density (see ``_margin_pass``) with the
+    six-term density pointwise; the two agree given the coefficient map and
+    that orthogonality.  The degree is the quadrature over the (margined)
+    sub-box; callers extrapolate over margins.
     """
-    done = _margin_pass(c, p, checks, halo)
+    return [_bound(done, vol_n) for done in _margin_pass(c, p, checks=checks, insets=insets)]
+
+
+def _bound(done: dict, vol_n: float) -> dict:
+    """:func:`bound_gap` of one sub-box, from its pass values."""
     if not done["riemannian"]:
         return done
     scale = max(done["six_max"], 1.0)

@@ -48,6 +48,10 @@ def assert_finite(values: np.ndarray, what: str = "field") -> np.ndarray:
 # metrics and star maps
 # ---------------------------------------------------------------------------
 
+# each Cholesky pivot of a positive definite metric exceeds this many ulps of
+# max |g_ij| at the point
+_MINOR_ULPS = 256
+
 
 def _cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i] = (a x b)[i] for (3, *spatial) component fields."""
@@ -104,7 +108,6 @@ class Metric3:
     """
 
     g: np.ndarray
-    riemannian: bool = field(init=False)
     _det: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -125,13 +128,25 @@ class Metric3:
         self.g = g
         self._det = mat_det(self.g)
         self._det.flags.writeable = False
-        self.riemannian = bool(np.all(self.riemannian_mask()))
+
+    @property
+    def riemannian(self) -> bool:
+        return bool(np.all(self.riemannian_mask()))
 
     def riemannian_mask(self) -> np.ndarray:
+        """Where g is positive definite: its pivots m1, m2/m1 and det/m2,
+        from the leading minors m1, m2 and det (Sylvester), exceed
+        ``_MINOR_ULPS`` ulps of max |g_ij| at the point.  A pivot that is
+        zero up to rounding, as that of a metric which degenerates in exact
+        arithmetic is, does not pass."""
         g = self.g
+        tol = np.abs(g[0, 0])
+        for i, j in ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            tol = np.maximum(tol, np.abs(g[i, j]))
+        tol *= _MINOR_ULPS * np.finfo(float).eps
         m1 = g[0, 0]
         m2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        return (m1 > 0) & (m2 > 0) & (self._det > 0)
+        return (m1 > tol) & (m2 > tol * m1) & (self._det > tol * m2)
 
     def det(self) -> np.ndarray:
         return self._det

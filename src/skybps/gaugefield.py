@@ -11,11 +11,13 @@ its closed forms on a range of rows of the first axis, and a verify
 evaluates them one slab at a time (:meth:`Configuration.slab`): phi and A on
 the rows around the slab that its stencils read (``PatchGrid.halo``), g_M on
 the slab's rows.  d phi, d^A phi and F are formed there, the Bianchi and
-naturality residuals are those of one slab, which the margin's pass combines
-by max, and the checks that a field held on the whole grid would have had on
-construction (finiteness, the target chart, the family's own bounds) are
-folded over the slabs by a :class:`Survey`.  On a grid of one slab the rows
-are the whole grid and no halo is read.
+naturality residuals are pointwise on the slab's rows, and the pass takes
+their maxima over each sub-box of the grid (``PatchGrid.box``).  The checks
+that a field held on the whole grid would have had on construction
+(finiteness, the target chart, the family's own bounds) are folded over the
+slabs by a :class:`Survey`, and so are the family's diagnostics and whether
+g_M is riemannian on each sub-box.  On a grid of one slab the rows are the
+whole grid and no halo is read.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ class Configuration:
     Each call returns fresh arrays that the caller owns.  orientation: sign
     of the coordinate frame dx^0 ^ dx^1 ^ dx^2 against the orientation of M.
 
-    ``diagnostics`` are (name, fn, combine): fn(rows) is a scalar of the
-    family on rows, and ``combine`` (max or min) folds the slabs' values into
-    the grid's.  ``guard`` maps those grid values to the error that makes
-    the configuration invalid, or None.  A name that starts with an
-    underscore is folded for the guard only and not reported.
+    ``diagnostics`` are (name, fn, combine): fn(rows) is a pointwise field
+    of the family on rows (broadcast to their points), and ``combine``
+    (``np.maximum`` or ``np.minimum``) reduces it over the points of the
+    grid or of a sub-box.  ``guard`` maps the whole grid's values to the
+    error that makes the configuration invalid, or None.  A name that
+    starts with an underscore is folded for the guard only and not reported.
     """
 
     grid: PatchGrid
@@ -64,20 +67,21 @@ class Configuration:
         if self.phi_winding is None:
             self.phi_winding = np.zeros((3, 3))
 
-    def slab(self, rows: slice, halo: bool = False) -> Slab:
-        """The fields of one slab, evaluated when first read (see :class:`Slab`)."""
-        return Slab(self, rows, self.grid.halo(rows) if halo else rows)
+    def slab(self, rows: slice) -> Slab:
+        """The fields of one slab, with its derivative halo as the window,
+        evaluated when first read (see :class:`Slab`)."""
+        return Slab(self, rows, self.grid.halo(rows))
 
-    def bianchi_residual(self, slab: Slab) -> float:
-        """max |dF^a + f^a_bc A^b ^ F^c| (3-form coefficient, per algebra slot)
-        on one slab's rows, from F on its halo."""
+    def bianchi_residual(self, slab: Slab) -> np.ndarray:
+        """|dF^a + f^a_bc A^b ^ F^c| (3-form coefficient, per algebra slot)
+        at each point of one slab's rows, from F on its halo."""
         F, rows = slab.F, slab.rows
         div = sum(slab_derivative(F[:, m], m, self.grid, rows) for m in range(3))
         A, F = slab.inner("A"), slab.inner("F")
         f = self.target.algebra.f
         for a, b, c in zip(*np.nonzero(f)):
             div[a] += f[a, b, c] * _dot(A[b], F[c])
-        return float(np.max(np.abs(div)))
+        return np.abs(div, out=div)
 
 
 @dataclass
@@ -86,15 +90,17 @@ class Slab:
     ``rows``, d^A phi, F and I(phi) there, g_M and the base star on the
     slab's rows.
 
-    A slab read by a stencil check has the derivative halo as its window
-    (``PatchGrid.halo``); otherwise the window is the slab's own rows.  Each
-    field is formed on first read: phi and A once, on the halo of the
-    window, which d^A phi and F on the window read.  Each is then held on
-    the rows that its remaining readers need, and copied out of the rows it
-    had as soon as they need fewer (see :meth:`_form`).  The stencil checks
-    read phi, d^A phi and F on the window (``phi``, ``P``, ``F``) and every
-    field on the slab's rows (:meth:`inner`).  g_M is dropped once the star
-    is built from it, and :meth:`take` hands the rest over.
+    The window is the slab's derivative halo (``PatchGrid.halo``), which
+    the stencil checks differentiate.  Each field is formed on first read:
+    phi and A on the halo of the window; d^A phi, F and I(phi) on the
+    window once a field has been read there (``phi``, ``P``, ``F``, which
+    the stencil checks read, the Bianchi check first), else on the slab's
+    rows (:meth:`inner`, :meth:`take`), so that a pass without stencil
+    checks forms them on the slab's rows alone.  Each is then held on the
+    rows that its remaining readers need, and copied out of the rows it had
+    as soon as they need fewer (see :meth:`_form`); a field held on fewer
+    rows than a later reader asks for is formed again.  g_M is dropped once
+    the star is built from it, and :meth:`take` hands the rest over.
     """
 
     config: Configuration
@@ -104,21 +110,28 @@ class Slab:
     def __post_init__(self):
         # name -> (the field, the rows of the first axis it is held on)
         self._held: dict[str, tuple[np.ndarray, slice]] = {}
+        # the rows d^A phi, F and I(phi) are formed on: the window once a
+        # field has been read there
+        self._ext = self.rows
 
     @property
     def phi(self) -> np.ndarray:
-        return self._on("phi", self.window)
+        return self._wide("phi")
 
     @property
     def P(self) -> np.ndarray:
         """d^A phi^mu = d phi^mu - A^a I_a^mu(phi) on the window; shape
         (3 target, 3 form, *window)."""
-        return self._on("P", self.window)
+        return self._wide("P")
 
     @property
     def F(self) -> np.ndarray:
         """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c on the window, dual storage."""
-        return self._on("F", self.window)
+        return self._wide("F")
+
+    def _wide(self, name: str) -> np.ndarray:
+        self._ext = self.window
+        return self._on(name, self.window)
 
     def inner(self, name: str) -> np.ndarray:
         """The field ``name`` (phi, A, P, F or kil, for I(phi)) on the slab's
@@ -130,7 +143,7 @@ class Slab:
         copied out of a field held on more rows, and the slab keeps none of
         them, so each is freed with the caller's last use."""
         for name in ("F", "P"):  # F first, so that A's halo is freed before d^A phi
-            self._field(name)
+            self._field(name, self.rows)
         out = []
         for name in ("phi", "P", "F", "kil"):
             out.append(_copy_rows(*self._held.pop(name), self.rows))
@@ -138,10 +151,15 @@ class Slab:
         return tuple(out)
 
     def _on(self, name: str, rows: slice) -> np.ndarray:
-        values, held = self._field(name)
+        values, held = self._field(name, rows)
         return _cut(values, held, rows)
 
-    def _field(self, name: str) -> tuple[np.ndarray, slice]:
+    def _field(self, name: str, rows: slice) -> tuple[np.ndarray, slice]:
+        """The field ``name`` and the rows it is held on, which hold
+        ``rows``."""
+        held = self._held.get(name)
+        if held is not None and not _holds(held[1], rows, self.config.grid.n[0]):
+            del self._held[name]
         if name not in self._held:
             c = self.config
             if name in ("phi", "A"):  # the one not held yet, or both
@@ -149,30 +167,31 @@ class Slab:
                 for key, values in zip(("phi", "A"), c.fields(halo)):
                     self._held.setdefault(key, (values, halo))
             else:
-                self._held[name] = (self._form(name), self.window)
+                self._held[name] = (self._form(name, self._ext), self._ext)
         return self._held[name]
 
-    def _form(self, name: str) -> np.ndarray:
-        """A window field.  phi, A and I(phi) are cut down as soon as the
-        rows they are held on have no reader left: A to the window once F
-        exists, phi to the window and I(phi) to the slab's rows once d^A phi
-        exists.  Once both exist, A is read only by the Bianchi check, which
-        a verify runs before the checks that form d^A phi, so it is dropped;
-        a later read evaluates it again."""
-        c, window = self.config, self.window
-        halo = c.grid.halo(window)
+    def _form(self, name: str, ext: slice) -> np.ndarray:
+        """A derived field on the rows ``ext``, the window or the slab's
+        rows.  phi, A and I(phi) are cut down as soon as the rows they are
+        held on have no reader left: A to ``ext`` once F exists, phi to
+        ``ext`` and I(phi) to the slab's rows once d^A phi exists.  Once
+        both exist, A is read only by the Bianchi check, which a verify runs
+        before the checks that form d^A phi, so it is dropped; a later read
+        evaluates it again."""
+        c = self.config
+        halo = c.grid.halo(ext)
         if name == "kil":
-            return c.target.killing_fn(self._on("phi", window))
+            return c.target.killing_fn(self._on("phi", ext))
         if name == "F":
-            F = _curvature(self._on("A", halo), c.target.algebra.f, c.grid, window)
+            F = _curvature(self._on("A", halo), c.target.algebra.f, c.grid, ext)
             if "P" in self._held:
                 del self._held["A"]
             else:
-                self._keep("A", window)
+                self._keep("A", ext)
             return assert_finite(F, "curvature")
-        P = _dphi(c, self._on("phi", halo), window)
-        self._keep("phi", window)
-        kil, A = self._on("kil", window), self._on("A", window)
+        P = _dphi(c, self._on("phi", halo), ext)
+        self._keep("phi", ext)
+        kil, A = self._on("kil", ext), self._on("A", ext)
         for m in range(3):  # one form component of A^a I_a(phi) at a time
             P[:, m] -= _slot_contract(kil, A[:, m:m + 1])[:, 0]
         del kil, A
@@ -207,6 +226,12 @@ def _cut(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
     return _take_rows(values, slice(a, a + rows.stop - rows.start), values.shape[-3])
 
 
+def _holds(held: slice, rows: slice, n: int) -> bool:
+    """Whether a field held on the rows ``held`` of an axis of n points
+    holds ``rows``: the whole axis holds any rows, which may wrap."""
+    return held.stop - held.start >= n or held.start <= rows.start and rows.stop <= held.stop
+
+
 def _copy_rows(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
     """:func:`_cut` as an array of its own, so that ``values`` can be freed."""
     return values if rows == held else _cut(values, held, rows).copy()
@@ -237,28 +262,32 @@ def _dphi(c: Configuration, phi: np.ndarray, rows: slice) -> np.ndarray:
 
 class Survey:
     """The checks of a configuration that read every grid point, folded over
-    its slabs in the order the margin's pass reads them.
+    its slabs in the order the pass reads them.
 
     :meth:`read` takes a slab's phi and A on its rows, its g_M and its
     diagnostics.  It keeps whether phi and A are finite, the extrema of each
-    bounded target-chart component of phi, whether g_M is riemannian and the
-    combined diagnostics.  ``failed`` is set once the slabs read so far
-    already fail a check; :meth:`close` raises, after the last slab, the
-    error that the whole grid fails first: the family's guard, then
-    non-finite phi, non-finite A, then phi leaving the chart, whose message
-    quotes the grid's extrema.
+    bounded target-chart component of phi and the combined diagnostics of
+    the whole grid, and, for each sub-box that ``insets`` names
+    (``PatchGrid.box``), whether g_M is riemannian on it and its combined
+    diagnostics.  ``failed`` is set once the slabs read so far already fail
+    a check; :meth:`close` raises, after the last slab, the error that the
+    whole grid fails first: the family's guard, then non-finite phi,
+    non-finite A, then phi leaving the chart, whose message quotes the
+    grid's extrema.
     """
 
-    def __init__(self, config: Configuration):
+    def __init__(self, config: Configuration, insets):
         self.config = config
-        self.riemannian = True
+        self.insets = tuple(insets)
+        self.riemannian = [True] * len(self.insets)
         self.values: dict[str, float] = {}
+        self._box_values: list[dict[str, float]] = [{} for _ in self.insets]
         self._finite = {"phi": True, "A": True}
         self._extrema: dict[int, list[float]] = {}
         self.failed = False
 
     def read(self, slab: Slab):
-        c = self.config
+        c, rows = self.config, slab.rows
         phi = slab.inner("phi")
         for name, values in (("phi", phi), ("A", slab.inner("A"))):
             self._finite[name] = self._finite[name] and bool(np.all(np.isfinite(values)))
@@ -268,16 +297,25 @@ class Survey:
                     lo, hi = float(phi[mu].min()), float(phi[mu].max())
                     old = self._extrema.setdefault(mu, [lo, hi])
                     old[:] = [min(old[0], lo), max(old[1], hi)]
+        boxes = [(c.grid.in_box(rows, d), vals) for d, vals in zip(self.insets, self._box_values)]
+        points = (rows.stop - rows.start,) + c.grid.n[1:]
         for name, fn, combine in c.diagnostics:
-            v = fn(slab.rows)
-            self.values[name] = combine(self.values[name], v) if name in self.values else v
-        self.riemannian = self.riemannian and slab.gM.riemannian
+            v = np.broadcast_to(fn(rows), points)
+            for at, vals in [((...,), self.values)] + boxes:
+                if at is not None:
+                    x = float(combine.reduce(v[at], axis=None))
+                    vals[name] = float(combine(vals[name], x)) if name in vals else x
+        mask = slab.gM.riemannian_mask()
+        self.riemannian = [ok and (at is None or bool(np.all(mask[at])))
+                           for ok, (at, _) in zip(self.riemannian, boxes)]
         self.failed = not all(self._finite.values()) or self._chart_exit() is not None
 
     @property
-    def diagnostics(self) -> dict[str, float]:
-        """The configuration's reported diagnostics over the slabs read."""
-        return {k: v for k, v in self.values.items() if not k.startswith("_")}
+    def diagnostics(self) -> list[dict[str, float]]:
+        """The configuration's reported diagnostics over the slabs read, one
+        dict for each sub-box."""
+        return [{k: v for k, v in vals.items() if not k.startswith("_")}
+                for vals in self._box_values]
 
     def _chart_exit(self) -> ChartExit | None:
         target = self.config.target
@@ -441,12 +479,13 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
-                                 slab: Slab) -> float:
-    """max-norm of phi^{*A}(d_g beta) - d(phi^{*A} beta) on one slab's rows.
+                                 slab: Slab) -> np.ndarray:
+    """|phi^{*A}(d_g beta) - d(phi^{*A} beta)| at each point of one slab's
+    rows, per form component.
 
     d_g beta(X) = d(beta(X)) - iota_{nu(X)} beta(X): the first part raises q,
     the second raises p.  For p >= 1 or 2p + q >= 3 both sides are forms of
-    degree > 3 and the residual vanishes structurally (returns 0).  The
+    degree > 3 and the residual vanishes structurally (returns zeros).  The
     meaningful cases on a 3-manifold are invariant (p = 0) forms of degree
     1 or 2; target-side coefficient derivatives are exact (complex step), the
     outer differential uses the 4th-order grid stencils, so the slab's
@@ -454,9 +493,9 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     after its last reader.
     """
     p, q = spec.p, spec.q
-    if p >= 1 or 2 * p + q >= 3:
-        return 0.0
     grid, rows = c.grid, slab.rows
+    if p >= 1 or 2 * p + q >= 3:
+        return np.zeros((rows.stop - rows.start,) + grid.n[1:])
 
     # d^A phi is formed first, so that phi's halo rows are freed before the
     # target side is evaluated; the window fields are read last, by the
@@ -499,7 +538,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
         rhs = sum(slab_derivative(pb[m], m, grid, rows) for m in range(3))
         del pb
     lhs -= rhs
-    return float(np.max(np.abs(lhs)))
+    return np.abs(lhs, out=lhs)
 
 
 def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, EquivariantFormSpec]]:

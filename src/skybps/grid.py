@@ -15,6 +15,13 @@ gives, row for row, the bits of the full-grid derivative
 the quadrature is a sum of row sums (:meth:`PatchGrid.row_sums`), and a row's
 sum does not depend on the slab that holds the row.
 
+A sub-box is the box that a coordinate ``inset`` more margin leaves at every
+bounded face.  It has the grid's steps, and its own quadrature weights
+(:meth:`PatchGrid.axis_weights`), which integrate over exactly that box: a
+face between two rows is integrated over its part cell by the cubic through
+the 4 nearest rows, which the sub-box's points (:meth:`PatchGrid.box`) then
+include.  So one grid integrates a field over several margins at once.
+
 Quantities that depend on the excluded margin slabs (volumes, degrees) are
 recovered by power-law Richardson extrapolation over a decreasing sequence of
 margins, see :func:`extrapolate_margin`.
@@ -22,6 +29,7 @@ margins, see :func:`extrapolate_margin`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +40,12 @@ from .errors import BoundsError, GridMismatch, ResolutionError
 # boundary (forward form; the backward form is the reversed negation).
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# the Lagrange basis of the rows at -1, 0, 1, 2, one row of coefficients of
+# 1, x, x^2 and x^3 each
+_CUBIC_BASIS = np.array([[0.0, -2.0, 3.0, -1.0],
+                         [6.0, -3.0, -6.0, 3.0],
+                         [0.0, 6.0, 3.0, -3.0],
+                         [0.0, -1.0, 0.0, 1.0]]) / 6.0
 # successive extrapolation inputs closer than this count as converged
 _MIN_SIGNAL = 1e-9
 # Pointwise algebra runs in slabs of the first axis holding at most this many
@@ -138,41 +152,115 @@ class PatchGrid:
         out[2] = self.axis_points(2)
         return out
 
-    def axis_weights(self, i: int) -> np.ndarray:
-        """Composite quadrature weights along axis i; they sum to the axis length."""
+    def inset_rows(self, i: int, inset: float = 0.0) -> tuple[int, float]:
+        """(k, s) for the sub-box ``inset`` on axis i: it reads the points k
+        rows in from each face, and its face lies s steps (0 <= s < 1)
+        outside the next row in.  s is 0 where the inset falls on a row
+        (to 1e-9 of a step), and k is 0 on a periodic axis."""
+        if self.periodic[i]:
+            return 0, 0.0
+        t = inset / self.h[i]
+        if abs(t - round(t)) <= 1e-9 * max(1.0, t):
+            return round(t), 0.0
+        k = math.floor(t)
+        return k, k + 1 - t
+
+    def box(self, inset: float = 0.0) -> tuple[slice, slice, slice]:
+        """Index ranges of the points that the sub-box ``inset`` reads: all
+        of a periodic axis; inset 0 is the whole grid."""
+        return tuple(slice(k, n - k)
+                     for n, (k, _) in zip(self.n, (self.inset_rows(i, inset) for i in range(3))))
+
+    def in_box(self, rows: slice, inset: float = 0.0) -> tuple | None:
+        """The index of the sub-box ``inset`` in a field on ``rows`` of the
+        first axis (within [0, n)): (..., its rows counted from rows.start,
+        the axis-1 range, the axis-2 range); None when no row of ``rows``
+        lies in it."""
+        b0, b1, b2 = self.box(inset)
+        lo, hi = max(rows.start, b0.start), min(rows.stop, b0.stop)
+        if lo >= hi:
+            return None
+        return (Ellipsis, slice(lo - rows.start, hi - rows.start), b1, b2)
+
+    def axis_weights(self, i: int, inset: float = 0.0) -> np.ndarray:
+        """Quadrature weights along axis i on the points of the sub-box
+        ``inset`` (:meth:`box`); they sum to the length it spans.
+
+        A face that falls s steps outside a row is integrated over its part
+        cell by the cubic through the 4 rows nearest it, and the rows from
+        the next one in by the composite rule, which on the whole axis is
+        Simpson's, with the 3/8 rule on the last 3 intervals where the
+        number of points is even.
+        """
         n, h = self.n[i], self.h[i]
         if self.periodic[i]:
             return np.full(n, h)
+        k, s = self.inset_rows(i, inset)
+        n -= 2 * k
+        if n - (2 if s else 0) < 5:
+            raise ResolutionError(f"axis {i}: the sub-box of inset {inset} keeps "
+                                  f"{n - (2 if s else 0)} rows inside it; it needs 5")
+        if not s:
+            return _composite_weights(n, h)
         w = np.zeros(n)
-        if n % 2 == 1:
-            w[0] = w[-1] = 1.0
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            w *= h / 3.0
-        else:
-            # composite Simpson on the first n-4 intervals, 3/8 rule on the last 3
-            m = n - 3
-            w[0] = w[m - 1] = 1.0
-            w[1 : m - 1 : 2] = 4.0
-            w[2 : m - 1 : 2] = 2.0
-            w[: m] *= h / 3.0
-            w[m - 1 :] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+        w[1:-1] = _composite_weights(n - 2, h)
+        cell = _part_cell_weights(s) * h
+        w[:4] += cell
+        w[-4:] += cell[::-1]
         return w
 
-    def weights(self, rows: slice = slice(None)) -> np.ndarray:
-        """Tensor-product quadrature weights on ``rows`` of the first axis
-        (all by default); built afresh on each call."""
-        w0, w1, w2 = (self.axis_weights(i) for i in range(3))
+    def weights(self, rows: slice = slice(None), inset: float = 0.0) -> np.ndarray:
+        """Tensor-product quadrature weights of the sub-box ``inset`` on its
+        ``rows`` of the first axis, counted from its first row (all by
+        default); built afresh on each call."""
+        w0, w1, w2 = (self.axis_weights(i, inset) for i in range(3))
         return w0[rows, None, None] * w1[None, :, None] * w2[None, None, :]
 
-    def row_sums(self, f: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Quadrature sum of each row of the first axis of ``f``, the field on
-        ``rows``: the one quadrature rule of the patch.
+    def row_sums(self, f: np.ndarray, rows: slice = slice(None),
+                 inset: float = 0.0) -> np.ndarray:
+        """Quadrature sum over the sub-box ``inset`` of each row of the first
+        axis of ``f``, the field on ``rows``, that lies in the sub-box: the
+        one quadrature rule of the patch.
 
-        A row's sum reads that row alone, so the sums of any partition of the
-        rows into slabs are, row for row, the full grid's.
+        A row's sum reads that row's points in the sub-box alone, so the sums
+        of any partition of the rows into slabs are, row for row, the full
+        grid's, and a point outside the sub-box does not enter them.
         """
-        return np.sum(f * self.weights(rows), axis=(1, 2))
+        rows = slice(*rows.indices(self.n[0])[:2])
+        at = self.in_box(rows, inset)
+        if at is None:
+            return np.zeros(0)
+        first = rows.start + at[1].start - self.box(inset)[0].start
+        w = self.weights(slice(first, first + at[1].stop - at[1].start), inset)
+        return np.sum(f[at] * w, axis=(1, 2))
+
+
+def _composite_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on n points of step h, with the 3/8 rule on
+    the last 3 intervals where n is even."""
+    w = np.zeros(n)
+    if n % 2 == 1:
+        w[0] = w[-1] = 1.0
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= h / 3.0
+    else:
+        # composite Simpson on the first n-4 intervals, 3/8 rule on the last 3
+        m = n - 3
+        w[0] = w[m - 1] = 1.0
+        w[1 : m - 1 : 2] = 4.0
+        w[2 : m - 1 : 2] = 2.0
+        w[: m] *= h / 3.0
+        w[m - 1 :] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+    return w
+
+
+def _part_cell_weights(s: float) -> np.ndarray:
+    """Weights, in steps, of the rows at -1, 0, 1, 2 that integrate their
+    cubic interpolant over [-s, 0]: the Lagrange basis of those rows, as
+    coefficients of 1, x, x^2 and x^3, against the moments of [-s, 0]."""
+    moments = np.array([s, -s**2 / 2.0, s**3 / 3.0, -s**4 / 4.0])
+    return _CUBIC_BASIS @ moments
 
 
 def slab_rows(row_points: int) -> int:
@@ -206,9 +294,9 @@ def slab_derivative(window: np.ndarray, axis: int, grid: PatchGrid, rows: slice)
 
     Along axes 1 and 2 only the slab's own rows are differentiated, and
     ``window`` may hold those rows alone.  Along axis 0 the central stencil
-    reads the halo; a slab at a bounded face differentiates its whole
-    window, which holds the 5 rows that the one-sided stencils read, and
-    drops the halo rows.
+    reads the halo, and a slab at a bounded face reads the 5 face rows of
+    its window with the one-sided stencils; only the slab's rows are
+    formed.  A halo that covers a periodic axis is differentiated whole.
     """
     win = grid.halo(rows)
     if win == rows:  # the whole grid: one slab reads no halo
@@ -224,11 +312,38 @@ def slab_derivative(window: np.ndarray, axis: int, grid: PatchGrid, rows: slice)
     a, b = rows.start - win.start, rows.stop - win.start
     if axis != 0:
         return _derivative(_take_rows(window, slice(a, b), window.shape[-3]), axis, h, periodic)
-    if a >= 2 and b + 2 <= window.shape[-3]:
-        # every output row has two window rows on each side: the central
-        # stencil, in the order partial_derivative sums it
-        return _central(lambda i: window[..., a + i:b + i, :, :], h)
-    return _take_rows(_derivative(window, 0, h, periodic), slice(a, b), window.shape[-3])
+    if periodic and not (a >= 2 and b + 2 <= window.shape[-3]):
+        return _take_rows(_derivative(window, 0, h, periodic), slice(a, b), window.shape[-3])
+    return _rows_derivative(window, a, b, h)
+
+
+def _rows_derivative(window: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
+    """d/dx_0 on rows [a, b) of ``window``, rows of a bounded first axis
+    whose first and last two rows, where the slab reaches them, are faces of
+    the grid: the central stencil on the rows with two window rows on each
+    side, the one-sided stencils on the others.  Each row is formed with the
+    products and sums of :func:`partial_derivative`.  The 5 face rows are
+    laid out once as the (points, 5) matrix that ``tensordot`` forms from
+    them (a view where their strides allow, else a copy), and every
+    one-sided row reads it, so each product sees the full grid's layout."""
+    n = window.shape[-3]
+    out = np.empty(window.shape[:-3] + (b - a,) + window.shape[-2:],
+                   np.result_type(window, float))
+    lo, hi = max(a, 2), min(b, n - 2)
+    if lo < hi:
+        _central(lambda i: window[..., lo + i:hi + i, :, :], h, out=out[..., lo - a:hi - a, :, :])
+    faces = {}
+    for j in [*range(a, min(b, 2)), *range(max(a, n - 2), b)]:
+        side = 0 if j < 2 else n - 5
+        if side not in faces:
+            faces[side] = np.moveaxis(window[..., side:side + 5, :, :], -3, -1).reshape(-1, 5)
+        row = out[..., j - a, :, :]
+        if j < 2:
+            d = np.tensordot(faces[side], (_EDGE0, _EDGE1)[j], axes=([-1], [0])) / h
+        else:
+            d = -np.tensordot(faces[side], (_EDGE0, _EDGE1)[n - 1 - j][::-1], axes=([-1], [0])) / h
+        row[...] = d.reshape(row.shape)
+    return out
 
 
 def _take_rows(values: np.ndarray, rows: slice, n: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Constructors for the explicit BPS families, each returning a ready
 Configuration together with the scalars its report rows carry and the
-identity checks that the margin's pass runs on its slabs.
+identity checks that the pass runs on its slabs.
 
 A family's fields are closed forms of the grid coordinates.  A constructor
 evaluates each factor of them once, on the axis or the coordinate plane it
@@ -164,10 +164,12 @@ def mercator_sphere(curvature: float = 1.0, tau_max: float = 3.0) -> SurfaceGeom
 @dataclass
 class FamilyResult:
     """A constructed family member, the scalars its report rows carry, and
-    (name, fn) checks of its closed-form identities: fn(slab) is a residual
-    on the rows of a :class:`Slab` of ``config``, maximized by the pass.
-    Scalars that read every grid point are the configuration's
-    ``diagnostics``, reduced by the pass as well."""
+    (name, fn) checks of its closed-form identities: fn(slab) is the
+    residual's magnitude at each point of the rows of a :class:`Slab` of
+    ``config``, maximized by the pass over each sub-box it reports.  Scalars
+    that read every grid point are the configuration's ``diagnostics``,
+    reduced by the pass as well; ``diagnostics`` here are of the whole
+    grid."""
 
     family: str
     config: Configuration
@@ -258,8 +260,7 @@ def identity_u1_solution(
         return None
 
     cfg = Configuration(grid, target, fields, metric, orientation=1, phi_winding=np.eye(3),
-                        diagnostics=(("kappa_min", lambda rows: float(np.min(kappa(rows))), min),),
-                        guard=guard)
+                        diagnostics=(("kappa_min", kappa, np.minimum),), guard=guard)
     return FamilyResult(family="identity-u1", config=cfg)
 
 
@@ -309,11 +310,12 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
                         checks=[("abelian_bps_residual", _abelian_bps_residual)])
 
 
-def _abelian_bps_residual(slab: Slab) -> float:
-    """max |star d xi + da| on a slab's rows.  d xi (= ds exactly) is the xi
-    row of d^A phi, since the action leaves xi fixed (I_a^xi = 0)."""
+def _abelian_bps_residual(slab: Slab) -> np.ndarray:
+    """|star d xi + da| at each point of a slab's rows, per component.  d xi
+    (= ds exactly) is the xi row of d^A phi, since the action leaves xi
+    fixed (I_a^xi = 0)."""
     dxi, da = slab.inner("P")[0], slab.inner("F")[0]
-    return float(np.max(np.abs(slab.star.on_1(dxi[None])[0] + da)))
+    return np.abs(slab.star.on_1(dxi[None])[0] + da)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,7 @@ def spinorial_solution(
         return g
 
     cfg = Configuration(grid, target, fields, metric, orientation=1, diagnostics=(
-        ("conformal_coefficient_min", lambda rows: float(np.min(coef(rows))), min),))
+        ("conformal_coefficient_min", coef, np.minimum),))
     return FamilyResult(family="spinorial", config=cfg,
                         checks=_spinorial_checks(0.5 * one_minus_k * om, sq, twist_b))
 
@@ -405,21 +407,21 @@ def _spinorial_checks(curvature: np.ndarray, sq: np.ndarray, twist_b: float) -> 
     """Checks of F = (1/2)(1 - K) omega_C Phi (plus the twist's part) and
     d^A phi = dxi e_0 + sqrt(Omega) (dx1 e_1 + dx2 e_2).  ``curvature`` is
     (1/2)(1 - K) Omega and ``sq`` sqrt(Omega) on the surface's plane."""
-    def curvature_identity(slab: Slab) -> float:
+    def curvature_identity(slab: Slab) -> np.ndarray:
         F = slab.inner("F")
         pred = np.zeros_like(F)
         pred[0, 0] = curvature
         if twist_b != 0.0:
             # -B dxi ^ d^A Phi contributes B sqrt(Omega) on both transverse slots
             pred[1, 1] = pred[2, 2] = twist_b * sq
-        return float(np.max(np.abs(F - pred)))
+        return np.abs(F - pred)
 
-    def covariant_differential(slab: Slab) -> float:
+    def covariant_differential(slab: Slab) -> np.ndarray:
         P = slab.inner("P")
         pred = np.zeros_like(P)
         pred[0, 0] = 1.0
         pred[1, 1] = pred[2, 2] = sq
-        return float(np.max(np.abs(P - pred)))
+        return np.abs(P - pred)
 
     return [("curvature_identity_residual", curvature_identity),
             ("covariant_differential_residual", covariant_differential)]
@@ -440,6 +442,12 @@ def twisted_spinorial_solution(
     compatibility h2^2 = beta eta1 (K - 1)/(2 alpha) then holds identically
     for eta1 = -2 h2^2.  The profile is h2 = sin on (0, pi), the round
     3-sphere's eta2 = 0 representative.
+
+    The base metric's conformal coefficient is then sin^2 xi (3K - 2), so
+    g_M is riemannian only for K > 2/3, that is alpha/beta < 1/3.  For
+    0 < K <= 2/3 the build succeeds and every row of a verify fails its
+    ``riemannian`` check; at K = 2/3 the coefficient is zero up to
+    rounding, which the check does not accept.
     """
     if gamma == 0.0:
         raise ParamInconsistent("the twist needs gamma != 0")
@@ -595,7 +603,7 @@ def symplectic_solution(
     h2 = sin, where a is half the Levi-Civita connection and w = sqrt(Omega)/2
     dz, optionally rotated by a xi-dependent phase (a gauge twist that leaves
     all invariants unchanged).  The normalization is checked on every grid
-    point, in the margin's pass.  ``w_scale`` exists to demonstrate that
+    point, in the pass.  ``w_scale`` exists to demonstrate that
     check and must be 1 for a valid construction.
     """
     surface = mercator_sphere(1.0)
@@ -647,9 +655,8 @@ def symplectic_solution(
         return None
 
     diagnostics = (
-        ("normalization_residual",
-         lambda rows: float(np.max(np.abs(two_i_wwbar(rows) + two_da))), max),
-        ("_normalization_scale", lambda rows: float(np.max(np.abs(two_i_wwbar(rows)))), max),
+        ("normalization_residual", lambda rows: np.abs(two_i_wwbar(rows) + two_da), np.maximum),
+        ("_normalization_scale", lambda rows: np.abs(two_i_wwbar(rows)), np.maximum),
     )
     cfg = Configuration(grid, target, fields, metric, orientation=1, diagnostics=diagnostics,
                         guard=guard)

@@ -68,7 +68,7 @@ def test_criterion_01_parameter_map():
 
 def test_criterion_02_ungauged_saturation():
     res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=48, margin=0.02)
-    e = bound_gap(res.config, P0, 1.0)["energy"]
+    e = bound_gap(res.config, P0, 1.0)[0]["energy"]
     rel = abs(e - 12 * np.pi**2) / (12 * np.pi**2)
     report(2, f"round-sphere isometry energy 12 pi^2 within 0.5% (rel={rel:.2e})",
            [("energy", rel < 5e-3)])
@@ -79,7 +79,7 @@ def test_criterion_03_identity_u1_family():
     r_by_n = {}
     for n in (48, 96):
         res = identity_u1_solution(AX, n=n, margin=0.2)
-        r_by_n[n] = _margin_pass(res.config, P0)
+        r_by_n[n] = _margin_pass(res.config, P0)[0]
     entries.append(("r1@48 < 5e-4", r_by_n[48]["r1"] < 5e-4))
     entries.append(("r2@48 < 5e-4", r_by_n[48]["r2"] < 5e-4))
     decay = r_by_n[48]["r1"] / max(r_by_n[96]["r1"], 1e-300)
@@ -88,7 +88,7 @@ def test_criterion_03_identity_u1_family():
     target = res.config.target
     vol = target.volume()
     margins = [0.36, 0.24, 0.16]
-    degs = [bound_gap(identity_u1_solution(AX, n=48, margin=m).config, P0, vol)["degree"]
+    degs = [bound_gap(identity_u1_solution(AX, n=48, margin=m).config, P0, vol)[0]["degree"]
             for m in margins]
     d = extrapolate_margin(margins, degs)
     entries.append((f"degree {d:.5f} within 1e-2 of 1", abs(d - 1.0) < 1e-2))
@@ -115,14 +115,14 @@ def test_criterion_05_spinorial_family():
     entries.append(("curvature identity O(h^4) decay", f_res[48] / f_res[96] > 8.0))
 
     res48 = spinorial_solution(n=48, margin=0.1)
-    r = _margin_pass(res48.config, P0)
+    r = _margin_pass(res48.config, P0)[0]
     entries.append((f"r1={r['r1']:.2e} < 5e-4", r["r1"] < 5e-4))
     entries.append((f"r2={r['r2']:.2e} < 5e-4", r["r2"] < 5e-4))
 
     target = res48.config.target
     vol = target.volume()
     margins = [0.2, 0.1, 0.05]
-    degs = [bound_gap(spinorial_solution(n=48, margin=m).config, P0, vol)["degree"]
+    degs = [bound_gap(spinorial_solution(n=48, margin=m).config, P0, vol)[0]["degree"]
             for m in margins]
     d = extrapolate_margin(margins, degs)
     entries.append((f"degree {d:.5f} = chi(S^2)/2 within 1e-2", abs(d - 1.0) < 1e-2))
@@ -141,7 +141,7 @@ def test_criterion_05_spinorial_family():
     xi = flagged.config.grid.meshes()[0]
     coef = fam.h2(xi) ** 2 + 1.5 * fam.eta1(xi) * (1.0 - 0.5)
     mask = ~full_fields(flagged.config)[2].riemannian_mask()
-    done = _margin_pass(flagged.config, P0)
+    done = _margin_pass(flagged.config, P0)[0]
     entries.append(("non-riemannian flag matches coefficient sign",
                     bool(np.all(mask == (coef <= 0))) and bool(mask.any())
                     and not done["riemannian"]
@@ -158,7 +158,7 @@ def test_criterion_06_twisted_spinorial():
     conds = bps2_scalar_conditions(rt, alpha, beta, gamma)
     entries.append((f"three scalar conditions max {max(conds):.2e} < 5e-4",
                     max(conds) < 5e-4))
-    r = _margin_pass(rt.config, bps_coefficients(alpha, beta, gamma))
+    r = _margin_pass(rt.config, bps_coefficients(alpha, beta, gamma))[0]
     entries.append((f"r1={r['r1']:.2e}, r2={r['r2']:.2e} < 5e-4",
                     r["r1"] < 5e-4 and r["r2"] < 5e-4))
 
@@ -182,10 +182,10 @@ def test_criterion_07_spherical_family():
     entries.append((f"BPS2b {res.diagnostics['bps2b_residual']:.2e} < 5e-4",
                     res.diagnostics["bps2b_residual"] < 5e-4))
     p = bps_coefficients(1.0, 2.0, 0.0)
-    r = _margin_pass(res.config, p)
+    r = _margin_pass(res.config, p)[0]
     entries.append((f"r1={r['r1']:.2e}, r2={r['r2']:.2e} < 5e-4",
                     r["r1"] < 5e-4 and r["r2"] < 5e-4))
-    bg = bound_gap(res.config, p, res.config.target.volume())
+    bg = bound_gap(res.config, p, res.config.target.volume())[0]
     entries.append((f"gap {abs(bg['gap'] / bg['energy']):.2e} < 1% of E",
                     abs(bg["gap"]) < 0.01 * abs(bg["energy"])))
 
@@ -203,7 +203,7 @@ def test_criterion_07_spherical_family():
 def test_criterion_08_symplectic_family():
     entries = []
     res = symplectic_solution(n=48)
-    r = _margin_pass(res.config, bps_coefficients(0.0, 1.0, 0.0))
+    r = _margin_pass(res.config, bps_coefficients(0.0, 1.0, 0.0))[0]
     norm = r["diagnostics"]["normalization_residual"]
     entries.append((f"normalization {norm:.2e} < 1e-10", norm < 1e-10))
     entries.append((f"r1={r['r1']:.2e}, r2={r['r2']:.2e} < 5e-4",
@@ -231,7 +231,7 @@ def test_criterion_09_pullback_properties():
     lx = c0.grid.hi_eff[1] - c0.grid.lo_eff[1]
     lam = (0.02 * np.sin(th) * np.sin(np.pi * (x - c0.grid.lo_eff[1]) / lx))[None]
     c1 = gauge_transform(c0, lam)
-    bg0, bg1 = bound_gap(c0, P0, vol), bound_gap(c1, P0, vol)
+    bg0, bg1 = bound_gap(c0, P0, vol)[0], bound_gap(c1, P0, vol)[0]
     rel = max(abs(bg0[k] - bg1[k]) / max(abs(bg0[k]), 1.0)
               for k in ("energy", "degree", "r1", "r2"))
     entries.append((f"u(1) gauge invariance of E, deg, r1, r2 ({rel:.2e} < 1e-6)",
@@ -244,7 +244,7 @@ def test_criterion_09_pullback_properties():
     X, Y, Z = c0.grid.meshes()
     lam = 0.02 * np.stack([np.sin(X + a) * np.cos(0.5 * Y) for a in range(3)])
     c1 = gauge_transform(c0, lam)
-    bg0, bg1 = bound_gap(c0, P0, vol), bound_gap(c1, P0, vol)
+    bg0, bg1 = bound_gap(c0, P0, vol)[0], bound_gap(c1, P0, vol)[0]
     rel = max(abs(bg0[k] - bg1[k]) / max(abs(bg0[k]), 1.0)
               for k in ("energy", "degree", "r1", "r2"))
     entries.append((f"su(2) gauge invariance of E, deg, r1, r2 ({rel:.2e} < 1e-6)",
@@ -298,7 +298,7 @@ def test_criterion_12_su2_reduction():
     for trial in range(20):
         c = smooth_adjoint_configuration(target, n=32, seed=int(rng.integers(1 << 30)))
         p = bps_coefficients(*rng.uniform(-1.0, 1.0, size=3))
-        e1 = bound_gap(c, p, 1.0)["energy"]
+        e1 = bound_gap(c, p, 1.0)[0]["energy"]
         U, A = su2_matrix_fields(c)
         e2 = energy_su2_reduced(U, A, c.grid, full_fields(c)[2], p, c.orientation)
         worst = max(worst, abs(e1 - e2) / max(abs(e1), 1e-10))

@@ -6,14 +6,13 @@ import subprocess
 import sys
 import threading
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from oracles import full_fields, perturbed_phi, take_rows
-from skybps import cli, lie_target, solutions
+from skybps import cli, energy_degree, lie_target, solutions
 from skybps.cli import FAMILIES, build_family, build_target, main, run_sweep, run_verify
 from skybps.errors import ConfigError
 from skybps.exprs import Expression
@@ -261,19 +260,62 @@ def test_identity_u1_refuses_a_target_it_cannot_verify(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_run_verify_frees_each_margin_before_the_next(monkeypatch):
-    built, alive_at_build = [], []
+@pytest.mark.parametrize("margins", [[0.2], [0.24, 0.12], [0.2, 0.1, 0.05]])
+def test_run_verify_builds_once_and_runs_one_pass(margins, monkeypatch):
+    # one build at the smallest margin and one pass over its grid serve
+    # every margin, whatever their number
+    built, passes = [], []
+    real_build, real_pass = cli.build_family, energy_degree._margin_pass
+    monkeypatch.setattr(cli, "build_family", lambda *a: built.append(a[1]) or real_build(*a))
+    monkeypatch.setattr(energy_degree, "_margin_pass",
+                        lambda *a, **k: passes.append(k["insets"]) or real_pass(*a, **k))
+    report = run_verify({"family": "spherical", "n": 16, "margins": margins})
+    assert built == [margins[-1]]
+    assert passes == [[m - margins[-1] for m in margins]]
+    assert len(report["rows"]) == len(margins)
 
-    def spy(cfg, margin):
-        alive_at_build.append([ref() is not None for ref in built])
-        res, p = build_family(cfg, margin)
-        built.append(weakref.ref(res.config))
-        return res, p
 
-    monkeypatch.setattr(cli, "build_family", spy)
-    report = run_verify({"family": "spherical", "n": 16})
-    assert len(report["rows"]) == 3
-    assert alive_at_build == [[], [False], [False, False]]
+def test_rows_report_the_configured_margins():
+    # a coarse row's sub-box is [lo + m, hi - m] on every bounded axis of the
+    # finest grid, whatever that grid's steps: at n = 16 spherical's xi and u
+    # steps are 0.083 and 0.197, and 0.09 and 0.03 more margin fall between
+    # rows on both
+    rep = run_verify({"family": "spherical", "n": 16})
+    assert [row["margin"] for row in rep["rows"]] == [0.12, 0.06, 0.03]
+    assert [row["n"] for row in rep["rows"]] == [16] * 3
+    assert all("trim_rows" not in row["extras"] for row in rep["rows"])
+    names = [c["name"] for c in rep["checks"] if c["name"].startswith("r1[")]
+    assert names == ["r1[m=0.12]", "r1[m=0.06]", "r1[m=0.03]"]
+    res, _ = build_family(rep["config"], 0.03)
+    g = res.config.grid
+    for inset in (0.09, 0.03):
+        for i in (0, 1):
+            assert g.inset_rows(i, inset)[1] > 0
+            assert np.sum(g.axis_weights(i, inset)) == pytest.approx(
+                g.hi_eff[i] - g.lo_eff[i] - 2 * inset, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, margins, refusal", [
+    (8, [0.38, 0.2], "config error: margin 0.38: axis 1: the sub-box of inset 0.18"),
+    (9, [0.38, 0.2], None),
+    (32, [0.4, 0.2], "verification error: BoundsError: axis 1: margin 0.4 >= quarter"),
+    (32, [0.39, 0.2], None),
+])
+def test_coarsest_sub_box_needs_5_rows_and_a_margin_below_a_quarter(tmp_path, capsys, n,
+                                                                   margins, refusal):
+    # identity-u1's bounded axis spans pi/2, and a margin may not reach a
+    # quarter of it (0.393), as a grid built at that margin would refuse; at
+    # n = 8 the margin 0.38 leaves 4 of the finest grid's rows inside its
+    # sub-box, at n = 9 it leaves 5
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": "identity-u1", "n": n, "margins": margins}))
+    code = main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    if refusal is None:
+        assert (tmp_path / "report.json").exists() and not err
+    else:
+        assert code == (2 if refusal.startswith("config") else 1)
+        assert err.startswith(refusal) and not (tmp_path / "report.json").exists()
 
 
 def test_dirac_monopole_takes_bps_params(tmp_path):
@@ -367,6 +409,19 @@ def test_verify_cli_outputs_and_determinism(tmp_path):
     assert (tmp_path / "b" / "report.json").read_text() == rep_a
 
 
+def test_degenerate_twisted_metric_fails_riemannian_not_the_bound():
+    # K = 1 - alpha/beta = 2/3 makes the conformal coefficient sin^2 xi
+    # (3K - 2) zero up to rounding (7e-18): the rows fail as not riemannian,
+    # not on gap_rel or decomposition with an energy of order 1e9
+    rep = run_verify({"family": "twisted-spinorial", "n": 16,
+                      "family_params": {"alpha": 0.5, "beta": 1.5, "gamma": 1.0}})
+    assert rep["exit"] == 1
+    failed = [c["name"] for c in rep["checks"] if not c["pass"]]
+    assert failed == ["riemannian[m=0.2]", "riemannian[m=0.1]", "riemannian[m=0.05]"]
+    assert not any(name.startswith(("gap_rel", "decomposition")) for name in failed)
+    assert all(math.isnan(row["energy"]) for row in rep["rows"])
+
+
 def test_nonriemannian_base_metric_fails_every_row():
     # the conformal coefficient sin^2 xi (3K - 2) is negative at K = 0.5, while
     # det g_M > 0 still lets the star build
@@ -399,7 +454,7 @@ def test_perturbation_is_the_mesh_bump_and_leaves_a():
     bump = np.ones(grid.shape)
     for ax in range(3):
         t = (mesh[ax] - grid.lo_eff[ax]) / (grid.hi_eff[ax] - grid.lo_eff[ax])
-        bump = bump * np.sin((2 if grid.periodic[ax] else 1) * np.pi * t)
+        bump = bump * (np.sin(2 * np.pi * t) if grid.periodic[ax] else np.sin(np.pi * t) ** 3)
     for mu in range(3):
         assert np.array_equal(phi[mu], phi0[mu] + 0.02 * rng.uniform(0.5, 1.0) * bump)
 
@@ -415,6 +470,43 @@ def test_perturbation_rows_are_the_full_grid_bump(family):
             g.halo(slice(17, 20)), g.halo(g.halo(slice(9, 10)))]
     for r in rows:
         assert np.array_equal(pert.fields(r)[0], take_rows(g, ref, r)), r
+
+
+@pytest.mark.parametrize("family", ["spherical", "identity-u1"])
+def test_perturbed_verify_keeps_every_degree(family, monkeypatch):
+    # the bump is supported inside the coarsest margin's sub-box, so it
+    # vanishes, with two derivatives, on the faces of every sub-box and the
+    # degree of each row is unchanged up to the stencils' error on the bump
+    # (measured 1.6e-10 spherical and 5.8e-10 identity-u1; 2.9e-8 on
+    # identity-u1's coarsest row when the same bump spans the finest grid,
+    # on whose coarse faces it does not vanish)
+    cfg = {"family": family, "n": 32}
+    base = run_verify(cfg)
+    bumps = []
+    real = cli.perturb_configuration
+    monkeypatch.setattr(cli, "perturb_configuration",
+                        lambda *a: bumps.append(a[3]) or real(*a))
+    pert = run_verify({**cfg, "perturb": {"eps": 4e-3, "seed": 3}})
+    margins = base["config"]["margins"]
+    assert bumps == [margins[0] - margins[-1]]
+    for row, ref in zip(pert["rows"], base["rows"]):
+        assert row["degree"] != ref["degree"]
+        assert abs(row["degree"] - ref["degree"]) < 2e-9, row["margin"]
+    assert abs(pert["degree_extrapolated"] - base["degree_extrapolated"]) < 2e-9
+
+
+def test_perturbation_vanishes_outside_its_box():
+    res, _ = build_family({"family": "spherical", "n": 20}, 0.03)
+    c, inset = res.config, 0.09
+    phi0 = full_fields(c)[0]
+    phi = full_fields(cli.perturb_configuration(c, 0.02, 3, inset))[0]
+    inside = np.ones(c.grid.shape, bool)
+    for i in range(2):  # the bounded axes: points at or beyond the box's faces
+        x = c.grid.axis_points(i)
+        out = (x <= c.grid.lo_eff[i] + inset) | (x >= c.grid.hi_eff[i] - inset)
+        inside[(slice(None),) * i + (out,)] = False
+    assert np.array_equal(phi[:, ~inside], phi0[:, ~inside])
+    assert np.any(phi[:, inside] != phi0[:, inside])
 
 
 def test_verify_tolerance_failure_exit_1(tmp_path):

@@ -38,6 +38,11 @@ from skybps.solutions import identity_u1_solution, spinorial_solution
 P0 = bps_coefficients(0.0, 0.0, 0.0)
 
 
+def _slab_max(a):
+    """The pass's reduction of a nonnegative slab field over the slab alone."""
+    return float(np.max(a))
+
+
 @pytest.mark.parametrize("build", [
     lambda: spinorial_solution(n=16),
     lambda: identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x), n=16),
@@ -57,7 +62,7 @@ def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
     t = c.target
     for name in ("metric_fn", "killing_fn", "mu_fn"):
         monkeypatch.setattr(t, name, counted(name, getattr(t, name)))
-    bound_gap(c, P0, 1.0)
+    bound_gap(c, P0, 1.0)[0]
     # each grid point once; d^A phi, nu and the contraction check share I
     n = int(np.prod(c.grid.shape))
     assert points == {"metric_fn": n, "killing_fn": n, "mu_fn": n}
@@ -89,7 +94,7 @@ def test_energy_constant_configuration(u1_target):
     g = np.zeros((3, 3) + grid.shape)
     g[0, 0] = g[1, 1] = g[2, 2] = 1.0
     c = from_arrays(grid, u1_target, phi, None, g)
-    bg = bound_gap(c, P0, u1_target.volume())
+    bg = bound_gap(c, P0, u1_target.volume())[0]
     assert abs(bg["energy"]) < 1e-20
     assert bg["degree"] == pytest.approx(0.0, abs=1e-20)
     assert bg["gap"] == pytest.approx(0.0, abs=1e-18)
@@ -97,12 +102,12 @@ def test_energy_constant_configuration(u1_target):
 
 def test_energy_orthogonality_enforced(u1_target):
     c = smooth_u1_configuration(u1_target, n=16)
-    assert _margin_pass(c, P0)["ortho"] < 1e-12
+    assert _margin_pass(c, P0)[0]["ortho"] < 1e-12
 
 
 def test_energy_ungauged_isometry_saturates(u1_target):
     res = identity_u1_solution(lambda th, x: np.zeros_like(th * x), n=48, margin=0.02)
-    e = bound_gap(res.config, P0, 1.0)["energy"]
+    e = bound_gap(res.config, P0, 1.0)[0]["energy"]
     assert e == pytest.approx(12 * np.pi**2, rel=5e-3)
 
 
@@ -113,7 +118,7 @@ def test_degree_identity_map(u1_target):
     res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                n=32, margin=0.2)
     vol = u1_target.volume(n=64)
-    d = bound_gap(res.config, P0, vol)["degree"]
+    d = bound_gap(res.config, P0, vol)[0]["degree"]
     # the windowed integral equals the windowed volume fraction exactly
     assert d == pytest.approx(np.cos(2 * 0.2), abs=2e-3)
 
@@ -124,7 +129,7 @@ def test_degree_independent_of_connection(u1_target):
     for ax in (lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                lambda th, x: 0.05 * np.sin(2 * th) * np.ones_like(x)):
         res = identity_u1_solution(ax, n=32, margin=0.2)
-        degs.append(bound_gap(res.config, P0, vol)["degree"])
+        degs.append(bound_gap(res.config, P0, vol)[0]["degree"])
     assert abs(degs[0] - degs[1]) < 1e-3
 
 
@@ -133,14 +138,14 @@ def test_degree_orientation_reversal(u1_target):
     c = res.config
     flipped = dataclasses.replace(c, orientation=-1)
     vol = u1_target.volume(n=64)
-    bg, bg_flipped = bound_gap(c, P0, vol), bound_gap(flipped, P0, vol)
+    bg, bg_flipped = bound_gap(c, P0, vol)[0], bound_gap(flipped, P0, vol)[0]
     assert bg_flipped["degree"] == pytest.approx(-bg["degree"], rel=1e-12)
     assert bg_flipped["energy"] == pytest.approx(bg["energy"], rel=1e-12)
 
 
 def test_charge_density_cross_check(u1_target):
     c = smooth_u1_configuration(u1_target, n=24)
-    assert _margin_pass(c, P0)["charge_cross"] < 1e-10
+    assert _margin_pass(c, P0)[0]["charge_cross"] < 1e-10
 
 
 # -- residuals and the bound -------------------------------------------------------
@@ -151,11 +156,11 @@ def test_residual_linear_in_perturbation(u1_target):
 
     base = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                 n=24, margin=0.2).config
-    r0 = _margin_pass(base, P0)["r1"]
+    r0 = _margin_pass(base, P0)[0]["r1"]
     rs = []
     for eps in (0.02, 0.01, 0.005):
         c = perturb_configuration(base, eps, seed=1)
-        rs.append(_margin_pass(c, P0)["r1"] - r0)
+        rs.append(_margin_pass(c, P0)[0]["r1"] - r0)
     assert rs[0] / rs[1] == pytest.approx(2.0, rel=0.15)
     assert rs[1] / rs[2] == pytest.approx(2.0, rel=0.15)
 
@@ -166,9 +171,9 @@ def test_gap_positive_off_shell(u1_target):
     base = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                 n=24, margin=0.2).config
     vol = u1_target.volume(n=64)
-    assert abs(bound_gap(base, P0, vol)["gap"]) < 1e-6
+    assert abs(bound_gap(base, P0, vol)[0]["gap"]) < 1e-6
     pert = perturb_configuration(base, 0.05, seed=2)
-    bg = bound_gap(pert, P0, vol)
+    bg = bound_gap(pert, P0, vol)[0]
     assert bg["gap"] > 1e-4
     assert bg["decomposition_residual"] < 1e-10
 
@@ -181,7 +186,7 @@ def test_gap_quadratic_in_residuals(u1_target):
     base = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                 n=24, margin=0.2).config
     vol = u1_target.volume(n=64)
-    gaps = [bound_gap(perturb_configuration(base, eps, seed=3), P0, vol)["gap"]
+    gaps = [bound_gap(perturb_configuration(base, eps, seed=3), P0, vol)[0]["gap"]
             for eps in (0.04, 0.02)]
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.2)
 
@@ -198,7 +203,7 @@ def test_general_bound_reported():
 def test_su2_reduction_agreement(adjoint_round_target):
     c = smooth_adjoint_configuration(adjoint_round_target, n=32, seed=9)
     p = bps_coefficients(0.4, -0.3, 0.8)
-    e1 = bound_gap(c, p, 1.0)["energy"]
+    e1 = bound_gap(c, p, 1.0)[0]["energy"]
     U, A = su2_matrix_fields(c)
     e2 = energy_su2_reduced(U, A, c.grid, full_fields(c)[2], p, c.orientation)
     assert abs(e1 - e2) / abs(e1) < 1e-6
@@ -212,7 +217,7 @@ def test_su2_reduction_flat_connection_is_ungauged(adjoint_round_target):
     U, A = su2_matrix_fields(c)
     e_red = energy_su2_reduced(U, A, c.grid, gM, p, 1)
     # with F = 0 only the c1 and c2 terms survive: the ungauged Skyrme energy
-    bg = bound_gap(c, p, 1.0)
+    bg = bound_gap(c, p, 1.0)[0]
     e_ung = bg["energy"]
     assert e_red == pytest.approx(e_ung, rel=1e-6)
     terms = bg["terms"]
@@ -250,7 +255,7 @@ def test_energy_degree_residuals_gauge_invariant(u1_target):
     lx = c.grid.hi_eff[1] - c.grid.lo_eff[1]
     lam = (0.02 * np.sin(th) * np.sin(np.pi * (x - c.grid.lo_eff[1]) / lx))[None]
     c2 = gauge_transform(c, lam)
-    bg1, bg2 = bound_gap(c, P0, vol), bound_gap(c2, P0, vol)
+    bg1, bg2 = bound_gap(c, P0, vol)[0], bound_gap(c2, P0, vol)[0]
     e1, e2 = bg1["energy"], bg2["energy"]
     assert abs(e1 - e2) / abs(e1) < 1e-6
     assert abs(bg1["degree"] - bg2["degree"]) < 1e-6
@@ -348,7 +353,7 @@ def test_bogomolny_pass_bit_identical_to_per_pair_code(family, monkeypatch):
         assert len(slabs) == 3
         for sl in slabs:
             starred.clear()
-            dens, sup = _slab_pass(c, p, c.slab(sl, halo=False))
+            dens, sup = _slab_pass(c, p, c.slab(sl), _slab_max)
             assert len(starred) == stars, params
             assert list(dens) == ["charge", *formed]
             for k, v in dens.items():
@@ -357,7 +362,7 @@ def test_bogomolny_pass_bit_identical_to_per_pair_code(family, monkeypatch):
             assert sup["decomposition"] == float(np.max(np.abs(ref2[sl] - six[sl])))
             assert sup["charge_max"] == float(np.max(np.abs(ref["charge"][sl])))
             assert sup["charge_cross"] == float(np.max(np.abs(mismatch[sl])))
-        done = _margin_pass(c, p)
+        done = _margin_pass(c, p)[0]
         assert done["terms"] == {k: c.orientation * integrate(ref[k], c.grid) for k in _TERMS}
         for k in set(_TERMS) - set(formed):
             assert not np.any(ref[k]) and done["terms"][k] == 0.0, (params, k)
@@ -365,7 +370,7 @@ def test_bogomolny_pass_bit_identical_to_per_pair_code(family, monkeypatch):
         assert (done["r1"], done["r2"]) == (ref_r1, ref_r2)
         if not any(params):
             assert done["r2"] == 0.0
-        assert bound_gap(c, p, 1.0)["terms"] == done["terms"]
+        assert bound_gap(c, p, 1.0)[0]["terms"] == done["terms"]
 
 
 @pytest.mark.parametrize("family", ["spherical", "identity-u1", "dirac-monopole"])
@@ -375,7 +380,7 @@ def test_slabs_give_the_one_slab_values(family, monkeypatch):
     def run(points):
         monkeypatch.setattr(grid, "_SLAB_POINTS", points)
         c = _fresh(family, n=20)
-        return c.grid.slabs(), bound_gap(c, p, 1.0), _margin_pass(c, p)
+        return c.grid.slabs(), bound_gap(c, p, 1.0)[0], _margin_pass(c, p)[0]
 
     slabs, bg, done = run(7 * 20 * 20)
     assert [s.stop - s.start for s in slabs] == [7, 7, 6]  # a short last slab
@@ -387,15 +392,81 @@ def test_slabs_give_the_one_slab_values(family, monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_verify_rows_equal_separate_calls(family):
+    # one pass serves every margin: each row is a separate pass's over the
+    # same sub-box of a fresh build at the smallest margin, and the finest
+    # row is that build's whole grid
     report = run_verify({"family": family, "n": 16})
     cfg = report["config"]
-    for row, m in zip(report["rows"], cfg["margins"]):
-        res, p = build_family(cfg, m)
-        r = _margin_pass(res.config, p)
-        bg = bound_gap(_fresh_copy(res.config), p, report["volume_n"])
+    res, p = build_family(cfg, cfg["margins"][-1])
+    assert [row["margin"] for row in report["rows"]] == cfg["margins"]
+    for row in report["rows"]:
+        insets = (row["margin"] - cfg["margins"][-1],)
+        r = _margin_pass(res.config, p, insets=insets)[0]
+        bg = bound_gap(_fresh_copy(res.config), p, report["volume_n"], insets=insets)[0]
         assert (row["r1"], row["r2"]) == (r["r1"], r["r2"]) == (bg["r1"], bg["r2"])
         assert (row["energy"], row["degree"], row["gap"]) == (bg["energy"], bg["degree"],
                                                               bg["gap"])
+        assert row["terms"] == bg["terms"]
+    whole = bound_gap(_fresh_copy(res.config), p, report["volume_n"])[0]
+    assert report["rows"][-1]["energy"] == whole["energy"]
+    assert report["rows"][-1]["degree"] == whole["degree"]
+
+
+def _bps_sides(c, p):
+    """star d^A phi - (Sig + 3 mus) and alpha Sig + beta mus + gamma nu on
+    the full grid, as the per-pair code formed them."""
+    pb, star, _ = _full_grid(c)
+    diff = star.on_1(full_grid_field(c, "P")) - (pb["sigma"] + 3.0 * pb["mu_sharp"])
+    second = p.alpha * pb["sigma"]
+    second += p.beta * pb["mu_sharp"]
+    second += p.gamma * pb["nu"]
+    return diff, second
+
+
+def _box_integral(f, g, inset):
+    """Quadrature of the full-grid field f over the sub-box ``inset`` of g:
+    the row sums with the sub-box's tensor-product weights, summed."""
+    w0, w1, w2 = (g.axis_weights(i, inset) for i in range(3))
+    w = w0[:, None, None] * w1[None, :, None] * w2[None, None, :]
+    return float(np.sum(np.sum(f[g.box(inset)] * w, axis=(1, 2))))
+
+
+@pytest.mark.parametrize("family", ["spherical", "identity-u1", "dirac-monopole"])
+def test_coarse_rows_are_sub_box_reductions_of_full_grid_densities(family, monkeypatch):
+    # the verify's one pass, in slabs of 6, 6 and 4 rows that the sub-boxes
+    # cut across, against the whole-grid densities of the same build reduced
+    # over each sub-box with its own weights and maxima; the sums are taken
+    # in the pass's order, so every value is equal, not close
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)
+    report = run_verify({"family": family, "n": 16})
+    cfg = report["config"]
+    res, p = build_family(cfg, cfg["margins"][-1])
+    c, whole = res.config, slice(0, 16)
+    ref = _energy_per_pair(c, p)
+    pb, _, _ = _full_grid(c)
+    charge = pb["volume"] + pb["mu"]
+    diff, second = _bps_sides(c, p)
+    checks = {name: fn(c.slab(whole)) for name, fn in res.checks}
+    bianchi = c.bianchi_residual(c.slab(whole))
+    insets = [m - cfg["margins"][-1] for m in cfg["margins"]]
+    assert insets[-1] == 0.0
+    assert report["checks"][c.target.has_moment_constraint + 1]["name"] == "bianchi_residual"
+    assert report["checks"][c.target.has_moment_constraint + 1]["value"] == float(
+        np.max(bianchi[(...,) + c.grid.box(insets[0])]))
+    for row, inset in zip(report["rows"], insets):
+        box = (...,) + c.grid.box(inset)
+        for key, coef in zip(_TERMS, p.c):
+            integral = c.orientation * _box_integral(ref[key], c.grid, inset) if coef else 0.0
+            assert row["terms"][key] == integral, (inset, key)
+        degree = c.orientation * _box_integral(charge, c.grid, inset) / report["volume_n"]
+        assert row["degree"] == degree
+        assert row["r1"] == float(np.max(np.abs(diff[box])))
+        assert row["r2"] == float(np.max(np.abs(second[box])))
+        for name, v in checks.items():
+            assert row["extras"][name] == float(np.max(v[box])), name
+        for name, fn, combine in c.diagnostics:
+            v = np.broadcast_to(fn(whole), c.grid.shape)
+            assert row["extras"][name] == float(combine.reduce(v[box], axis=None)), name
 
 
 def _stars_of_one_pass(family, monkeypatch):
@@ -408,7 +479,7 @@ def _stars_of_one_pass(family, monkeypatch):
     monkeypatch.setattr(gaugefield, "hodge_star",
                         lambda *args: stars.append(real_star(*args)) or stars[-1])
     monkeypatch.setattr(exterior, "mat_inv", lambda m: inverted.append(m) or real_inv(m))
-    bound_gap(res.config, p, 1.0, res.checks)
+    bound_gap(res.config, p, 1.0, res.checks)[0]
     assert len(res.config.grid.slabs()) == 3
     return len(stars), [sum(m is star.s for m in inverted) for star in stars]
 
@@ -432,9 +503,9 @@ def test_degree_refuses_a_moment_map_failing_the_contraction_check():
     c = _fresh_copy(_fresh("spherical"), make_su2_left_target(1.0))
     phi = full_fields(c)[0]
     kil, mu = c.target.killing_fn(phi), c.target.mu_fn(phi)
-    assert _contraction_asymmetry(kil, mu) == pytest.approx(0.5, rel=1e-12)
+    assert _contraction_asymmetry(kil, mu, _slab_max) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(MomentConditionFailed, match="contraction constraint"):
-        bound_gap(c, P0, 1.0)
+        bound_gap(c, P0, 1.0)[0]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES) + ["su2-left"])
@@ -448,4 +519,4 @@ def test_contraction_asymmetry_matches_einsum(family):
     q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
     old = float(np.max(np.abs(0.5 * (q + np.swapaxes(q, 0, 1)))))
     scale = max(old, float(np.max(np.abs(mu))), 1.0)
-    assert abs(_contraction_asymmetry(kil, mu) - old) <= 1e-14 * scale
+    assert abs(_contraction_asymmetry(kil, mu, _slab_max) - old) <= 1e-14 * scale

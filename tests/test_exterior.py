@@ -323,3 +323,23 @@ def test_star_map_is_frozen_and_keeps_its_inverse():
     assert star.inverse_matrix() is inv
     assert not inv.flags.writeable
     assert np.array_equal(inv, mat_inv(star.s))
+
+
+def test_riemannian_mask_is_relative_to_the_metric_scale():
+    # the twisted family's g_M at K = 2/3: diag(1, c, c) with c zero up to
+    # rounding; a positive pivot of a few ulps of max |g| does not pass,
+    # while a metric of any overall scale does
+    g = np.zeros((3, 3, 5))
+    g[0, 0] = 1.0
+    g[1, 1] = g[2, 2] = [7e-18, -7e-18, 1e-12, 1e-7, 1.0]
+    assert Metric3(g.copy()).riemannian_mask().tolist() == [False, False, True, True, True]
+    for scale in (1e-30, 1e30):
+        assert Metric3(scale * g[..., 2:]).riemannian
+        assert not Metric3(scale * g[..., :1]).riemannian
+    # the off-diagonal minor: [[1, 1], [1, 1 + 1e-15]] is singular up to rounding
+    h = np.eye(3)[:, :, None] * np.ones(1)
+    h[0, 1] = h[1, 0] = 1.0
+    h[1, 1] = 1.0 + 1e-15
+    assert not Metric3(h).riemannian
+    h[1, 1] = 1.0 + 1e-10
+    assert Metric3(h).riemannian

@@ -288,7 +288,7 @@ def test_chart_exit_in_the_pass(adjoint_round_target):
     phi[0] += 3.0  # push xi past the end of the interval chart
     out = from_arrays(c.grid, c.target, phi, A, gM)
     with pytest.raises(ChartExit, match=r"phi\^0 in \[4\.\d+, 4\.\d+\] leaves"):
-        bound_gap(out, bps_coefficients(0.0, 0.0, 0.0), 1.0)
+        bound_gap(out, bps_coefficients(0.0, 0.0, 0.0), 1.0)[0]
 
 
 def test_pullback_gauge_invariance_exact_linear(u1_target):
@@ -343,7 +343,7 @@ def test_memo_holds_no_copy_of_dphi(adjoint_round_target):
     assert np.array_equal(full_grid_field(c, "P"), ref)
     # nothing is memoized: after the margin's pass the configuration holds
     # no array but its winding
-    bound_gap(c, bps_coefficients(0.3, -0.7, 0.5), 1.0)
+    bound_gap(c, bps_coefficients(0.3, -0.7, 0.5), 1.0)[0]
     assert [v.shape for v in _arrays(vars(c))] == [(3, 3)]
 
 
@@ -361,11 +361,11 @@ def test_derived_fields_on_rows_are_the_full_grid_rows(periodic, u1_target,
                 slice(11, 12)]
     full = {name: full_grid_field(c, name) for name in ("dphi", "P", "F")}
     for r in rows:
-        slab = c.slab(r)  # its window is r, which may wrap
+        slab = c.slab(r)  # its rows are r, which may wrap
         dphi = _dphi(c, c.fields(c.grid.halo(r))[0], r)
         assert np.array_equal(dphi, take_rows(c.grid, full["dphi"], r)), r
-        assert np.array_equal(slab.P, take_rows(c.grid, full["P"], r)), r
-        assert np.array_equal(slab.F, take_rows(c.grid, full["F"], r)), r
+        assert np.array_equal(slab.inner("P"), take_rows(c.grid, full["P"], r)), r
+        assert np.array_equal(slab.inner("F"), take_rows(c.grid, full["F"], r)), r
     # the stencil checks, as maxima over slabs of 1, 2 and 5 rows
     bianchi = over_slabs(c, c.bianchi_residual)
     natural = [naturality(c, spec) for _, spec in naturality_check_specs(c.target)]

@@ -152,6 +152,94 @@ def test_extrapolate_margin_power_law():
     assert extrapolate_margin(margins, [5.0, 5.0, 5.0]) == 5.0
 
 
+@pytest.mark.parametrize("n", [16, 17, 48])
+@pytest.mark.parametrize("rows", [0, 1, 4])
+def test_sub_box_on_rows_is_the_rule_on_its_points(n, rows):
+    # an inset of a whole number of steps: the sub-box is the grid less that
+    # many rows at each bounded face, with the composite rule on its points
+    g = build_patch((0, -1, 2), (2 * PI, 1.5, 3), (n, n + 1, n + 3), (True, False, False), 0.1)
+    for i in (1, 2):
+        inset = rows * g.h[i]
+        assert g.inset_rows(i, inset) == (rows, 0.0)
+        assert g.box(inset)[0] == slice(0, n)  # a periodic axis keeps every point
+        assert g.box(inset)[i] == slice(rows, g.n[i] - rows)
+        x = g.axis_points(i)[rows:g.n[i] - rows]
+        # the same rule on a grid that meshes the sub-box's span with its points
+        sub = build_patch((0, x[0], 0), (1, x[-1], 1), (5, len(x), 5), (False,) * 3, 0)
+        assert np.allclose(g.axis_weights(i, inset), sub.axis_weights(1), rtol=1e-13, atol=0)
+    assert np.array_equal(g.axis_weights(0, 0.3), g.axis_weights(0))
+    for i in range(3):
+        assert np.array_equal(g.axis_weights(i, 0.0), g.axis_weights(i))
+
+
+@pytest.mark.parametrize("n", [16, 17, 48])
+@pytest.mark.parametrize("inset", [0.013, 0.05, 0.27])
+def test_sub_box_between_rows_integrates_exactly_over_its_span(n, inset):
+    # the sub-box of an inset between rows reads one row beyond each face
+    # and integrates cubics exactly over [lo_eff + inset, hi_eff - inset]
+    g = build_patch((0, -1, 2), (2 * PI, 1.5, 3), (n, n + 1, n + 3), (True, False, False), 0.1)
+    for i in (1, 2):
+        k, s = g.inset_rows(i, inset)
+        assert 0 < s < 1 and k == int(inset / g.h[i])
+        assert g.box(inset)[i] == slice(k, g.n[i] - k)
+        x, w = g.axis_points(i)[g.box(inset)[i]], g.axis_weights(i, inset)
+        a, b = g.lo_eff[i] + inset, g.hi_eff[i] - inset
+        assert x[0] < a < x[1] and x[-2] < b < x[-1]
+        for p in range(4):
+            exact = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+            assert np.sum(w * x**p) == pytest.approx(exact, rel=1e-13, abs=1e-13), p
+
+
+def test_sub_box_needs_5_rows_inside_it():
+    g = build_patch((0, 0, 0), (1, 1, 1), (5, 18, 5), (False,) * 3, 0)  # h = 1/17
+    assert len(g.axis_weights(1, 5.5 / 17)) == 8  # 6 rows inside, one beyond each face
+    assert len(g.axis_weights(1, 6 / 17)) == 6
+    for inset in (6.5 / 17, 7 / 17):
+        with pytest.raises(ResolutionError):
+            g.axis_weights(1, inset)
+
+
+def test_sub_box_between_rows_converges_at_fourth_order():
+    # cos on a box whose faces stay 0.4 steps outside a row as the steps
+    # halve: the error falls as h^4
+    errors = []
+    for n in (17, 33, 65, 129):
+        g = build_patch((0, 0, 0), (1, 1, 1), (5, n, 5), (False,) * 3, 0)
+        inset = 3.6 * g.h[1]
+        x, w = g.axis_points(1)[g.box(inset)[1]], g.axis_weights(1, inset)
+        a, b = inset, 1 - inset
+        errors.append(abs(np.sum(w * np.cos(3 * x)) - (np.sin(3 * b) - np.sin(3 * a)) / 3))
+    ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:])]
+    assert all(14 < r < 18 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("inset", [0.0, 0.2, 0.33])
+def test_sub_box_row_sums_read_the_sub_box_alone(inset):
+    n = 20
+    g = build_patch((0, -1, 2), (1.5, 1.5, 3), (n, n, n), (False, False, True), 0.1)
+    rng = np.random.default_rng(int(100 * inset))
+    f = 0.5 + rng.random(g.shape)
+    box = g.box(inset)
+    outside = np.ones(g.shape, bool)
+    outside[box] = False
+    f[outside] = np.nan  # a point outside the sub-box does not enter its sums
+    w = g.weights(inset=inset)
+    full = np.sum(f[box] * w, axis=(1, 2))
+    assert full.shape == (box[0].stop - box[0].start,) and np.all(np.isfinite(full))
+    assert np.array_equal(g.row_sums(f, inset=inset), full)
+    for rows in (1, 3, 7):
+        sums = []
+        for a in range(0, n, rows):
+            sl = slice(a, min(a + rows, n))
+            at = g.in_box(sl, inset)
+            part = g.row_sums(f[sl], sl, inset)
+            assert (at is None) == (len(part) == 0)
+            if at is not None:
+                assert at[2:] == box[1:] and len(part) == at[1].stop - at[1].start
+            sums.append(part)
+        assert np.array_equal(np.concatenate(sums), full), rows
+
+
 @pytest.mark.parametrize("n", [20, 24, 32, 48, 64])
 def test_row_sums_of_any_slabs_are_the_full_grid_row_sums(n):
     rng = np.random.default_rng(n)

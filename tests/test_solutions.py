@@ -70,7 +70,7 @@ def test_identity_u1_rejects_nonpositive_conformal_factor():
     res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                n=16, margin=0.05)
     with pytest.raises(NotRiemannian, match=r"conformal factor reaches -\d"):
-        _margin_pass(res.config, P0)
+        _margin_pass(res.config, P0)[0]
 
 
 def test_identity_u1_trivial_connection_is_isometry(u1_target):
@@ -78,7 +78,7 @@ def test_identity_u1_trivial_connection_is_isometry(u1_target):
     phi, _, gM = full_fields(res.config)
     np.testing.assert_allclose(gM.g, u1_target.metric_fn(phi), atol=1e-12)
     # ungauged case: r1 reduces to the residual of star dphi = phi* Sigma
-    r = _margin_pass(res.config, P0)
+    r = _margin_pass(res.config, P0)[0]
     assert r["r1"] < 1e-12 and r["r2"] == 0.0
 
 
@@ -87,7 +87,7 @@ def test_identity_u1_residuals_and_refinement():
     for n in (24, 48):
         res = identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x),
                                    n=n, margin=0.2)
-        rs.append(_margin_pass(res.config, P0))
+        rs.append(_margin_pass(res.config, P0)[0])
     assert rs[1]["r1"] < 5e-4
     assert rs[1]["r2"] == 0.0
     assert rs[0]["r1"] / rs[1]["r1"] > 8.0
@@ -132,7 +132,7 @@ def test_monopole_r2_linear_in_beta():
     res = dirac_monopole(n=16)
     r_at = {}
     for beta in (0.5, 1.0):
-        r_at[beta] = _margin_pass(res.config, bps_coefficients(0.0, beta, 0.0))["r2"]
+        r_at[beta] = _margin_pass(res.config, bps_coefficients(0.0, beta, 0.0))[0]["r2"]
     assert r_at[1.0] == pytest.approx(2 * r_at[0.5], rel=1e-10)
     assert r_at[1.0] > 1e-3  # genuinely nonzero
 
@@ -142,7 +142,7 @@ def test_monopole_r2_linear_in_beta():
 
 def coefficient_min(res) -> float:
     """The spinorial conformal-block coefficient's minimum, from the pass."""
-    return _margin_pass(res.config, P0)["diagnostics"]["conformal_coefficient_min"]
+    return _margin_pass(res.config, P0)[0]["diagnostics"]["conformal_coefficient_min"]
 
 
 def conformal_coefficient(res, surface):
@@ -201,7 +201,7 @@ def test_spinorial_volume_identity():
 def test_spinorial_degree_and_gap():
     res = spinorial_solution(n=32, margin=0.1)
     vol = res.config.target.volume(n=64)
-    bg = bound_gap(res.config, P0, vol)
+    bg = bound_gap(res.config, P0, vol)[0]
     assert abs(bg["gap"]) < 0.01 * bg["energy"]
     assert bg["degree"] == pytest.approx(np.tanh(2.9), abs=5e-3)
 
@@ -227,7 +227,7 @@ def test_twisted_b_value_and_conditions():
     c1, c2, c3 = bps2_scalar_conditions(rt, -2.0, 2.0, 0.5)
     assert max(c1, c2, c3) < 5e-4
     p = bps_coefficients(-2.0, 2.0, 0.5)
-    r = _margin_pass(rt.config, p)
+    r = _margin_pass(rt.config, p)[0]
     assert r["r1"] < 1e-2 and r["r2"] < 1e-2  # n = 24 here; under 5e-4 at n = 48
 
 
@@ -249,7 +249,7 @@ def test_spherical_profiles_and_residuals():
     assert res.diagnostics["bps2a_residual"] < 1e-12
     assert res.diagnostics["bps2b_residual"] < 1e-12
     p = bps_coefficients(1.0, 2.0, 0.0)
-    r = _margin_pass(res.config, p)
+    r = _margin_pass(res.config, p)[0]
     assert r["r1"] < 5e-4 and r["r2"] < 5e-4
 
 
@@ -287,8 +287,8 @@ def test_spherical_excluded_branches():
 ])
 def test_family_residuals_decay_fourth_order(build, params):
     p = bps_coefficients(*params)
-    r_coarse = _margin_pass(build(24).config, p)
-    r_fine = _margin_pass(build(48).config, p)
+    r_coarse = _margin_pass(build(24).config, p)[0]
+    r_fine = _margin_pass(build(48).config, p)[0]
     assert r_fine["r1"] < 5e-4
     assert r_coarse["r1"] / r_fine["r1"] > 8.0  # (48/24)^4 = 16 nominal
     if r_fine["r2"] > 1e-12:
@@ -303,7 +303,7 @@ def test_spherical_degree_extrapolates_to_one():
         res = spherical_solution(1.0, -1.0, 1.0, 2.0, n=32, margin=m)
         if vol is None:
             vol = res.config.target.volume(n=64)
-        degs.append(bound_gap(res.config, P0, vol)["degree"])
+        degs.append(bound_gap(res.config, P0, vol)[0]["degree"])
     d = extrapolate_margin(margins, degs)
     assert abs(d - round(d)) < 1e-2
     assert round(d) == 1
@@ -314,14 +314,14 @@ def test_spherical_degree_extrapolates_to_one():
 
 def test_symplectic_normalization_and_chi():
     res = symplectic_solution(n=24)
-    assert _margin_pass(res.config, P0)["diagnostics"]["normalization_residual"] < 1e-10
+    assert _margin_pass(res.config, P0)[0]["diagnostics"]["normalization_residual"] < 1e-10
     assert res.diagnostics["omega_c_integral_over_2pi"] == pytest.approx(2.0, abs=2e-2)
 
 
 def test_symplectic_normalization_violation():
     res = symplectic_solution(n=8, w_scale=1.01)
     with pytest.raises(NormalizationFailed, match="differs from -2 da by"):
-        _margin_pass(res.config, P0)
+        _margin_pass(res.config, P0)[0]
 
 
 def test_symplectic_untwisted_is_spinorial():
@@ -341,9 +341,9 @@ def test_symplectic_twisted_matches_untwisted_invariants():
     p = bps_coefficients(0.0, 1.2, 0.0)
     plain = symplectic_solution(n=24)
     twisted = symplectic_solution(n=24, xi_phase=lambda xi: 0.4 * xi)
-    r_plain = _margin_pass(plain.config, p)
-    r_tw = _margin_pass(twisted.config, p)
+    r_plain = _margin_pass(plain.config, p)[0]
+    r_tw = _margin_pass(twisted.config, p)[0]
     assert r_tw["r1"] < 1e-2 and r_tw["r2"] < 1e-2  # n = 24; under 5e-4 at n = 48
     vol = plain.config.target.volume(n=64)
-    assert bound_gap(twisted.config, p, vol)["degree"] == pytest.approx(
-        bound_gap(plain.config, p, vol)["degree"], abs=1e-6)
+    assert bound_gap(twisted.config, p, vol)[0]["degree"] == pytest.approx(
+        bound_gap(plain.config, p, vol)[0]["degree"], abs=1e-6)

@@ -24,16 +24,16 @@ def test_stage_peaks_smoke(tmp_path, capsys):
     assert mod.main([str(cfg)]) == 0
     out = json.loads(capsys.readouterr().out.splitlines()[-1])
     stages = out["stages"]
-    assert stages["build"]["calls"] == stages["bound_gap"]["calls"] == 3
-    # one pass per margin, each on a line of its own
-    first, *later = (f"bound_gap/pass[m={m}]" for m in cli.FAMILIES["spherical"].margins)
-    assert [stages[name]["calls"] for name in [first, *later]] == [1, 1, 1]
-    # the first margin's stencil checks run in its pass, once per slab (one
-    # slab at n = 16) and naturality once per form
-    assert stages[f"{first}/bianchi"]["calls"] == 1
-    assert stages[f"{first}/naturality"]["calls"] == 2
+    # one build and one pass serve the three margins, on one line
+    assert stages["build"]["calls"] == stages["bound_gap"]["calls"] == 1
+    assert stages["bound_gap/pass"]["calls"] == 1
+    assert not any("[" in name for name in stages)
+    # the stencil checks run in the pass, once per slab (one slab at n = 16)
+    # and naturality once per form
+    assert stages["bound_gap/pass/bianchi"]["calls"] == 1
+    assert stages["bound_gap/pass/naturality"]["calls"] == 2
     nested = [name for name in stages if name.count("/") == 2]
-    assert sorted(nested) == [f"{first}/bianchi", f"{first}/naturality"]
+    assert sorted(nested) == ["bound_gap/pass/bianchi", "bound_gap/pass/naturality"]
     assert "bianchi" not in stages and "naturality" not in stages
     for st in stages.values():
         assert 0.0 <= st["entry_mb"] <= st["peak_mb"] <= out["overall_peak_mb"]
