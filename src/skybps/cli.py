@@ -17,8 +17,9 @@ Configuration is JSON (``--config``), with common fields overridable by
 flags.  Unknown keys are rejected.  Outputs: ``report.json`` (nested,
 schema-versioned) and ``results.csv`` with the fixed header
 family,params,n,margin,E,deg,bound,gap,r1,r2,exit.  Files are written
-atomically.  SKYRME_THREADS caps sweep parallelism, and so does the memory
-available; runs are deterministic for a fixed configuration.
+atomically.  A sweep runs its points one after another, and points that share
+a target compute its Vol(N) and moment check once; runs are deterministic for
+a fixed configuration.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numbers
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -490,17 +490,13 @@ def _mem_available() -> int | None:
     return None
 
 
-def _verify_footprint(cfg: dict) -> int:
-    """:func:`_footprint` of the verify of a validated configuration."""
-    return _footprint(int(cfg.get("n", 48)), FAMILIES[cfg["family"]].algebra_dim)
-
-
 def _check_footprint(cfg: dict):
     """Refuse, before anything is built, a verify that needs more memory than
     the machine has available."""
-    need, avail = _verify_footprint(cfg), _mem_available()
+    n = int(cfg.get("n", 48))
+    need, avail = _footprint(n, FAMILIES[cfg["family"]].algebra_dim), _mem_available()
     if avail is not None and need > avail:
-        raise ConfigError(f"n = {int(cfg.get('n', 48))} needs about {need / 2**20:.0f} MB, "
+        raise ConfigError(f"n = {n} needs about {need / 2**20:.0f} MB, "
                           f"more than the {avail / 2**20:.0f} MB available")
 
 
@@ -672,44 +668,16 @@ def run_sweep(cfg: dict) -> dict:
     if not isinstance(param, str) or not isinstance(values, (list, tuple)):
         raise ConfigError(f"sweep needs a dotted key path 'param' and a list 'values', "
                           f"got {param!r} and {values!r}")
-    try:
-        workers = max(1, int(os.environ.get("SKYRME_THREADS", "1")))
-    except ValueError:
-        raise ConfigError(f"SKYRME_THREADS must be an integer, "
-                          f"got {os.environ['SKYRME_THREADS']!r}") from None
     # every point's configuration is built, and so checked, before any point runs
     subs = [_point_config(cfg, param, v) for v in values]
-    # as many points run at once as the largest point's footprint fits in the
-    # memory available; a point that does not validate fails when it runs
-    needs = []
-    for sub in subs:
-        try:
-            needs.append(_verify_footprint(_validate_config(sub)))
-        except SkybpsError:
-            pass
-    avail = _mem_available()
-    if avail is not None and needs:
-        workers = min(workers, max(1, avail // max(needs)))
-
-    def one(value, sub):
-        try:
-            rep = run_verify(sub)
-            return value, rep, None
-        except SkybpsError as exc:
-            return value, None, f"{type(exc).__name__}: {exc}"
-
-    if workers > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, values, subs))
-    else:
-        results = [one(v, sub) for v, sub in zip(values, subs)]
-
     rows, points = [], []
     any_fail = False
-    for value, rep, err in results:
-        if err is not None:
+    for value, sub in zip(values, subs):
+        try:
+            rep = run_verify(sub)
+        except SkybpsError as exc:
             any_fail = True
-            points.append({"value": value, "error": err, "exit": 1})
+            points.append({"value": value, "error": f"{type(exc).__name__}: {exc}", "exit": 1})
             continue
         any_fail = any_fail or rep["exit"] != 0
         points.append({
@@ -722,11 +690,11 @@ def run_sweep(cfg: dict) -> dict:
     # observed convergence order for n-doubling pairs within the sweep
     conv = []
     if param == "n":
-        by_n = {int(v): rep for (v, rep, err) in results if rep is not None}
+        by_n = {int(p["value"]): p["rows"] for p in points if "rows" in p}
         for n1 in sorted(by_n):
             if 2 * n1 in by_n:
-                r_a = by_n[n1]["rows"][-1]
-                r_b = by_n[2 * n1]["rows"][-1]
+                r_a = by_n[n1][-1]
+                r_b = by_n[2 * n1][-1]
                 if r_a["r1"] > 0 and r_b["r1"] > 0:
                     conv.append({
                         "n_pair": [n1, 2 * n1],

@@ -498,8 +498,9 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
         return np.zeros((rows.stop - rows.start,) + grid.n[1:])
 
     # d^A phi is formed first, so that phi's halo rows are freed before the
-    # target side is evaluated; the window fields are read last, by the
-    # grid stencils
+    # target side is evaluated; it is read on the window, where the grid
+    # stencils read it, so that its rows are a view of the same field
+    P_window = slab.P
     P, F, kil = (slab.inner(name) for name in ("P", "F", "kil"))
 
     # exterior-derivative part of d_g beta, pulled back
@@ -526,8 +527,8 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     del coeff, P, F, kil
 
     # d(phi^{*A} beta) by grid finite differences
-    pb = equivariant_pullback(slab.P, None, p, q, beta)
-    del beta
+    pb = equivariant_pullback(P_window, None, p, q, beta)
+    del beta, P_window
     if q == 1:
         d = [slab_derivative(pb, k, grid, rows) for k in range(3)]
         del pb

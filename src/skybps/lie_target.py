@@ -21,7 +21,6 @@ quaternions (q0, q1, q2, q3) <-> q0 + q_a e_a.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -159,10 +158,6 @@ class TargetGeometry:
     extras: dict = field(default_factory=dict)
     _volume_cache: dict = field(default_factory=dict, repr=False)
     _moment_cache: dict = field(default_factory=dict, repr=False)
-    # held while either cache is filled, so that threads sharing the target
-    # compute each entry once
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  compare=False, repr=False)
 
     def chart_grid(self, n, margin: float | None = None) -> PatchGrid:
         m = self.default_margin if margin is None else margin
@@ -194,23 +189,22 @@ class TargetGeometry:
         """
         margins = tuple(margins) if margins is not None else self.volume_margins
         key = (_triple(n), margins)
-        with self._lock:
-            if key not in self._volume_cache:
-                vals = []
-                for m in margins:
-                    grid = self.chart_grid(n, m)
-                    sums = np.empty(grid.n[0])
-                    fiber = None if self.fiber_axis is None else self._vol_density(grid)
-                    for sl in grid.slabs():
-                        if fiber is None:
-                            vol = self._vol_density(grid, sl)
-                        else:
-                            vol = fiber if self.fiber_axis == 0 else fiber[sl]
-                        shape = (sl.stop - sl.start,) + grid.n[1:]
-                        sums[sl] = grid.row_sums(np.broadcast_to(vol, shape), sl)
-                    vals.append(float(np.sum(sums)))
-                self._volume_cache[key] = extrapolate_margin(margins, vals)
-            return self._volume_cache[key]
+        if key not in self._volume_cache:
+            vals = []
+            for m in margins:
+                grid = self.chart_grid(n, m)
+                sums = np.empty(grid.n[0])
+                fiber = None if self.fiber_axis is None else self._vol_density(grid)
+                for sl in grid.slabs():
+                    if fiber is None:
+                        vol = self._vol_density(grid, sl)
+                    else:
+                        vol = fiber if self.fiber_axis == 0 else fiber[sl]
+                    shape = (sl.stop - sl.start,) + grid.n[1:]
+                    sums[sl] = grid.row_sums(np.broadcast_to(vol, shape), sl)
+                vals.append(float(np.sum(sums)))
+            self._volume_cache[key] = extrapolate_margin(margins, vals)
+        return self._volume_cache[key]
 
     def _vol_density(self, grid: PatchGrid, rows: slice = slice(None)) -> np.ndarray:
         """The V_N coefficient on ``rows`` of the chart grid; with a
@@ -230,9 +224,8 @@ _SHARED: dict = {}
 
 
 def shared(key, make):
-    """The object stored under ``key``, built by ``make()`` on first use; of two
-    threads that build it, the first stored wins.  A ``make`` that raises
-    stores nothing."""
+    """The object stored under ``key``, built by ``make()`` on first use.  A
+    ``make`` that raises stores nothing."""
     if key not in _SHARED:
         _SHARED.setdefault(key, make())
     return _SHARED[key]
@@ -271,23 +264,22 @@ def verify_moment_conditions(target: TargetGeometry, n=64) -> dict:
     and combined by max.  The result is kept on the target per n, so sweep
     points that share a target run the check once.
     """
-    with target._lock:
-        if n not in target._moment_cache:
-            grid = target.chart_grid(n)
-            def_res = con_res = 0.0
-            for sl in grid.slabs():
-                y = np.stack(grid.meshes(sl))
-                dmu = target_partials(target.mu_fn, y)  # (k, a, comp, *sp)
-                curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
-                del dmu
-                vol = target.vol_coeff(mat_det(target.metric_fn(y)))
-                kil = target.killing_fn(y)
-                def_res = max(def_res, float(np.max(np.abs(curl - vol * kil))))
-                del curl, vol
-                con_res = max(con_res, float(np.max(np.abs(_symmetrized_contraction(
-                    kil, target.mu_fn(y))))))
-            target._moment_cache[n] = {"def_residual": def_res, "constraint_residual": con_res}
-        return target._moment_cache[n]
+    if n not in target._moment_cache:
+        grid = target.chart_grid(n)
+        def_res = con_res = 0.0
+        for sl in grid.slabs():
+            y = np.stack(grid.meshes(sl))
+            dmu = target_partials(target.mu_fn, y)  # (k, a, comp, *sp)
+            curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
+            del dmu
+            vol = target.vol_coeff(mat_det(target.metric_fn(y)))
+            kil = target.killing_fn(y)
+            def_res = max(def_res, float(np.max(np.abs(curl - vol * kil))))
+            del curl, vol
+            con_res = max(con_res, float(np.max(np.abs(_symmetrized_contraction(
+                kil, target.mu_fn(y))))))
+        target._moment_cache[n] = {"def_residual": def_res, "constraint_residual": con_res}
+    return target._moment_cache[n]
 
 
 def _symmetrized_contraction(kil: np.ndarray, mu: np.ndarray) -> np.ndarray:

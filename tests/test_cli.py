@@ -589,17 +589,6 @@ def test_malformed_sweep_exits_2(tmp_path, sweep):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SKYRME_THREADS", "abc")
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({
-        "family": "identity-u1", "n": 12, "margins": [0.2],
-        "sweep": {"param": "family_params.ax", "values": ["0.05*sin(theta)"]},
-    }))
-    assert main(["sweep", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
-    assert "SKYRME_THREADS" in capsys.readouterr().err
-
-
 # -- the memory estimate --------------------------------------------------------
 
 
@@ -686,8 +675,7 @@ def test_mem_available_reads_meminfo():
     assert avail is None or avail > 0
 
 
-def test_sweep_spherical_c1(tmp_path, monkeypatch):
-    monkeypatch.setenv("SKYRME_THREADS", "2")
+def test_sweep_spherical_c1():
     # n = 24 keeps the test quick; FD-sized tolerances are scaled accordingly
     # (the 48-point defaults are exercised by the acceptance suite)
     rep = run_sweep({
@@ -704,27 +692,10 @@ def test_sweep_spherical_c1(tmp_path, monkeypatch):
     assert max(gaps) < 0.01
 
 
-def test_sweep_outputs_identical_across_thread_counts(tmp_path, monkeypatch):
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({
-        "family": "identity-u1",
-        "n": 16,
-        "margins": [0.36, 0.24, 0.16],
-        "sweep": {"param": "family_params.ax",
-                  "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)"]},
-    }))
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SKYRME_THREADS", threads)
-        assert main(["sweep", "--config", str(cfg_file),
-                     "--output-dir", str(tmp_path / threads)]) == 0
-    for name in ("report.json", "results.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
-
-def test_sweep_runs_as_many_points_at_once_as_fit_in_memory(tmp_path, monkeypatch):
-    # memory for one and a half verifies: two threads run one point at a time
-    monkeypatch.setattr(cli, "_mem_available", lambda: int(1.5 * cli._footprint(16, 1)))
-    real, lock, running, most = cli.run_verify, threading.Lock(), [0], [0]
+def test_sweep_runs_points_one_at_a_time(tmp_path, monkeypatch):
+    # SKYRME_THREADS is not read: a sweep runs one point after another
+    monkeypatch.setenv("SKYRME_THREADS", "2")
+    real, lock, running, most, calls = cli.run_verify, threading.Lock(), [0], [0], []
 
     def counted(cfg):
         with lock:
@@ -732,25 +703,21 @@ def test_sweep_runs_as_many_points_at_once_as_fit_in_memory(tmp_path, monkeypatc
             most[0] = max(most[0], running[0])
         try:
             time.sleep(0.05)  # long enough for a second point to start, if it may
+            calls.append(cfg["family_params"]["ax"])
             return real(cfg)
         finally:
             with lock:
                 running[0] -= 1
 
     monkeypatch.setattr(cli, "run_verify", counted)
+    values = ["0.05*sin(theta)", "0.08*sin(theta + 1.3)", "0.02*sin(theta)"]
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
         "family": "identity-u1", "n": 16, "margins": [0.36, 0.24, 0.16],
-        "sweep": {"param": "family_params.ax",
-                  "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)", "0.02*sin(theta)"]},
+        "sweep": {"param": "family_params.ax", "values": values},
     }))
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SKYRME_THREADS", threads)
-        assert main(["sweep", "--config", str(cfg_file),
-                     "--output-dir", str(tmp_path / threads)]) == 0
-    assert most[0] == 1
-    for name in ("report.json", "results.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    assert main(["sweep", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 0
+    assert most[0] == 1 and calls == values
 
 
 def test_sweep_perturbation_monotone():
@@ -810,8 +777,7 @@ def test_sweep_convergence_columns():
 
 def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
     # the swept A_x leaves the target section unchanged, so Vol(N) is
-    # integrated once for the whole sweep instead of once per point, also
-    # when two threads reach the shared target together
+    # integrated once for the whole sweep instead of once per point
     quadratures = []
     density = lie_target.TargetGeometry._vol_density
 
@@ -827,12 +793,9 @@ def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
         "sweep": {"param": "family_params.ax",
                   "values": ["0.05*sin(theta)", "0.08*sin(theta + 1.3)", "0.02*sin(theta)"]},
     }
-    for threads in ("2", "1"):
-        monkeypatch.setenv("SKYRME_THREADS", threads)
-        monkeypatch.setattr(lie_target, "_SHARED", {})
-        quadratures.clear()
-        cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
-        assert len(quadratures) == 3, threads  # one per Vol(N) margin
+    monkeypatch.setattr(lie_target, "_SHARED", {})
+    cli.write_outputs(run_sweep(cfg), str(tmp_path / "shared"))
+    assert len(quadratures) == 3  # one per Vol(N) margin
 
     build_target = cli.build_target
 
@@ -854,7 +817,6 @@ def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
 def test_spinorial_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch, target):
     # the swept perturbation leaves the profile family unchanged, so its
     # target, and Vol(N), is built once for the whole sweep
-    monkeypatch.setenv("SKYRME_THREADS", "1")
     quadratures = []
     density = lie_target.TargetGeometry._vol_density
 

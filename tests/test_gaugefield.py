@@ -23,7 +23,7 @@ from skybps.gaugefield import (
     naturality_check_specs,
     pullback_naturality_residual,
 )
-from skybps import grid as grid_module
+from skybps import gaugefield, grid as grid_module
 from skybps.grid import build_patch, partial_derivative
 from skybps.lie_target import sph_x, su2_algebra, u1_algebra
 from skybps.solutions import dirac_monopole, identity_u1_solution, spinorial_solution
@@ -217,6 +217,19 @@ def test_naturality_adjoint_radial_forms(adjoint_round_target):
     c = smooth_adjoint_configuration(adjoint_round_target, n=32)
     for _, spec in naturality_check_specs(adjoint_round_target):
         assert naturality(c, spec) < 1e-5
+
+
+def test_naturality_alone_forms_dphi_once_per_slab(adjoint_round_target, monkeypatch):
+    # as a slab's first reader, the check reads d^A phi on the window and on
+    # the slab's rows from one field
+    c = smooth_adjoint_configuration(adjoint_round_target, n=16)
+    monkeypatch.setattr(grid_module, "_SLAB_POINTS", 4 * 16 * 16)
+    calls = []
+    monkeypatch.setattr(gaugefield, "_dphi", lambda *args: calls.append(args) or _dphi(*args))
+    for _, spec in naturality_check_specs(c.target):
+        calls.clear()
+        assert naturality(c, spec) < 1e-3
+        assert len(calls) == len(c.grid.slabs()) == 4
 
 
 # -- gauge transformations --------------------------------------------------------

@@ -1,7 +1,3 @@
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -212,36 +208,6 @@ def test_moment_conditions_equal_full_grid_check(make):
     t = make()
     assert len(t.chart_grid(32).slabs()) == 3
     assert verify_moment_conditions(t, n=32) == _full_grid_moment_residuals(t, 32)
-
-
-def test_target_caches_filled_once_under_concurrent_first_calls(monkeypatch):
-    # eight threads ask a fresh target for Vol(N) and its moment check at once;
-    # the counted calls sleep, so that a thread that finds a cache empty is
-    # still computing when the others look
-    quadratures, partials = [], []
-    density, target_partials = lie_target.TargetGeometry._vol_density, lie_target.target_partials
-
-    def counted(calls, fn):
-        def wrapped(*args):
-            calls.append(args)
-            time.sleep(0.01)
-            return fn(*args)
-        return wrapped
-
-    # V_N is evaluated once per chart grid, on the slice across its fiber axis
-    monkeypatch.setattr(lie_target.TargetGeometry, "_vol_density", counted(quadratures, density))
-    monkeypatch.setattr(lie_target, "target_partials", counted(partials, target_partials))
-    t = _round_adjoint_target()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            out = list(pool.map(lambda _: (t.volume(n=16), verify_moment_conditions(t, n=8)),
-                                range(16), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(out) == 16 and all(v == out[0][0] and m is out[0][1] for v, m in out)
-    assert len(quadratures) == len(t.volume_margins) and len(partials) == 1
 
 
 # -- adjoint interval targets -------------------------------------------------
