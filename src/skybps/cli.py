@@ -458,12 +458,12 @@ def _validate_config(cfg: dict) -> dict:
 # 32^3 chart grid, (20 + 24 dim) fields with the complex-step partials of
 # mu.  A slab of the pass holds about _SLAB_FIELDS fields on each of its
 # rows, each freed after its last reader.  It evaluates phi and A on up to 4
-# more rows on each side: the stencil checks read d^A phi, F and I(phi) on
-# the inner two of them, which hold those five, 12 + 9 dim fields, and the
-# outer two hold only phi and A (3 + 3 dim fields).  The slabs of Vol(N)'s
-# 96^3 chart grids are one row and smaller than either working set.  The
-# estimate is 1.05 to 1.43 times the traced peak (tracemalloc, numpy 2.4) of
-# all six families from n = 16 to 96.
+# more rows on each side: it forms F, d^A phi and I(phi) on the inner two of
+# them, which hold those five, 12 + 9 dim fields, and the outer two hold only
+# phi and A (3 + 3 dim fields).  The slabs of Vol(N)'s 96^3 chart grids are
+# one row and smaller than either working set.  The estimate is 1.05 to 1.43
+# times the traced peak (tracemalloc, numpy 2.4) of all six families from
+# n = 16 to 96.
 _SLAB_FIELDS = 88
 
 
@@ -593,8 +593,7 @@ def run_verify(cfg: dict) -> dict:
     check("moment_def_residual", mom["def_residual"], tols["moment"])
     if c.target.has_moment_constraint:
         check("moment_constraint_residual", mom["constraint_residual"], tols["moment"])
-    # each is a function of a slab, so that they share the pass's slabs;
-    # Bianchi first: it reads A, which a slab drops once d^A phi and F exist
+    # each is a function of a slab, so that they share the pass's slabs
     stencil_checks = [("bianchi_residual", c.bianchi_residual)] + [
         (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
         for name, spec in naturality_check_specs(c.target)]
@@ -728,6 +727,16 @@ def _atomic_write(path: str, text: str):
             os.unlink(tmp)
 
 
+def _check_output_dir(path: str):
+    """Refuse, before anything is computed, an output directory that is a
+    file or lies under one."""
+    found = os.path.abspath(path)
+    while not os.path.lexists(found):  # the nearest part of the path that exists
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"output directory {path!r}: {found!r} is not a directory")
+
+
 def write_outputs(report: dict, out_dir: str, emit_gnuplot: bool = False):
     import io
 
@@ -767,28 +776,25 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("configuration must be a JSON object")
-    if getattr(args, "family", None):
+    if args.family:
         cfg["family"] = args.family
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         cfg["n"] = args.n
-    if getattr(args, "margins", None):
+    if args.margins:
         try:
             cfg["margins"] = [float(x) for x in args.margins.split(",")]
         except ValueError:
             raise ConfigError(f"--margins must be comma-separated numbers, got {args.margins!r}")
-    if getattr(args, "ax", None):
-        cfg.setdefault("family_params", {})["ax"] = args.ax
-    if getattr(args, "surface", None):
-        cfg.setdefault("surface", {})["name"] = args.surface
-    if getattr(args, "curvature", None) is not None:
-        cfg.setdefault("surface", {})["name"] = cfg.get("surface", {}).get("name", "s2-round")
-        cfg["surface"]["curvature"] = args.curvature
-    if getattr(args, "target", None):
-        cfg.setdefault("target", {})["name"] = args.target
-    for k in ("alpha", "beta", "gamma"):
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg.setdefault("family_params", {})[k] = v
+    # each flag sets a key of an object-valued section, which it makes if absent
+    sets = [("family_params", "ax", args.ax or None), ("surface", "name", args.surface or None),
+            ("surface", "curvature", args.curvature), ("target", "name", args.target or None)]
+    sets += [("family_params", k, getattr(args, k)) for k in ("alpha", "beta", "gamma")]
+    for section, key, value in sets:
+        if value is not None:
+            cfg[section] = _section(cfg, section)
+            cfg[section][key] = value
+    if args.curvature is not None:
+        cfg["surface"].setdefault("name", "s2-round")
     if args.output_dir is not None:
         cfg["output_dir"] = args.output_dir
     if args.emit_gnuplot:
@@ -827,6 +833,7 @@ def main(argv=None) -> int:
         if args.command == "obstruction":
             if not (math.isfinite(args.K) and args.K > 0):
                 raise ConfigError("K must be positive and finite")
+            _check_output_dir(args.output_dir or ".")
             # an overflow is reported as a non-finite constant, not as warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 value = left_action_obstruction(args.K)
@@ -850,6 +857,7 @@ def main(argv=None) -> int:
         if not isinstance(out_dir, str) or not isinstance(emit, bool):
             raise ConfigError(f"'output_dir' must be a string and 'emit_gnuplot' true or "
                               f"false, got {out_dir!r} and {emit!r}")
+        _check_output_dir(out_dir)
         _keep_freed_pages()
         if args.command == "verify":
             report = run_verify(cfg)

@@ -114,9 +114,9 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), insets=(0.0,)) -> li
     reduced over each sub-box that ``insets`` names: one dict for each.
 
     Each slab (``PatchGrid.slabs``) evaluates phi, A and g_M, which a
-    :class:`Survey` checks first.  It forms d^A phi and F on its rows, takes
-    g_N, I and mu at phi (I once, shared with d^A phi), det g_N and g_N^-1
-    once, the base star and its inverse, and the five pullbacks Sig, nu, mus,
+    :class:`Survey` checks first.  It forms F, d^A phi and I(phi) once (see
+    :class:`Slab`), takes g_N and mu at phi, det g_N and g_N^-1 once, the
+    base star and its inverse, and the five pullbacks Sig, nu, mus,
     phi^{*A} V_N and phi^{*A} mu.  From them it forms the energy densities,
     the Bogomolny density
       |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
@@ -142,9 +142,9 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), insets=(0.0,)) -> li
 
     ``checks`` are (name, fn) pairs that read the same slabs before the pass
     does: fn(slab) is the check's residual at each point of the slab's rows,
-    and its maxima over each sub-box are returned under "checks".  A slab's
-    fields are formed on its derivative halo, for the stencil checks
-    (Bianchi, naturality) that differentiate them.
+    and its maxima over each sub-box are returned under "checks", in any
+    order at the same cost.  A slab's fields are formed on its derivative
+    halo, which the stencil checks (Bianchi, naturality) differentiate.
 
     Once the slabs read so far fail the survey, the rest are only surveyed,
     and the survey's error is raised after the last.  A sub-box on which the

@@ -10,14 +10,15 @@ A Configuration holds no field of the grid's size.  It holds evaluators of
 its closed forms on a range of rows of the first axis, and a verify
 evaluates them one slab at a time (:meth:`Configuration.slab`): phi and A on
 the rows around the slab that its stencils read (``PatchGrid.halo``), g_M on
-the slab's rows.  d phi, d^A phi and F are formed there, the Bianchi and
-naturality residuals are pointwise on the slab's rows, and the pass takes
-their maxima over each sub-box of the grid (``PatchGrid.box``).  The checks
-that a field held on the whole grid would have had on construction
-(finiteness, the target chart, the family's own bounds) are folded over the
-slabs by a :class:`Survey`, and so are the family's diagnostics and whether
-g_M is riemannian on each sub-box.  On a grid of one slab the rows are the
-whole grid and no halo is read.
+the slab's rows.  A :class:`Slab` forms its derived fields once, in one
+fixed order, whichever check reads it first: F, the Bianchi residual, d^A
+phi and I(phi).  The Bianchi and naturality residuals are pointwise on the
+slab's rows, and the pass takes their maxima over each sub-box of the grid
+(``PatchGrid.box``).  The checks that a field held on the whole grid would
+have had on construction (finiteness, the target chart, the family's own
+bounds) are folded over the slabs by a :class:`Survey`, and so are the
+family's diagnostics and whether g_M is riemannian on each sub-box.  On a
+grid of one slab the rows are the whole grid and no halo is read.
 """
 
 from __future__ import annotations
@@ -68,39 +69,29 @@ class Configuration:
             self.phi_winding = np.zeros((3, 3))
 
     def slab(self, rows: slice) -> Slab:
-        """The fields of one slab, with its derivative halo as the window,
-        evaluated when first read (see :class:`Slab`)."""
+        """The fields of one slab, with its derivative halo as the window
+        (see :class:`Slab`)."""
         return Slab(self, rows, self.grid.halo(rows))
 
     def bianchi_residual(self, slab: Slab) -> np.ndarray:
         """|dF^a + f^a_bc A^b ^ F^c| (3-form coefficient, per algebra slot)
-        at each point of one slab's rows, from F on its halo."""
-        F, rows = slab.F, slab.rows
-        div = sum(slab_derivative(F[:, m], m, self.grid, rows) for m in range(3))
-        A, F = slab.inner("A"), slab.inner("F")
-        f = self.target.algebra.f
-        for a, b, c in zip(*np.nonzero(f)):
-            div[a] += f[a, b, c] * _dot(A[b], F[c])
-        return np.abs(div, out=div)
+        at each point of one slab's rows, formed with F (:meth:`Slab._derive`)."""
+        return slab.inner("bianchi")
 
 
 @dataclass
 class Slab:
-    """One slab's fields: phi and A on the rows ``window`` around the slab's
-    ``rows``, d^A phi, F and I(phi) there, g_M and the base star on the
-    slab's rows.
+    """One slab's fields, formed in one fixed order whatever reads them
+    first: phi and A on the halo of the ``window`` when the slab is made,
+    then, at the first read of a derived field (:meth:`_derive`), F, the
+    Bianchi residual, d^A phi and I(phi); g_M and the star on the slab's
+    ``rows``.  The window is their derivative halo (``PatchGrid.halo``).
 
-    The window is the slab's derivative halo (``PatchGrid.halo``), which
-    the stencil checks differentiate.  Each field is formed on first read:
-    phi and A on the halo of the window; d^A phi, F and I(phi) on the
-    window once a field has been read there (``phi``, ``P``, ``F``, which
-    the stencil checks read, the Bianchi check first), else on the slab's
-    rows (:meth:`inner`, :meth:`take`), so that a pass without stencil
-    checks forms them on the slab's rows alone.  Each is then held on the
-    rows that its remaining readers need, and copied out of the rows it had
-    as soon as they need fewer (see :meth:`_form`); a field held on fewer
-    rows than a later reader asks for is formed again.  g_M is dropped once
-    the star is built from it, and :meth:`take` hands the rest over.
+    Each field is held on the rows its readers need, until its last reader:
+    phi and d^A phi on the window, which the naturality checks
+    differentiate; F, I(phi) and the Bianchi residual on the slab's rows.
+    A, which the :class:`Survey` reads first, is dropped once d^A phi is
+    formed, g_M once the star is built, and :meth:`take` hands the rest over.
     """
 
     config: Configuration
@@ -108,102 +99,67 @@ class Slab:
     window: slice
 
     def __post_init__(self):
+        halo = self.config.grid.halo(self.window)
         # name -> (the field, the rows of the first axis it is held on)
-        self._held: dict[str, tuple[np.ndarray, slice]] = {}
-        # the rows d^A phi, F and I(phi) are formed on: the window once a
-        # field has been read there
-        self._ext = self.rows
+        self._held = {name: (values, halo)
+                      for name, values in zip(("phi", "A"), self.config.fields(halo))}
 
     @property
     def phi(self) -> np.ndarray:
-        return self._wide("phi")
+        return self._on("phi", self.window)
 
     @property
     def P(self) -> np.ndarray:
         """d^A phi^mu = d phi^mu - A^a I_a^mu(phi) on the window; shape
         (3 target, 3 form, *window)."""
-        return self._wide("P")
-
-    @property
-    def F(self) -> np.ndarray:
-        """F^a = dA^a + (1/2) f^a_bc A^b ^ A^c on the window, dual storage."""
-        return self._wide("F")
-
-    def _wide(self, name: str) -> np.ndarray:
-        self._ext = self.window
-        return self._on(name, self.window)
+        return self._on("P", self.window)
 
     def inner(self, name: str) -> np.ndarray:
-        """The field ``name`` (phi, A, P, F or kil, for I(phi)) on the slab's
-        rows: a view."""
+        """The field ``name`` (phi, P, F, kil for I(phi), bianchi, or A
+        before any of the derived ones) on the slab's rows: a view."""
         return self._on(name, self.rows)
 
     def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(phi, d^A phi, F, I(phi)) on the slab's rows, handed over: each is
         copied out of a field held on more rows, and the slab keeps none of
         them, so each is freed with the caller's last use."""
-        for name in ("F", "P"):  # F first, so that A's halo is freed before d^A phi
-            self._field(name, self.rows)
-        out = []
-        for name in ("phi", "P", "F", "kil"):
-            out.append(_copy_rows(*self._held.pop(name), self.rows))
+        self.inner("P")  # formed here if no check has read the slab
+        out = tuple(_copy_rows(*self._held.pop(name), self.rows)
+                    for name in ("phi", "P", "F", "kil"))
         self._held.clear()
-        return tuple(out)
+        return out
 
     def _on(self, name: str, rows: slice) -> np.ndarray:
-        values, held = self._field(name, rows)
-        return _cut(values, held, rows)
-
-    def _field(self, name: str, rows: slice) -> tuple[np.ndarray, slice]:
-        """The field ``name`` and the rows it is held on, which hold
-        ``rows``."""
-        held = self._held.get(name)
-        if held is not None and not _holds(held[1], rows, self.config.grid.n[0]):
-            del self._held[name]
         if name not in self._held:
-            c = self.config
-            if name in ("phi", "A"):  # the one not held yet, or both
-                halo = c.grid.halo(self.window)
-                for key, values in zip(("phi", "A"), c.fields(halo)):
-                    self._held.setdefault(key, (values, halo))
-            else:
-                self._held[name] = (self._form(name, self._ext), self._ext)
-        return self._held[name]
+            self._derive()
+        return _cut(*self._held[name], rows)
 
-    def _form(self, name: str, ext: slice) -> np.ndarray:
-        """A derived field on the rows ``ext``, the window or the slab's
-        rows.  phi, A and I(phi) are cut down as soon as the rows they are
-        held on have no reader left: A to ``ext`` once F exists, phi to
-        ``ext`` and I(phi) to the slab's rows once d^A phi exists.  Once
-        both exist, A is read only by the Bianchi check, which a verify runs
-        before the checks that form d^A phi, so it is dropped; a later read
-        evaluates it again."""
-        c = self.config
-        halo = c.grid.halo(ext)
-        if name == "kil":
-            return c.target.killing_fn(self._on("phi", ext))
-        if name == "F":
-            F = _curvature(self._on("A", halo), c.target.algebra.f, c.grid, ext)
-            if "P" in self._held:
-                del self._held["A"]
-            else:
-                self._keep("A", ext)
-            return assert_finite(F, "curvature")
-        P = _dphi(c, self._on("phi", halo), ext)
-        self._keep("phi", ext)
-        kil, A = self._on("kil", ext), self._on("A", ext)
+    def _derive(self):
+        """F on the window from A on its halo, the Bianchi residual on the
+        slab's rows, then d^A phi and I(phi) on the window from phi on its
+        halo and A on the window; each input is cut down or dropped after
+        its last reader."""
+        c, grid, rows, window = self.config, self.config.grid, self.rows, self.window
+        halo, f = grid.halo(window), c.target.algebra.f
+        A, phi = self._held.pop("A")[0], self._held["phi"][0]
+        F = assert_finite(_curvature(A, f, grid, window), "curvature")
+        # the Bianchi residual |dF^a + f^a_bc A^b ^ F^c| on the slab's rows
+        div = sum(slab_derivative(F[:, m], m, grid, rows) for m in range(3))
+        F, on_rows = _copy_rows(F, window, rows), _cut(A, halo, rows)
+        for a, b, e in zip(*np.nonzero(f)):
+            div[a] += f[a, b, e] * _dot(on_rows[b], F[e])
+        self._held.update(bianchi=(np.abs(div, out=div), rows), F=(F, rows))
+        del F, on_rows, div
+        A = _copy_rows(A, halo, window)
+        P = _dphi(c, phi, window)
+        phi = _copy_rows(phi, halo, window)
+        self._held["phi"] = (phi, window)
+        kil = c.target.killing_fn(phi)
         for m in range(3):  # one form component of A^a I_a(phi) at a time
             P[:, m] -= _slot_contract(kil, A[:, m:m + 1])[:, 0]
-        del kil, A
-        self._keep("kil", self.rows)
-        if "F" in self._held:
-            del self._held["A"]
-        return assert_finite(P, "covariant differential")
-
-    def _keep(self, name: str, rows: slice):
-        """Hold the field ``name`` on ``rows`` only, copied out of the rows it
-        had, which are freed."""
-        self._held[name] = (_copy_rows(*self._held[name], rows), rows)
+        del A
+        self._held["P"] = (assert_finite(P, "covariant differential"), window)
+        self._held["kil"] = (_copy_rows(kil, window, rows), rows)
 
     @cached_property
     def gM(self) -> Metric3:
@@ -224,12 +180,6 @@ def _cut(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
         return values
     a = rows.start - held.start
     return _take_rows(values, slice(a, a + rows.stop - rows.start), values.shape[-3])
-
-
-def _holds(held: slice, rows: slice, n: int) -> bool:
-    """Whether a field held on the rows ``held`` of an axis of n points
-    holds ``rows``: the whole axis holds any rows, which may wrap."""
-    return held.stop - held.start >= n or held.start <= rows.start and rows.stop <= held.stop
 
 
 def _copy_rows(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
@@ -497,10 +447,6 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     if p >= 1 or 2 * p + q >= 3:
         return np.zeros((rows.stop - rows.start,) + grid.n[1:])
 
-    # d^A phi is formed first, so that phi's halo rows are freed before the
-    # target side is evaluated; it is read on the window, where the grid
-    # stencils read it, so that its rows are a view of the same field
-    P_window = slab.P
     P, F, kil = (slab.inner(name) for name in ("P", "F", "kil"))
 
     # exterior-derivative part of d_g beta, pulled back
@@ -527,8 +473,8 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     del coeff, P, F, kil
 
     # d(phi^{*A} beta) by grid finite differences
-    pb = equivariant_pullback(P_window, None, p, q, beta)
-    del beta, P_window
+    pb = equivariant_pullback(slab.P, None, p, q, beta)
+    del beta
     if q == 1:
         d = [slab_derivative(pb, k, grid, rows) for k in range(3)]
         del pb

@@ -291,7 +291,7 @@ def full_grid_field(c: Configuration, name: str) -> np.ndarray:
     rows = slice(0, c.grid.n[0])
     if name == "dphi":
         return _dphi(c, c.fields(rows)[0], rows)
-    return getattr(c.slab(rows), name)
+    return c.slab(rows).inner(name)
 
 
 class FormSpec(EquivariantFormSpec):

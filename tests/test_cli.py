@@ -177,6 +177,45 @@ def test_mistyped_config_exit_2(tmp_path, cfg):
     assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("cfg, flags", [
+    ({"family": "spinorial", "surface": "x"}, ["--curvature", "1"]),
+    ({"family": "spinorial", "surface": "x"}, ["--surface", "s2-round"]),
+    ({"family": "identity-u1", "target": 3}, ["--target", "u1-s3"]),
+    ({"family": "identity-u1", "family_params": [1]}, ["--ax", "0"]),
+    ({"family": "dirac-monopole", "family_params": [1]}, ["--alpha", "1"]),
+    ({"family": "dirac-monopole", "family_params": [1]}, ["--beta", "1"]),
+    ({"family": "dirac-monopole", "family_params": [1]}, ["--gamma", "1"]),
+], ids=["curvature", "surface", "target", "ax", "alpha", "beta", "gamma"])
+def test_flag_into_a_non_object_section_exits_2(tmp_path, capsys, cfg, flags):
+    # with or without the flag, the section is refused with the same message
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**cfg, "n": 12}))
+    errors = []
+    for extra in ([], flags):
+        assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path),
+                     *extra]) == 2
+        errors.append(capsys.readouterr().err)
+    section = next(k for k in cfg if k != "family")
+    assert errors[0] == errors[1] == (f"config error: {section!r} must be a JSON object, "
+                                      f"got {cfg[section]!r}\n")
+
+
+@pytest.mark.parametrize("command", [["verify", "--family", "identity-u1", "-n", "12"],
+                                     ["obstruction"]], ids=["verify", "obstruction"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+def test_output_dir_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch,
+                                                       command, below):
+    # refused before anything is computed, naming the path
+    monkeypatch.setattr(cli, "run_verify", None)
+    monkeypatch.setattr(cli, "left_action_obstruction", None)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out" if below else tmp_path / "file"
+    assert main([*command, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: output directory {str(out)!r}: "
+                   f"{str(tmp_path / 'file')!r} is not a directory\n")
+
+
 # -- the family table ----------------------------------------------------------------
 
 

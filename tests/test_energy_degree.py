@@ -63,9 +63,12 @@ def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
     for name in ("metric_fn", "killing_fn", "mu_fn"):
         monkeypatch.setattr(t, name, counted(name, getattr(t, name)))
     bound_gap(c, P0, 1.0)[0]
-    # each grid point once; d^A phi, nu and the contraction check share I
-    n = int(np.prod(c.grid.shape))
-    assert points == {"metric_fn": n, "killing_fn": n, "mu_fn": n}
+    # g_N and mu at each grid point once; I at each point of each slab's
+    # window, where d^A phi is formed, and nu and the contraction check
+    # share its slab's rows
+    n, g = int(np.prod(c.grid.shape)), c.grid
+    window = sum(w.stop - w.start for w in map(g.halo, g.slabs())) * int(np.prod(g.n[1:]))
+    assert points == {"metric_fn": n, "killing_fn": window, "mu_fn": n}
 
 
 def test_bps_coefficients_origin():

@@ -13,6 +13,7 @@ import functools
 import inspect
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -79,11 +80,12 @@ def test_bound_gap_working_set_grows_as_a_row():
 
 @pytest.mark.parametrize("family, rows", [("spherical", 270), ("dirac-monopole", 265)])
 def test_pass_halo_costs_a_pinned_share_of_a_row(family, rows):
-    # with one-row slabs the verify's pass runs the stencil checks, which
-    # form d^A phi, F and I(phi) on 5 rows from phi and A on 9; each is cut
-    # down or freed at its last reader, so the pass peaks at about 250
-    # fields of one row above its entry (measured 260 spherical, 246
-    # dirac-monopole; 348 and 420 when the window fields lived to the end of
+    # with one-row slabs each slab forms F, d^A phi and I(phi) on 5 rows
+    # from phi and A on 9; each is cut down or freed at its last reader, so
+    # the pass peaks at about 250 fields of one row above its entry, while
+    # F is formed from A on 9 rows (measured 252 spherical, 242
+    # dirac-monopole; 260 and 250 when F was held on the window until the
+    # pass took it; 348 and 420 when the window fields lived to the end of
     # the pass)
     n = 32
     [extra] = _pass_extras(family, n)
@@ -100,7 +102,7 @@ def test_take_hands_over_no_window_or_halo_buffer(monkeypatch):
     real, taken = gaugefield.Slab.take, []
 
     def take(slab):
-        wide = [slab.phi, slab.P, slab.F]  # on the window, or views of the halo
+        wide = [slab.phi, slab.P]  # held on the window; F is held on the rows alone
         wide += [a.base for a in wide if a.base is not None]
         out = real(slab)
         taken.append((slab.rows, wide, out))
@@ -184,6 +186,28 @@ def test_bound_gap_and_checks_equal_for_1_3_and_7_slabs(family, monkeypatch):
         {"kappa_min": results[0]["diagnostics"]["kappa_min"]} if family == "identity-u1" else {})
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+def test_checks_in_any_order_form_each_slab_once(monkeypatch):
+    # a slab evaluates phi and A once and forms F and d^A phi once, whether
+    # the stencil checks or the family's checks read it first
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 3 * 20 * 20)
+    res, p = build_family({"family": "spinorial", "n": 20}, FAMILIES["spinorial"].margins[0])
+    c = res.config
+    assert len(c.grid.slabs()) == 7 and len(res.checks) == 2
+    checks = [("bianchi", c.bianchi_residual)] + [
+        (name, functools.partial(pullback_naturality_residual, c, spec))
+        for name, spec in naturality_check_specs(c.target)] + res.checks
+    calls = []
+    for owner, name in ((c, "fields"), (gaugefield, "_curvature"), (gaugefield, "_dphi")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, real=getattr(owner, name):
+                            calls.append(name) or real(*args))
+    results = []
+    for order in (checks, checks[::-1]):
+        calls.clear()
+        results.append(bound_gap(c, p, 1.0, order)[0])
+        assert Counter(calls) == {"fields": 7, "_curvature": 7, "_dphi": 7}
+    assert results[1] == results[0]
 
 
 # -- the errors that read the whole grid ----------------------------------------------
