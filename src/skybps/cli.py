@@ -253,7 +253,17 @@ def _nullable(value, where: str):
 
 
 def _window(value, where: str):
-    return _check_tuple(value, 2, where)
+    """An interval [lo, hi] of a chart coordinate, lo < hi."""
+    lo, hi = _check_tuple(value, 2, where)
+    if not lo < hi:
+        raise ConfigError(f"{where} must be an interval [lo, hi] with lo < hi, got {value!r}")
+    return lo, hi
+
+
+def _radii(value, where: str):
+    if _window(value, where)[0] <= 0:
+        raise ConfigError(f"{where} must lie in r > 0, got {value!r}")
+    return tuple(value)
 
 
 def _expression(*names: str):
@@ -320,7 +330,7 @@ FAMILIES = {
         _identity_u1, {"ax": (_expression("theta", "x"), "0.1*sin(theta)")},
         margins=(0.36, 0.24, 0.16), sections=("target",), algebra_dim=1),
     "dirac-monopole": _Family(
-        _dirac_monopole, {"r_window": (_window, (0.5, 2.0)), "alpha": (_check_real, 0.0),
+        _dirac_monopole, {"r_window": (_radii, (0.5, 2.0)), "alpha": (_check_real, 0.0),
                           "beta": (_check_real, 0.0), "gamma": (_check_real, 0.0)},
         margins=(0.12, 0.06, 0.03), integer_degree=False),
     "spinorial": _Family(
@@ -650,7 +660,8 @@ def _point_config(cfg: dict, path: str, value) -> dict:
     *parents, last = path.split(".")
     node = sub
     for k in parents:
-        node = node.setdefault(k, {})
+        node[k] = node.get(k) or {}  # a missing or null section, as in :func:`_section`
+        node = node[k]
         if not isinstance(node, dict):
             raise ConfigError(f"sweep 'param' {path!r} passes through {k!r}, "
                               f"which is not an object")

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ChartExit, DegreeOverflow, NonFinite, SkybpsError
 from .exterior import (Metric3, StarMap, _adjugate, _cross_into, _det, _matvec, assert_finite,
                        hodge_star, mat_det)
-from .grid import PatchGrid, _take_rows, slab_derivative
+from .grid import PatchGrid, _cut, exterior_d
 from .lie_target import TargetGeometry, target_partials
 
 
@@ -144,7 +144,7 @@ class Slab:
         A, phi = self._held.pop("A")[0], self._held["phi"][0]
         F = assert_finite(_curvature(A, f, grid, window), "curvature")
         # the Bianchi residual |dF^a + f^a_bc A^b ^ F^c| on the slab's rows
-        div = sum(slab_derivative(F[:, m], m, grid, rows) for m in range(3))
+        div = exterior_d(F, 2, grid, rows)
         F, on_rows = _copy_rows(F, window, rows), _cut(A, halo, rows)
         for a, b, e in zip(*np.nonzero(f)):
             div[a] += f[a, b, e] * _dot(on_rows[b], F[e])
@@ -172,16 +172,6 @@ class Slab:
         return star
 
 
-def _cut(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
-    """The ``rows`` of a field held on the rows ``held`` (mod its length,
-    which on a periodic axis may be the whole axis): a view where they lie
-    in it."""
-    if rows == held:
-        return values
-    a = rows.start - held.start
-    return _take_rows(values, slice(a, a + rows.stop - rows.start), values.shape[-3])
-
-
 def _copy_rows(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
     """:func:`_cut` as an array of its own, so that ``values`` can be freed."""
     return values if rows == held else _cut(values, held, rows).copy()
@@ -203,9 +193,7 @@ def _dphi(c: Configuration, phi: np.ndarray, rows: slice) -> np.ndarray:
             lin += w[:, lam, None, None, None] * pts.reshape(shape)
         phi = phi - lin
         del lin
-    out = np.empty((len(phi), 3, rows.stop - rows.start) + grid.n[1:], np.result_type(phi, float))
-    for lam in range(3):  # one direction's derivative held at a time
-        out[:, lam] = slab_derivative(phi, lam, grid, rows)
+    out = exterior_d(phi, 0, grid, rows)
     out += w[:, :, None, None, None]
     return out
 
@@ -298,30 +286,8 @@ def _curvature(A: np.ndarray, f: np.ndarray, grid: PatchGrid, rows: slice) -> np
     abelian algebra does no quadratic work.  F is formed on ``rows`` from A
     on ``grid.halo(rows)``.
     """
-    on_rows = _cut(A, grid.halo(rows), rows)
-    # d_k of the two components whose curl uses it (a view of A: components
-    # k+1 and k+2 mod 3 are a slice), one k at a time, from A on the halo
-    # along axis 0 and on the rows alone along axes 1 and 2: d_k A_{k+1} is
-    # the first term of F_{k+2} and d_k A_{k+2} the second of F_{k+1}.  A
-    # term that comes before its partner waits in F, so that each F_m is the
-    # one rounded difference of its two terms
-    F, filled = None, set()
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        pair = slice(i, j + 1 if j > i else None, j - i)
-        d = slab_derivative((A if k == 0 else on_rows)[:, pair], k, grid, rows)
-        if F is None:
-            F = np.empty(d.shape[:1] + (3,) + d.shape[2:], np.result_type(A, float))
-        for m, term, first in (((k + 2) % 3, d[:, 0], True), ((k + 1) % 3, d[:, 1], False)):
-            if m not in filled:
-                F[:, m] = term
-                filled.add(m)
-            elif first:
-                np.subtract(term, F[:, m], out=F[:, m])
-            else:
-                F[:, m] -= term
-        del d, term
-    A = on_rows
+    F = exterior_d(A, 1, grid, rows)
+    A = _cut(A, grid.halo(rows), rows)
     for a, b, c in zip(*np.nonzero(f)):
         if b < c:
             for m in range(3):
@@ -475,16 +441,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     # d(phi^{*A} beta) by grid finite differences
     pb = equivariant_pullback(slab.P, None, p, q, beta)
     del beta
-    if q == 1:
-        d = [slab_derivative(pb, k, grid, rows) for k in range(3)]
-        del pb
-        rhs = np.stack([d[(m + 1) % 3][(m + 2) % 3] - d[(m + 2) % 3][(m + 1) % 3]
-                        for m in range(3)])
-        del d
-    else:  # q == 2
-        rhs = sum(slab_derivative(pb[m], m, grid, rows) for m in range(3))
-        del pb
-    lhs -= rhs
+    lhs -= exterior_d(pb, q, grid, rows)
     return np.abs(lhs, out=lhs)
 
 

@@ -4,14 +4,17 @@ A :class:`PatchGrid` discretizes a coordinate box in R^3.  Periodic axes carry
 uniformly spaced points that exclude the right endpoint (trapezoidal weights,
 spectrally accurate for smooth periodic integrands); bounded axes are shrunk
 by a coordinate-singularity ``margin`` and carry inclusive endpoints with
-Simpson-type weights.  All derivatives are 4th-order finite differences:
-central stencils in the interior and on periodic axes, one-sided 5-point
-stencils (exact on polynomials of degree <= 4) at bounded-axis endpoints.
+Simpson-type weights.  All derivatives are 4th-order finite differences,
+formed by one kernel (:func:`partial_derivative`): central stencils in the
+interior and on periodic axes, one-sided 5-point stencils (exact on
+polynomials of degree <= 4) at bounded-axis endpoints, each an elementwise
+multiply-add in point order.  :func:`exterior_d` composes it into the
+gradient, curl and divergence of dual-storage forms.
 
 Fields are streamed through slabs of the first axis (``PatchGrid.slabs``).  A
 slab's derivative reads two halo rows on each side (``PatchGrid.halo``) and
-gives, row for row, the bits of the full-grid derivative
-(:func:`slab_derivative`).  A slab's densities are integrated on the slab:
+gives, row for row, the bits of the full-grid derivative, whatever the memory
+layout of the field.  A slab's densities are integrated on the slab:
 the quadrature is a sum of row sums (:meth:`PatchGrid.row_sums`), and a row's
 sum does not depend on the slab that holds the row.
 
@@ -38,8 +41,8 @@ from .errors import BoundsError, GridMismatch, ResolutionError
 
 # 4th-order one-sided first-derivative stencils for the two rows nearest a
 # boundary (forward form; the backward form is the reversed negation).
-_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                  [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
 # the Lagrange basis of the rows at -1, 0, 1, 2, one row of coefficients of
 # 1, x, x^2 and x^3 each
 _CUBIC_BASIS = np.array([[0.0, -2.0, 3.0, -1.0],
@@ -274,107 +277,109 @@ def build_patch(lo, hi, n, periodic, margin=0.0) -> PatchGrid:
                      tuple(map(int, n)), tuple(map(bool, periodic)), float(margin))
 
 
-def partial_derivative(values: np.ndarray, axis: int, grid: PatchGrid) -> np.ndarray:
-    """4th-order finite-difference d/dx_axis of a sampled field.
+def partial_derivative(values: np.ndarray, axis: int, grid: PatchGrid,
+                       rows: slice | None = None) -> np.ndarray:
+    """4th-order finite-difference d/dx_axis of a sampled field on ``rows``
+    of the first axis (the whole grid by default).
 
-    ``values`` may carry arbitrary leading component axes; the trailing three
-    axes must match ``grid.shape``.  Periodic axes use the wrapped central
-    stencil; bounded axes switch to one-sided 5-point stencils on the two
-    rows nearest each endpoint.
+    ``values`` may carry leading component axes; its last three hold the
+    field on the rows ``grid.halo(rows)``, or, along axes 1 and 2, on
+    ``rows`` alone.  Each point is formed by the same elementwise
+    multiply-adds whatever the rows or the memory layout (:func:`_stencils`),
+    so a slab's rows are, bit for bit, those rows of the whole grid's.
     """
-    if values.shape[-3:] != grid.shape:
-        raise GridMismatch(f"field shape {values.shape[-3:]} != grid shape {grid.shape}")
-    return _derivative(values, axis, grid.h[axis], grid.periodic[axis])
+    rows = slice(0, grid.n[0]) if rows is None else rows
+    win, count = grid.halo(rows), rows.stop - rows.start
+    # the rows ``values`` may hold: the halo, or along axes 1 and 2 the rows
+    held = {win.stop - win.start} | ({count} if axis else set())
+    if values.ndim < 3 or values.shape[-2:] != grid.shape[1:] or values.shape[-3] not in held:
+        raise GridMismatch(f"field shape {values.shape[-3:]} does not fit rows {rows} "
+                           f"(halo {win}) of grid {grid.shape}")
+    if axis == 0:
+        return _stencils(values, 0, grid, rows.start - win.start, rows.stop - win.start)
+    return _stencils(values if values.shape[-3] == count else _cut(values, win, rows), axis, grid)
 
 
-def slab_derivative(window: np.ndarray, axis: int, grid: PatchGrid, rows: slice) -> np.ndarray:
-    """d/dx_axis on ``rows`` of the first axis, from ``window``, the field on
-    the rows ``grid.halo(rows)``; bit-identical to those rows of
-    :func:`partial_derivative`.
-
-    Along axes 1 and 2 only the slab's own rows are differentiated, and
-    ``window`` may hold those rows alone.  Along axis 0 the central stencil
-    reads the halo, and a slab at a bounded face reads the 5 face rows of
-    its window with the one-sided stencils; only the slab's rows are
-    formed.  A halo that covers a periodic axis is differentiated whole.
-    """
-    win = grid.halo(rows)
-    if win == rows:  # the whole grid: one slab reads no halo
-        return partial_derivative(window, axis, grid)
-    if window.shape[-2:] != grid.shape[1:]:
-        raise GridMismatch(f"field shape {window.shape[-3:]} does not fit grid {grid.shape}")
-    h, periodic = grid.h[axis], grid.periodic[axis]
-    if axis != 0 and window.shape[-3] == rows.stop - rows.start:
-        return _derivative(window, axis, h, periodic)
-    if window.shape[-3] != win.stop - win.start:
-        raise GridMismatch(f"window of {window.shape[-3]} rows != halo {win} of rows {rows}")
-    # the output rows, counted from the window's first row
-    a, b = rows.start - win.start, rows.stop - win.start
-    if axis != 0:
-        return _derivative(_take_rows(window, slice(a, b), window.shape[-3]), axis, h, periodic)
-    if periodic and not (a >= 2 and b + 2 <= window.shape[-3]):
-        return _take_rows(_derivative(window, 0, h, periodic), slice(a, b), window.shape[-3])
-    return _rows_derivative(window, a, b, h)
-
-
-def _rows_derivative(window: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
-    """d/dx_0 on rows [a, b) of ``window``, rows of a bounded first axis
-    whose first and last two rows, where the slab reaches them, are faces of
-    the grid: the central stencil on the rows with two window rows on each
-    side, the one-sided stencils on the others.  Each row is formed with the
-    products and sums of :func:`partial_derivative`.  The 5 face rows are
-    laid out once as the (points, 5) matrix that ``tensordot`` forms from
-    them (a view where their strides allow, else a copy), and every
-    one-sided row reads it, so each product sees the full grid's layout."""
-    n = window.shape[-3]
-    out = np.empty(window.shape[:-3] + (b - a,) + window.shape[-2:],
-                   np.result_type(window, float))
-    lo, hi = max(a, 2), min(b, n - 2)
-    if lo < hi:
-        _central(lambda i: window[..., lo + i:hi + i, :, :], h, out=out[..., lo - a:hi - a, :, :])
-    faces = {}
-    for j in [*range(a, min(b, 2)), *range(max(a, n - 2), b)]:
-        side = 0 if j < 2 else n - 5
-        if side not in faces:
-            faces[side] = np.moveaxis(window[..., side:side + 5, :, :], -3, -1).reshape(-1, 5)
-        row = out[..., j - a, :, :]
-        if j < 2:
-            d = np.tensordot(faces[side], (_EDGE0, _EDGE1)[j], axes=([-1], [0])) / h
+def exterior_d(window: np.ndarray, degree: int, grid: PatchGrid,
+               rows: slice | None = None) -> np.ndarray:
+    """The exterior derivative in dual storage on ``rows`` of the first axis
+    (the whole grid by default), from a form on ``grid.halo(rows)``: the
+    gradient of a function (a new form axis, the fourth-last), the curl of a
+    1-form, the divergence of a 2-form (form axis fourth-last in each).
+    Leading axes are carried along."""
+    rows = slice(0, grid.n[0]) if rows is None else rows
+    if degree == 2:
+        out = partial_derivative(window[..., 0, :, :, :], 0, grid, rows)
+        for m in (1, 2):
+            out += partial_derivative(window[..., m, :, :, :], m, grid, rows)
+        return out
+    out = np.empty(window.shape[:-3] + (3,) * (degree == 0) + (rows.stop - rows.start,)
+                   + grid.n[1:], np.result_type(window, float))
+    o = np.moveaxis(out, -4, 0)
+    if degree == 0:  # one direction's derivative held at a time
+        for k in range(3):
+            o[k] = partial_derivative(window, k, grid, rows)
+        return out
+    # (dw)_m = d_{m+1} w_{m+2} - d_{m+2} w_{m+1}, indices mod 3, from d_k of
+    # the two components that use it, one k at a time: components k+1 and k+2
+    # mod 3 are a slice of w, so a view.  d_k w_{k+1} is the first term of
+    # (dw)_{k+2} and d_k w_{k+2} the second of (dw)_{k+1}; a term that comes
+    # before its partner waits in the output, so that each component is the
+    # one rounded difference of its two terms
+    for k, pair in enumerate((slice(1, 3), slice(2, None, -2), slice(0, 2))):
+        d = np.moveaxis(partial_derivative(window[..., pair, :, :, :], k, grid, rows), -4, 0)
+        if k == 0:
+            o[2], o[1] = d
+        elif k == 1:
+            o[0] = d[0]
+            o[2] -= d[1]
         else:
-            d = -np.tensordot(faces[side], (_EDGE0, _EDGE1)[n - 1 - j][::-1], axes=([-1], [0])) / h
-        row[...] = d.reshape(row.shape)
+            np.subtract(d[0], o[1], out=o[1])
+            o[0] -= d[1]
+        del d  # freed before the next direction's pair is formed
     return out
 
 
-def _take_rows(values: np.ndarray, rows: slice, n: int) -> np.ndarray:
-    """Rows of the third-last axis (length n), taken mod n outside [0, n)."""
-    if 0 <= rows.start and rows.stop <= n:
-        return values[..., rows, :, :]
-    return np.take(values, np.arange(rows.start, rows.stop) % n, axis=-3)
+def _cut(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
+    """The ``rows`` of the first axis of a field held on the rows ``held``,
+    taken mod its length (on a periodic axis the whole axis) outside them: a
+    view where they lie in it."""
+    a, b, n = rows.start - held.start, rows.stop - held.start, values.shape[-3]
+    if 0 <= a and b <= n:
+        return values[..., a:b, :, :]
+    return np.take(values, np.arange(a, b) % n, axis=-3)
 
 
-def _derivative(values: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    """The stencils of :func:`partial_derivative` along one of the last three axes."""
-    ax = values.ndim - 3 + axis
-    v = np.moveaxis(values, ax, -1)
-    n = v.shape[-1]
-    out = np.empty_like(v)
-    _central(lambda i: v[..., 2 + i:n - 2 + i], h, out=out[..., 2:-2])
-    if periodic:
-        # the two points at each end, whose stencil wraps around the axis
-        ends = np.array([0, 1, n - 2, n - 1])
-        out[..., ends] = _central(lambda i: v[..., (ends + i) % n], h)
-        return np.moveaxis(out, -1, ax)
-    head, tail = v[..., :5], v[..., -5:]
-    if axis == 1:
-        # copied to C order, as the full grid's are by tensordot, so that the
-        # matrix-vector product sees the same memory layout on a slab of one row
-        head, tail = np.ascontiguousarray(head), np.ascontiguousarray(tail)
-    out[..., 0] = np.tensordot(head, _EDGE0, axes=([-1], [0])) / h
-    out[..., 1] = np.tensordot(head, _EDGE1, axes=([-1], [0])) / h
-    out[..., -1] = -np.tensordot(tail, _EDGE0[::-1], axes=([-1], [0])) / h
-    out[..., -2] = -np.tensordot(tail, _EDGE1[::-1], axes=([-1], [0])) / h
-    return np.moveaxis(out, -1, ax)
+def _stencils(v: np.ndarray, axis: int, grid: PatchGrid, a: int = 0,
+              b: int | None = None) -> np.ndarray:
+    """d/dx_axis on the points [a, b) (all by default) of ``v`` along its
+    axis ``axis`` of the last three, of length m: the central stencil where
+    two points of ``v`` lie on each side; elsewhere the central stencil taken
+    mod m on a periodic axis, or the one-sided stencils of a bounded one,
+    whose first and last two points are then faces of the grid."""
+    h, m = grid.h[axis], v.shape[axis - 3]
+    b = m if b is None else b
+
+    def at(sel):
+        return (Ellipsis, sel) + (slice(None),) * (2 - axis)
+
+    out = np.empty(v[at(slice(b - a))].shape, np.result_type(v, float))
+    lo, hi = max(a, 2), min(b, m - 2)
+    if lo < hi:
+        _central(lambda i: v[at(slice(lo + i, hi + i))], h, out=out[at(slice(lo - a, hi - a))])
+    ends = [*range(a, min(b, 2)), *range(max(a, m - 2), b)]
+    if grid.periodic[axis] and ends:
+        ends = np.array(ends)
+        out[at(ends - a)] = _central(lambda i: v[at((ends + i) % m)], h)
+    elif not grid.periodic[axis]:
+        for j in ends:
+            # the forward stencil of point j from a face, or the backward one
+            w, first = (_EDGE[j], 0) if j < 2 else (-_EDGE[m - 1 - j][::-1], m - 5)
+            row = np.multiply(v[at(first)], w[0], out=out[at(j - a)])
+            for k in range(1, 5):  # summed in point order
+                row += v[at(first + k)] * w[k]
+            row /= h
+    return out
 
 
 def _central(shifted, h: float, out: np.ndarray | None = None) -> np.ndarray:

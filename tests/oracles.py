@@ -34,7 +34,7 @@ from skybps.gaugefield import (
     _dphi,
     equivariant_pullback,
 )
-from skybps.grid import PatchGrid, _take_rows, partial_derivative
+from skybps.grid import PatchGrid, _cut, partial_derivative
 from skybps.lie_target import (
     AdjointIntervalFamily,
     TargetGeometry,
@@ -58,7 +58,7 @@ class TargetMismatch(SkybpsError):
 def take_rows(grid: PatchGrid, values: np.ndarray, rows: slice) -> np.ndarray:
     """``values[..., rows, :, :]`` on the first axis, rows taken mod n; a view
     unless the rows wrap around a periodic axis."""
-    return _take_rows(values, rows, grid.n[0])
+    return _cut(values, slice(0, grid.n[0]), rows)
 
 
 def from_arrays(grid: PatchGrid, target: TargetGeometry, phi: np.ndarray,

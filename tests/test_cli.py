@@ -200,6 +200,23 @@ def test_flag_into_a_non_object_section_exits_2(tmp_path, capsys, cfg, flags):
                                       f"got {cfg[section]!r}\n")
 
 
+@pytest.mark.parametrize("family, key, window, message", [
+    ("dirac-monopole", "r_window", [0.0, 2.0], "must lie in r > 0"),
+    ("dirac-monopole", "r_window", [-1.0, 2.0], "must lie in r > 0"),
+    ("dirac-monopole", "r_window", [2.0, 0.5], "with lo < hi"),
+    ("spherical", "xi_window", [1.5, 0.2], "with lo < hi"),
+    ("spherical", "xi_window", [0.2, 0.2], "with lo < hi"),
+], ids=["r-zero", "r-negative", "r-reversed", "xi-reversed", "xi-empty"])
+def test_window_that_is_not_an_interval_exits_2(tmp_path, capsys, family, key, window,
+                                                message):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"family": family, "n": 12,
+                                    "family_params": {key: window}}))
+    assert main(["verify", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {family} params {key!r} ") and message in err
+
+
 @pytest.mark.parametrize("command", [["verify", "--family", "identity-u1", "-n", "12"],
                                      ["obstruction"]], ids=["verify", "obstruction"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
@@ -626,6 +643,16 @@ def test_malformed_sweep_exits_2(tmp_path, sweep):
                                     "sweep": sweep}))
     assert main(["sweep", "--config", str(cfg_file), "--output-dir", str(tmp_path)]) == 2
     assert not (tmp_path / "report.json").exists()
+
+
+def test_sweep_through_a_null_section_runs(monkeypatch):
+    # a null section is an empty one, as it is to verify and the flags
+    seen = []
+    monkeypatch.setattr(cli, "run_verify", lambda cfg: seen.append(cfg) or run_verify(cfg))
+    rep = run_sweep({"family": "identity-u1", "n": 12, "margins": [0.2], "family_params": None,
+                     "sweep": {"param": "family_params.ax", "values": ["0", "0.01"]}})
+    assert [c["family_params"] for c in seen] == [{"ax": "0"}, {"ax": "0.01"}]
+    assert all("error" not in p for p in rep["points"])
 
 
 # -- the memory estimate --------------------------------------------------------

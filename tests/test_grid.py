@@ -6,9 +6,9 @@ from skybps.errors import BoundsError, GridMismatch, ResolutionError
 from oracles import integrate, take_rows
 from skybps.grid import (
     build_patch,
+    exterior_d,
     extrapolate_margin,
     partial_derivative,
-    slab_derivative,
 )
 
 PI = np.pi
@@ -303,13 +303,13 @@ def test_slab_derivative_is_partial_derivative_on_every_row(rows, periodic, monk
             full = partial_derivative(v, axis, g)
             for sl in slabs:
                 window = take_rows(g, v, g.halo(sl))
-                assert np.array_equal(slab_derivative(window, axis, g, sl),
+                assert np.array_equal(partial_derivative(window, axis, g, sl),
                                       full[..., sl, :, :]), (comps, axis, sl)
                 # the halo rows themselves, from the halo of the halo (the
                 # rows naturality differentiates a pullback on)
                 wide = g.halo(sl)
                 window = take_rows(g, v, g.halo(wide))
-                assert np.array_equal(slab_derivative(window, axis, g, wide),
+                assert np.array_equal(partial_derivative(window, axis, g, wide),
                                       take_rows(g, full, wide)), (comps, axis, wide)
 
 
@@ -317,4 +317,53 @@ def test_slab_derivative_rejects_a_window_of_other_rows():
     g = build_patch((0, 0, 0), (1, 1, 1), (12, 6, 7), (False,) * 3, 0)
     v = np.zeros(g.shape)
     with pytest.raises(GridMismatch):
-        slab_derivative(v[3:7], 0, g, slice(5, 6))
+        partial_derivative(v[3:7], 0, g, slice(5, 6))
+    # along axis 0 the rows alone are not the halo, at a face or inside
+    for rows in (slice(5, 6), slice(0, 2), slice(10, 12)):
+        with pytest.raises(GridMismatch):
+            partial_derivative(v[rows], 0, g, rows)
+        partial_derivative(v[rows], 1, g, rows)  # along axes 1 and 2 they are read
+
+
+@pytest.mark.parametrize("comps", [(), (3,), (2, 3)])
+def test_derivative_bits_do_not_depend_on_memory_layout(comps):
+    g = build_patch((0, -1, 2), (1, 1.5, 3), (12, 6, 7), (False,) * 3, 0)
+    v = np.random.default_rng(len(comps)).normal(size=comps + g.shape)
+    # the same values held Fortran-ordered, and with the last axis outermost
+    layouts = [np.asfortranarray(v), np.moveaxis(np.moveaxis(v, -1, 0).copy(), 0, -1)]
+    for axis in range(3):
+        for rows in (None, slice(0, 1), slice(1, 3), slice(5, 6), slice(11, 12)):
+            win = slice(None) if rows is None else g.halo(rows)
+            want = partial_derivative(v[..., win, :, :], axis, g, rows)
+            for held in layouts:
+                assert np.array_equal(partial_derivative(held[..., win, :, :], axis, g, rows),
+                                      want), (comps, axis, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+def test_exterior_d_is_its_partial_derivatives(rows, periodic, monkeypatch):
+    g = build_patch((0, -1, 2), (2 * PI, 1.5, 3), (13, 6, 7), (periodic, False, True), 0)
+    monkeypatch.setattr(grid_module, "_SLAB_POINTS", rows * 6 * 7)
+    rng = np.random.default_rng(rows)
+
+    def d(w, k, sl):
+        return partial_derivative(w, k, g, sl)
+
+    for slot in [(), (2,)]:
+        f = rng.normal(size=slot + g.shape)
+        w = rng.normal(size=slot + (3,) + g.shape)
+        for sl in [None] + g.slabs():
+            fw, ww = (v if sl is None else take_rows(g, v, g.halo(sl)) for v in (f, w))
+            grad = exterior_d(fw, 0, g, sl)
+            for k in range(3):
+                assert np.array_equal(grad[..., k, :, :, :], d(fw, k, sl)), (slot, sl, k)
+            curl = exterior_d(ww, 1, g, sl)
+            for m in range(3):
+                i, j = (m + 1) % 3, (m + 2) % 3
+                assert np.array_equal(curl[..., m, :, :, :],
+                                      d(ww[..., j, :, :, :], i, sl) - d(ww[..., i, :, :, :], j, sl)
+                                      ), (slot, sl, m)
+            div = d(ww[..., 0, :, :, :], 0, sl) + d(ww[..., 1, :, :, :], 1, sl)
+            div += d(ww[..., 2, :, :, :], 2, sl)
+            assert np.array_equal(exterior_d(ww, 2, g, sl), div), (slot, sl)
