@@ -41,13 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .energy_degree import (
-    CSV_HEADER,
-    EnergyReport,
-    bound_gap,
-    bps_coefficients,
-    general_bound_coefficient,
-)
+from .energy_degree import CSV_HEADER, EnergyReport, bound_gap, bps_coefficients
 from .errors import ConfigError, NonFinite, ResolutionError, SkybpsError
 from .exprs import Expression
 from .gaugefield import Configuration, naturality_check_specs, pullback_naturality_residual
@@ -71,7 +65,7 @@ from .solutions import (
     twisted_spinorial_solution,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _TOP_KEYS = {
     "family", "n", "margins", "family_params", "target", "surface",
@@ -636,8 +630,6 @@ def run_verify(cfg: dict) -> dict:
         "rows": [r.to_json_dict() for r in rows],
         "degree_extrapolated": deg_extrap,
         "volume_n": vol_n,
-        # reported value only; no sharpness or positivity claim attached
-        "general_bound_coefficient": general_bound_coefficient(p),
         "checks": checks,
         "exit": exit_code,
         "_reports": rows,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MomentConditionFailed
-from .exterior import StarMap, _is_zero, mat_det, mat_inv
+from .exterior import StarMap, _contraction_asymmetry, _inv_and_det, _is_zero, _matvec
 from .gaugefield import Configuration, Slab, Survey, equivariant_pullback
 
 
@@ -116,8 +116,9 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), insets=(0.0,)) -> li
     Each slab (``PatchGrid.slabs``) evaluates phi, A and g_M, which a
     :class:`Survey` checks first.  It forms F, d^A phi and I(phi) once (see
     :class:`Slab`), takes g_N and mu at phi, det g_N and g_N^-1 once, the
-    base star and its inverse, and the five pullbacks Sig, nu, mus,
-    phi^{*A} V_N and phi^{*A} mu.  From them it forms the energy densities,
+    five pullbacks Sig, nu, mus, phi^{*A} V_N and phi^{*A} mu, then the
+    base star (``hodge_star``, with its closed-form inverse).  From them it
+    forms the energy densities,
     the Bogomolny density
       |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
     (B = Sig + 3 mus) with the two BPS sides, the cross density, the charge
@@ -210,28 +211,29 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab, peak) -> tuple[dict, 
     del y
     sup["asym"] = _contraction_asymmetry(kil, mu, peak)
     sup["mu_max"] = peak(np.abs(mu))
-    star = slab.star  # and g_M freed
     # (p, q): Sig (0, 2), nu and mus (1, 0), V_N (0, 3), mu (1, 1), formed
     # so that I(phi), mu, F, g_N^-1 and det g_N are each freed after their
-    # last pullback, and g_N^-1 and det g_N are formed only once the fields
-    # before them are freed; the charge density phi^{*A} V_N + phi^{*A} mu
-    # takes its mu part first, and IEEE addition commutes, so its sum has
-    # the same bits
+    # last pullback, and g_N^-1 and det g_N, taken together, are formed only
+    # once the fields before them are freed: mu-sharp = g_N^-1 mu,
+    # V_N = sqrt(det g_N) and Sig = sqrt(det g_N) g_N^-1, in place; the
+    # charge density phi^{*A} V_N + phi^{*A} mu takes its mu part first, and
+    # IEEE addition commutes, so its sum has the same bits
     nu = equivariant_pullback(P, F, 1, 0, kil)
     del kil
     charge = equivariant_pullback(P, F, 1, 1, mu)
-    inv = mat_inv(gN)
-    coeff = t.mu_sharp(inv, mu)
+    coeff, det = _inv_and_det(gN)
+    sharp = _matvec(coeff, mu)
     del mu
-    mus = equivariant_pullback(P, F, 1, 0, coeff)
-    del F, coeff
-    det = mat_det(gN)
-    coeff = t.sigma_dual(det, inv)
-    del inv
-    charge += equivariant_pullback(P, None, 0, 3, t.vol_coeff(det))
+    mus = equivariant_pullback(P, F, 1, 0, sharp)
+    del F, sharp
+    root = np.sqrt(det)
     del det
+    charge += equivariant_pullback(P, None, 0, 3, root)
+    coeff *= root
+    del root
     sig = equivariant_pullback(P, None, 0, 2, coeff)
     del coeff
+    star = slab.star  # where it is first applied, and g_M freed
 
     # the energy terms: each right operand is star-applied once and paired
     # with every left operand on it; a term whose coefficient is exactly 0
@@ -313,50 +315,12 @@ def _slab_pass(c: Configuration, p: BPSParams, slab: Slab, peak) -> tuple[dict, 
 
 
 # ---------------------------------------------------------------------------
-# the moment checks
+# the bound
 # ---------------------------------------------------------------------------
 
 
 # relative bound on the symmetrized contraction iota_nu(I_a) mu(I_b) at phi
 _CONSTRAINT_TOL = 1e-8
-
-
-def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray, peak):
-    """max |(q_ab + q_ba) / 2| over slot pairs a <= b, q_ab = sum_m I_a^m mu_{b;m},
-    and over the points that ``peak`` reduces (see ``_slab_pass``)."""
-    sp = kil.shape[2:]
-    dt = np.result_type(kil, mu)
-    sym, tmp = np.empty(sp, dt), np.empty(sp, dt)
-    worst = 0.0
-    for a in range(len(kil)):
-        for b in range(a, len(kil)):
-            sym.fill(0.0)
-            for m in range(3):
-                for x, y in ((a, b), (b, a)):
-                    np.multiply(kil[x, m], mu[y, m], out=tmp)
-                    sym += tmp
-            worst = np.maximum(worst, 0.5 * peak(np.abs(sym, out=sym)))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# the bound
-# ---------------------------------------------------------------------------
-
-
-def general_bound_coefficient(p: BPSParams) -> float | None:
-    """Coefficient of Vol(N) |deg| in the general (non-BPS) lower bound.
-
-    Reported as a number only; no sharpness or positivity validation is
-    attempted (the parameter constraints making E positive are not pinned
-    down here).
-    """
-    c1, c2, c3, c4, c5, c6 = p.c
-    den = 4.0 * c3 * (9.0 * c2 + c4 - 3.0 * c6) - 9.0 * c5 * c5
-    num = c1 * (c3 * (4.0 * c2 * c4 - c6 * c6) - c4 * c5 * c5)
-    if den == 0.0 or num / den < 0.0:
-        return None
-    return 6.0 * float(np.sqrt(num / den))
 
 
 def bound_gap(c: Configuration, p: BPSParams, vol_n: float, checks=(),

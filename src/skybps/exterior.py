@@ -11,22 +11,27 @@ the algebra concrete:
     contraction of a 2-form with V  -> cross product b x V
 
 The Hodge star of a metric g maps 1-forms to 2-forms; in dual storage it is
-the symmetric matrix  S = orientation * sqrt(det g) * g^{-1}.  Symmetry of S
-is exactly the trace identity tr(iota_V o star) = 0 satisfied by every metric
-star.  The trace residual and the recovery of g from S, which the tests use
-as references, live in ``tests/oracles.py``.
+the symmetric matrix  S = orientation * sqrt(det g) * g^{-1}, and its inverse,
+the star on 2-forms, is orientation * g / sqrt(det g) in closed form.
+Symmetry of S is exactly the trace identity tr(iota_V o star) = 0 satisfied
+by every metric star.  The same two objects of the target metric, the Hodge
+tensor Sigma = sqrt(det g_N) g_N^{-1} and the volume coefficient
+sqrt(det g_N), are formed from det g_N and g_N^{-1} where they are used.  The
+trace residual and the recovery of g from S, which the tests use as
+references, live in ``tests/oracles.py``.
 
 The pointwise 3x3 kernels (determinant, adjugate, inverse, matrix-vector
 product) are closed-form component arithmetic on the (3, 3, *spatial) layout:
 the adjugate's columns are cross products of rows, adj[:, r] = m[r+1] x m[r+2]
 (indices mod 3), and det m = m[0] . (m[1] x m[2]).  They take real or complex
-input, so complex-step partials can pass through them.
+input, so complex-step partials can pass through them.  So do the two
+contractions over component axes: ``_dot``, and the symmetrized contraction
+of Killing fields with a moment map (``_contraction_asymmetry``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -88,23 +93,29 @@ def mat_inv(m: np.ndarray) -> np.ndarray:
     Raises ``SingularMetric`` when the determinant is zero or not finite at
     any point.
     """
+    return _inv_and_det(m)[0]
+
+
+def _inv_and_det(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m^-1, det m) of a (3, 3, *spatial) matrix field, the determinant taken
+    once from the adjugate's first column; raises as ``mat_inv`` does."""
     adj = _adjugate(m)
     det = _det(m, adj[:, 0])
     if not np.all(np.isfinite(det)) or np.any(det == 0):
         raise SingularMetric("matrix field is singular or non-finite at some grid point")
     adj /= det
-    return adj
+    return adj, det
 
 
 @dataclass
 class Metric3:
     """Symmetric 3x3 metric components per grid point, shape (3, 3, *spatial).
 
-    ``riemannian`` is computed from Sylvester minors, never assumed.  The
-    determinant the last minor needs is kept (read-only) and is what ``det``
-    returns.  ``g`` is symmetrized in place, one off-diagonal pair at a
-    time, so no (3, 3, *spatial) temporary is formed; a read-only ``g`` is
-    copied first.
+    Where it is riemannian is computed from Sylvester minors, never assumed
+    (``riemannian_mask``).  The determinant the last minor needs is kept
+    (read-only) and is what ``det`` returns.  ``g`` is symmetrized in place,
+    one off-diagonal pair at a time, so no (3, 3, *spatial) temporary is
+    formed; a read-only ``g`` is copied first.
     """
 
     g: np.ndarray
@@ -128,10 +139,6 @@ class Metric3:
         self.g = g
         self._det = mat_det(self.g)
         self._det.flags.writeable = False
-
-    @property
-    def riemannian(self) -> bool:
-        return bool(np.all(self.riemannian_mask()))
 
     def riemannian_mask(self) -> np.ndarray:
         """Where g is positive definite: its pivots m1, m2/m1 and det/m2,
@@ -157,11 +164,12 @@ class StarMap:
     """Per-point linear map from 1-forms to 2-forms in dual storage.
 
     ``s`` includes the orientation sign; for a metric star it equals
-    orientation * sqrt(det g) * g^{-1} and is symmetric.  The map is frozen,
-    so its inverse is computed on first use and kept.
+    orientation * sqrt(det g) * g^{-1} and is symmetric.  ``s_inv`` is its
+    inverse, orientation * g / sqrt(det g) for a metric star.
     """
 
     s: np.ndarray  # (3, 3, *spatial)
+    s_inv: np.ndarray  # (3, 3, *spatial)
 
     def on_1(self, comps: np.ndarray) -> np.ndarray:
         """Apply to 1-form components (..., 3, *spatial) -> dual 2-form."""
@@ -169,17 +177,7 @@ class StarMap:
 
     def on_2(self, dual: np.ndarray) -> np.ndarray:
         """Apply the deg-2 -> deg-1 companion (inverse of ``on_1``)."""
-        return _matvec(self.inverse_matrix(), dual)
-
-    def inverse_matrix(self) -> np.ndarray:
-        """S^{-1}, read-only and shared by every call."""
-        return self._inverse
-
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        inv = mat_inv(self.s)
-        inv.flags.writeable = False
-        return inv
+        return _matvec(self.s_inv, dual)
 
 
 def _is_zero(c: np.ndarray) -> bool:
@@ -218,12 +216,58 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def hodge_star(metric: Metric3, orientation: int) -> StarMap:
-    """Star map orientation * sqrt(det g) * g^-1 of a riemannian metric, on
-    the points the metric holds.
+    """Star map orientation * sqrt(det g) * g^-1 of a riemannian metric, with
+    its inverse orientation * g / sqrt(det g), on the points the metric
+    holds.  The metric is read, not overwritten.
 
     Raises ``SingularMetric`` if det <= 0.
     """
     det = metric.det()
     if np.any(det <= 0):
         raise SingularMetric("metric determinant <= 0 on the grid")
-    return StarMap(orientation * np.sqrt(det) * mat_inv(metric.g))
+    signed = orientation * np.sqrt(det)
+    s = mat_inv(metric.g)
+    s *= signed
+    return StarMap(s, metric.g / signed)
+
+
+# ---------------------------------------------------------------------------
+# contractions over component axes
+# ---------------------------------------------------------------------------
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum of u * v over every axis but the last three, in C order."""
+    sp = u.shape[-3:]
+    u, v = u.reshape((-1,) + sp), v.reshape((-1,) + sp)
+    out = u[0] * v[0]
+    tmp = np.empty_like(out)
+    for k in range(1, len(u)):
+        np.multiply(u[k], v[k], out=tmp)
+        out += tmp
+    return out
+
+
+def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray, peak=np.max):
+    """max |(q_ab + q_ba) / 2| over slot pairs a <= b, q_ab = sum_m I_a^m mu_{b;m}:
+    the symmetrized contraction iota_{nu(I_a)} mu(I_b), which must vanish for
+    the degree to be defined.  ``peak`` reduces each pair's nonnegative field
+    over the points: to one maximum by default, to the maxima over each
+    sub-box in the pass (see ``energy_degree._slab_pass``).
+
+    Each pair sums its products in component order, both orders of the pair
+    at each component, with two scratch buffers of the points' shape.
+    """
+    sp = kil.shape[2:]
+    dt = np.result_type(kil, mu)
+    sym, tmp = np.empty(sp, dt), np.empty(sp, dt)
+    worst = 0.0
+    for a in range(len(kil)):
+        for b in range(a, len(kil)):
+            sym.fill(0.0)
+            for m in range(3):
+                for x, y in ((a, b), (b, a)):
+                    np.multiply(kil[x, m], mu[y, m], out=tmp)
+                    sym += tmp
+            worst = np.maximum(worst, 0.5 * peak(np.abs(sym, out=sym)))
+    return worst

@@ -30,10 +30,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ChartExit, DegreeOverflow, NonFinite, SkybpsError
-from .exterior import (Metric3, StarMap, _adjugate, _cross_into, _det, _matvec, assert_finite,
-                       hodge_star, mat_det)
+from .exterior import (Metric3, StarMap, _adjugate, _cross_into, _det, _dot, _matvec,
+                       assert_finite, hodge_star, mat_det)
 from .grid import PatchGrid, _cut, exterior_d
-from .lie_target import TargetGeometry, target_partials
+from .lie_target import TargetGeometry, target_d
 
 
 @dataclass
@@ -91,7 +91,8 @@ class Slab:
     phi and d^A phi on the window, which the naturality checks
     differentiate; F, I(phi) and the Bianchi residual on the slab's rows.
     A, which the :class:`Survey` reads first, is dropped once d^A phi is
-    formed, g_M once the star is built, and :meth:`take` hands the rest over.
+    formed, g_M once the star (with its closed-form inverse) is built, and
+    :meth:`take` hands the rest over.
     """
 
     config: Configuration
@@ -318,14 +319,12 @@ def det_p(P: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquivariantFormSpec:
-    """Coefficient data of an equivariant form of bidegree (p, q).
+    """Coefficient data of an invariant q-form on the target.
 
-    ``coeff`` maps chart points y (3, ...) to the coefficient array with axes
-    (algebra,)*p + (value 3,) if tangent-valued + (components of q,) if q > 0,
-    then the point axes.  Total degree is 2p + q.
+    ``coeff`` maps chart points y (3, ...) to the form's components (3, ...)
+    in dual storage (see ``exterior``).
     """
 
-    p: int
     q: int
     coeff: callable
 
@@ -336,8 +335,9 @@ def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
 
     P is d^A phi (3, 3, *sp) and F the curvature (dim g, 3, *sp) on the same
     points (the full grid or some of its rows); ``coeff`` holds the form's
-    coefficients of bidegree (p, q) at phi there, laid out as for
-    :class:`EquivariantFormSpec`.  Returns dual-storage components
+    coefficients of bidegree (p, q) at phi there, with axes (algebra,)*p,
+    then (value 3,) if tangent-valued, then (components,) if q > 0, then the
+    points.  Returns dual-storage components
     of the degree-(2p+q) result, with a leading value axis when the form is
     tangent-valued.  Degrees above 3 are rejected; p >= 2 cannot occur below
     degree 4 on a 3-manifold.  Every contraction is a pointwise multiply-add
@@ -377,18 +377,6 @@ def _slot_contract(coeff: np.ndarray, F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum of u * v over every axis but the last three, in C order."""
-    sp = u.shape[-3:]
-    u, v = u.reshape((-1,) + sp), v.reshape((-1,) + sp)
-    out = u[0] * v[0]
-    tmp = np.empty_like(out)
-    for k in range(1, len(u)):
-        np.multiply(u[k], v[k], out=tmp)
-        out += tmp
-    return out
-
-
 # ---------------------------------------------------------------------------
 # naturality of the pullback against the equivariant differential
 # ---------------------------------------------------------------------------
@@ -400,30 +388,17 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     rows, per form component.
 
     d_g beta(X) = d(beta(X)) - iota_{nu(X)} beta(X): the first part raises q,
-    the second raises p.  For p >= 1 or 2p + q >= 3 both sides are forms of
-    degree > 3 and the residual vanishes structurally (returns zeros).  The
-    meaningful cases on a 3-manifold are invariant (p = 0) forms of degree
-    1 or 2; target-side coefficient derivatives are exact (complex step), the
-    outer differential uses the 4th-order grid stencils, so the slab's
-    phi and d^A phi are read on its window.  Each intermediate is freed
-    after its last reader.
+    the second raises p.  ``spec`` is an invariant (p = 0) form of degree 1
+    or 2, the cases that are not trivial on a 3-manifold; its target-side
+    exterior derivative is exact (``target_d``), the outer differential uses
+    the 4th-order grid stencils, so the slab's phi and d^A phi are read on
+    its window.  Each intermediate is freed after its last reader.
     """
-    p, q = spec.p, spec.q
-    grid, rows = c.grid, slab.rows
-    if p >= 1 or 2 * p + q >= 3:
-        return np.zeros((rows.stop - rows.start,) + grid.n[1:])
-
+    q, grid, rows = spec.q, c.grid, slab.rows
     P, F, kil = (slab.inner(name) for name in ("P", "F", "kil"))
 
     # exterior-derivative part of d_g beta, pulled back
-    dbeta = target_partials(spec.coeff, slab.inner("phi"))
-    if q == 1:
-        coeff = np.stack([dbeta[(m + 1) % 3, (m + 2) % 3] - dbeta[(m + 2) % 3, (m + 1) % 3]
-                          for m in range(3)])
-    else:
-        coeff = dbeta[0, 0] + dbeta[1, 1] + dbeta[2, 2]
-    del dbeta
-    lhs = equivariant_pullback(P, F, 0, q + 1, coeff)
+    lhs = equivariant_pullback(P, F, 0, q + 1, target_d(spec.coeff, slab.inner("phi"), q))
 
     # contraction part: (iota_{nu(I_a)} beta) is a (1, q-1) form
     beta = spec.coeff(slab.phi)
@@ -439,7 +414,7 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
     del coeff, P, F, kil
 
     # d(phi^{*A} beta) by grid finite differences
-    pb = equivariant_pullback(slab.P, None, p, q, beta)
+    pb = equivariant_pullback(slab.P, None, 0, q, beta)
     del beta
     lhs -= exterior_d(pb, q, grid, rows)
     return np.abs(lhs, out=lhs)
@@ -457,11 +432,11 @@ def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, Equivarian
             return target.mu_fn(y)[0]
 
         def nu_volume(y):
-            return target.vol_coeff(mat_det(target.metric_fn(y))) * target.killing_fn(y)[0]
+            return np.sqrt(mat_det(target.metric_fn(y))) * target.killing_fn(y)[0]
 
         return [
-            ("mu-1form", EquivariantFormSpec(0, 1, mu_one_form)),
-            ("iota-nu-volume-2form", EquivariantFormSpec(0, 2, nu_volume)),
+            ("mu-1form", EquivariantFormSpec(1, mu_one_form)),
+            ("iota-nu-volume-2form", EquivariantFormSpec(2, nu_volume)),
         ]
 
     def radial_one_form(y):
@@ -476,6 +451,6 @@ def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, Equivarian
         return out
 
     return [
-        ("radial-1form", EquivariantFormSpec(0, 1, radial_one_form)),
-        ("radial-area-2form", EquivariantFormSpec(0, 2, radial_area_form)),
+        ("radial-1form", EquivariantFormSpec(1, radial_one_form)),
+        ("radial-area-2form", EquivariantFormSpec(2, radial_area_form)),
     ]

@@ -3,9 +3,11 @@
 A :class:`TargetGeometry` bundles everything the energy and degree need about
 the target 3-manifold N with its isometric group action: chart bounds, the
 metric g_N, Killing-field components I_a, and moment-map coefficients
-mu_{a;mu}.  Derived tensors (volume coefficient, the Hodge tensor Sigma in
-dual storage, the metric dual of the moment map) are computed pointwise from
-these evaluators, so the constructors only supply closed-form chart data.
+mu_{a;mu}.  The constructors supply closed-form chart data only; the tensors
+derived from g_N (the volume coefficient sqrt(det g_N), the Hodge tensor
+Sigma, the metric dual of the moment map) are formed where they are used,
+with the kernels of ``exterior``.  ``target_d`` is the exterior derivative
+of a dual-storage form on the chart, from its ``target_partials``.
 
 All coefficient evaluators must be complex-safe numpy expressions: target-side
 partial derivatives are taken by complex-step differentiation, which is exact
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
-from .exterior import EPS, _matvec, mat_det
+from .exterior import EPS, _contraction_asymmetry, _dot, mat_det
 from .grid import PatchGrid, build_patch, extrapolate_margin
 
 _CSTEP = 1e-30
@@ -163,21 +165,6 @@ class TargetGeometry:
         m = self.default_margin if margin is None else margin
         return build_patch(self.lo, self.hi, _triple(n), self.periodic, m)
 
-    # The derived tensors below are functions of det g_N and g_N^-1 at the
-    # points, so a caller takes each of those once and shares it.
-
-    def vol_coeff(self, det_g: np.ndarray) -> np.ndarray:
-        """Coefficient of V_N against dy^1 ^ dy^2 ^ dy^3, given det g_N."""
-        return np.sqrt(det_g)
-
-    def sigma_dual(self, det_g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-        """Hodge tensor Sigma as the N-side star matrix (value slot, dual slot)."""
-        return np.sqrt(det_g) * g_inv
-
-    def mu_sharp(self, g_inv: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Metric dual of the moment map, components (dim, 3, ...), given g_N^-1 and mu."""
-        return _matvec(g_inv, mu)
-
     def volume(self, n=96, margins=None) -> float:
         """Margin-extrapolated integral of V_N over the chart.
 
@@ -214,7 +201,7 @@ class TargetGeometry:
         if self.fiber_axis is not None:
             axes[self.fiber_axis] = axes[self.fiber_axis][:1]
         y = np.stack(np.meshgrid(*axes, indexing="ij"))
-        return self.vol_coeff(mat_det(self.metric_fn(y)))
+        return np.sqrt(mat_det(self.metric_fn(y)))
 
 
 # Targets, profile families and config sections by key, one object per key:
@@ -247,6 +234,31 @@ def target_partials(fn: Callable, y: np.ndarray) -> np.ndarray:
     return np.stack([_cstep(lambda *r: fn(np.stack(r)), rows, k) for k in range(3)])
 
 
+def target_d(fn: Callable, y: np.ndarray, degree: int) -> np.ndarray:
+    """Exterior derivative of the dual-storage ``degree``-form that the chart
+    evaluator ``fn`` gives at the points y (3, *shape).
+
+    ``fn(y)`` has its form components on axis -4, after any leading axes.
+    Of a 1-form c the result is the dual 2-form curl c,
+    (d c)_m = d_{m+1} c_{m+2} - d_{m+2} c_{m+1} (indices mod 3), on the same
+    axes; of a 2-form b it is the 3-form coefficient
+    div b = d_0 b_0 + d_1 b_1 + d_2 b_2, without the component axis.  The
+    partials are ``target_partials``, exact to rounding for closed-form
+    evaluators.
+    """
+    if degree not in (1, 2):
+        raise ValueError(f"target_d takes a 1-form or a 2-form, not degree {degree}")
+    d = target_partials(fn, y)  # (k, ..., component, *shape)
+
+    def part(k, m):
+        return d[k, ..., m, :, :, :]
+
+    if degree == 2:
+        return part(0, 0) + part(1, 1) + part(2, 2)
+    return np.stack([part((m + 1) % 3, (m + 2) % 3) - part((m + 2) % 3, (m + 1) % 3)
+                     for m in range(3)], axis=-4)
+
+
 # ---------------------------------------------------------------------------
 # moment-map conditions
 # ---------------------------------------------------------------------------
@@ -269,23 +281,14 @@ def verify_moment_conditions(target: TargetGeometry, n=64) -> dict:
         def_res = con_res = 0.0
         for sl in grid.slabs():
             y = np.stack(grid.meshes(sl))
-            dmu = target_partials(target.mu_fn, y)  # (k, a, comp, *sp)
-            curl = np.einsum("mkl,kalxyz->amxyz", EPS, dmu)
-            del dmu
-            vol = target.vol_coeff(mat_det(target.metric_fn(y)))
+            curl = target_d(target.mu_fn, y, 1)  # (a, comp, *sp)
+            vol = np.sqrt(mat_det(target.metric_fn(y)))
             kil = target.killing_fn(y)
             def_res = max(def_res, float(np.max(np.abs(curl - vol * kil))))
             del curl, vol
-            con_res = max(con_res, float(np.max(np.abs(_symmetrized_contraction(
-                kil, target.mu_fn(y))))))
+            con_res = max(con_res, float(_contraction_asymmetry(kil, target.mu_fn(y))))
         target._moment_cache[n] = {"def_residual": def_res, "constraint_residual": con_res}
     return target._moment_cache[n]
-
-
-def _symmetrized_contraction(kil: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """(iota_{nu(I_a)} mu(I_b) + (a <-> b)) / 2 at each point, shape (dim, dim, *sp)."""
-    q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
-    return 0.5 * (q + np.swapaxes(q, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +637,8 @@ def left_action_obstruction(K: float) -> float:
         raise ValueError("K must be positive")
     target = make_su2_left_target(K)
     y = np.stack(target.chart_grid(24).meshes())
-    sym = _symmetrized_contraction(target.killing_fn(y), target.mu_fn(y))
-    diag = np.diag(np.mean(sym, axis=(2, 3, 4)))
+    kil, mu = target.killing_fn(y), target.mu_fn(y)
+    diag = np.array([np.mean(_dot(kil[a], mu[a])) for a in range(len(kil))])
     val = float(np.mean(diag))
     if abs(val) < 1e-12 or np.max(np.abs(diag - val)) > 1e-9 * abs(val):
         raise ConstraintViolated("obstruction constant is not uniform over the basis")

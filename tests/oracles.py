@@ -22,18 +22,15 @@ None of this runs in ``skybps verify``, ``sweep`` or ``obstruction``:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from skybps.energy_degree import BPSParams, _pair
 from skybps.errors import ConstraintViolated, GridMismatch, SkybpsError
 from skybps.exterior import EPS, Metric3, StarMap, hodge_star, mat_det, mat_inv
-from skybps.gaugefield import (
-    Configuration,
-    EquivariantFormSpec,
-    _curvature,
-    _dphi,
-    equivariant_pullback,
-)
+from skybps.gaugefield import Configuration, _curvature, _dphi, equivariant_pullback
 from skybps.grid import PatchGrid, _cut, partial_derivative
 from skybps.lie_target import (
     AdjointIntervalFamily,
@@ -294,8 +291,31 @@ def full_grid_field(c: Configuration, name: str) -> np.ndarray:
     return c.slab(rows).inner(name)
 
 
-class FormSpec(EquivariantFormSpec):
-    """An equivariant form that can pull itself back on a whole configuration."""
+# the tensors that g_N derives, from the einsum formulas: the volume
+# coefficient sqrt(det g_N), the Hodge tensor Sigma = sqrt(det g_N) g_N^-1
+# (value slot, dual slot) and the metric dual g_N^-1 mu of the moment map
+
+
+def target_volume(g):
+    return np.sqrt(mat_det(g))
+
+
+def target_sigma(g):
+    return np.sqrt(mat_det(g)) * mat_inv(g)
+
+
+def target_mu_sharp(g, mu):
+    return np.einsum("mn...,an...->am...", mat_inv(g), mu)
+
+
+@dataclass(frozen=True)
+class FormSpec:
+    """An equivariant form of bidegree (p, q) that can pull itself back on a
+    whole configuration; ``coeff`` is laid out as for ``equivariant_pullback``."""
+
+    p: int
+    q: int
+    coeff: Callable
 
     def pullback(self, c: Configuration) -> np.ndarray:
         """phi^{*A} of this form on the configuration c."""
@@ -306,18 +326,12 @@ class FormSpec(EquivariantFormSpec):
 def standard_specs(target: TargetGeometry) -> dict[str, FormSpec]:
     """The named equivariant forms used by the energy and degree."""
     t = target
-
-    def sigma(y):
-        g = t.metric_fn(y)
-        return t.sigma_dual(mat_det(g), mat_inv(g))
-
     return {
-        "volume": FormSpec(0, 3, lambda y: t.vol_coeff(mat_det(t.metric_fn(y)))),
+        "volume": FormSpec(0, 3, lambda y: target_volume(t.metric_fn(y))),
         "mu": FormSpec(1, 1, t.mu_fn),
-        "sigma": FormSpec(0, 2, sigma),
+        "sigma": FormSpec(0, 2, lambda y: target_sigma(t.metric_fn(y))),
         "nu": FormSpec(1, 0, t.killing_fn),
-        "mu_sharp": FormSpec(
-            1, 0, lambda y: t.mu_sharp(mat_inv(t.metric_fn(y)), t.mu_fn(y))),
+        "mu_sharp": FormSpec(1, 0, lambda y: target_mu_sharp(t.metric_fn(y), t.mu_fn(y))),
         "identity": FormSpec(0, 1, _identity_coeff),
     }
 
@@ -373,8 +387,7 @@ def equivariance_residual(target: TargetGeometry, n=48) -> dict:
     )
 
     def sigma(yc):
-        g = target.metric_fn(yc)
-        return target.sigma_dual(mat_det(g), mat_inv(g))
+        return target_sigma(target.metric_fn(yc))
 
     sig = sigma(y)  # (value mu, dual m, *sp)
     dsig = target_partials(sigma, y)  # (k, mu, m, *sp)
@@ -396,9 +409,7 @@ def sigma_duality_residual(target: TargetGeometry, n=24) -> float:
     """max |g_N(u, Sigma(v, w)) - V_N(u, v, w)| over basis triples and points."""
     y = np.stack(target.chart_grid(n).meshes())
     g = target.metric_fn(y)
-    det_g = mat_det(g)
-    sig = target.sigma_dual(det_g, mat_inv(g))
-    vol = target.vol_coeff(det_g)
+    sig, vol = target_sigma(g), target_volume(g)
     # Sigma(e_v, e_w) has components Sig[:, m] eps_mvw; pair with g and compare
     lhs = np.einsum("umxyz,mvw,euxyz->evwxyz", sig, EPS, g)
     rhs = EPS[..., None, None, None] * vol
@@ -410,13 +421,13 @@ def sigma_duality_residual(target: TargetGeometry, n=24) -> float:
 # ---------------------------------------------------------------------------
 
 
-def star_trace_residual(star: StarMap) -> float:
-    """max over points and basis vectors V of |tr(iota_V o star)|.
+def star_trace_residual(s: np.ndarray) -> float:
+    """max over points and basis vectors V of |tr(iota_V o star)| for the
+    star-like map of matrix s (a ``StarMap.s``).
 
     In dual storage the trace against V = E_k is eps_kij S_ji, so the residual
     is the largest antisymmetric part of S.
     """
-    s = star.s
     return float(
         max(
             np.max(np.abs(s[1, 2] - s[2, 1])),
@@ -426,22 +437,23 @@ def star_trace_residual(star: StarMap) -> float:
     )
 
 
-def recover_metric(star: StarMap, trace_tol: float | None = 1e-8) -> Metric3:
-    """Invert a star-like map back to a metric tensor.
+def recover_metric(s: np.ndarray, trace_tol: float | None = 1e-8) -> Metric3:
+    """Invert the star-like map of matrix s (a ``StarMap.s``) back to a
+    metric tensor.
 
     Implements the bilinear left inverse
     g(V, W) = (1/2) sum_ij star(e^j)(V, E_i) star(e^i)(E_j, W) in coordinate
-    bases.  The output may fail positive definiteness (``riemannian`` False);
-    that is a legal result for star-like maps not built from a metric.
+    bases.  The output may fail positive definiteness (``riemannian_mask``
+    False somewhere); that is a legal result for star-like maps not built
+    from a metric.
     """
     if trace_tol is not None:
-        res = star_trace_residual(star)
-        scale = max(float(np.max(np.abs(star.s))), 1.0)
+        res = star_trace_residual(s)
+        scale = max(float(np.max(np.abs(s))), 1.0)
         if res > trace_tol * scale:
             raise ConstraintViolated(
                 f"trace residual {res:.3e} exceeds tolerance {trace_tol:.1e} * {scale:.3e}"
             )
-    s = star.s
     g = 0.5 * np.einsum("kim,jlp,mjxyz,pixyz->klxyz", EPS, EPS, s, s)
     g = 0.5 * (g + np.swapaxes(g, 0, 1))  # kill roundoff asymmetry
     return Metric3(g)

@@ -283,8 +283,8 @@ def test_criterion_11_hodge_star_lemma():
     gm = np.einsum("nab,ncb->nac", a, a) + 0.5 * np.eye(3)
     metrics = Metric3(np.moveaxis(gm, 0, -1)[:, :, :, None, None])
     star = hodge_star(metrics, 1)
-    res = star_trace_residual(star)
-    rec = recover_metric(star)
+    res = star_trace_residual(star.s)
+    rec = recover_metric(star.s)
     err = float(np.max(np.abs(rec.g - metrics.g))) / float(np.max(np.abs(metrics.g)))
     report(11, f"trace identity ({res:.1e} < 1e-12) and metric recovery "
                f"({err:.1e} < 1e-10) over 1000 random SPD metrics",

@@ -910,18 +910,19 @@ def test_spinorial_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch,
 
 
 def test_moment_conditions_run_once_per_shared_target(monkeypatch):
-    # the sweep points share one target, so its moment-map check (the one
-    # caller of lie_target's own target_partials binding in a verify) runs once
+    # the sweep points share one target, so its moment-map check runs once:
+    # lie_target's own target_partials binding differentiates the target's
+    # mu_fn there alone (the naturality check's forms go through it too)
     calls = []
     partials = lie_target.target_partials
     monkeypatch.setattr(lie_target, "target_partials",
-                        lambda *args: calls.append(args) or partials(*args))
+                        lambda fn, y: calls.append(fn.__name__ == "mu_fn") or partials(fn, y))
     monkeypatch.setattr(lie_target, "_SHARED", {})
     rep = run_sweep({"family": "identity-u1", "n": 12, "margins": [0.36, 0.24, 0.16],
                      "sweep": {"param": "family_params.ax",
                                "values": ["0.05*sin(theta)", "0.02*sin(theta)"]}})
     # once per slab of its 32^3 chart grid (13, 13 and 6 rows)
-    assert len(rep["points"]) == 2 and len(calls) == 3
+    assert len(rep["points"]) == 2 and sum(calls) == 3 and len(calls) > 3
 
 
 def test_build_target_shares_valid_sections_only(monkeypatch):

@@ -20,17 +20,15 @@ from oracles import (
 from skybps import exterior, gaugefield, grid
 from skybps.cli import FAMILIES, build_family, run_verify
 from skybps.errors import MomentConditionFailed
-from skybps.exterior import hodge_star
+from skybps.exterior import _contraction_asymmetry, hodge_star
 from skybps.grid import build_patch
 from skybps.energy_degree import (
-    _contraction_asymmetry,
     _TERMS,
     _margin_pass,
     _pair,
     _slab_pass,
     bound_gap,
     bps_coefficients,
-    general_bound_coefficient,
 )
 from skybps.lie_target import make_su2_left_target
 from skybps.solutions import identity_u1_solution, spinorial_solution
@@ -192,12 +190,6 @@ def test_gap_quadratic_in_residuals(u1_target):
     gaps = [bound_gap(perturb_configuration(base, eps, seed=3), P0, vol)[0]["gap"]
             for eps in (0.04, 0.02)]
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.2)
-
-
-def test_general_bound_reported():
-    assert general_bound_coefficient(bps_coefficients(0.5, 1.0, 2.0)) is not None
-    # gamma = 0 makes the denominator collapse: reported as None, not an error
-    assert general_bound_coefficient(bps_coefficients(1.0, 2.0, 0.0)) is None
 
 
 # -- SU(2) reduction ------------------------------------------------------------------
@@ -474,7 +466,7 @@ def test_coarse_rows_are_sub_box_reductions_of_full_grid_densities(family, monke
 
 def _stars_of_one_pass(family, monkeypatch):
     """The stars that one pass with the family's checks forms, on slabs of 6,
-    6 and 4 rows, and how often each is inverted."""
+    6 and 4 rows, and how often mat_inv is applied to each one's matrices."""
     monkeypatch.setattr(grid, "_SLAB_POINTS", 6 * 16 * 16)
     res, p = build_family({"family": family, "n": 16}, FAMILIES[family].margins[0])
     stars, inverted = [], []
@@ -484,18 +476,20 @@ def _stars_of_one_pass(family, monkeypatch):
     monkeypatch.setattr(exterior, "mat_inv", lambda m: inverted.append(m) or real_inv(m))
     bound_gap(res.config, p, 1.0, res.checks)[0]
     assert len(res.config.grid.slabs()) == 3
-    return len(stars), [sum(m is star.s for m in inverted) for star in stars]
+    return len(stars), [sum(m is star.s or m is star.s_inv for m in inverted)
+                        for star in stars]
 
 
 def test_star_inverted_once_per_configuration(monkeypatch):
-    # one pass per configuration: one star per slab, each inverted once
-    assert _stars_of_one_pass("spherical", monkeypatch) == (3, [1, 1, 1])
+    # one pass per configuration: one star per slab, whose inverse is written
+    # in closed form, so mat_inv never sees a star's matrix
+    assert _stars_of_one_pass("spherical", monkeypatch) == (3, [0, 0, 0])
 
 
 def test_family_check_reads_the_pass_star(monkeypatch):
     # the monopole's abelian BPS check stars d xi on each slab before the pass
     # does, and the pass reuses that star
-    assert _stars_of_one_pass("dirac-monopole", monkeypatch) == (3, [1, 1, 1])
+    assert _stars_of_one_pass("dirac-monopole", monkeypatch) == (3, [0, 0, 0])
 
 
 # -- the degree's contraction check ---------------------------------------------------

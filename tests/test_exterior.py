@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -61,10 +62,10 @@ def test_star_involution_and_roundtrip(seed):
     s = hodge_star(m, 1)
     u = rng.normal(size=(3,) + SHAPE)
     np.testing.assert_allclose(s.on_2(s.on_1(u)), u, atol=1e-10)
-    assert star_trace_residual(s) < 1e-12 * max(np.max(np.abs(s.s)), 1.0)
-    m2 = recover_metric(s)
+    assert star_trace_residual(s.s) < 1e-12 * max(np.max(np.abs(s.s)), 1.0)
+    m2 = recover_metric(s.s)
     assert np.max(np.abs(m2.g - m.g)) < 1e-10 * np.max(np.abs(m.g))
-    assert m2.riemannian
+    assert m2.riemannian_mask().all()
 
 
 def test_star_trace_residual_offset():
@@ -72,31 +73,30 @@ def test_star_trace_residual_offset():
     s = np.broadcast_to(np.eye(3)[:, :, None, None, None], (3, 3) + SHAPE).copy()
     lam = 0.37
     s[2, 0] += lam
-    assert star_trace_residual(StarMap(s=s)) == pytest.approx(lam)
-    assert star_trace_residual(StarMap(s=np.zeros((3, 3) + SHAPE))) == 0.0
+    assert star_trace_residual(s) == pytest.approx(lam)
+    assert star_trace_residual(np.zeros((3, 3) + SHAPE)) == 0.0
 
 
 def test_recover_metric_euclidean_and_scaling():
     euclid = Metric3(np.broadcast_to(np.eye(3)[:, :, None, None, None],
                                      (3, 3) + SHAPE).copy())
     s = hodge_star(euclid, 1)
-    np.testing.assert_allclose(recover_metric(s).g, euclid.g, atol=1e-14)
+    np.testing.assert_allclose(recover_metric(s.s).g, euclid.g, atol=1e-14)
     # the bilinear inverse is quadratic in the star map: scaling by c scales
     # the recovered tensor by c^2 (so a sign flip of the star map leaves the
     # recovered tensor positive definite)
     for c in (2.0, -3.0):
-        sc = StarMap(s=c * s.s)
-        rec = recover_metric(sc)
+        rec = recover_metric(c * s.s)
         np.testing.assert_allclose(rec.g, c**2 * euclid.g, atol=1e-12)
-        assert rec.riemannian
+        assert rec.riemannian_mask().all()
 
 
 def test_recover_metric_mixed_signature_flagged():
     # diag(a, b, b) star maps recover diag(b^2, ab, ab): negative a flags
     s = np.zeros((3, 3) + SHAPE)
     s[0, 0], s[1, 1], s[2, 2] = -0.5, 1.0, 1.0
-    rec = recover_metric(StarMap(s=s))
-    assert not rec.riemannian
+    rec = recover_metric(s)
+    assert not rec.riemannian_mask().all()
     np.testing.assert_allclose(rec.g[0, 0], 1.0)
     np.testing.assert_allclose(rec.g[1, 1], -0.5)
 
@@ -105,7 +105,7 @@ def test_recover_metric_trace_violation_raises():
     s = np.broadcast_to(np.eye(3)[:, :, None, None, None], (3, 3) + SHAPE).copy()
     s[0, 1] += 0.1
     with pytest.raises(ConstraintViolated):
-        recover_metric(StarMap(s=s))
+        recover_metric(s)
 
 
 @given(st.integers(0, 10_000))
@@ -302,7 +302,7 @@ def test_zero_skips_keep_a_nan_operand(pattern):
     # the dense sum
     rng = np.random.default_rng(24)
     m = with_zeros(random_field(rng, KERNEL_SHAPE, False), pattern)
-    star, point = StarMap(m), (2, 3, 4)
+    star, point = StarMap(m, mat_inv(m)), (2, 3, 4)
     for j in range(3):
         v = rng.normal(size=KERNEL_SHAPE[1:])
         v[(j,) + point] = np.nan
@@ -315,14 +315,20 @@ def test_zero_skips_keep_a_nan_operand(pattern):
 
 
 def test_star_map_is_frozen_and_keeps_its_inverse():
+    # the closed-form inverse orientation * g / sqrt(det g) is the inverse of
+    # s = orientation * sqrt(det g) * g^-1, and hodge_star leaves g as it was
     rng = np.random.default_rng(23)
-    star = hodge_star(random_spd(rng), 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        star.s = np.zeros_like(star.s)
-    inv = star.inverse_matrix()
-    assert star.inverse_matrix() is inv
-    assert not inv.flags.writeable
-    assert np.array_equal(inv, mat_inv(star.s))
+    for orientation, scale in itertools.product((1, -1), (1e-3, 1.0, 1e3)):
+        m = random_spd(rng, scale)
+        g0 = m.g.copy()
+        star = hodge_star(m, orientation)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            star.s_inv = np.zeros_like(star.s)
+        assert np.array_equal(m.g, g0)
+        ref = mat_inv(star.s)
+        assert np.max(np.abs(star.s_inv - ref)) <= 1e-13 * np.max(np.abs(ref))
+        v = rng.normal(size=(3,) + SHAPE)
+        np.testing.assert_allclose(star.on_2(star.on_1(v)), v, rtol=0, atol=1e-12)
 
 
 def test_riemannian_mask_is_relative_to_the_metric_scale():
@@ -334,12 +340,12 @@ def test_riemannian_mask_is_relative_to_the_metric_scale():
     g[1, 1] = g[2, 2] = [7e-18, -7e-18, 1e-12, 1e-7, 1.0]
     assert Metric3(g.copy()).riemannian_mask().tolist() == [False, False, True, True, True]
     for scale in (1e-30, 1e30):
-        assert Metric3(scale * g[..., 2:]).riemannian
-        assert not Metric3(scale * g[..., :1]).riemannian
+        assert Metric3(scale * g[..., 2:]).riemannian_mask().all()
+        assert not Metric3(scale * g[..., :1]).riemannian_mask().all()
     # the off-diagonal minor: [[1, 1], [1, 1 + 1e-15]] is singular up to rounding
     h = np.eye(3)[:, :, None] * np.ones(1)
     h[0, 1] = h[1, 0] = 1.0
     h[1, 1] = 1.0 + 1e-15
-    assert not Metric3(h).riemannian
+    assert not Metric3(h).riemannian_mask().all()
     h[1, 1] = 1.0 + 1e-10
-    assert Metric3(h).riemannian
+    assert Metric3(h).riemannian_mask().all()

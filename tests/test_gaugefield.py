@@ -149,7 +149,7 @@ def test_pullback_flat_connection_ordinary_pullback(u1_target):
         [[[float((i - j) * (j - k) * (k - i) / 2) for k in range(3)]
           for j in range(3)] for i in range(3)]), P[:, 0], P[:, 1], P[:, 2])
     phi = full_fields(c)[0]
-    np.testing.assert_allclose(vol, u1_target.vol_coeff(mat_det(u1_target.metric_fn(phi))) * det,
+    np.testing.assert_allclose(vol, np.sqrt(mat_det(u1_target.metric_fn(phi))) * det,
                                rtol=1e-12)
 
 
@@ -204,13 +204,6 @@ def test_naturality_classical_flat_case(u1_target):
     c = without_connection(smooth_u1_configuration(u1_target, n=48))
     for _, spec in naturality_check_specs(u1_target):
         assert naturality(c, spec) < 1e-5
-
-
-def test_naturality_top_degree_trivial(u1_target):
-    c = smooth_u1_configuration(u1_target, n=16)
-    assert naturality(c, standard_specs(u1_target)["volume"]) == 0.0
-    # the moment map itself has total degree 3: both sides vanish structurally
-    assert naturality(c, standard_specs(u1_target)["mu"]) == 0.0
 
 
 def test_naturality_adjoint_radial_forms(adjoint_round_target):

@@ -11,10 +11,12 @@ from oracles import (
     round_s3_family,
     sigma_duality_residual,
     sph_chart_of_x,
+    target_sigma,
 )
 from skybps import lie_target
 from skybps.errors import ConstraintViolated, MomentConditionFailed, NotRiemannian
-from skybps.exterior import EPS, mat_det, mat_inv
+from skybps.exterior import EPS, _contraction_asymmetry, _matvec, mat_det, mat_inv
+from skybps.gaugefield import naturality_check_specs
 from skybps.grid import extrapolate_margin
 from skybps.lie_target import (
     AdjointIntervalFamily,
@@ -30,6 +32,7 @@ from skybps.lie_target import (
     sph_frame,
     sph_x,
     su2_algebra,
+    target_d,
     u1_algebra,
     u1_s3_adjoint_target,
     verify_moment_conditions,
@@ -134,7 +137,7 @@ def _full_grid_volume(t, n):
     vals = []
     for m in t.volume_margins:
         grid = t.chart_grid(n, m)
-        vals.append(integrate(t.vol_coeff(mat_det(t.metric_fn(np.stack(grid.meshes())))), grid))
+        vals.append(integrate(np.sqrt(mat_det(t.metric_fn(np.stack(grid.meshes())))), grid))
     return extrapolate_margin(t.volume_margins, vals)
 
 
@@ -155,7 +158,7 @@ def _eta2_zero_target():
 def test_u1_vol_coeff_constant_along_fiber(make):
     t = make()
     grid = t.chart_grid(24)
-    full = t.vol_coeff(mat_det(t.metric_fn(np.stack(grid.meshes()))))
+    full = np.sqrt(mat_det(t.metric_fn(np.stack(grid.meshes()))))
     first = np.take(full, [0], axis=t.fiber_axis)
     assert np.array_equal(full, np.broadcast_to(first, full.shape))
 
@@ -185,29 +188,71 @@ def test_volume_equals_full_grid_quadrature(make):
     assert t.volume(n=32) == _full_grid_volume(t, 32)
 
 
+def _einsum_curl(fn, y):
+    """curl of a dual-storage 1-form with one leading slot axis, by einsum."""
+    return np.einsum("mkl,kalxyz->amxyz", EPS, lie_target.target_partials(fn, y))
+
+
+def _einsum_constraint(kil, mu):
+    """max |(q_ab + q_ba) / 2|, q_ab = sum_m I_a^m mu_{b;m}, by einsum."""
+    q = np.einsum("amxyz,bmxyz->abxyz", kil, mu)
+    return float(np.max(np.abs(0.5 * (q + np.swapaxes(q, 0, 1)))))
+
+
 def _full_grid_moment_residuals(t, n):
-    """The moment-condition residuals formed on the whole n^3 chart grid at once."""
+    """The moment-condition residuals formed on the whole n^3 chart grid at
+    once: the curl by einsum, the constraint by the package's kernel."""
     y = np.stack(t.chart_grid(n).meshes())
-    curl = np.einsum("mkl,kalxyz->amxyz", EPS, lie_target.target_partials(t.mu_fn, y))
     kil = t.killing_fn(y)
-    q = np.einsum("amxyz,bmxyz->abxyz", kil, t.mu_fn(y))
-    return {"def_residual": float(np.max(np.abs(curl - t.vol_coeff(mat_det(t.metric_fn(y)))
-                                                 * kil))),
-            "constraint_residual": float(np.max(np.abs(0.5 * (q + np.swapaxes(q, 0, 1)))))}
+    return {"def_residual": float(np.max(np.abs(_einsum_curl(t.mu_fn, y)
+                                                 - np.sqrt(mat_det(t.metric_fn(y))) * kil))),
+            "constraint_residual": float(_contraction_asymmetry(kil, t.mu_fn(y)))}
 
 
-@pytest.mark.parametrize("make", [
+_MOMENT_TARGETS = [
     u1_s3_adjoint_target,
     _general_u1_target,
     lambda: make_adjoint_interval_target(round_s3_family()),
     _spherical_profile_target,
     lambda: make_su2_left_target(1.0),
-])
+]
+
+
+@pytest.mark.parametrize("make", _MOMENT_TARGETS)
 def test_moment_conditions_equal_full_grid_check(make):
     # the check runs on slabs of 13, 13 and 6 rows of the 32^3 chart grid
     t = make()
     assert len(t.chart_grid(32).slabs()) == 3
     assert verify_moment_conditions(t, n=32) == _full_grid_moment_residuals(t, 32)
+
+
+@pytest.mark.parametrize("make", _MOMENT_TARGETS)
+def test_moment_constraint_matches_einsum(make):
+    # the kernel sums each pair's products in another order than the einsum
+    t = make()
+    y = np.stack(t.chart_grid(32).meshes())
+    mu = t.mu_fn(y)
+    ref = _einsum_constraint(t.killing_fn(y), mu)
+    got = verify_moment_conditions(t, n=32)["constraint_residual"]
+    assert abs(got - ref) <= 1e-16 * float(np.max(np.abs(mu)))
+
+
+def test_target_d_matches_einsum_and_trace(u1_target, adjoint_round_target):
+    # the curl of mu (one leading slot axis) and of the naturality 1-forms,
+    # and the divergence of the naturality 2-forms, bit for bit
+    for t in (u1_target, adjoint_round_target):
+        y = np.stack(t.chart_grid(12).meshes())
+        assert np.array_equal(target_d(t.mu_fn, y, 1), _einsum_curl(t.mu_fn, y))
+        for name, spec in naturality_check_specs(t):
+            got = target_d(spec.coeff, y, spec.q)
+            if spec.q == 1:
+                ref = _einsum_curl(lambda z: spec.coeff(z)[None], y)[0]
+            else:
+                d = lie_target.target_partials(spec.coeff, y)
+                ref = d[0, 0] + d[1, 1] + d[2, 2]
+            assert np.array_equal(got, ref), (t.name, name)
+    with pytest.raises(ValueError):
+        target_d(u1_target.mu_fn, y, 3)
 
 
 # -- adjoint interval targets -------------------------------------------------
@@ -247,7 +292,7 @@ def test_adjoint_target_moment_and_mu_sharp(adjoint_round_target):
     y = np.stack(grid.meshes())
     mu = t.mu_fn(y)
     g = t.metric_fn(y)
-    ms = t.mu_sharp(mat_inv(g), mu)
+    ms = _matvec(mat_inv(g), mu)
     xi, u, v = y
     x = sph_x(u, v)
     np.testing.assert_allclose(ms[:, 0], -x, atol=1e-12)  # eta1 = -1, h1 = 1
@@ -275,7 +320,7 @@ def test_sigma_adjoint_closed_form(adjoint_round_target):
     y = np.stack(grid.meshes())
     xi, u = y[0], y[1]
     g = t.metric_fn(y)
-    sig = t.sigma_dual(mat_det(g), mat_inv(g))
+    sig = target_sigma(g)
     h1, h2 = 1.0, np.sin(xi)
     np.testing.assert_allclose(sig[0, 0], h2**2 * np.sin(u) / h1, atol=1e-12)
     np.testing.assert_allclose(sig[1, 1], h1 * np.sin(u), atol=1e-12)
@@ -298,7 +343,7 @@ def test_sigma_euclidean_target():
     )
     y = np.stack(t.chart_grid(5, 0.1).meshes())
     g = t.metric_fn(y)
-    np.testing.assert_allclose(t.sigma_dual(mat_det(g), mat_inv(g)),
+    np.testing.assert_allclose(target_sigma(g),
                                np.broadcast_to(np.eye(3)[:, :, None, None, None],
                                                (3, 3) + y[0].shape), atol=1e-14)
 
