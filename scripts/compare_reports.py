@@ -1,16 +1,20 @@
 """Compare two skybps output directories number by number.
 
-    python3 scripts/compare_reports.py DIR_A DIR_B [--rel 1e-12]
+    python3 scripts/compare_reports.py DIR_A DIR_B [--rel 1e-12] [--abs 0]
 
 Each directory holds the ``report.json`` and ``results.csv`` that
-``skybps verify`` or ``skybps sweep`` wrote. Every float is compared as
-|a - b| / max(1, |a|), with a taken from DIR_A; the largest such difference
-and where it occurs are printed. Everything else must be equal: keys, list
-lengths, strings, integers, booleans, nulls, the CSV header and every CSV
-cell that is not a float. NaN equals NaN.
+``skybps verify`` or ``skybps sweep`` wrote. Every float is compared at its
+own scale: it is within the bound when |a - b| <= rel |a| + abs, with a taken
+from DIR_A, so ``--abs`` is the floor below which a difference of quantities
+at or near 0 (residuals at rounding) is accepted. Printed are the largest
+relative difference |a - b| / |a| and the largest share of its bound that a
+difference uses, |a - b| / (rel |a| + abs), each with where it occurs.
+Everything else must be equal: keys, list lengths, strings, integers,
+booleans, nulls, the CSV header and every CSV cell that is not a float. NaN
+equals NaN.
 
-Exit status: 0 when every float is within ``--rel`` and nothing else differs,
-1 otherwise, 2 when a directory lacks one of the two files.
+Exit status: 0 when every float is within its bound and nothing else
+differs, 1 otherwise, 2 when a directory lacks one of the two files.
 """
 
 from __future__ import annotations
@@ -26,21 +30,28 @@ FILES = ("report.json", "results.csv")
 
 
 class Comparison:
-    """Largest scaled float difference and the list of other differences."""
+    """Largest relative float difference, largest share of the bound, and
+    the list of other differences."""
 
-    def __init__(self):
-        self.max_rel = 0.0
-        self.where = None
+    def __init__(self, rel: float, abs_: float):
+        self.rel, self.abs = rel, abs_
+        self.max_rel = self.max_share = 0.0
+        self.where = self.share_where = None
         self.mismatches: list[str] = []
 
     def floats(self, a: float, b: float, where: str):
         if math.isnan(a) and math.isnan(b) or a == b:
             return
-        rel = abs(a - b) / max(1.0, abs(a))
-        if math.isnan(rel):  # a NaN against a number, or infinities of opposite sign
-            rel = math.inf
+        diff = abs(a - b)
+        rel = diff / abs(a) if a else math.inf
+        bound = self.rel * abs(a) + self.abs
+        share = diff / bound if bound else math.inf
+        if math.isnan(rel) or math.isnan(share):  # a NaN or an infinity against a number
+            rel = share = math.inf
         if rel > self.max_rel:
             self.max_rel, self.where = rel, where
+        if share > self.max_share:
+            self.max_share, self.share_where = share, where
 
     def values(self, a, b, where: str):
         if isinstance(a, float) and isinstance(b, float):
@@ -81,8 +92,8 @@ def _as_float(cell: str) -> float | None:
         return None
 
 
-def compare(dir_a: Path, dir_b: Path) -> Comparison:
-    cmp = Comparison()
+def compare(dir_a: Path, dir_b: Path, rel: float, abs_: float) -> Comparison:
+    cmp = Comparison(rel, abs_)
     cmp.values(json.loads((dir_a / "report.json").read_text()),
                json.loads((dir_b / "report.json").read_text()), "report.json:")
     rows_a = list(csv.reader((dir_a / "results.csv").read_text().splitlines()))
@@ -107,19 +118,24 @@ def main(argv=None) -> int:
     ap.add_argument("a", type=Path, help="reference output directory")
     ap.add_argument("b", type=Path, help="output directory compared against it")
     ap.add_argument("--rel", type=float, default=1e-12,
-                    help="bound on |a - b| / max(1, |a|) (default 1e-12)")
+                    help="relative part of the bound rel |a| + abs (default 1e-12)")
+    ap.add_argument("--abs", type=float, default=0.0,
+                    help="absolute part of the bound rel |a| + abs (default 0)")
     args = ap.parse_args(argv)
     for d in (args.a, args.b):
         missing = [f for f in FILES if not (d / f).is_file()]
         if missing:
             print(f"{d}: missing {', '.join(missing)}", file=sys.stderr)
             return 2
-    cmp = compare(args.a, args.b)
+    cmp = compare(args.a, args.b, args.rel, args.abs)
     for m in cmp.mismatches:
         print(f"non-float difference: {m}")
     where = f" at {cmp.where}" if cmp.where else ""
-    print(f"largest scaled difference: {cmp.max_rel:.3e}{where} (bound {args.rel:.1e})")
-    ok = not cmp.mismatches and cmp.max_rel <= args.rel
+    print(f"largest relative difference: {cmp.max_rel:.3e}{where}")
+    where = f" at {cmp.share_where}" if cmp.share_where else ""
+    print(f"largest share of the bound {args.rel:.1e} |a| + {args.abs:.1e}: "
+          f"{cmp.max_share:.3g}{where}")
+    ok = not cmp.mismatches and cmp.max_share <= 1.0
     print("equal within bound" if ok else "DIFFERENT")
     return 0 if ok else 1
 

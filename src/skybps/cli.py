@@ -459,15 +459,16 @@ def _validate_config(cfg: dict) -> dict:
 # of the grid's size: its configuration is closed forms, evaluated slab by
 # slab.  Its peak is the larger of two working sets, each freed before the
 # next stage begins: a slab of the pass and a slab of the moment check's
-# 32^3 chart grid, (20 + 24 dim) fields with the complex-step partials of
-# mu.  A slab of the pass holds about _SLAB_FIELDS fields on each of its
+# 32^3 chart grid, 19 dim fields with the complex-step partials of mu (the
+# u(1) targets' mu is formed off the slab's rows, so 10 fields there).  A
+# slab of the pass holds about _SLAB_FIELDS fields on each of its
 # rows, each freed after its last reader.  It evaluates phi and A on up to 4
 # more rows on each side: it forms F, d^A phi and I(phi) on the inner two of
 # them, which hold those five, 12 + 9 dim fields, and the outer two hold only
-# phi and A (3 + 3 dim fields).  The slabs of Vol(N)'s 96^3 chart grids are
-# one row and smaller than either working set.  The estimate is 1.05 to 1.43
-# times the traced peak (tracemalloc, numpy 2.4) of all six families from
-# n = 16 to 96.
+# phi and A (3 + 3 dim fields).  Vol(N) forms about 13 fields on 96^2 points
+# of its 96^3 chart grids, less than either working set.  The estimate is
+# 1.02 to 1.47 times the traced peak (tracemalloc, numpy 2.4) of all six
+# families from n = 16 to 64.
 _SLAB_FIELDS = 88
 
 
@@ -478,7 +479,7 @@ def _footprint(n: int, dim: int) -> int:
     inner = min(4, n - rows)
     outer = min(4, n - rows - inner)
     fields = _SLAB_FIELDS * rows + (12 + 9 * dim) * inner + (3 + 3 * dim) * outer
-    moment = (20 + 24 * dim) * slab_rows(32 * 32) * 32 * 32
+    moment = 19 * dim * slab_rows(32 * 32) * 32 * 32
     return 8 * max(fields * n * n, moment)
 
 

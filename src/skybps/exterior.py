@@ -256,9 +256,10 @@ def _contraction_asymmetry(kil: np.ndarray, mu: np.ndarray, peak=np.max):
     sub-box in the pass (see ``energy_degree._slab_pass``).
 
     Each pair sums its products in component order, both orders of the pair
-    at each component, with two scratch buffers of the points' shape.
+    at each component, with two scratch buffers of the points' shape, the
+    broadcast of the two fields'.
     """
-    sp = kil.shape[2:]
+    sp = np.broadcast_shapes(kil.shape[2:], mu.shape[2:])
     dt = np.result_type(kil, mu)
     sym, tmp = np.empty(sp, dt), np.empty(sp, dt)
     worst = 0.0

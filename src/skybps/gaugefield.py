@@ -33,7 +33,7 @@ from .errors import ChartExit, DegreeOverflow, NonFinite, SkybpsError
 from .exterior import (Metric3, StarMap, _adjugate, _cross_into, _det, _dot, _matvec,
                        assert_finite, hodge_star, mat_det)
 from .grid import PatchGrid, _cut, exterior_d
-from .lie_target import TargetGeometry, target_d
+from .lie_target import TargetGeometry, _chart_zeros, target_d
 
 
 @dataclass
@@ -321,8 +321,9 @@ def det_p(P: np.ndarray) -> np.ndarray:
 class EquivariantFormSpec:
     """Coefficient data of an invariant q-form on the target.
 
-    ``coeff`` maps chart points y (3, ...) to the form's components (3, ...)
-    in dual storage (see ``exterior``).
+    ``coeff`` is a chart evaluator (see ``TargetGeometry``): it maps a
+    chart point y to the form's components (3, ...) in dual storage (see
+    ``exterior``).
     """
 
     q: int
@@ -425,7 +426,8 @@ def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, Equivarian
 
     For circle-fibered targets the moment 1-form itself is invariant, as is
     its companion iota_nu V_N; for the sphere-orbit targets the invariant
-    forms are radial profiles of dxi and of the orbit area form.
+    forms are radial profiles of dxi and of the orbit area form.  Each
+    form's coefficients are a chart evaluator (see ``TargetGeometry``).
     """
     if target.algebra.dim == 1:
         def mu_one_form(y):
@@ -440,13 +442,13 @@ def naturality_check_specs(target: TargetGeometry) -> list[tuple[str, Equivarian
         ]
 
     def radial_one_form(y):
-        out = np.zeros((3,) + np.shape(y[0]), dtype=np.result_type(y))
+        out = _chart_zeros((3,), y, y[0])
         out[0] = np.cos(y[0])
         return out
 
     def radial_area_form(y):
         # s(xi) * (area form of the orbit sphere), dual storage: omega = sin(u) du^dv
-        out = np.zeros((3,) + np.shape(y[0]), dtype=np.result_type(y))
+        out = _chart_zeros((3,), y, y[0], y[1])
         out[0] = (1.0 + 0.25 * y[0]) * np.sin(y[1])
         return out
 

@@ -77,6 +77,8 @@ class PatchGrid:
     lo_eff: tuple[float, float, float] = field(init=False)
     hi_eff: tuple[float, float, float] = field(init=False)
     h: tuple[float, float, float] = field(init=False)
+    # axis_weights by (axis, inset), each built once
+    _axis_weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo_eff, hi_eff, h = [], [], []
@@ -141,6 +143,13 @@ class PatchGrid:
         x0, x1, x2 = (self.axis_points(i) for i in range(3))
         return tuple(np.meshgrid(x0[rows], x1, x2, indexing="ij"))
 
+    def open_mesh(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coordinates of ``rows`` of the first axis (all by default) on
+        the axes they vary along: arrays of shapes (rows, 1, 1), (1, n1, 1)
+        and (1, 1, n2), which broadcast to the fields of :meth:`meshes`."""
+        x0, x1, x2 = (self.axis_points(i) for i in range(3))
+        return x0[rows, None, None], x1[None, :, None], x2[None, None, :]
+
     def row_index(self, rows: slice) -> np.ndarray:
         """Indices of ``rows`` of the first axis, taken mod n."""
         return np.arange(rows.start, rows.stop) % self.n[0]
@@ -193,8 +202,17 @@ class PatchGrid:
         cell by the cubic through the 4 rows nearest it, and the rows from
         the next one in by the composite rule, which on the whole axis is
         Simpson's, with the 3/8 rule on the last 3 intervals where the
-        number of points is even.
+        number of points is even.  Built on the first call for each axis
+        and inset, and read-only.
         """
+        key = (i, inset)
+        if key not in self._axis_weights:
+            w = self._build_axis_weights(i, inset)
+            w.flags.writeable = False
+            self._axis_weights[key] = w
+        return self._axis_weights[key]
+
+    def _build_axis_weights(self, i: int, inset: float) -> np.ndarray:
         n, h = self.n[i], self.h[i]
         if self.periodic[i]:
             return np.full(n, h)
@@ -212,12 +230,19 @@ class PatchGrid:
         w[-4:] += cell[::-1]
         return w
 
-    def weights(self, rows: slice = slice(None), inset: float = 0.0) -> np.ndarray:
+    def weights(self, rows: slice = slice(None), inset: float = 0.0,
+                shape: tuple[int, ...] | None = None) -> np.ndarray:
         """Tensor-product quadrature weights of the sub-box ``inset`` on its
         ``rows`` of the first axis, counted from its first row (all by
-        default); built afresh on each call."""
-        w0, w1, w2 = (self.axis_weights(i, inset) for i in range(3))
-        return w0[rows, None, None] * w1[None, :, None] * w2[None, None, :]
+        default).  Along an axis on which a field of ``shape`` has length 1,
+        so is constant, they hold that axis's weights summed (over ``rows``
+        on the first axis), so that the field is integrated along it; by
+        default no axis is."""
+        w = [self.axis_weights(i, inset) for i in range(3)]
+        w[0] = w[0][rows]
+        if shape is not None:
+            w = [np.sum(a, keepdims=True) if m == 1 else a for a, m in zip(w, shape)]
+        return w[0][:, None, None] * w[1][None, :, None] * w[2][None, None, :]
 
     def row_sums(self, f: np.ndarray, rows: slice = slice(None),
                  inset: float = 0.0) -> np.ndarray:
@@ -228,13 +253,21 @@ class PatchGrid:
         A row's sum reads that row's points in the sub-box alone, so the sums
         of any partition of the rows into slabs are, row for row, the full
         grid's, and a point outside the sub-box does not enter them.
+
+        An axis on which ``f`` has length 1 holds a field constant along it,
+        integrated over the sub-box by that axis's weights summed
+        (:meth:`weights`); on the first axis the rows of ``rows`` in the
+        sub-box then give one sum.  A slab of one row is such a field, and
+        its sum is the row's.
         """
         rows = slice(*rows.indices(self.n[0])[:2])
         at = self.in_box(rows, inset)
         if at is None:
             return np.zeros(0)
         first = rows.start + at[1].start - self.box(inset)[0].start
-        w = self.weights(slice(first, first + at[1].stop - at[1].start), inset)
+        shape = f.shape[-3:]
+        w = self.weights(slice(first, first + at[1].stop - at[1].start), inset, shape)
+        at = (Ellipsis,) + tuple(slice(None) if m == 1 else a for m, a in zip(shape, at[1:]))
         return np.sum(f[at] * w, axis=(1, 2))
 
 

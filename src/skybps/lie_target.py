@@ -9,9 +9,15 @@ Sigma, the metric dual of the moment map) are formed where they are used,
 with the kernels of ``exterior``.  ``target_d`` is the exterior derivative
 of a dual-storage form on the chart, from its ``target_partials``.
 
-All coefficient evaluators must be complex-safe numpy expressions: target-side
-partial derivatives are taken by complex-step differentiation, which is exact
-to machine precision for closed-form data.  The finite group actions and the
+A coefficient evaluator takes its chart point as a triple of arrays that
+broadcast together, any of which may be complex; a stacked (3, ...) array is
+one such triple.  Its value holds the points of the coordinates it reads,
+broadcast together, so on an open mesh of the chart grid
+(``PatchGrid.open_mesh``) each factor is formed on the axes it varies along.
+Target-side partial derivatives are taken by complex step in one coordinate
+at a time, which is exact to rounding for complex-safe closed forms (the
+u1-fibered metric is the one evaluator that is not one, see
+:func:`make_u1_fibered_target`).  The finite group actions and the
 equivariance, nu-homomorphism and Sigma-duality residuals, which the tests
 use as references, live in ``tests/oracles.py``.
 
@@ -44,6 +50,13 @@ def _cstep(fn: Callable, args, k: int):
     shifted = list(args)
     shifted[k] = shifted[k] + 1j * _CSTEP
     return np.imag(fn(*shifted)) / _CSTEP
+
+
+def _chart_zeros(lead: tuple, y, *read) -> np.ndarray:
+    """Zeros of shape ``lead`` + the broadcast shape of the coordinates
+    ``read``, in the dtype of the chart point y: an evaluator's value holds
+    the points of the coordinates it reads."""
+    return np.zeros(lead + np.broadcast_shapes(*(np.shape(c) for c in read)), np.result_type(*y))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +148,13 @@ def sph_frame(u, v):
 class TargetGeometry:
     """Chart data for (N, g_N, G-action); immutable after construction.
 
-    ``metric_fn``, ``killing_fn`` and ``mu_fn`` map chart points y of shape
-    (3, ...) to arrays of shape (3, 3, ...), (dim, 3, ...) and (dim, 3, ...)
-    respectively, and must accept complex y (for complex-step derivatives).
+    ``metric_fn``, ``killing_fn`` and ``mu_fn`` map a chart point y, a triple
+    of arrays that broadcast together (a stacked (3, ...) array is one), to
+    arrays of shape (3, 3, ...), (dim, 3, ...) and (dim, 3, ...)
+    respectively.  The trailing shape is the broadcast of the coordinates
+    the evaluator reads (``np.broadcast_shapes``), the dtype that of all
+    three (``np.result_type(*y)``), and any coordinate may be complex, for
+    complex-step derivatives.
     """
 
     name: str
@@ -149,12 +166,6 @@ class TargetGeometry:
     killing_fn: Callable
     mu_fn: Callable
     has_moment_constraint: bool = True
-    # A chart axis that a one-parameter subgroup of the action translates
-    # isometrically: the theta fiber of u1 targets, the azimuth v of the
-    # adjoint-interval targets (exp(t e_3) rotates the orbit sphere about its
-    # polar axis).  The metric must not depend on that coordinate, so
-    # ``volume`` evaluates V_N on a single slice of the chart grid.
-    fiber_axis: int | None = None
     default_margin: float = 0.05
     volume_margins: tuple[float, ...] = (0.2, 0.1, 0.05)
     extras: dict = field(default_factory=dict)
@@ -168,11 +179,11 @@ class TargetGeometry:
     def volume(self, n=96, margins=None) -> float:
         """Margin-extrapolated integral of V_N over the chart.
 
-        Each chart grid is integrated slab by slab (``PatchGrid.slabs``), as
-        the sum of its row sums (``PatchGrid.row_sums``), so no field of its
-        size is formed.  With a ``fiber_axis``, V_N is evaluated once on one
-        slice of the chart grid and broadcast along that axis, so the
-        quadrature sees the same values as on the full grid.
+        V_N is evaluated once on the open mesh of each chart grid
+        (``PatchGrid.open_mesh``), so on the axes its metric reads: two for
+        every target built here, whose metric is invariant along the third.
+        The quadrature (``PatchGrid.row_sums``) integrates it along an axis
+        on which it has length 1 by that axis's weights summed.
         """
         margins = tuple(margins) if margins is not None else self.volume_margins
         key = (_triple(n), margins)
@@ -180,28 +191,10 @@ class TargetGeometry:
             vals = []
             for m in margins:
                 grid = self.chart_grid(n, m)
-                sums = np.empty(grid.n[0])
-                fiber = None if self.fiber_axis is None else self._vol_density(grid)
-                for sl in grid.slabs():
-                    if fiber is None:
-                        vol = self._vol_density(grid, sl)
-                    else:
-                        vol = fiber if self.fiber_axis == 0 else fiber[sl]
-                    shape = (sl.stop - sl.start,) + grid.n[1:]
-                    sums[sl] = grid.row_sums(np.broadcast_to(vol, shape), sl)
-                vals.append(float(np.sum(sums)))
+                vol = np.sqrt(mat_det(self.metric_fn(grid.open_mesh())))
+                vals.append(float(np.sum(grid.row_sums(vol))))
             self._volume_cache[key] = extrapolate_margin(margins, vals)
         return self._volume_cache[key]
-
-    def _vol_density(self, grid: PatchGrid, rows: slice = slice(None)) -> np.ndarray:
-        """The V_N coefficient on ``rows`` of the chart grid; with a
-        ``fiber_axis``, on the first point of that axis only."""
-        axes = [grid.axis_points(i) for i in range(3)]
-        axes[0] = axes[0][rows]
-        if self.fiber_axis is not None:
-            axes[self.fiber_axis] = axes[self.fiber_axis][:1]
-        y = np.stack(np.meshgrid(*axes, indexing="ij"))
-        return np.sqrt(mat_det(self.metric_fn(y)))
 
 
 # Targets, profile families and config sections by key, one object per key:
@@ -224,27 +217,29 @@ def _triple(n):
     return tuple(int(k) for k in n)
 
 
-def target_partials(fn: Callable, y: np.ndarray) -> np.ndarray:
-    """Partial derivatives of a chart evaluator at the points y (3, *shape).
+def target_partials(fn: Callable, y) -> np.ndarray:
+    """Partial derivatives of a chart evaluator at the chart point y, a
+    triple of arrays that broadcast together (or a stacked (3, ...) array).
 
-    Returns d(fn)/dy^k stacked on a new leading axis k, by complex step:
-    exact to machine precision for closed-form evaluators.
+    Returns d(fn)/dy^k stacked on a new leading axis k, by complex step in
+    y^k alone: the other two coordinates stay real, so a factor that does
+    not read y^k is formed in real arithmetic and contributes an exact 0.
+    Exact to rounding for complex-safe closed forms; the u1-fibered
+    metric's x and y partials are not (:func:`make_u1_fibered_target`).
     """
-    rows = list(y)
-    return np.stack([_cstep(lambda *r: fn(np.stack(r)), rows, k) for k in range(3)])
+    return np.stack([_cstep(lambda *r: fn(r), tuple(y), k) for k in range(3)])
 
 
-def target_d(fn: Callable, y: np.ndarray, degree: int) -> np.ndarray:
+def target_d(fn: Callable, y, degree: int) -> np.ndarray:
     """Exterior derivative of the dual-storage ``degree``-form that the chart
-    evaluator ``fn`` gives at the points y (3, *shape).
+    evaluator ``fn`` gives at the chart point y (see :func:`target_partials`).
 
     ``fn(y)`` has its form components on axis -4, after any leading axes.
     Of a 1-form c the result is the dual 2-form curl c,
     (d c)_m = d_{m+1} c_{m+2} - d_{m+2} c_{m+1} (indices mod 3), on the same
     axes; of a 2-form b it is the 3-form coefficient
-    div b = d_0 b_0 + d_1 b_1 + d_2 b_2, without the component axis.  The
-    partials are ``target_partials``, exact to rounding for closed-form
-    evaluators.
+    div b = d_0 b_0 + d_1 b_1 + d_2 b_2, without the component axis, from
+    the partials of :func:`target_partials`.
     """
     if degree not in (1, 2):
         raise ValueError(f"target_d takes a 1-form or a 2-form, not degree {degree}")
@@ -272,15 +267,17 @@ def verify_moment_conditions(target: TargetGeometry, n=64) -> dict:
                          the symmetrized contraction that must vanish for the
                          degree to be defined.
 
-    Both are formed on each slab of the n^3 chart grid (``PatchGrid.slabs``)
-    and combined by max.  The result is kept on the target per n, so sweep
-    points that share a target run the check once.
+    Both are formed on each slab of the n^3 chart grid (``PatchGrid.slabs``),
+    from its open mesh (``PatchGrid.open_mesh``), and combined by max: each
+    evaluator forms the slab's points of the axes it reads, and the
+    residuals the points of the slab.  The result is kept on the target per
+    n, so sweep points that share a target run the check once.
     """
     if n not in target._moment_cache:
         grid = target.chart_grid(n)
         def_res = con_res = 0.0
         for sl in grid.slabs():
-            y = np.stack(grid.meshes(sl))
+            y = grid.open_mesh(sl)
             curl = target_d(target.mu_fn, y, 1)  # (a, comp, *sp)
             vol = np.sqrt(mat_det(target.metric_fn(y)))
             kil = target.killing_fn(y)
@@ -317,6 +314,11 @@ def make_u1_fibered_target(
     with W = d_x mu_y - d_y mu_x computed by complex step.  Requires mu_y > 0,
     h > 0 and W > 0 on the chart; W <= 0 makes d mu = iota_nu V_N unsolvable
     with a nondegenerate volume form.
+
+    At a complex x or y the metric cannot take W by a second complex step,
+    so it takes a real central difference of step 1e-7 there: its complex-
+    step x and y partials are second-order differences, off by about 1e-9
+    relative (the theta partial, at real x and y, is exact).
     """
 
     def _w(x, y):
@@ -325,9 +327,9 @@ def make_u1_fibered_target(
     def metric_fn(yc):
         x, yy = yc[1], yc[2]
         mx, my, hh, om = mu_x(x, yy), mu_y(x, yy), h(x, yy), omega_x(x, yy)
-        w = _w(x, yy) if not np.iscomplexobj(yc) else _w_complex(x, yy)
+        w = _w_complex(x, yy) if np.iscomplexobj(x) or np.iscomplexobj(yy) else _w(x, yy)
         f = w * w / (hh * my)
-        g = np.zeros((3, 3) + np.shape(x), dtype=np.result_type(yc, f))
+        g = _chart_zeros((3, 3), yc, x, yy)
         g[0, 0] = f
         g[0, 1] = g[1, 0] = f * om
         g[1, 1] = f * om * om + hh + mx * mx / my
@@ -344,14 +346,13 @@ def make_u1_fibered_target(
         ) / (2 * e)
 
     def killing_fn(yc):
-        shape = np.shape(yc[0])
-        k = np.zeros((1, 3) + shape, dtype=np.result_type(yc))
+        k = _chart_zeros((1, 3), yc, *yc)
         k[0, 0] = 1.0
         return k
 
     def mu_fn(yc):
         x, yy = yc[1], yc[2]
-        m = np.zeros((1, 3) + np.shape(x), dtype=np.result_type(yc))
+        m = _chart_zeros((1, 3), yc, x, yy)
         m[0, 1] = mu_x(x, yy)
         m[0, 2] = mu_y(x, yy)
         return m
@@ -365,12 +366,10 @@ def make_u1_fibered_target(
         metric_fn=metric_fn,
         killing_fn=killing_fn,
         mu_fn=mu_fn,
-        fiber_axis=0,
         extras={"mu_x": mu_x, "mu_y": mu_y, "h": h, "omega_x": omega_x, "w": _w},
     )
     if validate:
-        grid = t.chart_grid(24)
-        y = np.stack(grid.meshes())
+        y = t.chart_grid(24).open_mesh()
         my = mu_y(y[1], y[2])
         hh = h(y[1], y[2])
         w = _w(y[1], y[2])
@@ -502,10 +501,11 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
 
     def metric_fn(y):
         xi, u = y[0], y[1]
-        g = np.zeros((3, 3) + np.shape(xi), dtype=np.result_type(y))
+        g = _chart_zeros((3, 3), y, xi, u)
+        h2sq = fam.h2(xi) ** 2
         g[0, 0] = fam.h1(xi) ** 2
-        g[1, 1] = fam.h2(xi) ** 2 * np.ones_like(u)
-        g[2, 2] = fam.h2(xi) ** 2 * np.sin(u) ** 2
+        g[1, 1] = h2sq
+        g[2, 2] = h2sq * np.sin(u) ** 2
         return g
 
     def killing_fn(y):
@@ -513,7 +513,7 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
         u, v = y[1], y[2]
         sv, cv = np.sin(v), np.cos(v)
         cot = np.cos(u) / np.sin(u)
-        out = np.zeros((3, 3) + np.shape(u), dtype=np.result_type(y))
+        out = _chart_zeros((3, 3), y, u, v)
         out[0, 1] = 2.0 * sv
         out[1, 1] = -2.0 * cv
         out[0, 2] = 2.0 * cot * cv
@@ -525,7 +525,7 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
         xi, u, v = y
         x, xu, xv = sph_frame(u, v)
         e1, e2 = fam.eta1(xi), fam.eta2(xi)
-        out = np.zeros((3, 3) + np.shape(u), dtype=np.result_type(y))
+        out = _chart_zeros((3, 3), y, xi, u, v)
         out[:, 0] = e1 * x
         out[:, 1] = e2 * xu
         out[:, 2] = e2 * xv
@@ -541,7 +541,6 @@ def make_adjoint_interval_target(fam: AdjointIntervalFamily) -> TargetGeometry:
         metric_fn=metric_fn,
         killing_fn=killing_fn,
         mu_fn=mu_fn,
-        fiber_axis=2,
         default_margin=0.1,
         volume_margins=(0.12, 0.06, 0.03),
     )
@@ -564,28 +563,28 @@ def make_su2_left_target(K: float = 1.0) -> TargetGeometry:
         raise ValueError("K must be positive")
     scale = K ** (1.0 / 3.0)  # metric scale so that Vol = K * round volume
 
+    def _quat(w, vec):
+        """The quaternion (w, vec), w broadcast to vec's points."""
+        return np.concatenate([np.broadcast_to(w, vec.shape[1:])[None], vec])
+
     def _q(y):
         xi, u, v = y
-        x = sph_x(u, v)
-        return np.concatenate([np.cos(xi)[None], np.sin(xi) * x])
+        return _quat(np.cos(xi), np.sin(xi) * sph_x(u, v))
 
     def _frame(y):
         """Chart basis vectors of the quaternion embedding and their norms."""
         xi, u, v = y
         x, xu, xv = sph_frame(u, v)
-        zero = np.zeros_like(xi)
-        d_xi = np.concatenate([-np.sin(xi)[None], np.cos(xi) * x])
-        d_u = np.concatenate([zero[None], np.sin(xi) * xu])
-        d_v = np.concatenate([zero[None], np.sin(xi) * xv])
-        norms = np.stack(
-            [np.ones_like(xi), np.sin(xi) ** 2, np.sin(xi) ** 2 * np.sin(u) ** 2]
-        )
+        d_xi = _quat(-np.sin(xi), np.cos(xi) * x)
+        d_u = _quat(0.0, np.sin(xi) * xu)
+        d_v = _quat(0.0, np.sin(xi) * xv)
+        norms = (1.0, np.sin(xi) ** 2, np.sin(xi) ** 2 * np.sin(u) ** 2)
         return (d_xi, d_u, d_v), norms
 
     def metric_fn(y):
         xi, u = y[0], y[1]
-        g = np.zeros((3, 3) + np.shape(xi), dtype=np.result_type(y))
-        g[0, 0] = scale**2 * np.ones_like(xi)
+        g = _chart_zeros((3, 3), y, xi, u)
+        g[0, 0] = scale**2
         g[1, 1] = scale**2 * np.sin(xi) ** 2
         g[2, 2] = scale**2 * np.sin(xi) ** 2 * np.sin(u) ** 2
         return g
@@ -593,9 +592,9 @@ def make_su2_left_target(K: float = 1.0) -> TargetGeometry:
     def killing_fn(y):
         q = _q(y)
         frame, norms = _frame(y)
-        out = np.zeros((3, 3) + np.shape(y[0]), dtype=np.result_type(y))
+        out = _chart_zeros((3, 3), y, *y)
         for a in range(3):
-            e = np.zeros((4,) + np.shape(y[0]), dtype=np.result_type(y))
+            e = np.zeros_like(q)
             e[a + 1] = 1.0
             minus_xu = -qmul(e, q)
             for m in range(3):
@@ -606,7 +605,7 @@ def make_su2_left_target(K: float = 1.0) -> TargetGeometry:
         q = _q(y)
         qc = qconj(q)
         frame, _ = _frame(y)
-        out = np.zeros((3, 3) + np.shape(y[0]), dtype=np.result_type(y))
+        out = _chart_zeros((3, 3), y, *y)
         for m in range(3):
             theta = qmul(frame[m], qc)  # theta_R(d_m) as a pure quaternion
             out[:, m] = -(K / 2.0) * theta[1:]

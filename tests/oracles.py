@@ -206,6 +206,14 @@ def _action(target: TargetGeometry):
     return None
 
 
+def fiber_axis(target: TargetGeometry) -> int | None:
+    """A chart axis that a one-parameter subgroup of the action translates
+    isometrically, or None: the theta fiber (0) of u1-fibered targets, the
+    azimuth v (2) of adjoint-interval targets, where exp(t e_3) rotates the
+    orbit sphere about its polar axis.  The metric does not depend on it."""
+    return {u1_action: 0, adjoint_action: 2}.get(_action(target))
+
+
 # ---------------------------------------------------------------------------
 # gauge transformations
 # ---------------------------------------------------------------------------
@@ -241,12 +249,12 @@ def gauge_transform(c: Configuration, lam: np.ndarray, finite: bool = True,
 
     action = _action(target)
     if target.algebra.dim == 1:
-        if action is None or target.fiber_axis is None:
+        if action is None:
             raise ValueError("target does not define a finite u(1) action")
         phi_new = action(lam[0], phi)
         a_new = A + dlam
         winding = c.phi_winding.copy()
-        winding[target.fiber_axis] += lam_winding[0]
+        winding[fiber_axis(target)] += lam_winding[0]
         return from_arrays(grid, target, phi_new, a_new, gM, c.orientation, winding)
 
     if action is None:

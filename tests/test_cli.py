@@ -841,17 +841,26 @@ def test_sweep_convergence_columns():
     assert order > 3.0
 
 
+def _volume_grids(monkeypatch) -> list:
+    """The margins of the chart grids that Vol(N) builds from now on: it
+    evaluates V_N once on each, one per margin; the moment check builds its
+    grid at the default margin, which is not counted."""
+    margins = []
+    chart_grid = lie_target.TargetGeometry.chart_grid
+
+    def counting_chart_grid(target, n, margin=None):
+        if margin is not None:
+            margins.append(margin)
+        return chart_grid(target, n, margin)
+
+    monkeypatch.setattr(lie_target.TargetGeometry, "chart_grid", counting_chart_grid)
+    return margins
+
+
 def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
     # the swept A_x leaves the target section unchanged, so Vol(N) is
     # integrated once for the whole sweep instead of once per point
-    quadratures = []
-    density = lie_target.TargetGeometry._vol_density
-
-    def counting_density(target, grid, *rows):
-        quadratures.append(grid.margin)  # once per chart grid: the targets have a fiber axis
-        return density(target, grid, *rows)
-
-    monkeypatch.setattr(lie_target.TargetGeometry, "_vol_density", counting_density)
+    quadratures = _volume_grids(monkeypatch)
     cfg = {
         "family": "identity-u1",
         "n": 12,
@@ -883,14 +892,7 @@ def test_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch):
 def test_spinorial_sweep_shares_one_target_and_its_volume(tmp_path, monkeypatch, target):
     # the swept perturbation leaves the profile family unchanged, so its
     # target, and Vol(N), is built once for the whole sweep
-    quadratures = []
-    density = lie_target.TargetGeometry._vol_density
-
-    def counting_density(target, grid, *rows):
-        quadratures.append(grid.margin)  # once per chart grid: the targets have a fiber axis
-        return density(target, grid, *rows)
-
-    monkeypatch.setattr(lie_target.TargetGeometry, "_vol_density", counting_density)
+    quadratures = _volume_grids(monkeypatch)
     cfg = {"family": "spinorial", "n": 12,
            "sweep": {"param": "perturb.eps", "values": [0.0, 0.001, 0.002]}}
     if target:

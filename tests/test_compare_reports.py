@@ -39,7 +39,7 @@ def edited_copy(reference, tmp_path, edit_report=None, edit_csv=None):
 def test_equal_reports(reference, tmp_path):
     rc, out = compare(reference, edited_copy(reference, tmp_path))
     assert rc == 0
-    assert "largest scaled difference: 0.000e+00" in out
+    assert "largest relative difference: 0.000e+00" in out
 
 
 def test_float_within_and_over_the_bound(reference, tmp_path):
@@ -55,6 +55,31 @@ def test_float_within_and_over_the_bound(reference, tmp_path):
     rc, out = compare(reference, over)
     assert rc == 1 and "at report.json:rows[1].energy" in out
     assert compare(reference, over, "--rel", "1e-6")[0] == 0
+
+
+def test_small_floats_are_compared_at_their_own_scale(reference, tmp_path):
+    # a residual at rounding moved by 1e-15 is a relative change of about
+    # 10: it fails at the default bound, where |a - b| / max(1, |a|) passed
+    # it, and passes only under an absolute floor above the change
+    report = json.loads((reference / "report.json").read_text())
+    at = next(i for i, c in enumerate(report["checks"]) if 0 < c["value"] < 1e-15)
+
+    def nudge(report):
+        report["checks"][at]["value"] += 1e-15
+
+    moved = edited_copy(reference, tmp_path, nudge)
+    rc, out = compare(reference, moved)
+    assert rc == 1 and f"at report.json:checks[{at}].value" in out
+    assert compare(reference, moved, "--abs", "2e-15")[0] == 0
+    assert compare(reference, moved, "--abs", "5e-16")[0] == 1
+
+
+def test_nan_against_a_number_fails_under_any_bound(reference, tmp_path):
+    def poison(report):
+        report["rows"][1]["energy"] = float("nan")
+
+    rc, out = compare(reference, edited_copy(reference, tmp_path, poison), "--rel", "1", "--abs", "1")
+    assert rc == 1 and "inf at report.json:rows[1].energy" in out
 
 
 def test_flipped_flag_fails(reference, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     adjoint_action,
     equivariance_residual,
+    fiber_axis,
     integrate,
     nu_homomorphism_residual,
     qexp,
@@ -159,14 +160,14 @@ def test_u1_vol_coeff_constant_along_fiber(make):
     t = make()
     grid = t.chart_grid(24)
     full = np.sqrt(mat_det(t.metric_fn(np.stack(grid.meshes()))))
-    first = np.take(full, [0], axis=t.fiber_axis)
+    first = np.take(full, [0], axis=fiber_axis(t))
     assert np.array_equal(full, np.broadcast_to(first, full.shape))
 
 
 def test_adjoint_action_translates_fiber_axis():
     # exp(t e_3) rotates the orbit sphere about its pole: v shifts, xi and u stay
     t = _round_adjoint_target()
-    assert t.fiber_axis == 2
+    assert fiber_axis(t) == 2
     y = np.stack(t.chart_grid(8, 0.2).meshes())
     q = qexp(np.array([0.0, 0.0, 0.35])[:, None, None, None] * np.ones((3,) + y.shape[1:]))
     z = adjoint_action(q, y)
@@ -174,6 +175,16 @@ def test_adjoint_action_translates_fiber_axis():
     shift = np.mod(z[2] - y[2], 2 * np.pi)
     np.testing.assert_allclose(shift, shift.flat[0], atol=1e-12)
     assert abs(shift.flat[0]) > 0.1
+
+
+_TARGETS = [
+    u1_s3_adjoint_target,
+    _general_u1_target,
+    _round_adjoint_target,
+    _spherical_profile_target,
+    _eta2_zero_target,
+    lambda: make_su2_left_target(1.0),
+]
 
 
 @pytest.mark.parametrize("make", [
@@ -184,8 +195,66 @@ def test_adjoint_action_translates_fiber_axis():
     _eta2_zero_target,
 ])
 def test_volume_equals_full_grid_quadrature(make):
+    # V_N is integrated along the axis it does not vary on by that axis's
+    # weights summed, so the products are rounded otherwise than on the
+    # full grid (measured at most 6.8e-16 relative, n = 96)
     t = make()
-    assert t.volume(n=32) == _full_grid_volume(t, 32)
+    for n in (32, 48):
+        assert t.volume(n=n) == pytest.approx(_full_grid_volume(t, n), rel=1e-14, abs=0)
+
+
+def _evaluators(t):
+    return ([("metric_fn", t.metric_fn), ("killing_fn", t.killing_fn), ("mu_fn", t.mu_fn)]
+            + [(name, spec.coeff) for name, spec in naturality_check_specs(t)])
+
+
+@pytest.mark.parametrize("k", [None, 0, 1, 2], ids=["real", "cstep-0", "cstep-1", "cstep-2"])
+@pytest.mark.parametrize("make", _TARGETS)
+def test_evaluators_on_open_meshes_broadcast_to_full_meshes(make, k):
+    # each evaluator forms the points of the coordinates it reads: on an open
+    # mesh its value broadcasts, bit for bit, to its value on the full mesh,
+    # with or without a complex step in one coordinate
+    t = make()
+    grid = t.chart_grid(12, 0.2)
+    open_, full = list(grid.open_mesh()), list(np.stack(grid.meshes()))
+    if k is not None:
+        open_[k], full[k] = open_[k] + 1e-30j, full[k] + 1e-30j
+    for name, fn in _evaluators(t):
+        small, big = fn(tuple(open_)), fn(tuple(full))
+        assert small.dtype == big.dtype and small.size <= big.size, name
+        assert np.array_equal(np.broadcast_to(small, big.shape), big), (t.name, name)
+
+
+def _all_complex_partials(fn, y):
+    """target_partials with all three coordinates complex, as one stacked array."""
+    return np.stack([lie_target._cstep(lambda *r: fn(np.stack(r)), list(y), k) for k in range(3)])
+
+
+@pytest.mark.parametrize("make", _TARGETS)
+def test_single_coordinate_partials_match_all_complex_ones(make):
+    # a coordinate without the step is real, so factors that do not read it
+    # are formed in real arithmetic: the partials agree to rounding of the
+    # largest partial (measured at most 2.5e-16, spherical profile mu)
+    t = make()
+    y = np.stack(t.chart_grid(12).meshes())
+    for name, fn in _evaluators(t):
+        got, ref = lie_target.target_partials(fn, y), _all_complex_partials(fn, y)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (t.name, name)
+
+
+def test_u1_metric_partials_are_a_central_difference_in_x_and_exact_in_theta(u1_target):
+    # W = d_x mu_y - d_y mu_x cannot be complex-stepped twice: at a complex x
+    # or y the metric takes a real central difference (step 1e-7), so the
+    # x-partial of g_00 = cos^2 x is about 1e-9 off -sin 2x; the theta step
+    # leaves x and y real, so the metric is the real one and its partial 0
+    y = np.stack(u1_target.chart_grid(12).meshes())
+    d = lie_target.target_partials(u1_target.metric_fn, y)
+    exact = -np.sin(2 * y[1])
+    err = np.max(np.abs(d[1, 0, 0] - exact)) / np.max(np.abs(exact))
+    assert 1e-11 < err < 1e-8
+    stepped = u1_target.metric_fn((y[0] + 1e-30j, y[1], y[2]))
+    assert np.array_equal(stepped.real, u1_target.metric_fn(y)) and not stepped.imag.any()
+    assert not d[0].any()
 
 
 def _einsum_curl(fn, y):
