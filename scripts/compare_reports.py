@@ -2,19 +2,24 @@
 
     python3 scripts/compare_reports.py DIR_A DIR_B [--rel 1e-12] [--abs 0]
 
-Each directory holds the ``report.json`` and ``results.csv`` that
-``skybps verify`` or ``skybps sweep`` wrote. Every float is compared at its
-own scale: it is within the bound when |a - b| <= rel |a| + abs, with a taken
-from DIR_A, so ``--abs`` is the floor below which a difference of quantities
-at or near 0 (residuals at rounding) is accepted. Printed are the largest
-relative difference |a - b| / |a| and the largest share of its bound that a
-difference uses, |a - b| / (rel |a| + abs), each with where it occurs.
-Everything else must be equal: keys, list lengths, strings, integers,
-booleans, nulls, the CSV header and every CSV cell that is not a float. NaN
-equals NaN.
+Each directory holds the ``report.json`` that ``skybps verify``, ``sweep``
+or ``obstruction`` wrote, and the ``results.csv`` and ``results.dat`` tables
+that verify and sweep write (the second with ``--emit-gnuplot``); a table is
+compared when either directory has it. Every float is compared at its scale
+s: it is within the bound when |a - b| <= rel s + abs, with a taken from
+DIR_A, so ``--abs`` is the floor below which a difference of quantities at
+or near 0 (residuals at rounding) is accepted. A float's scale is its own,
+|a|, except for the two that cancel: a row's gap E - 6 Vol(N)|deg| is
+compared at the scale of that row's E (the ``energy`` key, or the ``E``
+column of a table), and a ``gap_rel[...]`` check, the gap over E, at scale 1.
+Printed are the largest relative difference |a - b| / s and the largest
+share of its bound that a difference uses, |a - b| / (rel s + abs), each
+with where it occurs. Everything else must be equal: keys, list lengths,
+strings, integers, booleans, nulls, table headers and every table cell that
+is not a float. NaN equals NaN.
 
 Exit status: 0 when every float is within its bound and nothing else
-differs, 1 otherwise, 2 when a directory lacks one of the two files.
+differs, 1 otherwise, 2 when a directory lacks ``report.json``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 import sys
 from pathlib import Path
 
-FILES = ("report.json", "results.csv")
+TABLES = {"results.csv": ",", "results.dat": " "}  # each table and its cell separator
 
 
 class Comparison:
@@ -39,12 +44,13 @@ class Comparison:
         self.where = self.share_where = None
         self.mismatches: list[str] = []
 
-    def floats(self, a: float, b: float, where: str):
+    def floats(self, a: float, b: float, where: str, scale: float | None = None):
         if math.isnan(a) and math.isnan(b) or a == b:
             return
         diff = abs(a - b)
-        rel = diff / abs(a) if a else math.inf
-        bound = self.rel * abs(a) + self.abs
+        scale = abs(a) if scale is None else scale
+        rel = diff / scale if scale else math.inf
+        bound = self.rel * scale + self.abs
         share = diff / bound if bound else math.inf
         if math.isnan(rel) or math.isnan(share):  # a NaN or an infinity against a number
             rel = share = math.inf
@@ -53,16 +59,19 @@ class Comparison:
         if share > self.max_share:
             self.max_share, self.share_where = share, where
 
-    def values(self, a, b, where: str):
+    def values(self, a, b, where: str, scale: float | None = None):
         if isinstance(a, float) and isinstance(b, float):
-            self.floats(a, b, where)
+            self.floats(a, b, where, scale)
         elif isinstance(a, dict) and isinstance(b, dict):
             if a.keys() != b.keys():
                 self.mismatches.append(
                     f"{where}: keys differ ({sorted(a.keys() ^ b.keys())})")
+            scales = _scales(a, "energy")
+            if str(a.get("name", "")).startswith("gap_rel["):
+                scales["value"] = 1.0
             for k in sorted(a.keys() & b.keys()):
                 sep = "" if where.endswith(":") else "."
-                self.values(a[k], b[k], f"{where}{sep}{k}")
+                self.values(a[k], b[k], f"{where}{sep}{k}", scales.get(k))
         elif isinstance(a, list) and isinstance(b, list):
             if len(a) != len(b):
                 self.mismatches.append(f"{where}: lengths {len(a)} != {len(b)}")
@@ -71,12 +80,33 @@ class Comparison:
         elif type(a) is not type(b) or a != b:
             self.mismatches.append(f"{where}: {a!r} != {b!r}")
 
-    def csv_cells(self, a: str, b: str, where: str):
+    def cells(self, a: str, b: str, where: str, scale: float | None = None):
         fa, fb = _as_float(a), _as_float(b)
         if fa is not None and fb is not None:
-            self.floats(fa, fb, where)
+            self.floats(fa, fb, where, scale)
         elif a != b:
             self.mismatches.append(f"{where}: {a!r} != {b!r}")
+
+    def table(self, a: list[list[str]], b: list[list[str]], where: str):
+        """Two tables of a header row and data rows, cell by cell."""
+        if not a or not b or a[0] != b[0]:
+            self.mismatches.append(f"{where} header: {a[:1]} != {b[:1]}")
+            return
+        header = a[0]
+        if len(a) != len(b):
+            self.mismatches.append(f"{where}: {len(a) - 1} != {len(b) - 1} rows")
+        for i, (ra, rb) in enumerate(zip(a[1:], b[1:])):
+            if len(ra) != len(rb):
+                self.mismatches.append(f"{where} row {i}: {len(ra)} != {len(rb)} cells")
+            scales = _scales(dict(zip(header, map(_as_float, ra))), "E")
+            for name, x, y in zip(header, ra, rb):
+                self.cells(x, y, f"{where}:row {i}.{name}", scales.get(name))
+
+
+def _scales(row: dict, energy: str) -> dict:
+    """The scale of a row's gap, |E|, where the row has both as floats."""
+    e = row.get(energy)
+    return {"gap": abs(e)} if isinstance(e, float) and isinstance(row.get("gap"), float) else {}
 
 
 def _as_float(cell: str) -> float | None:
@@ -92,24 +122,23 @@ def _as_float(cell: str) -> float | None:
         return None
 
 
+def _read_table(path: Path, sep: str) -> list[list[str]]:
+    lines = path.read_text().splitlines()
+    if sep == ",":
+        return list(csv.reader(lines))
+    return [line.removeprefix("# ").split(sep) for line in lines]  # results.dat's "# " header
+
+
 def compare(dir_a: Path, dir_b: Path, rel: float, abs_: float) -> Comparison:
     cmp = Comparison(rel, abs_)
     cmp.values(json.loads((dir_a / "report.json").read_text()),
                json.loads((dir_b / "report.json").read_text()), "report.json:")
-    rows_a = list(csv.reader((dir_a / "results.csv").read_text().splitlines()))
-    rows_b = list(csv.reader((dir_b / "results.csv").read_text().splitlines()))
-    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
-        cmp.mismatches.append(
-            f"results.csv header: {rows_a[:1]} != {rows_b[:1]}")
-        return cmp
-    header = rows_a[0]
-    if len(rows_a) != len(rows_b):
-        cmp.mismatches.append(f"results.csv: {len(rows_a) - 1} != {len(rows_b) - 1} rows")
-    for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:])):
-        if len(ra) != len(rb):
-            cmp.mismatches.append(f"results.csv row {i}: {len(ra)} != {len(rb)} cells")
-        for name, a, b in zip(header, ra, rb):
-            cmp.csv_cells(a, b, f"results.csv:row {i}.{name}")
+    for name, sep in TABLES.items():
+        a, b = dir_a / name, dir_b / name
+        if a.is_file() and b.is_file():
+            cmp.table(_read_table(a, sep), _read_table(b, sep), name)
+        elif a.is_file() or b.is_file():
+            cmp.mismatches.append(f"{name}: only in {a.parent if a.is_file() else b.parent}")
     return cmp
 
 
@@ -118,14 +147,13 @@ def main(argv=None) -> int:
     ap.add_argument("a", type=Path, help="reference output directory")
     ap.add_argument("b", type=Path, help="output directory compared against it")
     ap.add_argument("--rel", type=float, default=1e-12,
-                    help="relative part of the bound rel |a| + abs (default 1e-12)")
+                    help="relative part of the bound rel s + abs (default 1e-12)")
     ap.add_argument("--abs", type=float, default=0.0,
-                    help="absolute part of the bound rel |a| + abs (default 0)")
+                    help="absolute part of the bound rel s + abs (default 0)")
     args = ap.parse_args(argv)
     for d in (args.a, args.b):
-        missing = [f for f in FILES if not (d / f).is_file()]
-        if missing:
-            print(f"{d}: missing {', '.join(missing)}", file=sys.stderr)
+        if not (d / "report.json").is_file():
+            print(f"{d}: missing report.json", file=sys.stderr)
             return 2
     cmp = compare(args.a, args.b, args.rel, args.abs)
     for m in cmp.mismatches:
@@ -133,7 +161,7 @@ def main(argv=None) -> int:
     where = f" at {cmp.where}" if cmp.where else ""
     print(f"largest relative difference: {cmp.max_rel:.3e}{where}")
     where = f" at {cmp.share_where}" if cmp.share_where else ""
-    print(f"largest share of the bound {args.rel:.1e} |a| + {args.abs:.1e}: "
+    print(f"largest share of the bound {args.rel:.1e} s + {args.abs:.1e}: "
           f"{cmp.max_share:.3g}{where}")
     ok = not cmp.mismatches and cmp.max_share <= 1.0
     print("equal within bound" if ok else "DIFFERENT")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from skybps.cli import main
+from skybps.lie_target import TargetGeometry
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 
@@ -14,7 +15,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     out = tmp_path_factory.mktemp("ref")
-    assert main(["verify", "--family", "identity-u1", "-n", "16", "--output-dir", str(out)]) == 0
+    assert main(["verify", "--family", "identity-u1", "-n", "16", "--emit-gnuplot",
+                 "--output-dir", str(out)]) == 0
     return out
 
 
@@ -72,6 +74,29 @@ def test_small_floats_are_compared_at_their_own_scale(reference, tmp_path):
     assert rc == 1 and f"at report.json:checks[{at}].value" in out
     assert compare(reference, moved, "--abs", "2e-15")[0] == 0
     assert compare(reference, moved, "--abs", "5e-16")[0] == 1
+
+
+def test_rounding_change_of_the_volume_passes_at_the_scale_of_e(reference, tmp_path, monkeypatch):
+    # the gap E - 6 Vol(N)|deg| cancels to about 1e-9 of E, so 2 ulps of
+    # Vol(N) move it by far more than 1e-12 of itself; it is compared at the
+    # scale of its row's E, in the report and in both tables, and gap_rel at 1
+    real = TargetGeometry.volume
+    monkeypatch.setattr(TargetGeometry, "volume", lambda self: real(self) * (1.0 + 4e-16))
+    moved = tmp_path / "moved"
+    assert main(["verify", "--family", "identity-u1", "-n", "16", "--emit-gnuplot",
+                 "--output-dir", str(moved)]) == 0
+    rows = [json.loads((d / "report.json").read_text())["rows"] for d in (reference, moved)]
+    assert max(abs(b["gap"] - a["gap"]) / abs(a["gap"]) for a, b in zip(*rows)) > 1e-8
+    rc, out = compare(reference, moved, "--rel", "1e-12", "--abs", "0")
+    assert rc == 0, out
+    assert "largest relative difference: 0.000e+00" not in out
+
+
+def test_a_table_in_one_directory_only_fails(reference, tmp_path):
+    edited = edited_copy(reference, tmp_path)
+    (edited / "results.dat").unlink()
+    rc, out = compare(reference, edited)
+    assert rc == 1 and "non-float difference: results.dat: only in" in out
 
 
 def test_nan_against_a_number_fails_under_any_bound(reference, tmp_path):
