@@ -7,7 +7,7 @@ energy identities, topological degrees and residual equations that these
 families satisfy.
 """
 
-from .energy_degree import BPSParams, EnergyReport, bps_coefficients
+from .energy_degree import BPSParams, bps_coefficients
 from .exterior import Metric3, StarMap, hodge_star
 from .gaugefield import Configuration
 from .grid import PatchGrid, build_patch, partial_derivative
@@ -16,7 +16,6 @@ from .lie_target import TargetGeometry
 __all__ = [
     "BPSParams",
     "Configuration",
-    "EnergyReport",
     "Metric3",
     "PatchGrid",
     "StarMap",

@@ -30,6 +30,7 @@ import csv
 import ctypes
 import dataclasses
 import functools
+import io
 import json
 import math
 import numbers
@@ -41,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .energy_degree import CSV_HEADER, EnergyReport, bound_gap, bps_coefficients
+from .energy_degree import bound_gap, bps_coefficients
 from .errors import ConfigError, NonFinite, ResolutionError, SkybpsError
 from .exprs import Expression
 from .gaugefield import Configuration, naturality_check_specs, pullback_naturality_residual
@@ -85,6 +86,9 @@ _DEFAULT_TOLS = {
     "moment": 1e-6,
     "charge_cross": 1e-10,
 }
+# the bound on the decomposition residual, fixed: the Bogomolny and six-term
+# densities agree to rounding on every configuration
+_DECOMPOSITION_TOL = 1e-10
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -545,28 +549,34 @@ def _margin_insets(grid, margins: list[float]) -> list[float]:
     return insets
 
 
-def _margin_row(cfg: dict, res, m: float, bg: dict, check):
+def _check(name: str, value: float, tol: float, ok=None) -> dict:
+    """The report's record of one check: value <= tol, or the verdict ok."""
+    return {"name": name, "value": value, "tol": tol,
+            "pass": bool(value <= tol) if ok is None else bool(ok)}
+
+
+def _margin_row(cfg: dict, res, m: float, bg: dict) -> tuple[dict, list[dict]]:
     """The report row of the margin m, from its sub-box's :func:`bound_gap`,
     and its per-margin checks.  A row on which the metric is not riemannian
-    is NaN."""
+    is NaN and fails its one check."""
+    row = {"family": res.family, "params": dict(cfg.get("family_params") or {}),
+           "n": int(cfg.get("n", 48)), "margin": m}
     if not bg["riemannian"]:
-        check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)
-        return EnergyReport(res.family, _row_params(cfg), cfg.get("n", 48), m,
-                            np.nan, np.nan, np.nan, np.nan, np.nan, np.nan,
-                            extras={"riemannian": False}, exit_code=1)
-    row = EnergyReport(
-        family=res.family, params=_row_params(cfg), n=int(cfg.get("n", 48)),
-        margin=m, energy=bg["energy"], degree=bg["degree"], bound=bg["bound"],
-        gap=bg["gap"], r1=bg["r1"], r2=bg["r2"], terms=bg["terms"],
-        extras={**res.diagnostics, **bg["diagnostics"],
-                **{name: bg["checks"][name] for name, _ in res.checks}},
-    )
+        row.update(dict.fromkeys(("energy", "degree", "bound", "gap", "r1", "r2"), math.nan),
+                   terms={}, extras={"riemannian": False}, exit=1)
+        return row, [_check(f"riemannian[m={m}]", 1.0, 0.0, ok=False)]
+    row.update({key: bg[key] for key in ("energy", "degree", "bound", "gap", "r1", "r2", "terms")},
+               extras={**res.diagnostics, **bg["diagnostics"],
+                       **{name: bg["checks"][name] for name, _ in res.checks}},
+               exit=0)
     tols = cfg["tolerances"]
-    check(f"r1[m={m}]", bg["r1"], tols["residual"])
-    check(f"r2[m={m}]", bg["r2"], tols["residual"])
-    check(f"gap_rel[m={m}]", abs(bg["gap"]) / max(abs(bg["energy"]), 1e-30), tols["gap_rel"])
-    check(f"decomposition[m={m}]", bg["decomposition_residual"], 1e-10)
-    return row
+    return row, [
+        _check(f"r1[m={m}]", bg["r1"], tols["residual"]),
+        _check(f"r2[m={m}]", bg["r2"], tols["residual"]),
+        _check(f"gap_rel[m={m}]", abs(bg["gap"]) / max(abs(bg["energy"]), 1e-30),
+               tols["gap_rel"]),
+        _check(f"decomposition[m={m}]", bg["decomposition_residual"], _DECOMPOSITION_TOL),
+    ]
 
 
 def run_verify(cfg: dict) -> dict:
@@ -581,13 +591,6 @@ def run_verify(cfg: dict) -> dict:
     _check_footprint(cfg)
     tols = cfg["tolerances"]
     margins = [float(m) for m in cfg["margins"]]
-    checks: list[dict] = []
-
-    def check(name, value, tol, ok=None):
-        ok = bool(value <= tol) if ok is None else bool(ok)
-        checks.append({"name": name, "value": value, "tol": tol, "pass": ok})
-        return ok
-
     res, p = build_family(cfg, margins[-1])
     c = res.config
     insets = _margin_insets(c.grid, margins)
@@ -595,50 +598,50 @@ def run_verify(cfg: dict) -> dict:
     # pass's densities
     vol_n = c.target.volume()
     mom = verify_moment_conditions(c.target, n=32)
-    check("moment_def_residual", mom["def_residual"], tols["moment"])
+    checks = [_check("moment_def_residual", mom["def_residual"], tols["moment"])]
     if c.target.has_moment_constraint:
-        check("moment_constraint_residual", mom["constraint_residual"], tols["moment"])
-    # each is a function of a slab, so that they share the pass's slabs
-    stencil_checks = [("bianchi_residual", c.bianchi_residual)] + [
-        (f"naturality[{name}]", functools.partial(pullback_naturality_residual, c, spec))
+        checks.append(_check("moment_constraint_residual", mom["constraint_residual"],
+                             tols["moment"]))
+    # (name, tol, fn): each fn is a function of a slab, so that they share
+    # the pass's slabs
+    stencil_checks = [("bianchi_residual", tols["bianchi"], c.bianchi_residual)] + [
+        (f"naturality[{name}]", tols["naturality"],
+         functools.partial(pullback_naturality_residual, c, spec))
         for name, spec in naturality_check_specs(c.target)]
     # the slabs carry the derivative halo for the stencil checks, and the
     # pass runs to the end even where the metric is not riemannian, since
     # those checks and the charge-cross residual need no positive definite
     # metric; they are reported on the coarsest sub-box
-    bgs = bound_gap(c, p, vol_n, stencil_checks + res.checks, insets=insets)
-    for name, _ in stencil_checks:
-        tol = tols["bianchi" if name == "bianchi_residual" else "naturality"]
-        check(name, bgs[0]["checks"][name], tol)
-    check("charge_density_cross", bgs[0]["charge_cross"], tols["charge_cross"])
-    rows = [_margin_row(cfg, res, m, bg, check) for m, bg in zip(margins, bgs)]
+    bgs = bound_gap(c, p, vol_n, [(name, fn) for name, _, fn in stencil_checks] + res.checks,
+                    insets=insets)
+    checks += [_check(name, bgs[0]["checks"][name], tol) for name, tol, _ in stencil_checks]
+    checks.append(_check("charge_density_cross", bgs[0]["charge_cross"], tols["charge_cross"]))
+    rows = []
+    for m, bg in zip(margins, bgs):
+        row, row_checks = _margin_row(cfg, res, m, bg)
+        rows.append(row)
+        checks += row_checks
 
     deg_extrap = None
-    if all(row.exit_code == 0 for row in rows):  # every row riemannian
-        deg_extrap = extrapolate_margin(margins, [row.degree for row in rows])
+    if all(row["exit"] == 0 for row in rows):  # every row riemannian
+        deg_extrap = extrapolate_margin(margins, [row["degree"] for row in rows])
         # the integer claim holds for the margin -> 0 limit, so it needs at
         # least two margins to extrapolate from
         if FAMILIES[cfg["family"]].integer_degree and len(margins) >= 2:
-            check("degree_integer", abs(deg_extrap - round(deg_extrap)), tols["degree"])
+            checks.append(_check("degree_integer", abs(deg_extrap - round(deg_extrap)),
+                                 tols["degree"]))
 
     exit_code = 0 if all(ch["pass"] for ch in checks) else 1
-    for row in rows:
-        if row.exit_code == 0 and exit_code:
-            row.exit_code = exit_code
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
-        "rows": [r.to_json_dict() for r in rows],
+        # a row's exit is its verify's: a row that is not riemannian fails a check
+        "rows": [{**row, "exit": exit_code} for row in rows],
         "degree_extrapolated": deg_extrap,
         "volume_n": vol_n,
         "checks": checks,
         "exit": exit_code,
-        "_reports": rows,
     }
-
-
-def _row_params(cfg):
-    return dict(cfg.get("family_params") or {})
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +676,7 @@ def run_sweep(cfg: dict) -> dict:
                           f"got {param!r} and {values!r}")
     # every point's configuration is built, and so checked, before any point runs
     subs = [_point_config(cfg, param, v) for v in values]
-    rows, points = [], []
+    points = []
     any_fail = False
     for value, sub in zip(values, subs):
         try:
@@ -689,7 +692,6 @@ def run_sweep(cfg: dict) -> dict:
             "degree_extrapolated": rep["degree_extrapolated"],
             "rows": rep["rows"],
         })
-        rows.extend(rep["_reports"])
     # observed convergence order for n-doubling pairs within the sweep
     conv = []
     if param == "n":
@@ -709,7 +711,6 @@ def run_sweep(cfg: dict) -> dict:
         "points": points,
         "convergence": conv,
         "exit": 1 if any_fail else 0,
-        "_reports": rows,
     }
 
 
@@ -741,33 +742,39 @@ def _check_output_dir(path: str):
         raise ConfigError(f"output directory {path!r}: {found!r} is not a directory")
 
 
-def write_outputs(report: dict, out_dir: str, emit_gnuplot: bool = False):
-    import io
+# each column of results.csv: its header name and the report row key it writes
+_CSV_COLUMNS = (("family", "family"), ("params", "params"), ("n", "n"), ("margin", "margin"),
+                ("E", "energy"), ("deg", "degree"), ("bound", "bound"), ("gap", "gap"),
+                ("r1", "r1"), ("r2", "r2"), ("exit", "exit"))
+# the columns of results.dat, by their header names in results.csv
+_DAT_COLUMNS = ("margin", "E", "deg", "gap", "r1", "r2")
 
-    reports = report.pop("_reports", [])
+
+def _cell(value) -> str:
+    """A row value as a table cell: text as it is, params as compact JSON,
+    numbers by repr."""
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return value if isinstance(value, str) else repr(value)
+
+
+def write_outputs(report: dict, out_dir: str, emit_gnuplot: bool = False):
+    """Write report.json, and results.csv (with results.dat if asked) from the
+    rows it holds: a verify's, or each sweep point's in turn."""
     _atomic_write(os.path.join(out_dir, "report.json"),
-                  json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+                  json.dumps(report, indent=2, sort_keys=True))
+    rows = report["rows"] if "rows" in report else [
+        row for point in report["points"] for row in point.get("rows", [])]
+    columns = dict(_CSV_COLUMNS)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in reports:
-        writer.writerow(r.to_csv_row())
+    writer.writerow(columns)
+    writer.writerows([_cell(row[key]) for key in columns.values()] for row in rows)
     _atomic_write(os.path.join(out_dir, "results.csv"), buf.getvalue())
     if emit_gnuplot:
-        cols = ["margin", "E", "deg", "gap", "r1", "r2"]
-        out = ["# " + " ".join(cols)]
-        for r in reports:
-            out.append(" ".join(repr(v) for v in
-                                [r.margin, r.energy, r.degree, r.gap, r.r1, r.r2]))
+        out = ["# " + " ".join(_DAT_COLUMNS)]
+        out += [" ".join(_cell(row[columns[col]]) for col in _DAT_COLUMNS) for row in rows]
         _atomic_write(os.path.join(out_dir, "results.dat"), "\n".join(out) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _load_config(args) -> dict:

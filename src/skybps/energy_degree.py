@@ -34,8 +34,7 @@ energy, which the tests compare against, is in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -375,48 +374,3 @@ def _bound(done: dict, vol_n: float) -> dict:
         "diagnostics": done["diagnostics"],
     }
 
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-CSV_HEADER = ["family", "params", "n", "margin", "E", "deg", "bound", "gap", "r1", "r2", "exit"]
-
-
-@dataclass
-class EnergyReport:
-    """One verification row: energy, degree, bound and residuals."""
-
-    family: str
-    params: dict
-    n: int
-    margin: float
-    energy: float
-    degree: float
-    bound: float
-    gap: float
-    r1: float
-    r2: float
-    terms: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-    exit_code: int = 0
-
-    def to_json_dict(self) -> dict:
-        out = {k: v for k, v in vars(self).items() if k != "exit_code"}
-        out["exit"] = self.exit_code
-        return out
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            self.family,
-            json.dumps(self.params, sort_keys=True, separators=(",", ":")),
-            str(self.n),
-            repr(self.margin),
-            repr(self.energy),
-            repr(self.degree),
-            repr(self.bound),
-            repr(self.gap),
-            repr(self.r1),
-            repr(self.r2),
-            str(self.exit_code),
-        ]
