@@ -666,7 +666,10 @@ def _point_config(cfg: dict, path: str, value) -> dict:
 
 
 def run_sweep(cfg: dict) -> dict:
-    """One verify run per sweep point; failures are per-row, the run continues."""
+    """One verify run per sweep point; failures are per-row, the run continues.
+
+    Each point records its verify's rows and checks, or the error that
+    stopped it."""
     cfg = _validate_config(cfg)
     sweep = _section(cfg, "sweep")
     _check_keys(sweep, {"param", "values"}, "sweep")
@@ -691,6 +694,7 @@ def run_sweep(cfg: dict) -> dict:
             "exit": rep["exit"],
             "degree_extrapolated": rep["degree_extrapolated"],
             "rows": rep["rows"],
+            "checks": rep["checks"],
         })
     # observed convergence order for n-doubling pairs within the sweep
     conv = []

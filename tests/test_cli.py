@@ -810,6 +810,18 @@ def test_sweep_bad_n_is_a_point_error():
     assert "error" not in rep["points"][1] and rep["points"][1]["rows"]
 
 
+def test_sweep_point_carries_its_checks():
+    # a failed point names the checks it failed: at K = 0.5 the spinorial
+    # base metric is not riemannian on any margin
+    cfg = {"family": "spinorial", "n": 12}
+    rep = run_sweep({**cfg, "sweep": {"param": "surface.curvature", "values": [1.0, 0.5]}})
+    good, bad = rep["points"]
+    assert good["checks"] == run_verify({**cfg, "surface": {"curvature": 1.0}})["checks"]
+    assert bad["exit"] == 1
+    assert [c["name"] for c in bad["checks"] if not c["pass"]] == [
+        "riemannian[m=0.2]", "riemannian[m=0.1]", "riemannian[m=0.05]"]
+
+
 def test_sweep_non_finite_point_is_a_point_error(tmp_path):
     # the middle point's A is infinite; the sweep records it and writes its report
     cfg_file = tmp_path / "cfg.json"
