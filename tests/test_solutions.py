@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ def test_surface_declared_curvature_checked():
             dlog_omega=lambda t, v: (-2.0 * np.tanh(t) * np.ones_like(v), np.zeros_like(t * v)),
             lo=(-2, 0), hi=(2, 2 * np.pi), periodic=(False, True),
         )
+
+
+@pytest.mark.parametrize("curvature", [0.25, 0.668, 1.0, 2.0, 5.0])
+def test_declared_curvature_checked_to_rounding(curvature):
+    # the conformal factor's curvature is a complex-step Laplacian, exact to
+    # rounding, so a declared K off by 1e-9 relative is refused
+    s = mercator_sphere(curvature)
+    wrong = curvature * (1.0 + 1e-9)
+    with pytest.raises(ConstraintViolated):
+        dataclasses.replace(s, gauss_k=lambda t, v: wrong * np.ones_like(t * v))
+    mercator_sphere(100.0, tau_max=5.0)  # an absolute 1e-6 bound refused it
 
 
 def test_mercator_rejects_nonpositive_curvature():
