@@ -2,11 +2,13 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -957,3 +959,50 @@ def test_build_target_shares_valid_sections_only(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(targets) == 32 and all(t is targets[0] for t in targets)
+
+
+# -- checks --------------------------------------------------------------------------
+
+
+def _tols(rep):
+    return {c["name"]: c["tol"] for c in rep["checks"]}
+
+
+def test_each_stencil_tolerance_moves_only_its_checks():
+    cfg = {"family": "spherical", "n": 12}
+    base = _tols(run_verify(cfg))
+    for key, moved in (("bianchi", ["bianchi_residual"]),
+                       ("naturality", [n for n in base if n.startswith("naturality[")])):
+        tols = _tols(run_verify({**cfg, "tolerances": {key: 0.125}}))
+        assert moved and all(tols[name] == 0.125 for name in moved)
+        assert {k: v for k, v in tols.items() if k not in moved} == {
+            k: v for k, v in base.items() if k not in moved}
+
+
+def test_decomposition_tolerance_is_fixed():
+    keys = ("residual", "gap_rel", "degree", "bianchi", "naturality", "moment", "charge_cross")
+    rep = run_verify({"family": "spherical", "n": 12, "tolerances": dict.fromkeys(keys, 0.5)})
+    tols = [c["tol"] for c in rep["checks"] if c["name"].startswith("decomposition[")]
+    assert tols == [1e-10] * 3
+
+
+def test_nonriemannian_row_fails_its_riemannian_check():
+    rep = run_verify({"family": "twisted-spinorial", "n": 16,
+                      "family_params": {"alpha": 0.5, "beta": 1.5, "gamma": 1.0}})
+    checks = [c for c in rep["checks"] if c["name"].startswith("riemannian[")]
+    assert checks == [{"name": f"riemannian[m={m}]", "value": 1.0, "tol": 0.0, "pass": False}
+                      for m in (0.2, 0.1, 0.05)]
+    for row in rep["rows"]:
+        assert row["extras"] == {"riemannian": False} and row["terms"] == {}
+        assert row["exit"] == 1 and type(row["n"]) is int
+
+
+def test_readme_check_table_names_every_golden_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Checks")[1].split("Configurations are JSON")[0]
+    patterns = [re.escape(line.split("`")[1]).replace("…", ".+")
+                for line in table.splitlines() if line.startswith("| `")]
+    golden = Path(__file__).resolve().parent / "golden"
+    names = {c["name"] for f in FAMILIES
+             for c in json.loads((golden / f"verify-{f}" / "report.json").read_text())["checks"]}
+    assert names and all(any(re.fullmatch(p, n) for p in patterns) for n in names), names
