@@ -9,9 +9,11 @@ compared when either directory has it. Every float is compared at its scale
 s: it is within the bound when |a - b| <= rel s + abs, with a taken from
 DIR_A, so ``--abs`` is the floor below which a difference of quantities at
 or near 0 (residuals at rounding) is accepted. A float's scale is its own,
-|a|, except for the two that cancel: a row's gap E - 6 Vol(N)|deg| is
+|a|, except for the three that cancel: a row's gap E - 6 Vol(N)|deg| is
 compared at the scale of that row's E (the ``energy`` key, or the ``E``
-column of a table), and a ``gap_rel[...]`` check, the gap over E, at scale 1.
+column of a table), a ``gap_rel[...]`` check, the gap over E, at scale 1,
+and the ``degree_integer`` check, |deg - round(deg)|, at the scale
+max(1, |deg|) of the ``degree_extrapolated`` of its report (or sweep point).
 Printed are the largest relative difference |a - b| / s and the largest
 share of its bound that a difference uses, |a - b| / (rel s + abs), each
 with where it occurs. Everything else must be equal: keys, list lengths,
@@ -59,24 +61,32 @@ class Comparison:
         if share > self.max_share:
             self.max_share, self.share_where = share, where
 
-    def values(self, a, b, where: str, scale: float | None = None):
+    def values(self, a, b, where: str, scale: float | None = None,
+               degree: float | None = None):
+        """Compare a and b; ``degree`` is the extrapolated degree of the
+        report that holds them, the scale of its ``degree_integer`` check."""
         if isinstance(a, float) and isinstance(b, float):
             self.floats(a, b, where, scale)
         elif isinstance(a, dict) and isinstance(b, dict):
             if a.keys() != b.keys():
                 self.mismatches.append(
                     f"{where}: keys differ ({sorted(a.keys() ^ b.keys())})")
+            if isinstance(a.get("degree_extrapolated"), float):
+                degree = a["degree_extrapolated"]
             scales = _scales(a, "energy")
-            if str(a.get("name", "")).startswith("gap_rel["):
+            name = str(a.get("name", ""))
+            if name.startswith("gap_rel["):
                 scales["value"] = 1.0
+            elif name == "degree_integer" and degree is not None:
+                scales["value"] = max(1.0, abs(degree))
             for k in sorted(a.keys() & b.keys()):
                 sep = "" if where.endswith(":") else "."
-                self.values(a[k], b[k], f"{where}{sep}{k}", scales.get(k))
+                self.values(a[k], b[k], f"{where}{sep}{k}", scales.get(k), degree)
         elif isinstance(a, list) and isinstance(b, list):
             if len(a) != len(b):
                 self.mismatches.append(f"{where}: lengths {len(a)} != {len(b)}")
             for i, (x, y) in enumerate(zip(a, b)):
-                self.values(x, y, f"{where}[{i}]")
+                self.values(x, y, f"{where}[{i}]", degree=degree)
         elif type(a) is not type(b) or a != b:
             self.mismatches.append(f"{where}: {a!r} != {b!r}")
 

@@ -400,9 +400,7 @@ def perturb_configuration(c: Configuration, eps: float, seed: int = 0,
     def perturbed(rows):
         phi, A = fields(rows)
         bump = f0[grid.row_index(rows), None, None] * f1[:, None] * f2
-        for mu in range(3):
-            phi[mu] = phi[mu] + amplitude[mu] * bump
-        return phi, A
+        return tuple(v + a * bump for v, a in zip(phi, amplitude)), A
 
     return dataclasses.replace(c, fields=perturbed, phi_winding=c.phi_winding.copy())
 
@@ -467,13 +465,17 @@ def _validate_config(cfg: dict) -> dict:
 # u(1) targets' mu is formed off the slab's rows, so 10 fields there).  A
 # slab of the pass holds about _SLAB_FIELDS fields on each of its
 # rows, each freed after its last reader.  It evaluates phi and A on up to 4
-# more rows on each side: it forms F, d^A phi and I(phi) on the inner two of
-# them, which hold those five, 12 + 9 dim fields, and the outer two hold only
-# phi and A (3 + 3 dim fields).  Vol(N) forms about 13 fields on 96^2 points
+# more rows on each side: it forms F and d^A phi on the inner two of them,
+# which hold those and phi and A, 12 + 6 dim fields, and the outer two hold
+# only phi and A (3 + 3 dim fields).  phi and I(phi) are held on the axes
+# they vary along, so on those rows they are full fields only where a
+# perturbation makes phi vary along every axis; the phi terms keep such a
+# verify within the estimate.  Vol(N) forms about 13 fields on 96^2 points
 # of its 96^3 chart grids, less than either working set.  The estimate is
-# 1.02 to 1.47 times the traced peak (tracemalloc, numpy 2.4) of all six
-# families from n = 16 to 64.
-_SLAB_FIELDS = 88
+# 1.03 to 1.44 times the traced peak (tracemalloc, numpy 2.4) of all six
+# families from n = 16 to 64 and at 96, and above that of a perturbed
+# spherical or identity-u1 verify at n = 32, 48 and 96.
+_SLAB_FIELDS = 75
 
 
 def _footprint(n: int, dim: int) -> int:
@@ -482,7 +484,7 @@ def _footprint(n: int, dim: int) -> int:
     rows = min(n, slab_rows(n * n))
     inner = min(4, n - rows)
     outer = min(4, n - rows - inner)
-    fields = _SLAB_FIELDS * rows + (12 + 9 * dim) * inner + (3 + 3 * dim) * outer
+    fields = _SLAB_FIELDS * rows + (12 + 6 * dim) * inner + (3 + 3 * dim) * outer
     moment = 19 * dim * slab_rows(32 * 32) * 32 * 32
     return 8 * max(fields * n * n, moment)
 

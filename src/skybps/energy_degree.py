@@ -116,7 +116,10 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), insets=(0.0,)) -> li
     :class:`Survey` checks first.  It forms F, d^A phi and I(phi) once (see
     :class:`Slab`), takes g_N and mu at phi, det g_N and g_N^-1 once, the
     five pullbacks Sig, nu, mus, phi^{*A} V_N and phi^{*A} mu, then the
-    base star (``hodge_star``, with its closed-form inverse).  From them it
+    base star (``hodge_star``, with its closed-form inverse).  The target's
+    data at phi is formed on the axes that phi's components vary along (see
+    :class:`Configuration`), and a maximum over a sub-box broadcasts it to
+    the slab's points first.  From them it
     forms the energy densities,
     the Bogomolny density
       |star dphi - B|^2 + |alpha Sig + beta mus + gamma nu|^2 + 2 <star dphi, B>
@@ -165,6 +168,7 @@ def _margin_pass(c: Configuration, p: BPSParams, checks=(), insets=(0.0,)) -> li
         at = [grid.in_box(sl, d) for d in insets]
 
         def peak(a):  # the maximum over each sub-box's points on the slab
+            a = np.broadcast_to(a, a.shape[:-3] + grid.points_shape(sl))
             return np.array([np.max(a[i]) if i is not None else 0.0 for i in at])
 
         for name, check in checks:

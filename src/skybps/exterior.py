@@ -59,7 +59,8 @@ _MINOR_ULPS = 256
 
 
 def _cross_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i] = (a x b)[i] for (3, *spatial) component fields."""
+    """out[i] = (a x b)[i] for (3, *spatial) component fields; ``out`` holds
+    the broadcast of their points."""
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(a[j], b[k], out=out[i, ...])
@@ -237,9 +238,9 @@ def hodge_star(metric: Metric3, orientation: int) -> StarMap:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum of u * v over every axis but the last three, in C order."""
-    sp = u.shape[-3:]
-    u, v = u.reshape((-1,) + sp), v.reshape((-1,) + sp)
+    """sum of u * v over every axis but the last three, in C order, on the
+    broadcast of their points."""
+    u, v = u.reshape((-1,) + u.shape[-3:]), v.reshape((-1,) + v.shape[-3:])
     out = u[0] * v[0]
     tmp = np.empty_like(out)
     for k in range(1, len(u)):

@@ -1,8 +1,13 @@
 """Gauged configurations (phi, A) over a patch: curvature, covariant
 differential, equivariant pullback and its naturality check.
 
-phi is given through its target-chart components phi^mu(x); maps that wind
-around periodic axes (identity maps, fibre shifts) carry an explicit
+phi is given through its target-chart components phi^mu(x), as a triple of
+arrays that broadcast to the points of the rows asked for: each component is
+held on the axes it varies along, so the target's chart data at phi (g_N,
+I, mu and the invariant forms, with their complex-step partials) is formed
+on the axes that the coordinates it reads vary along.  A stacked (3, ...)
+array of full components is one such triple.  Maps that wind around
+periodic axes (identity maps, fibre shifts) carry an explicit
 ``phi_winding`` slope matrix so that finite differences act on the periodic
 remainder only.  A is given through its Lie-algebra components A^a_lambda(x).
 
@@ -41,11 +46,14 @@ class Configuration:
     """A gauged Skyrme pair (phi, A) with base metric over a PatchGrid.
 
     ``fields(rows)`` returns (phi, A) on a range of rows of the first axis:
-    phi (3, *rows) target-chart components and A (dim g, 3, *rows) Lie-valued
-    1-form components; ``metric(rows)`` returns g_M (3, 3, *rows).  On a
-    periodic axis ``rows`` may leave [0, n), and the rows are taken mod n.
-    Each call returns fresh arrays that the caller owns.  orientation: sign
-    of the coordinate frame dx^0 ^ dx^1 ^ dx^2 against the orientation of M.
+    phi a triple of target-chart components, arrays of three point axes
+    that broadcast to the rows' points (*rows), each of length 1 along an
+    axis it is constant along (a stacked (3, *rows) array is one such
+    triple), and A (dim g, 3, *rows) Lie-valued 1-form components;
+    ``metric(rows)`` returns g_M (3, 3, *rows).  On a periodic axis ``rows``
+    may leave [0, n), and the rows are taken mod n.  Each call returns fresh
+    arrays that the caller owns.  orientation: sign of the coordinate frame
+    dx^0 ^ dx^1 ^ dx^2 against the orientation of M.
 
     ``diagnostics`` are (name, fn, combine): fn(rows) is a pointwise field
     of the family on rows (broadcast to their points), and ``combine``
@@ -90,6 +98,9 @@ class Slab:
     Each field is held on the rows its readers need, until its last reader:
     phi and d^A phi on the window, which the naturality checks
     differentiate; F, I(phi) and the Bianchi residual on the slab's rows.
+    phi is held as its components (see :class:`Configuration`), and I(phi)
+    on the axes the coordinates it reads vary along; a field of first-axis
+    length 1 is constant along it and is held on any rows as it is.
     A, which the :class:`Survey` reads first, is dropped once d^A phi is
     formed, g_M once the star (with its closed-form inverse) is built, and
     :meth:`take` hands the rest over.
@@ -102,11 +113,12 @@ class Slab:
     def __post_init__(self):
         halo = self.config.grid.halo(self.window)
         # name -> (the field, the rows of the first axis it is held on)
-        self._held = {name: (values, halo)
-                      for name, values in zip(("phi", "A"), self.config.fields(halo))}
+        phi, A = self.config.fields(halo)
+        self._held = {"phi": (tuple(phi), halo), "A": (A, halo)}
 
     @property
-    def phi(self) -> np.ndarray:
+    def phi(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """phi's components on the window."""
         return self._on("phi", self.window)
 
     @property
@@ -116,24 +128,25 @@ class Slab:
         return self._on("P", self.window)
 
     def inner(self, name: str) -> np.ndarray:
-        """The field ``name`` (phi, P, F, kil for I(phi), bianchi, or A
-        before any of the derived ones) on the slab's rows: a view."""
+        """The field ``name`` (phi's components, P, F, kil for I(phi),
+        bianchi, or A before any of the derived ones) on the slab's rows: a
+        view."""
         return self._on(name, self.rows)
 
-    def take(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def take(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
         """(phi, d^A phi, F, I(phi)) on the slab's rows, handed over: each is
         copied out of a field held on more rows, and the slab keeps none of
         them, so each is freed with the caller's last use."""
         self.inner("P")  # formed here if no check has read the slab
-        out = tuple(_copy_rows(*self._held.pop(name), self.rows)
+        out = tuple(_each(_copy_rows, *self._held.pop(name), self.rows)
                     for name in ("phi", "P", "F", "kil"))
         self._held.clear()
         return out
 
-    def _on(self, name: str, rows: slice) -> np.ndarray:
+    def _on(self, name: str, rows: slice):
         if name not in self._held:
             self._derive()
-        return _cut(*self._held[name], rows)
+        return _each(_cut, *self._held[name], rows)
 
     def _derive(self):
         """F on the window from A on its halo, the Bianchi residual on the
@@ -153,7 +166,7 @@ class Slab:
         del F, on_rows, div
         A = _copy_rows(A, halo, window)
         P = _dphi(c, phi, window)
-        phi = _copy_rows(phi, halo, window)
+        phi = _each(_copy_rows, phi, halo, window)
         self._held["phi"] = (phi, window)
         kil = c.target.killing_fn(phi)
         for m in range(3):  # one form component of A^a I_a(phi) at a time
@@ -174,25 +187,33 @@ class Slab:
 
 
 def _copy_rows(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
-    """:func:`_cut` as an array of its own, so that ``values`` can be freed."""
-    return values if rows == held else _cut(values, held, rows).copy()
+    """:func:`_cut` as an array of its own, so that ``values`` can be freed;
+    a field constant along the first axis (see :func:`_cut`) is not cut."""
+    out = values if rows == held else _cut(values, held, rows)
+    return out if out is values else out.copy()
 
 
-def _dphi(c: Configuration, phi: np.ndarray, rows: slice) -> np.ndarray:
-    """Plain differential d phi^mu on rows, winding-aware, from phi on
-    ``c.grid.halo(rows)``; shape (3, 3, *rows), a fresh array."""
+def _each(cut, values, held: slice, rows: slice):
+    """``cut(values, held, rows)``, or of each component where ``values``
+    is phi's triple."""
+    if isinstance(values, tuple):
+        return tuple(cut(v, held, rows) for v in values)
+    return cut(values, held, rows)
+
+
+def _dphi(c: Configuration, phi, rows: slice) -> np.ndarray:
+    """Plain differential d phi^mu on rows, winding-aware, from phi's
+    components on ``c.grid.halo(rows)``, broadcast to its points first;
+    shape (3, 3, *rows), a fresh array."""
     grid, w = c.grid, c.phi_winding
+    win = grid.halo(rows)
+    phi = np.stack([np.broadcast_to(v, grid.points_shape(win)) for v in phi])
     if np.any(w):
         # phi minus its linear winding: the part that is periodic
-        win = grid.halo(rows)
-        x = [grid.axis_points(i) for i in range(3)]
-        x[0] = x[0][grid.row_index(win)]
         lin = np.zeros(phi.shape)
-        for lam, pts in enumerate(x):
-            shape = [1, 1, 1]
-            shape[lam] = len(pts)
-            lin += w[:, lam, None, None, None] * pts.reshape(shape)
-        phi = phi - lin
+        for lam, pts in enumerate(grid.open_mesh(win)):
+            lin += w[:, lam, None, None, None] * pts
+        phi -= lin
         del lin
     out = exterior_d(phi, 0, grid, rows)
     out += w[:, :, None, None, None]
@@ -203,10 +224,10 @@ class Survey:
     """The checks of a configuration that read every grid point, folded over
     its slabs in the order the pass reads them.
 
-    :meth:`read` takes a slab's phi and A on its rows, its g_M and its
-    diagnostics.  It keeps whether phi and A are finite, the extrema of each
-    bounded target-chart component of phi and the combined diagnostics of
-    the whole grid, and, for each sub-box that ``insets`` names
+    :meth:`read` takes a slab's phi (its components) and A on its rows, its
+    g_M and its diagnostics.  It keeps whether phi and A are finite, the
+    extrema of each bounded target-chart component of phi and the combined
+    diagnostics of the whole grid, and, for each sub-box that ``insets`` names
     (``PatchGrid.box``), whether g_M is riemannian on it and its combined
     diagnostics.  ``failed`` is set once the slabs read so far already fail
     a check; :meth:`close` raises, after the last slab, the error that the
@@ -228,8 +249,9 @@ class Survey:
     def read(self, slab: Slab):
         c, rows = self.config, slab.rows
         phi = slab.inner("phi")
-        for name, values in (("phi", phi), ("A", slab.inner("A"))):
-            self._finite[name] = self._finite[name] and bool(np.all(np.isfinite(values)))
+        for name, values in (("phi", phi), ("A", (slab.inner("A"),))):
+            self._finite[name] = self._finite[name] and all(
+                bool(np.all(np.isfinite(v))) for v in values)
         if self._finite["phi"]:
             for mu in range(3):
                 if not c.target.periodic[mu]:
@@ -237,9 +259,8 @@ class Survey:
                     old = self._extrema.setdefault(mu, [lo, hi])
                     old[:] = [min(old[0], lo), max(old[1], hi)]
         boxes = [(c.grid.in_box(rows, d), vals) for d, vals in zip(self.insets, self._box_values)]
-        points = (rows.stop - rows.start,) + c.grid.n[1:]
         for name, fn, combine in c.diagnostics:
-            v = np.broadcast_to(fn(rows), points)
+            v = np.broadcast_to(fn(rows), c.grid.points_shape(rows))
             for at, vals in [((...,), self.values)] + boxes:
                 if at is not None:
                     x = float(combine.reduce(v[at], axis=None))
@@ -337,8 +358,8 @@ def equivariant_pullback(P: np.ndarray, F: np.ndarray, p: int, q: int,
     P is d^A phi (3, 3, *sp) and F the curvature (dim g, 3, *sp) on the same
     points (the full grid or some of its rows); ``coeff`` holds the form's
     coefficients of bidegree (p, q) at phi there, with axes (algebra,)*p,
-    then (value 3,) if tangent-valued, then (components,) if q > 0, then the
-    points.  Returns dual-storage components
+    then (value 3,) if tangent-valued, then (components,) if q > 0, then
+    points that broadcast to P's.  Returns dual-storage components
     of the degree-(2p+q) result, with a leading value axis when the form is
     tangent-valued.  Degrees above 3 are rejected; p >= 2 cannot occur below
     degree 4 on a 3-manifold.  Every contraction is a pointwise multiply-add
@@ -408,7 +429,8 @@ def pullback_naturality_residual(c: Configuration, spec: EquivariantFormSpec,
         coeff = np.stack([_dot(k, on_rows) for k in kil])
     else:
         # (iota_{I_a} B)_l = (b x I_a)_l in dual storage
-        coeff = np.stack([_cross_into(np.empty(k.shape, np.result_type(on_rows, k)), on_rows, k)
+        coeff = np.stack([_cross_into(np.empty(np.broadcast_shapes(on_rows.shape, k.shape),
+                                               np.result_type(on_rows, k)), on_rows, k)
                           for k in kil])
     del on_rows
     lhs -= equivariant_pullback(P, F, 1, q - 1, coeff)

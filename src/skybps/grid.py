@@ -16,7 +16,9 @@ slab's derivative reads two halo rows on each side (``PatchGrid.halo``) and
 gives, row for row, the bits of the full-grid derivative, whatever the memory
 layout of the field.  A slab's densities are integrated on the slab:
 the quadrature is a sum of row sums (:meth:`PatchGrid.row_sums`), and a row's
-sum does not depend on the slab that holds the row.
+sum does not depend on the slab that holds the row.  A field constant along
+the first axis may hold length 1 there, and is then the same on any rows
+(:func:`_cut`).
 
 A sub-box is the box that a coordinate ``inset`` more margin leaves at every
 bounded face.  It has the grid's steps, and its own quadrature weights
@@ -143,26 +145,23 @@ class PatchGrid:
         x0, x1, x2 = (self.axis_points(i) for i in range(3))
         return tuple(np.meshgrid(x0[rows], x1, x2, indexing="ij"))
 
-    def open_mesh(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The coordinates of ``rows`` of the first axis (all by default) on
-        the axes they vary along: arrays of shapes (rows, 1, 1), (1, n1, 1)
-        and (1, 1, n2), which broadcast to the fields of :meth:`meshes`."""
+    def open_mesh(self, rows: slice | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coordinates of ``rows`` of the first axis (all by default; mod
+        n, as :meth:`row_index` takes them) on the axes they vary along:
+        arrays of shapes (rows, 1, 1), (1, n1, 1) and (1, 1, n2), which
+        broadcast to the fields of :meth:`meshes`."""
         x0, x1, x2 = (self.axis_points(i) for i in range(3))
-        return x0[rows, None, None], x1[None, :, None], x2[None, None, :]
+        if rows is not None:
+            x0 = x0[self.row_index(rows)]
+        return x0[:, None, None], x1[None, :, None], x2[None, None, :]
+
+    def points_shape(self, rows: slice) -> tuple[int, int, int]:
+        """The shape of a field on ``rows`` of the first axis."""
+        return (rows.stop - rows.start,) + self.n[1:]
 
     def row_index(self, rows: slice) -> np.ndarray:
         """Indices of ``rows`` of the first axis, taken mod n."""
         return np.arange(rows.start, rows.stop) % self.n[0]
-
-    def points(self, rows: slice) -> np.ndarray:
-        """The coordinates of the points of ``rows`` of the first axis (mod
-        n, so that they may leave [0, n) on a periodic axis), stacked: shape
-        (3, rows, n1, n2)."""
-        out = np.empty((3, rows.stop - rows.start) + self.n[1:])
-        out[0] = self.axis_points(0)[self.row_index(rows), None, None]
-        out[1] = self.axis_points(1)[:, None]
-        out[2] = self.axis_points(2)
-        return out
 
     def inset_rows(self, i: int, inset: float = 0.0) -> tuple[int, float]:
         """(k, s) for the sub-box ``inset`` on axis i: it reads the points k
@@ -346,8 +345,8 @@ def exterior_d(window: np.ndarray, degree: int, grid: PatchGrid,
         for m in (1, 2):
             out += partial_derivative(window[..., m, :, :, :], m, grid, rows)
         return out
-    out = np.empty(window.shape[:-3] + (3,) * (degree == 0) + (rows.stop - rows.start,)
-                   + grid.n[1:], np.result_type(window, float))
+    out = np.empty(window.shape[:-3] + (3,) * (degree == 0) + grid.points_shape(rows),
+                   np.result_type(window, float))
     o = np.moveaxis(out, -4, 0)
     if degree == 0:  # one direction's derivative held at a time
         for k in range(3):
@@ -376,8 +375,11 @@ def exterior_d(window: np.ndarray, degree: int, grid: PatchGrid,
 def _cut(values: np.ndarray, held: slice, rows: slice) -> np.ndarray:
     """The ``rows`` of the first axis of a field held on the rows ``held``,
     taken mod its length (on a periodic axis the whole axis) outside them: a
-    view where they lie in it."""
+    view where they lie in it.  A field of first-axis length 1 held on more
+    than one row is constant along that axis, and is returned as it is."""
     a, b, n = rows.start - held.start, rows.stop - held.start, values.shape[-3]
+    if n == 1 and held.stop - held.start > 1:
+        return values
     if 0 <= a and b <= n:
         return values[..., a:b, :, :]
     return np.take(values, np.arange(a, b) % n, axis=-3)

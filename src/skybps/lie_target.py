@@ -13,7 +13,9 @@ A coefficient evaluator takes its chart point as a triple of arrays that
 broadcast together, any of which may be complex; a stacked (3, ...) array is
 one such triple.  Its value holds the points of the coordinates it reads,
 broadcast together, so on an open mesh of the chart grid
-(``PatchGrid.open_mesh``) each factor is formed on the axes it varies along.
+(``PatchGrid.open_mesh``), or at a configuration's phi, whose components
+are held on the axes they vary along (``gaugefield.Configuration``), each
+factor is formed on the axes it varies along.
 Target-side partial derivatives are taken by complex step in one coordinate
 at a time, which is exact to rounding for complex-safe closed forms (the
 u1-fibered metric is the one evaluator that is not one, see
@@ -152,9 +154,10 @@ class TargetGeometry:
     of arrays that broadcast together (a stacked (3, ...) array is one), to
     arrays of shape (3, 3, ...), (dim, 3, ...) and (dim, 3, ...)
     respectively.  The trailing shape is the broadcast of the coordinates
-    the evaluator reads (``np.broadcast_shapes``), the dtype that of all
-    three (``np.result_type(*y)``), and any coordinate may be complex, for
-    complex-step derivatives.
+    the evaluator reads (``np.broadcast_shapes``), or of length 1 along
+    every axis of the coordinates for a value that reads none (the
+    u1-fibered I), the dtype that of all three (``np.result_type(*y)``),
+    and any coordinate may be complex, for complex-step derivatives.
     """
 
     name: str
@@ -346,7 +349,8 @@ def make_u1_fibered_target(
         ) / (2 * e)
 
     def killing_fn(yc):
-        k = _chart_zeros((1, 3), yc, *yc)
+        # the constant (1, 0, 0), on points of length 1 along every axis
+        k = np.zeros((1, 3) + (1,) * np.ndim(yc[0]), np.result_type(*yc))
         k[0, 0] = 1.0
         return k
 

@@ -7,7 +7,10 @@ evaluates each factor of them once, on the axis or the coordinate plane it
 depends on (a profile of xi, the surface's conformal factor, the frame of the
 orbit sphere), and returns a Configuration whose evaluators assemble phi, A
 and g_M from those factors on the rows a slab asks for.  No constructor
-forms a field of the grid's size.
+forms a field of the grid's size.  phi's components are held on the axes
+they vary along: the identity maps are the rows' open mesh
+(``PatchGrid.open_mesh``), and the constant direction (xi, pi/2, 0) varies
+along the first axis alone.
 
 Families
 --------
@@ -182,14 +185,11 @@ def _on_rows(values: np.ndarray, grid, rows: slice) -> np.ndarray:
     return values[grid.row_index(rows)][(...,) + (None,) * (3 - values.ndim)]
 
 
-def _constant_phi(grid, rows: slice) -> np.ndarray:
-    """phi = (xi, pi/2, 0): xi is the first coordinate, and the sphere factor
-    sits at the chart point of Phi = e_1."""
-    phi = np.empty((3, rows.stop - rows.start) + grid.n[1:])
-    phi[0] = _on_rows(grid.axis_points(0), grid, rows)
-    phi[1] = np.pi / 2
-    phi[2] = 0.0
-    return phi
+def _constant_phi(grid, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi = (xi, pi/2, 0): xi is the first coordinate, on (rows, 1, 1), and
+    the sphere factor sits at the chart point of Phi = e_1, on (1, 1, 1)."""
+    return (_on_rows(grid.axis_points(0), grid, rows), np.full((1, 1, 1), np.pi / 2),
+            np.zeros((1, 1, 1)))
 
 
 def _plane(grid, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,10 +236,9 @@ def identity_u1_solution(
         return 1.0 + 3.0 * _on_rows(f_tx, grid, rows) * mu_y / w
 
     def fields(rows):
-        phi = grid.points(rows)
-        A = np.zeros((1, 3) + phi.shape[1:])
+        A = np.zeros((1, 3) + grid.points_shape(rows))
         A[0, 1] = _on_rows(ax_vals, grid, rows)
-        return phi, A
+        return grid.open_mesh(rows), A
 
     def metric(rows):
         k = kappa(rows)
@@ -290,13 +289,12 @@ def dirac_monopole(n=48, r_window=(0.5, 2.0), margin: float = 0.1) -> FamilyResu
     quarter_sin_sq = 0.25 * np.sin(u) ** 2
 
     def fields(rows):
-        phi = _constant_phi(grid, rows)
-        A = np.zeros((3, 3) + phi.shape[1:])
+        A = np.zeros((3, 3) + grid.points_shape(rows))
         A[0, 2] = a_v[:, None]
-        return phi, A
+        return _constant_phi(grid, rows), A
 
     def metric(rows):
-        g = np.zeros((3, 3, rows.stop - rows.start) + grid.n[1:])
+        g = np.zeros((3, 3) + grid.points_shape(rows))
         g[0, 0] = _on_rows(g_ss, grid, rows)
         g[1, 1] = _on_rows(g_uu, grid, rows)
         g[2, 2] = quarter_sin_sq[:, None] / _on_rows(s_sq, grid, rows)
@@ -376,14 +374,13 @@ def spinorial_solution(
     one_minus_k = 1.0 - surface.gauss_k(x1, x2)
 
     def fields(rows):
-        phi = _constant_phi(grid, rows)
-        A = np.zeros((3, 3) + phi.shape[1:])
+        A = np.zeros((3, 3) + grid.points_shape(rows))
         for slot, values in a.items():
             A[slot] = values
         A[1, 1] = A[2, 2] = half_sq
         if twist_b != 0.0:
             A[0, 0] = twist_b
-        return phi, A
+        return _constant_phi(grid, rows), A
 
     def coef(rows):
         return _on_rows(h2_sq, grid, rows) + _on_rows(eta1, grid, rows) * one_minus_k
@@ -552,14 +549,13 @@ def spherical_solution(
     sin_sq = np.sin(u) ** 2
 
     def fields(rows):
-        phi = grid.points(rows)
-        A = np.zeros((3, 3) + phi.shape[1:])
+        A = np.zeros((3, 3) + grid.points_shape(rows))
         for lam, values in zip((1, 2), cross):
             A[:, lam] = _on_rows(half, grid, rows) * values
-        return phi, A
+        return grid.open_mesh(rows), A
 
     def metric(rows):
-        g = np.zeros((3, 3, rows.stop - rows.start) + grid.n[1:])
+        g = np.zeros((3, 3) + grid.points_shape(rows))
         g[0, 0] = _on_rows(g_xi, grid, rows)
         g[1, 1] = _on_rows(g_sphere, grid, rows)
         g[2, 2] = _on_rows(g_sphere, grid, rows) * sin_sq[:, None]
@@ -628,14 +624,13 @@ def symplectic_solution(
         return (sq * c, -sq * s), (sq * s, sq * c)
 
     def fields(rows):
-        phi = _constant_phi(grid, rows)
-        A = np.zeros((3, 3) + phi.shape[1:])
+        A = np.zeros((3, 3) + grid.points_shape(rows))
         (A[1, 1], A[1, 2]), (A[2, 1], A[2, 2]) = w(rows)
         A[0, 2] = a_v
-        return phi, A
+        return _constant_phi(grid, rows), A
 
     def metric(rows):
-        g = np.zeros((3, 3, rows.stop - rows.start) + grid.n[1:])
+        g = np.zeros((3, 3) + grid.points_shape(rows))
         g[0, 0] = 1.0
         g[1, 1] = _on_rows(sin_sq, grid, rows) * om
         g[2, 2] = _on_rows(sin_sq, grid, rows) * om

@@ -82,11 +82,18 @@ def from_arrays(grid: PatchGrid, target: TargetGeometry, phi: np.ndarray,
     return Configuration(grid, target, fields, metric, orientation, phi_winding)
 
 
+def stacked_phi(grid: PatchGrid, phi, rows: slice) -> np.ndarray:
+    """phi's components on ``rows`` of the first axis, broadcast to the
+    rows' points and stacked: shape (3, *rows)."""
+    return np.stack([np.broadcast_to(v, grid.points_shape(rows)) for v in phi])
+
+
 def full_fields(c: Configuration) -> tuple[np.ndarray, np.ndarray, Metric3]:
-    """phi, A and g_M of c on every row, from its evaluators."""
+    """phi (stacked, see :func:`stacked_phi`), A and g_M of c on every row,
+    from its evaluators."""
     rows = slice(0, c.grid.n[0])
     phi, A = c.fields(rows)
-    return phi, A, Metric3(c.metric(rows))
+    return stacked_phi(c.grid, phi, rows), A, Metric3(c.metric(rows))
 
 
 def integrate(f: np.ndarray, grid: PatchGrid) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import full_fields, perturbed_phi, take_rows
+from oracles import full_fields, perturbed_phi, stacked_phi, take_rows
 from skybps import cli, energy_degree, lie_target, solutions
 from skybps.cli import FAMILIES, build_family, build_target, main, run_sweep, run_verify
 from skybps.errors import ConfigError
@@ -527,7 +528,7 @@ def test_perturbation_rows_are_the_full_grid_bump(family):
     rows = [slice(0, 20), slice(0, 1), slice(7, 14), slice(19, 20), g.halo(slice(0, 3)),
             g.halo(slice(17, 20)), g.halo(g.halo(slice(9, 10)))]
     for r in rows:
-        assert np.array_equal(pert.fields(r)[0], take_rows(g, ref, r)), r
+        assert np.array_equal(stacked_phi(g, pert.fields(r)[0], r), take_rows(g, ref, r)), r
 
 
 @pytest.mark.parametrize("family", ["spherical", "identity-u1"])
@@ -551,6 +552,40 @@ def test_perturbed_verify_keeps_every_degree(family, monkeypatch):
         assert row["degree"] != ref["degree"]
         assert abs(row["degree"] - ref["degree"]) < 2e-9, row["margin"]
     assert abs(pert["degree_extrapolated"] - base["degree_extrapolated"]) < 2e-9
+
+
+def _stacked(c, used):
+    """c with fields that stack phi's components to full arrays."""
+    fields = c.fields
+
+    def stacked(rows):
+        phi, A = fields(rows)
+        used.append(rows)
+        return stacked_phi(c.grid, phi, rows), A
+
+    return dataclasses.replace(c, fields=stacked)
+
+
+@pytest.mark.parametrize("cfg", [{"family": f, "n": 16} for f in sorted(FAMILIES)] + [
+    {"family": "spherical", "n": 16, "perturb": {"eps": 0.02, "seed": 3}},
+], ids=sorted(FAMILIES) + ["spherical-perturbed"])
+def test_phi_on_its_axes_gives_the_report_of_phi_stacked(cfg, monkeypatch):
+    # the families hold phi's components on the axes they vary along; the
+    # same configuration with phi stacked to full arrays, the form that
+    # from_arrays and the perturbation hand over, gives the same report
+    on_axes = json.dumps(run_verify(cfg))
+    real_build, real_perturb, used = cli.build_family, cli.perturb_configuration, []
+
+    def build(cfg, margin):
+        res, p = real_build(cfg, margin)
+        res.config = _stacked(res.config, used)
+        return res, p
+
+    monkeypatch.setattr(cli, "build_family", build)
+    monkeypatch.setattr(cli, "perturb_configuration",
+                        lambda c, *a: real_perturb(_stacked(c, used), *a))
+    assert json.dumps(run_verify(cfg)) == on_axes
+    assert used
 
 
 def test_perturbation_vanishes_outside_its_box():

@@ -92,6 +92,32 @@ def test_rounding_change_of_the_volume_passes_at_the_scale_of_e(reference, tmp_p
     assert "largest relative difference: 0.000e+00" not in out
 
 
+def test_degree_near_an_integer_is_compared_at_the_scale_of_the_degree(reference, tmp_path,
+                                                                      monkeypatch):
+    # |deg - round(deg)| cancels like the gap: with Vol(N) scaled so that
+    # the degree sits 2e-4 above 1, 2 ulps of Vol(N) move the check by about
+    # 2e-12 of itself; it is compared at the scale max(1, |deg|), so that
+    # change passes and a change of 1e-10 still fails
+    deg = json.loads((reference / "report.json").read_text())["degree_extrapolated"]
+    near = deg / (1.0 + 2e-4)
+    real = TargetGeometry.volume
+
+    def run(name, rel):
+        monkeypatch.setattr(TargetGeometry, "volume", lambda self: real(self) * near * (1.0 + rel))
+        out = tmp_path / name
+        assert main(["verify", "--family", "identity-u1", "-n", "16", "--emit-gnuplot",
+                     "--output-dir", str(out)]) == 0
+        return out
+
+    base, moved, far = run("base", 0.0), run("moved", 4e-16), run("far", 1e-10)
+    a, b = (next(c["value"] for c in json.loads((d / "report.json").read_text())["checks"]
+                 if c["name"] == "degree_integer") for d in (base, moved))
+    assert abs(a - 2e-4) < 1e-9 and abs(b - a) / a > 1e-12
+    rc, out = compare(base, moved, "--rel", "1e-12", "--abs", "0")
+    assert rc == 0, out
+    assert compare(base, far, "--rel", "1e-12", "--abs", "0")[0] == 1
+
+
 def test_a_table_in_one_directory_only_fails(reference, tmp_path):
     edited = edited_copy(reference, tmp_path)
     (edited / "results.dat").unlink()

@@ -31,7 +31,7 @@ from skybps.energy_degree import (
     bps_coefficients,
 )
 from skybps.lie_target import make_su2_left_target
-from skybps.solutions import identity_u1_solution, spinorial_solution
+from skybps.solutions import identity_u1_solution, spherical_solution, spinorial_solution
 
 P0 = bps_coefficients(0.0, 0.0, 0.0)
 
@@ -41,32 +41,42 @@ def _slab_max(a):
     return float(np.max(a))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: spinorial_solution(n=16),
-    lambda: identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x), n=16),
-], ids=["adjoint", "u1"])
-def test_target_fields_evaluated_once_at_phi(build, monkeypatch):
-    monkeypatch.setattr(grid, "_SLAB_POINTS", 5 * 16 * 16)  # slabs of 5, 5, 5 and 1 rows
+# slabs of 5, 5, 5 and 1 rows at n = 16; phi's components vary along one axis
+# each, so each evaluator at phi forms the points of the coordinates it reads:
+# spinorial's phi is (xi on the rows, pi/2, 0), spherical's and identity-u1's
+# the open mesh; the adjoint targets' g_N reads (xi, u), I (u, v) and mu all
+# three, the u1-fibered g_N and mu read (x, y) and I none
+@pytest.mark.parametrize("build, points", [
+    (lambda: spinorial_solution(n=16),
+     {"metric_fn": 16, "killing_fn": 4 * 1, "mu_fn": 16}),
+    (lambda: spherical_solution(1.0, -1.0, 1.0, 2.0, n=16),
+     {"metric_fn": 16 * 16, "killing_fn": 4 * 16 * 16, "mu_fn": 16**3}),
+    (lambda: identity_u1_solution(lambda th, x: 0.1 * np.sin(th) * np.ones_like(x), n=16),
+     {"metric_fn": 4 * 16 * 16, "killing_fn": 4 * 1, "mu_fn": 4 * 16 * 16}),
+], ids=["adjoint-constant", "adjoint-identity", "u1-identity"])
+def test_target_fields_evaluated_once_at_phi(build, points, monkeypatch):
+    monkeypatch.setattr(grid, "_SLAB_POINTS", 5 * 16 * 16)
     c = _fresh_copy(build().config)
-    points = {}
+    assert len(c.grid.slabs()) == 4
+    calls, seen = {}, {}
 
     def counted(name, fn):
         def wrapped(y):
-            if not np.iscomplexobj(y):  # a complex-step partial's points are not phi's
-                points[name] = points.get(name, 0) + np.size(y[0])
-            return fn(y)
+            out = fn(y)
+            if not any(np.iscomplexobj(v) for v in y):  # a complex step's are not phi's
+                calls[name] = calls.get(name, 0) + 1
+                seen[name] = seen.get(name, 0) + int(np.prod(out.shape[-3:]))
+            return out
         return wrapped
 
     t = c.target
     for name in ("metric_fn", "killing_fn", "mu_fn"):
         monkeypatch.setattr(t, name, counted(name, getattr(t, name)))
     bound_gap(c, P0, 1.0)[0]
-    # g_N and mu at each grid point once; I at each point of each slab's
-    # window, where d^A phi is formed, and nu and the contraction check
-    # share its slab's rows
-    n, g = int(np.prod(c.grid.shape)), c.grid
-    window = sum(w.stop - w.start for w in map(g.halo, g.slabs())) * int(np.prod(g.n[1:]))
-    assert points == {"metric_fn": n, "killing_fn": window, "mu_fn": n}
+    # each once per slab: g_N and mu on the slab's rows, I on its window,
+    # where d^A phi is formed, and nu and the contraction check share it
+    assert calls == dict.fromkeys(points, 4)
+    assert seen == points
 
 
 def test_bps_coefficients_origin():

@@ -93,16 +93,17 @@ def test_pass_halo_costs_a_pinned_share_of_a_row(family, rows):
 
 
 def test_take_hands_over_no_window_or_halo_buffer(monkeypatch):
-    # the pass reads phi, d^A phi, F and I(phi) from Slab.take(); on a halo
-    # slab each is a copy of the slab's own rows, so no window- or halo-sized
-    # buffer lives on through the pass
+    # the pass reads phi's components, d^A phi, F and I(phi) from
+    # Slab.take(); on a halo slab each is a copy of the slab's own rows, or
+    # is constant along the first axis and holds no row, so no window- or
+    # halo-sized buffer lives on through the pass
     monkeypatch.setattr(grid, "_SLAB_POINTS", 3 * 20 * 20)
     res, p = build_family({"family": "spherical", "n": 20}, FAMILIES["spherical"].margins[0])
     c = res.config
     real, taken = gaugefield.Slab.take, []
 
     def take(slab):
-        wide = [slab.phi, slab.P]  # held on the window; F is held on the rows alone
+        wide = [*slab.phi, slab.P]  # held on the window; F is held on the rows alone
         wide += [a.base for a in wide if a.base is not None]
         out = real(slab)
         taken.append((slab.rows, wide, out))
@@ -115,10 +116,12 @@ def test_take_hands_over_no_window_or_halo_buffer(monkeypatch):
     bound_gap(c, p, 1.0, checks)[0]
     assert len(taken) == len(c.grid.slabs()) == 7
     for rows, wide, out in taken:
-        for a in out:
-            assert a.shape[-3] == rows.stop - rows.start
-            assert a.base is None and not any(np.shares_memory(a, w) for w in wide)
-        assert len(out) == 4  # phi, d^A phi, F, I(phi)
+        assert len(out) == 4 and len(out[0]) == 3  # phi's components, d^A phi, F, I(phi)
+        for a in (*out[0], *out[1:]):
+            if a.shape[-3] == rows.stop - rows.start:
+                assert a.base is None and not any(np.shares_memory(a, w) for w in wide)
+            else:  # constant along the first axis: neither it nor its base holds a row
+                assert a.shape[-3] == 1 and (a if a.base is None else a.base).size == a.size
 
 
 # -- nothing of the grid's size is held -------------------------------------------
